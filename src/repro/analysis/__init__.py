@@ -3,9 +3,9 @@
 This package is the batch-service layer over the uniformization engine
 (:mod:`repro.ctmc.uniformization`): callers declare
 :class:`MeasureRequest` objects, an :class:`AnalysisSession` plans them
-into groups that agree on (chain identity, uniformization rate, time grid,
-epsilon), and each group is dispatched as one sweep that batches all the
-group's initial distributions and observable vectors.  Every legacy measure
+into groups that agree on (chain fingerprint, uniformization rate, time
+grid, epsilon), and each group is dispatched as one sweep that batches all
+the group's initial distributions and observable vectors.  Every legacy measure
 entry point (``repro.ctmc.transient``, ``repro.ctmc.rewards``,
 ``repro.measures``, the CSL checker) is a thin wrapper that submits a
 one-request session, so the batched path is the *only* numerical path.

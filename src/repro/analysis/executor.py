@@ -201,7 +201,7 @@ def execution_units(plan: ExecutionPlan) -> list[ExecutionUnit]:
             continue
         first = group.members[0]
         signature = (
-            id(group.chain),
+            group.chain.fingerprint,
             first.target_mask.tobytes(),
             first.safe_mask.tobytes(),
             float(first.request.lower),

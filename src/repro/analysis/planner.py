@@ -5,7 +5,9 @@ the same vector-power sequence, i.e. when they agree on
 
 * the operating chain — the request's chain after the measure-specific
   transformation (reachability absorbs its decided states), compared by
-  *identity* of the base chain plus the transformation signature,
+  the base chain's content fingerprint (never object identity, so an
+  unpickled or rebuilt copy still merges) plus the transformation
+  signature,
 * the uniformization rate (derived from the operating chain),
 * the time grid (bit-for-bit), and
 * the truncation error ``epsilon``.
@@ -15,9 +17,9 @@ may still differ in initial distributions and reward vectors, which the
 executor stacks into the sweep's batch axes.
 
 Long-run requests (``STEADY_STATE``, ``UNBOUNDED_REACHABILITY``,
-``REACHABILITY_REWARD``) never sweep: they are grouped by (chain identity,
-state-subset signature) instead, so the executor can batch all their
-right-hand-side columns against one cached LU factorization
+``REACHABILITY_REWARD``) never sweep: they are grouped by (chain
+fingerprint, state-subset signature) instead, so the executor can batch
+all their right-hand-side columns against one cached LU factorization
 (:mod:`repro.ctmc.linsolve`).
 
 The planner can additionally run ordinary lumpability
@@ -331,7 +333,7 @@ def build_plan(
         else normalise_dtype(default_dtype)
     ).name
     groups: dict[tuple, ExecutionGroup] = {}
-    transformed_cache: dict[tuple[int, bytes], CTMC] = {}
+    transformed_cache: dict[tuple[str, bytes], CTMC] = {}
 
     for index, request in enumerate(requests):
         planned = normalise_request(request, index)
@@ -368,7 +370,7 @@ def build_plan(
                 )
             else:  # REACHABILITY_REWARD
                 longrun_token = b"reach-reward" + planned.target_mask.tobytes()
-            key = (id(base), longrun_token, planned.kind.value, engine_mode)
+            key = (base.fingerprint, longrun_token, planned.kind.value, engine_mode)
             if not batched:
                 key = key + (index,)
             group = groups.get(key)
@@ -389,7 +391,7 @@ def build_plan(
         if planned.kind is MeasureKind.REACHABILITY:
             absorbing = planned.target_mask | ~(planned.safe_mask | planned.target_mask)
             transform_token = absorbing.tobytes()
-            cache_key = (id(base), transform_token)
+            cache_key = (base.fingerprint, transform_token)
             operating = transformed_cache.get(cache_key)
             if operating is None:
                 if artifacts is not None:
@@ -418,7 +420,7 @@ def build_plan(
             dtype_name = "float64"  # the backward value sweep needs float64
 
         key = (
-            id(base),
+            base.fingerprint,
             transform_token,
             float(operating.max_exit_rate),
             planned.times.tobytes(),

@@ -84,8 +84,9 @@ class MeasureRequest:
     Attributes
     ----------
     chain:
-        The CTMC to analyse.  Requests on the *same* chain object (by
-        identity) are candidates for sharing a sweep.
+        The CTMC to analyse.  Requests on chains with the same content
+        fingerprint (the same rate matrix, whatever the object) are
+        candidates for sharing a sweep.
     times:
         The time grid (non-negative, any order, duplicates allowed).
     kind:

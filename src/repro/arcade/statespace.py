@@ -80,6 +80,7 @@ class ArcadeStateSpace:
 
     def __post_init__(self) -> None:
         self._index = {state: index for index, state in enumerate(self.states)}
+        self._levels: tuple[list[Fraction], np.ndarray] | None = None
 
     # ------------------------------------------------------------------
     @property
@@ -111,15 +112,29 @@ class ArcadeStateSpace:
     def states_with_service_at_least(self, threshold: float | Fraction) -> np.ndarray:
         """Indices of states whose service level is at least ``threshold``.
 
-        This is the set ``S_{sl(x)}`` of the paper.
+        This is the set ``S_{sl(x)}`` of the paper.  Only the few distinct
+        levels are compared (exactly) with the threshold; a per-state level
+        id array, built on first use, maps the verdicts back to states.
         """
         limit = Fraction(threshold).limit_denominator(10**6) if not isinstance(
             threshold, Fraction
         ) else threshold
-        return np.array(
-            [index for index, level in enumerate(self.service_levels) if level >= limit],
-            dtype=int,
-        )
+        if self._levels is None:
+            # Keyed by (numerator, denominator): Fractions are normalised,
+            # and the tuples hash several times faster than Fractions do.
+            ids: dict[tuple[int, int], int] = {}
+            level_ids = np.fromiter(
+                (
+                    ids.setdefault((level.numerator, level.denominator), len(ids))
+                    for level in self.service_levels
+                ),
+                dtype=int,
+                count=len(self.service_levels),
+            )
+            self._levels = ([Fraction(*ratio) for ratio in ids], level_ids)
+        levels, level_ids = self._levels
+        attained = np.array([level >= limit for level in levels], dtype=bool)
+        return np.flatnonzero(attained[level_ids])
 
     # ------------------------------------------------------------------
     def disaster_state(self, disaster: Disaster | str) -> int:

@@ -57,8 +57,7 @@ from repro.measures import (
 _SPACE_CACHE: dict[tuple[str, str, int, bool], ArcadeStateSpace] = {}
 # Scenario-service clients may expand scenarios (and hence build state
 # spaces) from several tasks/threads at once; the lock keeps each space
-# built exactly once.  Chain identity matters downstream: the planner merges
-# requests by `id(chain)`, so duplicate builds would defeat coalescing.
+# built exactly once, since a duplicate build costs seconds.
 _SPACE_CACHE_LOCK = threading.Lock()
 
 

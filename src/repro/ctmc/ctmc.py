@@ -159,6 +159,7 @@ class CTMC:
         self._uniformized_cache: dict[float, sparse.csr_matrix] = {}
         self._uniformized_transpose_cache: dict[float, sparse.csr_matrix] = {}
         self._fingerprint: str | None = None
+        self._content_key: str | None = None
 
     # ------------------------------------------------------------------
     # basic accessors
@@ -213,6 +214,27 @@ class CTMC:
         return self._fingerprint
 
     @property
+    def content_key(self) -> str:
+        """A content hash of everything a measure request reads from the chain.
+
+        Extends :attr:`fingerprint` with the initial distribution and the
+        label masks, so two chains with equal content keys answer every
+        measure request identically and one can stand in for the other (the
+        sharded service sends each chain to a worker once under this key).
+        Computed lazily and cached; :meth:`add_label` invalidates it.
+        """
+        if self._content_key is None:
+            digest = hashlib.sha256(self.fingerprint.encode())
+            digest.update(self._initial.tobytes())
+            for name in sorted(self._labels):
+                encoded = name.encode()
+                digest.update(np.int64(len(encoded)).tobytes())
+                digest.update(encoded)
+                digest.update(self._labels[name].tobytes())
+            self._content_key = digest.hexdigest()
+        return self._content_key
+
+    @property
     def initial_distribution(self) -> np.ndarray:
         """The initial probability distribution over states."""
         return self._initial.copy()
@@ -255,6 +277,7 @@ class CTMC:
                 raise CTMCError(f"label {name!r}: state index out of range")
             mask[indices] = True
         self._labels[name] = mask
+        self._content_key = None
 
     def has_label(self, name: str) -> bool:
         return name in self._labels

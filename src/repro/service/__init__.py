@@ -13,7 +13,9 @@ the heavy-traffic north star:
 * :class:`ShardedScenarioService` — the multi-process front:
   scenario portfolios partitioned across N spawn workers (one service +
   artifact cache each) with per-shard chain ownership via fingerprint
-  routing and a shared-nothing stats-snapshot protocol for ``/metrics``.
+  routing, content-addressed chain transport (each chain crosses the wire
+  to a worker once; requests carry its key) and a shared-nothing
+  stats-snapshot protocol for ``/metrics``.
   The front is *supervised*: dead workers respawn with exponential backoff
   under a restart budget, wedged workers are caught by heartbeat pings,
   in-flight requests retry transparently and a down shard's chains fail

@@ -11,8 +11,19 @@ worker pool.  The design is shared-nothing:
   one shard *owns* each chain: its LU factorizations, BSCC decompositions,
   lumping quotients and uniformized operators stay warm in that shard's
   cache and are never duplicated across workers.  Requests for the same
-  chain also land in the same worker's coalescing window, so cross-client
-  sweep sharing keeps working under shard-out.
+  chain also land in the same worker's coalescing window and plan by chain
+  fingerprint, so cross-client sweep sharing keeps working under shard-out:
+  ``benchmarks/bench_perf_sharded_service.py`` gates that duplicated
+  clients on a 1-shard front cost exactly the single-process sweep count.
+* **Content-addressed chain transport** — each chain crosses the wire to a
+  worker once per worker incarnation, keyed by
+  :attr:`~repro.ctmc.ctmc.CTMC.content_key` (fingerprint + initial
+  distribution + labels); a request then carries only that key plus its
+  own masks and vectors, and the worker swaps its stored chain back in.
+  A worker keeps every chain routed to it for its lifetime (the front holds
+  the same chains anyway).  The front tracks which keys each incarnation
+  holds and forgets them on respawn, so a retried or failed-over request
+  sends its chain again first.
 * **Shared-nothing artifact-summary protocol** — workers never share cache
   memory; instead each answers a ``stats`` message with a picklable
   snapshot of its :class:`~repro.service.ServiceStats`,
@@ -65,15 +76,20 @@ the offending request instead of wedging a queue feeder thread):
 ========================================  ==================================
 parent → worker                           worker → parent
 ========================================  ==================================
-``("request", id, request_bytes)``        ``("result", id, payload_bytes)``
-``("stats", id)``                         ``("error", id, exc_bytes, text)``
-``("ping", id)``                          ``("stats", id, snapshot_bytes)``
-``("shutdown",)``                         ``("pong", id)``
+``("chain", key, chain_bytes)``           ``("result", id, payload_bytes)``
+``("request", id, request_bytes)``        ``("error", id, exc_bytes, text)``
+``("stats", id)``                         ``("stats", id, snapshot_bytes)``
+``("ping", id)``                          ``("pong", id)``
+``("shutdown",)``
 ========================================  ==================================
 
-Results travel as plain arrays (times, values, group index, lump size) and
-are re-attached to the caller's original request object, so the parent
-never unpickles a chain it already holds.
+``request_bytes`` is the pickled request with its ``chain`` field replaced
+by the chain's content key.  Ordering rule: the front puts ``("chain", ...)``
+on a worker's queue ahead of the first request on that chain, the queue is
+FIFO, and the worker installs a chain before it reads its next message, so
+a request never arrives ahead of its chain.  Results travel as plain arrays
+(times, values, group index, lump size) and are re-attached to the caller's
+original request object, so the parent never unpickles a chain.
 """
 
 from __future__ import annotations
@@ -85,7 +101,7 @@ import threading
 import time
 import queue as queue_module
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import partial
 from typing import Any
 
@@ -225,10 +241,17 @@ async def _shard_worker(
         chaos.script_for(shard_index, generation) if chaos is not None else {}
     )
     request_count = 0
+    # Chains this incarnation holds, by content key; a chain that failed to
+    # unpickle is stored as its exception, so each request on it fails alone.
+    chains: dict[str, Any] = {}
 
     async def run_request(request_id: int, payload: bytes, event=None) -> None:
         try:
             request = pickle.loads(payload)
+            chain = chains[request.chain]
+            if isinstance(chain, Exception):
+                raise chain
+            request.chain = chain
             result = await service.submit(request)
             body = pickle.dumps(
                 {
@@ -293,6 +316,16 @@ async def _shard_worker(
                 )
                 responses.put(("stats", message[1], snapshot))
                 continue
+            if kind == "chain":
+                # Installed before the next message is read: the front
+                # queues a chain ahead of the first request on it.
+                try:
+                    chains[message[1]] = await loop.run_in_executor(
+                        None, pickle.loads, message[2]
+                    )
+                except Exception as error:
+                    chains[message[1]] = error
+                continue
             # kind == "request": the only message class chaos schedules key
             # on, so heartbeats and stats probes never shift a schedule.
             request_count += 1
@@ -330,6 +363,11 @@ def _shard_worker_main(
 # ----------------------------------------------------------------------
 # parent side
 # ----------------------------------------------------------------------
+def _request_payload(request: MeasureRequest) -> bytes:
+    """A request's wire form: a copy whose chain is the chain's content key."""
+    return pickle.dumps(replace(request, chain=request.chain.content_key))
+
+
 @dataclass
 class ShardSnapshot:
     """One shard's shared-nothing stats summary (the ``stats`` reply)."""
@@ -375,6 +413,12 @@ class ShardedServiceStats:
     failovers: dict[int, int] = field(default_factory=dict)
     #: Wedge detections (heartbeat timeouts that led to a kill), per shard.
     heartbeat_misses: dict[int, int] = field(default_factory=dict)
+    #: Chains sent to a worker incarnation that did not hold them yet.
+    chain_uploads: int = 0
+    #: Pickled size of those chain uploads.
+    chain_bytes: int = 0
+    #: Pickled size of every request message sent (retries included).
+    request_bytes: int = 0
 
     def summary(self) -> str:
         """One line for CLI output and logs."""
@@ -389,6 +433,8 @@ class ShardedServiceStats:
             f"restarts={sum(self.restarts.values())} "
             f"failovers={sum(self.failovers.values())} "
             f"heartbeat_misses={sum(self.heartbeat_misses.values())} "
+            f"chain_uploads={self.chain_uploads} chain_bytes={self.chain_bytes} "
+            f"request_bytes={self.request_bytes} "
             f"routed: {per_shard or '(none)'}"
         )
 
@@ -440,6 +486,8 @@ class _Shard:
     death_times: list[float] = field(default_factory=list)
     restart_handle: Any = None
     restart_task: Any = None
+    #: Content keys of the chains the current incarnation holds.
+    chain_keys: set[str] = field(default_factory=set)
 
 
 class ShardedScenarioService:
@@ -891,7 +939,7 @@ class ShardedScenarioService:
         self.stats.retries += 1
         try:
             self._dispatch_entry(entry)
-        except ShardCrashed as error:
+        except Exception as error:  # no route left, or an unsendable chain
             self.stats.failed += 1
             entry.future.set_exception(error)
 
@@ -960,6 +1008,7 @@ class ShardedScenarioService:
             responses,
         )
         shard.generation = next_generation
+        shard.chain_keys = set()  # the new incarnation holds no chain yet
         shard.ready = False
         shard.last_pong = time.monotonic()
         shard.wedged = False
@@ -1012,13 +1061,15 @@ class ShardedScenarioService:
     def _dispatch_entry(self, entry: _Inflight) -> None:
         """Route one submission: owner shard, failover candidate, or park.
 
-        Raises :class:`ShardCrashed` when no shard is up *and* none is
-        restarting (every candidate circuit-broken or failover disabled).
+        The request's chain goes out first when the target's current
+        incarnation does not hold it yet (see the module docstring's
+        ordering rule).  Raises :class:`ShardCrashed` when no shard is up
+        *and* none is restarting (every candidate circuit-broken or failover
+        disabled), and a pickling error when the chain cannot be sent.
         """
         assert entry.request is not None
-        owner = shard_for_fingerprint(
-            entry.request.chain.fingerprint, self.num_shards
-        )
+        chain = entry.request.chain
+        owner = shard_for_fingerprint(chain.fingerprint, self.num_shards)
         width = self.num_shards if self.failover else 1
         target: _Shard | None = None
         restart_pending = False
@@ -1037,10 +1088,19 @@ class ShardedScenarioService:
                 self._parked.append(entry)
                 return
             raise ShardCrashed(
-                f"chain {entry.request.chain.fingerprint[:12]}... cannot be "
+                f"chain {chain.fingerprint[:12]}... cannot be "
                 f"served: owner shard {owner} is {self._shards[owner].state} "
                 f"and no failover shard is available"
             )
+        key = chain.content_key
+        if key not in target.chain_keys:
+            # Pickled here, once per incarnation, and never kept: front
+            # memory holds no chain bytes beyond the queue's send buffer.
+            chain_bytes = pickle.dumps(chain)
+            target.requests.put(("chain", key, chain_bytes))
+            target.chain_keys.add(key)
+            self.stats.chain_uploads += 1
+            self.stats.chain_bytes += len(chain_bytes)
         if target.index != owner:
             self.stats.failovers[owner] = self.stats.failovers.get(owner, 0) + 1
         request_id = next(self._ids)
@@ -1051,6 +1111,7 @@ class ShardedScenarioService:
         self.stats.routed[target.index] = (
             self.stats.routed.get(target.index, 0) + 1
         )
+        self.stats.request_bytes += len(entry.payload)
         target.requests.put(("request", request_id, entry.payload))
 
     def _drain_parked(self) -> None:
@@ -1061,7 +1122,7 @@ class ShardedScenarioService:
                 continue
             try:
                 self._dispatch_entry(entry)  # may re-park
-            except ShardCrashed as error:
+            except Exception as error:  # no route left, or an unsendable chain
                 self.stats.failed += 1
                 entry.future.set_exception(error)
 
@@ -1170,17 +1231,19 @@ class ShardedScenarioService:
                 f"(max_pending={self.max_pending}); back off and resubmit"
             )
         assert self._loop is not None
-        # Serializing a chain's sparse matrices is O(transitions); keep it
-        # off the event loop, which also serves HTTP traffic.
-        payload = await self._loop.run_in_executor(None, pickle.dumps, request)
+        # The first content key of a chain object hashes its rate matrix;
+        # keep that (and the pickling) off the event loop, which also serves
+        # HTTP traffic.
+        payload = await self._loop.run_in_executor(None, _request_payload, request)
         entry = _Inflight(
             future=self._loop.create_future(), request=request, payload=payload
         )
         self.stats.submissions += 1
         try:
             self._dispatch_entry(entry)
-        except ShardCrashed:
-            self.stats.routed_dead += 1
+        except Exception as error:
+            if isinstance(error, ShardCrashed):
+                self.stats.routed_dead += 1
             self.stats.failed += 1
             raise
         timeout = self.default_timeout if timeout is None else timeout
@@ -1307,6 +1370,9 @@ class ShardedScenarioService:
             "timeouts_total": self.stats.timeouts,
             "retries_total": self.stats.retries,
             "routed_dead_total": self.stats.routed_dead,
+            "chain_uploads_total": self.stats.chain_uploads,
+            "chain_bytes_total": self.stats.chain_bytes,
+            "request_bytes_total": self.stats.request_bytes,
         }
         front_lines = []
         for name, value in front.items():

@@ -8,6 +8,7 @@ lumped quotient path, and the CLI's figure-pair deduplication.
 
 from __future__ import annotations
 
+import pickle
 import warnings
 
 import numpy as np
@@ -105,6 +106,32 @@ class TestPlannerGrouping:
         session.request(chain, GRID, kind=MeasureKind.REACHABILITY, target="target")
         session.request(chain, GRID, kind=MeasureKind.REACHABILITY, target=[7])
         assert session.plan().num_groups == 1
+
+    def test_equal_content_copies_share_one_group(self):
+        # Groups key on the chain's content fingerprint, not object identity:
+        # an unpickled copy (what a shard worker holds) and a copy started
+        # elsewhere merge with the original into one sweep.
+        chain = random_chain(8, seed=10)
+        members = [
+            chain,
+            pickle.loads(pickle.dumps(chain)),
+            chain.with_initial_distribution({2: 1.0}),
+        ]
+        reachability = dict(kind=MeasureKind.REACHABILITY, target="target")
+        session = AnalysisSession()
+        for member in members:
+            session.request(member, GRID, **reachability)
+        assert session.plan().num_groups == 1
+        results = session.execute()
+        assert session.stats.sweeps == 1
+        for member, result in zip(members, results):
+            alone = AnalysisSession()
+            alone.request(member, GRID, **reachability)
+            np.testing.assert_allclose(
+                result.values, alone.execute()[0].values, rtol=0.0, atol=1e-12
+            )
+        # The copies really differ where it matters: their own initials.
+        assert not np.allclose(results[0].values, results[2].values)
 
     def test_unbatched_session_gives_one_group_per_request(self):
         chain = random_chain(8, seed=8)

@@ -20,7 +20,8 @@ from repro.casestudy import (
     build_line1,
     build_line2,
 )
-from repro.casestudy.facility import StrategyConfiguration, build_line
+from repro.casestudy.experiments import line_state_space
+from repro.casestudy.facility import LINE1, LINE2, StrategyConfiguration, build_line
 from repro.casestudy.reporting import ascii_plot, curves_to_csv, format_table
 from repro.measures import (
     combined_availability,
@@ -105,6 +106,26 @@ class TestServiceIntervals:
             Fraction(2, 3),
             Fraction(1),
         ]
+
+    @pytest.mark.parametrize("line", [LINE1, LINE2])
+    def test_service_level_sets_match_the_per_state_comparison(self, line):
+        # FRF-1: the largest spaces (33,280 states on Line 1).
+        space = line_state_space(line, PAPER_STRATEGIES[1])
+        levels = sorted(set(space.service_levels))
+        for threshold in [*levels, *(float(level) for level in levels), 0.0, 1.5]:
+            limit = (
+                threshold
+                if isinstance(threshold, Fraction)
+                else Fraction(threshold).limit_denominator(10**6)
+            )
+            expected = [
+                index
+                for index, level in enumerate(space.service_levels)
+                if level >= limit
+            ]
+            np.testing.assert_array_equal(
+                space.states_with_service_at_least(threshold), expected
+            )
 
 
 class TestPaperNumbers:

@@ -12,7 +12,9 @@ or by killing worker processes directly, and every recovery claim of
 * the restart budget circuit-breaks a crash-looping shard, after which
   callers fail fast (and are counted in ``routed_dead``);
 * a corrupted response payload fails exactly its own request;
-* a dropped response is recovered only by its caller's own deadline.
+* a dropped response is recovered only by its caller's own deadline;
+* a worker that dies after receiving a chain takes the chain with it: the
+  retry sends the chain again to the incarnation or shard that serves it.
 """
 
 from __future__ import annotations
@@ -226,6 +228,38 @@ class TestCrashRecovery:
         assert stats.routed_dead == 1
         assert stats.failed >= 2  # the in-flight failure and the fast reject
         assert stats.retries == 0
+
+
+    @pytest.mark.parametrize("failover", [False, True])
+    def test_retry_after_kill_resends_the_chain(self, failover):
+        # Request 1 uploads the chain to shard 0; shard 0 dies on request 2.
+        # The retry runs on the respawned incarnation (or, with failover, on
+        # shard 1), which does not hold the chain, so the chain goes again.
+        chain = chain_owned_by(0)
+        chaos = ChaosPolicy([ChaosEvent("kill", 0, 2)])
+
+        async def run():
+            async with ShardedScenarioService(
+                NUM_SHARDS, chaos=chaos, failover=failover, **FAST_SUPERVISION
+            ) as sharded:
+                first = await sharded.submit(reachability_request(chain))
+                before = (sharded.stats.chain_uploads, sharded.stats.retries)
+                second = await sharded.submit(reachability_request(chain))
+                return first, second, before, sharded.stats, sharded._shards[0]
+
+        first, second, before, stats, shard = asyncio.run(run())
+        np.testing.assert_allclose(first.values, second.values, rtol=0.0, atol=1e-12)
+        # Chain messages do not advance the chaos schedule: request 1 (the
+        # second message) ran untouched.
+        assert before == (1, 0)
+        assert stats.retries == 1 and stats.failed == 0
+        assert stats.chain_uploads == 2
+        if failover:
+            assert stats.failovers == {0: 1}
+            assert stats.routed[1] == 1
+        else:
+            assert shard.generation == 1
+            assert sum(stats.failovers.values()) == 0
 
 
 # ---------------------------------------------------------------------------

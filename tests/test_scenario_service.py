@@ -12,6 +12,7 @@ future without wedging the dispatcher.
 from __future__ import annotations
 
 import asyncio
+import pickle
 
 import numpy as np
 import pytest
@@ -400,6 +401,33 @@ class TestChainFingerprints:
 
     def test_different_rates_different_fingerprint(self):
         assert random_chain(8, seed=9).fingerprint != random_chain(8, seed=10).fingerprint
+
+    def test_content_key_covers_initials_and_labels(self):
+        chain = random_chain(8, seed=11)
+        assert pickle.loads(pickle.dumps(chain)).content_key == chain.content_key
+        rebuilt = CTMC(
+            chain.rate_matrix.copy(),
+            chain.initial_distribution,
+            labels={name: chain.label_states(name) for name in chain.label_names},
+        )
+        assert rebuilt.content_key == chain.content_key
+        variants = [
+            chain.with_initial_distribution({3: 1.0}),
+            chain.restrict_labels(extra=[0, 1]),
+            chain.restrict_labels(target=[0]),  # same label name, other states
+        ]
+        assert all(variant.fingerprint == chain.fingerprint for variant in variants)
+        keys = {chain.content_key, *(variant.content_key for variant in variants)}
+        assert len(keys) == 1 + len(variants)
+
+    def test_add_label_invalidates_the_content_key(self):
+        chain = random_chain(8, seed=12)
+        before = chain.content_key
+        chain.add_label("extra", [0, 1])
+        assert chain.content_key != before
+        assert chain.content_key == random_chain(8, seed=12).restrict_labels(
+            extra=[0, 1]
+        ).content_key
 
 
 # ---------------------------------------------------------------------------

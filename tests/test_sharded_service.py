@@ -7,7 +7,10 @@ protocol aggregates both shards' counters, a killed worker fails exactly
 its own in-flight scenarios while the remaining shards keep serving, and
 the sharded front applies the same backpressure (``QueueFull``) and
 per-request deadline (``ScenarioTimeout``) policies as the in-process
-dispatcher.
+dispatcher.  The content-addressed chain transport is covered too: each
+chain content key is uploaded once per worker, chains that share a rate
+matrix keep their own initials and labels, and duplicated clients cost the
+single-process sweep count.
 """
 
 from __future__ import annotations
@@ -66,6 +69,23 @@ def reachability_request(chain: CTMC, times=(0.5, 1.0, 2.0)) -> MeasureRequest:
     return MeasureRequest(
         chain=chain, times=times, kind=MeasureKind.REACHABILITY, target="target"
     )
+
+
+def single_process_values(requests: list[MeasureRequest]) -> list[np.ndarray]:
+    async def run():
+        async with ScenarioService(
+            artifacts=ArtifactCache(), coalesce_window=0.0
+        ) as service:
+            return await service.submit_many(list(requests))
+
+    return [result.values for result in asyncio.run(run())]
+
+
+class Unpicklable:
+    """A state description that refuses to be pickled."""
+
+    def __reduce__(self):
+        raise TypeError("this description cannot be pickled")
 
 
 @pytest.fixture(scope="module")
@@ -389,3 +409,103 @@ class TestShardedBackpressure:
         assert not isinstance(result, BaseException)
         assert stats.timeouts == 1
         assert stats.completed >= 1
+
+
+# ---------------------------------------------------------------------------
+# content-addressed chain transport
+# ---------------------------------------------------------------------------
+class TestChainTransport:
+    def test_chains_sharing_a_rate_matrix_keep_their_own_values(self):
+        # One fingerprint (so one shard), three content keys: each chain is
+        # uploaded under its own key and answers with its own initial
+        # distribution (initial_distributions=None) and "target" label.
+        chain = random_chain(6, seed=31)
+        variants = [
+            chain,
+            chain.with_initial_distribution({2: 1.0}),
+            chain.restrict_labels(target=[0, 1]),
+        ]
+        requests = [reachability_request(variant) for variant in variants]
+        expected = single_process_values(requests)
+
+        async def run():
+            async with ShardedScenarioService(
+                1, coalesce_window=0.0, heartbeat_interval=None
+            ) as sharded:
+                first = await sharded.submit_many(list(requests))
+                uploads = sharded.stats.chain_uploads
+                sent = sharded.stats.request_bytes
+                repeat = await sharded.submit_many(list(requests))
+                text = await sharded.metrics_text()
+                return first, repeat, uploads, sent, text, sharded.stats
+
+        first, repeat, uploads, sent, text, stats = asyncio.run(run())
+        for results in (first, repeat):
+            for result, values in zip(results, expected):
+                np.testing.assert_allclose(result.values, values, rtol=0.0, atol=1e-12)
+        assert not np.allclose(expected[0], expected[1])
+        assert not np.allclose(expected[0], expected[2])
+        # One upload per content key; the repeat submission uploads nothing
+        # and sends the same request bytes again.
+        assert uploads == len(variants)
+        assert stats.chain_uploads == len(variants) and stats.chain_bytes > 0
+        assert stats.request_bytes == 2 * sent
+        lines = text.splitlines()
+        assert f"repro_front_chain_uploads_total {len(variants)}" in lines
+        assert f"repro_front_request_bytes_total {2 * sent}" in lines
+
+    def test_duplicated_clients_cost_single_process_sweeps(self):
+        # Four clients send the same four Fig. 8/9 requests at once.  The
+        # worker holds one chain per content key and plans by fingerprint,
+        # so the 16 submissions cost the 4 sweeps of one process.
+        requests = paper_registry().expand("fig8_9", points=PORTFOLIO_POINTS)[:4]
+        window = 1.0  # every client's submissions land in one flush
+
+        async def clients(service):
+            await asyncio.gather(
+                *(service.submit_many(list(requests)) for _ in range(4))
+            )
+
+        async def single():
+            async with ScenarioService(
+                artifacts=ArtifactCache(), coalesce_window=window
+            ) as service:
+                await clients(service)
+                return service.stats.session.sweeps
+
+        async def sharded():
+            async with ShardedScenarioService(
+                1, coalesce_window=window, heartbeat_interval=None
+            ) as front:
+                await clients(front)
+                (snapshot,) = await front.shard_snapshots()
+                return snapshot.service.session.sweeps, front.stats.chain_uploads
+
+        single_sweeps = asyncio.run(single())
+        sharded_sweeps, uploads = asyncio.run(sharded())
+        assert single_sweeps == 4
+        assert sharded_sweeps == single_sweeps
+        assert uploads == 4
+
+    def test_unsendable_chain_fails_only_its_own_submission(self):
+        healthy = chain_owned_by(0)
+        unsendable = CTMC(
+            healthy.rate_matrix,
+            {0: 1.0},
+            labels={"target": [healthy.num_states - 1]},
+            state_descriptions=[Unpicklable()] * healthy.num_states,
+        )
+
+        async def run():
+            async with ShardedScenarioService(
+                NUM_SHARDS, coalesce_window=0.0
+            ) as sharded:
+                with pytest.raises(TypeError, match="cannot be pickled"):
+                    await sharded.submit(reachability_request(unsendable))
+                good = await sharded.submit(reachability_request(healthy))
+                return good, sharded.stats
+
+        good, stats = asyncio.run(run())
+        assert good.values.shape == (1, 3)
+        assert stats.failed == 1 and stats.completed == 1
+        assert stats.chain_uploads == 1
