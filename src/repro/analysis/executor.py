@@ -305,7 +305,6 @@ def _execute_group(
         epsilon=group.epsilon,
         stats=engine_stats,
         engine=group.engine,
-        dtype=group.dtype,
         selector=EngineSelector(artifacts),
         **_lookups(artifacts),
     )
@@ -567,15 +566,12 @@ def _execute_interval_bundle(
             make_window(q2 * float(unique_horizons[i]), epsilon) for i in positive
         ]
         # The backward value sweep routes through the engine layer like the
-        # forward phases do (dense chains get the BLAS walk), always on the
-        # float64 lane: the float32 renormalization trick assumes a
-        # mass-conserving forward operator, which a value sweep is not.
+        # forward phases do (dense chains get the BLAS walk).
         backward_engine = selector.engine_for(
             backward_chain,
             probabilities,
             q2,
             mode=first_group.engine,
-            dtype="float64",
             backward=True,
         )
         mixtures, _ = poisson_mixture_sweep(
@@ -643,7 +639,6 @@ def _execute_interval_bundle(
         epsilon=epsilon,
         stats=engine_stats,
         engine=first_group.engine,
-        dtype=first_group.dtype,
         selector=selector,
         **_lookups(artifacts),
     )

@@ -66,9 +66,7 @@ from scipy import sparse
 from repro.ctmc.ctmc import CTMC, CTMCError
 from repro.ctmc.engines import (
     EngineSelector,
-    default_dtype as process_default_dtype,
     default_engine_mode as process_default_engine_mode,
-    normalise_dtype,
     normalise_engine_mode,
 )
 from repro.ctmc.lumping import lump_ctmc, lumping_partition
@@ -136,8 +134,7 @@ class ExecutionGroup:
     groups keep the requested mode and let the solver pick per restricted
     system, and interval-until groups keep it too because their two phases
     sweep two *different* transformed chains (the executor resolves per
-    phase).  ``dtype`` is the sweep lane (always ``"float64"`` for
-    interval and long-run groups).
+    phase).
 
     ``lump`` records whether lumping was requested for the plan at all —
     the executor needs it for the interval forward-phase quotient, which
@@ -156,7 +153,6 @@ class ExecutionGroup:
     lumped: LumpedChain | None = None
     lump: bool = False
     engine: str = "auto"
-    dtype: str = "float64"
 
 
 @dataclass
@@ -192,9 +188,6 @@ def normalise_request(request: MeasureRequest, index: int = 0) -> PlannedRequest
         raise CTMCError("time grid must be one-dimensional")
     if request.engine is not None:
         normalise_engine_mode(request.engine)
-    requested_dtype = (
-        normalise_dtype(request.dtype).name if request.dtype is not None else None
-    )
     kind = request.kind
     if kind in LONGRUN_KINDS:
         if times.size:
@@ -224,14 +217,6 @@ def normalise_request(request: MeasureRequest, index: int = 0) -> PlannedRequest
             # it shares regular groups (and gets the correct CSL semantics —
             # target states outside `safe` still count as immediate wins).
             kind = MeasureKind.REACHABILITY
-        elif requested_dtype == "float32":
-            # The float32 lane's mass renormalization is only valid for the
-            # forward (column-stochastic) sweep; the interval backward value
-            # sweep is not mass-conserving, so the lane is rejected rather
-            # than silently degraded.
-            raise CTMCError(
-                "interval reachability does not support the float32 lane"
-            )
     elif request.lower:
         raise CTMCError(
             f"lower bound only applies to interval reachability, not {request.kind.value}"
@@ -298,7 +283,6 @@ def build_plan(
     default_epsilon: float = DEFAULT_EPSILON,
     artifacts: Any | None = None,
     default_engine: str | None = None,
-    default_dtype: Any | None = None,
 ) -> ExecutionPlan:
     """Group ``requests`` into execution groups (see module docstring).
 
@@ -312,13 +296,12 @@ def build_plan(
     process-wide cache by chain fingerprint instead of being rebuilt per
     plan, so repeated portfolio sweeps reuse them across sessions.
 
-    ``default_engine``/``default_dtype`` fill in for requests that leave
-    their own knobs at ``None``; ``None`` here falls through to the
-    process-wide defaults (:func:`repro.ctmc.engines.default_engine_mode` /
-    :func:`repro.ctmc.engines.default_dtype`, which the CLI flags set).
-    Engine mode and dtype take part in the group keys — requests on
-    different backends or lanes never share a sweep — and ``"auto"`` is
-    resolved to a concrete backend per sweep group before the plan is
+    ``default_engine`` fills in for requests that leave their own knob at
+    ``None``; ``None`` here falls through to the process-wide default
+    (:func:`repro.ctmc.engines.default_engine_mode`, which the CLI's
+    ``--engine`` flag sets).  The engine mode takes part in the group keys
+    — requests on different backends never share a sweep — and ``"auto"``
+    is resolved to a concrete backend per sweep group before the plan is
     returned, consulting the selector against the chain the executor will
     actually sweep (the lumping quotient when one exists).
     """
@@ -327,11 +310,6 @@ def build_plan(
         if default_engine is None
         else normalise_engine_mode(default_engine)
     )
-    plan_dtype = (
-        process_default_dtype()
-        if default_dtype is None
-        else normalise_dtype(default_dtype)
-    ).name
     groups: dict[tuple, ExecutionGroup] = {}
     transformed_cache: dict[tuple[str, bytes], CTMC] = {}
 
@@ -342,11 +320,6 @@ def build_plan(
             normalise_engine_mode(request.engine)
             if request.engine is not None
             else plan_engine
-        )
-        dtype_name = (
-            normalise_dtype(request.dtype).name
-            if request.dtype is not None
-            else plan_dtype
         )
         base = request.chain
 
@@ -416,9 +389,6 @@ def build_plan(
             operating = base
             transform_token = b""
 
-        if interval:
-            dtype_name = "float64"  # the backward value sweep needs float64
-
         key = (
             base.fingerprint,
             transform_token,
@@ -426,7 +396,6 @@ def build_plan(
             planned.times.tobytes(),
             float(epsilon),
             engine_mode,
-            dtype_name,
         )
         if not batched:
             key = key + (index,)
@@ -440,7 +409,6 @@ def build_plan(
                 epsilon=float(epsilon),
                 interval=interval,
                 engine=engine_mode,
-                dtype=dtype_name,
             )
             groups[key] = group
         group.members.append(planned)
@@ -482,7 +450,7 @@ def build_plan(
         if group.longrun or group.interval or group.engine != "auto":
             continue
         swept = group.lumped.quotient if group.lumped is not None else group.chain
-        group.engine = selector.resolve(swept, "auto", group.dtype)
+        group.engine = selector.resolve(swept, "auto")
     return plan
 
 

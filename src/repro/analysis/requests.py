@@ -115,12 +115,6 @@ class MeasureRequest:
         :data:`repro.ctmc.engines.ENGINE_MODES` (``"auto"`` lets the
         planner's :class:`repro.ctmc.engines.EngineSelector` decide per
         chain); ``None`` uses the session default.
-    dtype:
-        Sweep lane, ``"float64"`` (default) or ``"float32"`` — the float32
-        lane is ≤1e-6 from float64 (see :mod:`repro.ctmc.engines`) and
-        applies to forward sweeps only: interval reachability rejects it
-        and long-run solves always run float64.  ``None`` uses the session
-        default.
     """
 
     chain: CTMC
@@ -134,7 +128,6 @@ class MeasureRequest:
     epsilon: float | None = None
     tag: Any = None
     engine: str | None = None
-    dtype: str | np.dtype | None = None
 
     # ------------------------------------------------------------------
     def initial_block(self) -> tuple[np.ndarray, bool]:

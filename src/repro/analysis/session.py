@@ -200,9 +200,6 @@ class AnalysisSession:
         Default numeric backend for requests that do not set one — one of
         :data:`repro.ctmc.engines.ENGINE_MODES`.  ``None`` falls back to
         the process-wide default (``"auto"`` unless the CLI overrode it).
-    dtype:
-        Default sweep lane (``"float64"``/``"float32"``) for requests that
-        do not set one; ``None`` falls back to the process-wide default.
     """
 
     def __init__(
@@ -214,7 +211,6 @@ class AnalysisSession:
         stats: SessionStats | None = None,
         artifacts=None,
         engine: str | None = None,
-        dtype=None,
     ) -> None:
         self.lump = lump
         self.batched = batched
@@ -222,7 +218,6 @@ class AnalysisSession:
         self.stats = stats if stats is not None else SessionStats()
         self.artifacts = artifacts
         self.engine = engine
-        self.dtype = dtype
         self._requests: list[MeasureRequest] = []
 
     # ------------------------------------------------------------------
@@ -256,7 +251,6 @@ class AnalysisSession:
             default_epsilon=self.default_epsilon,
             artifacts=self.artifacts,
             default_engine=self.engine,
-            default_dtype=self.dtype,
         )
 
     def execute(self) -> list[MeasureResult]:

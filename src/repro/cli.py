@@ -96,6 +96,16 @@ _EXPERIMENTS = {
 }
 
 
+def grid_points(text: str) -> int:
+    """argparse ``type=`` of every ``--points`` flag: a curve needs two points."""
+    points = int(text)
+    if points < 2:
+        raise argparse.ArgumentTypeError(
+            f"must be at least 2 (t = 0 and the horizon), got {points}"
+        )
+    return points
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro-watertreatment",
@@ -112,7 +122,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--points",
-        type=int,
+        type=grid_points,
         default=None,
         help="number of grid points for figure curves (default: 101, or 21 with --fast)",
     )
@@ -146,14 +156,6 @@ def build_parser() -> argparse.ArgumentParser:
         help=(
             "numeric backend for sweeps and solves: 'auto' picks dense BLAS "
             "kernels for small/dense chains and CSR otherwise (default: auto)"
-        ),
-    )
-    parser.add_argument(
-        "--float32",
-        action="store_true",
-        help=(
-            "run forward sweeps in the float32 lane (<=1e-6 from float64; "
-            "long-run solves stay float64)"
         ),
     )
     parser.add_argument(
@@ -218,7 +220,7 @@ def build_serve_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--points",
-        type=int,
+        type=grid_points,
         default=None,
         help="override every scenario's grid resolution",
     )
@@ -250,11 +252,6 @@ def build_serve_parser() -> argparse.ArgumentParser:
         choices=["auto", "sparse", "dense"],
         default="auto",
         help="numeric backend for the service's sweeps/solves (default: auto)",
-    )
-    parser.add_argument(
-        "--float32",
-        action="store_true",
-        help="run the service's forward sweeps in the float32 lane",
     )
     parser.add_argument(
         "--metrics",
@@ -395,7 +392,6 @@ def serve_http_main(args: argparse.Namespace) -> int:
                 default_timeout=args.timeout,
                 registry=paper_registry(),
                 engine=args.engine,
-                dtype="float32" if args.float32 else None,
                 heartbeat_interval=args.heartbeat_interval,
                 restart_limit=args.restart_limit,
                 retry_limit=args.retry_limit,
@@ -412,7 +408,6 @@ def serve_http_main(args: argparse.Namespace) -> int:
                 artifacts=ArtifactCache(),
                 registry=paper_registry(),
                 engine=args.engine,
-                dtype="float32" if args.float32 else None,
             )
         async with service:
             server = ScenarioHTTPServer(
@@ -494,7 +489,6 @@ def serve_main(argv: list[str] | None = None) -> int:
             artifacts=ArtifactCache(),
             registry=registry,
             engine=args.engine,
-            dtype="float32" if args.float32 else None,
         )
         async with service:
             # State-space construction (seconds on a cold process) must not
@@ -555,12 +549,11 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     points = args.points if args.points is not None else (21 if args.fast else 101)
     # The experiment runners build their own sessions deep inside the case
-    # study; the engine/dtype choice travels via the process-wide defaults
-    # every build_plan falls back to.
+    # study; the engine choice travels via the process-wide default every
+    # build_plan falls back to.
     from repro.ctmc import engines
 
     engines.set_default_engine_mode(args.engine)
-    engines.set_default_dtype("float32" if args.float32 else "float64")
 
     names = list(_EXPERIMENTS) if "all" in args.experiments else list(dict.fromkeys(args.experiments))
     stats = SessionStats()

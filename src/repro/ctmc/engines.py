@@ -7,12 +7,12 @@ restricted linear solves of :mod:`repro.ctmc.linsolve` /
 generic scipy CSR dispatch, which pays Python-level overhead per step even
 on chains with a few dozen states (the lumping quotients of the case-study
 lines).  This module puts those loops behind a small :class:`Engine`
-abstraction with three interchangeable backends:
+abstraction with two interchangeable backends:
 
 ``SparseEngine``
     The legacy CSR path, extracted verbatim: ``operator @ block`` and
     ``splu`` factorizations.  Bit-for-bit identical to the pre-engine
-    numerics in float64.
+    numerics.
 
 ``DenseEngine``
     For chains below a size/density threshold the uniformized operator is
@@ -24,25 +24,11 @@ abstraction with three interchangeable backends:
     ``splu``.  Measured on the Fig. 8 Line 2 lumping quotient (79 states)
     the GEMM walk is several times faster than CSR dispatch.
 
-``NumbaEngine``
-    An optional jitted CSR walk (guarded import; auto-skipped when numba
-    is absent).  It is never chosen by the automatic selector — the JIT
-    warm-up would eat the win on short-lived processes — but can be forced
-    with ``engine="numba"`` where numba is installed and sweeps are long.
-
-Backends are selected per ``(chain fingerprint, dtype)`` by
-:class:`EngineSelector`; the analysis planner consults it when it resolves
-``engine="auto"`` and the artifact cache persists both the decision (kind
-``engine``) and the densified operator (kind ``dense_operator``) alongside
-the CSR operators.
-
-**dtype contract.**  The sweep supports a float32 lane: distributions walk
-in float32 with a per-step mass renormalization (valid because forward
-operators are column-stochastic), while Poisson-window folds and reward
-accumulators stay float64.  Results are within ``1e-6`` of the float64
-lane (measured worst case across the differential-test population:
-``~2e-7``); float64 remains bit-exact with the pre-engine code.  Interval
-reachability and all long-run solves always run in float64.
+Backends are selected per chain fingerprint by :class:`EngineSelector`;
+the analysis planner consults it when it resolves ``engine="auto"`` and
+the artifact cache persists both the decision (kind ``engine``) and the
+densified operator (kind ``dense_operator``) alongside the CSR operators.
+Every sweep and solve runs in float64.
 
 **Oversubscription guard.**  Dense GEMMs tempt BLAS into spawning its own
 thread pool under every worker thread of the scenario service.
@@ -54,9 +40,8 @@ service applies them around worker spawn, and
 
 from __future__ import annotations
 
-import importlib.util
 import os
-from typing import Any, Callable
+from typing import Any
 
 import numpy as np
 from scipy import linalg as dense_linalg
@@ -75,23 +60,18 @@ __all__ = [
     "DenseFactorization",
     "Engine",
     "EngineSelector",
-    "NumbaEngine",
     "SparseEngine",
     "SparseFactorization",
     "blas_thread_budget",
-    "default_dtype",
     "default_engine_mode",
     "default_worker_count",
-    "have_numba",
-    "normalise_dtype",
     "normalise_engine_mode",
     "pin_blas_threads",
-    "set_default_dtype",
     "set_default_engine_mode",
 ]
 
 #: Valid values for every ``engine=`` knob in the stack.
-ENGINE_MODES = ("auto", "sparse", "dense", "numba")
+ENGINE_MODES = ("auto", "sparse", "dense")
 
 #: Below this many states the dense GEMM walk wins regardless of density
 #: (measured 2–6x over CSR dispatch on CI-class hardware).
@@ -120,8 +100,6 @@ BLAS_ENV_VARS = (
     "NUMEXPR_NUM_THREADS",
 )
 
-_SUPPORTED_DTYPES = {"float32": np.float32, "float64": np.float64}
-
 
 # ---------------------------------------------------------------------------
 # knob normalisation and process-wide defaults
@@ -133,22 +111,10 @@ def normalise_engine_mode(mode: Any) -> str:
         raise CTMCError(
             f"unknown engine mode {mode!r}; expected one of {ENGINE_MODES}"
         )
-    if name == "numba" and not have_numba():
-        raise CTMCError("engine='numba' requested but numba is not installed")
     return name
 
 
-def normalise_dtype(dtype: Any) -> np.dtype:
-    """Validate a ``dtype=`` knob (float32/float64 only)."""
-    resolved = np.dtype(np.float64 if dtype is None else dtype)
-    if resolved.name not in _SUPPORTED_DTYPES:
-        raise CTMCError(
-            f"unsupported sweep dtype {dtype!r}; expected float32 or float64"
-        )
-    return resolved
-
-
-_DEFAULTS = {"mode": "auto", "dtype": np.dtype(np.float64)}
+_DEFAULTS = {"mode": "auto"}
 
 
 def default_engine_mode() -> str:
@@ -160,22 +126,6 @@ def set_default_engine_mode(mode: Any) -> str:
     """Set the process-wide engine mode (the CLI's ``--engine`` flag)."""
     _DEFAULTS["mode"] = normalise_engine_mode(mode)
     return _DEFAULTS["mode"]
-
-
-def default_dtype() -> np.dtype:
-    """The process-wide sweep dtype used when no knob is passed."""
-    return _DEFAULTS["dtype"]
-
-
-def set_default_dtype(dtype: Any) -> np.dtype:
-    """Set the process-wide sweep dtype (the CLI's ``--float32`` flag)."""
-    _DEFAULTS["dtype"] = normalise_dtype(dtype)
-    return _DEFAULTS["dtype"]
-
-
-def have_numba() -> bool:
-    """Whether the optional numba backend can be imported at all."""
-    return importlib.util.find_spec("numba") is not None
 
 
 # ---------------------------------------------------------------------------
@@ -230,7 +180,7 @@ class DenseFactorization:
 # the engines
 # ---------------------------------------------------------------------------
 class Engine:
-    """One numeric backend bound to one operator (and one dtype).
+    """One numeric backend bound to one operator.
 
     Subclasses provide the two kernels the stack needs — the power-walk
     step :meth:`apply_operator` and the restricted-system
@@ -242,11 +192,10 @@ class Engine:
     as a CSR matvec or a dense GEMM.
     """
 
-    #: backend identifier ("sparse" / "dense" / "numba")
+    #: backend identifier ("sparse" / "dense")
     name: str = "abstract"
 
-    def __init__(self, dtype: Any = np.float64, equivalent_nnz: int = 0) -> None:
-        self.dtype = normalise_dtype(dtype)
+    def __init__(self, equivalent_nnz: int = 0) -> None:
         self.equivalent_nnz = int(equivalent_nnz)
 
     # -- power walk -----------------------------------------------------
@@ -302,15 +251,13 @@ class SparseEngine(Engine):
 
     name = "sparse"
 
-    def __init__(self, operator, dtype: Any = np.float64) -> None:
+    def __init__(self, operator) -> None:
         nnz = (
             int(operator.nnz)
             if sparse.issparse(operator)
             else int(np.count_nonzero(operator))
         )
-        super().__init__(dtype, nnz)
-        if sparse.issparse(operator) and operator.dtype != self.dtype:
-            operator = operator.astype(self.dtype)
+        super().__init__(nnz)
         self._operator = operator
 
     def apply_operator(
@@ -325,26 +272,26 @@ class SparseEngine(Engine):
 class DenseEngine(Engine):
     """BLAS GEMM walk over a one-time densified operator.
 
-    ``dense`` is the densified forward operator (C-contiguous, already cast
-    to the lane dtype); ``equivalent_nnz`` is the **source CSR** non-zero
-    count so op accounting stays comparable with the sparse backend.
+    ``dense`` is the densified forward operator; ``equivalent_nnz`` is the
+    **source CSR** non-zero count so op accounting stays comparable with
+    the sparse backend.
     """
 
     name = "dense"
 
-    def __init__(self, dense: np.ndarray, dtype: Any, equivalent_nnz: int) -> None:
-        super().__init__(dtype, equivalent_nnz)
-        self._dense = np.ascontiguousarray(dense, dtype=self.dtype)
+    def __init__(self, dense: np.ndarray, equivalent_nnz: int) -> None:
+        super().__init__(equivalent_nnz)
+        self._dense = np.ascontiguousarray(dense, dtype=float)
 
     @classmethod
-    def from_operator(cls, operator, dtype: Any = np.float64) -> "DenseEngine":
+    def from_operator(cls, operator) -> "DenseEngine":
         dense = operator.toarray() if sparse.issparse(operator) else np.asarray(operator)
         nnz = (
             int(operator.nnz)
             if sparse.issparse(operator)
             else int(np.count_nonzero(dense))
         )
-        return cls(dense, dtype, nnz)
+        return cls(dense, nnz)
 
     def apply_operator(
         self, block: np.ndarray, out: np.ndarray | None = None
@@ -382,82 +329,21 @@ class DenseEngine(Engine):
         return DenseFactorization(matrix)
 
 
-class NumbaEngine(Engine):
-    """Jitted CSR walk (optional; requires numba).
-
-    Never selected automatically: the first call pays JIT compilation,
-    which only amortizes on long-lived processes with very long sweeps.
-    """
-
-    name = "numba"
-
-    def __init__(self, operator, dtype: Any = np.float64) -> None:
-        if not have_numba():
-            raise CTMCError("NumbaEngine requires numba, which is not installed")
-        csr = sparse.csr_matrix(operator)
-        super().__init__(dtype, int(csr.nnz))
-        self._data = csr.data.astype(self.dtype)
-        self._indices = csr.indices.astype(np.int64)
-        self._indptr = csr.indptr.astype(np.int64)
-        self._shape = csr.shape
-        self._kernel = _numba_csr_kernel()
-
-    def apply_operator(
-        self, block: np.ndarray, out: np.ndarray | None = None
-    ) -> np.ndarray:
-        if out is None:
-            out = np.empty_like(block)
-        self._kernel(self._data, self._indices, self._indptr, block, out)
-        return out
-
-    def new_scratch(self, block: np.ndarray) -> np.ndarray:
-        return np.empty_like(block)
-
-    def factorize(self, matrix) -> SparseFactorization:
-        return SparseFactorization(matrix)
-
-
-_NUMBA_KERNEL: Callable | None = None
-
-
-def _numba_csr_kernel() -> Callable:
-    """Compile (once per process) the jitted CSR block-apply kernel."""
-    global _NUMBA_KERNEL
-    if _NUMBA_KERNEL is None:
-        import numba
-
-        @numba.njit(parallel=True, fastmath=False, cache=False)
-        def csr_apply(data, indices, indptr, block, out):  # pragma: no cover
-            rows = indptr.shape[0] - 1
-            columns = block.shape[1]
-            for row in numba.prange(rows):
-                for column in range(columns):
-                    accumulator = 0.0
-                    for pointer in range(indptr[row], indptr[row + 1]):
-                        accumulator += data[pointer] * block[indices[pointer], column]
-                    out[row, column] = accumulator
-
-        _NUMBA_KERNEL = csr_apply
-    return _NUMBA_KERNEL
-
-
 # ---------------------------------------------------------------------------
 # selection
 # ---------------------------------------------------------------------------
 class EngineSelector:
-    """Resolve ``engine="auto"`` into a concrete backend per chain/dtype.
+    """Resolve ``engine="auto"`` into a concrete backend per chain.
 
     The heuristic was calibrated by timing the uniformization walk across
     synthetic operators on CI-class hardware: dense wins outright below
     :data:`DENSE_STATE_LIMIT` states, keeps winning up to
     :data:`DENSE_RELAXED_LIMIT` states when the operator density is at
     least :data:`DENSE_DENSITY_THRESHOLD`, and loses badly beyond (the
-    full 2560-state Line 2 chain is ~70x faster sparse).  ``auto`` never
-    picks numba — its JIT warm-up is not amortized on the service's
-    mixed portfolios.
+    full 2560-state Line 2 chain is ~70x faster sparse).
 
     With an :class:`repro.service.cache.ArtifactCache` attached, both the
-    per-``(chain fingerprint, dtype)`` decision (kind ``engine``) and the
+    per-chain-fingerprint decision (kind ``engine``) and the
     densified operator (kind ``dense_operator``, byte-weighted) persist
     across sessions and flushes.
     """
@@ -476,11 +362,10 @@ class EngineSelector:
         self.dense_density_threshold = float(dense_density_threshold)
 
     # -- the heuristic ---------------------------------------------------
-    def choose(self, num_states: int, nnz: int, dtype: Any = np.float64) -> str:
+    def choose(self, num_states: int, nnz: int) -> str:
         """Backend name for an operator of the given order and fill."""
         num_states = int(num_states)
-        itemsize = normalise_dtype(dtype).itemsize
-        if num_states * num_states * itemsize > DENSE_MEMORY_LIMIT_BYTES:
+        if num_states * num_states * 8 > DENSE_MEMORY_LIMIT_BYTES:  # float64
             return "sparse"
         if num_states <= self.dense_state_limit:
             return "dense"
@@ -492,16 +377,13 @@ class EngineSelector:
             return "dense"
         return "sparse"
 
-    def resolve(
-        self, chain: CTMC | None, mode: str, dtype: Any, nnz: int | None = None
-    ) -> str:
+    def resolve(self, chain: CTMC | None, mode: str, nnz: int | None = None) -> str:
         """Concrete backend for ``mode``; persists ``auto`` decisions."""
         mode = normalise_engine_mode(mode)
         if mode != "auto":
             return mode
         if chain is None:
             raise CTMCError("auto engine selection needs a chain to inspect")
-        dtype = normalise_dtype(dtype)
         estimated = (
             int(nnz)
             if nnz is not None
@@ -509,9 +391,9 @@ class EngineSelector:
             # self-loop on (almost) every diagonal entry
             else int(chain.rate_matrix.nnz) + chain.num_states
         )
-        decide = lambda: self.choose(chain.num_states, estimated, dtype)
+        decide = lambda: self.choose(chain.num_states, estimated)
         if self.artifacts is not None:
-            return self.artifacts.engine_choice(chain, dtype.name, decide)
+            return self.artifacts.engine_choice(chain, decide)
         return decide()
 
     # -- engine construction ---------------------------------------------
@@ -522,29 +404,23 @@ class EngineSelector:
         rate: float,
         *,
         mode: str = "auto",
-        dtype: Any = np.float64,
         backward: bool = False,
     ) -> Engine:
         """Build (or fetch from the artifact cache) the backend for one sweep.
 
         ``backward=True`` marks the operator as the *non-transposed*
         uniformized matrix ``P`` (the interval-until value sweep) rather
-        than the forward ``Pᵀ``; both share a ``(fingerprint, rate, dtype)``
-        cache neighbourhood, so the flag keys the densified backward
-        operator separately to keep the two from shadowing each other.
+        than the forward ``Pᵀ``; both share a ``(fingerprint, rate)`` cache
+        neighbourhood, so the flag keys the densified backward operator
+        separately to keep the two from shadowing each other.
         """
-        dtype = normalise_dtype(dtype)
         nnz = int(operator.nnz) if sparse.issparse(operator) else None
-        resolved = self.resolve(chain, mode, dtype, nnz=nnz) if mode == "auto" else (
-            normalise_engine_mode(mode)
-        )
+        resolved = self.resolve(chain, mode, nnz=nnz)
         if resolved == "dense":
-            return self._dense_engine(chain, operator, rate, dtype, backward)
-        if resolved == "numba":
-            return NumbaEngine(operator, dtype)
-        return self._sparse_engine(chain, operator, rate, dtype)
+            return self._dense_engine(chain, operator, rate, backward)
+        return SparseEngine(operator)
 
-    def _dense_engine(self, chain, operator, rate, dtype, backward=False) -> DenseEngine:
+    def _dense_engine(self, chain, operator, rate, backward=False) -> DenseEngine:
         nnz = (
             int(operator.nnz)
             if sparse.issparse(operator)
@@ -554,12 +430,11 @@ class EngineSelector:
             dense = self.artifacts.dense_operator(
                 chain,
                 float(rate),
-                dtype.name,
                 lambda: np.ascontiguousarray(
                     operator.toarray()
                     if sparse.issparse(operator)
                     else np.asarray(operator),
-                    dtype=dtype,
+                    dtype=float,
                 ),
                 backward=backward,
             )
@@ -567,21 +442,7 @@ class EngineSelector:
             dense = (
                 operator.toarray() if sparse.issparse(operator) else np.asarray(operator)
             )
-        return DenseEngine(dense, dtype, nnz)
-
-    def _sparse_engine(self, chain, operator, rate, dtype) -> SparseEngine:
-        if (
-            dtype == np.float32
-            and self.artifacts is not None
-            and chain is not None
-            and sparse.issparse(operator)
-        ):
-            operator = self.artifacts.get_or_create(
-                "operator",
-                (chain.fingerprint, float(rate), dtype.name),
-                lambda: operator.astype(np.float32),
-            )
-        return SparseEngine(operator, dtype)
+        return DenseEngine(dense, nnz)
 
 
 # ---------------------------------------------------------------------------

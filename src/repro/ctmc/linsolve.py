@@ -162,7 +162,7 @@ class SolverEngine:
         Engine mode for factorizations.  ``"auto"`` (the default) uses the
         dense LAPACK LU for systems of order ≤
         :data:`repro.ctmc.engines.DENSE_SOLVE_LIMIT` and ``splu`` beyond;
-        ``"sparse"``/``"numba"`` always ``splu``; ``"dense"`` always LAPACK.
+        ``"sparse"`` always ``splu``; ``"dense"`` always LAPACK.
         Forced (non-``auto``) modes prefix their cache tokens so they never
         collide with the shared ``auto`` entries in a process-wide cache.
     """

@@ -50,8 +50,7 @@ from collections.abc import Iterable
 
 import numpy as np
 from scipy import sparse
-
-import networkx as nx
+from scipy.sparse import csgraph
 
 from repro.ctmc.ctmc import CTMC, CTMCError
 from repro.ctmc.linsolve import SolverEngine, subset_signature
@@ -61,25 +60,18 @@ def bottom_strongly_connected_components(chain: CTMC) -> list[np.ndarray]:
     """Return the BSCCs of ``chain`` as arrays of state indices.
 
     A strongly connected component is *bottom* if no transition leaves it.
+    Each array is sorted, and the list is ordered by smallest state.
     """
-    graph = nx.DiGraph()
-    graph.add_nodes_from(range(chain.num_states))
     matrix = chain.rate_matrix.tocoo()
-    graph.add_edges_from(zip(matrix.row.tolist(), matrix.col.tolist()))
-
-    bsccs: list[np.ndarray] = []
-    for component in nx.strongly_connected_components(graph):
-        component_set = set(component)
-        is_bottom = True
-        for state in component:
-            for successor in graph.successors(state):
-                if successor not in component_set:
-                    is_bottom = False
-                    break
-            if not is_bottom:
-                break
-        if is_bottom:
-            bsccs.append(np.array(sorted(component), dtype=int))
+    count, component = csgraph.connected_components(
+        matrix, directed=True, connection="strong"
+    )
+    leaving = component[matrix.row] != component[matrix.col]
+    bottom = np.ones(count, dtype=bool)
+    bottom[component[matrix.row[leaving]]] = False
+    states = np.flatnonzero(bottom[component])
+    grouped = states[np.argsort(component[states], kind="stable")]
+    bsccs = np.split(grouped, np.flatnonzero(np.diff(component[grouped])) + 1)
     bsccs.sort(key=lambda indices: int(indices[0]))
     return bsccs
 

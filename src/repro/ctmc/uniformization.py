@@ -229,14 +229,9 @@ def poisson_mixture_sweep(
 
     ``engine`` selects the numeric backend for the walk (see
     :mod:`repro.ctmc.engines`); when ``None`` the legacy CSR path is used
-    (``operator`` wrapped in a float64 :class:`~repro.ctmc.engines.SparseEngine`
+    (``operator`` wrapped in a :class:`~repro.ctmc.engines.SparseEngine`
     — bit-exact with the pre-engine code).  When an engine is given,
-    ``operator`` may be ``None``.  A float32 engine walks the powers in
-    float32 with a per-step column-mass renormalization — only valid for
-    column-stochastic operators (every forward uniformized operator is; the
-    backward interval sweep must stay float64) — while window folds and
-    reward accumulators stay float64, keeping results within ``1e-6`` of
-    the float64 lane.
+    ``operator`` may be ``None``.
 
     Returns
     -------
@@ -310,23 +305,14 @@ def poisson_mixture_sweep(
             raise CTMCError("poisson_mixture_sweep needs an operator or an engine")
         engine = SparseEngine(operator)
     equivalent_nnz = engine.equivalent_nnz
-    dtype = engine.dtype
-    # The float32 lane renormalizes each power's column mass against the
-    # exact (float64) starting mass — valid because the forward operator is
-    # column-stochastic — which keeps the accumulated rounding drift well
-    # under the documented 1e-6 contract.  float64 walks untouched.
-    renormalize = dtype == np.float32
-    column_masses = (
-        np.sum(block_rows, axis=1, dtype=np.float64) if renormalize else None
-    )
 
     started = time.perf_counter()
     performed = 0
-    # (dimension, columns) private walk buffer.  Must be a *copy*: dense and
-    # numba backends write operator applications into the ping-pong pair, and
-    # a (1, n) transpose is already C-contiguous, so ascontiguousarray would
+    # (dimension, columns) private walk buffer.  Must be a *copy*: the dense
+    # backend writes operator applications into the ping-pong pair, and a
+    # (1, n) transpose is already C-contiguous, so ascontiguousarray would
     # alias the caller's block and the walk would clobber it.
-    vectors = np.array(block_rows.T, dtype=dtype, order="C")
+    vectors = np.array(block_rows.T, order="C")
     scratch = engine.new_scratch(vectors)  # ping-pong partner (dense backends)
     # Reward folding strategy: small power vectors buffer the whole block and
     # contract it in one call (dispatch-overhead regime); large ones keep the
@@ -338,25 +324,9 @@ def poisson_mixture_sweep(
     need_buffer = collect_mixtures or block_fold_rewards
     for block_start in range(0, right_max + 1, block_size):
         block_stop = min(block_start + block_size, right_max + 1)
-        steps = block_stop - block_start
-        buffered = (
-            np.empty((steps, dimension, num_columns), dtype=dtype)
-            if need_buffer
-            else None
-        )
-        if buffered is not None and not renormalize:
-            # Whole-block walk through the engine primitive: backends that
-            # can stream powers straight into the buffer (dense GEMM) skip
-            # every per-step copy and dispatch of the generic loop below.
-            advance_final = block_stop - 1 < right_max
-            vectors, scratch = engine.power_block(
-                vectors, buffered, scratch, advance_final
-            )
-            performed += steps - 1 + (1 if advance_final else 0)
-        else:
-            for offset, k in enumerate(range(block_start, block_stop)):
-                if buffered is not None:
-                    buffered[offset] = vectors
+        if not need_buffer:
+            # Per-step walk: each power is folded and dropped, never copied.
+            for k in range(block_start, block_stop):
                 if step_fold_rewards:
                     reward_sequence_acc[k] = vectors.T @ reward_matrix
                 if k < right_max:
@@ -365,17 +335,15 @@ def poisson_mixture_sweep(
                         scratch = vectors
                     vectors = advanced
                     performed += 1
-                    if renormalize:
-                        sums = np.sum(vectors, axis=0, dtype=np.float64)
-                        scale = np.divide(
-                            column_masses,
-                            sums,
-                            out=np.ones_like(sums),
-                            where=sums != 0.0,
-                        )
-                        vectors *= scale.astype(dtype)
-        if buffered is None:
             continue
+        # Whole-block walk through the engine primitive: backends that can
+        # stream powers straight into the buffer (dense GEMM) skip every
+        # per-step copy and dispatch of the generic loop.
+        steps = block_stop - block_start
+        buffered = np.empty((steps, dimension, num_columns))
+        advance_final = block_stop - 1 < right_max
+        vectors, scratch = engine.power_block(vectors, buffered, scratch, advance_final)
+        performed += steps - 1 + (1 if advance_final else 0)
         if block_fold_rewards:
             # One (L·B, dimension) × (dimension, m) GEMM per block replaces
             # L tiny per-step products; the contraction order per entry is
@@ -429,7 +397,6 @@ def evaluate_grid_block(
     window_lookup: WindowLookup | None = None,
     operator_lookup: OperatorLookup | None = None,
     engine: str | Engine | None = None,
-    dtype: np.dtype | str | None = None,
     selector: EngineSelector | None = None,
 ) -> BlockGridResult:
     """Evaluate a whole (initials × times × rewards) block in one sweep.
@@ -450,8 +417,7 @@ def evaluate_grid_block(
     :data:`repro.ctmc.engines.ENGINE_MODES` (``"auto"`` resolved through
     ``selector``, or a fresh :class:`repro.ctmc.engines.EngineSelector`
     when none is given) or a prebuilt :class:`repro.ctmc.engines.Engine`.
-    ``dtype`` selects the float32/float64 sweep lane.  Leaving all three at
-    ``None`` runs the legacy float64 CSR path bit-exactly.
+    Leaving it at ``None`` runs the legacy CSR path bit-exactly.
 
     The grid may be unsorted and contain duplicates and ``t = 0``.
     """
@@ -512,17 +478,11 @@ def evaluate_grid_block(
     engine_obj: Engine | None
     if isinstance(engine, Engine):
         engine_obj = engine
-    elif engine is not None or dtype is not None:
+    elif engine is not None:
         chooser = selector if selector is not None else EngineSelector()
-        engine_obj = chooser.engine_for(
-            chain,
-            transposed,
-            q,
-            mode="sparse" if engine is None else engine,
-            dtype=dtype,
-        )
+        engine_obj = chooser.engine_for(chain, transposed, q, mode=engine)
     else:
-        engine_obj = None  # legacy float64 CSR path, bit-exact
+        engine_obj = None  # legacy CSR path, bit-exact
 
     unique_times, inverse = np.unique(times_array, return_inverse=True)
     positive = np.flatnonzero(unique_times > 0.0)

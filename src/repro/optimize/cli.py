@@ -20,6 +20,7 @@ import argparse
 
 from repro.casestudy.facility import LINE1, LINE2, build_line
 from repro.casestudy.reporting import format_table
+from repro.cli import grid_points
 from repro.ctmc.linsolve import SolverEngine
 from repro.optimize.ctmdp import OptimizeError, RepairCTMDP
 from repro.optimize.policy_iteration import evaluate_policy, policy_iteration
@@ -76,7 +77,7 @@ def build_optimize_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--points",
-        type=int,
+        type=grid_points,
         default=33,
         help="grid points of the rollout value sweeps (default: 33)",
     )

@@ -33,7 +33,7 @@ transforms and operators).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping
 
@@ -112,7 +112,6 @@ def rollout_optimize(
     artifacts=None,
     session_stats: SessionStats | None = None,
     engine: str | None = None,
-    dtype=None,
     stats: OptimizerStats | None = None,
 ) -> RolloutResult:
     """Optimize a finite-horizon objective by coalesced rollout.
@@ -129,7 +128,7 @@ def rollout_optimize(
         Label → policy baselines; defaults to the representable paper
         strategies.  The best baseline seeds the rollout and lower-bounds
         the result.
-    artifacts / session_stats / engine / dtype:
+    artifacts / session_stats / engine:
         Forwarded to every :class:`~repro.analysis.AnalysisSession`, so a
         warm :class:`~repro.service.ArtifactCache` is reused across rounds
         and re-optimizations.
@@ -161,7 +160,6 @@ def rollout_optimize(
                 initial_distributions=block,
                 tag=tag,
                 engine=engine,
-                dtype=dtype,
             )
         return MeasureRequest(
             chain=chain,
@@ -171,7 +169,6 @@ def rollout_optimize(
             initial_distributions=block,
             tag=tag,
             engine=engine,
-            dtype=dtype,
         )
 
     def new_session() -> AnalysisSession:
@@ -180,7 +177,6 @@ def rollout_optimize(
             artifacts=artifacts,
             stats=session_stats,
             engine=engine,
-            dtype=dtype,
         )
 
     point = np.zeros(ctmdp.num_states)

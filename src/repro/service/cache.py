@@ -29,14 +29,14 @@ kind               key
                    absorption-probability matrix
 ``embedded``       (chain fingerprint,) — the embedded (jump-chain)
                    transition matrix
-``dense_operator`` (chain fingerprint, uniformization rate, dtype name
+``dense_operator`` (chain fingerprint, uniformization rate
                    [, ``"backward"``]) — the densified operator the
                    :class:`repro.ctmc.engines.DenseEngine` GEMM walk uses;
                    the ``"backward"`` component marks the *non-transposed*
                    matrix of the interval-until value sweep so it cannot
                    shadow the forward (transposed) operator; stored with a
                    byte-size-aware weight (see below)
-``engine``         (chain fingerprint, dtype name) — the backend the
+``engine``         (chain fingerprint,) — the backend the
                    :class:`repro.ctmc.engines.EngineSelector` resolved for
                    ``engine="auto"``
 =================  ===================================================
@@ -321,7 +321,6 @@ class ArtifactCache:
         self,
         chain: CTMC,
         rate: float,
-        dtype_name: str,
         factory: Callable[[], np.ndarray],
         backward: bool = False,
     ) -> np.ndarray:
@@ -332,9 +331,9 @@ class ArtifactCache:
         the budget that was tuned for CSR-sized artifacts.  ``backward``
         keys the non-transposed operator ``P`` of the interval value sweep
         separately — ``P`` and ``Pᵀ`` of one chain share the same
-        (fingerprint, rate, dtype) and must not shadow each other.
+        (fingerprint, rate) and must not shadow each other.
         """
-        key = (chain.fingerprint, float(rate), str(dtype_name))
+        key = (chain.fingerprint, float(rate))
         if backward:
             key = key + ("backward",)
         return self.get_or_create(
@@ -344,13 +343,9 @@ class ArtifactCache:
             weight=lambda value: -(-int(value.nbytes) // DENSE_WEIGHT_UNIT_BYTES),
         )
 
-    def engine_choice(
-        self, chain: CTMC, dtype_name: str, factory: Callable[[], str]
-    ) -> str:
-        """The backend the auto selector resolved for ``(chain, dtype)``."""
-        return self.get_or_create(
-            "engine", (chain.fingerprint, str(dtype_name)), factory
-        )
+    def engine_choice(self, chain: CTMC, factory: Callable[[], str]) -> str:
+        """The backend the auto selector resolved for ``chain``."""
+        return self.get_or_create("engine", (chain.fingerprint,), factory)
 
 
 #: The process-wide cache the scenario service (and anything else that asks

@@ -362,9 +362,6 @@ class ScenarioService:
         Default numeric backend for submissions that do not set one — one
         of :data:`repro.ctmc.engines.ENGINE_MODES` (``None`` = process
         default, normally ``"auto"``).
-    dtype:
-        Default sweep lane (``"float64"``/``"float32"``) for submissions
-        that do not set one (``None`` = process default).
     """
 
     def __init__(
@@ -381,7 +378,6 @@ class ScenarioService:
         max_workers: int | None = None,
         registry: ScenarioRegistry | None = None,
         engine: str | None = None,
-        dtype=None,
     ) -> None:
         if coalesce_window < 0:
             raise ValueError("coalesce_window must be non-negative")
@@ -403,7 +399,6 @@ class ScenarioService:
         self.artifacts = artifacts if artifacts is not None else GLOBAL_ARTIFACTS
         self.registry = registry if registry is not None else paper_registry()
         self.engine = None if engine is None else normalise_engine_mode(engine)
-        self.dtype = dtype
         self.stats = ServiceStats()
         self.max_workers = default_worker_count(max_workers)
         self._pool = ThreadPoolExecutor(
@@ -696,7 +691,6 @@ class ScenarioService:
                 default_epsilon=self.default_epsilon,
                 artifacts=self.artifacts,
                 default_engine=self.engine,
-                default_dtype=self.dtype,
             )
         return survivors, rejected, plan
 

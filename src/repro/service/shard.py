@@ -113,7 +113,6 @@ from repro.analysis import MeasureRequest, MeasureResult
 from repro.ctmc.engines import (
     BLAS_ENV_VARS,
     blas_thread_budget,
-    normalise_dtype,
     pin_blas_threads,
     restore_blas_threads,
 )
@@ -231,7 +230,6 @@ async def _shard_worker(
         artifacts=ArtifactCache(config["max_entries"]),
         max_workers=config["max_workers"],
         engine=config.get("engine"),
-        dtype=config.get("dtype"),
     )
     loop = asyncio.get_running_loop()
     tasks: set[asyncio.Task] = set()
@@ -513,9 +511,9 @@ class ShardedScenarioService:
     start_method:
         ``multiprocessing`` start method; ``spawn`` (the default) keeps
         workers free of inherited interpreter state.
-    engine, dtype:
-        Default numeric backend and sweep lane forwarded to every worker's
-        service (see :class:`ScenarioService`).  When the workers may take
+    engine:
+        Default numeric backend forwarded to every worker's service (see
+        :class:`ScenarioService`).  When the workers may take
         the dense-BLAS path, the front pins the BLAS thread count to
         :func:`repro.ctmc.engines.blas_thread_budget` around the spawns so
         N shards never oversubscribe the machine N-fold.
@@ -570,7 +568,6 @@ class ShardedScenarioService:
         registry: ScenarioRegistry | None = None,
         start_method: str = "spawn",
         engine: str | None = None,
-        dtype=None,
         heartbeat_interval: float | None = DEFAULT_HEARTBEAT_INTERVAL,
         heartbeat_timeout: float | None = None,
         restart_limit: int = DEFAULT_RESTART_LIMIT,
@@ -647,7 +644,6 @@ class ShardedScenarioService:
             "max_entries": int(max_entries),
             "max_workers": max_workers,
             "engine": engine,
-            "dtype": None if dtype is None else normalise_dtype(dtype).name,
             "chaos": chaos,
         }
         self._start_method = start_method

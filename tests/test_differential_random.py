@@ -44,9 +44,6 @@ from repro.ctmc.linsolve import reachability_reward_reference
 NUM_CHAINS = 60
 TOLERANCE = 1e-10
 
-#: Accuracy contract of the float32 sweep lane (see repro.ctmc.engines).
-F32_TOLERANCE = 1e-6
-
 
 # ---------------------------------------------------------------------------
 # seeded model generator
@@ -223,10 +220,9 @@ def _session_values(
     spec: dict,
     lump: bool,
     engine: str | None = None,
-    dtype: str | None = None,
 ) -> dict[str, np.ndarray]:
     """All four measures of one chain through a single batched session."""
-    session = AnalysisSession(lump=lump, engine=engine, dtype=dtype)
+    session = AnalysisSession(lump=lump, engine=engine)
     indices = {
         "bounded": session.request(
             chain,
@@ -356,20 +352,18 @@ def test_unbounded_reachability_lump_invariant(seed: int) -> None:
     _assert_close("P=?[U]", seed, values[True], values[False])
 
 
-@pytest.mark.parametrize("dtype", ["float64", "float32"])
-@pytest.mark.parametrize("seed", range(NUM_CHAINS))
-def test_dtype_lanes_agree_with_legacy_path(seed: int, dtype: str) -> None:
-    """The engine-selected lanes reproduce the legacy float64 CSR numerics.
+# Each id names the seed and the sweep's one lane, float64.
+@pytest.mark.parametrize("seed", range(NUM_CHAINS), ids=lambda seed: f"{seed}-float64")
+def test_dtype_lanes_agree_with_legacy_path(seed: int) -> None:
+    """The engine-selected float64 sweep reproduces the legacy CSR numerics.
 
     ``engine="auto"`` routes every chain through the pluggable backend layer
-    (dense BLAS below the crossover, CSR above); the float64 lane must stay
-    within the harness tolerance of the legacy path and the float32 lane
-    within its documented 1e-6 contract.
+    (dense BLAS below the crossover, CSR above), which must stay within the
+    harness tolerance of the legacy path.
     """
     chain, spec = random_ctmc(seed)
     legacy = _session_values(chain, spec, lump=False)
-    values = _session_values(chain, spec, lump=False, engine="auto", dtype=dtype)
-    tolerance = TOLERANCE if dtype == "float64" else F32_TOLERANCE
+    values = _session_values(chain, spec, lump=False, engine="auto")
     for name, expected in legacy.items():
         actual = np.asarray(values[name], dtype=float)
         expected = np.asarray(expected, dtype=float)
@@ -378,8 +372,8 @@ def test_dtype_lanes_agree_with_legacy_path(seed: int, dtype: str) -> None:
             np.where(both_infinite, 0.0, actual)
             - np.where(both_infinite, 0.0, expected)
         )
-        assert np.all(difference <= tolerance), (
-            f"seed {seed}: {name} ({dtype}) deviates from the legacy lane by "
+        assert np.all(difference <= TOLERANCE), (
+            f"seed {seed}: {name} deviates from the legacy path by "
             f"{float(np.max(difference))!r}"
         )
 

@@ -1,21 +1,16 @@
 """Tests of the pluggable numeric-engine layer (:mod:`repro.ctmc.engines`).
 
-Covers the backend implementations (sparse CSR, dense BLAS, optional
-numba), the auto-selection heuristic and its crossover, the float32
-accuracy contract, the per-(fingerprint, dtype) persistence in the
-artifact cache, dense-LU long-run solves, and the BLAS/thread-pool
-oversubscription guard — including a regression test that a two-shard
-dense run keeps every worker's thread budget bounded.
-
-The numba tests ``importorskip`` so the default CI leg (no numba in the
-image) stays green; the dedicated numba CI leg runs them for real.
+Covers the backend implementations (sparse CSR, dense BLAS), the
+auto-selection heuristic and its crossover, the per-fingerprint
+persistence in the artifact cache, dense-LU long-run solves, and the
+BLAS/thread-pool oversubscription guard — including a regression test that
+a two-shard dense run keeps every worker's thread budget bounded.
 """
 
 from __future__ import annotations
 
 import asyncio
 import os
-import threading
 
 import numpy as np
 import pytest
@@ -37,8 +32,6 @@ from repro.ctmc.engines import (
     SparseFactorization,
     blas_thread_budget,
     default_worker_count,
-    have_numba,
-    normalise_dtype,
     normalise_engine_mode,
     pin_blas_threads,
     restore_blas_threads,
@@ -57,7 +50,7 @@ def make_chain(seed: int = 0, num_states: int = 40, density: float = 0.25) -> CT
 
 
 # ---------------------------------------------------------------------------
-# mode / dtype normalisation
+# mode normalisation
 # ---------------------------------------------------------------------------
 class TestNormalisation:
     def test_known_modes_pass_through(self):
@@ -65,39 +58,40 @@ class TestNormalisation:
             assert normalise_engine_mode(mode) == mode
 
     def test_unknown_mode_raises(self):
-        with pytest.raises(CTMCError):
-            normalise_engine_mode("gpu")
-
-    @pytest.mark.skipif(have_numba(), reason="numba is installed here")
-    def test_numba_mode_raises_without_numba(self):
-        with pytest.raises(CTMCError):
-            normalise_engine_mode("numba")
-
-    def test_dtypes(self):
-        assert normalise_dtype(None) == np.float64
-        assert normalise_dtype("float32") == np.float32
-        assert normalise_dtype(np.float32) == np.float32
-        with pytest.raises(CTMCError):
-            normalise_dtype("float16")
+        for mode in ("gpu", "numba"):
+            with pytest.raises(CTMCError, match="unknown engine mode"):
+                normalise_engine_mode(mode)
 
     def test_process_defaults_roundtrip(self):
         previous_mode = engines.default_engine_mode()
-        previous_dtype = engines.default_dtype()
         try:
             engines.set_default_engine_mode("sparse")
-            engines.set_default_dtype("float32")
             assert engines.default_engine_mode() == "sparse"
-            assert engines.default_dtype() == np.float32
         finally:
             engines.set_default_engine_mode(previous_mode)
-            engines.set_default_dtype(previous_dtype)
+
+    def test_sweeps_take_no_dtype_knob(self):
+        """Every sweep runs in float64; a ``dtype=`` argument is an error."""
+        from repro.service import ScenarioService
+
+        chain = make_chain(1)
+        with pytest.raises(TypeError):
+            AnalysisSession(dtype="float64")
+        with pytest.raises(TypeError):
+            MeasureRequest(chain=chain, times=[1.0], dtype="float64")
+        with pytest.raises(TypeError):
+            ScenarioService(dtype="float64")
+        with pytest.raises(TypeError):
+            evaluate_grid_block(
+                chain, [1.0], chain.initial_distribution[None, :], dtype="float64"
+            )
 
 
 # ---------------------------------------------------------------------------
 # backend equivalence on real sweeps
 # ---------------------------------------------------------------------------
 class TestBackendEquivalence:
-    def _sweep(self, chain, engine=None, dtype=None, stats=None):
+    def _sweep(self, chain, engine=None, stats=None):
         times = np.linspace(0.1, 3.0, 6)
         rewards = np.zeros((chain.num_states, 1))
         rewards[-1, 0] = 1.0
@@ -109,7 +103,6 @@ class TestBackendEquivalence:
             rewards_matrix=rewards,
             instantaneous=True,
             engine=engine,
-            dtype=dtype,
             stats=stats,
         )
         return result.instantaneous
@@ -125,13 +118,6 @@ class TestBackendEquivalence:
         legacy = self._sweep(chain)
         dense = self._sweep(chain, engine="dense")
         assert np.max(np.abs(legacy - dense)) <= 1e-12
-
-    def test_float32_lane_meets_contract(self):
-        chain = make_chain(5)
-        legacy = self._sweep(chain)
-        for mode in ("sparse", "dense"):
-            lane = self._sweep(chain, engine=mode, dtype="float32")
-            assert np.max(np.abs(legacy - lane)) <= 1e-6
 
     def test_op_accounting_is_backend_invariant(self):
         chain = make_chain(6)
@@ -176,26 +162,20 @@ class TestEngineSelector:
         selector = EngineSelector(dense_state_limit=10_000)
         huge = 4000  # 4000^2 float64 = 128 MiB > the 64 MiB guard
         assert selector.choose(huge, huge * huge) == "sparse"
-        # float32 halves the footprint and fits again.
-        assert selector.choose(2900, 2900 * 2900, dtype="float32") == "dense"
-
-    def test_auto_never_picks_numba(self):
-        selector = EngineSelector()
-        for size in (10, 500, 5000):
-            assert selector.choose(size, size * size // 4) in ("sparse", "dense")
+        assert selector.choose(2800, 2800 * 2800) == "dense"  # 60 MiB fits
 
     def test_forced_modes_bypass_the_heuristic(self):
         selector = EngineSelector()
         chain = make_chain(7, num_states=500, density=0.02)
-        assert selector.resolve(chain, "dense", "float64") == "dense"
-        assert selector.resolve(chain, "sparse", "float64") == "sparse"
+        assert selector.resolve(chain, "dense") == "dense"
+        assert selector.resolve(chain, "sparse") == "sparse"
 
     def test_auto_decision_persists_in_artifact_cache(self):
         artifacts = ArtifactCache()
         selector = EngineSelector(artifacts)
         chain = make_chain(8, num_states=30)
-        first = selector.resolve(chain, "auto", "float64")
-        second = selector.resolve(chain, "auto", "float64")
+        first = selector.resolve(chain, "auto")
+        second = selector.resolve(chain, "auto")
         assert first == second == "dense"
         counters = artifacts.stats().kinds["engine"]
         assert counters.misses == 1 and counters.hits == 1
@@ -269,47 +249,6 @@ class TestFactorizations:
 
 
 # ---------------------------------------------------------------------------
-# float32 guard rails
-# ---------------------------------------------------------------------------
-class TestFloat32Lane:
-    def test_explicit_float32_interval_request_is_rejected(self):
-        chain = make_chain(11)
-        session = AnalysisSession()
-        session.request(
-            chain,
-            np.linspace(1.0, 2.0, 3),
-            kind=MeasureKind.INTERVAL_REACHABILITY,
-            target=[chain.num_states - 1],
-            lower=1.0,
-            dtype="float32",
-        )
-        with pytest.raises(CTMCError, match="float32"):
-            session.execute()
-
-    def test_inherited_float32_interval_falls_back_to_float64(self):
-        chain = make_chain(12)
-        f32 = AnalysisSession(dtype="float32")
-        f32.request(
-            chain,
-            np.linspace(1.0, 2.0, 3),
-            kind=MeasureKind.INTERVAL_REACHABILITY,
-            target=[chain.num_states - 1],
-            lower=1.0,
-        )
-        reference = AnalysisSession()
-        reference.request(
-            chain,
-            np.linspace(1.0, 2.0, 3),
-            kind=MeasureKind.INTERVAL_REACHABILITY,
-            target=[chain.num_states - 1],
-            lower=1.0,
-        )
-        values = f32.execute()[0].squeezed
-        expected = reference.execute()[0].squeezed
-        assert np.max(np.abs(values - expected)) <= 1e-6
-
-
-# ---------------------------------------------------------------------------
 # artifact-cache integration (dense operators are byte-weighted)
 # ---------------------------------------------------------------------------
 class TestDenseOperatorCaching:
@@ -317,7 +256,7 @@ class TestDenseOperatorCaching:
         cache = ArtifactCache(max_entries=64)
         chain = make_chain(13, num_states=200, density=0.1)
         dense = np.zeros((200, 200))
-        cache.dense_operator(chain, 1.0, "float64", lambda: dense)
+        cache.dense_operator(chain, 1.0, lambda: dense)
         expected_weight = -(-dense.nbytes // DENSE_WEIGHT_UNIT_BYTES)
         assert expected_weight > 1
         assert cache.total_weight == expected_weight
@@ -327,7 +266,7 @@ class TestDenseOperatorCaching:
         chains = [make_chain(seed, num_states=120) for seed in range(3)]
         for index, chain in enumerate(chains):
             cache.get_or_create("window", (index,), lambda: index)
-            cache.dense_operator(chain, 1.0, "float64", lambda: np.zeros((120, 120)))
+            cache.dense_operator(chain, 1.0, lambda: np.zeros((120, 120)))
         # Each dense operator weighs ~113KB/256KB -> 1, but the budget of 3
         # cannot hold all six entries: older ones must have been evicted
         # while the newest survives.
@@ -347,24 +286,6 @@ class TestDenseOperatorCaching:
             session.execute()
         counters = artifacts.stats().kinds["dense_operator"]
         assert counters.misses == 1 and counters.hits >= 1
-
-
-# ---------------------------------------------------------------------------
-# optional numba backend (runs only on the numba CI leg)
-# ---------------------------------------------------------------------------
-class TestNumbaEngine:
-    def test_numba_backend_matches_sparse(self):
-        pytest.importorskip("numba")
-        chain = make_chain(15)
-        times = np.linspace(0.1, 3.0, 5)
-        observables = np.zeros((1, chain.num_states))
-        observables[0, -1] = 1.0
-        block = chain.initial_distribution[None, :]
-        reference = evaluate_grid_block(chain, block, observables, times)
-        values = evaluate_grid_block(
-            chain, block, observables, times, engine="numba"
-        )
-        assert np.max(np.abs(reference - values)) <= 1e-12
 
 
 # ---------------------------------------------------------------------------

@@ -94,3 +94,28 @@ class TestCommandLine:
         assert exit_code == 0
         captured = capsys.readouterr()
         assert "Figure 9" in captured.out
+
+
+class TestGridPointValidation:
+    """``--points`` below 2 is a clean usage error on every front end."""
+
+    @pytest.mark.parametrize(
+        "command",
+        [["fig3"], ["serve", "--scenarios", "fig3"], ["optimize", "--line", "2"]],
+        ids=["repro", "serve", "optimize"],
+    )
+    @pytest.mark.parametrize("points", ["1", "0", "-1"])
+    def test_too_few_points_exit_with_usage_error(self, command, points, capsys):
+        with pytest.raises(SystemExit) as exited:
+            main([*command, "--points", points])
+        assert exited.value.code == 2
+        error = capsys.readouterr().err
+        assert "Traceback" not in error
+        assert error.endswith(
+            "error: argument --points: must be at least 2 (t = 0 and the horizon), "
+            f"got {points}\n"
+        )
+
+    def test_two_points_are_accepted(self):
+        args = build_parser().parse_args(["fig3", "--points", "2"])
+        assert args.points == 2

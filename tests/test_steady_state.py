@@ -36,6 +36,70 @@ class TestBSCC:
         bsccs = bottom_strongly_connected_components(chain)
         assert [list(b) for b in bsccs] == [[1], [2]]
 
+    def test_several_bsccs_and_isolated_absorbing_states(self):
+        rates = np.zeros((7, 7))
+        rates[0, 1] = rates[1, 2] = rates[2, 1] = 1.0  # 0 feeds the cycle {1, 2}
+        rates[0, 3] = rates[3, 4] = rates[4, 3] = 2.0  # ... and the cycle {3, 4}
+        rates[6, 5] = 1.0  # 5 has no transitions at all; 6 drains into it
+        chain = CTMC(rates, {0: 1.0})
+        bsccs = bottom_strongly_connected_components(chain)
+        expected = [[1, 2], [3, 4], [5]]
+        assert [b.tolist() for b in bsccs] == _closure_bsccs(rates) == expected
+
+    def test_seeded_reducible_chains_match_the_closure_oracle(self):
+        several = isolated = 0
+        for seed in range(200):
+            rng = np.random.default_rng(seed)
+            size = int(rng.integers(1, 41))
+            rates = rng.uniform(0.1, 3.0, (size, size))
+            rates *= rng.random((size, size)) < rng.uniform(0.0, 0.3)
+            absorbing = int(rng.integers(0, size // 4 + 1))
+            rates[rng.choice(size, size=absorbing, replace=False), :] = 0.0
+            np.fill_diagonal(rates, 0.0)
+            expected = _closure_bsccs(rates)
+            bsccs = bottom_strongly_connected_components(CTMC(rates, {0: 1.0}))
+            assert [b.tolist() for b in bsccs] == expected, f"seed {seed}"
+            several += len(expected) > 1
+            isolated += bool(np.any(~rates.any(axis=0) & ~rates.any(axis=1)))
+        # The population exercises what the oracle is for.
+        assert several >= 50 and isolated >= 20
+
+    @given(
+        size=st.integers(1, 12),
+        edges=st.sets(st.tuples(st.integers(0, 11), st.integers(0, 11)), max_size=40),
+        absorbing=st.sets(st.integers(0, 11), max_size=4),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_generated_chains_match_the_closure_oracle(self, size, edges, absorbing):
+        rates = np.zeros((size, size))
+        for source, target in edges:
+            if source < size and target < size and source != target:
+                rates[source, target] = 1.0 + (source + target) % 3
+        rates[[state for state in absorbing if state < size], :] = 0.0
+        bsccs = bottom_strongly_connected_components(CTMC(rates, {0: 1.0}))
+        assert [b.tolist() for b in bsccs] == _closure_bsccs(rates)
+        assert all(b.dtype.kind == "i" for b in bsccs)
+
+
+def _closure_bsccs(rates: np.ndarray) -> list[list[int]]:
+    """Brute-force BSCCs from the reflexive transitive closure.
+
+    Two states share a component when each reaches the other; a component
+    is bottom when every state reachable from it lies inside it.  Each
+    component is listed once, at its smallest state.
+    """
+    size = rates.shape[0]
+    reach = (rates > 0.0) | np.eye(size, dtype=bool)
+    for middle in range(size):  # Warshall
+        reach |= reach[:, [middle]] & reach[[middle], :]
+    mutual = reach & reach.T
+    bsccs = []
+    for state in range(size):
+        members = np.flatnonzero(mutual[state])
+        if members[0] == state and not np.any(reach[state] & ~mutual[state]):
+            bsccs.append(members.tolist())
+    return bsccs
+
 
 class TestSteadyState:
     def test_two_state_balance(self):
