@@ -316,6 +316,18 @@ class CappedFractionService(ServiceTreeNode):
         )
 
 
+def service_threshold(threshold: float | Fraction) -> Fraction:
+    """The exact service level a target threshold stands for.
+
+    A float is read as the nearest fraction with a denominator of at most
+    10**6, so ``2/3`` rounded to 7 decimals still selects the states at
+    level ``2/3``.
+    """
+    if isinstance(threshold, Fraction):
+        return threshold
+    return Fraction(threshold).limit_denominator(10**6)
+
+
 # ---------------------------------------------------------------------------
 # wrappers
 # ---------------------------------------------------------------------------

@@ -4,13 +4,15 @@ An :class:`ArcadeModel` bundles the elements of an Arcade specification —
 basic components, repair units, spare management units, the fault tree and
 cost annotations — validates their mutual consistency, and offers the
 queries that the state-space generators and translators need (effective
-failure rates, service levels, disaster states, ...).
+failure rates, service levels, disaster states, ...).  A
+:class:`FailedSetTable` evaluates what each set of failed components means,
+once per set, for the state-space builder, the simulator and the CTMDP.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from collections.abc import Iterable, Mapping, Sequence
+from collections.abc import Collection, Iterable, Mapping, Sequence
 from fractions import Fraction
 
 from repro.arcade.components import ArcadeModelError, BasicComponent
@@ -218,19 +220,29 @@ class ArcadeModel:
         up = [name for name in self.component_names if name not in failed]
         return self.effective_service_tree().service_level(up)
 
+    def component_cost_rate(self, failed_components: Collection[str]) -> float:
+        """Hourly cost of the components alone, summed in model order."""
+        total = 0.0
+        for component in self.components:
+            if component.name in failed_components:
+                total += self.cost_model.down_cost(component.name)
+            else:
+                total += self.cost_model.up_cost(component.name)
+        return total
+
     def state_cost_rate(
         self,
         failed_components: Iterable[str],
         busy_crews_per_unit: Mapping[str, int],
+        component_cost: float | None = None,
     ) -> float:
-        """Hourly cost of a state (component costs plus crew costs)."""
-        failed = set(failed_components)
-        total = 0.0
-        for component in self.components:
-            if component.name in failed:
-                total += self.cost_model.down_cost(component.name)
-            else:
-                total += self.cost_model.up_cost(component.name)
+        """Hourly cost of a state: components in model order, then crews in unit order.
+
+        Pass ``component_cost`` when :meth:`component_cost_rate` is known.
+        """
+        if component_cost is None:
+            component_cost = self.component_cost_rate(set(failed_components))
+        total = component_cost
         for unit in self.repair_units:
             busy = busy_crews_per_unit.get(unit.name, 0)
             idle = unit.effective_crews() - busy
@@ -270,3 +282,51 @@ class ArcadeModel:
         """A short label describing the repair configuration (e.g. ``"FRF-2"``)."""
         labels = sorted({unit.label for unit in self.repair_units})
         return "+".join(labels) if labels else "none"
+
+
+@dataclass(frozen=True)
+class FailedSet:
+    """What one set of failed components means in a model.
+
+    A state's failure rates, labels, service level and component cost depend
+    only on its failed set, so :class:`FailedSetTable` evaluates each distinct
+    set once.  ``failure_rates`` pairs every up component whose effective rate
+    is positive with that rate, in model order; ``down`` is ``None`` without a
+    fault tree; ``component_cost`` is :meth:`ArcadeModel.component_cost_rate`.
+    """
+
+    failed: frozenset[str]
+    failure_rates: tuple[tuple[str, float], ...]
+    down: bool | None
+    service_level: Fraction
+    component_cost: float
+
+
+class FailedSetTable(dict[frozenset[str], FailedSet]):
+    """The :class:`FailedSet` of each failed set, evaluated on first lookup.
+
+    Scope a table to one build, one simulator or one CTMDP, so that no
+    cached state space keeps its rows alive.
+    """
+
+    def __init__(self, model: ArcadeModel) -> None:
+        super().__init__()
+        self.model = model
+        self.service_tree = model.effective_service_tree()
+
+    def __missing__(self, failed: frozenset[str]) -> FailedSet:
+        model = self.model
+        up = tuple(name for name in model.component_names if name not in failed)
+        rates = []
+        for name in up:
+            rate = model.effective_failure_rate(name, up)
+            if rate > 0.0:
+                rates.append((name, rate))
+        row = self[failed] = FailedSet(
+            failed=failed,
+            failure_rates=tuple(rates),
+            down=model.is_down(failed) if model.fault_tree is not None else None,
+            service_level=self.service_tree.service_level(up),
+            component_cost=model.component_cost_rate(failed),
+        )
+        return row

@@ -1,4 +1,4 @@
-"""Direct expansion of an Arcade model into a labelled CTMC.
+"""The states and transitions of an Arcade model, and its expansion into a CTMC.
 
 This is the computational fast path used by the experiments (the reactive
 modules and I/O-IMC translations are alternative routes that tests check for
@@ -23,6 +23,12 @@ components share a transition, failures never occur simultaneously — the
 prerequisite (noted in Section 2 of the paper) for the deterministic CTMC
 translation to agree with the I/O-IMC semantics.
 
+:class:`ArcadeSemantics` holds this transition relation; both
+:func:`build_state_space` and the Monte-Carlo simulator walk its
+:meth:`~ArcadeSemantics.successors` step.  Everything a state means beyond
+its queues depends only on its failed set, and is read from one
+:class:`~repro.arcade.model.FailedSetTable` row per distinct set.
+
 Each state is labelled ``"down"``/``"operational"`` via the fault tree and
 ``"no_service"``/``"full_service"`` via the service tree; the quantitative
 service level of every state is returned alongside the chain.  The cost
@@ -31,15 +37,14 @@ model becomes a reward structure named ``"cost"``.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
-from collections.abc import Iterable, Mapping
 
 import numpy as np
 
 from repro.arcade.components import ArcadeModelError
-from repro.arcade.model import ArcadeModel, Disaster
+from repro.arcade.fault_tree import service_threshold
+from repro.arcade.model import ArcadeModel, Disaster, FailedSet, FailedSetTable
 from repro.ctmc import CTMC, MarkovRewardModel, RewardStructure
 from repro.ctmc.ctmc import CTMCBuilder
 
@@ -99,11 +104,7 @@ class ArcadeStateSpace:
 
     def failed_components(self, state_index: int) -> frozenset[str]:
         """The failed components of a state."""
-        queues, uncovered = self.states[state_index]
-        failed: set[str] = set(uncovered)
-        for queue in queues:
-            failed |= set(queue)
-        return frozenset(failed)
+        return failed_components(self.states[state_index])
 
     def service_level_array(self) -> np.ndarray:
         """Service levels as a float vector (index-aligned with the chain)."""
@@ -113,12 +114,11 @@ class ArcadeStateSpace:
         """Indices of states whose service level is at least ``threshold``.
 
         This is the set ``S_{sl(x)}`` of the paper.  Only the few distinct
-        levels are compared (exactly) with the threshold; a per-state level
-        id array, built on first use, maps the verdicts back to states.
+        levels are compared (exactly) with :func:`service_threshold` of the
+        threshold; a per-state level id array, built on first use, maps the
+        verdicts back to states.
         """
-        limit = Fraction(threshold).limit_denominator(10**6) if not isinstance(
-            threshold, Fraction
-        ) else threshold
+        limit = service_threshold(threshold)
         if self._levels is None:
             # Keyed by (numerator, denominator): Fractions are normalised,
             # and the tuples hash several times faster than Fractions do.
@@ -138,23 +138,8 @@ class ArcadeStateSpace:
 
     # ------------------------------------------------------------------
     def disaster_state(self, disaster: Disaster | str) -> int:
-        """The index of the state induced by a disaster (the GOOD start state).
-
-        The repair queues of the disaster state are built from the component
-        priorities, as prescribed by the paper for Given-Occurrence-Of-
-        Disaster models.
-        """
-        if isinstance(disaster, str):
-            disaster = self.model.disaster(disaster)
-        components_by_name = self.model.components_by_name()
-        failed = set(disaster.failed_components)
-        queues = []
-        for unit in self.model.repair_units:
-            covered_failed = [name for name in failed if unit.covers(name)]
-            queues.append(unit.initial_queue(covered_failed, components_by_name))
-        covered = {name for unit in self.model.repair_units for name in unit.components}
-        uncovered = tuple(sorted(failed - covered))
-        return self.state_index((tuple(queues), uncovered))
+        """The index of the state a disaster leaves behind (see :func:`start_state`)."""
+        return self.state_index(start_state(self.model, disaster))
 
     def initial_distribution_for_disaster(self, disaster: Disaster | str) -> np.ndarray:
         """A point-mass initial distribution on the disaster state."""
@@ -169,12 +154,99 @@ class ArcadeStateSpace:
         )
 
 
-def _state_failed(state: ArcadeState) -> set[str]:
+def failed_components(state: ArcadeState) -> frozenset[str]:
+    """The failed components of a state: its queued and its uncovered ones."""
     queues, uncovered = state
-    failed: set[str] = set(uncovered)
-    for queue in queues:
-        failed |= set(queue)
-    return failed
+    return frozenset(uncovered).union(*queues)
+
+
+def start_state(model: ArcadeModel, disaster: Disaster | str | None = None) -> ArcadeState:
+    """The all-up state, or the state a disaster leaves behind.
+
+    The repair queues of a disaster state are built from the component
+    priorities, as prescribed by the paper for Given-Occurrence-Of-Disaster
+    models.
+    """
+    if disaster is None:
+        return (tuple(() for _ in model.repair_units), ())
+    if isinstance(disaster, str):
+        disaster = model.disaster(disaster)
+    components_by_name = model.components_by_name()
+    failed = set(disaster.failed_components)
+    queues = []
+    for unit in model.repair_units:
+        covered_failed = [name for name in failed if unit.covers(name)]
+        queues.append(unit.initial_queue(covered_failed, components_by_name))
+    covered = {name for unit in model.repair_units for name in unit.components}
+    uncovered = tuple(sorted(failed - covered))
+    return (tuple(queues), uncovered)
+
+
+class ArcadeSemantics:
+    """The transition relation of an Arcade model over :data:`ArcadeState`.
+
+    :func:`build_state_space` expands it into a CTMC; the simulator samples
+    it.  Each distinct failed set is evaluated once, in :attr:`failed_sets`.
+    """
+
+    def __init__(self, model: ArcadeModel, with_repairs: bool = True) -> None:
+        self.model = model
+        self.with_repairs = with_repairs
+        self.failed_sets = FailedSetTable(model)
+        self._components = model.components_by_name()
+        self._unit_of = {
+            name: position
+            for position, unit in enumerate(model.repair_units)
+            for name in unit.components
+        }
+
+    def evaluate(self, state: ArcadeState) -> FailedSet:
+        """What the failed set of ``state`` means (its table row)."""
+        return self.failed_sets[failed_components(state)]
+
+    def successors(self, state: ArcadeState) -> list[tuple[float, ArcadeState]]:
+        """Every enabled transition of ``state`` as ``(rate, successor)``.
+
+        Failures come first, in model order, then repairs per unit in
+        service order; seeded simulations depend on this order.
+        """
+        queues, uncovered = state
+        units = self.model.repair_units
+        transitions: list[tuple[float, ArcadeState]] = []
+        for name, rate in self.evaluate(state).failure_rates:
+            position = self._unit_of.get(name)
+            if position is None:
+                transitions.append((rate, (queues, tuple(sorted([*uncovered, name])))))
+                continue
+            queue = units[position].insert(
+                queues[position], self._components[name], self._components
+            )
+            transitions.append((rate, (_with_queue(queues, position, queue), uncovered)))
+        if self.with_repairs:
+            for position, unit in enumerate(units):
+                for name in unit.in_service(queues[position]):
+                    queue = unit.remove(queues[position], name)
+                    transitions.append(
+                        (
+                            self._components[name].repair_rate,
+                            (_with_queue(queues, position, queue), uncovered),
+                        )
+                    )
+        return transitions
+
+    def cost_rate(self, state: ArcadeState, row: FailedSet | None = None) -> float:
+        """Hourly cost of ``state``; ``row`` is its :meth:`evaluate` row if known."""
+        if row is None:
+            row = self.evaluate(state)
+        busy = {
+            unit.name: unit.busy_crews(queue)
+            for unit, queue in zip(self.model.repair_units, state[0])
+        }
+        return self.model.state_cost_rate(row.failed, busy, row.component_cost)
+
+
+def _with_queue(queues: tuple, position: int, queue: tuple[str, ...]) -> tuple:
+    return tuple(queue if index == position else existing for index, existing in enumerate(queues))
 
 
 def build_state_space(
@@ -195,101 +267,44 @@ def build_state_space(
     max_states:
         Optional safety limit on the number of reachable states.
     """
-    components_by_name = model.components_by_name()
-    component_names = model.component_names
-    repair_units = model.repair_units
-    service_tree = model.effective_service_tree()
-    # Precomputed component -> repair-unit index (first covering unit wins),
-    # so the expansion loop needs no linear scan over units per failure.
-    unit_index_by_component: dict[str, int] = {}
-    for position, unit in enumerate(repair_units):
-        for name in unit.components:
-            unit_index_by_component.setdefault(name, position)
-
-    initial_state: ArcadeState = (tuple(() for _ in repair_units), ())
-
+    semantics = ArcadeSemantics(model, with_repairs)
+    initial_state = start_state(model)
     index_of: dict[ArcadeState, int] = {initial_state: 0}
     states: list[ArcadeState] = [initial_state]
-    queue: deque[int] = deque([0])
-
     builder = CTMCBuilder()
-    builder.add_state(_describe(initial_state, repair_units))
-
-    def register(state: ArcadeState) -> int:
-        if state in index_of:
-            return index_of[state]
-        index = len(states)
-        index_of[state] = index
-        states.append(state)
-        builder.add_state(_describe(state, repair_units))
-        queue.append(index)
-        if max_states is not None and len(states) > max_states:
-            raise ArcadeModelError(f"state space exceeds the limit of {max_states} states")
-        return index
-
-    while queue:
-        source = queue.popleft()
-        state = states[source]
-        queues, uncovered = state
-        failed = _state_failed(state)
-        up = [name for name in component_names if name not in failed]
-
-        # Failure transitions.
-        for name in up:
-            rate = model.effective_failure_rate(name, up)
-            if rate <= 0.0:
-                continue
-            unit_index = unit_index_by_component.get(name)
-            if unit_index is None:
-                successor: ArcadeState = (queues, tuple(sorted([*uncovered, name])))
-            else:
-                unit = repair_units[unit_index]
-                new_queue = unit.insert(queues[unit_index], components_by_name[name], components_by_name)
-                new_queues = tuple(
-                    new_queue if position == unit_index else existing
-                    for position, existing in enumerate(queues)
-                )
-                successor = (new_queues, uncovered)
-            builder.add_transition(source, register(successor), rate)
-
-        # Repair transitions.
-        if with_repairs:
-            for unit_index, unit in enumerate(repair_units):
-                for name in unit.in_service(queues[unit_index]):
-                    rate = components_by_name[name].repair_rate
-                    new_queue = unit.remove(queues[unit_index], name)
-                    new_queues = tuple(
-                        new_queue if position == unit_index else existing
-                        for position, existing in enumerate(queues)
-                    )
-                    successor = (new_queues, uncovered)
-                    builder.add_transition(source, register(successor), rate)
-
-    # Labels, service levels and costs.
+    builder.add_state()
     service_levels: list[Fraction] = []
-    cost_rates = np.zeros(len(states))
-    for index, state in enumerate(states):
-        failed = _state_failed(state)
-        up_set = [name for name in component_names if name not in failed]
-        if model.fault_tree is not None:
-            if model.is_down(failed):
-                builder.add_label("down", index)
-            else:
-                builder.add_label("operational", index)
-        level = service_tree.service_level(up_set)
-        service_levels.append(level)
-        if level == 0:
-            builder.add_label("no_service", index)
-        if level == 1:
-            builder.add_label("full_service", index)
-        busy = {
-            unit.name: unit.busy_crews(state[0][position])
-            for position, unit in enumerate(repair_units)
-        }
-        cost_rates[index] = model.state_cost_rate(failed, busy)
+    cost_rates: list[float] = []
+
+    # Breadth first: states are expanded in index order, so each is
+    # labelled when it is expanded.
+    source = 0
+    while source < len(states):
+        state = states[source]
+        row = semantics.evaluate(state)
+        if row.down is not None:
+            builder.add_label("down" if row.down else "operational", source)
+        service_levels.append(row.service_level)
+        if row.service_level == 0:
+            builder.add_label("no_service", source)
+        if row.service_level == 1:
+            builder.add_label("full_service", source)
+        cost_rates.append(semantics.cost_rate(state, row))
+
+        for rate, successor in semantics.successors(state):
+            target = index_of.get(successor)
+            if target is None:
+                target = index_of[successor] = builder.add_state()
+                states.append(successor)
+                if max_states is not None and len(states) > max_states:
+                    raise ArcadeModelError(
+                        f"state space exceeds the limit of {max_states} states"
+                    )
+            builder.add_transition(source, target, rate)
+        source += 1
 
     chain = builder.build({0: 1.0})
-    reward_model = MarkovRewardModel(chain, RewardStructure("cost", cost_rates))
+    reward_model = MarkovRewardModel(chain, RewardStructure("cost", np.array(cost_rates)))
     return ArcadeStateSpace(
         model=model,
         chain=chain,
@@ -298,13 +313,3 @@ def build_state_space(
         service_levels=service_levels,
         with_repairs=with_repairs,
     )
-
-
-def _describe(state: ArcadeState, repair_units) -> dict:
-    queues, uncovered = state
-    description = {
-        unit.name: list(queue) for unit, queue in zip(repair_units, queues)
-    }
-    if uncovered:
-        description["unrepaired"] = list(uncovered)
-    return description

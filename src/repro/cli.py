@@ -106,6 +106,20 @@ def grid_points(text: str) -> int:
     return points
 
 
+def bounded(convert: type, minimum: float, *, inclusive: bool = True):
+    """argparse ``type=`` for a number of at least (or above) ``minimum``."""
+    relation = "at least" if inclusive else "greater than"
+
+    def parse(text: str):
+        value = convert(text)
+        if not (value >= minimum if inclusive else value > minimum):
+            raise argparse.ArgumentTypeError(f"must be {relation} {minimum}, got {text}")
+        return value
+
+    parse.__name__ = convert.__name__
+    return parse
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro-watertreatment",
@@ -208,13 +222,13 @@ def build_serve_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--clients",
-        type=int,
+        type=bounded(int, 1),
         default=4,
         help="number of concurrent clients submitting the portfolio (default: 4)",
     )
     parser.add_argument(
         "--repeat",
-        type=int,
+        type=bounded(int, 1),
         default=2,
         help="portfolio rounds; warm rounds demonstrate the artifact cache (default: 2)",
     )
@@ -237,13 +251,13 @@ def build_serve_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--window",
-        type=float,
+        type=bounded(float, 0),
         default=0.05,
         help="coalescing window in seconds (default: 0.05)",
     )
     parser.add_argument(
         "--max-batch",
-        type=int,
+        type=bounded(int, 1),
         default=1024,
         help="pending-request cap that cuts the window short (default: 1024)",
     )
@@ -278,7 +292,7 @@ def build_serve_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--shards",
-        type=int,
+        type=bounded(int, 0),
         default=0,
         metavar="N",
         help=(
@@ -288,7 +302,7 @@ def build_serve_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--max-pending",
-        type=int,
+        type=bounded(int, 1),
         default=None,
         metavar="N",
         help=(
@@ -298,7 +312,7 @@ def build_serve_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--timeout",
-        type=float,
+        type=bounded(float, 0, inclusive=False),
         default=None,
         metavar="SECONDS",
         help=(
@@ -308,7 +322,7 @@ def build_serve_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--max-connections",
-        type=int,
+        type=bounded(int, 1),
         default=None,
         metavar="N",
         help=(
@@ -318,7 +332,7 @@ def build_serve_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--heartbeat-interval",
-        type=float,
+        type=bounded(float, 0),
         default=1.0,
         metavar="SECONDS",
         help=(
@@ -329,7 +343,7 @@ def build_serve_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--restart-limit",
-        type=int,
+        type=bounded(int, 0),
         default=3,
         metavar="K",
         help=(
@@ -340,7 +354,7 @@ def build_serve_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--retry-limit",
-        type=int,
+        type=bounded(int, 0),
         default=2,
         metavar="K",
         help=(
@@ -350,7 +364,7 @@ def build_serve_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--shutdown-grace",
-        type=float,
+        type=bounded(float, 0, inclusive=False),
         default=10.0,
         metavar="SECONDS",
         help=(
@@ -360,7 +374,7 @@ def build_serve_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--snapshot-timeout",
-        type=float,
+        type=bounded(float, 0, inclusive=False),
         default=30.0,
         metavar="SECONDS",
         help=(
@@ -503,7 +517,7 @@ def serve_main(argv: list[str] | None = None) -> int:
                     for request in registry.expand(name, points=points)
                 ],
             )
-            for round_index in range(max(1, args.repeat)):
+            for round_index in range(args.repeat):
                 cache_before = service.cache_stats()
                 sweeps_before = service.stats.session.sweeps
 
@@ -512,7 +526,7 @@ def serve_main(argv: list[str] | None = None) -> int:
                     return len(results)
 
                 curve_counts = await asyncio.gather(
-                    *(client() for _ in range(max(1, args.clients)))
+                    *(client() for _ in range(args.clients))
                 )
                 miss_deltas = service.cache_stats().misses_since(cache_before)
                 recomputed = ", ".join(

@@ -4,8 +4,8 @@ A CTMC is stored explicitly with a sparse rate matrix ``R`` where ``R[i, j]``
 is the transition rate from state ``i`` to state ``j`` (``i != j``).  The
 generator matrix ``Q = R - diag(exit_rates)`` is derived on demand.  States
 carry a labelling with atomic propositions, which is what the CSL/CSRL model
-checker consumes, and an optional human-readable description used in traces
-and debugging output.
+checker consumes.  What a state *is* stays with the generator that built the
+chain (e.g. :attr:`repro.arcade.statespace.ArcadeStateSpace.states`).
 
 The classes here are intentionally independent of how the chain was obtained
 (reactive modules, Arcade translation, I/O-IMC composition, or hand
@@ -17,7 +17,6 @@ from __future__ import annotations
 import hashlib
 from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass, field
-from typing import Any
 
 import numpy as np
 from scipy import sparse
@@ -121,9 +120,6 @@ class CTMC:
     labels:
         Mapping from atomic-proposition name to the set (or boolean vector)
         of states satisfying it.
-    state_descriptions:
-        Optional sequence of per-state descriptions (dicts or strings) used
-        for reporting; not interpreted by the numerical code.
     """
 
     def __init__(
@@ -131,7 +127,6 @@ class CTMC:
         rate_matrix: sparse.spmatrix | np.ndarray,
         initial_distribution: Mapping[int, float] | Sequence[float] | np.ndarray,
         labels: Mapping[str, Iterable[int] | np.ndarray] | None = None,
-        state_descriptions: Sequence[Any] | None = None,
     ) -> None:
         matrix = sparse.csr_matrix(rate_matrix, dtype=float)
         if matrix.shape[0] != matrix.shape[1]:
@@ -146,11 +141,6 @@ class CTMC:
         self._labels: dict[str, np.ndarray] = {}
         for name, states in (labels or {}).items():
             self.add_label(name, states)
-        if state_descriptions is not None and len(state_descriptions) != self._num_states:
-            raise CTMCError(
-                "state_descriptions length does not match the number of states"
-            )
-        self._state_descriptions = list(state_descriptions) if state_descriptions else None
         self._exit_rates = np.asarray(matrix.sum(axis=1)).ravel()
         # Caches of uniformized matrices (and their CSR transposes) keyed by
         # the uniformization rate; the rate matrix is immutable after
@@ -247,16 +237,6 @@ class CTMC:
     @property
     def label_names(self) -> tuple[str, ...]:
         return tuple(sorted(self._labels))
-
-    @property
-    def state_descriptions(self) -> list[Any] | None:
-        return self._state_descriptions
-
-    def describe_state(self, state: int) -> Any:
-        """Return the stored description for ``state`` (or the index itself)."""
-        if self._state_descriptions is None:
-            return state
-        return self._state_descriptions[state]
 
     # ------------------------------------------------------------------
     # labels
@@ -371,7 +351,6 @@ class CTMC:
             self._rates,
             initial,
             labels={name: mask.copy() for name, mask in self._labels.items()},
-            state_descriptions=self._state_descriptions,
         )
 
     def make_absorbing(self, states: Iterable[int] | np.ndarray) -> "CTMC":
@@ -401,7 +380,6 @@ class CTMC:
             cleared,
             self._initial,
             labels={name: label.copy() for name, label in self._labels.items()},
-            state_descriptions=self._state_descriptions,
         )
 
     def restrict_labels(self, **labels: Iterable[int] | np.ndarray) -> "CTMC":
@@ -410,7 +388,6 @@ class CTMC:
             self._rates,
             self._initial,
             labels={name: mask.copy() for name, mask in self._labels.items()},
-            state_descriptions=self._state_descriptions,
         )
         for name, states in labels.items():
             copy.add_label(name, states)
@@ -504,13 +481,11 @@ class CTMCBuilder:
     _cols: list[int] = field(default_factory=list)
     _rates: list[float] = field(default_factory=list)
     _labels: dict[str, list[int]] = field(default_factory=dict)
-    _descriptions: list[Any] = field(default_factory=list)
 
-    def add_state(self, description: Any = None) -> int:
+    def add_state(self) -> int:
         """Add a state and return its index."""
         index = self.num_states
         self.num_states += 1
-        self._descriptions.append(description)
         return index
 
     def add_transition(self, source: int, target: int, rate: float) -> None:
@@ -538,7 +513,4 @@ class CTMCBuilder:
             matrix,
             initial,
             labels={name: states for name, states in self._labels.items()},
-            state_descriptions=self._descriptions if any(
-                description is not None for description in self._descriptions
-            ) else None,
         )

@@ -205,13 +205,11 @@ def lump_ctmc(
         partition = lumping_partition(chain, respect_initial=respect_initial)
 
     num_blocks = max(partition) + 1 if partition else 0
-    builder = CTMCBuilder()
+    builder = CTMCBuilder(num_states=num_blocks)
     representatives: list[int] = [-1] * num_blocks
     for state, block in enumerate(partition):
         if representatives[block] < 0:
             representatives[block] = state
-    for block in range(num_blocks):
-        builder.add_state(chain.describe_state(representatives[block]))
 
     # Cumulative rates out of a representative state per target block: by
     # lumpability these are equal for every member of the block.

@@ -128,7 +128,7 @@ def to_ctmc(model: IOIMC, label_fn=None) -> CTMC:
     def register(stable_state: Hashable) -> int:
         if stable_state in index_of:
             return index_of[stable_state]
-        index = builder.add_state(reduced.describe(stable_state))
+        index = builder.add_state()
         index_of[stable_state] = index
         descriptions.append(reduced.describe(stable_state))
         queue.append(stable_state)

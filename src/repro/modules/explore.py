@@ -250,12 +250,7 @@ def build_ctmc(system: ModulesFile, max_states: int | None = None) -> Exploratio
             if expression.evaluate(valuation):
                 labels[name].append(index)
 
-    chain = CTMC(
-        matrix,
-        {0: 1.0},
-        labels=labels,
-        state_descriptions=[dict(zip(variable_order, state)) for state in states],
-    )
+    chain = CTMC(matrix, {0: 1.0}, labels=labels)
 
     reward_model = None
     if system.rewards:

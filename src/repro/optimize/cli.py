@@ -20,7 +20,7 @@ import argparse
 
 from repro.casestudy.facility import LINE1, LINE2, build_line
 from repro.casestudy.reporting import format_table
-from repro.cli import grid_points
+from repro.cli import bounded, grid_points
 from repro.ctmc.linsolve import SolverEngine
 from repro.optimize.ctmdp import OptimizeError, RepairCTMDP
 from repro.optimize.policy_iteration import evaluate_policy, policy_iteration
@@ -65,13 +65,13 @@ def build_optimize_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--interval",
-        type=int,
+        type=bounded(int, 0),
         default=0,
         help="service interval index (X1=0, X2=1, ...) for survivability (default: 0)",
     )
     parser.add_argument(
         "--horizon",
-        type=float,
+        type=bounded(float, 0, inclusive=False),
         default=None,
         help="time horizon for finite-horizon objectives (default: 4.5 line1 / 100 line2)",
     )
@@ -226,10 +226,24 @@ def _print_rollout(
 
 def optimize_main(argv: list[str] | None = None) -> int:
     """Entry point of ``python -m repro optimize``."""
-    args = build_optimize_parser().parse_args(argv)
+    parser = build_optimize_parser()
+    args = parser.parse_args(argv)
     line = {"1": LINE1, "2": LINE2}.get(args.line, args.line)
+    model = build_line(line)
+    disasters = [disaster.name for disaster in model.disasters]
+    if args.disaster is not None and args.disaster not in disasters:
+        parser.error(
+            f"argument --disaster: {line} has no disaster {args.disaster!r} "
+            f"(choose from {', '.join(disasters)})"
+        )
+    intervals = len(model.effective_service_tree().service_intervals())
+    if args.interval >= intervals:
+        parser.error(
+            f"argument --interval: {line} has service intervals 0..{intervals - 1}, "
+            f"got {args.interval}"
+        )
     try:
-        ctmdp = RepairCTMDP(build_line(line), crew_limit=args.crews)
+        ctmdp = RepairCTMDP(model, crew_limit=args.crews)
         print(
             f"{ctmdp.model.name}: {ctmdp.num_states} CTMDP states, "
             f"{ctmdp.total_actions} admissible actions"

@@ -49,12 +49,13 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 from scipy import sparse
 
-from repro.arcade.model import ArcadeModel, Disaster
+from repro.arcade.fault_tree import service_threshold
+from repro.arcade.model import ArcadeModel, Disaster, FailedSetTable
 from repro.arcade.repair import RepairStrategy
 from repro.casestudy.facility import StrategyConfiguration
 from repro.ctmc import CTMC
@@ -105,6 +106,8 @@ class RepairCTMDP:
             raise OptimizeError(f"crew_limit must be >= 1, got {crew_limit}")
         if not model.repair_units:
             raise OptimizeError(f"model {model.name!r} has no repair units to optimize")
+        if model.fault_tree is None:
+            raise OptimizeError(f"model {model.name!r} has no fault tree")
         names = model.component_names
         if (1 << len(names)) > MAX_CTMDP_STATES:
             raise OptimizeError(
@@ -129,28 +132,19 @@ class RepairCTMDP:
         model = self.model
         names = self.component_names
         components = model.components_by_name()
-        cost_model = model.cost_model
-        repair_rate = {name: components[name].repair_rate for name in names}
-
-        # Per-unit crew-cost table indexed by busy count: the only
-        # action-dependent cost term (idle = pool - busy).
-        crew_cost: dict[str, list[float]] = {}
-        capacity: dict[str, int] = {}
-        for unit in model.repair_units:
-            pool = unit.effective_crews()
-            capacity[unit.name] = (
+        failed_sets = FailedSetTable(model)
+        capacity = {
+            unit.name: (
                 min(self.crew_limit, len(unit.components))
                 if self.crew_limit is not None
                 else len(unit.components)
             )
-            crew_cost[unit.name] = [
-                cost_model.crew_cost(pool - busy, busy) for busy in range(pool + 1)
-            ]
+            for unit in model.repair_units
+        }
 
         num_states = self.num_states
         service_fractions: list[Fraction] = []
         down = np.zeros(num_states, dtype=bool)
-        base_cost = np.zeros(num_states, dtype=float)
         failed_of_state: list[tuple[str, ...]] = []
 
         fail_src: list[int] = []
@@ -165,26 +159,16 @@ class RepairCTMDP:
         repair_target: list[int] = []
         repair_rates: list[float] = []
 
-        up_cost_of = {name: cost_model.up_cost(name) for name in names}
-        down_cost_of = {name: cost_model.down_cost(name) for name in names}
-
         for mask in range(num_states):
             failed = tuple(name for name in names if mask & self._bit[name])
-            up = [name for name in names if not (mask & self._bit[name])]
-            failed_set = frozenset(failed)
+            row = failed_sets[frozenset(failed)]
             failed_of_state.append(failed)
-            service_fractions.append(model.service_level(failed))
-            down[mask] = model.is_down(failed)
-            base_cost[mask] = sum(down_cost_of[name] for name in failed) + sum(
-                up_cost_of[name] for name in up
-            )
-
-            for name in up:
-                rate = model.effective_failure_rate(name, up)
-                if rate > 0.0:
-                    fail_src.append(mask)
-                    fail_tgt.append(mask | self._bit[name])
-                    fail_rate.append(rate)
+            service_fractions.append(row.service_level)
+            down[mask] = row.down
+            for name, rate in row.failure_rates:
+                fail_src.append(mask)
+                fail_tgt.append(mask | self._bit[name])
+                fail_rate.append(rate)
 
             # Admissible served-subsets per unit, in component order.
             per_unit: list[list[tuple[str, ...]]] = []
@@ -204,7 +188,7 @@ class RepairCTMDP:
             combos = list(itertools.product(*per_unit))
             if len(combos) > MAX_ACTIONS_PER_STATE:
                 raise OptimizeError(
-                    f"state {failed_set or 'all-up'} admits {len(combos)} actions "
+                    f"state {row.failed or 'all-up'} admits {len(combos)} actions "
                     f"(limit {MAX_ACTIONS_PER_STATE}); pass a smaller crew_limit"
                 )
             flat_base = len(action_state)
@@ -212,14 +196,16 @@ class RepairCTMDP:
                 flat = len(action_state)
                 action_state.append(mask)
                 action_served.append(served)
-                cost = base_cost[mask]
+                busy = {}
                 for unit, subset in zip(model.repair_units, served):
-                    cost += crew_cost[unit.name][len(subset)]
+                    busy[unit.name] = len(subset)
                     for name in subset:
                         repair_action.append(flat)
                         repair_target.append(mask & ~self._bit[name])
-                        repair_rates.append(repair_rate[name])
-                action_cost.append(cost)
+                        repair_rates.append(components[name].repair_rate)
+                action_cost.append(
+                    model.state_cost_rate(row.failed, busy, row.component_cost)
+                )
             action_offsets[mask + 1] = flat_base + len(combos)
 
         self.action_offsets = action_offsets
@@ -233,7 +219,6 @@ class RepairCTMDP:
         self.fail_tgt = np.asarray(fail_tgt, dtype=np.int64)
         self.fail_rate = np.asarray(fail_rate, dtype=float)
         self.down = down
-        self.base_cost = base_cost
         self.service_fractions = tuple(service_fractions)
         self.service_levels = np.asarray([float(f) for f in service_fractions])
         self.failed_of_state = tuple(failed_of_state)
@@ -261,12 +246,9 @@ class RepairCTMDP:
         return self.state_of(disaster.failed_components)
 
     def states_with_service_at_least(self, threshold: float | Fraction) -> np.ndarray:
-        """Boolean state mask, exact Fraction comparison like the queue space."""
-        if not isinstance(threshold, Fraction):
-            threshold = Fraction(threshold).limit_denominator(10**9)
-        return np.asarray(
-            [level >= threshold for level in self.service_fractions], dtype=bool
-        )
+        """Boolean state mask, with the queue space's :func:`service_threshold` rule."""
+        limit = service_threshold(threshold)
+        return np.asarray([level >= limit for level in self.service_fractions], dtype=bool)
 
     def actions_of(self, state: int) -> range:
         """The flat action indices admissible in ``state``."""
@@ -369,10 +351,6 @@ class RepairCTMDP:
             matrix,
             initial,
             labels={"down": self.down, "operational": ~self.down},
-            state_descriptions=tuple(
-                "all-up" if not failed else "failed={" + ",".join(failed) + "}"
-                for failed in self.failed_of_state
-            ),
         )
         self._chain_cache[policy.actions] = chain
         return chain

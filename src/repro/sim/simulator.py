@@ -6,10 +6,12 @@ repeatedly sampling the race between all currently-enabled transitions:
 * every *up* component may fail (at its effective, possibly dormant, rate),
 * every component *in service* at its repair unit may finish repair.
 
-The state representation and the scheduling decisions (queue insertion,
-in-service selection, disaster queues) are the exact same code used by the
-analytic state-space generator (:mod:`repro.arcade.statespace`), so the
-simulator exercises the model logic, not a re-implementation of it.
+The simulator samples the transition relation that the analytic
+state-space generator expands: it walks
+:meth:`repro.arcade.statespace.ArcadeSemantics.successors` from
+:func:`repro.arcade.statespace.start_state`, and reads its observables from
+the same per-failed-set evaluation.  So the simulator exercises the model
+logic, not a re-implementation of it.
 """
 
 from __future__ import annotations
@@ -20,8 +22,14 @@ from collections.abc import Iterable
 
 import numpy as np
 
+from repro.arcade.components import ArcadeModelError
 from repro.arcade.model import ArcadeModel, Disaster
-from repro.arcade.statespace import ArcadeState
+from repro.arcade.statespace import (
+    ArcadeSemantics,
+    ArcadeState,
+    failed_components,
+    start_state,
+)
 
 
 @dataclass
@@ -68,86 +76,20 @@ class ArcadeSimulator:
         with_repairs: bool = True,
         seed: int | np.random.Generator | None = None,
     ) -> None:
-        self._model = model
-        self._with_repairs = with_repairs
+        self._semantics = ArcadeSemantics(model, with_repairs)
         self._rng = (
             seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
         )
-        self._components_by_name = model.components_by_name()
-        self._covered = {
-            name for unit in model.repair_units for name in unit.components
-        }
 
     @property
     def model(self) -> ArcadeModel:
-        return self._model
+        return self._semantics.model
 
     # ------------------------------------------------------------------
     def initial_state(self, disaster: Disaster | str | None = None) -> ArcadeState:
         """The all-up state, or the state induced by a disaster."""
-        if disaster is None:
-            return (tuple(() for _ in self._model.repair_units), ())
-        if isinstance(disaster, str):
-            disaster = self._model.disaster(disaster)
-        failed = set(disaster.failed_components)
-        queues = []
-        for unit in self._model.repair_units:
-            covered_failed = [name for name in failed if unit.covers(name)]
-            queues.append(unit.initial_queue(covered_failed, self._components_by_name))
-        uncovered = tuple(sorted(failed - self._covered))
-        return (tuple(queues), uncovered)
+        return start_state(self.model, disaster)
 
-    def _enabled_transitions(self, state: ArcadeState) -> list[tuple[float, ArcadeState]]:
-        """All enabled transitions of ``state`` as ``(rate, successor)`` pairs."""
-        model = self._model
-        queues, uncovered = state
-        failed: set[str] = set(uncovered)
-        for queue in queues:
-            failed |= set(queue)
-        up = [name for name in model.component_names if name not in failed]
-
-        transitions: list[tuple[float, ArcadeState]] = []
-        for name in up:
-            rate = model.effective_failure_rate(name, up)
-            if rate <= 0.0:
-                continue
-            unit_index = None
-            for position, unit in enumerate(model.repair_units):
-                if unit.covers(name):
-                    unit_index = position
-                    break
-            if unit_index is None:
-                successor: ArcadeState = (queues, tuple(sorted([*uncovered, name])))
-            else:
-                unit = model.repair_units[unit_index]
-                new_queue = unit.insert(
-                    queues[unit_index], self._components_by_name[name], self._components_by_name
-                )
-                successor = (
-                    tuple(
-                        new_queue if position == unit_index else existing
-                        for position, existing in enumerate(queues)
-                    ),
-                    uncovered,
-                )
-            transitions.append((rate, successor))
-
-        if self._with_repairs:
-            for unit_index, unit in enumerate(model.repair_units):
-                for name in unit.in_service(queues[unit_index]):
-                    rate = self._components_by_name[name].repair_rate
-                    new_queue = unit.remove(queues[unit_index], name)
-                    successor = (
-                        tuple(
-                            new_queue if position == unit_index else existing
-                            for position, existing in enumerate(queues)
-                        ),
-                        uncovered,
-                    )
-                    transitions.append((rate, successor))
-        return transitions
-
-    # ------------------------------------------------------------------
     def simulate(
         self,
         horizon: float,
@@ -161,7 +103,7 @@ class ArcadeSimulator:
         states = [state]
         clock = 0.0
         while True:
-            transitions = self._enabled_transitions(state)
+            transitions = self._semantics.successors(state)
             if not transitions:
                 break
             total_rate = sum(rate for rate, _ in transitions)
@@ -182,23 +124,17 @@ class ArcadeSimulator:
     # ------------------------------------------------------------------
     # per-state observables (shared by the estimators)
     # ------------------------------------------------------------------
-    def failed_components(self, state: ArcadeState) -> set[str]:
-        queues, uncovered = state
-        failed: set[str] = set(uncovered)
-        for queue in queues:
-            failed |= set(queue)
-        return failed
+    def failed_components(self, state: ArcadeState) -> frozenset[str]:
+        return failed_components(state)
 
     def is_operational(self, state: ArcadeState) -> bool:
-        return not self._model.is_down(self.failed_components(state))
+        down = self._semantics.evaluate(state).down
+        if down is None:
+            raise ArcadeModelError(f"model {self.model.name!r} has no fault tree")
+        return not down
 
     def service_level(self, state: ArcadeState) -> Fraction:
-        return self._model.service_level(self.failed_components(state))
+        return self._semantics.evaluate(state).service_level
 
     def cost_rate(self, state: ArcadeState) -> float:
-        queues, _uncovered = state
-        busy = {
-            unit.name: unit.busy_crews(queues[position])
-            for position, unit in enumerate(self._model.repair_units)
-        }
-        return self._model.state_cost_rate(self.failed_components(state), busy)
+        return self._semantics.cost_rate(state)

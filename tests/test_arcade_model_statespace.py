@@ -1,5 +1,6 @@
 """Tests for the ArcadeModel container, spare units and the direct state-space generator."""
 
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -12,12 +13,17 @@ from repro.arcade import (
     FaultTree,
     KOfN,
     Or,
+    RepairStrategy,
     RepairUnit,
+    ServiceTree,
     SpareManagementUnit,
     build_state_space,
 )
 from repro.arcade.components import ArcadeModelError
 from repro.arcade.model import Disaster
+from repro.arcade.statespace import ArcadeSemantics
+from repro.casestudy.experiments import line_state_space
+from repro.casestudy.facility import LINE2, PAPER_STRATEGIES, StrategyConfiguration, build_line
 from repro.ctmc import steady_state_distribution
 from helpers import make_mini_model, make_spare_model
 
@@ -198,3 +204,92 @@ class TestSpareStateSpace:
             steady_state_distribution(hot.chain)[hot.chain.label_mask("operational")].sum()
         )
         assert availability_cold > availability_hot
+
+
+#: Spaces whose every state is checked against the model's own queries.
+ORACLE_SPACES = {
+    "mini": lambda: build_state_space(make_mini_model()),
+    "spare": lambda: build_state_space(make_spare_model(dormancy=0.5)),
+    **{
+        f"line2-{configuration.label}": (
+            lambda configuration=configuration: line_state_space(LINE2, configuration)
+        )
+        for configuration in PAPER_STRATEGIES
+    },
+    "line2-reliability": lambda: line_state_space(
+        LINE2, StrategyConfiguration(RepairStrategy.DEDICATED, 1), with_repairs=False
+    ),
+}
+
+
+class TestSharedSemantics:
+    """A state means what its failed set means, and each set is evaluated once."""
+
+    @pytest.mark.parametrize("name", list(ORACLE_SPACES))
+    def test_every_state_matches_the_model_alone(self, name):
+        space = ORACLE_SPACES[name]()
+        model = space.model
+        tree = model.effective_service_tree()
+        masks = {label: space.chain.label_mask(label) for label in space.chain.label_names}
+        costs = space.reward_model.reward_structure("cost").state_rewards
+        for index, (queues, _uncovered) in enumerate(space.states):
+            failed = space.failed_components(index)
+            level = tree.service_level(n for n in model.component_names if n not in failed)
+            expected = {"down" if model.is_down(failed) else "operational"}
+            if level == 0:
+                expected.add("no_service")
+            if level == 1:
+                expected.add("full_service")
+            assert {label for label, mask in masks.items() if mask[index]} == expected
+            assert space.service_levels[index] == level
+            busy = {
+                unit.name: unit.busy_crews(queue)
+                for unit, queue in zip(model.repair_units, queues)
+            }
+            assert costs[index] == model.state_cost_rate(failed, busy)
+
+    def test_successors_list_failures_then_repairs_in_fixed_order(self):
+        # Seeded simulations draw from this list, so its order is pinned:
+        # failures in model order, then repairs per unit in service order.
+        a, b, c, d = (
+            BasicComponent(name, 10.0 * i, float(i)) for i, name in enumerate("abcd", 1)
+        )
+        model = ArcadeModel(
+            "order",
+            (a, b, c, d),
+            repair_units=(
+                RepairUnit("ru1", "fcfs", ("a", "b"), crews=2),
+                RepairUnit("ru2", "fcfs", ("c",)),
+            ),
+            fault_tree=FaultTree(Or(*(BasicEvent(name) for name in "abcd"))),
+        )
+        semantics = ArcadeSemantics(model)
+        up = ((), ()), ()
+        assert semantics.successors(up) == [
+            (a.failure_rate, ((("a",), ()), ())),
+            (b.failure_rate, ((("b",), ()), ())),
+            (c.failure_rate, (((), ("c",)), ())),
+            (d.failure_rate, (((), ()), ("d",))),
+        ]
+        failed = (("b", "a"), ("c",)), ()
+        assert semantics.successors(failed) == [
+            (d.failure_rate, ((("b", "a"), ("c",)), ("d",))),
+            (b.repair_rate, ((("a",), ("c",)), ())),
+            (a.repair_rate, ((("b",), ("c",)), ())),
+            (c.repair_rate, ((("b", "a"), ()), ())),
+        ]
+
+    def test_each_failed_set_is_evaluated_once_per_build(self, monkeypatch):
+        calls: Counter[str] = Counter()
+        for owner, name in ((ServiceTree, "service_level"), (ArcadeModel, "is_down")):
+            original = getattr(owner, name)
+
+            def counted(*args, _name=name, _original=original, **kwargs):
+                calls[_name] += 1
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(owner, name, counted)
+        space = build_state_space(build_line(LINE2, RepairStrategy.FASTEST_REPAIR_FIRST, 1))
+        # 2,560 states over the 2**9 failed sets of Line 2's nine components.
+        assert space.num_states == 2560
+        assert calls == {"service_level": 512, "is_down": 512}

@@ -177,16 +177,21 @@ class TestRewards:
 class TestBuilder:
     def test_builder_accumulates_parallel_transitions(self):
         builder = CTMCBuilder()
-        a = builder.add_state("a")
-        b = builder.add_state("b")
+        a = builder.add_state()
+        b = builder.add_state()
         builder.add_transition(a, b, 1.0)
         builder.add_transition(a, b, 2.0)
         builder.add_label("start", a)
         chain = builder.build({a: 1.0})
         assert chain.num_states == 2
         assert chain.rate_matrix[a, b] == pytest.approx(3.0)
-        assert chain.describe_state(0) == "a"
         assert list(chain.label_states("start")) == [0]
+
+    def test_states_carry_no_descriptions(self):
+        with pytest.raises(TypeError):
+            CTMC(np.zeros((1, 1)), {0: 1.0}, state_descriptions=["a"])
+        with pytest.raises(TypeError):
+            CTMCBuilder().add_state("a")
 
     def test_builder_rejects_negative_rate(self):
         builder = CTMCBuilder()

@@ -11,7 +11,7 @@ import pytest
 from repro.casestudy import experiments as exp
 from repro.casestudy.facility import StrategyConfiguration
 from repro.arcade.repair import RepairStrategy
-from repro.cli import build_parser, main
+from repro.cli import build_parser, build_serve_parser, main
 
 
 @pytest.fixture(autouse=True)
@@ -119,3 +119,50 @@ class TestGridPointValidation:
     def test_two_points_are_accepted(self):
         args = build_parser().parse_args(["fig3", "--points", "2"])
         assert args.points == 2
+
+
+class TestNumericFlagValidation:
+    """Out-of-range numbers are one-line usage errors, never tracebacks or clamps."""
+
+    CASES = [
+        (["serve", "--window", "-1"], "argument --window: must be at least 0, got -1"),
+        (["serve", "--max-batch", "0"], "argument --max-batch: must be at least 1, got 0"),
+        (["serve", "--max-pending", "0"], "argument --max-pending: must be at least 1, got 0"),
+        (["serve", "--timeout", "-1"], "argument --timeout: must be greater than 0, got -1"),
+        (
+            ["serve", "--restart-limit", "-1"],
+            "argument --restart-limit: must be at least 0, got -1",
+        ),
+        (["serve", "--clients", "0"], "argument --clients: must be at least 1, got 0"),
+        (["serve", "--repeat", "0"], "argument --repeat: must be at least 1, got 0"),
+        (
+            ["optimize", "--line", "2", "--interval", "9"],
+            "argument --interval: line2 has service intervals 0..3, got 9",
+        ),
+        (
+            ["optimize", "--line", "2", "--disaster", "nope"],
+            "argument --disaster: line2 has no disaster 'nope' "
+            "(choose from disaster1, disaster2)",
+        ),
+        (
+            ["optimize", "--line", "2", "--horizon", "-1"],
+            "argument --horizon: must be greater than 0, got -1",
+        ),
+    ]
+
+    @pytest.mark.parametrize(
+        "argv, message", CASES, ids=[" ".join(argv) for argv, _ in CASES]
+    )
+    def test_bad_value_exits_with_usage_error(self, argv, message, capsys):
+        with pytest.raises(SystemExit) as exited:
+            main(argv)
+        assert exited.value.code == 2
+        error = capsys.readouterr().err
+        assert "Traceback" not in error
+        assert error.splitlines()[-1].endswith(f"error: {message}")
+
+    def test_boundary_values_are_accepted(self):
+        args = build_serve_parser().parse_args(
+            ["--window", "0", "--restart-limit", "0", "--clients", "1", "--timeout", "0.5"]
+        )
+        assert (args.window, args.restart_limit, args.clients, args.timeout) == (0.0, 0, 1, 0.5)

@@ -154,8 +154,7 @@ class TestExploration:
         # Start in the failed state via an initial override.
         failed_start = system.with_initial_state({"a_up": False})
         result = build_ctmc(failed_start)
-        description = result.chain.describe_state(0)
-        assert description["a_up"] is False
+        assert result.valuation(0)["a_up"] is False
 
     def test_missing_rewards_raise(self):
         system = ModulesFile()

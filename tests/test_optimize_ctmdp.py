@@ -84,6 +84,23 @@ class TestConstruction:
         assert in_x1[0]  # all-up certainly reaches X1
         assert not in_x1[ctmdp.disaster_state(DISASTER_2)]
 
+    def test_service_targets_select_the_queue_spaces_failed_sets(self, line2_ctmdp):
+        # One threshold rule: a float target, e.g. 2/3 rounded to 7 decimals,
+        # selects the same failed sets in the CTMDP as in the queue space.
+        space = line_state_space(LINE2, PAPER_STRATEGIES[1])
+        for level in space.model.effective_service_tree().attainable_levels():
+            for threshold in (level, round(float(level), 7)):
+                queue_sets = {
+                    space.failed_components(index)
+                    for index in space.states_with_service_at_least(threshold)
+                }
+                mask = line2_ctmdp.states_with_service_at_least(threshold)
+                ctmdp_sets = {
+                    frozenset(line2_ctmdp.failed_of_state[state])
+                    for state in np.flatnonzero(mask)
+                }
+                assert queue_sets == ctmdp_sets, threshold
+
     def test_guard_rails(self):
         with pytest.raises(OptimizeError, match="crew_limit"):
             RepairCTMDP(make_mini_model(), crew_limit=0)

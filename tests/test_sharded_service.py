@@ -82,10 +82,10 @@ def single_process_values(requests: list[MeasureRequest]) -> list[np.ndarray]:
 
 
 class Unpicklable:
-    """A state description that refuses to be pickled."""
+    """An attribute that refuses to be pickled."""
 
     def __reduce__(self):
-        raise TypeError("this description cannot be pickled")
+        raise TypeError("this attribute cannot be pickled")
 
 
 @pytest.fixture(scope="module")
@@ -493,8 +493,8 @@ class TestChainTransport:
             healthy.rate_matrix,
             {0: 1.0},
             labels={"target": [healthy.num_states - 1]},
-            state_descriptions=[Unpicklable()] * healthy.num_states,
         )
+        unsendable.payload = Unpicklable()
 
         async def run():
             async with ShardedScenarioService(

@@ -17,6 +17,9 @@ from repro.sim import (
     estimate_unreliability,
 )
 from repro.sim.estimators import ConfidenceInterval, _interval
+from repro.arcade.repair import RepairStrategy
+from repro.casestudy.experiments import line_state_space
+from repro.casestudy.facility import LINE2, StrategyConfiguration
 from helpers import make_mini_model
 
 
@@ -67,6 +70,31 @@ class TestSimulatorMechanics:
     def test_invalid_horizon(self):
         with pytest.raises(ValueError):
             ArcadeSimulator(make_mini_model(), seed=0).simulate(0.0)
+
+
+class TestSharedSemantics:
+    def test_simulator_walks_the_built_chain(self):
+        space = line_state_space(
+            LINE2, StrategyConfiguration(RepairStrategy.FASTEST_REPAIR_FIRST, 1)
+        )
+        rates = space.chain.rate_matrix
+        operational = space.chain.label_mask("operational")
+        costs = space.reward_model.reward_structure("cost").state_rewards
+        simulator = ArcadeSimulator(space.model, seed=2010)
+        steps = 0
+        for disaster in (None, *(d.name for d in space.model.disasters)):
+            for _ in range(10):
+                run = simulator.simulate(300.0, disaster=disaster)
+                path = [space.state_index(state) for state in run.states]
+                for source, target in zip(path, path[1:]):
+                    assert rates[source, target] > 0.0
+                steps += len(path) - 1
+                for state, index in zip(run.states, path):
+                    assert simulator.failed_components(state) == space.failed_components(index)
+                    assert simulator.is_operational(state) == operational[index]
+                    assert simulator.service_level(state) == space.service_levels[index]
+                    assert simulator.cost_rate(state) == costs[index]
+        assert steps >= 100
 
 
 class TestConfidenceInterval:
