@@ -12,8 +12,8 @@ of the water-treatment facility:
   every admissible action at once.
 * **Rollout** for a finite-horizon objective (survivability: probability of
   recovering to service interval X1 within ``t`` hours of Disaster 2).
-  Each round scores *all* candidate one-step deviations off a single
-  coalesced identity-block sweep of the batched evaluator.
+  Each round scores *all* candidate one-step deviations off the per-state
+  values of a single backward value sweep (one value column per policy).
 
 Run with::
 

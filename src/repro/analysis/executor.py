@@ -16,7 +16,9 @@ states absorbed, ``P[ safe U^{<=t} target ]`` is the instantaneous
 
 Interval-until groups (CSL ``U[a, b]``) are the one exception: they need a
 backward sweep on the target-absorbed chain for the ``[a, b]`` phase and a
-forward sweep on the safe-restricted chain for the ``[0, a]`` phase.  All
+forward sweep on the safe-restricted chain for the ``[0, a]`` phase.  The
+backward phase is :func:`backward_values`, the one per-state value sweep
+that the CSL checker and the rollout optimizer run as well.  All
 interval groups that agree on the (base chain, safe, target, lower,
 epsilon) signature — i.e. differ only in their time grids — are bundled
 into one :class:`ExecutionUnit`: the backward phase runs once over the
@@ -59,15 +61,16 @@ uniformized operators and Fox–Glynn windows across plans.
 from __future__ import annotations
 
 import warnings
+from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import Any
 
 import numpy as np
 
-from repro.ctmc.ctmc import CTMC
+from repro.ctmc.ctmc import CTMC, CTMCError
 from repro.ctmc.dtmc import unbounded_reachability
 from repro.ctmc.engines import EngineSelector
-from repro.ctmc.foxglynn import fox_glynn
+from repro.ctmc.foxglynn import FoxGlynnWeights, fox_glynn
 from repro.ctmc.linsolve import (
     LinearSolveStats,
     SolverEngine,
@@ -438,6 +441,81 @@ def _execute_longrun_group(
 
 
 # ----------------------------------------------------------------------
+# per-state values: one backward sweep
+# ----------------------------------------------------------------------
+def backward_values(
+    chain: CTMC,
+    values: np.ndarray,
+    horizons: Sequence[float] | np.ndarray,
+    *,
+    cumulative: bool = False,
+    epsilon: float,
+    engine: str = "auto",
+    stats: UniformizationStats | None = None,
+    artifacts: Any | None = None,
+) -> np.ndarray:
+    """Per-state values of ``values`` at every horizon, from one backward sweep.
+
+    Walks ``u_{k+1} = P u_k`` from ``u_0 = values`` over the uniformized
+    matrix ``P`` of ``chain`` as given (callers absorb target or blocked
+    states first) and returns a ``(len(horizons), num_states)`` array.  Row
+    ``i`` is ``Σ_k w_i(k) · u_k`` with the Fox–Glynn weights of ``q·t_i``:
+    the expected value of ``values`` at time ``t_i`` from each start state.
+    With ``cumulative=True`` the weights are ``P[N(q·t_i) > k] / q`` and
+    row ``i`` is each start state's expected reward accumulated over
+    ``[0, t_i]``.  Every positive horizon gets one window and all windows
+    share one walk; horizons may be unsorted and repeat.
+    """
+    horizon_array = np.asarray(horizons, dtype=float)
+    if horizon_array.ndim != 1:
+        raise CTMCError("time grid must be one-dimensional")
+    if not np.all(np.isfinite(horizon_array)):
+        raise CTMCError("time points must be finite")
+    if np.any(horizon_array < 0):
+        raise CTMCError("time points must be non-negative")
+    start = np.asarray(values, dtype=float)
+    unique_horizons, inverse = np.unique(horizon_array, return_inverse=True)
+    per_state = np.empty((unique_horizons.shape[0], chain.num_states))
+    per_state[:] = 0.0 if cumulative else start
+    positive = np.flatnonzero(unique_horizons > 0.0)
+    if positive.size and chain.max_exit_rate == 0.0:
+        # No transitions: every state keeps its value for the whole horizon.
+        per_state[positive] = (
+            unique_horizons[positive, None] * start if cumulative else start
+        )
+    elif positive.size:
+        probabilities, q = chain.uniformized_matrix()
+        make_window = fox_glynn if artifacts is None else artifacts.fox_glynn_window
+        windows = [make_window(q * float(unique_horizons[i]), epsilon) for i in positive]
+        if cumulative:
+            windows = [_accumulation_window(window, q) for window in windows]
+        mixtures, _ = poisson_mixture_sweep(
+            probabilities,
+            start,
+            windows,
+            stats=stats,
+            engine=EngineSelector(artifacts).engine_for(
+                chain, probabilities, q, mode=engine, backward=True
+            ),
+        )
+        per_state[positive] = mixtures
+    return per_state[inverse]
+
+
+def _accumulation_window(window: FoxGlynnWeights, rate: float) -> FoxGlynnWeights:
+    """Weights ``P[N > k] / q`` for ``k = 0 .. right``: accumulated reward.
+
+    Below the left truncation point the Poisson tail is the window's whole
+    mass, as in :func:`repro.ctmc.uniformization.evaluate_grid_block`'s
+    cumulative fold.
+    """
+    mass = np.cumsum(window.weights)
+    tails = np.concatenate((np.full(window.left, mass[-1]), mass[-1] - mass))
+    weights = tails / rate
+    return FoxGlynnWeights(0, window.right, weights, float(weights.sum()))
+
+
+# ----------------------------------------------------------------------
 # interval-until bundles: one backward [a, t] phase shared by every grid,
 # then one forward [0, a] phase with all grids' value vectors stacked
 # ----------------------------------------------------------------------
@@ -531,7 +609,6 @@ def _execute_interval_bundle(
     lower = float(first.request.lower)
     epsilon = first_group.epsilon
     base = first_group.chain
-    selector = EngineSelector(artifacts)
 
     # Phase 2 (backward): per-state P[ safe U^{<= t-a} target ] on the chain
     # with decided states absorbed, for every residual horizon appearing in
@@ -542,58 +619,31 @@ def _execute_interval_bundle(
     # windows, so the lumped and unlumped bundles never share windows.
     absorbing = target_mask | ~(safe_mask | target_mask)
     backward_lumped = first_group.lumped
-    backward_chain = (
-        backward_lumped.quotient
-        if backward_lumped is not None
-        else _transformed(base, absorbing, artifacts)
-    )
-    group_horizons = [
-        np.maximum(group.times - lower, 0.0) for _, group in entries
-    ]
-    unique_horizons, cluster_of = _merge_close_horizons(group_horizons)
-    per_state = np.empty((unique_horizons.shape[0], base.num_states))
     indicator = target_mask.astype(float)
-    start = (
-        backward_lumped.project_statewise(indicator)
-        if backward_lumped is not None
-        else indicator
-    )
-    positive = np.flatnonzero(unique_horizons > 0.0)
-    make_window = fox_glynn if artifacts is None else artifacts.fox_glynn_window
-    if positive.size and backward_chain.max_exit_rate > 0.0:
-        probabilities, q2 = backward_chain.uniformized_matrix()
-        windows = [
-            make_window(q2 * float(unique_horizons[i]), epsilon) for i in positive
-        ]
-        # The backward value sweep routes through the engine layer like the
-        # forward phases do (dense chains get the BLAS walk).
-        backward_engine = selector.engine_for(
-            backward_chain,
-            probabilities,
-            q2,
-            mode=first_group.engine,
-            backward=True,
-        )
-        mixtures, _ = poisson_mixture_sweep(
-            probabilities,
-            start,
-            windows,
-            stats=engine_stats,
-            engine=backward_engine,
-        )
-        for window_index, horizon_index in enumerate(positive):
-            values = np.clip(mixtures[window_index], 0.0, 1.0)
-            per_state[horizon_index] = (
-                backward_lumped.lift_statewise(values)
-                if backward_lumped is not None
-                else values
-            )
-        zero_horizons = np.flatnonzero(unique_horizons == 0.0)
+    if backward_lumped is None:
+        backward_chain = _transformed(base, absorbing, artifacts)
+        start = indicator
     else:
-        # Either every horizon is zero, or the (possibly lumped) chain has
-        # no between-block transitions left — values stay at the indicator.
-        zero_horizons = np.arange(unique_horizons.shape[0])
-    per_state[zero_horizons] = indicator
+        backward_chain = backward_lumped.quotient
+        start = backward_lumped.project_statewise(indicator)
+    unique_horizons, cluster_of = _merge_close_horizons(
+        [np.maximum(group.times - lower, 0.0) for _, group in entries]
+    )
+    per_state = np.clip(
+        backward_values(
+            backward_chain,
+            start,
+            unique_horizons,
+            epsilon=epsilon,
+            engine=first_group.engine,
+            stats=engine_stats,
+            artifacts=artifacts,
+        ),
+        0.0,
+        1.0,
+    )
+    if backward_lumped is not None:
+        per_state = backward_lumped.lift_statewise(per_state)
 
     # Phase 1 (forward): evolve every initial distribution through the
     # safe-restricted chain for time a, then weigh it against the phase-2
@@ -639,7 +689,7 @@ def _execute_interval_bundle(
         epsilon=epsilon,
         stats=engine_stats,
         engine=first_group.engine,
-        selector=selector,
+        selector=EngineSelector(artifacts),
         **_lookups(artifacts),
     )
     per_initial = np.clip(phase1.instantaneous[:, 0, :], 0.0, 1.0)

@@ -120,6 +120,14 @@ def bounded(convert: type, minimum: float, *, inclusive: bool = True):
     return parse
 
 
+def port(text: str) -> int:
+    """argparse ``type=`` of ``serve --http``: a TCP port number."""
+    value = int(text)
+    if not 0 <= value <= 65535:
+        raise argparse.ArgumentTypeError(f"must be a port from 0 to 65535, got {text}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro-watertreatment",
@@ -277,7 +285,7 @@ def build_serve_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--http",
-        type=int,
+        type=port,
         default=None,
         metavar="PORT",
         help=(

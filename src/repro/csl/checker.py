@@ -1,19 +1,15 @@
 """The CSL/CSRL model checker.
 
 The checker maps every operator of the logic onto the numerical routines of
-:mod:`repro.ctmc`:
+:mod:`repro.ctmc` and :mod:`repro.analysis`:
 
 =========================  ==================================================
 operator                    routine
 =========================  ==================================================
-``P=? [ phi U<=t psi ]``    a one-request :class:`repro.analysis.AnalysisSession`
-                            under the initial distribution;
-                            :func:`repro.ctmc.transient.time_bounded_reachability_per_state`
-                            for per-state vectors
-``P=? [ phi U psi ]``       a one-request session (kind
-                            ``UNBOUNDED_REACHABILITY``);
-                            :func:`repro.ctmc.dtmc.unbounded_reachability`
-                            for per-state vectors
+``P=? [ phi U<=t psi ]``    :func:`repro.analysis.executor.backward_values`
+                            on the chain with decided states absorbed
+                            (``U[a,b]``: a second sweep for ``[0, a]``)
+``P=? [ phi U psi ]``       :func:`repro.ctmc.dtmc.unbounded_reachability`
 ``P=? [ X phi ]``           one-step probabilities of the embedded DTMC
 ``S=? [ phi ]``             a one-request session (kind ``STEADY_STATE``);
                             :func:`repro.ctmc.steady_state.steady_state_values_per_state`
@@ -28,7 +24,9 @@ operator                    routine
 
 Quantitative queries return a scalar evaluated under the model's initial
 distribution (PRISM's convention for a single initial state), while
-:meth:`ModelChecker.check_states` exposes the per-state value vector.
+:meth:`ModelChecker.check_states` exposes the per-state value vector.  A
+``P=?`` query under the initial distribution is that distribution times
+the per-state vector, so both methods answer path formulas one way.
 
 All long-run queries route through the cached linear-solver engine
 (:mod:`repro.ctmc.linsolve`): one checker instance shares BSCC
@@ -42,12 +40,12 @@ from __future__ import annotations
 import numpy as np
 
 import repro.csl.formulas as F
+from repro.analysis.executor import backward_values
 from repro.ctmc import CTMC, MarkovRewardModel
 from repro.ctmc.dtmc import embedded_dtmc, unbounded_reachability
 from repro.ctmc.linsolve import SolverEngine
 from repro.ctmc.rewards import cumulative_reward, instantaneous_reward
 from repro.ctmc.steady_state import steady_state_values_per_state
-from repro.ctmc.transient import time_bounded_reachability_per_state
 from repro.csl.parser import parse_formula
 
 
@@ -71,10 +69,10 @@ class ModelChecker:
             self._chain = model
             self._reward_model = None
         self._epsilon = epsilon
-        # One artifact store per checker: long-run queries on this model —
-        # both the one-request sessions behind check() and the per-state
-        # vectors — share BSCC decompositions, embedded matrices and
-        # factorizations.  A caller-supplied cache makes the sharing
+        # One artifact store per checker: queries on this model share
+        # absorbing transforms and Fox–Glynn windows (bounded until) and
+        # BSCC decompositions, embedded matrices and factorizations
+        # (long-run queries).  A caller-supplied cache makes the sharing
         # process-wide; otherwise the checker owns a private one.
         if artifacts is None:
             from repro.service.cache import ArtifactCache
@@ -97,18 +95,6 @@ class ModelChecker:
             formula = parse_formula(formula)
         initial = self._chain.initial_distribution
         if isinstance(formula, F.ProbabilityQuery):
-            if isinstance(formula.path, F.BoundedUntil):
-                # Evaluated under the initial distribution, the (interval)
-                # bounded until is a forward measure: submit it as a
-                # one-request analysis session instead of solving for every
-                # start state backwards.
-                return self._bounded_until_from_initial(formula.path)
-            if isinstance(formula.path, F.Until):
-                return self._session_scalar(
-                    kind_name="UNBOUNDED_REACHABILITY",
-                    target=self._state_mask(formula.path.right),
-                    safe=self._state_mask(formula.path.left),
-                )
             return float(initial @ self._path_probabilities(formula.path))
         if isinstance(formula, F.SteadyStateQuery):
             return self._session_scalar(
@@ -190,66 +176,33 @@ class ModelChecker:
             return 1.0 - self._path_probabilities(inner)
         raise CSLCheckError(f"unsupported path formula {path!r}")
 
-    def _bounded_until_from_initial(self, path: F.BoundedUntil) -> float:
-        """``P=? [ left U[a,b] right ]`` under the initial distribution.
-
-        Thin wrapper over a one-request :class:`repro.analysis.AnalysisSession`
-        (kind ``REACHABILITY`` for ``a = 0``, ``INTERVAL_REACHABILITY``
-        otherwise); the per-state vector of :meth:`check_states` keeps using
-        the backward recursion.
-        """
-        from repro.analysis import AnalysisSession, MeasureKind
-
-        left = self._state_mask(path.left)
-        right = self._state_mask(path.right)
-        session = AnalysisSession(epsilon=self._epsilon)
-        if path.lower == 0.0:
-            index = session.request(
-                self._chain,
-                [path.upper],
-                kind=MeasureKind.REACHABILITY,
-                target=right,
-                safe=left,
-            )
-        else:
-            index = session.request(
-                self._chain,
-                [path.upper],
-                kind=MeasureKind.INTERVAL_REACHABILITY,
-                target=right,
-                safe=left,
-                lower=path.lower,
-            )
-        return float(session.execute()[index].squeezed[0])
-
     def _bounded_until(self, path: F.BoundedUntil) -> np.ndarray:
         left = self._state_mask(path.left)
         right = self._state_mask(path.right)
-        if path.lower == 0.0:
-            return time_bounded_reachability_per_state(
-                self._chain, right, path.upper, safe=left, epsilon=self._epsilon
-            )
-        # Interval until [a, b]: split at a.  In the first phase only "left"
-        # states may be traversed and the target plays no role; in the second
-        # phase the standard bounded until applies for the remaining b - a.
-        second = time_bounded_reachability_per_state(
-            self._chain, right, path.upper - path.lower, safe=left, epsilon=self._epsilon
+        # [a, b] phase: the standard bounded until for the remaining b - a,
+        # on the chain with the decided states (targets and states outside
+        # left ∪ right) absorbed.
+        second = self._backward(
+            right | ~(left | right), right.astype(float), path.upper - path.lower
         )
-        # First phase: stay within "left" for time a, then continue with the
-        # probabilities of the second phase.  Make non-left states absorbing
-        # with value 0.
+        if path.lower == 0.0:
+            return second
+        # [0, a] phase: only "left" states may be traversed and the target
+        # plays no role; non-left states are absorbing with value 0, and the
+        # walk is seeded with the [a, b] phase values.
         blocked = ~left
-        transformed = self._chain.make_absorbing(np.flatnonzero(blocked))
-        probabilities, q = transformed.uniformized_matrix()
-        from repro.ctmc.foxglynn import fox_glynn
-        from repro.ctmc.uniformization import poisson_mixture_sweep
+        first = self._backward(blocked, np.where(blocked, 0.0, second), path.lower)
+        return np.where(blocked, 0.0, first)
 
-        start_values = np.where(blocked, 0.0, second)
-        if transformed.max_exit_rate == 0.0:
-            return start_values
-        weights = fox_glynn(q * path.lower, self._epsilon)
-        mixtures, _ = poisson_mixture_sweep(probabilities, start_values, [weights])
-        return np.where(blocked, 0.0, np.clip(mixtures[0], 0.0, 1.0))
+    def _backward(
+        self, absorbing: np.ndarray, values: np.ndarray, horizon: float
+    ) -> np.ndarray:
+        """Per-state values after ``horizon`` on the chain with ``absorbing`` absorbed."""
+        chain = self._artifacts.transformed_chain(self._chain, absorbing)
+        per_state = backward_values(
+            chain, values, [horizon], epsilon=self._epsilon, artifacts=self._artifacts
+        )
+        return np.clip(per_state[0], 0.0, 1.0)
 
     # ------------------------------------------------------------------
     # reward queries

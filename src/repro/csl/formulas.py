@@ -23,6 +23,7 @@ properties file (see :func:`repro.modules.prism_export.export_prism_properties`)
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -178,7 +179,8 @@ class BoundedUntil(PathFormula):
     lower: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.lower < 0 or self.upper < self.lower:
+        finite = math.isfinite(self.lower) and math.isfinite(self.upper)
+        if not finite or self.lower < 0 or self.upper < self.lower:
             raise ValueError(
                 f"invalid time interval [{self.lower}, {self.upper}] in bounded until"
             )

@@ -409,7 +409,7 @@ class EngineSelector:
         """Build (or fetch from the artifact cache) the backend for one sweep.
 
         ``backward=True`` marks the operator as the *non-transposed*
-        uniformized matrix ``P`` (the interval-until value sweep) rather
+        uniformized matrix ``P`` (the backward value sweep) rather
         than the forward ``Pᵀ``; both share a ``(fingerprint, rate)`` cache
         neighbourhood, so the flag keys the densified backward operator
         separately to keep the two from shadowing each other.

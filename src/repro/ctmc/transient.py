@@ -23,14 +23,12 @@ from collections.abc import Iterable, Sequence
 import numpy as np
 
 from repro.ctmc.ctmc import CTMC, as_state_mask
-from repro.ctmc.foxglynn import fox_glynn
-from repro.ctmc.uniformization import DEFAULT_EPSILON, poisson_mixture_sweep
+from repro.ctmc.uniformization import DEFAULT_EPSILON
 
 __all__ = [
     "DEFAULT_EPSILON",
     "expected_time_in_states",
     "time_bounded_reachability",
-    "time_bounded_reachability_per_state",
     "transient_distribution",
     "transient_distributions",
 ]
@@ -158,41 +156,6 @@ def time_bounded_reachability(
     if scalar_input:
         return float(probabilities[0])
     return probabilities
-
-
-def time_bounded_reachability_per_state(
-    chain: CTMC,
-    target: Iterable[int] | np.ndarray | str,
-    time: float,
-    safe: Iterable[int] | np.ndarray | str | None = None,
-    epsilon: float = DEFAULT_EPSILON,
-) -> np.ndarray:
-    """Per-state probabilities ``P_s[ safe U^{<=t} target ]`` for all states ``s``.
-
-    Computed with a single backward pass: rather than running the forward
-    uniformization from every state, the Poisson mixture is applied to the
-    indicator vector of the target states using the transposed recursion
-    ``u_{k+1} = P u_k``, which yields the probabilities for all start states
-    simultaneously.
-    """
-    target_mask = _as_state_mask(chain, target)
-    if safe is None:
-        safe_mask = np.ones(chain.num_states, dtype=bool)
-    else:
-        safe_mask = _as_state_mask(chain, safe)
-
-    absorbing = target_mask | ~(safe_mask | target_mask)
-    transformed = chain.make_absorbing(np.flatnonzero(absorbing))
-    probabilities, q = transformed.uniformized_matrix()
-
-    if float(time) == 0.0 or transformed.max_exit_rate == 0.0:
-        return target_mask.astype(float)
-
-    weights = fox_glynn(q * float(time), epsilon)
-    mixtures, _ = poisson_mixture_sweep(
-        probabilities, target_mask.astype(float), [weights]
-    )
-    return np.clip(mixtures[0], 0.0, 1.0)
 
 
 def expected_time_in_states(

@@ -8,7 +8,7 @@ policies), :func:`policy_iteration` optimizes long-run objectives
 (unavailability, cost rate) exactly via cached stacked-RHS gain/bias
 solves, and :func:`rollout_optimize` improves finite-horizon objectives
 (survivability at ``t``, accumulated cost) with all candidate one-step
-deviations of a round scored off one coalesced identity-block sweep.
+deviations of a round scored off one backward value sweep.
 
 Entry points: ``python -m repro optimize`` (CLI), the registry's
 ``optimized_*`` scenario family (``paper_registry(include_optimized=True)``)

@@ -83,7 +83,7 @@ def build_optimize_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--crews",
-        type=int,
+        type=bounded(int, 1),
         default=None,
         metavar="N",
         help=(
@@ -93,7 +93,7 @@ def build_optimize_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--max-iterations",
-        type=int,
+        type=bounded(int, 1),
         default=25,
         help="iteration cap for either optimizer (default: 25)",
     )

@@ -6,12 +6,12 @@ measure) and expected accumulated cost (Fig. 7/11) — are improved
 iteratively from the best fixed strategy:
 
 1. **Evaluate** the current policy *from every state at once*: one
-   :class:`~repro.analysis.AnalysisSession` request on the induced chain
-   with an identity initial block, so the per-state value function at the
-   horizon comes out of **one** shared uniformization sweep (the planner
-   coalesces the ``n`` rows into a single group).  This is the coalescing
-   the issue gates on: all ``K`` candidate one-step deviations of a round
-   are scored off this block, so ``K`` candidates cost ~1 sweep, not ``K``.
+   backward value sweep (:func:`repro.analysis.executor.backward_values`)
+   on the induced chain — target states absorbed for survivability, the
+   policy's cost rates accumulated for cost — yields the per-state value
+   function at every grid point from a **single** value column.  All
+   ``K`` candidate one-step deviations of a round are scored off these
+   values, so ``K`` candidates cost one sweep, not ``K``.
 2. **Score** every admissible action of every state by its generator-row
    Q-value against the horizon values
    (:meth:`~repro.optimize.ctmdp.RepairCTMDP.action_q_values`) and take the
@@ -28,7 +28,7 @@ iteratively from the best fixed strategy:
 All baselines and iterates are evaluated on induced chains of the same
 CTMDP (same crew pool), so values are apples-to-apples; the artifact cache
 makes re-optimization warm (same chains → same fingerprints → cached
-transforms and operators).
+transforms, engine choices and Fox–Glynn windows).
 """
 
 from __future__ import annotations
@@ -39,9 +39,10 @@ from typing import Mapping
 
 import numpy as np
 
-from repro.analysis import AnalysisSession, MeasureKind, MeasureRequest, SessionStats
+from repro.analysis.executor import backward_values
 from repro.arcade.model import Disaster
 from repro.casestudy.facility import PAPER_STRATEGIES
+from repro.ctmc.uniformization import DEFAULT_EPSILON, UniformizationStats
 from repro.optimize.ctmdp import OptimizeError, RepairCTMDP, RepairPolicy
 from repro.optimize.stats import OptimizerStats, global_optimizer_stats
 
@@ -110,8 +111,6 @@ def rollout_optimize(
     max_iterations: int = 8,
     tolerance: float = 1e-9,
     artifacts=None,
-    session_stats: SessionStats | None = None,
-    engine: str | None = None,
     stats: OptimizerStats | None = None,
 ) -> RolloutResult:
     """Optimize a finite-horizon objective by coalesced rollout.
@@ -128,10 +127,10 @@ def rollout_optimize(
         Label → policy baselines; defaults to the representable paper
         strategies.  The best baseline seeds the rollout and lower-bounds
         the result.
-    artifacts / session_stats / engine:
-        Forwarded to every :class:`~repro.analysis.AnalysisSession`, so a
-        warm :class:`~repro.service.ArtifactCache` is reused across rounds
-        and re-optimizations.
+    artifacts:
+        An optional :class:`~repro.service.ArtifactCache` serving absorbing
+        transforms, engine choices and Fox–Glynn windows, so it is reused
+        across rounds and re-optimizations.
     """
     if objective not in ROLLOUT_OBJECTIVES:
         raise OptimizeError(
@@ -142,58 +141,44 @@ def rollout_optimize(
     if survivability and threshold is None:
         raise OptimizeError("survivability rollout needs a service-level threshold")
     stats = stats if stats is not None else global_optimizer_stats()
-    session_stats = session_stats if session_stats is not None else SessionStats()
     times = np.linspace(0.0, float(horizon), int(points))
     initial_state = ctmdp.disaster_state(disaster)
     target = ctmdp.states_with_service_at_least(threshold) if survivability else None
+    sweep_stats = UniformizationStats()
 
-    def block_request(policy: RepairPolicy, block: np.ndarray, tag) -> MeasureRequest:
+    def evaluate(policy: RepairPolicy) -> np.ndarray:
+        """``(num_states, len(times))`` values of ``policy`` from every state."""
         if ctmdp.chain_is_cached(policy):
             stats.cache_hits += 1
         chain = ctmdp.induced_chain(policy)
         if survivability:
-            return MeasureRequest(
-                chain=chain,
-                times=times,
-                kind=MeasureKind.REACHABILITY,
-                target=target,
-                initial_distributions=block,
-                tag=tag,
-                engine=engine,
+            chain = (
+                artifacts.transformed_chain(chain, target)
+                if artifacts is not None
+                else chain.make_absorbing(target)
             )
-        return MeasureRequest(
-            chain=chain,
-            times=times,
-            kind=MeasureKind.CUMULATIVE_REWARD,
-            rewards=ctmdp.policy_cost(policy),
-            initial_distributions=block,
-            tag=tag,
-            engine=engine,
-        )
-
-    def new_session() -> AnalysisSession:
-        return AnalysisSession(
-            batched=True,
+            seed = target.astype(float)
+        else:
+            seed = ctmdp.policy_cost(policy)
+        values = backward_values(
+            chain,
+            seed,
+            times,
+            cumulative=not survivability,
+            epsilon=DEFAULT_EPSILON,
+            stats=sweep_stats,
             artifacts=artifacts,
-            stats=session_stats,
-            engine=engine,
         )
+        return (np.clip(values, 0.0, 1.0) if survivability else values).T
 
-    point = np.zeros(ctmdp.num_states)
-    point[initial_state] = 1.0
-
-    # --- baselines: every fixed strategy in one coalesced session --------
+    # --- baselines: every fixed strategy, read at the disaster state -----
     candidates = dict(candidates) if candidates is not None else default_candidates(ctmdp)
-    session = new_session()
-    for label, policy in candidates.items():
-        session.add(block_request(policy, point, tag=label))
-    baseline_results = session.execute()
     baselines: dict[str, float] = {}
     baseline_curves: dict[str, np.ndarray] = {}
-    for result in baseline_results:
-        curve = np.asarray(result.squeezed, dtype=float)
-        baseline_curves[result.request.tag] = curve
-        baselines[result.request.tag] = float(curve[-1])
+    for label, policy in candidates.items():
+        curve = evaluate(policy)[initial_state].copy()
+        baseline_curves[label] = curve
+        baselines[label] = float(curve[-1])
         stats.baseline_evaluations += 1
     chooser = max if survivability else min
     base_label = chooser(baselines, key=baselines.__getitem__)
@@ -203,23 +188,20 @@ def rollout_optimize(
     best_curve = baseline_curves[base_label]
 
     # --- evaluate / score / safeguard loop -------------------------------
-    identity = np.eye(ctmdp.num_states)
     policy = best_policy
     converged = False
     iterations = 0
     for iteration in range(1, max_iterations + 1):
         iterations = iteration
         stats.rollout_iterations += 1
-        session = new_session()
-        sweeps_before = session_stats.sweeps
-        session.add(block_request(policy, identity, tag=("rollout", iteration)))
-        values = np.asarray(session.execute()[0].values, dtype=float)
-        stats.coalesced_sweeps += session_stats.sweeps - sweeps_before
+        sweeps_before = sweep_stats.sweeps
+        values = evaluate(policy)
+        stats.coalesced_sweeps += sweep_stats.sweeps - sweeps_before
         stats.policy_evaluations += 1
         value = float(values[initial_state, -1])
         if _is_better(value, best_value, objective, tolerance):
             best_policy, best_value = policy, value
-            best_curve = values[initial_state]
+            best_curve = values[initial_state].copy()
         elif iteration > 1:
             # The previous greedy step did not improve on exact
             # re-evaluation: keep the best policy seen and stop.
@@ -244,7 +226,7 @@ def rollout_optimize(
         objective=objective,
         value=best_value,
         times=times,
-        curve=np.asarray(best_curve, dtype=float),
+        curve=best_curve,
         baselines=baselines,
         baseline_curves=baseline_curves,
         base_label=base_label,

@@ -4,10 +4,10 @@
 plays for sweeps: every policy-iteration and rollout run records how many
 exact policy evaluations it paid for, how many one-step action deviations it
 scored, and how many uniformization sweeps those deviations actually cost
-after coalescing (the rollout submits all candidates of a round as one
-identity-block request, so ``K`` candidates ride ~1 shared sweep instead of
-``K``).  The difference is :attr:`OptimizerStats.sweeps_saved` — the number
-the benchmark gates on.
+after coalescing (the rollout scores all candidates of a round off the
+per-state values of one backward value sweep, so ``K`` candidates ride 1
+shared sweep instead of ``K``).  The difference is
+:attr:`OptimizerStats.sweeps_saved` — the number the benchmark gates on.
 
 A process-wide aggregate (:func:`global_optimizer_stats`) feeds the
 Prometheus ``/metrics`` dump of the scenario service, so operators see
@@ -31,7 +31,7 @@ class OptimizerStats:
         Evaluate/score rounds performed by the rollout optimizer.
     policy_evaluations:
         Exact evaluations of a concrete policy: gain/bias solves (policy
-        iteration) or identity-block value sweeps (rollout).
+        iteration) or one-column backward value sweeps (rollout rounds).
     baseline_evaluations:
         Fixed-strategy policies evaluated as comparison baselines.
     candidate_actions:
@@ -39,7 +39,8 @@ class OptimizerStats:
         full policy evaluation if submitted naively.
     coalesced_sweeps:
         Uniformization sweeps actually spent scoring those candidates (the
-        rollout's per-round identity-block sweeps).
+        rollout rounds' backward value sweeps; baseline evaluations are
+        not counted here).
     cache_hits:
         Induced chains and evaluations served from the optimizer-level
         memo instead of being rebuilt (artifact-cache hits underneath are

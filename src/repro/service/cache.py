@@ -33,7 +33,7 @@ kind               key
                    [, ``"backward"``]) — the densified operator the
                    :class:`repro.ctmc.engines.DenseEngine` GEMM walk uses;
                    the ``"backward"`` component marks the *non-transposed*
-                   matrix of the interval-until value sweep so it cannot
+                   matrix of the backward value sweep so it cannot
                    shadow the forward (transposed) operator; stored with a
                    byte-size-aware weight (see below)
 ``engine``         (chain fingerprint,) — the backend the

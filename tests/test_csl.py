@@ -3,9 +3,11 @@
 import numpy as np
 import pytest
 
+from repro.analysis.executor import backward_values
 from repro.csl import CSLParseError, ModelChecker, check, parse_formula
 from repro.csl import formulas as F
 from repro.ctmc import CTMC, MarkovRewardModel, RewardStructure
+from repro.ctmc.ctmc import CTMCError
 
 
 @pytest.fixture
@@ -147,3 +149,37 @@ class TestChecker:
         assert values.shape == (2,)
         assert values[1] == pytest.approx(1.0)
         assert 0.0 < values[0] < 1.0
+
+
+class TestNonFiniteTimeBounds:
+    """Infinite, NaN and overflowing bounds are clean errors on both paths."""
+
+    FORMULAS = [
+        'P=? [ true U<=inf "failed" ]',
+        'P=? [ true U<=nan "failed" ]',
+        'P=? [ true U[1e400,1e401] "failed" ]',
+        'P>0.5 [ true U<=1e400 "failed" ]',
+    ]
+
+    @pytest.fixture
+    def failing_chain(self) -> CTMC:
+        return CTMC(
+            np.array([[0.0, 1.0, 0.0], [0.5, 0.0, 0.5], [0.0, 0.0, 0.0]]),
+            {0: 1.0},
+            labels={"failed": [2]},
+        )
+
+    @pytest.mark.parametrize("method", ["check", "check_states"])
+    @pytest.mark.parametrize("source", FORMULAS)
+    def test_formula_is_rejected(self, failing_chain, source, method):
+        checker = ModelChecker(failing_chain)
+        with pytest.raises(ValueError, match="invalid time interval"):
+            getattr(checker, method)(source)
+
+    @pytest.mark.parametrize(
+        "horizon, message",
+        [(-1.0, "non-negative"), (float("nan"), "finite"), (float("inf"), "finite")],
+    )
+    def test_backward_values_rejects_the_horizon(self, failing_chain, horizon, message):
+        with pytest.raises(CTMCError, match=message):
+            backward_values(failing_chain, np.zeros(3), [horizon], epsilon=1e-10)

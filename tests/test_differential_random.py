@@ -20,7 +20,11 @@ population of *generated* CTMCs:
   ``t - a``) — this exercises *both* quotients of the lumped interval
   bundle (target-absorbed backward, seed-vector forward);
 * ``P=?[ safe U target ]`` (session ``UNBOUNDED_REACHABILITY``), lumped
-  against unlumped, guarding the safe+target-seeded long-run quotient.
+  against unlumped, guarding the safe+target-seeded long-run quotient;
+* the one backward value sweep
+  (:func:`repro.analysis.executor.backward_values`, read at the horizon
+  and accumulated) and the checker's per-state ``U[a,b]`` vectors against
+  forward sessions from every point-mass start.
 
 Each seeded chain (5–40 states, random density/rates, random target,
 safe-set and reward structures, including absorbing states and reducible
@@ -38,8 +42,12 @@ import pytest
 from scipy.linalg import expm
 
 from repro.analysis import AnalysisSession, MeasureKind
+from repro.analysis.executor import backward_values
+from repro.csl import ModelChecker
+from repro.csl import formulas as F
 from repro.ctmc import CTMC
 from repro.ctmc.linsolve import reachability_reward_reference
+from repro.ctmc.uniformization import DEFAULT_EPSILON
 
 NUM_CHAINS = 60
 TOLERANCE = 1e-10
@@ -350,6 +358,81 @@ def test_unbounded_reachability_lump_invariant(seed: int) -> None:
         )
         values[lump] = session.execute()[index].squeezed
     _assert_close("P=?[U]", seed, values[True], values[False])
+
+
+@pytest.mark.parametrize("seed", range(NUM_CHAINS))
+def test_backward_values_match_forward_point_mass_sweeps(seed: int) -> None:
+    """One backward value column equals the forward sweep of ``eye(n)``.
+
+    The grid holds ``t = 0`` and repeated points, unsorted; reachability
+    runs on the chain with the decided states absorbed, the accumulated
+    reward on the chain itself.
+    """
+    chain, spec = random_ctmc(seed)
+    times = np.concatenate((spec["times"][::-1], spec["times"][[0, 3]]))
+    target, safe, rewards = spec["target"], spec["safe"], spec["rewards"]
+    every_state = np.eye(chain.num_states)
+    session = AnalysisSession()
+    reach = session.request(
+        chain,
+        times,
+        kind=MeasureKind.REACHABILITY,
+        target=target,
+        safe=safe,
+        initial_distributions=every_state,
+    )
+    accumulated = session.request(
+        chain,
+        times,
+        kind=MeasureKind.CUMULATIVE_REWARD,
+        rewards=rewards,
+        initial_distributions=every_state,
+    )
+    forward = session.execute()
+
+    absorbed = chain.make_absorbing(target | ~(safe | target))
+    reachability = backward_values(
+        absorbed, target.astype(float), times, epsilon=DEFAULT_EPSILON
+    )
+    np.testing.assert_allclose(
+        np.clip(reachability, 0.0, 1.0).T, forward[reach].values, rtol=0, atol=1e-12
+    )
+    cumulative = backward_values(
+        chain, rewards, times, cumulative=True, epsilon=DEFAULT_EPSILON
+    )
+    np.testing.assert_allclose(cumulative.T, forward[accumulated].values, rtol=1e-12)
+
+
+@pytest.mark.parametrize("seed", range(NUM_CHAINS))
+def test_checker_interval_vectors_match_point_mass_sessions(seed: int) -> None:
+    """``check_states`` on ``safe U[a,b] target`` vs the session, per start."""
+    chain, spec = random_ctmc(seed)
+    labelled = CTMC(
+        chain.rate_matrix,
+        chain.initial_distribution,
+        labels={
+            "safe": np.flatnonzero(spec["safe"]),
+            "target": np.flatnonzero(spec["target"]),
+        },
+    )
+    lower = 0.1 + 0.4 * float(spec["times"][-1])
+    times = lower + spec["times"]
+    session = AnalysisSession()
+    index = session.request(
+        labelled,
+        times,
+        kind=MeasureKind.INTERVAL_REACHABILITY,
+        target=spec["target"],
+        safe=spec["safe"],
+        lower=lower,
+        initial_distributions=np.eye(labelled.num_states),
+    )
+    forward = session.execute()[index].values
+    checker = ModelChecker(labelled)
+    for column, upper in enumerate(times):
+        path = F.BoundedUntil(F.Atomic("safe"), F.Atomic("target"), upper, lower)
+        per_state = checker.check_states(F.ProbabilityQuery(path))
+        np.testing.assert_allclose(per_state, forward[:, column], rtol=0, atol=1e-12)
 
 
 # Each id names the seed and the sweep's one lane, float64.

@@ -148,6 +148,16 @@ class TestNumericFlagValidation:
             ["optimize", "--line", "2", "--horizon", "-1"],
             "argument --horizon: must be greater than 0, got -1",
         ),
+        (["serve", "--http", "-1"], "argument --http: must be a port from 0 to 65535, got -1"),
+        (
+            ["serve", "--http", "70000"],
+            "argument --http: must be a port from 0 to 65535, got 70000",
+        ),
+        (["optimize", "--crews", "0"], "argument --crews: must be at least 1, got 0"),
+        (
+            ["optimize", "--max-iterations", "-3", "--objective", "availability"],
+            "argument --max-iterations: must be at least 1, got -3",
+        ),
     ]
 
     @pytest.mark.parametrize(
@@ -166,3 +176,8 @@ class TestNumericFlagValidation:
             ["--window", "0", "--restart-limit", "0", "--clients", "1", "--timeout", "0.5"]
         )
         assert (args.window, args.restart_limit, args.clients, args.timeout) == (0.0, 0, 1, 0.5)
+
+    def test_port_range_ends_are_accepted(self):
+        parser = build_serve_parser()
+        ports = [parser.parse_args(["--http", text]).http for text in ("0", "65535")]
+        assert ports == [0, 65535]

@@ -1,9 +1,9 @@
 """Tests for the coalesced rollout optimizer (`repro.optimize.rollout`).
 
-Checks the two contract points of the issue: the optimized policy is at
+Checks the optimizer's two contract points: the optimized policy is at
 least as good as every fixed-strategy baseline (to 1e-9), and all candidate
-one-step deviations of a round are scored off one coalesced identity-block
-sweep rather than one evaluation per candidate.
+one-step deviations of a round are scored off one backward value sweep
+(one value column per policy) rather than one evaluation per candidate.
 """
 
 from __future__ import annotations
@@ -11,9 +11,10 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.analysis import SessionStats
+from repro.analysis import AnalysisSession, MeasureKind
 from repro.casestudy.experiments import line_service_interval_lower
 from repro.casestudy.facility import DISASTER_2, LINE2, build_line
+from repro.ctmc.uniformization import ENGINE_STATS
 from repro.optimize import (
     OptimizeError,
     OptimizerStats,
@@ -52,7 +53,6 @@ class TestSurvivability:
     def test_candidates_ride_coalesced_sweeps(self, line2_ctmdp):
         """K one-step deviations cost ~1 sweep per round, not K."""
         stats = OptimizerStats()
-        session_stats = SessionStats()
         rollout_optimize(
             line2_ctmdp,
             "survivability",
@@ -61,14 +61,67 @@ class TestSurvivability:
             threshold=line_service_interval_lower(LINE2, 0),
             points=17,
             stats=stats,
-            session_stats=session_stats,
         )
         deviations_per_round = line2_ctmdp.total_actions - line2_ctmdp.num_states
         assert stats.candidate_actions >= deviations_per_round
-        # Every round's identity block collapses to one group -> ~1 sweep.
+        # Every round's policy is evaluated by one backward sweep.
         assert stats.coalesced_sweeps <= 2 * stats.rollout_iterations
         assert stats.sweeps_saved >= deviations_per_round - 2 * stats.rollout_iterations
         assert stats.policy_evaluations == stats.rollout_iterations
+
+    def test_every_sweep_carries_one_column(self, line2_ctmdp):
+        """Policies are evaluated by a value column, not an identity block."""
+        matvecs, applies = ENGINE_STATS.matvecs, ENGINE_STATS.applies
+        rollout_optimize(
+            line2_ctmdp,
+            "survivability",
+            disaster=DISASTER_2,
+            horizon=24.0,
+            threshold=line_service_interval_lower(LINE2, 0),
+            points=17,
+            stats=OptimizerStats(),
+        )
+        assert ENGINE_STATS.applies > applies
+        assert ENGINE_STATS.matvecs - matvecs == ENGINE_STATS.applies - applies
+
+    def test_improved_value_matches_a_forward_evaluation(self):
+        """The backward values agree with a forward sweep from the disaster."""
+        ctmdp = RepairCTMDP(build_line(LINE2), crew_limit=1)
+        threshold = line_service_interval_lower(LINE2, 0)
+        result = rollout_optimize(
+            ctmdp,
+            "survivability",
+            disaster=DISASTER_2,
+            horizon=24.0,
+            threshold=threshold,
+            points=17,
+            stats=OptimizerStats(),
+        )
+        assert result.improved
+        initial = np.zeros(ctmdp.num_states)
+        initial[ctmdp.disaster_state(DISASTER_2)] = 1.0
+        session = AnalysisSession()
+        index = session.request(
+            ctmdp.induced_chain(result.policy),
+            result.times,
+            kind=MeasureKind.REACHABILITY,
+            target=ctmdp.states_with_service_at_least(threshold),
+            initial_distributions=initial,
+        )
+        forward = session.execute()[index].squeezed
+        assert result.value == pytest.approx(forward[-1], rel=1e-12, abs=1e-12)
+        np.testing.assert_allclose(result.curve, forward, rtol=1e-12, atol=1e-12)
+
+    @pytest.mark.parametrize("removed", ["engine", "session_stats"])
+    def test_session_keywords_are_gone(self, line2_ctmdp, removed):
+        with pytest.raises(TypeError, match=removed):
+            rollout_optimize(
+                line2_ctmdp,
+                "accumulated_cost",
+                disaster=DISASTER_2,
+                horizon=1.0,
+                **{removed: None},
+            )
 
     def test_missing_threshold_raises(self, line2_ctmdp):
         with pytest.raises(OptimizeError, match="threshold"):

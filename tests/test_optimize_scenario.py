@@ -125,6 +125,10 @@ class TestOptimizeCLI:
     def test_crew_limit_below_one_exits_2(self, capsys):
         from repro.optimize.cli import optimize_main
 
-        code = optimize_main(["--line", "2", "--crews", "0"])
-        assert code == 2
-        assert "error:" in capsys.readouterr().out
+        with pytest.raises(SystemExit) as exited:
+            optimize_main(["--line", "2", "--crews", "0"])
+        assert exited.value.code == 2
+        error = capsys.readouterr().err
+        assert error.splitlines()[-1].endswith(
+            "error: argument --crews: must be at least 1, got 0"
+        )

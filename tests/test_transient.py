@@ -5,13 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.csl import ModelChecker
 from repro.ctmc import CTMC, time_bounded_reachability, transient_distribution
 from repro.ctmc.ctmc import CTMCError
-from repro.ctmc.transient import (
-    expected_time_in_states,
-    time_bounded_reachability_per_state,
-    transient_distributions,
-)
+from repro.ctmc.transient import expected_time_in_states, transient_distributions
 
 
 def two_state(lam: float, mu: float) -> CTMC:
@@ -92,7 +89,9 @@ class TestTimeBoundedReachability:
 
     def test_per_state_variant_agrees_with_forward(self, absorbing_chain):
         t = 25.0
-        per_state = time_bounded_reachability_per_state(absorbing_chain, "failed", t)
+        per_state = ModelChecker(absorbing_chain).check_states(
+            f'P=? [ true U<={t} "failed" ]'
+        )
         forward = time_bounded_reachability(absorbing_chain, "failed", t)
         assert per_state[0] == pytest.approx(forward, abs=1e-9)
         assert per_state[2] == pytest.approx(1.0)
