@@ -1,17 +1,19 @@
-"""Perf benchmark — complete lumping coverage (interval-until + long-run).
+"""Perf benchmark — complete lumping coverage (interval-until + long-run),
+and one partition per chain for the whole registry.
 
 PR 2 lumped the regular bounded-reachability sweeps (Fig. 4/5); this gate
 covers the two measure families that stayed on full chains until PR 10:
+interval-until bundles and long-run groups.  It also gates the whole paper
+registry:
 
 * **Interval-until bundles (Fig. 8/9 family)** — the Line 2 survivability
   thresholds with a strictly positive lower bound ``a``, one bundle per
-  repair strategy.  Lumped, each bundle runs its backward phase on the
-  quotient of the target-absorbed chain and its forward phase on the
-  quotient of the safe-restricted chain (seeded with the quantized phase-2
-  values).  Gates: >= 3x sweep-work reduction (``equivalent_nnz``, which
-  unifies the CSR and dense-BLAS lanes), <= 1e-12 agreement with the
-  unlumped bundle, and a warm repeat with **zero quotient-kind cache
-  misses**.
+  repair strategy.  Lumped, each bundle runs both phases on the chain's one
+  label-seeded quotient: the backward phase with the decided blocks
+  absorbed, the forward phase with the non-safe blocks absorbed.  Gates:
+  >= 3x sweep-work reduction (``equivalent_nnz``, which unifies the CSR and
+  dense-BLAS lanes), <= 1e-12 agreement with the unlumped bundle, and a
+  warm repeat with **zero quotient-kind cache misses**.
 
 * **Table 2 long-run portfolio** — the steady-state availability of every
   (line, strategy) pair.  Lumped, the BSCC decomposition and the stationary
@@ -20,7 +22,12 @@ covers the two measure families that stayed on full chains until PR 10:
   the full chains, <= 1e-12 agreement with the unlumped portfolio, and a
   warm repeat with zero quotient/factorization/BSCC/stationary misses.
 
-Both sessions run at ``epsilon=1e-14`` so Poisson-truncation noise sits
+* **Registry session** — a cold ``AnalysisSession`` over every request of
+  ``paper_registry()`` (42 requests on 12 distinct chains), lumped against
+  unlumped.  Gates: <= 1e-12 agreement, and exactly 12 partition
+  refinements — one per distinct chain, however many groups share it.
+
+The first two sessions run at ``epsilon=1e-14`` so Poisson-truncation noise sits
 well below the 1e-12 agreement gates (the lumped backward phase keys its
 Fox-Glynn windows on the quotient's own, smaller uniformization rate, so
 the two lanes genuinely use different windows).
@@ -35,16 +42,23 @@ from __future__ import annotations
 
 import json
 import os
+import time
 from pathlib import Path
 
 import numpy as np
 from bench_support import run_once
 
-from repro.analysis import AnalysisSession, MeasureKind, MeasureRequest, SessionStats
+from repro.analysis import (
+    AnalysisSession,
+    MeasureKind,
+    MeasureRequest,
+    SessionStats,
+    planner,
+)
 from repro.casestudy.experiments import line_service_interval_lower, line_state_space
 from repro.casestudy.facility import DISASTER_2, LINE1, LINE2, PAPER_STRATEGIES
 from repro.measures import steady_state_availability_request
-from repro.service import ArtifactCache
+from repro.service import ArtifactCache, paper_registry
 
 FAST = bool(os.environ.get("REPRO_BENCH_FAST"))
 STRATEGIES = PAPER_STRATEGIES[:2] if FAST else PAPER_STRATEGIES
@@ -231,3 +245,63 @@ def test_table2_longrun_runs_on_quotients(benchmark):
     assert deltas.get("bscc", 0) == 0
     assert deltas.get("stationary", 0) == 0
     assert warm_values == cold_values
+
+
+def test_registry_session_partitions_each_chain_once(benchmark, monkeypatch):
+    """Cold registry session: one refinement per distinct chain, <= 1e-12."""
+    registry = paper_registry()
+    requests = [
+        request for name in registry.names for request in registry.expand(name)
+    ]
+    chains = len({request.chain.content_key for request in requests})
+    partition = planner.lumping_partition
+    partitions = []
+
+    def counted(*args, **kwargs):
+        partitions.append(args)
+        return partition(*args, **kwargs)
+
+    def run(lump: bool):
+        stats = SessionStats()
+        session = AnalysisSession(lump=lump, stats=stats)
+        session.extend(requests)
+        start = time.perf_counter()
+        results = session.execute()
+        return [np.asarray(result.values) for result in results], stats, (
+            time.perf_counter() - start
+        )
+
+    unlumped_values, _, unlumped_seconds = run(False)
+    monkeypatch.setattr(planner, "lumping_partition", counted)
+    lumped_values, lumped_stats, lumped_seconds = run_once(benchmark, run, True)
+
+    deviation = max(
+        float(np.max(np.abs(lumped - unlumped), initial=0.0))
+        for lumped, unlumped in zip(lumped_values, unlumped_values)
+    )
+    print()
+    print(
+        f"Registry session ({len(requests)} requests on {chains} chains): "
+        f"{len(partitions)} partitions, {lumped_stats.lumped_groups} lumped groups "
+        f"({lumped_stats.lumped_states_before} -> {lumped_stats.lumped_states_after} "
+        f"states), lumped {lumped_seconds:.3f} s vs unlumped "
+        f"{unlumped_seconds:.3f} s, max deviation {deviation:.2e}"
+    )
+    _record(
+        "registry_session",
+        {
+            "requests": len(requests),
+            "chains": chains,
+            "partitions": len(partitions),
+            "lumped_groups": lumped_stats.lumped_groups,
+            "quotient_blocks_total": lumped_stats.lumped_states_after,
+            "lumped_session_s": lumped_seconds,
+            "unlumped_session_s": unlumped_seconds,
+            "max_deviation": deviation,
+        },
+    )
+    # Gate (a): lumped values agree with the unlumped session.
+    assert deviation <= 1e-12
+    # Gate (b): each distinct chain is refined exactly once.
+    assert chains == 12
+    assert len(partitions) == chains

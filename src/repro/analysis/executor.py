@@ -38,16 +38,14 @@ fetched from the artifact cache when one is attached.
 When the planner attached a quotient (:class:`~repro.analysis.planner.LumpedChain`),
 the sweep runs on the quotient chain: initial distributions are projected
 blockwise and the observable vectors are restricted to one value per block
-(they are block-constant by construction of the lumping partition).  This
-covers long-run groups too — their BSCC decomposition and restricted
+(they are block-constant on the partition, which the planner checked).
+This covers long-run groups too — their BSCC decomposition and restricted
 solves run on the quotient, whose factorizations persist in the cache
-under the quotient chain's own fingerprint.  Interval bundles use **two**
-quotients: the planner's backward quotient of the target-absorbed chain
-(values are lifted back to full states between the phases) and a
-forward-phase quotient of the safe-restricted chain that the executor
-builds here, seeded with the quantized phase-2 value vectors — the seeds
-only exist once the backward sweep ran.  Both live in the cache under the
-``quotient`` kind, so warm bundles skip both refinements.
+under the quotient chain's own fingerprint.  Interval bundles take both
+of their transforms on the one quotient of the base chain: the backward
+phase absorbs the decided blocks, and since its values are then
+block-constant, the forward phase walks the same partition with the
+non-safe blocks absorbed — no second refinement.
 
 The plan is materialised as a list of :class:`ExecutionUnit` objects
 (:func:`execution_units`), each independently runnable: the scenario
@@ -60,7 +58,6 @@ uniformized operators and Fox–Glynn windows across plans.
 
 from __future__ import annotations
 
-import warnings
 from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import Any
@@ -83,13 +80,7 @@ from repro.ctmc.uniformization import (
     evaluate_grid_block,
     poisson_mixture_sweep,
 )
-from repro.analysis.planner import (
-    ExecutionGroup,
-    ExecutionPlan,
-    LumpedChain,
-    cached_quotient,
-    observable_signature,
-)
+from repro.analysis.planner import ExecutionGroup, ExecutionPlan, transformed_chain
 from repro.analysis.requests import MeasureKind, MeasureResult
 
 #: Relative tolerance merging near-identical residual horizons of bundled
@@ -97,13 +88,6 @@ from repro.analysis.requests import MeasureKind, MeasureResult
 #: The induced value error is bounded by ``q·t·rtol`` per sweep — orders of
 #: magnitude below the Poisson truncation epsilon.
 HORIZON_MERGE_RTOL = 1e-12
-
-#: Decimals the forward-phase lumping seeds are rounded to.  States whose
-#: phase-2 values agree to this quantum may share a block, bounding the
-#: lumped-vs-unlumped deviation by the quantum (5e-13 < the 1e-12 gate)
-#: while letting the refinement collapse states whose values differ only
-#: by accumulated rounding noise.
-_FORWARD_SEED_DECIMALS = 12
 
 
 class _ColumnPool:
@@ -236,13 +220,6 @@ def execute_plan(
 # ----------------------------------------------------------------------
 # cache plumbing
 # ----------------------------------------------------------------------
-def _transformed(base: CTMC, mask: np.ndarray, artifacts: Any | None) -> CTMC:
-    """The absorbing transform of ``base``, via the artifact cache if given."""
-    if artifacts is not None:
-        return artifacts.transformed_chain(base, mask)
-    return base.make_absorbing(mask)
-
-
 def _lookups(artifacts: Any | None) -> dict[str, Any]:
     """``evaluate_grid_block`` keyword hooks backed by the artifact cache."""
     if artifacts is None:
@@ -555,47 +532,6 @@ def _merge_close_horizons(
     return representatives, cluster_of
 
 
-def _forward_interval_quotient(
-    restricted: CTMC,
-    value_columns: np.ndarray,
-    artifacts: Any | None,
-) -> LumpedChain | None:
-    """The forward-phase quotient of the safe-restricted chain.
-
-    Seeded with the *joint* class of the quantized phase-2 value vectors:
-    two states may share a block only when every stacked value column
-    agrees on them to the rounding quantum (after which ordinary
-    lumpability refinement runs as usual).  Combining the columns into one
-    row-identity observable keeps the seeding cost at one ``np.unique``
-    over rows instead of one label mask per (column, value) pair.
-
-    The cache signature hashes the quantized columns themselves — the
-    backward phase is deterministic, so a warm repeat of the same bundle
-    reproduces the same bytes and hits.  A failed build degrades to the
-    full restricted chain with a one-time warning (and leaves a tombstone
-    behind when a cache is attached, like the planner-side quotients).
-    """
-    quantized = np.round(value_columns, _FORWARD_SEED_DECIMALS)
-    _, combined = np.unique(quantized, axis=0, return_inverse=True)
-    signature = "interval-forward|" + observable_signature([quantized])
-    try:
-        return cached_quotient(
-            restricted,
-            [np.asarray(combined, dtype=float)],
-            artifacts,
-            signature=signature,
-        )
-    except Exception as error:
-        warnings.warn(
-            f"interval forward-phase lumping failed for a "
-            f"{restricted.num_states}-state chain "
-            f"({type(error).__name__}: {error}); sweeping the full chain",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-        return None
-
-
 def _execute_interval_bundle(
     entries: list[tuple[int, ExecutionGroup]],
     results: list[MeasureResult | None],
@@ -610,29 +546,28 @@ def _execute_interval_bundle(
     epsilon = first_group.epsilon
     base = first_group.chain
 
+    # With lumping, both phases walk transforms of the planner's quotient of
+    # the base chain: every vector below is projected to one value per
+    # block and every distribution to its block masses.
+    lumped = first_group.lumped
+    chain = base if lumped is None else lumped.quotient
+
+    def statewise(vector: np.ndarray) -> np.ndarray:
+        return vector if lumped is None else lumped.project_statewise(vector)
+
     # Phase 2 (backward): per-state P[ safe U^{<= t-a} target ] on the chain
     # with decided states absorbed, for every residual horizon appearing in
     # *any* bundled grid — one sweep over the (tolerantly merged) union.
-    # With lumping the sweep walks the planner's quotient of the absorbed
-    # chain and the per-block values are lifted back to full states; the
-    # quotient's own (smaller) uniformization rate keys its Fox–Glynn
+    # A quotient's own (smaller) uniformization rate keys its Fox–Glynn
     # windows, so the lumped and unlumped bundles never share windows.
     absorbing = target_mask | ~(safe_mask | target_mask)
-    backward_lumped = first_group.lumped
-    indicator = target_mask.astype(float)
-    if backward_lumped is None:
-        backward_chain = _transformed(base, absorbing, artifacts)
-        start = indicator
-    else:
-        backward_chain = backward_lumped.quotient
-        start = backward_lumped.project_statewise(indicator)
     unique_horizons, cluster_of = _merge_close_horizons(
         [np.maximum(group.times - lower, 0.0) for _, group in entries]
     )
     per_state = np.clip(
         backward_values(
-            backward_chain,
-            start,
+            transformed_chain(chain, statewise(absorbing), artifacts),
+            statewise(target_mask.astype(float)),
             unique_horizons,
             epsilon=epsilon,
             engine=first_group.engine,
@@ -642,8 +577,6 @@ def _execute_interval_bundle(
         0.0,
         1.0,
     )
-    if backward_lumped is not None:
-        per_state = backward_lumped.lift_statewise(per_state)
 
     # Phase 1 (forward): evolve every initial distribution through the
     # safe-restricted chain for time a, then weigh it against the phase-2
@@ -661,29 +594,16 @@ def _execute_interval_bundle(
         for _, group in entries
     ]
     initial_block = initial_pool.stack()
-    column_indices = cluster_of
-    value_columns = per_state[column_indices].T  # (num_states, sum of grid sizes)
-    blocked = ~safe_mask
+    if lumped is not None:
+        initial_block = lumped.project_distributions(initial_block)
+    blocked = statewise(~safe_mask)
+    value_columns = per_state[cluster_of].T  # (states, sum of grid sizes)
     value_columns = np.where(blocked[:, None], 0.0, value_columns)
-
-    restricted = _transformed(base, blocked, artifacts)
-    forward_lumped = (
-        _forward_interval_quotient(restricted, value_columns, artifacts)
-        if first_group.lump
-        else None
-    )
-    sweep_chain = restricted
-    sweep_initials = initial_block
-    sweep_columns = value_columns
-    if forward_lumped is not None:
-        sweep_chain = forward_lumped.quotient
-        sweep_initials = forward_lumped.project_distributions(initial_block)
-        sweep_columns = forward_lumped.project_statewise(value_columns)
     phase1 = evaluate_grid_block(
-        sweep_chain,
+        transformed_chain(chain, blocked, artifacts),
         np.array([lower]),
-        sweep_initials,
-        rewards_matrix=sweep_columns,
+        initial_block,
+        rewards_matrix=value_columns,
         distributions=False,
         instantaneous=True,
         epsilon=epsilon,
@@ -694,11 +614,7 @@ def _execute_interval_bundle(
     )
     per_initial = np.clip(phase1.instantaneous[:, 0, :], 0.0, 1.0)
 
-    lumped_states = None
-    if backward_lumped is not None:
-        lumped_states = backward_lumped.num_blocks
-    elif forward_lumped is not None:
-        lumped_states = forward_lumped.num_blocks
+    lumped_states = lumped.num_blocks if lumped is not None else None
     offset = 0
     for (group_index, group), rows_per_member in zip(entries, member_rows):
         width = group.times.shape[0]

@@ -22,31 +22,19 @@ fingerprint, state-subset signature) instead, so the executor can batch
 all their right-hand-side columns against one cached LU factorization
 (:mod:`repro.ctmc.linsolve`).
 
-The planner can additionally run ordinary lumpability
-(:mod:`repro.ctmc.lumping`) on each group's operating chain before the
-sweep (``lump=True``).  The lumping partition is seeded with exactly the
-vectors the group's requests observe — target indicator vectors and reward
-vectors — so every observable is block-constant and the quotient preserves
-all requested measures; the (typically much smaller) quotient chain then
-shrinks every product of the sweep.  Lumping now covers every group kind
-except full-distribution requests:
-
-* regular sweep groups quotient their operating chain (as before);
-* long-run groups quotient the base chain seeded with their target/safe
-  indicators and reward vectors — ordinary lumpability preserves
-  steady-state observables, unbounded reachability values and reachability
-  rewards, so the BSCC decomposition and the restricted solves all run on
-  the quotient (``S=?``-per-state and other full-distribution requests
-  stay unlumped);
-* interval-until groups quotient the *target-absorbed* chain for the
-  backward value sweep here (seeded with the target indicator); the
-  executor builds a second quotient of the safe-restricted chain for the
-  forward phase, seeded with the quantized phase-2 value vectors (see
-  :func:`repro.analysis.executor._execute_interval_bundle`).
-
-Groups containing ``TRANSIENT`` requests are never lumped (their full
-distributions live on the original state space).  A quotient build that
-*fails* degrades the group to its full chain; with an artifact cache
+The planner can also run each group on an ordinary-lumpability quotient
+(:mod:`repro.ctmc.lumping`, ``lump=True``).  Each distinct chain is
+partitioned **once**, seeded with nothing but its own labels — cached under
+the ``quotient`` kind when an artifact cache is attached, otherwise built
+once per plan — and every group on it reuses that quotient when the
+vectors the group observes are block-constant on it (see
+:func:`_lump_group`): regular groups absorb their decided blocks on the
+quotient (:meth:`LumpedChain.absorbed`), long-run groups solve on it, and
+the executor takes both interval-until phases' transforms on it.  Other
+groups refine the chain partition further.  ``TRANSIENT`` groups are never
+lumped, and a partition that collapses nothing yields no quotient.  A
+quotient build that *fails* degrades its groups to their full chains, with
+one warning and one counted failure per build; with an artifact cache
 attached the failure is recorded as a :class:`QuotientTombstone` under the
 same key, so warm plans skip the doomed refinement silently instead of
 re-failing (and re-warning, and re-counting) on every plan.
@@ -54,6 +42,7 @@ re-failing (and re-warning, and re-counting) on every plan.
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import warnings
 from collections.abc import Sequence
@@ -69,7 +58,12 @@ from repro.ctmc.engines import (
     default_engine_mode as process_default_engine_mode,
     normalise_engine_mode,
 )
-from repro.ctmc.lumping import lump_ctmc, lumping_partition
+from repro.ctmc.lumping import (
+    block_indicator,
+    first_seen_ids,
+    lump_ctmc,
+    lumping_partition,
+)
 from repro.ctmc.uniformization import DEFAULT_EPSILON
 from repro.analysis.requests import (
     LONGRUN_KINDS,
@@ -103,6 +97,9 @@ class LumpedChain:
     partition: np.ndarray  # (num_states,) block index per state
     representatives: np.ndarray  # (num_blocks,) one member state per block
     aggregation: sparse.csr_matrix  # (num_blocks, num_states) 0/1 matrix
+    _absorbed: dict[bytes, "LumpedChain"] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     @property
     def num_blocks(self) -> int:
@@ -116,10 +113,52 @@ class LumpedChain:
         """Restrict a block-constant state vector to one value per block."""
         return vector[self.representatives]
 
-    def lift_statewise(self, vector: np.ndarray) -> np.ndarray:
-        """Expand per-block values back to per-state (inverse of
-        :meth:`project_statewise` on block-constant vectors)."""
-        return vector[..., self.partition]
+    def is_block_constant(self, vector: np.ndarray) -> bool:
+        """Whether ``vector`` takes exactly one value on every block."""
+        return np.array_equal(vector, vector[self.representatives][self.partition])
+
+    def absorbed(
+        self, mask: np.ndarray, observables: Sequence[np.ndarray], artifacts: Any = None
+    ) -> "LumpedChain":
+        """The quotient of the chain with the states of ``mask`` made absorbing.
+
+        ``mask`` and ``observables`` must be block-constant.  The transform
+        is taken on the quotient: absorbing a union of blocks zeroes whole
+        blocks' rows, so the partition stays lumpable.  Absorbed blocks then
+        have no transitions, so those that also agree on every observable
+        are bisimilar and merge into one block — no refinement needed.  The
+        result is memoised per (mask, set of observables); a racing
+        duplicate build is harmless.
+        """
+        blocks = self.project_statewise(mask)
+        observed = [self.project_statewise(np.asarray(v, dtype=float)) for v in observables]
+        key = blocks.tobytes() + b"".join(sorted({vector.tobytes() for vector in observed}))
+        cached = self._absorbed.get(key)
+        if cached is not None:
+            return cached
+        merge = first_seen_ids(
+            np.column_stack(
+                [np.where(blocks, -1, np.arange(blocks.shape[0]))]
+                + [np.where(blocks, vector, 0.0) for vector in observed]
+            )
+        )
+        num_merged = int(merge.max()) + 1
+        if num_merged == self.num_blocks:
+            result = dataclasses.replace(
+                self, quotient=transformed_chain(self.quotient, blocks, artifacts)
+            )
+        else:
+            # Merge, then absorb: the row lump_ctmc reads for a merged
+            # absorbed block is cleared by the transform.
+            merged, _ = lump_ctmc(self.quotient, merge.tolist(), respect_initial=False)
+            _, first_blocks = np.unique(merge, return_index=True)
+            result = LumpedChain(
+                quotient=transformed_chain(merged, blocks[first_blocks], artifacts),
+                partition=merge[self.partition],
+                representatives=self.representatives[first_blocks],
+                aggregation=(block_indicator(merge, num_merged).T @ self.aggregation).tocsr(),
+            )
+        return self._absorbed.setdefault(key, result)
 
 
 @dataclass
@@ -136,11 +175,9 @@ class ExecutionGroup:
     sweep two *different* transformed chains (the executor resolves per
     phase).
 
-    ``lump`` records whether lumping was requested for the plan at all —
-    the executor needs it for the interval forward-phase quotient, which
-    only exists after the backward phase produced its value vectors (so
-    ``lumped`` alone, which may legitimately be ``None`` when nothing
-    collapsed, cannot carry the request).
+    ``lumped`` is the quotient of ``chain`` the group runs on, if any.  For
+    interval-until groups it is the quotient of the untransformed base
+    chain; the executor absorbs on it once per phase.
     """
 
     chain: CTMC  # the operating chain (after the absorbing transform)
@@ -151,7 +188,6 @@ class ExecutionGroup:
     interval: bool = False
     longrun: bool = False
     lumped: LumpedChain | None = None
-    lump: bool = False
     engine: str = "auto"
 
 
@@ -162,8 +198,8 @@ class ExecutionPlan:
     ``batched`` records the planning mode: with ``False`` (the comparison
     mode) the executor must also refrain from bundling interval groups, so
     the per-request baseline really runs every sweep independently.
-    ``lump_failures`` counts groups whose quotient build crashed and was
-    degraded to the full chain (see :func:`build_plan`).
+    ``lump_failures`` counts quotient builds that crashed, degrading their
+    groups to the full chain (see :func:`build_plan`).
     """
 
     groups: list[ExecutionGroup]
@@ -311,6 +347,9 @@ def build_plan(
         else normalise_engine_mode(default_engine)
     )
     groups: dict[tuple, ExecutionGroup] = {}
+    # Per group (in creation order): the base chain and the absorbing mask
+    # that turned it into the group's operating chain, if any.
+    origins: list[tuple[CTMC, np.ndarray | None]] = []
     transformed_cache: dict[tuple[str, bytes], CTMC] = {}
 
     for index, request in enumerate(requests):
@@ -357,20 +396,19 @@ def build_plan(
                     engine=engine_mode,  # the solver picks per system size
                 )
                 groups[key] = group
+                origins.append((base, None))
             group.members.append(planned)
             continue
 
         interval = planned.kind is MeasureKind.INTERVAL_REACHABILITY
+        absorbing = None
         if planned.kind is MeasureKind.REACHABILITY:
             absorbing = planned.target_mask | ~(planned.safe_mask | planned.target_mask)
             transform_token = absorbing.tobytes()
             cache_key = (base.fingerprint, transform_token)
             operating = transformed_cache.get(cache_key)
             if operating is None:
-                if artifacts is not None:
-                    operating = artifacts.transformed_chain(base, absorbing)
-                else:
-                    operating = base.make_absorbing(absorbing)
+                operating = transformed_chain(base, absorbing, artifacts)
                 transformed_cache[cache_key] = operating
         elif interval:
             # Interval-until groups sweep two transformed chains; members are
@@ -411,24 +449,26 @@ def build_plan(
                 engine=engine_mode,
             )
             groups[key] = group
+            origins.append((base, absorbing))
         group.members.append(planned)
 
     plan = ExecutionPlan(
         groups=list(groups.values()), num_requests=len(requests), batched=batched
     )
     if lump:
-        for group in plan.groups:
-            # Lumping is an optimisation: a failing refinement/quotient
-            # build must never poison the plan (the scenario service
-            # coalesces many clients into one), so the group degrades to
-            # its full chain and the sweep stays exact — but visibly: the
-            # first failure is warned about and counted into the session
-            # stats.  With an artifact cache attached the failure leaves a
-            # tombstone behind, so warm plans degrade *silently* (no
-            # re-refinement, no repeat warning, no repeat count).
-            group.lump = True
+        # Lumping is an optimisation: a failing refinement/quotient build
+        # must never poison the plan (the scenario service coalesces many
+        # clients into one), so its groups degrade to their full chains and
+        # the sweeps stay exact — but visibly: the failure is warned about
+        # and counted into the session stats once.  With an artifact cache
+        # attached it leaves a tombstone behind, so warm plans degrade
+        # *silently* (no re-refinement, no repeat warning, no repeat count).
+        chain_quotients: dict[str, LumpedChain | None] = {}
+        for group, (base, absorbing) in zip(plan.groups, origins):
             try:
-                group.lumped = _lump_group(group, artifacts)
+                group.lumped = _lump_group(
+                    group, base, absorbing, chain_quotients, artifacts
+                )
             except Exception as error:
                 group.lumped = None
                 plan.lump_failures += 1
@@ -460,8 +500,8 @@ def build_plan(
 def observable_signature(observables: Sequence[np.ndarray]) -> str:
     """A canonical digest of a group's observable vectors.
 
-    Together with the operating chain's fingerprint this keys a lumping
-    quotient in the process-wide artifact cache.  The digest is taken over
+    Together with the chain's fingerprint this keys a lumping quotient in
+    the process-wide artifact cache.  The digest is taken over
     the *sorted set* of vector byte strings: the refined partition depends
     only on which distinct observables must stay block-constant, not on how
     many group members observe each or in which order they were submitted —
@@ -506,7 +546,8 @@ def cached_quotient(
     """Build (or fetch) the quotient of ``chain`` seeded with ``observables``.
 
     With ``artifacts`` given, the quotient is fetched from (or stored into)
-    the process-wide cache under ``(chain fingerprint, signature)``; an
+    the process-wide cache under ``(chain fingerprint, signature)``, where
+    ``signature`` defaults to :func:`observable_signature`; an
     unprofitable quotient is cached as ``None`` so repeat runs skip the
     refinement entirely, and a *crashing* build is cached as a
     :class:`QuotientTombstone` — the first caller sees
@@ -534,80 +575,111 @@ def cached_quotient(
     return cached
 
 
-def _lump_group(group: ExecutionGroup, artifacts: Any | None = None) -> LumpedChain | None:
-    """Build the quotient of a group's operating chain, if worthwhile.
+def transformed_chain(chain: CTMC, mask: np.ndarray, artifacts: Any | None) -> CTMC:
+    """``chain`` with the masked states made absorbing, via the cache if given."""
+    if artifacts is not None:
+        return artifacts.transformed_chain(chain, mask)
+    return chain.make_absorbing(mask)
 
-    The initial partition is seeded with one state-class per distinct value
-    of every observable vector of the group (target indicators and reward
-    vectors; long-run groups additionally seed their safe-set indicators,
-    which regular reachability groups bake into the absorbing transform
-    instead), so the refined partition keeps all of them block-constant.
-    Initial distributions need no seeding: ordinary lumpability holds for
-    arbitrary initial distributions, which simply project blockwise.
 
-    Interval-until groups quotient the *target-absorbed* transform of their
-    base chain — the chain the backward value sweep walks — seeded with the
-    target indicator; the executor lifts the per-block values back to full
-    states before the forward phase (and builds the forward-phase quotient
-    itself, since its seeds only exist after the backward sweep ran).
+def _chain_quotient(
+    chain: CTMC, memo: dict[str, LumpedChain | None], artifacts: Any | None
+) -> LumpedChain | None:
+    """The quotient of ``chain`` seeded with its own labels, once per plan.
+
+    Cached under the ``quotient`` kind when ``artifacts`` is given, keyed by
+    the chain's content key (which covers its labels and is computed once
+    per chain object), so a warm plan hashes no label vectors.  A build
+    that raises leaves ``None`` in ``memo``, so the chain's other groups
+    degrade to the full chain without failing (and warning) again.
     """
-    if group.interval:
-        first = group.members[0]
-        absorbing = first.target_mask | ~(first.safe_mask | first.target_mask)
-        if artifacts is not None:
-            transformed = artifacts.transformed_chain(group.chain, absorbing)
-        else:
-            transformed = group.chain.make_absorbing(absorbing)
-        return cached_quotient(
-            transformed, [first.target_mask.astype(float)], artifacts
-        )
-    observables: list[np.ndarray] = []
+    key = chain.content_key
+    if key not in memo:
+        memo[key] = None
+        labels = [chain.label_mask(name).astype(float) for name in chain.label_names]
+        memo[key] = cached_quotient(chain, labels, artifacts, signature="labels|" + key)
+    return memo[key]
+
+
+def _lump_group(
+    group: ExecutionGroup,
+    base: CTMC,
+    absorbing: np.ndarray | None,
+    chain_quotients: dict[str, LumpedChain | None],
+    artifacts: Any | None = None,
+) -> LumpedChain | None:
+    """The quotient ``group`` runs on, or ``None`` for its full chain.
+
+    ``base`` is the group's chain before its absorbing transform
+    ``absorbing`` (``None`` when it has none).  The group reuses the chain
+    quotient of ``base`` when every vector it observes is block-constant on
+    it: target masks, reward vectors, the absorbing mask and — where the
+    chain is not pre-absorbed, i.e. for long-run and interval-until groups
+    — the safe masks, which prob0/prob1, the restricted systems and the
+    interval transforms need to commute with the quotient.  Otherwise the
+    chain partition is refined further, seeded with those observables; the
+    result equals a from-scratch refinement seeded with the chain's labels
+    plus the observables.  The absorbing transform is then taken on the
+    quotient (:meth:`LumpedChain.absorbed`).  Initial distributions need no
+    seeding: ordinary lumpability holds for arbitrary initial distributions,
+    which simply project blockwise.
+    """
+    observables = [] if absorbing is None else [absorbing]
     for member in group.members:
         if member.kind is MeasureKind.TRANSIENT:
             return None  # full distributions live on the original states
         if member.target_mask is not None:
-            observables.append(member.target_mask.astype(float))
-        if group.longrun and member.safe_mask is not None:
-            # For long-run reachability the chain is *not* pre-absorbed, so
-            # the safe set must stay block-constant for prob0/prob1 and the
-            # restricted system to commute with the quotient.
-            observables.append(member.safe_mask.astype(float))
+            observables.append(member.target_mask)
+        if (group.longrun or group.interval) and member.safe_mask is not None:
+            observables.append(member.safe_mask)
         if member.rewards is not None:
             observables.append(member.rewards)
 
-    return cached_quotient(group.chain, observables, artifacts)
+    lumped = _chain_quotient(base, chain_quotients, artifacts)
+    if lumped is None:
+        return None  # nothing collapsed (or the build failed)
+    if not all(lumped.is_block_constant(vector) for vector in observables):
+        seeds = [lumped.partition.astype(float)]
+        seeds.extend(np.asarray(vector, dtype=float) for vector in observables)
+        lumped = cached_quotient(base, seeds, artifacts)
+        if lumped is None:
+            return None
+    if absorbing is None:
+        return lumped
+    return lumped.absorbed(absorbing, observables, artifacts)
 
 
 def _build_quotient(chain: CTMC, observables: Sequence[np.ndarray]) -> LumpedChain | None:
-    """Refine and build the quotient of ``chain`` seeded with ``observables``."""
-    labels: dict[str, np.ndarray] = {}
-    for observable_index, vector in enumerate(observables):
-        _, classes = np.unique(vector, return_inverse=True)
-        for class_index in range(int(classes.max()) + 1):
-            labels[f"obs{observable_index}c{class_index}"] = classes == class_index
+    """Refine and build the quotient of ``chain`` seeded with ``observables``.
 
-    bare = CTMC(
-        chain.rate_matrix,
-        chain.initial_distribution,
-        labels=labels,
-    )
-    partition = np.asarray(lumping_partition(bare), dtype=int)
+    The refinement starts from the joint value classes of the observables:
+    two states share an initial block exactly when every observable agrees
+    on them.  The class ids are handed to the refinement as one label per
+    bit, which keeps the seeding linear in the number of states.
+    """
+    num_states = chain.num_states
+    classes = np.zeros(num_states, dtype=np.int64)
+    for vector in observables:
+        _, values = np.unique(vector, return_inverse=True)
+        _, classes = np.unique(
+            classes * (int(values.max(initial=0)) + 1) + values, return_inverse=True
+        )
+    labels = {
+        f"class-bit{bit}": (classes >> bit) & 1 == 1
+        for bit in range(int(classes.max(initial=0)).bit_length())
+    }
+    bare = CTMC(chain.rate_matrix, chain.initial_distribution, labels=labels)
+    assignment = lumping_partition(bare)
+    partition = np.asarray(assignment, dtype=np.int64)
     num_blocks = int(partition.max()) + 1 if partition.size else 0
-    if num_blocks >= bare.num_states:
+    if num_blocks >= num_states:
         return None  # nothing collapsed; the quotient would only add overhead
 
-    quotient, _ = lump_ctmc(bare, partition.tolist(), respect_initial=False)
-    num_states = bare.num_states
-    representatives = np.full(num_blocks, -1, dtype=int)
-    seen_first = np.unique(partition, return_index=True)
-    representatives[seen_first[0]] = seen_first[1]
-    aggregation = sparse.csr_matrix(
-        (np.ones(num_states), (partition, np.arange(num_states))),
-        shape=(num_blocks, num_states),
-    )
+    quotient, _ = lump_ctmc(bare, assignment, respect_initial=False)
+    _, representatives = np.unique(partition, return_index=True)
     return LumpedChain(
         quotient=quotient,
         partition=partition,
         representatives=representatives,
-        aggregation=aggregation,
+        aggregation=block_indicator(partition, num_blocks).T.tocsr(),
     )

@@ -172,16 +172,16 @@ class AnalysisSession:
     Parameters
     ----------
     lump:
-        Run ordinary lumpability on each group's operating chain before
-        sweeping or solving (the quotient preserves every requested
-        measure; see :func:`repro.analysis.planner._lump_group`).  Covers
-        regular bounded reachability, interval-until bundles (separate
-        backward/forward quotients) and long-run groups; per-state
+        Sweep or solve each group on the ordinary-lumpability quotient of
+        its chain, partitioned once per chain (the quotient preserves every
+        requested measure; see :func:`repro.analysis.planner._lump_group`).
+        Covers regular bounded reachability and rewards, interval-until
+        bundles (both phases on one quotient) and long-run groups; per-state
         distribution requests stay unlumped.  A failed quotient build
-        degrades the group to its full chain: the *first* failure warns and
-        increments ``SessionStats.lump_failures``, while warm repeats hit
-        the cached tombstone and skip the refinement silently — the failure
-        is counted once per cold build, not once per plan.
+        degrades its groups to their full chains: the *first* failure warns
+        and increments ``SessionStats.lump_failures``, while warm repeats
+        hit the cached tombstone and skip the refinement silently — the
+        failure is counted once per cold build, not once per plan.
     batched:
         With ``False``, every request is planned into its own group — the
         per-curve behaviour of the legacy API, kept for comparison runs.

@@ -61,7 +61,7 @@ from repro.casestudy import experiments as exp
 _FAMILIES = {
     "table1": lambda points, lump, batched, stats: (exp.table1_state_space(),),
     "table2": lambda points, lump, batched, stats: (
-        exp.table2_availability(stats=stats),
+        exp.table2_availability(lump=lump, stats=stats),
     ),
     "fig3": lambda points, lump, batched, stats: (
         exp.figure3_reliability(points=points, lump=lump, batched=batched, stats=stats),

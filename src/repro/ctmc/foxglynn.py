@@ -131,14 +131,19 @@ def fox_glynn(rate: float, epsilon: float = 1e-12) -> FoxGlynnWeights:
     size = right - left + 1
 
     # Work in log space around the mode to avoid under/overflow, then shift.
+    # Right of the mode w[k+1] = w[k] * rate / (k+1), left of it
+    # w[k-1] = w[k] * k / rate: each side is a sequential running sum of log
+    # ratios.  ``math.log`` rather than ``np.log``: numpy's SIMD log rounds
+    # some ratios differently in the last bit, which would move the weights.
     log_weights = np.zeros(size, dtype=float)
-    log_weights[mode - left] = 0.0
-    # Going right from the mode: w[k+1] = w[k] * rate / (k+1).
-    for k in range(mode, right):
-        log_weights[k + 1 - left] = log_weights[k - left] + math.log(rate / (k + 1))
-    # Going left from the mode: w[k-1] = w[k] * k / rate.
-    for k in range(mode, left, -1):
-        log_weights[k - 1 - left] = log_weights[k - left] + math.log(k / rate)
+    right_ratios = rate / np.arange(mode + 1, right + 1)
+    left_ratios = np.arange(mode, left, -1) / rate
+    log_weights[mode - left + 1 :] = np.cumsum(
+        list(map(math.log, right_ratios.tolist())), dtype=float
+    )
+    log_weights[: mode - left][::-1] = np.cumsum(
+        list(map(math.log, left_ratios.tolist())), dtype=float
+    )
 
     # Normalise: true weight_k = exp(log_weights_k + C) for the C that makes
     # the full (untruncated) sum equal 1; since we only have the window we

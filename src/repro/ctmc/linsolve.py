@@ -24,8 +24,9 @@ the same interface) persist across sessions and service flushes, so a warm
 portfolio repeat performs zero new factorizations.
 
 Since PR 10 the analysis planner lumps long-run groups before they reach
-this module: the chain handed to the solvers is the ordinary-lumpability
-quotient seeded with the group's target/safe/reward observables, so the
+this module: the chain handed to the solvers is an ordinary-lumpability
+quotient on which the group's target/safe/reward observables are
+block-constant (the chain's one label-seeded quotient), so the
 factorized systems — and the persisted LU artifacts — live on the (often
 much smaller) quotient state space.  Nothing here changes for that: the
 quotient is just another :class:`~repro.ctmc.ctmc.CTMC` with its own

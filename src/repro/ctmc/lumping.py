@@ -3,11 +3,13 @@
 Two states are strongly bisimilar if they carry the same atomic propositions
 and have, for every equivalence class ``C``, the same cumulative rate into
 ``C``.  The coarsest such partition is computed by classical partition
-refinement (a CTMC variant of Paige–Tarjan / Derisavi-style splitting, here
-implemented with the simple "split by rate signature" iteration, which is
-more than fast enough for the state spaces of this project).
+refinement: each round splits every block by the states' rate signatures
+(cumulative rate into every current block), until no block splits.  A round
+is a handful of array operations — one sparse product ``R @ indicator`` and
+a lexicographic sort of integer signature rows, one batch per out-degree —
+with no per-state Python loop.
 
-Lumping serves two purposes in the reproduction:
+Lumping serves three purposes in the reproduction:
 
 * It is the minimization step that the original Arcade/CADP tool chain
   applies to composed I/O-IMCs (mentioned in the paper's conclusions).
@@ -15,13 +17,15 @@ Lumping serves two purposes in the reproduction:
   reactive-modules translation and the direct Arcade state-space generator)
   are equivalent: their quotients must be isomorphic and all measures must
   coincide.
-* It backs the analysis planner's quotient substitution: regular bounded
-  reachability (PR 2), and since PR 10 also the interval-until bundles
-  (separate backward/forward quotients with lift/project glue) and the
-  long-run measure groups (quotients seeded with target/safe/reward
-  observables, solved through the same BSCC + linear-system machinery).
-  Because the rate signatures computed here include the own-block column,
-  exit rates are constant within a block, which is what makes the embedded
+* It backs the analysis planner's quotient substitution: each distinct
+  chain is partitioned once, seeded with its own labels, and every lumped
+  group on that chain (bounded reachability, rewards, interval-until and
+  long-run groups) reuses the quotient, taking its absorbing transforms on
+  the quotient itself.  Absorbing a union of blocks zeroes whole blocks'
+  rows, so the partition stays lumpable for the absorbed chain (and
+  absorbed blocks that agree on every observable may merge).  Because
+  the rate signatures computed here include the own-block column, exit
+  rates are constant within a block, which is what makes the embedded
   DTMC, steady-state and reward quotients exact rather than approximate.
 """
 
@@ -32,63 +36,99 @@ from collections import defaultdict
 import numpy as np
 from scipy import sparse
 
-from repro.ctmc.ctmc import CTMC, CTMCBuilder
+from repro.ctmc.ctmc import CTMC
 
 #: Decimal places rate signatures are rounded to before comparison; shared by
-#: the vectorized refinement and the reference loop so both split identically.
+#: the array refinement and the reference loop so both split identically.
 _RATE_DECIMALS = 10
 
 
-def _first_seen_ids(keys: list) -> list[int]:
-    """Map each key to a block id in first-seen order (the loop's numbering)."""
-    ids: dict = {}
-    out = [0] * len(keys)
-    for index, key in enumerate(keys):
-        block = ids.get(key)
-        if block is None:
-            block = len(ids)
-            ids[key] = block
-        out[index] = block
-    return out
+def first_seen_ids(rows: np.ndarray) -> np.ndarray:
+    """Number the distinct rows of a 2-D array in first-seen order.
+
+    Equal rows share an id, and ids follow the index of each row class's
+    first member — the numbering the per-state reference loop produces.
+    """
+    num_rows, width = rows.shape
+    if num_rows == 0 or width == 0:
+        return np.zeros(num_rows, dtype=np.int64)
+    order = np.lexsort(rows.T)  # stable: equal rows stay in index order
+    ordered = rows[order]
+    starts = np.empty(num_rows, dtype=bool)
+    starts[0] = True
+    starts[1:] = np.any(ordered[1:] != ordered[:-1], axis=1)
+    first = order[starts]  # each class's first member
+    rank = np.empty(first.shape[0], dtype=np.int64)
+    rank[np.argsort(first)] = np.arange(first.shape[0])
+    ids = np.empty(num_rows, dtype=np.int64)
+    ids[order] = rank[np.cumsum(starts) - 1]
+    return ids
 
 
-def _initial_partition(chain: CTMC, respect_initial: bool) -> list[int]:
+def block_indicator(partition: np.ndarray, num_blocks: int) -> sparse.csr_matrix:
+    """The ``(num_states, num_blocks)`` 0/1 block-membership matrix."""
+    num_states = partition.shape[0]
+    return sparse.csr_matrix(
+        (np.ones(num_states), partition, np.arange(num_states + 1)),
+        shape=(num_states, num_blocks),
+    )
+
+
+def _initial_partition(chain: CTMC, respect_initial: bool) -> np.ndarray:
     """Partition states by their label sets (and optionally initial mass).
 
-    Built from the stacked label masks (one bool column per label, plus the
-    rounded initial distribution when requested): states with equal rows are
-    equivalent, and block ids are assigned in first-seen state order — the
-    same numbering the original per-state loop produced.
+    States with equal rows of the stacked label masks (plus the initial
+    distribution rounded to 12 decimals, when requested) share a block.
     """
     columns: list[np.ndarray] = [
-        chain.label_mask(name).astype(np.int8) for name in chain.label_names
+        chain.label_mask(name).astype(float) for name in chain.label_names
     ]
     if respect_initial:
         columns.append(np.round(chain.initial_distribution, 12))
     if not columns:
-        return [0] * chain.num_states
-    stacked = np.ascontiguousarray(np.stack(columns, axis=1))
-    row_bytes = stacked.view(np.uint8).reshape(chain.num_states, -1)
-    return _first_seen_ids([row.tobytes() for row in row_bytes])
+        return np.zeros(chain.num_states, dtype=np.int64)
+    return first_seen_ids(np.stack(columns, axis=1))
 
 
-def lumping_partition(
-    chain: CTMC,
-    respect_initial: bool = False,
-    max_iterations: int | None = None,
-) -> list[int]:
+def _refine(assignment: np.ndarray, block_rates: sparse.csr_matrix) -> np.ndarray:
+    """Split every block by its states' rate signatures (one round).
+
+    A state's signature is its current block, the sorted ids of the blocks
+    it has transitions into and the cumulative rates into them, rounded to
+    :data:`_RATE_DECIMALS` (entries rounding to zero are *kept*: a tiny rate
+    is still a transition).  States with different numbers of target blocks
+    never share a signature, so the rows are built per out-degree: each
+    state's row is ``[block, targets..., rates as int64...]`` and memory
+    stays ``O(num_states + nnz)``.
+    """
+    indptr = block_rates.indptr
+    indices = block_rates.indices.astype(np.int64)
+    rates = np.round(block_rates.data, _RATE_DECIMALS).view(np.int64)
+    degrees = np.diff(indptr)
+    signature = np.empty(assignment.shape[0], dtype=np.int64)
+    offset = 0
+    for degree in np.unique(degrees):
+        members = np.flatnonzero(degrees == degree)
+        positions = indptr[members, None] + np.arange(degree)
+        rows = np.concatenate(
+            (assignment[members, None], indices[positions], rates[positions]), axis=1
+        )
+        local = first_seen_ids(rows)
+        signature[members] = offset + local
+        offset += int(local.max()) + 1
+    return first_seen_ids(signature[:, None])
+
+
+def lumping_partition(chain: CTMC, respect_initial: bool = False) -> list[int]:
     """Return the coarsest ordinary-lumpability partition of ``chain``.
 
-    The result is a list mapping each state to its block index.  States in
-    the same block agree on all labels and on the cumulative rate into every
-    block.
-
-    Each refinement round is vectorized: the per-state cumulative rates into
-    the current blocks are one sparse mat–mat product ``R @ indicator`` (an
-    ``(n, num_blocks)`` CSR matrix), and states are re-split by unique rows
-    of that matrix — no per-state Python loop over transitions remains.  The
-    resulting partition is identical to the classical per-state refinement
-    (:func:`lumping_partition_reference`), which the tier-1 suite pins.
+    The result is a list mapping each state to its block index; blocks are
+    numbered in the order of their first state.  States in the same block
+    agree on all labels and on the cumulative rate into every block.  The
+    partition, numbering included, is identical to the classical per-state
+    refinement (:func:`lumping_partition_reference`), which the tier-1 suite
+    pins.  Every round but the last splits at least one block, so the
+    refinement stops after at most ``num_states`` rounds.
 
     Parameters
     ----------
@@ -98,57 +138,26 @@ def lumping_partition(
         If true, states with different initial probability are kept in
         different blocks (needed when the initial distribution matters for
         the measure being preserved).
-    max_iterations:
-        Optional safety bound; the refinement always terminates after at
-        most ``num_states`` iterations.
     """
-    num_states = chain.num_states
     assignment = _initial_partition(chain, respect_initial)
-    matrix = chain.rate_matrix.tocsr()
-    limit = max_iterations if max_iterations is not None else num_states + 1
-
-    for _ in range(limit):
-        num_blocks = max(assignment) + 1 if assignment else 0
-        indicator = sparse.csr_matrix(
-            (
-                np.ones(num_states),
-                (np.arange(num_states), np.asarray(assignment, dtype=int)),
-            ),
-            shape=(num_states, num_blocks),
+    while True:
+        num_blocks = int(assignment.max(initial=-1)) + 1
+        block_rates = sparse.csr_matrix(
+            chain.rate_matrix @ block_indicator(assignment, num_blocks)
         )
-        block_rates = sparse.csr_matrix(matrix @ indicator)
         block_rates.sort_indices()
-        # Round like the reference loop so float-noise never splits a block;
-        # entries rounding to zero are *kept* (a transition with a tiny rate
-        # is still a transition in the reference signature).
-        data = np.round(block_rates.data, _RATE_DECIMALS)
-        indptr = block_rates.indptr
-        indices = block_rates.indices
-        keys = [
-            (
-                assignment[state],
-                indices[indptr[state] : indptr[state + 1]].tobytes(),
-                data[indptr[state] : indptr[state + 1]].tobytes(),
-            )
-            for state in range(num_states)
-        ]
-        new_assignment = _first_seen_ids(keys)
-        if new_assignment == assignment:
-            break
-        assignment = new_assignment
-    return assignment
+        refined = _refine(assignment, block_rates)
+        if np.array_equal(refined, assignment):
+            return assignment.tolist()
+        assignment = refined
 
 
-def lumping_partition_reference(
-    chain: CTMC,
-    respect_initial: bool = False,
-    max_iterations: int | None = None,
-) -> list[int]:
+def lumping_partition_reference(chain: CTMC, respect_initial: bool = False) -> list[int]:
     """The original per-state refinement loop, kept as the test oracle.
 
     Semantically identical to :func:`lumping_partition` but walks every
-    state's CSR row in Python; the tier-1 suite pins the vectorized
-    refinement against this implementation on a spread of chains.
+    state's CSR row in Python; the tier-1 suite pins the array refinement
+    against this implementation on a spread of chains.
     """
     blocks: dict[tuple, int] = {}
     assignment = [0] * chain.num_states
@@ -163,8 +172,7 @@ def lumping_partition_reference(
         assignment[state] = blocks[key]
 
     matrix = chain.rate_matrix.tocsr()
-    limit = max_iterations if max_iterations is not None else chain.num_states + 1
-    for _ in range(limit):
+    while True:
         signatures: dict[tuple, int] = {}
         new_assignment = [0] * chain.num_states
         for state in range(chain.num_states):
@@ -185,9 +193,8 @@ def lumping_partition_reference(
                 signatures[signature] = len(signatures)
             new_assignment[state] = signatures[signature]
         if new_assignment == assignment:
-            break
+            return assignment
         assignment = new_assignment
-    return assignment
 
 
 def lump_ctmc(
@@ -200,44 +207,27 @@ def lump_ctmc(
     Returns the quotient chain and the state-to-block assignment.  The
     quotient preserves transient and steady-state probabilities of all
     labelled sets, hence all CSL measures over the chain's labels.
+
+    The quotient is three array products: its rates are the cumulative
+    rates of one representative (first) state per block into every block,
+    ``R[representatives] @ indicator`` (by lumpability every member agrees;
+    the own-block diagonal is dropped by :class:`CTMC`), a block carries a
+    label iff its representative does, and its initial distribution sums
+    each block's mass.
     """
     if partition is None:
         partition = lumping_partition(chain, respect_initial=respect_initial)
-
-    num_blocks = max(partition) + 1 if partition else 0
-    builder = CTMCBuilder(num_states=num_blocks)
-    representatives: list[int] = [-1] * num_blocks
-    for state, block in enumerate(partition):
-        if representatives[block] < 0:
-            representatives[block] = state
-
-    # Cumulative rates out of a representative state per target block: by
-    # lumpability these are equal for every member of the block.
-    matrix = chain.rate_matrix.tocsr()
-    for block, representative in enumerate(representatives):
-        row = matrix.getrow(representative)
-        per_block: dict[int, float] = defaultdict(float)
-        for target, rate in zip(row.indices, row.data):
-            per_block[partition[int(target)]] += float(rate)
-        for target_block, rate in per_block.items():
-            if target_block != block:
-                builder.add_transition(block, target_block, rate)
-
-    # Labels: a block carries a label iff its representative does (all
-    # members agree by construction of the initial partition).
-    for name in chain.label_names:
-        mask = chain.label_mask(name)
-        for block, representative in enumerate(representatives):
-            if mask[representative]:
-                builder.add_label(name, block)
-
-    # Initial distribution: sum the mass of each block.
-    initial = np.zeros(num_blocks)
-    chain_initial = chain.initial_distribution
-    for state, block in enumerate(partition):
-        initial[block] += chain_initial[state]
-
-    return builder.build(initial), partition
+    blocks = np.asarray(partition, dtype=np.int64)
+    num_blocks = int(blocks.max()) + 1 if blocks.size else 0
+    _, representatives = np.unique(blocks, return_index=True)
+    indicator = block_indicator(blocks, num_blocks)
+    rates = sparse.csr_matrix(chain.rate_matrix[representatives] @ indicator)
+    rates.sort_indices()
+    labels = {
+        name: chain.label_mask(name)[representatives] for name in chain.label_names
+    }
+    initial = indicator.T @ chain.initial_distribution
+    return CTMC(rates, initial, labels=labels), partition
 
 
 def count_blocks(partition: list[int]) -> int:

@@ -37,11 +37,11 @@ distributions shares one decomposition, one stationary solve per BSCC and
 one multi-column absorption solve.
 
 When the analysis session runs with ``lump=True`` the chain arriving here
-is already the ordinary-lumpability quotient seeded with the group's
-observables (the aggregated process is Markov and block functions of the
-state are preserved), so the BSCC decomposition and every linear system are
-solved on the reduced state space; per-state ``S=?`` requests bypass the
-quotient and still see the full chain.
+is already an ordinary-lumpability quotient on which the group's
+observables are block-constant (the aggregated process is Markov and block
+functions of the state are preserved), so the BSCC decomposition and every
+linear system are solved on the reduced state space; per-state ``S=?``
+requests bypass the quotient and still see the full chain.
 """
 
 from __future__ import annotations

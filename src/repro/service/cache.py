@@ -15,8 +15,8 @@ kind               key
                    chain, ``None`` (nothing collapsed), or a
                    :class:`repro.analysis.planner.QuotientTombstone`
                    recording a failed build so warm plans skip the doomed
-                   refinement; interval-until forward quotients prefix the
-                   signature with the quantized phase-2 seed-vector hash
+                   refinement.  The planner's one quotient per chain is
+                   keyed by ``"labels|"`` plus the chain's content key
 ``operator``       (chain fingerprint, uniformization rate)
 ``foxglynn``       (q·t, epsilon)
 ``factorization``  (chain fingerprint, system token) — LU factors of a

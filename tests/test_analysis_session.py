@@ -488,6 +488,30 @@ class TestLumpedSessions:
         np.testing.assert_allclose(values[True][0], values[False][0], atol=1e-12)
         np.testing.assert_allclose(values[True][1], values[False][1], atol=1e-12)
 
+    def test_registry_session_partitions_each_chain_once(self, monkeypatch):
+        from repro.analysis import planner
+        from repro.service import paper_registry
+
+        registry = paper_registry()
+        requests = [
+            request for name in registry.names for request in registry.expand(name)
+        ]
+        chains = {request.chain.content_key for request in requests}
+        assert (len(requests), len(chains)) == (42, 12)
+        partition = planner.lumping_partition
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return partition(*args, **kwargs)
+
+        monkeypatch.setattr(planner, "lumping_partition", counted)
+        session = AnalysisSession(lump=True)
+        session.extend(requests)
+        results = session.execute()
+        assert len(calls) == 12  # one per distinct chain, not one per group
+        assert all(result.lumped_states is not None for result in results)
+
 
 # ---------------------------------------------------------------------------
 # degradation: failed quotient builds tombstone instead of re-failing

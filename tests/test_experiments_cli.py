@@ -95,6 +95,33 @@ class TestCommandLine:
         captured = capsys.readouterr()
         assert "Figure 9" in captured.out
 
+    def test_table2_honours_the_lump_flag(self, monkeypatch, capsys):
+        runs = []
+        original = exp.table2_availability
+
+        def dedicated_only(**options):
+            # The DED chains keep the unlumped reference cheap (no power
+            # iteration); the CLI's own options are forwarded untouched.
+            table = original(exp.PAPER_STRATEGIES[:1], **options)
+            runs.append((options["stats"], table))
+            return table
+
+        monkeypatch.setattr(exp, "table2_availability", dedicated_only)
+        for flag in ("--lump", "--no-lump"):
+            assert main(["table2", "--no-plot", flag]) == 0
+        (lumped_stats, lumped), (plain_stats, plain) = runs
+        assert lumped_stats.lumped_groups > 0
+        assert lumped_stats.lumped_states_after < lumped_stats.lumped_states_before
+        assert plain_stats.lumped_groups == 0
+        assert plain_stats.lumped_states_after == plain_stats.lumped_states_before == 0
+        np.testing.assert_allclose(
+            [row[1:] for row in lumped.rows],
+            [row[1:] for row in plain.rows],
+            rtol=0.0,
+            atol=1e-12,
+        )
+        assert "lumped" in capsys.readouterr().out
+
 
 class TestGridPointValidation:
     """``--points`` below 2 is a clean usage error on every front end."""

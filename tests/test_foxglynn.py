@@ -8,7 +8,25 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
-from repro.ctmc.foxglynn import FoxGlynnWeights, fox_glynn, poisson_cdf_complement
+from repro.ctmc.foxglynn import (
+    FoxGlynnWeights,
+    _find_truncation_points,
+    fox_glynn,
+    poisson_cdf_complement,
+)
+
+
+def term_by_term_weights(rate: float, epsilon: float = 1e-12) -> np.ndarray:
+    """The weights of the original per-term loop, kept here as the oracle."""
+    left, right = _find_truncation_points(rate, epsilon)
+    mode = min(max(int(math.floor(rate)), left), right)
+    log_weights = np.zeros(right - left + 1, dtype=float)
+    for k in range(mode, right):
+        log_weights[k + 1 - left] = log_weights[k - left] + math.log(rate / (k + 1))
+    for k in range(mode, left, -1):
+        log_weights[k - 1 - left] = log_weights[k - left] + math.log(k / rate)
+    weights = np.exp(log_weights - log_weights.max())
+    return weights / float(weights.sum())
 
 
 class TestFoxGlynn:
@@ -80,3 +98,15 @@ def test_weights_are_a_probability_distribution(rate):
     assert np.all(weights.weights >= 0.0)
     assert weights.weights.sum() <= 1.0 + 1e-9
     assert weights.weights.sum() >= 1.0 - 1e-6
+
+
+@given(
+    rate=st.one_of(
+        st.floats(min_value=0.0, max_value=25.0, exclude_min=True, exclude_max=True),
+        st.floats(min_value=25.0, max_value=5000.0),
+    ),
+    epsilon=st.sampled_from([1e-12, 1e-10, 1e-6]),
+)
+@settings(max_examples=300, deadline=None)
+def test_weights_are_bit_identical_to_the_term_by_term_loop(rate, epsilon):
+    assert np.array_equal(fox_glynn(rate, epsilon).weights, term_by_term_weights(rate, epsilon))
