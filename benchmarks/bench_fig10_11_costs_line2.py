@@ -17,11 +17,12 @@ import numpy as np
 import pytest
 from bench_support import run_once
 
-from repro.casestudy.experiments import figure10_11_costs_line2
+from repro.cli import run_experiments
 
 
 def test_figure10_11_costs_line2(benchmark, figure_points):
-    figure10, figure11 = run_once(benchmark, figure10_11_costs_line2, points=figure_points)
+    results = run_once(benchmark, run_experiments, ["fig10", "fig11"], points=figure_points)
+    figure10, figure11 = results["fig10"], results["fig11"]
 
     print()
     print(figure10.to_text())

@@ -10,11 +10,11 @@ from __future__ import annotations
 import numpy as np
 from bench_support import run_once
 
-from repro.casestudy.experiments import figure3_reliability
+from repro.cli import run_experiments
 
 
 def test_figure3_reliability(benchmark, figure_points):
-    result = run_once(benchmark, figure3_reliability, points=figure_points)
+    result = run_once(benchmark, run_experiments, ["fig3"], points=figure_points)["fig3"]
 
     print()
     print(result.to_text())

@@ -15,13 +15,12 @@ from __future__ import annotations
 import numpy as np
 from bench_support import run_once
 
-from repro.casestudy.experiments import figure4_5_survivability_line1
+from repro.cli import run_experiments
 
 
 def test_figure4_5_survivability_line1(benchmark, figure_points):
-    figure4, figure5 = run_once(
-        benchmark, figure4_5_survivability_line1, points=figure_points
-    )
+    results = run_once(benchmark, run_experiments, ["fig4", "fig5"], points=figure_points)
+    figure4, figure5 = results["fig4"], results["fig5"]
 
     print()
     print(figure4.to_text())

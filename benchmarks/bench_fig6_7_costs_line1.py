@@ -17,11 +17,12 @@ import numpy as np
 import pytest
 from bench_support import run_once
 
-from repro.casestudy.experiments import figure6_7_costs_line1
+from repro.cli import run_experiments
 
 
 def test_figure6_7_costs_line1(benchmark, figure_points):
-    figure6, figure7 = run_once(benchmark, figure6_7_costs_line1, points=figure_points)
+    results = run_once(benchmark, run_experiments, ["fig6", "fig7"], points=figure_points)
+    figure6, figure7 = results["fig6"], results["fig7"]
 
     print()
     print(figure6.to_text())

@@ -18,13 +18,12 @@ from __future__ import annotations
 import numpy as np
 from bench_support import run_once
 
-from repro.casestudy.experiments import figure8_9_survivability_line2
+from repro.cli import run_experiments
 
 
 def test_figure8_9_survivability_line2(benchmark, figure_points):
-    figure8, figure9 = run_once(
-        benchmark, figure8_9_survivability_line2, points=figure_points
-    )
+    results = run_once(benchmark, run_experiments, ["fig8", "fig9"], points=figure_points)
+    figure8, figure9 = results["fig8"], results["fig9"]
 
     print()
     print(figure8.to_text())

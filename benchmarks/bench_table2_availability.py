@@ -15,13 +15,13 @@ from __future__ import annotations
 import pytest
 from bench_support import run_once
 
-from repro.casestudy.experiments import table2_availability
+from repro.cli import run_experiments
 
 PAPER_DED = (0.7442018, 0.8186317, 0.9536063)
 
 
 def test_table2_availability(benchmark):
-    result = run_once(benchmark, table2_availability)
+    result = run_once(benchmark, run_experiments, ["table2"])["table2"]
 
     print()
     print(result.to_text())

@@ -20,8 +20,10 @@ import pytest
 def figure_points() -> int:
     """Grid resolution used by the figure benchmarks.
 
-    Coarser than the 101-point grids used for the published CSV output, so a
-    full benchmark session stays in the range of a few minutes; the curve
-    *shapes* asserted on are unaffected by the resolution.
+    Every curve goes on this many points (``run_experiments(points=...)``),
+    coarser than most of the registry grids that ``python -m repro`` writes
+    as CSV, so a full benchmark session stays in the range of a few
+    minutes; the curve *shapes* asserted on are unaffected by the
+    resolution.
     """
     return 31

@@ -25,7 +25,7 @@ scratch:
   survivability, service levels and repair-cost measures,
 * :mod:`repro.sim` — an independent Monte-Carlo simulator,
 * :mod:`repro.casestudy` — the water-treatment facility of the paper and
-  one experiment function per table/figure of its evaluation.
+  the rendering of the tables and figures of its evaluation.
 
 Quickstart
 ----------

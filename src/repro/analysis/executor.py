@@ -181,11 +181,6 @@ def execution_units(plan: ExecutionPlan) -> list[ExecutionUnit]:
         if not group.interval:
             units.append(ExecutionUnit(groups=[(group_index, group)]))
             continue
-        if not plan.batched:
-            # Comparison mode: the unbatched baseline must sweep every
-            # request independently, so interval groups stay unbundled too.
-            units.append(ExecutionUnit(groups=[(group_index, group)], interval=True))
-            continue
         first = group.members[0]
         signature = (
             group.chain.fingerprint,

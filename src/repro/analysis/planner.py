@@ -53,11 +53,7 @@ import numpy as np
 from scipy import sparse
 
 from repro.ctmc.ctmc import CTMC, CTMCError
-from repro.ctmc.engines import (
-    EngineSelector,
-    default_engine_mode as process_default_engine_mode,
-    normalise_engine_mode,
-)
+from repro.ctmc.engines import EngineSelector, normalise_engine_mode
 from repro.ctmc.lumping import (
     block_indicator,
     first_seen_ids,
@@ -195,16 +191,12 @@ class ExecutionGroup:
 class ExecutionPlan:
     """The grouping the session will execute.
 
-    ``batched`` records the planning mode: with ``False`` (the comparison
-    mode) the executor must also refrain from bundling interval groups, so
-    the per-request baseline really runs every sweep independently.
     ``lump_failures`` counts quotient builds that crashed, degrading their
     groups to the full chain (see :func:`build_plan`).
     """
 
     groups: list[ExecutionGroup]
     num_requests: int
-    batched: bool = True
     lump_failures: int = 0
 
     @property
@@ -315,16 +307,11 @@ def build_plan(
     requests: Sequence[MeasureRequest],
     *,
     lump: bool = False,
-    batched: bool = True,
     default_epsilon: float = DEFAULT_EPSILON,
     artifacts: Any | None = None,
     default_engine: str | None = None,
 ) -> ExecutionPlan:
     """Group ``requests`` into execution groups (see module docstring).
-
-    With ``batched=False`` every request is placed in its own group — the
-    per-curve behaviour of the pre-session API, kept for comparison runs
-    and the CLI's ``--no-batched`` flag.
 
     ``artifacts`` is an optional :class:`repro.service.ArtifactCache` (any
     object with its ``transformed_chain``/``quotient`` methods works): when
@@ -333,18 +320,15 @@ def build_plan(
     plan, so repeated portfolio sweeps reuse them across sessions.
 
     ``default_engine`` fills in for requests that leave their own knob at
-    ``None``; ``None`` here falls through to the process-wide default
-    (:func:`repro.ctmc.engines.default_engine_mode`, which the CLI's
-    ``--engine`` flag sets).  The engine mode takes part in the group keys
-    — requests on different backends never share a sweep — and ``"auto"``
-    is resolved to a concrete backend per sweep group before the plan is
-    returned, consulting the selector against the chain the executor will
-    actually sweep (the lumping quotient when one exists).
+    ``None``; ``None`` here means ``"auto"``.  The engine mode takes part
+    in the group keys — requests on different backends never share a
+    sweep — and ``"auto"`` is resolved to a concrete backend per sweep
+    group before the plan is returned, consulting the selector against the
+    chain the executor will actually sweep (the lumping quotient when one
+    exists).
     """
-    plan_engine = (
-        process_default_engine_mode()
-        if default_engine is None
-        else normalise_engine_mode(default_engine)
+    plan_engine = normalise_engine_mode(
+        "auto" if default_engine is None else default_engine
     )
     groups: dict[tuple, ExecutionGroup] = {}
     # Per group (in creation order): the base chain and the absorbing mask
@@ -383,8 +367,6 @@ def build_plan(
             else:  # REACHABILITY_REWARD
                 longrun_token = b"reach-reward" + planned.target_mask.tobytes()
             key = (base.fingerprint, longrun_token, planned.kind.value, engine_mode)
-            if not batched:
-                key = key + (index,)
             group = groups.get(key)
             if group is None:
                 group = ExecutionGroup(
@@ -435,8 +417,6 @@ def build_plan(
             float(epsilon),
             engine_mode,
         )
-        if not batched:
-            key = key + (index,)
 
         group = groups.get(key)
         if group is None:
@@ -452,9 +432,7 @@ def build_plan(
             origins.append((base, absorbing))
         group.members.append(planned)
 
-    plan = ExecutionPlan(
-        groups=list(groups.values()), num_requests=len(requests), batched=batched
-    )
+    plan = ExecutionPlan(groups=list(groups.values()), num_requests=len(requests))
     if lump:
         # Lumping is an optimisation: a failing refinement/quotient build
         # must never poison the plan (the scenario service coalesces many

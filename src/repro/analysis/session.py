@@ -182,9 +182,6 @@ class AnalysisSession:
         and increments ``SessionStats.lump_failures``, while warm repeats
         hit the cached tombstone and skip the refinement silently — the
         failure is counted once per cold build, not once per plan.
-    batched:
-        With ``False``, every request is planned into its own group — the
-        per-curve behaviour of the legacy API, kept for comparison runs.
     epsilon:
         Default Poisson-truncation error for requests that do not set one.
     stats:
@@ -198,22 +195,19 @@ class AnalysisSession:
         here; standalone sessions default to no cross-session caching.
     engine:
         Default numeric backend for requests that do not set one — one of
-        :data:`repro.ctmc.engines.ENGINE_MODES`.  ``None`` falls back to
-        the process-wide default (``"auto"`` unless the CLI overrode it).
+        :data:`repro.ctmc.engines.ENGINE_MODES`.  ``None`` means ``"auto"``.
     """
 
     def __init__(
         self,
         *,
         lump: bool = False,
-        batched: bool = True,
         epsilon: float = DEFAULT_EPSILON,
         stats: SessionStats | None = None,
         artifacts=None,
         engine: str | None = None,
     ) -> None:
         self.lump = lump
-        self.batched = batched
         self.default_epsilon = float(epsilon)
         self.stats = stats if stats is not None else SessionStats()
         self.artifacts = artifacts
@@ -247,7 +241,6 @@ class AnalysisSession:
         return build_plan(
             self._requests,
             lump=self.lump,
-            batched=self.batched,
             default_epsilon=self.default_epsilon,
             artifacts=self.artifacts,
             default_engine=self.engine,

@@ -4,9 +4,11 @@
 simplified water-treatment facility as :class:`repro.arcade.ArcadeModel`
 instances, parameterised by repair strategy and crew count, and defines the
 two disasters analysed in the paper.  :mod:`~repro.casestudy.experiments`
-contains one function per table and figure of the evaluation section, and
-:mod:`~repro.casestudy.reporting` renders their results as text tables, CSV
-and ASCII plots.
+caches their state spaces, counts Table 1 and renders Table 2 and Figs.
+3-11 from the results of the scenario registry's families
+(:func:`repro.service.paper_registry`), and
+:mod:`~repro.casestudy.reporting` formats them as text tables, CSV and
+ASCII plots.
 """
 
 from repro.casestudy.facility import (
@@ -20,16 +22,7 @@ from repro.casestudy.facility import (
     build_line2,
     paper_strategy_configurations,
 )
-from repro.casestudy.experiments import (
-    figure10_11_costs_line2,
-    figure3_reliability,
-    figure4_5_survivability_line1,
-    figure6_7_costs_line1,
-    figure8_9_survivability_line2,
-    run_all_experiments,
-    table1_state_space,
-    table2_availability,
-)
+from repro.casestudy.experiments import table1_state_space
 
 __all__ = [
     "DISASTER_1",
@@ -40,13 +33,6 @@ __all__ = [
     "StrategyConfiguration",
     "build_line1",
     "build_line2",
-    "figure10_11_costs_line2",
-    "figure3_reliability",
-    "figure4_5_survivability_line1",
-    "figure6_7_costs_line1",
-    "figure8_9_survivability_line2",
     "paper_strategy_configurations",
-    "run_all_experiments",
     "table1_state_space",
-    "table2_availability",
 ]

@@ -1,19 +1,13 @@
-"""One function per table and figure of the paper's evaluation (Section 5).
+"""The paper's tables and figures (Section 5), rendered from registry results.
 
-Every function returns a small result object carrying the raw numbers plus
-``to_text()`` / ``to_csv()`` renderings, so the same code serves the
-command-line front end, the benchmark harness and EXPERIMENTS.md.
-
-Each figure-family function submits its *whole* curve family — every repair
-strategy, disaster and service level of the figure pair — as one
-:class:`repro.analysis.AnalysisSession`, so compatible curves share
-uniformization sweeps (one per distinct (chain, rate, grid) group) instead
-of re-traversing the chain per curve.  The keyword-only ``lump``,
-``batched`` and ``stats`` parameters thread the session configuration
-through from the CLI: ``lump=True`` solves each group on its ordinary-
-lumpability quotient, ``batched=False`` restores the legacy one-sweep-per-
-curve planning, and a shared :class:`repro.analysis.SessionStats` collects
-work counters across experiments.
+:func:`repro.service.paper_registry` is the one definition of what Table 2
+and Figs. 3-11 evaluate: the lines, strategies, disasters, service
+intervals, horizons and grids.  ``python -m repro`` expands the families a
+run needs into one :class:`repro.analysis.AnalysisSession`
+(:func:`repro.cli.run_experiments`), and :func:`render_experiment` turns a
+family's tagged results back into the table or figure, as a result object
+with ``to_text()``/``to_csv()`` renderings.  Table 1 counts states and
+transitions and needs no session.
 
 State spaces are expensive to rebuild, so :func:`line_state_space` caches
 them per (line, strategy, crews) combination for the lifetime of the
@@ -24,17 +18,16 @@ to measure construction time).
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass, field
+from collections.abc import Mapping
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
-from repro.analysis import AnalysisSession, SessionStats
+from repro.analysis import MeasureResult
 from repro.arcade.repair import RepairStrategy
 from repro.arcade.statespace import ArcadeStateSpace, build_state_space
 from repro.casestudy.facility import (
-    DISASTER_1,
-    DISASTER_2,
     LINE1,
     LINE2,
     PAPER_STRATEGIES,
@@ -42,14 +35,7 @@ from repro.casestudy.facility import (
     build_line,
 )
 from repro.casestudy.reporting import ascii_plot, curves_to_csv, format_table
-from repro.measures import (
-    accumulated_cost_request,
-    combined_availability,
-    instantaneous_cost_request,
-    steady_state_availability_request,
-    survivability_request,
-    unreliability_request,
-)
+from repro.measures import combined_availability
 
 # ---------------------------------------------------------------------------
 # state-space cache
@@ -79,6 +65,18 @@ def clear_cache() -> None:
     """Drop all cached state spaces."""
     with _SPACE_CACHE_LOCK:
         _SPACE_CACHE.clear()
+
+
+def line_service_interval_lower(line: str, interval_index: int) -> Fraction:
+    """Lower endpoint of a line's service interval (X1, X2, ... of the paper).
+
+    The threshold lookup for survivability targets, shared by the scenario
+    registry, the tests and the benchmarks.
+    """
+    configuration = StrategyConfiguration(RepairStrategy.DEDICATED, 1)
+    space = line_state_space(line, configuration)
+    intervals = space.model.effective_service_tree().service_intervals()
+    return intervals[interval_index][0]
 
 
 # ---------------------------------------------------------------------------
@@ -168,396 +166,98 @@ def table1_state_space(
 
 
 # ---------------------------------------------------------------------------
-# Table 2 — steady-state availability
+# Table 2 and Figures 3-11, from the results of their registry families
 # ---------------------------------------------------------------------------
-def table2_availability(
-    configurations: tuple[StrategyConfiguration, ...] = PAPER_STRATEGIES,
-    *,
-    lump: bool = False,
-    stats: SessionStats | None = None,
-    artifacts=None,
-) -> TableResult:
-    """Steady-state availability per strategy (line 1, line 2, combined).
+#: Experiment name -> (registry family, which of the family's figures).  A
+#: survivability family draws one figure per service interval, in order.
+PAPER_EXPERIMENTS = {
+    "table2": ("table2", 0),
+    "fig3": ("fig3", 0),
+    "fig4": ("fig4_5", 0),
+    "fig5": ("fig4_5", 1),
+    "fig6": ("fig6", 0),
+    "fig7": ("fig7", 0),
+    "fig8": ("fig8_9", 0),
+    "fig9": ("fig8_9", 1),
+    "fig10": ("fig10", 0),
+    "fig11": ("fig11", 0),
+}
 
-    The whole table — every (strategy, line) chain — is submitted as one
-    :class:`repro.analysis.AnalysisSession` of ``STEADY_STATE`` requests,
-    so the availabilities ride the cached linear-solver engine; with
-    ``lump`` they are solved on each chain's lumping quotient, and with
-    ``artifacts`` (the scenario service's cache) a repeat table performs
-    zero new BSCC decompositions and factorizations.
+_Y_LABELS = {
+    "unreliability": "reliability",
+    "survivability": "P(recovered)",
+    "instantaneous_cost": "cost per hour",
+    "accumulated_cost": "accumulated cost",
+}
+
+
+def _display(name: str) -> str:
+    """``"line1"`` -> ``"Line 1"``, ``"disaster2"`` -> ``"Disaster 2"``."""
+    stem = name.rstrip("0123456789")
+    return f"{stem.capitalize()} {name[len(stem):]}"
+
+
+def render_experiment(
+    name: str, spec, results: Mapping[tuple, MeasureResult]
+) -> TableResult | CurveResult:
+    """Table 2 or one figure (``name`` as in :data:`PAPER_EXPERIMENTS`).
+
+    ``spec`` is the experiment's family, a
+    :class:`repro.service.ScenarioSpec`, and ``results`` maps request tags
+    to results; it must hold every request the family expanded to.
     """
-    session = AnalysisSession(lump=lump, stats=stats, artifacts=artifacts)
-    indices: dict[tuple[str, str], int] = {}
-    for configuration in configurations:
-        for line in (LINE1, LINE2):
-            indices[(configuration.label, line)] = session.add(
-                steady_state_availability_request(
-                    line_state_space(line, configuration),
-                    tag=(configuration.label, line),
+    position = PAPER_EXPERIMENTS[name][1]
+    if spec.measure == "availability":
+        rows = []
+        for configuration in spec.strategies:
+            availabilities = [
+                float(results[(spec.name, line, configuration.label)].squeezed[0])
+                for line in spec.lines
+            ]
+            rows.append(
+                (
+                    configuration.label,
+                    *availabilities,
+                    combined_availability(availabilities),
                 )
             )
-    results = session.execute()
-    rows = []
-    for configuration in configurations:
-        availability1 = float(
-            results[indices[(configuration.label, LINE1)]].squeezed[0]
+        return TableResult(
+            title="Table 2: steady-state availability per repair strategy",
+            headers=("strategy", *spec.lines, "combined"),
+            rows=rows,
         )
-        availability2 = float(
-            results[indices[(configuration.label, LINE2)]].squeezed[0]
-        )
-        rows.append(
-            (
-                configuration.label,
-                availability1,
-                availability2,
-                combined_availability([availability1, availability2]),
-            )
-        )
-    return TableResult(
-        title="Table 2: steady-state availability per repair strategy",
-        headers=("strategy", "line1", "line2", "combined"),
-        rows=rows,
-    )
-
-
-# ---------------------------------------------------------------------------
-# Figure 3 — reliability over time
-# ---------------------------------------------------------------------------
-def figure3_reliability(
-    horizon: float = 1000.0,
-    points: int = 101,
-    *,
-    lump: bool = False,
-    batched: bool = True,
-    stats: SessionStats | None = None,
-) -> CurveResult:
-    """Reliability of both lines over ``[0, horizon]`` hours (no repairs).
-
-    Both lines' unreliability curves are submitted as one analysis session
-    (one sweep per line — the lines are different chains).
-    """
-    configuration = StrategyConfiguration(RepairStrategy.DEDICATED, 1)
-    times = np.linspace(0.0, horizon, points)
-    session = AnalysisSession(lump=lump, batched=batched, stats=stats)
-    indices = {
-        label: session.add(
-            unreliability_request(
-                line_state_space(line, configuration, with_repairs=False),
-                times,
-                tag=label,
-            )
-        )
-        for line, label in ((LINE1, "line1"), (LINE2, "line2"))
-    }
-    results = session.execute()
-    series = {
-        label: 1.0 - np.asarray(results[index].squeezed)
-        for label, index in indices.items()
-    }
-    return CurveResult(
-        title="Figure 3: reliability over time (no repairs)",
-        times=times,
-        series=series,
-        y_label="reliability",
-    )
-
-
-# ---------------------------------------------------------------------------
-# Figures 4/5 — survivability, Line 1, Disaster 1
-# ---------------------------------------------------------------------------
-_LINE1_SURVIVABILITY_STRATEGIES = (
-    StrategyConfiguration(RepairStrategy.DEDICATED, 1),
-    StrategyConfiguration(RepairStrategy.FASTEST_REPAIR_FIRST, 1),
-    StrategyConfiguration(RepairStrategy.FASTEST_REPAIR_FIRST, 2),
-)
-
-#: Public alias: the strategy subset of the paper's Figure 4-7 (Line 1)
-#: experiments, shared with the scenario registry and the benchmarks so the
-#: figure family is defined exactly once.
-LINE1_SURVIVABILITY_STRATEGIES = _LINE1_SURVIVABILITY_STRATEGIES
-
-
-def _line_service_interval_lower(line: str, interval_index: int) -> Fraction:
-    configuration = StrategyConfiguration(RepairStrategy.DEDICATED, 1)
-    space = line_state_space(line, configuration)
-    intervals = space.model.effective_service_tree().service_intervals()
-    return intervals[interval_index][0]
-
-
-def line_service_interval_lower(line: str, interval_index: int) -> Fraction:
-    """Lower endpoint of a line's service interval (X1, X2, ... of the paper).
-
-    The canonical threshold lookup for survivability targets, shared by the
-    figure functions, the scenario registry and the benchmarks.
-    """
-    return _line_service_interval_lower(line, interval_index)
-
-
-def _survivability_figures(
-    line: str,
-    disaster: str,
-    interval_indices: tuple[int, ...],
-    configurations: tuple[StrategyConfiguration, ...],
-    horizon: float,
-    points: int,
-    titles: tuple[str, ...],
-    lump: bool,
-    batched: bool,
-    stats: SessionStats | None,
-) -> tuple[CurveResult, ...]:
-    """Build a figure pair's full curve family and run it as one session.
-
-    Every (service interval × strategy) curve of the pair becomes one
-    request; the planner merges requests that agree on (chain, rate, grid) —
-    e.g. several disasters of one strategy — into shared sweeps.
-    """
-    times = np.linspace(0.0, horizon, points)
-    session = AnalysisSession(lump=lump, batched=batched, stats=stats)
-    indices: dict[tuple[int, str], int] = {}
-    for interval_index in interval_indices:
-        threshold = _line_service_interval_lower(line, interval_index)
-        for configuration in configurations:
-            space = line_state_space(line, configuration)
-            indices[(interval_index, configuration.label)] = session.add(
-                survivability_request(
-                    space, disaster, threshold, times,
-                    tag=(interval_index, configuration.label),
-                )
-            )
-    results = session.execute()
-    figures = []
-    for title, interval_index in zip(titles, interval_indices):
-        series = {
-            configuration.label: np.asarray(
-                results[indices[(interval_index, configuration.label)]].squeezed
-            )
-            for configuration in configurations
+    figure = f"Figure {name.removeprefix('fig')}"
+    if spec.measure == "unreliability":
+        (configuration,) = spec.strategies
+        curves = {
+            line: results[(spec.name, line, configuration.label)]
+            for line in spec.lines
         }
-        figures.append(
-            CurveResult(title=title, times=times, series=series, y_label="P(recovered)")
-        )
-    return tuple(figures)
-
-
-def figure4_5_survivability_line1(
-    horizon: float = 4.5,
-    points: int = 91,
-    *,
-    lump: bool = False,
-    batched: bool = True,
-    stats: SessionStats | None = None,
-) -> tuple[CurveResult, CurveResult]:
-    """Figures 4 and 5: recovery of Line 1 to X1 and X2 after Disaster 1."""
-    return _survivability_figures(
-        LINE1, DISASTER_1, (0, 1), _LINE1_SURVIVABILITY_STRATEGIES, horizon, points,
-        (
-            "Figure 4: survivability Line 1, Disaster 1, service interval X1",
-            "Figure 5: survivability Line 1, Disaster 1, service interval X2",
-        ),
-        lump, batched, stats,
+        series = {
+            line: 1.0 - np.asarray(result.squeezed) for line, result in curves.items()
+        }
+        title = f"{figure}: reliability over time (no repairs)"
+    else:
+        (line,), (disaster,) = spec.lines, spec.disasters
+        where = f"{_display(line)}, {_display(disaster)}"
+        if spec.measure == "survivability":
+            interval_index = spec.interval_indices[position]
+            tag = (spec.name, line, disaster, interval_index)
+            interval = f"service interval X{interval_index + 1}"
+            title = f"{figure}: survivability {where}, {interval}"
+        else:
+            tag = (spec.name, line, disaster)
+            title = f"{figure}: {spec.measure.replace('_', ' ')} {where}"
+        curves = {
+            configuration.label: results[(*tag, configuration.label)]
+            for configuration in spec.strategies
+        }
+        series = {
+            label: np.asarray(result.squeezed) for label, result in curves.items()
+        }
+    return CurveResult(
+        title=title,
+        times=next(iter(curves.values())).times,
+        series=series,
+        y_label=_Y_LABELS[spec.measure],
     )
-
-
-# ---------------------------------------------------------------------------
-# Figures 6/7 — costs, Line 1, Disaster 1
-# ---------------------------------------------------------------------------
-def _cost_figures(
-    line: str,
-    disaster: str,
-    configurations: tuple[StrategyConfiguration, ...],
-    instantaneous_horizon: float,
-    accumulated_horizon: float,
-    points: int,
-    titles: tuple[str, str],
-    lump: bool,
-    batched: bool,
-    stats: SessionStats | None,
-) -> tuple[CurveResult, CurveResult]:
-    """Both cost curves of every strategy, submitted as one session.
-
-    Each strategy contributes an instantaneous-cost and an accumulated-cost
-    request on its chain; requests with equal grids share that chain's
-    sweep.
-    """
-    instantaneous_times = np.linspace(0.0, instantaneous_horizon, points)
-    accumulated_times = np.linspace(0.0, accumulated_horizon, max(2, points // 2))
-    session = AnalysisSession(lump=lump, batched=batched, stats=stats)
-    instantaneous_indices: dict[str, int] = {}
-    accumulated_indices: dict[str, int] = {}
-    for configuration in configurations:
-        space = line_state_space(line, configuration)
-        instantaneous_indices[configuration.label] = session.add(
-            instantaneous_cost_request(
-                space, instantaneous_times, disaster,
-                tag=("instantaneous", configuration.label),
-            )
-        )
-        accumulated_indices[configuration.label] = session.add(
-            accumulated_cost_request(
-                space, accumulated_times, disaster,
-                tag=("accumulated", configuration.label),
-            )
-        )
-    results = session.execute()
-    instantaneous = CurveResult(
-        title=titles[0],
-        times=instantaneous_times,
-        series={
-            label: np.asarray(results[index].squeezed)
-            for label, index in instantaneous_indices.items()
-        },
-        y_label="cost per hour",
-    )
-    accumulated = CurveResult(
-        title=titles[1],
-        times=accumulated_times,
-        series={
-            label: np.asarray(results[index].squeezed)
-            for label, index in accumulated_indices.items()
-        },
-        y_label="accumulated cost",
-    )
-    return instantaneous, accumulated
-
-
-def figure6_7_costs_line1(
-    instantaneous_horizon: float = 4.5,
-    accumulated_horizon: float = 10.0,
-    points: int = 46,
-    *,
-    lump: bool = False,
-    batched: bool = True,
-    stats: SessionStats | None = None,
-) -> tuple[CurveResult, CurveResult]:
-    """Figures 6 and 7: instantaneous and accumulated cost, Line 1, Disaster 1."""
-    return _cost_figures(
-        LINE1,
-        DISASTER_1,
-        _LINE1_SURVIVABILITY_STRATEGIES,
-        instantaneous_horizon,
-        accumulated_horizon,
-        points,
-        (
-            "Figure 6: instantaneous cost Line 1, Disaster 1",
-            "Figure 7: accumulated cost Line 1, Disaster 1",
-        ),
-        lump, batched, stats,
-    )
-
-
-# ---------------------------------------------------------------------------
-# Figures 8/9 — survivability, Line 2, Disaster 2
-# ---------------------------------------------------------------------------
-def figure8_9_survivability_line2(
-    horizon: float = 100.0,
-    points: int = 101,
-    *,
-    lump: bool = False,
-    batched: bool = True,
-    stats: SessionStats | None = None,
-) -> tuple[CurveResult, CurveResult]:
-    """Figures 8 and 9: recovery of Line 2 to X1 and X3 after Disaster 2."""
-    return _survivability_figures(
-        LINE2, DISASTER_2, (0, 2), PAPER_STRATEGIES, horizon, points,
-        (
-            "Figure 8: survivability Line 2, Disaster 2, service interval X1",
-            "Figure 9: survivability Line 2, Disaster 2, service interval X3",
-        ),
-        lump, batched, stats,
-    )
-
-
-# ---------------------------------------------------------------------------
-# Figures 10/11 — costs, Line 2, Disaster 2
-# ---------------------------------------------------------------------------
-_LINE2_COST_STRATEGIES = (
-    StrategyConfiguration(RepairStrategy.FASTEST_FAILURE_FIRST, 1),
-    StrategyConfiguration(RepairStrategy.FASTEST_FAILURE_FIRST, 2),
-    StrategyConfiguration(RepairStrategy.FASTEST_REPAIR_FIRST, 1),
-    StrategyConfiguration(RepairStrategy.FASTEST_REPAIR_FIRST, 2),
-)
-
-#: Public alias: the strategy subset of Figures 10/11 (Line 2 costs).
-LINE2_COST_STRATEGIES = _LINE2_COST_STRATEGIES
-
-
-def figure10_11_costs_line2(
-    instantaneous_horizon: float = 50.0,
-    accumulated_horizon: float = 50.0,
-    points: int = 51,
-    *,
-    lump: bool = False,
-    batched: bool = True,
-    stats: SessionStats | None = None,
-) -> tuple[CurveResult, CurveResult]:
-    """Figures 10 and 11: instantaneous and accumulated cost, Line 2, Disaster 2."""
-    return _cost_figures(
-        LINE2,
-        DISASTER_2,
-        _LINE2_COST_STRATEGIES,
-        instantaneous_horizon,
-        accumulated_horizon,
-        points,
-        (
-            "Figure 10: instantaneous cost Line 2, Disaster 2",
-            "Figure 11: accumulated cost Line 2, Disaster 2",
-        ),
-        lump, batched, stats,
-    )
-
-
-# ---------------------------------------------------------------------------
-# run everything
-# ---------------------------------------------------------------------------
-@dataclass
-class ExperimentSuiteResult:
-    """All reproduced tables and figures, keyed by their paper identifier."""
-
-    tables: dict[str, TableResult] = field(default_factory=dict)
-    figures: dict[str, CurveResult] = field(default_factory=dict)
-
-    def to_text(self) -> str:
-        parts = [table.to_text() for table in self.tables.values()]
-        parts += [figure.to_text() for figure in self.figures.values()]
-        return "\n\n".join(parts)
-
-
-def run_all_experiments(
-    fast: bool = False,
-    *,
-    lump: bool = False,
-    batched: bool = True,
-    stats: SessionStats | None = None,
-) -> ExperimentSuiteResult:
-    """Run every table and figure of the paper and return the results.
-
-    With ``fast=True`` the time grids are coarser (used by smoke tests).
-    ``lump`` configures Table 2's and the figure families' analysis
-    sessions, ``batched`` the figure families', and ``stats`` collects their
-    work counters across the whole suite.
-    """
-    points = 21 if fast else 101
-    session_options = dict(lump=lump, batched=batched, stats=stats)
-    result = ExperimentSuiteResult()
-    result.tables["table1"] = table1_state_space()
-    result.tables["table2"] = table2_availability(lump=lump, stats=stats)
-    result.figures["figure3"] = figure3_reliability(points=points, **session_options)
-    figure4, figure5 = figure4_5_survivability_line1(
-        points=max(points, 10), **session_options
-    )
-    result.figures["figure4"] = figure4
-    result.figures["figure5"] = figure5
-    figure6, figure7 = figure6_7_costs_line1(
-        points=max(points // 2, 10), **session_options
-    )
-    result.figures["figure6"] = figure6
-    result.figures["figure7"] = figure7
-    figure8, figure9 = figure8_9_survivability_line2(points=points, **session_options)
-    result.figures["figure8"] = figure8
-    result.figures["figure9"] = figure9
-    figure10, figure11 = figure10_11_costs_line2(
-        points=max(points // 2, 10), **session_options
-    )
-    result.figures["figure10"] = figure10
-    result.figures["figure11"] = figure11
-    return result

@@ -4,8 +4,8 @@ Usage examples::
 
     python -m repro table1 table2        # reproduce the two tables
     python -m repro fig3 --points 51     # reliability curves as CSV + ASCII
-    python -m repro fig4 fig5            # one shared analysis session
-    python -m repro fig8 --lump          # solve on lumped quotient chains
+    python -m repro fig4 fig5            # one family, expanded once
+    python -m repro fig8 --no-lump       # solve on the full chains
     python -m repro all --fast           # everything, on coarse grids
     python -m repro all --output results # also write CSV files per experiment
     python -m repro serve --clients 4 --repeat 2   # scenario service sweep
@@ -26,16 +26,16 @@ and new requests are answered ``503`` until the process exits.
 policy iteration for long-run objectives, coalesced rollout for
 finite-horizon ones, with the paper's fixed strategies as baselines.
 
-Every experiment name matches the table/figure numbering of the paper; see
-DESIGN.md for the experiment index.
-
-Paired figures (fig4/fig5, fig6/fig7, fig8/fig9, fig10/fig11) come from one
-*family* computation: requesting both members in a single invocation runs
-the family — and its batched analysis session — exactly once.  The session
-work counters (groups, sweeps, matvecs, lumping compression) are printed at
-the end of every run that computed figures; ``--no-batched`` plans one
-sweep per curve (the legacy behaviour) for comparison, and ``--lump``
-solves every group on its ordinary-lumpability quotient.
+Every experiment name matches the table/figure numbering of the paper.
+Table 2 and Figs. 3-11 are the families of
+:func:`repro.service.paper_registry`: one invocation expands every family
+its names need, each once, into **one** analysis session, so paired
+figures (fig4/fig5, fig8/fig9) share their family and every curve shares
+sweeps, lumping quotients and factorizations with the rest.  Each curve
+keeps its family's grid unless ``--points N`` puts every curve on N points.
+The session solves every group on its ordinary-lumpability quotient;
+``--no-lump`` solves on the full chains.  The session's work counters
+(groups, sweeps, matvecs, lumping compression) are printed at the end.
 
 ``serve`` sweeps whole scenario portfolios through the asyncio scenario
 service (:mod:`repro.service`): ``--clients N`` concurrent clients each
@@ -51,49 +51,50 @@ import argparse
 import asyncio
 import signal
 import sys
+from collections.abc import Iterable
 from pathlib import Path
 
-from repro.analysis import SessionStats
+from repro.analysis import AnalysisSession, SessionStats
 from repro.casestudy import experiments as exp
+from repro.service.registry import paper_registry
 
-#: Family name -> callable(points, lump, batched, stats) returning the
-#: family's result tuple.  Each family runs at most once per invocation.
-_FAMILIES = {
-    "table1": lambda points, lump, batched, stats: (exp.table1_state_space(),),
-    "table2": lambda points, lump, batched, stats: (
-        exp.table2_availability(lump=lump, stats=stats),
-    ),
-    "fig3": lambda points, lump, batched, stats: (
-        exp.figure3_reliability(points=points, lump=lump, batched=batched, stats=stats),
-    ),
-    "fig45": lambda points, lump, batched, stats: exp.figure4_5_survivability_line1(
-        points=points, lump=lump, batched=batched, stats=stats
-    ),
-    "fig67": lambda points, lump, batched, stats: exp.figure6_7_costs_line1(
-        points=points, lump=lump, batched=batched, stats=stats
-    ),
-    "fig89": lambda points, lump, batched, stats: exp.figure8_9_survivability_line2(
-        points=points, lump=lump, batched=batched, stats=stats
-    ),
-    "fig1011": lambda points, lump, batched, stats: exp.figure10_11_costs_line2(
-        points=points, lump=lump, batched=batched, stats=stats
-    ),
-}
+#: Every experiment name, in the paper's order.
+EXPERIMENTS = ("table1", *exp.PAPER_EXPERIMENTS)
 
-#: Experiment name -> (family name, index into the family's result tuple).
-_EXPERIMENTS = {
-    "table1": ("table1", 0),
-    "table2": ("table2", 0),
-    "fig3": ("fig3", 0),
-    "fig4": ("fig45", 0),
-    "fig5": ("fig45", 1),
-    "fig6": ("fig67", 0),
-    "fig7": ("fig67", 1),
-    "fig8": ("fig89", 0),
-    "fig9": ("fig89", 1),
-    "fig10": ("fig1011", 0),
-    "fig11": ("fig1011", 1),
-}
+
+def run_experiments(
+    names: Iterable[str],
+    *,
+    points: int | None = None,
+    lump: bool = True,
+    engine: str = "auto",
+    stats: SessionStats | None = None,
+) -> dict[str, exp.TableResult | exp.CurveResult]:
+    """Reproduce the named tables and figures, keyed by name.
+
+    The registry families the names need are expanded once each, in
+    registry order, into one :class:`AnalysisSession` with ``lump`` and
+    ``engine``; ``points`` puts every curve on that many grid points
+    instead of its family's own grid.
+    """
+    names = list(dict.fromkeys(names))
+    registry = paper_registry()
+    families = {exp.PAPER_EXPERIMENTS[name][0] for name in names if name != "table1"}
+    session = AnalysisSession(lump=lump, engine=engine, stats=stats)
+    for family in registry.names:
+        if family in families:
+            session.extend(registry.expand(family, points=points))
+    results = {}
+    if len(session):
+        results = {result.request.tag: result for result in session.execute()}
+    return {
+        name: exp.table1_state_space()
+        if name == "table1"
+        else exp.render_experiment(
+            name, registry.get(exp.PAPER_EXPERIMENTS[name][0]), results
+        )
+        for name in names
+    }
 
 
 def grid_points(text: str) -> int:
@@ -139,36 +140,31 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "experiments",
         nargs="+",
-        choices=[*_EXPERIMENTS.keys(), "all"],
+        choices=[*EXPERIMENTS, "all"],
         help="which tables/figures to reproduce ('all' runs every experiment)",
     )
     parser.add_argument(
         "--points",
         type=grid_points,
         default=None,
-        help="number of grid points for figure curves (default: 101, or 21 with --fast)",
+        help=(
+            "number of grid points for every figure curve (default: each "
+            "figure's registry grid, or 21 points with --fast)"
+        ),
     )
     parser.add_argument(
         "--fast",
         action="store_true",
-        help="use coarse time grids (quick smoke run)",
-    )
-    parser.add_argument(
-        "--batched",
-        action=argparse.BooleanOptionalAction,
-        default=True,
-        help=(
-            "plan each figure family as one analysis session with shared sweeps "
-            "(--no-batched restores one sweep per curve)"
-        ),
+        help="coarse grids (same as --points 21)",
     )
     parser.add_argument(
         "--lump",
         action=argparse.BooleanOptionalAction,
-        default=False,
+        default=True,
         help=(
-            "run ordinary-lumpability reduction on every analysis group before "
-            "sweeping (quotient chains preserve all requested measures)"
+            "solve every analysis group on its ordinary-lumpability quotient, "
+            "which preserves all requested measures (default: on; --no-lump "
+            "solves on the full chains)"
         ),
     )
     parser.add_argument(
@@ -567,26 +563,15 @@ def main(argv: list[str] | None = None) -> int:
         from repro.optimize.cli import optimize_main
 
         return optimize_main(argv[1:])
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    points = args.points if args.points is not None else (21 if args.fast else 101)
-    # The experiment runners build their own sessions deep inside the case
-    # study; the engine choice travels via the process-wide default every
-    # build_plan falls back to.
-    from repro.ctmc import engines
-
-    engines.set_default_engine_mode(args.engine)
-
-    names = list(_EXPERIMENTS) if "all" in args.experiments else list(dict.fromkeys(args.experiments))
+    args = build_parser().parse_args(argv)
+    names = EXPERIMENTS if "all" in args.experiments else args.experiments
+    points = args.points if args.points is not None else (21 if args.fast else None)
     stats = SessionStats()
-    family_results: dict[str, tuple] = {}
-    for name in names:
-        family, index = _EXPERIMENTS[name]
-        if family not in family_results:
-            family_results[family] = _FAMILIES[family](
-                points, args.lump, args.batched, stats
-            )
-        print(_render(name, family_results[family][index], args))
+    results = run_experiments(
+        names, points=points, lump=args.lump, engine=args.engine, stats=stats
+    )
+    for name, result in results.items():
+        print(_render(name, result, args))
         print()
     if stats.requests:
         print(f"[{stats.summary()}]")

@@ -63,11 +63,9 @@ __all__ = [
     "SparseEngine",
     "SparseFactorization",
     "blas_thread_budget",
-    "default_engine_mode",
     "default_worker_count",
     "normalise_engine_mode",
     "pin_blas_threads",
-    "set_default_engine_mode",
 ]
 
 #: Valid values for every ``engine=`` knob in the stack.
@@ -102,7 +100,7 @@ BLAS_ENV_VARS = (
 
 
 # ---------------------------------------------------------------------------
-# knob normalisation and process-wide defaults
+# knob normalisation
 # ---------------------------------------------------------------------------
 def normalise_engine_mode(mode: Any) -> str:
     """Validate an ``engine=`` knob, returning its canonical string form."""
@@ -112,20 +110,6 @@ def normalise_engine_mode(mode: Any) -> str:
             f"unknown engine mode {mode!r}; expected one of {ENGINE_MODES}"
         )
     return name
-
-
-_DEFAULTS = {"mode": "auto"}
-
-
-def default_engine_mode() -> str:
-    """The process-wide engine mode used when no knob is passed."""
-    return _DEFAULTS["mode"]
-
-
-def set_default_engine_mode(mode: Any) -> str:
-    """Set the process-wide engine mode (the CLI's ``--engine`` flag)."""
-    _DEFAULTS["mode"] = normalise_engine_mode(mode)
-    return _DEFAULTS["mode"]
 
 
 # ---------------------------------------------------------------------------

@@ -342,8 +342,6 @@ class ScenarioService:
     lump:
         Solve every group on its ordinary-lumpability quotient (quotients
         are cached process-wide per (chain, observable signature)).
-    batched:
-        ``False`` plans one group per request (comparison runs only).
     epsilon:
         Default Poisson-truncation error for requests without one.
     artifacts:
@@ -360,8 +358,7 @@ class ScenarioService:
         paper's figure families (:func:`repro.service.paper_registry`).
     engine:
         Default numeric backend for submissions that do not set one — one
-        of :data:`repro.ctmc.engines.ENGINE_MODES` (``None`` = process
-        default, normally ``"auto"``).
+        of :data:`repro.ctmc.engines.ENGINE_MODES` (``None`` = ``"auto"``).
     """
 
     def __init__(
@@ -372,7 +369,6 @@ class ScenarioService:
         max_pending: int | None = None,
         default_timeout: float | None = None,
         lump: bool = False,
-        batched: bool = True,
         epsilon: float = DEFAULT_EPSILON,
         artifacts: ArtifactCache | None = None,
         max_workers: int | None = None,
@@ -394,7 +390,6 @@ class ScenarioService:
             None if default_timeout is None else float(default_timeout)
         )
         self.lump = lump
-        self.batched = batched
         self.default_epsilon = float(epsilon)
         self.artifacts = artifacts if artifacts is not None else GLOBAL_ARTIFACTS
         self.registry = registry if registry is not None else paper_registry()
@@ -687,7 +682,6 @@ class ScenarioService:
             plan = build_plan(
                 [pending.request for pending in survivors],
                 lump=self.lump,
-                batched=self.batched,
                 default_epsilon=self.default_epsilon,
                 artifacts=self.artifacts,
                 default_engine=self.engine,

@@ -6,7 +6,8 @@ traffic over three endpoints:
 
 ``POST /scenario``
     Body ``{"name": "fig4_5", "points": 31, "timeout": 10.0}`` (``points``
-    and ``timeout`` optional).  Expands the named scenario, awaits the whole
+    and ``timeout`` optional; ``timeout`` is a finite positive number of
+    seconds).  Expands the named scenario, awaits the whole
     family through the backing service (coalescing/routing included) and
     returns one JSON curve per request: ``{"tag": [...], "times": [...],
     "values": [...], "lumped_states": ...}``.
@@ -33,6 +34,7 @@ from __future__ import annotations
 import asyncio
 import inspect
 import json
+import sys
 from collections import Counter
 from typing import Any
 
@@ -404,10 +406,16 @@ class ScenarioHTTPServer:
         if points is not None and (not isinstance(points, int) or points < 2):
             raise _HTTPError(400, '"points" must be an integer >= 2')
         timeout = payload.get("timeout")
+        # NaN, 1e400 (parsed as inf) and true (a bool is an int) are not
+        # deadlines; the upper bound also keeps huge integers out of float.
         if timeout is not None and (
-            not isinstance(timeout, (int, float)) or timeout <= 0
+            isinstance(timeout, bool)
+            or not isinstance(timeout, (int, float))
+            or not 0 < timeout <= sys.float_info.max
         ):
-            raise _HTTPError(400, '"timeout" must be a positive number')
+            raise _HTTPError(
+                400, '"timeout" must be a finite positive number of seconds'
+            )
         # Resolve the name here so only a genuinely unknown scenario maps to
         # 404 — a KeyError escaping execution must stay a 500.
         try:

@@ -9,9 +9,11 @@ cached case-study state spaces), which is what the scenario service
 consumes; every request is tagged ``(scenario, line, strategy, ...)`` so
 clients can reassemble their curves.
 
-:func:`paper_registry` pre-registers the paper's figure families (the same
-grids :mod:`repro.casestudy.experiments` reproduces); user-defined specs
-are added with :meth:`ScenarioRegistry.register`.
+:func:`paper_registry` is the one definition of the paper's Table 2 and
+Figs. 3-11: ``python -m repro``, ``serve`` and ``POST /scenario`` all expand
+it, and :mod:`repro.casestudy.experiments` renders the tables and figures
+from its tagged results.  User-defined specs are added with
+:meth:`ScenarioRegistry.register`.
 """
 
 from __future__ import annotations
@@ -23,12 +25,7 @@ import numpy as np
 
 from repro.analysis import MeasureRequest
 from repro.arcade.repair import RepairStrategy
-from repro.casestudy.experiments import (
-    LINE1_SURVIVABILITY_STRATEGIES,
-    LINE2_COST_STRATEGIES,
-    line_service_interval_lower,
-    line_state_space,
-)
+from repro.casestudy.experiments import line_service_interval_lower, line_state_space
 from repro.casestudy.facility import (
     DISASTER_1,
     DISASTER_2,
@@ -43,6 +40,21 @@ from repro.measures import (
     steady_state_availability_request,
     survivability_request,
     unreliability_request,
+)
+
+#: The strategy subset of Figs. 4-7 (Line 1, Disaster 1).
+LINE1_SURVIVABILITY_STRATEGIES = (
+    StrategyConfiguration(RepairStrategy.DEDICATED, 1),
+    StrategyConfiguration(RepairStrategy.FASTEST_REPAIR_FIRST, 1),
+    StrategyConfiguration(RepairStrategy.FASTEST_REPAIR_FIRST, 2),
+)
+
+#: The strategy subset of Figs. 10/11 (Line 2 costs).
+LINE2_COST_STRATEGIES = (
+    StrategyConfiguration(RepairStrategy.FASTEST_FAILURE_FIRST, 1),
+    StrategyConfiguration(RepairStrategy.FASTEST_FAILURE_FIRST, 2),
+    StrategyConfiguration(RepairStrategy.FASTEST_REPAIR_FIRST, 1),
+    StrategyConfiguration(RepairStrategy.FASTEST_REPAIR_FIRST, 2),
 )
 
 #: Measure families a spec may declare.  ``availability`` is the long-run

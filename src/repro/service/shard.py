@@ -225,7 +225,6 @@ async def _shard_worker(
         coalesce_window=config["coalesce_window"],
         max_batch=config["max_batch"],
         lump=config["lump"],
-        batched=config["batched"],
         epsilon=config["epsilon"],
         artifacts=ArtifactCache(config["max_entries"]),
         max_workers=config["max_workers"],
@@ -496,7 +495,7 @@ class ShardedScenarioService:
     num_shards:
         Worker-process count; each runs one :class:`ScenarioService` with a
         private :class:`ArtifactCache`.
-    coalesce_window, max_batch, lump, batched, epsilon, max_workers:
+    coalesce_window, max_batch, lump, epsilon, max_workers:
         Forwarded to every worker's in-process service.
     max_pending:
         Bound on in-flight submissions across the whole front; beyond it
@@ -561,7 +560,6 @@ class ShardedScenarioService:
         max_pending: int | None = None,
         default_timeout: float | None = None,
         lump: bool = False,
-        batched: bool = True,
         epsilon: float = DEFAULT_EPSILON,
         max_workers: int | None = None,
         max_entries: int = DEFAULT_MAX_ENTRIES,
@@ -639,7 +637,6 @@ class ShardedScenarioService:
             "coalesce_window": float(coalesce_window),
             "max_batch": int(max_batch),
             "lump": bool(lump),
-            "batched": bool(batched),
             "epsilon": float(epsilon),
             "max_entries": int(max_entries),
             "max_workers": max_workers,

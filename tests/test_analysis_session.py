@@ -13,6 +13,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.analysis import AnalysisSession, MeasureKind, MeasureRequest, SessionStats
 from repro.casestudy import experiments as exp
@@ -22,13 +24,18 @@ from repro.casestudy.facility import (
     LINE2,
     PAPER_STRATEGIES,
 )
-from repro.cli import main
+from repro.cli import main, run_experiments
 from repro.ctmc import CTMC
 from repro.ctmc.ctmc import CTMCError
 from repro.ctmc.rewards import cumulative_reward_curve, instantaneous_reward_curve
 from repro.ctmc.transient import time_bounded_reachability, transient_distributions
 from repro.measures import survivability, survivability_request
 from repro.measures.costs import accumulated_cost_request, instantaneous_cost_request
+from repro.service.registry import (
+    LINE1_SURVIVABILITY_STRATEGIES,
+    ScenarioRegistry,
+    paper_registry,
+)
 
 
 def random_chain(num_states: int, seed: int, density: float = 0.35) -> CTMC:
@@ -132,13 +139,6 @@ class TestPlannerGrouping:
             )
         # The copies really differ where it matters: their own initials.
         assert not np.allclose(results[0].values, results[2].values)
-
-    def test_unbatched_session_gives_one_group_per_request(self):
-        chain = random_chain(8, seed=8)
-        session = AnalysisSession(batched=False)
-        session.request(chain, GRID, kind=MeasureKind.TRANSIENT)
-        session.request(chain, GRID, kind=MeasureKind.TRANSIENT)
-        assert session.plan().num_groups == 2
 
     def test_invalid_requests_are_rejected(self):
         chain = random_chain(6, seed=9)
@@ -315,22 +315,6 @@ class TestExecutorBatching:
                 atol=1e-12,
             )
 
-    def test_unbatched_interval_groups_do_not_bundle(self):
-        # batched=False is the per-request comparison baseline: identical
-        # interval requests must keep their independent backward/forward
-        # sweeps (2 each) instead of sharing them.
-        chain = random_chain(9, seed=18)
-        stats = SessionStats()
-        session = AnalysisSession(batched=False, stats=stats)
-        for _ in range(2):
-            session.request(
-                chain, [1.0, 2.0], kind=MeasureKind.INTERVAL_REACHABILITY,
-                target="target", lower=0.5,
-            )
-        session.execute()
-        assert stats.groups == 2
-        assert stats.sweeps == 4
-
     def test_interval_groups_with_different_signatures_do_not_bundle(self):
         chain = random_chain(9, seed=17)
         stats = SessionStats()
@@ -354,7 +338,8 @@ class TestExecutorBatching:
 class TestFigureFamilies:
     def test_fig4_5_family_one_sweep_per_group(self):
         stats = SessionStats()
-        figure4, figure5 = exp.figure4_5_survivability_line1(points=9, stats=stats)
+        results = run_experiments(["fig4", "fig5"], points=9, lump=False, stats=stats)
+        figure4, figure5 = results["fig4"], results["fig5"]
         # 3 strategies x 2 service intervals = 6 distinct transformed chains;
         # the whole family must cost exactly one sweep per group.
         assert stats.requests == 6
@@ -363,8 +348,8 @@ class TestFigureFamilies:
         # and the batched values must agree with the per-call legacy API
         times = figure4.times
         for interval_index, figure in ((0, figure4), (1, figure5)):
-            threshold = exp._line_service_interval_lower("line1", interval_index)
-            for configuration in exp._LINE1_SURVIVABILITY_STRATEGIES:
+            threshold = exp.line_service_interval_lower("line1", interval_index)
+            for configuration in LINE1_SURVIVABILITY_STRATEGIES:
                 space = exp.line_state_space("line1", configuration)
                 legacy = survivability(space, DISASTER_1, threshold, times)
                 np.testing.assert_allclose(
@@ -377,7 +362,7 @@ class TestFigureFamilies:
         # planned into a single group (one sweep, two batched initials).
         configuration = PAPER_STRATEGIES[0]
         space = exp.line_state_space(LINE2, configuration)
-        threshold = exp._line_service_interval_lower(LINE2, 0)
+        threshold = exp.line_service_interval_lower(LINE2, 0)
         times = np.linspace(0.0, 40.0, 9)
         stats = SessionStats()
         session = AnalysisSession(stats=stats)
@@ -402,7 +387,7 @@ class TestLumpedSessions:
     @pytest.mark.parametrize("configuration", PAPER_STRATEGIES[:3], ids=lambda c: c.label)
     def test_lumped_survivability_matches_unlumped(self, configuration):
         space = exp.line_state_space(LINE2, configuration)
-        threshold = exp._line_service_interval_lower(LINE2, 0)
+        threshold = exp.line_service_interval_lower(LINE2, 0)
         times = np.linspace(0.0, 50.0, 11)
 
         curves = {}
@@ -511,6 +496,119 @@ class TestLumpedSessions:
         results = session.execute()
         assert len(calls) == 12  # one per distinct chain, not one per group
         assert all(result.lumped_states is not None for result in results)
+
+
+# ---------------------------------------------------------------------------
+# split invariance: results do not depend on how requests share a session
+# ---------------------------------------------------------------------------
+#: Rates of the generated chains: few distinct values, so lumping has ties.
+TIED_RATES = (0.0, 0.0, 0.5, 1.0, 2.0)
+
+#: Grids the generated requests pick from, so some of them share a sweep.
+MIX_GRIDS = ((0.0, 0.5, 2.0), (1.0, 3.0), (0.25,))
+
+MIX_KINDS = (
+    MeasureKind.TRANSIENT,
+    MeasureKind.REACHABILITY,
+    MeasureKind.INTERVAL_REACHABILITY,
+    MeasureKind.INSTANTANEOUS_REWARD,
+    MeasureKind.CUMULATIVE_REWARD,
+    MeasureKind.STEADY_STATE,
+    MeasureKind.UNBOUNDED_REACHABILITY,
+)
+
+
+@st.composite
+def request_mixes(draw) -> list[MeasureRequest]:
+    """Up to nine requests of every session kind on one or two small chains."""
+    chains = []
+    for _ in range(draw(st.integers(1, 2))):
+        size = draw(st.integers(2, 6))
+        rates = np.array(
+            draw(st.lists(st.sampled_from(TIED_RATES), min_size=size**2, max_size=size**2))
+        ).reshape(size, size)
+        rates[0, 1] = 1.0  # at least one transition
+        np.fill_diagonal(rates, 0.0)
+        masks = {
+            name: draw(st.lists(st.booleans(), min_size=size, max_size=size))
+            for name in ("target", "safe")
+        }
+        weights = np.array(
+            draw(st.lists(st.sampled_from((1.0, 2.0)), min_size=size, max_size=size))
+        )
+        chains.append(CTMC(rates, weights / weights.sum(), labels=masks))
+    requests = []
+    # Variants of one measure on one chain share groups and bundles in a
+    # session, which is where splitting the requests could change results.
+    for _ in range(draw(st.integers(1, 3))):
+        chain = draw(st.sampled_from(chains))
+        kind = draw(st.sampled_from(MIX_KINDS))
+        safe = draw(st.sampled_from((None, "safe")))
+        for _ in range(draw(st.integers(1, 3))):
+            fields = {"times": draw(st.sampled_from(MIX_GRIDS)), "kind": kind}
+            if kind in (MeasureKind.INSTANTANEOUS_REWARD, MeasureKind.CUMULATIVE_REWARD):
+                fields["rewards"] = draw(
+                    st.lists(
+                        st.sampled_from((0.0, 1.0, 3.0)),
+                        min_size=chain.num_states,
+                        max_size=chain.num_states,
+                    )
+                )
+            elif kind is not MeasureKind.TRANSIENT:
+                fields["target"] = "target"
+                if kind is not MeasureKind.STEADY_STATE:
+                    fields["safe"] = safe
+            if kind is MeasureKind.INTERVAL_REACHABILITY:
+                fields["times"] = draw(st.sampled_from(((1.0, 3.0), (1.0, 1.5, 4.0))))
+                fields["lower"] = draw(st.sampled_from((0.5, 1.0)))
+            if kind in (MeasureKind.STEADY_STATE, MeasureKind.UNBOUNDED_REACHABILITY):
+                fields["times"] = ()
+            requests.append(MeasureRequest(chain=chain, **fields))
+    return requests
+
+
+def session_values(requests, lump: bool) -> list[np.ndarray]:
+    session = AnalysisSession(lump=lump, epsilon=1e-14)
+    session.extend(requests)
+    return [result.values for result in session.execute()]
+
+
+class TestSplitInvariance:
+    @given(requests=request_mixes(), data=st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_one_session_equals_per_request_and_split_sessions(self, requests, data):
+        split = data.draw(
+            st.lists(st.booleans(), min_size=len(requests), max_size=len(requests))
+        )
+        for lump in (False, True):
+            together = session_values(requests, lump)
+            alone = [session_values([request], lump)[0] for request in requests]
+            halves = {
+                side: iter(
+                    session_values(
+                        [r for r, s in zip(requests, split) if s == side], lump
+                    )
+                )
+                for side in (False, True)
+            }
+            parted = [next(halves[side]) for side in split]
+            for values, single, half in zip(together, alone, parted):
+                np.testing.assert_allclose(single, values, rtol=0.0, atol=1e-12)
+                np.testing.assert_allclose(half, values, rtol=0.0, atol=1e-12)
+
+    @pytest.mark.parametrize("lump", [False, True], ids=["unlumped", "lumped"])
+    def test_line2_families_in_one_session_equal_one_session_per_family(self, lump):
+        registry = paper_registry()
+        families = [registry.expand(name) for name in ("fig8_9", "fig10", "fig11")]
+        per_family = [
+            values for requests in families for values in session_values(requests, lump)
+        ]
+        together = session_values(
+            [request for requests in families for request in requests], lump
+        )
+        assert len(together) == len(per_family) == 18
+        for values, alone in zip(together, per_family):
+            assert np.array_equal(values, alone)
 
 
 # ---------------------------------------------------------------------------
@@ -635,38 +733,30 @@ class TestHorizonMerging:
 # CLI: paired figures run their family (and its session) exactly once
 # ---------------------------------------------------------------------------
 class TestCommandLineSessions:
+    def _count_expansions(self, monkeypatch) -> list[str]:
+        expanded = []
+        expand = ScenarioRegistry.expand
+
+        def counting(registry, name, points=None):
+            expanded.append(name)
+            return expand(registry, name, points=points)
+
+        monkeypatch.setattr(ScenarioRegistry, "expand", counting)
+        return expanded
+
     def test_fig4_fig5_share_one_family_computation(self, capsys, monkeypatch):
-        calls = []
-        original = exp.figure4_5_survivability_line1
-
-        def counting(*args, **kwargs):
-            calls.append(1)
-            return original(*args, **kwargs)
-
-        monkeypatch.setattr(exp, "figure4_5_survivability_line1", counting)
+        expanded = self._count_expansions(monkeypatch)
         assert main(["fig4", "fig5", "--points", "5", "--no-plot"]) == 0
-        assert len(calls) == 1
+        assert expanded == ["fig4_5"]
         out = capsys.readouterr().out
         assert "session:" in out
 
     def test_fig8_fig9_share_one_family_computation(self, monkeypatch):
-        calls = []
-        original = exp.figure8_9_survivability_line2
-
-        def counting(*args, **kwargs):
-            calls.append(1)
-            return original(*args, **kwargs)
-
-        monkeypatch.setattr(exp, "figure8_9_survivability_line2", counting)
+        expanded = self._count_expansions(monkeypatch)
         assert main(["fig8", "fig9", "--points", "5", "--no-plot"]) == 0
-        assert len(calls) == 1
+        assert expanded == ["fig8_9"]
 
     def test_lump_flag_reaches_the_session(self, capsys):
         assert main(["fig8", "--points", "5", "--no-plot", "--lump"]) == 0
         out = capsys.readouterr().out
         assert "lumped" in out
-
-    def test_no_batched_flag_plans_per_curve(self, capsys):
-        assert main(["fig3", "--points", "5", "--no-plot", "--no-batched"]) == 0
-        out = capsys.readouterr().out
-        assert "session:" in out

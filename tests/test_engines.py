@@ -19,7 +19,6 @@ from scipy import sparse
 from repro.analysis import AnalysisSession, MeasureKind, MeasureRequest
 from repro.ctmc import CTMC
 from repro.ctmc.ctmc import CTMCError
-from repro.ctmc import engines
 from repro.ctmc.engines import (
     BLAS_ENV_VARS,
     DENSE_RELAXED_LIMIT,
@@ -61,14 +60,6 @@ class TestNormalisation:
         for mode in ("gpu", "numba"):
             with pytest.raises(CTMCError, match="unknown engine mode"):
                 normalise_engine_mode(mode)
-
-    def test_process_defaults_roundtrip(self):
-        previous_mode = engines.default_engine_mode()
-        try:
-            engines.set_default_engine_mode("sparse")
-            assert engines.default_engine_mode() == "sparse"
-        finally:
-            engines.set_default_engine_mode(previous_mode)
 
     def test_sweeps_take_no_dtype_knob(self):
         """Every sweep runs in float64; a ``dtype=`` argument is an error."""

@@ -1,17 +1,23 @@
-"""Tests for the experiment drivers and the command-line front end.
+"""Tests for the experiment renderer and the command-line front end.
 
 The full-resolution experiments are exercised by the benchmark harness; here
-they run on coarse grids / the cheaper line to keep the test suite fast while
-still covering the experiment and CLI code paths end to end.
+they run on coarse grids to keep the test suite fast while still covering
+the registry session, the renderer and the CLI end to end.
 """
+
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from repro import cli
+from repro.analysis import AnalysisSession, MeasureKind, planner
 from repro.casestudy import experiments as exp
-from repro.casestudy.facility import StrategyConfiguration
+from repro.casestudy.facility import PAPER_STRATEGIES, StrategyConfiguration
 from repro.arcade.repair import RepairStrategy
-from repro.cli import build_parser, build_serve_parser, main
+from repro.cli import build_parser, build_serve_parser, main, run_experiments
+from repro.ctmc import CTMC
+from repro.service import paper_registry
 
 
 @pytest.fixture(autouse=True)
@@ -54,23 +60,46 @@ class TestExperimentHelpers:
 
 class TestFigureExperimentsCoarse:
     def test_figure3_reliability(self):
-        result = exp.figure3_reliability(horizon=400.0, points=9)
+        result = run_experiments(["fig3"], points=9)["fig3"]
         assert set(result.series) == {"line1", "line2"}
         assert np.all(result.series["line2"] >= result.series["line1"] - 1e-12)
 
     def test_figure8_9_line2(self):
-        figure8, figure9 = exp.figure8_9_survivability_line2(horizon=40.0, points=9)
+        results = run_experiments(["fig8", "fig9"], points=11)
+        figure8, figure9 = results["fig8"], results["fig9"]
         assert set(figure8.series) == {"DED", "FRF-1", "FRF-2", "FFF-1", "FFF-2"}
         assert figure8.value_at("FFF-1", 20.0) < figure8.value_at("FRF-1", 20.0)
         assert figure9.value_at("FFF-2", 20.0) > figure9.value_at("FRF-2", 20.0)
 
     def test_figure10_11_line2(self):
-        figure10, figure11 = exp.figure10_11_costs_line2(
-            instantaneous_horizon=30.0, accumulated_horizon=30.0, points=7
-        )
+        results = run_experiments(["fig10", "fig11"], points=7)
+        figure10, figure11 = results["fig10"], results["fig11"]
         for values in figure10.series.values():
             assert values[0] == pytest.approx(15.0, abs=1e-6)
         assert figure11.final_value("FFF-1") > figure11.final_value("FRF-2")
+
+    def test_each_curve_keeps_its_registry_grid(self):
+        figures = dict(exp.PAPER_EXPERIMENTS)
+        del figures["table2"]
+        grids = {name: len(result.times) for name, result in run_experiments(figures).items()}
+        assert grids == {
+            "fig3": 101, "fig4": 91, "fig5": 91, "fig6": 46, "fig7": 23,
+            "fig8": 101, "fig9": 101, "fig10": 51, "fig11": 25,
+        }
+        coarse = run_experiments(figures, points=6)
+        assert {len(result.times) for result in coarse.values()} == {6}
+
+    def test_titles_and_series_names(self):
+        results = run_experiments(["table2", "fig3", "fig5", "fig6", "fig11"], points=3)
+        assert results["table2"].headers == ("strategy", "line1", "line2", "combined")
+        assert results["table2"].column("strategy") == [c.label for c in PAPER_STRATEGIES]
+        assert results["fig3"].to_csv().splitlines()[0] == "t,line1,line2"
+        assert results["fig5"].title == (
+            "Figure 5: survivability Line 1, Disaster 1, service interval X2"
+        )
+        assert results["fig6"].title == "Figure 6: instantaneous cost Line 1, Disaster 1"
+        assert results["fig11"].title == "Figure 11: accumulated cost Line 2, Disaster 2"
+        assert results["fig11"].to_csv().splitlines()[0] == "t,FFF-1,FFF-2,FRF-1,FRF-2"
 
 
 class TestCommandLine:
@@ -96,31 +125,85 @@ class TestCommandLine:
         assert "Figure 9" in captured.out
 
     def test_table2_honours_the_lump_flag(self, monkeypatch, capsys):
+        # The DED chains keep the unlumped reference cheap (no power
+        # iteration); the CLI's own options reach the session untouched.
+        registry = paper_registry()
+        registry.register(
+            replace(registry.get("table2"), strategies=PAPER_STRATEGIES[:1]),
+            replace_existing=True,
+        )
+        monkeypatch.setattr(cli, "paper_registry", lambda: registry)
         runs = []
-        original = exp.table2_availability
 
-        def dedicated_only(**options):
-            # The DED chains keep the unlumped reference cheap (no power
-            # iteration); the CLI's own options are forwarded untouched.
-            table = original(exp.PAPER_STRATEGIES[:1], **options)
-            runs.append((options["stats"], table))
-            return table
+        class Recorded(AnalysisSession):
+            def execute(self):
+                results = super().execute()
+                runs.append((self.stats, [result.squeezed for result in results]))
+                return results
 
-        monkeypatch.setattr(exp, "table2_availability", dedicated_only)
-        for flag in ("--lump", "--no-lump"):
-            assert main(["table2", "--no-plot", flag]) == 0
-        (lumped_stats, lumped), (plain_stats, plain) = runs
-        assert lumped_stats.lumped_groups > 0
-        assert lumped_stats.lumped_states_after < lumped_stats.lumped_states_before
+        monkeypatch.setattr(cli, "AnalysisSession", Recorded)
+        outputs = []
+        for flags in ([], ["--lump"], ["--no-lump"]):
+            assert main(["table2", "--no-plot", *flags]) == 0
+            outputs.append(capsys.readouterr().out)
+        (default_stats, default), (lumped_stats, lumped), (plain_stats, plain) = runs
+        for stats in (default_stats, lumped_stats):
+            assert stats.lumped_groups > 0
+            assert stats.lumped_states_after < stats.lumped_states_before
         assert plain_stats.lumped_groups == 0
         assert plain_stats.lumped_states_after == plain_stats.lumped_states_before == 0
-        np.testing.assert_allclose(
-            [row[1:] for row in lumped.rows],
-            [row[1:] for row in plain.rows],
-            rtol=0.0,
-            atol=1e-12,
-        )
-        assert "lumped" in capsys.readouterr().out
+        np.testing.assert_array_equal(default, lumped)
+        np.testing.assert_allclose(lumped, plain, rtol=0.0, atol=1e-12)
+        assert ["lumped" in out for out in outputs] == [True, True, False]
+
+    def test_no_batched_flag_is_a_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exited:
+            main(["fig3", "--no-batched"])
+        assert exited.value.code == 2
+        assert "unrecognized arguments: --no-batched" in capsys.readouterr().err
+
+    def test_all_runs_the_registry_as_one_session(self, monkeypatch, capsys):
+        sessions = []
+        partitions = []
+
+        class Recorded(AnalysisSession):
+            def execute(self):
+                sessions.append(len(self))
+                return super().execute()
+
+        partition = planner.lumping_partition
+
+        def counted(*args, **kwargs):
+            partitions.append(1)
+            return partition(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "AnalysisSession", Recorded)
+        monkeypatch.setattr(planner, "lumping_partition", counted)
+        assert main(["all", "--no-plot"]) == 0
+        assert sessions == [42]
+        assert len(partitions) == 12  # one per distinct chain
+        summary = capsys.readouterr().out.strip().splitlines()[-1]
+        assert summary.startswith("[session: requests=42 groups=42 sweeps=32 matvecs=5096 ")
+
+    def test_engine_flag_reaches_the_session_and_no_further(self, monkeypatch):
+        plans = []
+
+        class Recorded(AnalysisSession):
+            def plan(self):
+                plans.append(super().plan())
+                return plans[-1]
+
+        monkeypatch.setattr(cli, "AnalysisSession", Recorded)
+        assert main(["fig3", "--points", "5", "--no-plot", "--engine", "sparse"]) == 0
+        (plan,) = plans
+        assert {group.engine for group in plan.groups} == {"sparse"}
+        # A later session in the same process still resolves "auto", which
+        # picks the dense backend for a chain this small.
+        chain = CTMC(np.array([[0.0, 1.0], [0.5, 0.0]]), [0.0, 1.0], labels={"up": [0]})
+        later = AnalysisSession()
+        later.request(chain, [0.0, 1.0], kind=MeasureKind.REACHABILITY, target="up")
+        (group,) = later.plan().groups
+        assert group.engine == "dense"
 
 
 class TestGridPointValidation:

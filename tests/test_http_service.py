@@ -210,23 +210,23 @@ class TestErrorMapping:
             self.registry = paper_registry()
 
         async def submit_scenario(self, name, points=None, timeout=None):
-            raise self.error
+            if self.error is not None:
+                raise self.error
+            return []
 
         def metrics_text(self):
             return "# stub\n"
 
-    def _run(self, error: Exception) -> tuple[int, dict, dict[str, str]]:
+    def _run(
+        self, error: Exception | None, body: bytes = b'{"name": "fig4_5"}'
+    ) -> tuple[int, dict, dict[str, str]]:
         async def main():
             server = ScenarioHTTPServer(self._StubService(error))
             await server.start()
             host, port = server.address
             try:
                 status, headers, payload, _ = await http_request(
-                    host,
-                    port,
-                    "POST",
-                    "/scenario",
-                    json.dumps({"name": "fig4_5"}).encode(),
+                    host, port, "POST", "/scenario", body
                 )
                 return status, json.loads(payload), headers
             finally:
@@ -259,6 +259,18 @@ class TestErrorMapping:
         status, document, _ = self._run(RuntimeError("boom"))
         assert status == 500
         assert "boom" in document["error"]
+
+    @pytest.mark.parametrize("timeout", ["NaN", "Infinity", "1e400", "true"])
+    def test_timeout_that_is_not_a_finite_positive_number_is_a_400(self, timeout):
+        body = f'{{"name": "fig3", "points": 3, "timeout": {timeout}}}'.encode()
+        status, document, _ = self._run(None, body)
+        assert status == 400
+        assert document["error"] == '"timeout" must be a finite positive number of seconds'
+
+    def test_finite_positive_timeout_is_accepted(self):
+        status, document, _ = self._run(None, b'{"name": "fig3", "timeout": 0.5}')
+        assert status == 200
+        assert document == {"scenario": "fig3", "count": 0, "curves": []}
 
 
 class TestConnectionCap:

@@ -12,12 +12,13 @@ dumps) reports what happened.
 from __future__ import annotations
 
 import asyncio
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from repro.analysis import AnalysisSession, MeasureKind, MeasureRequest, SessionStats
-from repro.casestudy.experiments import line_state_space, table2_availability
+from repro.casestudy.experiments import line_state_space, render_experiment
 from repro.casestudy.facility import LINE1, LINE2, PAPER_STRATEGIES
 from repro.csl import ModelChecker
 from repro.ctmc import CTMC, MarkovRewardModel, RewardStructure
@@ -270,8 +271,12 @@ class TestWarmAvailabilityPortfolio:
 
     def test_table2_session_matches_per_call_availability(self):
         configurations = PAPER_STRATEGIES[:2]
+        spec = replace(paper_registry().get("table2"), strategies=configurations)
         stats = SessionStats()
-        table = table2_availability(configurations, stats=stats)
+        session = AnalysisSession(stats=stats)
+        session.extend(spec.expand())
+        results = {result.request.tag: result for result in session.execute()}
+        table = render_experiment("table2", spec, results)
         assert stats.requests == 2 * len(configurations)
         assert stats.sweeps == 0
         for configuration in configurations:
