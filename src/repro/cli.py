@@ -56,7 +56,7 @@ from pathlib import Path
 
 from repro.analysis import AnalysisSession, SessionStats
 from repro.casestudy import experiments as exp
-from repro.service.registry import paper_registry
+from repro.service.registry import MAX_GRID_POINTS, paper_registry
 
 #: Every experiment name, in the paper's order.
 EXPERIMENTS = ("table1", *exp.PAPER_EXPERIMENTS)
@@ -98,12 +98,15 @@ def run_experiments(
 
 
 def grid_points(text: str) -> int:
-    """argparse ``type=`` of every ``--points`` flag: a curve needs two points."""
+    """argparse ``type=`` of every ``--points`` flag: a curve needs two points,
+    and a grid holds at most :data:`~repro.service.registry.MAX_GRID_POINTS`."""
     points = int(text)
     if points < 2:
         raise argparse.ArgumentTypeError(
             f"must be at least 2 (t = 0 and the horizon), got {points}"
         )
+    if points > MAX_GRID_POINTS:
+        raise argparse.ArgumentTypeError(f"must be at most {MAX_GRID_POINTS}, got {points}")
     return points
 
 

@@ -41,6 +41,7 @@ from typing import Any
 import numpy as np
 
 from repro.service.dispatcher import QueueFull, ScenarioTimeout
+from repro.service.registry import MAX_GRID_POINTS
 from repro.service.shard import ShardCrashed
 
 #: Upper bound on accepted request-body sizes.
@@ -403,8 +404,10 @@ class ScenarioHTTPServer:
         if not isinstance(payload, dict) or not isinstance(payload.get("name"), str):
             raise _HTTPError(400, 'body must be a JSON object with a "name" string')
         points = payload.get("points")
-        if points is not None and (not isinstance(points, int) or points < 2):
-            raise _HTTPError(400, '"points" must be an integer >= 2')
+        if points is not None and (
+            not isinstance(points, int) or not 2 <= points <= MAX_GRID_POINTS
+        ):
+            raise _HTTPError(400, f'"points" must be an integer from 2 to {MAX_GRID_POINTS}')
         timeout = payload.get("timeout")
         # NaN, 1e400 (parsed as inf) and true (a bool is an int) are not
         # deadlines; the upper bound also keeps huge integers out of float.

@@ -57,6 +57,11 @@ LINE2_COST_STRATEGIES = (
     StrategyConfiguration(RepairStrategy.FASTEST_REPAIR_FIRST, 2),
 )
 
+#: The most points a requested time grid may have: 100 times the finest
+#: registry grid (101 points).  ``--points`` and ``POST /scenario`` reject
+#: more, before any grid is allocated.
+MAX_GRID_POINTS = 10_001
+
 #: Measure families a spec may declare.  ``availability`` is the long-run
 #: member: it expands to time-grid-free ``STEADY_STATE`` requests that ride
 #: the cached linear-solver engine instead of uniformization sweeps.

@@ -7,11 +7,14 @@ repeatedly sampling the race between all currently-enabled transitions:
 * every component *in service* at its repair unit may finish repair.
 
 The simulator samples the transition relation that the analytic
-state-space generator expands: it walks
-:meth:`repro.arcade.statespace.ArcadeSemantics.successors` from
-:func:`repro.arcade.statespace.start_state`, and reads its observables from
-the same per-failed-set evaluation.  So the simulator exercises the model
-logic, not a re-implementation of it.
+state-space generator expands: from
+:func:`repro.arcade.statespace.start_state` it steps one-row frontiers
+through the builder's array step, via
+:meth:`repro.arcade.statespace.ArcadeSemantics.successors`, and reads its
+observables from the same per-failed-set evaluation.  So the simulator
+exercises the model logic, not a re-implementation of it.  Each simulator
+remembers the decoded successors of the states it has visited, as it
+remembers their failed sets, so a revisited state costs one lookup.
 """
 
 from __future__ import annotations
@@ -77,6 +80,7 @@ class ArcadeSimulator:
         seed: int | np.random.Generator | None = None,
     ) -> None:
         self._semantics = ArcadeSemantics(model, with_repairs)
+        self._transitions: dict[ArcadeState, tuple[float, list[tuple[float, ArcadeState]]]] = {}
         self._rng = (
             seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
         )
@@ -103,10 +107,9 @@ class ArcadeSimulator:
         states = [state]
         clock = 0.0
         while True:
-            transitions = self._semantics.successors(state)
+            total_rate, transitions = self._successors(state)
             if not transitions:
                 break
-            total_rate = sum(rate for rate, _ in transitions)
             clock += float(self._rng.exponential(1.0 / total_rate))
             if clock >= horizon:
                 break
@@ -120,6 +123,17 @@ class ArcadeSimulator:
             times.append(clock)
             states.append(state)
         return SimulationRun(times=times, states=states, horizon=horizon)
+
+    def _successors(self, state: ArcadeState) -> tuple[float, list[tuple[float, ArcadeState]]]:
+        """The total rate and the transitions of ``state``, stepped once per state."""
+        entry = self._transitions.get(state)
+        if entry is None:
+            transitions = self._semantics.successors(state)
+            entry = self._transitions[state] = (
+                sum(rate for rate, _ in transitions),
+                transitions,
+            )
+        return entry
 
     # ------------------------------------------------------------------
     # per-state observables (shared by the estimators)

@@ -128,7 +128,38 @@ class TestServiceIntervals:
             )
 
 
+#: (states, transitions) of Line 1 and Line 2 for every space the
+#: reproduction builds: Table 1's ten and the two no-repair DED spaces of
+#: Figure 3.  Keyed by (strategy label, with repairs).
+TABLE1_SPACES = {
+    ("DED", True): ((2048, 22528), (512, 4608)),
+    ("FRF-1", True): ((33280, 145087), (2560, 10687)),
+    ("FFF-1", True): ((33280, 145087), (2560, 10687)),
+    ("FRF-2", True): ((33280, 178355), (2560, 13237)),
+    ("FFF-2", True): ((33280, 178355), (2560, 13237)),
+    ("DED", False): ((2048, 11264), (512, 2304)),
+}
+
+
 class TestPaperNumbers:
+    def test_table1_every_space_exact(self):
+        dedicated = StrategyConfiguration(RepairStrategy.DEDICATED, 1)
+        spaces = [(configuration, True) for configuration in PAPER_STRATEGIES]
+        spaces.append((dedicated, False))
+        counts = {}
+        for configuration, with_repairs in spaces:
+            counts[configuration.label, with_repairs] = tuple(
+                (space.num_states, space.num_transitions)
+                for space in (
+                    line_state_space(line, configuration, with_repairs=with_repairs)
+                    for line in (LINE1, LINE2)
+                )
+            )
+        assert counts == TABLE1_SPACES
+        pairs = [pair for lines in counts.values() for pair in lines]
+        assert sum(states for states, _ in pairs) == 148_480
+        assert sum(transitions for _, transitions in pairs) == 735_436
+
     def test_table1_dedicated_state_space_exact(self):
         line1 = build_state_space(build_line1("dedicated"))
         assert (line1.num_states, line1.num_transitions) == (2048, 22528)

@@ -18,6 +18,7 @@ from repro.arcade.repair import RepairStrategy
 from repro.cli import build_parser, build_serve_parser, main, run_experiments
 from repro.ctmc import CTMC
 from repro.service import paper_registry
+from repro.service.registry import MAX_GRID_POINTS
 
 
 @pytest.fixture(autouse=True)
@@ -207,7 +208,7 @@ class TestCommandLine:
 
 
 class TestGridPointValidation:
-    """``--points`` below 2 is a clean usage error on every front end."""
+    """``--points`` outside 2..MAX_GRID_POINTS is a clean usage error on every front end."""
 
     @pytest.mark.parametrize(
         "command",
@@ -229,6 +230,26 @@ class TestGridPointValidation:
     def test_two_points_are_accepted(self):
         args = build_parser().parse_args(["fig3", "--points", "2"])
         assert args.points == 2
+
+    @pytest.mark.parametrize(
+        "command",
+        [["fig3"], ["serve", "--scenarios", "fig3"], ["optimize", "--line", "2"]],
+        ids=["repro", "serve", "optimize"],
+    )
+    def test_too_many_points_exit_with_usage_error(self, command, capsys):
+        # A trillion-point grid was a traceback (numpy asked for 7.28 TiB).
+        with pytest.raises(SystemExit) as exited:
+            main([*command, "--points", "1000000000000"])
+        assert exited.value.code == 2
+        error = capsys.readouterr().err
+        assert "Traceback" not in error
+        assert error.endswith(
+            f"error: argument --points: must be at most {MAX_GRID_POINTS}, got 1000000000000\n"
+        )
+
+    def test_largest_grid_is_accepted(self):
+        args = build_parser().parse_args(["fig3", "--points", str(MAX_GRID_POINTS)])
+        assert args.points == MAX_GRID_POINTS
 
 
 class TestNumericFlagValidation:

@@ -27,6 +27,7 @@ from repro.service import (
     ShardedScenarioService,
     paper_registry,
 )
+from repro.service.registry import MAX_GRID_POINTS
 
 POINTS = 7
 
@@ -266,6 +267,20 @@ class TestErrorMapping:
         status, document, _ = self._run(None, body)
         assert status == 400
         assert document["error"] == '"timeout" must be a finite positive number of seconds'
+
+    @pytest.mark.parametrize("points", ["1000000000000", str(2**70), "1", "true", "2.5"])
+    def test_grid_outside_the_bounds_is_a_400(self, points):
+        # A trillion points asked numpy for 7.28 TiB, 2**70 overflowed its
+        # size check; both were 500s before the bound.
+        status, document, _ = self._run(None, f'{{"name": "fig3", "points": {points}}}'.encode())
+        assert status == 400
+        assert document["error"] == f'"points" must be an integer from 2 to {MAX_GRID_POINTS}'
+
+    def test_largest_grid_is_accepted(self):
+        body = f'{{"name": "fig3", "points": {MAX_GRID_POINTS}}}'.encode()
+        status, document, _ = self._run(None, body)
+        assert status == 200
+        assert document == {"scenario": "fig3", "count": 0, "curves": []}
 
     def test_finite_positive_timeout_is_accepted(self):
         status, document, _ = self._run(None, b'{"name": "fig3", "timeout": 0.5}')
