@@ -14,8 +14,9 @@ and giving the gates a quantitative interpretation over service values in
   (Section 5 of the paper).
 
 Fault-tree nodes evaluate over the *failed* component set; service-tree
-nodes evaluate over the *up* component set and return a float in ``[0, 1]``.
-The duality is implemented by :meth:`FaultTree.to_service_tree`:
+nodes evaluate over the *up* component set and return an exact
+:class:`~fractions.Fraction` in ``[0, 1]``.  The duality is implemented by
+:meth:`FaultTree.to_service_tree`:
 
 =====================  ============================================
 fault-tree gate         dual service-tree gate
@@ -30,15 +31,35 @@ Note that a plain ``Or`` over ``n`` basic events is the special case
 ``KOfN(1, n)``; its dual is the capped fraction with ``required = n``, i.e.
 exactly the average — so the table above is consistent with the paper's
 "substitute AND by OR and vice versa" description.
+
+``evaluate`` answers for one set of components.  ``compile`` turns a tree
+into array code that answers for every row of a (sets × components) matrix
+at once, for :class:`~repro.arcade.model.FailedSetTable`: a basic event is
+a column, ``Or``/``And`` are any/all and ``KOfN`` is a count of at least
+``k``.  A compiled service tree computes Python-int numerators over one
+common denominator of the tree: a component is 0 or 1, a minimum takes the
+elementwise minimum, an average sums its children and multiplies the
+denominator by the arity, and a capped fraction is ``min(sum, d·required)``
+over ``d·required``.  No float and no fixed-width integer is involved, so
+the levels equal ``evaluate``'s at any depth and size.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from collections.abc import Iterable, Sequence, Set
+from collections.abc import Callable, Iterable, Mapping, Sequence, Set
 from fractions import Fraction
 
+import numpy as np
+
 from repro.arcade.components import ArcadeModelError
+
+#: A compiled fault tree: the down verdict of each row of a failed matrix.
+DownColumn = Callable[[np.ndarray], np.ndarray]
+#: A compiled service tree: each row's level, from a matrix of up components,
+#: as a Python-int numerator (object dtype) over the tree's denominator.
+LevelNumerators = Callable[[np.ndarray], np.ndarray]
 
 
 # ---------------------------------------------------------------------------
@@ -61,6 +82,13 @@ class FaultTreeNode:
         """The dual service-tree node (see module docstring)."""
         raise NotImplementedError
 
+    def compile(self, column: Mapping[str, int]) -> DownColumn:
+        """:meth:`evaluate` over every row of a failed matrix at once.
+
+        ``column`` maps a component name to its column of the matrix.
+        """
+        raise NotImplementedError
+
 
 @dataclass(frozen=True, slots=True)
 class BasicEvent(FaultTreeNode):
@@ -76,6 +104,10 @@ class BasicEvent(FaultTreeNode):
 
     def to_service_node(self) -> "ServiceTreeNode":
         return ComponentService(self.component)
+
+    def compile(self, column: Mapping[str, int]) -> DownColumn:
+        index = column[self.component]
+        return lambda failed: failed[:, index]
 
     def __str__(self) -> str:
         return self.component
@@ -101,6 +133,10 @@ class Or(FaultTreeNode):
     def to_service_node(self) -> "ServiceTreeNode":
         return MinService(tuple(child.to_service_node() for child in self.children))
 
+    def compile(self, column: Mapping[str, int]) -> DownColumn:
+        children = [child.compile(column) for child in self.children]
+        return lambda failed: np.logical_or.reduce([child(failed) for child in children])
+
     def __str__(self) -> str:
         return "OR(" + ", ".join(str(child) for child in self.children) + ")"
 
@@ -124,6 +160,10 @@ class And(FaultTreeNode):
 
     def to_service_node(self) -> "ServiceTreeNode":
         return AverageService(tuple(child.to_service_node() for child in self.children))
+
+    def compile(self, column: Mapping[str, int]) -> DownColumn:
+        children = [child.compile(column) for child in self.children]
+        return lambda failed: np.logical_and.reduce([child(failed) for child in children])
 
     def __str__(self) -> str:
         return "AND(" + ", ".join(str(child) for child in self.children) + ")"
@@ -167,6 +207,11 @@ class KOfN(FaultTreeNode):
             tuple(child.to_service_node() for child in self.children),
             required=self.required_up,
         )
+
+    def compile(self, column: Mapping[str, int]) -> DownColumn:
+        children = [child.compile(column) for child in self.children]
+        k = self.k
+        return lambda failed: np.count_nonzero([child(failed) for child in children], axis=0) >= k
 
     def __str__(self) -> str:
         return f"{self.k}-of-{len(self.children)}(" + ", ".join(
@@ -215,6 +260,15 @@ class ServiceTreeNode:
         """
         raise NotImplementedError
 
+    def compile(self, column: Mapping[str, int]) -> tuple[int, LevelNumerators]:
+        """:meth:`evaluate` over every row of an up matrix at once, exactly.
+
+        ``column`` maps a component name to its column of the matrix, whose
+        entries are the Python ints 0 and 1.  Returns a denominator and the
+        function giving each row's level as a numerator over it.
+        """
+        raise NotImplementedError
+
 
 @dataclass(frozen=True, slots=True)
 class ComponentService(ServiceTreeNode):
@@ -230,6 +284,10 @@ class ComponentService(ServiceTreeNode):
 
     def attainable_levels(self) -> frozenset[Fraction]:
         return frozenset({Fraction(0), Fraction(1)})
+
+    def compile(self, column: Mapping[str, int]) -> tuple[int, LevelNumerators]:
+        index = column[self.component]
+        return 1, lambda up: up[:, index]
 
     def __str__(self) -> str:
         return self.component
@@ -256,6 +314,10 @@ class MinService(ServiceTreeNode):
             levels |= child.attainable_levels()
         return frozenset(levels)
 
+    def compile(self, column: Mapping[str, int]) -> tuple[int, LevelNumerators]:
+        denominator, children = _over_common_denominator(self.children, column)
+        return denominator, lambda up: np.minimum.reduce([child(up) for child in children])
+
     def __str__(self) -> str:
         return "MIN(" + ", ".join(str(child) for child in self.children) + ")"
 
@@ -279,6 +341,10 @@ class AverageService(ServiceTreeNode):
             child_levels = child.attainable_levels()
             sums = {existing + level for existing in sums for level in child_levels}
         return frozenset(total / len(self.children) for total in sums)
+
+    def compile(self, column: Mapping[str, int]) -> tuple[int, LevelNumerators]:
+        denominator, children = _over_common_denominator(self.children, column)
+        return denominator * len(children), lambda up: sum(child(up) for child in children)
 
     def __str__(self) -> str:
         return "AVG(" + ", ".join(str(child) for child in self.children) + ")"
@@ -310,10 +376,33 @@ class CappedFractionService(ServiceTreeNode):
             sums = {existing + level for existing in sums for level in child_levels}
         return frozenset(min(Fraction(1), total / self.required) for total in sums)
 
+    def compile(self, column: Mapping[str, int]) -> tuple[int, LevelNumerators]:
+        denominator, children = _over_common_denominator(self.children, column)
+        cap = denominator * self.required
+        return cap, lambda up: np.minimum(sum(child(up) for child in children), cap)
+
     def __str__(self) -> str:
         return (
             f"CAP[{self.required}](" + ", ".join(str(child) for child in self.children) + ")"
         )
+
+
+def _over_common_denominator(
+    children: Sequence[ServiceTreeNode], column: Mapping[str, int]
+) -> tuple[int, list[LevelNumerators]]:
+    """The children compiled over the least common multiple of their denominators."""
+    compiled = [child.compile(column) for child in children]
+    denominator = math.lcm(*(child_denominator for child_denominator, _ in compiled))
+    return denominator, [
+        numerators
+        if child_denominator == denominator
+        else _scaled(numerators, denominator // child_denominator)
+        for child_denominator, numerators in compiled
+    ]
+
+
+def _scaled(numerators: LevelNumerators, factor: int) -> LevelNumerators:
+    return lambda up: numerators(up) * factor
 
 
 def service_threshold(threshold: float | Fraction) -> Fraction:
@@ -345,6 +434,10 @@ class FaultTree:
     def is_operational(self, failed: Iterable[str]) -> bool:
         return not self.is_down(failed)
 
+    def compile(self, names: Sequence[str]) -> DownColumn:
+        """:meth:`is_down` of each row of a failed matrix with one column per name."""
+        return self.root.compile({name: index for index, name in enumerate(names)})
+
     def components(self) -> frozenset[str]:
         return self.root.components()
 
@@ -366,6 +459,15 @@ class ServiceTree:
     def service_level(self, up: Iterable[str]) -> Fraction:
         """The exact service level when exactly ``up`` components are operational."""
         return self.root.evaluate(frozenset(up))
+
+    def compile(self, names: Sequence[str]) -> tuple[int, LevelNumerators]:
+        """:meth:`service_level` of each row of an up matrix with one column per name.
+
+        Returns the tree's denominator and the function giving each row's
+        level as a Python-int numerator over it (see
+        :meth:`ServiceTreeNode.compile`).
+        """
+        return self.root.compile({name: index for index, name in enumerate(names)})
 
     def delivers_service(self, up: Iterable[str]) -> bool:
         """Whether *some* service is delivered (level strictly positive)."""

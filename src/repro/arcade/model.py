@@ -5,8 +5,11 @@ basic components, repair units, spare management units, the fault tree and
 cost annotations — validates their mutual consistency, and offers the
 queries that the state-space generators and translators need (effective
 failure rates, service levels, disaster states, ...).  A
-:class:`FailedSetTable` evaluates what each set of failed components means,
-once per set, for the state-space builder, the simulator and the CTMDP.
+:class:`FailedSetTable` evaluates what sets of failed components mean (failure
+rates, fault-tree verdict, exact service level, costs) a batch at a time,
+into one column array per quantity, for the state-space builder, the
+simulator and the CTMDP; the scalar queries of :class:`ArcadeModel` give the
+same values one set at a time.
 """
 
 from __future__ import annotations
@@ -14,6 +17,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from collections.abc import Collection, Iterable, Mapping, Sequence
 from fractions import Fraction
+
+import numpy as np
 
 from repro.arcade.components import ArcadeModelError, BasicComponent
 from repro.arcade.costs import CostModel
@@ -231,18 +236,10 @@ class ArcadeModel:
         return total
 
     def state_cost_rate(
-        self,
-        failed_components: Iterable[str],
-        busy_crews_per_unit: Mapping[str, int],
-        component_cost: float | None = None,
+        self, failed_components: Iterable[str], busy_crews_per_unit: Mapping[str, int]
     ) -> float:
-        """Hourly cost of a state: components in model order, then crews in unit order.
-
-        Pass ``component_cost`` when :meth:`component_cost_rate` is known.
-        """
-        if component_cost is None:
-            component_cost = self.component_cost_rate(set(failed_components))
-        total = component_cost
+        """Hourly cost of a state: components in model order, then crews in unit order."""
+        total = self.component_cost_rate(set(failed_components))
         for unit in self.repair_units:
             busy = busy_crews_per_unit.get(unit.name, 0)
             idle = unit.effective_crews() - busy
@@ -284,49 +281,112 @@ class ArcadeModel:
         return "+".join(labels) if labels else "none"
 
 
-@dataclass(frozen=True)
-class FailedSet:
-    """What one set of failed components means in a model.
+class FailedSetTable:
+    """What sets of failed components mean in a model, one column array each.
 
-    A state's failure rates, labels, service level and component cost depend
-    only on its failed set, so :class:`FailedSetTable` evaluates each distinct
-    set once.  ``failure_rates`` pairs every up component whose effective rate
-    is positive with that rate, in model order; ``down`` is ``None`` without a
-    fault tree; ``component_cost`` is :meth:`ArcadeModel.component_cost_rate`.
-    """
+    A state's failure rates, fault-tree verdict, service level and cost
+    depend only on its failed set.  :meth:`add` evaluates a batch of sets,
+    the rows of a (sets × components) boolean matrix in model order, and
+    numbers them on from ``len(table)``.  The columns, indexed by that id:
 
-    failed: frozenset[str]
-    failure_rates: tuple[tuple[str, float], ...]
-    down: bool | None
-    service_level: Fraction
-    component_cost: float
+    * ``failed``: the sets themselves;
+    * ``rates``: each component's effective failure rate, 0 once failed;
+    * ``down``: the fault-tree verdict (``None`` without a fault tree);
+    * ``level_ids``: the position of the exact service level in
+      :attr:`levels`, numbered by first appearance over the ids;
+    * ``component_cost`` and ``cost``: :meth:`ArcadeModel.component_cost_rate`
+      and :meth:`ArcadeModel.state_cost_rate` with ``min(crews, failed
+      members)`` busy crews per unit (a unit's queue holds exactly its
+      failed members).
 
-
-class FailedSetTable(dict[frozenset[str], FailedSet]):
-    """The :class:`FailedSet` of each failed set, evaluated on first lookup.
-
-    Scope a table to one build, one simulator or one CTMDP, so that no
-    cached state space keeps its rows alive.
+    Each column equals the scalar query: the costs add the same floats in
+    the same order, and the levels are exact.  Scope a table to one build,
+    one simulator or one CTMDP, so that no cached state space keeps its
+    columns alive.
     """
 
     def __init__(self, model: ArcadeModel) -> None:
-        super().__init__()
         self.model = model
-        self.service_tree = model.effective_service_tree()
+        names = model.component_names
+        position = {name: index for index, name in enumerate(names)}
+        components = model.components
+        self._active_rates = np.array([component.failure_rate for component in components])
+        # Each spare unit's columns in preference order, its required count
+        # and its members' dormant rates.
+        self._spare_units = []
+        for unit in model.spare_units:
+            columns = [position[name] for name in unit.components]
+            dormant_rates = [components[column].dormant_failure_rate for column in columns]
+            self._spare_units.append((columns, unit.required, np.array(dormant_rates)))
+        self._down = model.fault_tree.compile(names) if model.fault_tree is not None else None
+        self.denominator, self._numerators = model.effective_service_tree().compile(names)
+        costs = model.cost_model
+        self._component_costs = [(costs.up_cost(name), costs.down_cost(name)) for name in names]
+        self._units = [
+            ([position[name] for name in unit.components], unit.effective_crews())
+            for unit in model.repair_units
+        ]
 
-    def __missing__(self, failed: frozenset[str]) -> FailedSet:
-        model = self.model
-        up = tuple(name for name in model.component_names if name not in failed)
-        rates = []
-        for name in up:
-            rate = model.effective_failure_rate(name, up)
-            if rate > 0.0:
-                rates.append((name, rate))
-        row = self[failed] = FailedSet(
-            failed=failed,
-            failure_rates=tuple(rates),
-            down=model.is_down(failed) if model.fault_tree is not None else None,
-            service_level=self.service_tree.service_level(up),
-            component_cost=model.component_cost_rate(failed),
+        self.failed = np.zeros((0, len(names)), dtype=bool)
+        self.rates = np.zeros((0, len(names)))
+        self.down: np.ndarray | None = None if self._down is None else np.zeros(0, dtype=bool)
+        self.level_ids = np.zeros(0, dtype=np.intp)
+        #: The distinct exact service levels, in order of first appearance.
+        self.levels: list[Fraction] = []
+        self._level_of: dict[int, int] = {}
+        self.component_cost = np.zeros(0)
+        self.cost = np.zeros(0)
+
+    def __len__(self) -> int:
+        return len(self.failed)
+
+    def add(self, failed: np.ndarray) -> None:
+        """Evaluate the failed sets given as the rows of a boolean matrix."""
+        up = ~failed
+        # An up member of a spare unit beyond its first ``required`` up
+        # members, in preference order, fails at its dormant rate.
+        rates = np.where(up, self._active_rates, 0.0)
+        for columns, required, dormant_rates in self._spare_units:
+            members = up[:, columns]
+            dormant = members & (np.cumsum(members, axis=1) > required)
+            rates[:, columns] = np.where(dormant, dormant_rates, rates[:, columns])
+
+        numerators = self._numerators(up.astype(np.intp).astype(object)).tolist()
+        level_of = self._level_of
+        for numerator in dict.fromkeys(numerators):
+            if numerator not in level_of:
+                level_of[numerator] = len(self.levels)
+                self.levels.append(Fraction(numerator, self.denominator))
+
+        # Component by component in model order, as component_cost_rate adds.
+        component_cost = np.zeros(len(failed))
+        for column, (up_cost, down_cost) in enumerate(self._component_costs):
+            component_cost += np.where(failed[:, column], down_cost, up_cost)
+        busy = np.zeros((len(failed), len(self._units)), dtype=np.intp)
+        for unit, (columns, crews) in enumerate(self._units):
+            busy[:, unit] = np.minimum(crews, np.count_nonzero(failed[:, columns], axis=1))
+
+        self.failed = np.concatenate([self.failed, failed])
+        self.rates = np.concatenate([self.rates, rates])
+        if self._down is not None:
+            self.down = np.concatenate([self.down, self._down(failed)])
+        self.level_ids = np.concatenate(
+            [
+                self.level_ids,
+                np.fromiter(map(level_of.__getitem__, numerators), np.intp, len(numerators)),
+            ]
         )
-        return row
+        self.component_cost = np.concatenate([self.component_cost, component_cost])
+        self.cost = np.concatenate([self.cost, self.with_crew_costs(component_cost, busy)])
+
+    def with_crew_costs(self, component_cost: np.ndarray, busy: np.ndarray) -> np.ndarray:
+        """``component_cost`` plus each repair unit's crew cost, in unit order.
+
+        ``busy[:, u]`` is the number of busy crews of unit ``u``; the sums
+        are those of :meth:`ArcadeModel.state_cost_rate`.
+        """
+        costs = self.model.cost_model
+        total = component_cost.copy()
+        for (_, crews), unit_busy in zip(self._units, busy.T):
+            total += (crews - unit_busy) * costs.crew_idle_cost + unit_busy * costs.crew_busy_cost
+        return total

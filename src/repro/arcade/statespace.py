@@ -35,11 +35,11 @@ demand); the Monte-Carlo simulator steps one-row frontiers through
 :meth:`~ArcadeSemantics.successors`.
 
 Everything a state means beyond its queues depends only on its failed set:
-its failure rates, its labels, its service level and its cost.  Each
-distinct failed set is evaluated once, as a
-:class:`~repro.arcade.model.FailedSetTable` row plus one
-:meth:`~repro.arcade.model.ArcadeModel.state_cost_rate` call, and a
-per-state failed-set id scatters the values to the states.
+its failure rates, its labels, its service level and its cost.
+:meth:`ArcadeSemantics.set_ids` finds each row's set by its packed bitmask
+and evaluates all of a frontier's unseen sets in one batch, as rows of a
+:class:`~repro.arcade.model.FailedSetTable`; a per-state failed-set id
+scatters the table's columns to the states.
 
 Each state is labelled ``"down"``/``"operational"`` via the fault tree and
 ``"no_service"``/``"full_service"`` via the service tree; the quantitative
@@ -51,13 +51,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import compress
 
 import numpy as np
 
 from repro.arcade.components import ArcadeModelError
 from repro.arcade.fault_tree import service_threshold
-from repro.arcade.model import ArcadeModel, Disaster, FailedSet, FailedSetTable
+from repro.arcade.model import ArcadeModel, Disaster, FailedSetTable
 from repro.arcade.repair import RepairStrategy
 from repro.ctmc import CTMC, MarkovRewardModel, RewardStructure
 from repro.ctmc.ctmc import CTMCBuilder
@@ -78,6 +77,14 @@ def _keys(rows: np.ndarray) -> np.ndarray:
     """One sortable scalar per row of ``rows``: the row's bytes."""
     rows = np.ascontiguousarray(rows)
     return rows.view(np.dtype((np.void, rows.shape[1] * rows.itemsize))).ravel()
+
+
+def _find(known: np.ndarray, numbers: np.ndarray, keys: np.ndarray) -> np.ndarray:
+    """The number of each key among the sorted ``known`` keys, -1 where it is missing."""
+    if not len(known):
+        return np.full(len(keys), -1, dtype=np.intp)
+    spots = np.minimum(np.searchsorted(known, keys), len(known) - 1)
+    return np.where(known[spots] == keys, numbers[spots], -1)
 
 
 class StateEncoding:
@@ -114,7 +121,7 @@ class StateEncoding:
         position = {name: index for index, name in enumerate(self.names)}
         # Slot value v in slot column c names model component
         # _slot_component[_slot_base[c] + v]; an empty slot names the extra
-        # column len(names), which failed_masks drops.
+        # column len(names), which failed drops.
         tables = [
             [len(self.names), *(position[name] for name in members)]
             for members in self.unit_components
@@ -131,8 +138,6 @@ class StateEncoding:
             for members in self.unit_components
         ]
         self._bit_of = {name: bit for bit, name in enumerate(self.uncovered)}
-        #: The model-order position of each component.
-        self.position = position
 
     # ------------------------------------------------------------------
     def encode(self, state: ArcadeState) -> np.ndarray:
@@ -178,8 +183,8 @@ class StateEncoding:
             for row in rows.tolist()
         ]
 
-    def failed_masks(self, rows: np.ndarray) -> np.ndarray:
-        """The packed failed-set mask of each row, as one bytes scalar per row."""
+    def failed(self, rows: np.ndarray) -> np.ndarray:
+        """The failed set of each row: a boolean per component, in model order."""
         failed = np.zeros((len(rows), len(self.names) + 1), dtype=bool)
         slots = rows[:, : self.slot_count]
         failed[np.arange(len(rows))[:, None], self._slot_component[self._slot_base + slots]] = True
@@ -187,19 +192,7 @@ class StateEncoding:
             failed[:, self._uncovered_component] = np.unpackbits(
                 rows[:, self.slot_count :], axis=1, count=len(self.uncovered), bitorder="little"
             )
-        return _keys(np.packbits(failed[:, :-1], axis=1, bitorder="little"))
-
-    def failed_mask_of(self, names: frozenset[str]) -> bytes:
-        """The packed failed-set mask of a set of component names."""
-        mask = sum(1 << self.position[name] for name in names)
-        return mask.to_bytes(self.mask_bytes, "little")
-
-    def failed_names(self, mask: bytes) -> frozenset[str]:
-        """The component names of a packed failed-set mask."""
-        bits = np.unpackbits(
-            np.frombuffer(mask, dtype=np.uint8), count=len(self.names), bitorder="little"
-        )
-        return frozenset(compress(self.names, bits.tolist()))
+        return failed[:, :-1]
 
 
 @dataclass(eq=False)
@@ -344,20 +337,18 @@ class ArcadeSemantics:
     """The transition relation of an Arcade model, over encoded states.
 
     :func:`build_state_space` expands it into a CTMC; the simulator samples
-    it.  Each distinct failed set is evaluated once: its
-    :class:`~repro.arcade.model.FailedSet` row is ``sets[i]`` and its cost
-    ``costs[i]``, where ``i`` is the set's id (see :meth:`set_ids`).
+    it.  Each distinct failed set is evaluated once, as a row of
+    :attr:`table` whose id :meth:`set_ids` gives.
     """
 
     def __init__(self, model: ArcadeModel, with_repairs: bool = True) -> None:
         self.model = model
         self.with_repairs = with_repairs
         self.encoding = encoding = StateEncoding(model)
-        self.failed_sets = FailedSetTable(model)
-        self.sets: list[FailedSet] = []
-        self.costs: list[float] = []
-        self._set_index: dict[bytes, int] = {}
-        self._failure_rates = np.zeros((8, len(encoding.names)))
+        self.table = FailedSetTable(model)
+        # The packed failed-set masks in the table, sorted, and their ids.
+        self._masks = np.zeros(0, dtype=np.dtype((np.void, encoding.mask_bytes)))
+        self._mask_ids = np.zeros(0, dtype=np.intp)
 
         components = model.components_by_name()
         unit_of = {
@@ -416,44 +407,30 @@ class ArcadeSemantics:
     # failed sets
     # ------------------------------------------------------------------
     def set_ids(self, rows: np.ndarray) -> np.ndarray:
-        """The failed-set id of each row, evaluating every set not seen before."""
-        masks, inverse = np.unique(self.encoding.failed_masks(rows), return_inverse=True)
-        ids = np.fromiter(map(self._set_id, masks.tolist()), dtype=np.intp, count=len(masks))
+        """The failed-set id of each row.
+
+        The sets not seen before join :attr:`table` in one batch, numbered
+        in the order of their packed masks.
+        """
+        failed = self.encoding.failed(rows)
+        masks, first, inverse = np.unique(
+            _keys(np.packbits(failed, axis=1, bitorder="little")),
+            return_index=True,
+            return_inverse=True,
+        )
+        ids = _find(self._masks, self._mask_ids, masks)
+        fresh = np.flatnonzero(ids < 0)
+        if len(fresh):
+            ids[fresh] = np.arange(len(self.table), len(self.table) + len(fresh))
+            self.table.add(failed[first[fresh]])
+            spots = np.searchsorted(self._masks, masks[fresh])
+            self._masks = np.insert(self._masks, spots, masks[fresh])
+            self._mask_ids = np.insert(self._mask_ids, spots, ids[fresh])
         return ids[inverse]
 
-    def _set_id(self, mask: bytes) -> int:
-        set_id = self._set_index.get(mask)
-        if set_id is not None:
-            return set_id
-        set_id = self._set_index[mask] = len(self.sets)
-        row = self.failed_sets[self.encoding.failed_names(mask)]
-        # A unit's queue holds exactly its failed components, so how many of
-        # its crews are busy depends on the failed set alone.
-        busy = {
-            unit.name: unit.busy_crews([name for name in unit.components if name in row.failed])
-            for unit in self.model.repair_units
-        }
-        self.sets.append(row)
-        self.costs.append(self.model.state_cost_rate(row.failed, busy, row.component_cost))
-        if set_id == len(self._failure_rates):
-            self._failure_rates = np.concatenate(
-                [self._failure_rates, np.zeros_like(self._failure_rates)]
-            )
-        position = self.encoding.position
-        for name, rate in row.failure_rates:
-            self._failure_rates[set_id, position[name]] = rate
-        return set_id
-
-    def _set_of(self, state: ArcadeState) -> int:
-        return self._set_id(self.encoding.failed_mask_of(failed_components(state)))
-
-    def evaluate(self, state: ArcadeState) -> FailedSet:
-        """What the failed set of ``state`` means (its table row)."""
-        return self.sets[self._set_of(state)]
-
-    def cost_rate(self, state: ArcadeState) -> float:
-        """Hourly cost of ``state``."""
-        return self.costs[self._set_of(state)]
+    def set_id(self, state: ArcadeState) -> int:
+        """The failed-set id of ``state``: its row of :attr:`table`."""
+        return int(self.set_ids(self.encoding.encode(state)[None, :])[0])
 
     # ------------------------------------------------------------------
     # transitions
@@ -468,7 +445,7 @@ class ArcadeSemantics:
         source in ``rows``, its encoded successor and its rate.  Transitions
         are ordered by source, then as :meth:`successors` lists them.
         """
-        rates = self._failure_rates[set_ids]
+        rates = self.table.rates[set_ids]
         enabled = rates > 0.0
         if len(self._repair_columns):
             slots = rows[:, self._repair_columns]
@@ -563,8 +540,7 @@ def build_state_space(
     while len(frontier):
         parents, successors, step_rates = semantics.step(frontier, frontier_sets)
         keys = _keys(successors)
-        spots = np.minimum(np.searchsorted(known, keys), len(known) - 1)
-        target = np.where(known[spots] == keys, numbers[spots], -1)
+        target = _find(known, numbers, keys)
         unknown = np.flatnonzero(target < 0)
         fresh, seen_at, inverse = np.unique(
             keys[unknown], return_index=True, return_inverse=True
@@ -588,16 +564,13 @@ def build_state_space(
         set_ids.append(frontier_sets)
         first, count = count, count + len(fresh)
 
+    table = semantics.table
     state_sets = np.concatenate(set_ids)
-    level_of: dict[Fraction, int] = {}
-    set_levels = np.array(
-        [level_of.setdefault(row.service_level, len(level_of)) for row in semantics.sets]
-    )
-    levels = tuple(level_of)
-    level_ids = set_levels[state_sets]
+    levels = tuple(table.levels)
+    level_ids = table.level_ids[state_sets]
     labels = {}
-    if model.fault_tree is not None:
-        down = np.array([row.down for row in semantics.sets])[state_sets]
+    if table.down is not None:
+        down = table.down[state_sets]
         labels = {"down": down, "operational": ~down}
     labels["no_service"] = np.array([level == 0 for level in levels])[level_ids]
     labels["full_service"] = np.array([level == 1 for level in levels])[level_ids]
@@ -610,7 +583,7 @@ def build_state_space(
         {name: mask for name, mask in labels.items() if mask.any()},
     )
     chain = builder.build({0: 1.0})
-    cost = np.array(semantics.costs)[state_sets]
+    cost = table.cost[state_sets]
     return ArcadeStateSpace(
         model=model,
         chain=chain,

@@ -132,7 +132,11 @@ class RepairCTMDP:
         model = self.model
         names = self.component_names
         components = model.components_by_name()
-        failed_sets = FailedSetTable(model)
+        num_states = self.num_states
+        # Every failed set at once: row ``mask`` of the table is the state ``mask``.
+        table = FailedSetTable(model)
+        table.add((np.arange(num_states)[:, None] >> np.arange(len(names)) & 1) == 1)
+        failed_of_state = [tuple(itertools.compress(names, row)) for row in table.failed.tolist()]
         capacity = {
             unit.name: (
                 min(self.crew_limit, len(unit.components))
@@ -142,34 +146,15 @@ class RepairCTMDP:
             for unit in model.repair_units
         }
 
-        num_states = self.num_states
-        service_fractions: list[Fraction] = []
-        down = np.zeros(num_states, dtype=bool)
-        failed_of_state: list[tuple[str, ...]] = []
-
-        fail_src: list[int] = []
-        fail_tgt: list[int] = []
-        fail_rate: list[float] = []
-
         action_offsets = np.zeros(num_states + 1, dtype=np.int64)
         action_state: list[int] = []
-        action_cost: list[float] = []
+        action_busy: list[list[int]] = []
         action_served: list[tuple[tuple[str, ...], ...]] = []
         repair_action: list[int] = []
         repair_target: list[int] = []
         repair_rates: list[float] = []
 
-        for mask in range(num_states):
-            failed = tuple(name for name in names if mask & self._bit[name])
-            row = failed_sets[frozenset(failed)]
-            failed_of_state.append(failed)
-            service_fractions.append(row.service_level)
-            down[mask] = row.down
-            for name, rate in row.failure_rates:
-                fail_src.append(mask)
-                fail_tgt.append(mask | self._bit[name])
-                fail_rate.append(rate)
-
+        for mask, failed in enumerate(failed_of_state):
             # Admissible served-subsets per unit, in component order.
             per_unit: list[list[tuple[str, ...]]] = []
             for unit in model.repair_units:
@@ -188,7 +173,7 @@ class RepairCTMDP:
             combos = list(itertools.product(*per_unit))
             if len(combos) > MAX_ACTIONS_PER_STATE:
                 raise OptimizeError(
-                    f"state {row.failed or 'all-up'} admits {len(combos)} actions "
+                    f"state {failed or 'all-up'} admits {len(combos)} actions "
                     f"(limit {MAX_ACTIONS_PER_STATE}); pass a smaller crew_limit"
                 )
             flat_base = len(action_state)
@@ -196,31 +181,30 @@ class RepairCTMDP:
                 flat = len(action_state)
                 action_state.append(mask)
                 action_served.append(served)
-                busy = {}
-                for unit, subset in zip(model.repair_units, served):
-                    busy[unit.name] = len(subset)
+                action_busy.append([len(subset) for subset in served])
+                for subset in served:
                     for name in subset:
                         repair_action.append(flat)
                         repair_target.append(mask & ~self._bit[name])
                         repair_rates.append(components[name].repair_rate)
-                action_cost.append(
-                    model.state_cost_rate(row.failed, busy, row.component_cost)
-                )
             action_offsets[mask + 1] = flat_base + len(combos)
 
+        fail_src, failing = np.nonzero(table.rates > 0.0)
         self.action_offsets = action_offsets
         self.action_state = np.asarray(action_state, dtype=np.int64)
-        self.action_cost = np.asarray(action_cost, dtype=float)
+        self.action_cost = table.with_crew_costs(
+            table.component_cost[self.action_state], np.array(action_busy, dtype=np.int64)
+        )
         self.action_served = action_served
         self.repair_action = np.asarray(repair_action, dtype=np.int64)
         self.repair_target = np.asarray(repair_target, dtype=np.int64)
         self.repair_rate = np.asarray(repair_rates, dtype=float)
-        self.fail_src = np.asarray(fail_src, dtype=np.int64)
-        self.fail_tgt = np.asarray(fail_tgt, dtype=np.int64)
-        self.fail_rate = np.asarray(fail_rate, dtype=float)
-        self.down = down
-        self.service_fractions = tuple(service_fractions)
-        self.service_levels = np.asarray([float(f) for f in service_fractions])
+        self.fail_src = fail_src.astype(np.int64)
+        self.fail_tgt = self.fail_src | (1 << failing)
+        self.fail_rate = table.rates[fail_src, failing]
+        self.down = table.down
+        self.service_fractions = tuple(map(table.levels.__getitem__, table.level_ids.tolist()))
+        self.service_levels = np.asarray([float(f) for f in self.service_fractions])
         self.failed_of_state = tuple(failed_of_state)
         self.total_actions = len(action_state)
         self._chain_cache: dict[tuple[int, ...], CTMC] = {}

@@ -7,10 +7,10 @@ traffic over three endpoints:
 ``POST /scenario``
     Body ``{"name": "fig4_5", "points": 31, "timeout": 10.0}`` (``points``
     and ``timeout`` optional; ``timeout`` is a finite positive number of
-    seconds).  Expands the named scenario, awaits the whole
-    family through the backing service (coalescing/routing included) and
-    returns one JSON curve per request: ``{"tag": [...], "times": [...],
-    "values": [...], "lumped_states": ...}``.
+    seconds; any other key is a ``400``).  Expands the named scenario,
+    awaits the whole family through the backing service (coalescing/routing
+    included) and returns one JSON curve per request: ``{"tag": [...],
+    "times": [...], "values": [...], "lumped_states": ...}``.
 ``GET /registry``
     The registered scenario specs as JSON (names, measures, grids).
 ``GET /metrics``
@@ -399,10 +399,19 @@ class ScenarioHTTPServer:
     async def _post_scenario(self, body: bytes) -> tuple[int, str, bytes]:
         try:
             payload = json.loads(body.decode("utf-8") or "{}")
-        except (UnicodeDecodeError, json.JSONDecodeError) as error:
+        # ValueError covers undecodable bytes, malformed JSON and integers
+        # past Python's digit limit; RecursionError, nesting too deep.
+        except (ValueError, RecursionError) as error:
             raise _HTTPError(400, f"body is not valid JSON: {error}") from None
         if not isinstance(payload, dict) or not isinstance(payload.get("name"), str):
             raise _HTTPError(400, 'body must be a JSON object with a "name" string')
+        unknown = sorted(set(payload) - {"name", "points", "timeout"})
+        if unknown:
+            raise _HTTPError(
+                400,
+                f'unknown key {json.dumps(unknown[0])}: the body takes "name", "points" '
+                'and "timeout"',
+            )
         points = payload.get("points")
         if points is not None and (
             not isinstance(points, int) or not 2 <= points <= MAX_GRID_POINTS

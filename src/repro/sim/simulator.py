@@ -11,10 +11,12 @@ state-space generator expands: from
 :func:`repro.arcade.statespace.start_state` it steps one-row frontiers
 through the builder's array step, via
 :meth:`repro.arcade.statespace.ArcadeSemantics.successors`, and reads its
-observables from the same per-failed-set evaluation.  So the simulator
-exercises the model logic, not a re-implementation of it.  Each simulator
-remembers the decoded successors of the states it has visited, as it
-remembers their failed sets, so a revisited state costs one lookup.
+observables from the columns of the same
+:class:`~repro.arcade.model.FailedSetTable`.  So the simulator exercises
+the model logic, not a re-implementation of it.  Each simulator remembers
+the decoded successors of the states it has visited and the failed-set id
+of each state it has been asked about, so a revisited state costs one
+lookup.
 """
 
 from __future__ import annotations
@@ -81,6 +83,7 @@ class ArcadeSimulator:
     ) -> None:
         self._semantics = ArcadeSemantics(model, with_repairs)
         self._transitions: dict[ArcadeState, tuple[float, list[tuple[float, ArcadeState]]]] = {}
+        self._set_ids: dict[ArcadeState, int] = {}
         self._rng = (
             seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
         )
@@ -142,13 +145,26 @@ class ArcadeSimulator:
         return failed_components(state)
 
     def is_operational(self, state: ArcadeState) -> bool:
-        down = self._semantics.evaluate(state).down
-        if down is None:
+        if self.model.fault_tree is None:
             raise ArcadeModelError(f"model {self.model.name!r} has no fault tree")
-        return not down
+        set_id = self._set_id(state)
+        return not self._semantics.table.down[set_id]
 
     def service_level(self, state: ArcadeState) -> Fraction:
-        return self._semantics.evaluate(state).service_level
+        set_id = self._set_id(state)
+        table = self._semantics.table
+        return table.levels[table.level_ids[set_id]]
 
     def cost_rate(self, state: ArcadeState) -> float:
-        return self._semantics.cost_rate(state)
+        set_id = self._set_id(state)
+        return float(self._semantics.table.cost[set_id])
+
+    def _set_id(self, state: ArcadeState) -> int:
+        """The failed-set id of ``state``, looked up once per state.
+
+        Read the table's columns after this call: it may grow them.
+        """
+        set_id = self._set_ids.get(state)
+        if set_id is None:
+            set_id = self._set_ids[state] = self._semantics.set_id(state)
+        return set_id

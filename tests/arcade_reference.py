@@ -5,6 +5,10 @@ array step over encoded states.  This module keeps the state-by-state loop it
 replaced, over :data:`~repro.arcade.statespace.ArcadeState` tuples: the
 ``successors`` body, the breadth-first expansion and the simulator's sampling
 loop, so tests can require the two to agree exactly.
+
+:class:`ReferenceFailedSets` likewise keeps the scalar failed-set evaluation
+that :class:`~repro.arcade.model.FailedSetTable` does in column arrays: one
+set at a time, through the model's and the trees' scalar queries.
 """
 
 from __future__ import annotations
@@ -15,10 +19,53 @@ from fractions import Fraction
 import numpy as np
 
 from repro.arcade.components import ArcadeModelError
-from repro.arcade.model import ArcadeModel, Disaster, FailedSet, FailedSetTable
+from repro.arcade.model import ArcadeModel, Disaster
 from repro.arcade.statespace import ArcadeState, failed_components, start_state
 from repro.ctmc import CTMC, MarkovRewardModel, RewardStructure
 from repro.ctmc.ctmc import CTMCBuilder
+
+
+@dataclass(frozen=True)
+class FailedSet:
+    """What one set of failed components means in a model.
+
+    ``failure_rates`` pairs every up component whose effective rate is
+    positive with that rate, in model order; ``down`` is ``None`` without a
+    fault tree; ``component_cost`` is
+    :meth:`~repro.arcade.model.ArcadeModel.component_cost_rate`.
+    """
+
+    failed: frozenset[str]
+    failure_rates: tuple[tuple[str, float], ...]
+    down: bool | None
+    service_level: Fraction
+    component_cost: float
+
+
+class ReferenceFailedSets(dict[frozenset[str], FailedSet]):
+    """The :class:`FailedSet` of each failed set, evaluated on first lookup."""
+
+    def __init__(self, model: ArcadeModel) -> None:
+        super().__init__()
+        self.model = model
+        self.service_tree = model.effective_service_tree()
+
+    def __missing__(self, failed: frozenset[str]) -> FailedSet:
+        model = self.model
+        up = tuple(name for name in model.component_names if name not in failed)
+        rates = []
+        for name in up:
+            rate = model.effective_failure_rate(name, up)
+            if rate > 0.0:
+                rates.append((name, rate))
+        row = self[failed] = FailedSet(
+            failed=failed,
+            failure_rates=tuple(rates),
+            down=model.is_down(failed) if model.fault_tree is not None else None,
+            service_level=self.service_tree.service_level(up),
+            component_cost=model.component_cost_rate(failed),
+        )
+        return row
 
 
 class ReferenceSemantics:
@@ -27,7 +74,7 @@ class ReferenceSemantics:
     def __init__(self, model: ArcadeModel, with_repairs: bool = True) -> None:
         self.model = model
         self.with_repairs = with_repairs
-        self.failed_sets = FailedSetTable(model)
+        self.failed_sets = ReferenceFailedSets(model)
         self._components = model.components_by_name()
         self._unit_of = {
             name: position
@@ -69,15 +116,13 @@ class ReferenceSemantics:
                     )
         return transitions
 
-    def cost_rate(self, state: ArcadeState, row: FailedSet | None = None) -> float:
-        """Hourly cost of ``state``; ``row`` is its :meth:`evaluate` row if known."""
-        if row is None:
-            row = self.evaluate(state)
+    def cost_rate(self, state: ArcadeState) -> float:
+        """Hourly cost of ``state``."""
         busy = {
             unit.name: unit.busy_crews(queue)
             for unit, queue in zip(self.model.repair_units, state[0])
         }
-        return self.model.state_cost_rate(row.failed, busy, row.component_cost)
+        return self.model.state_cost_rate(failed_components(state), busy)
 
 
 def _with_queue(queues: tuple, position: int, queue: tuple[str, ...]) -> tuple:
@@ -127,7 +172,7 @@ def reference_build(
             builder.add_label("no_service", source)
         if row.service_level == 1:
             builder.add_label("full_service", source)
-        cost_rates.append(semantics.cost_rate(state, row))
+        cost_rates.append(semantics.cost_rate(state))
 
         for rate, successor in semantics.successors(state):
             target = index_of.get(successor)

@@ -1,6 +1,5 @@
 """Tests for the ArcadeModel container, spare units and the direct state-space generator."""
 
-from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -15,12 +14,11 @@ from repro.arcade import (
     Or,
     RepairStrategy,
     RepairUnit,
-    ServiceTree,
     SpareManagementUnit,
     build_state_space,
 )
 from repro.arcade.components import ArcadeModelError
-from repro.arcade.model import Disaster
+from repro.arcade.model import Disaster, FailedSetTable
 from repro.arcade.statespace import ArcadeSemantics
 from repro.casestudy.experiments import line_state_space
 from repro.casestudy.facility import LINE2, PAPER_STRATEGIES, StrategyConfiguration, build_line
@@ -280,16 +278,17 @@ class TestSharedSemantics:
         ]
 
     def test_each_failed_set_is_evaluated_once_per_build(self, monkeypatch):
-        calls: Counter[str] = Counter()
-        for owner, name in ((ServiceTree, "service_level"), (ArcadeModel, "is_down")):
-            original = getattr(owner, name)
+        batches: list[np.ndarray] = []
+        add = FailedSetTable.add
 
-            def counted(*args, _name=name, _original=original, **kwargs):
-                calls[_name] += 1
-                return _original(*args, **kwargs)
+        def counted(table, failed):
+            batches.append(failed.copy())
+            return add(table, failed)
 
-            monkeypatch.setattr(owner, name, counted)
+        monkeypatch.setattr(FailedSetTable, "add", counted)
         space = build_state_space(build_line(LINE2, RepairStrategy.FASTEST_REPAIR_FIRST, 1))
         # 2,560 states over the 2**9 failed sets of Line 2's nine components.
         assert space.num_states == 2560
-        assert calls == {"service_level": 512, "is_down": 512}
+        evaluated = np.concatenate(batches)
+        assert len(evaluated) == 512
+        assert len(np.unique(evaluated, axis=0)) == 512

@@ -282,6 +282,29 @@ class TestErrorMapping:
         assert status == 200
         assert document == {"scenario": "fig3", "count": 0, "curves": []}
 
+    @pytest.mark.parametrize(
+        "body",
+        [
+            b"[" * 100000 + b"]" * 100000,
+            b'{"name": "fig3", "points": ' + b"9" * 5000 + b"}",
+            b'{"name": "fig3", "timeout": ' + b"9" * 5000 + b"}",
+        ],
+        ids=["nested-too-deep", "points-past-the-digit-limit", "timeout-past-the-digit-limit"],
+    )
+    def test_json_the_parser_cannot_take_is_a_400(self, body):
+        # These raised RecursionError and ValueError, which were 500s.
+        status, document, _ = self._run(None, body)
+        assert status == 400
+        assert document["error"].startswith("body is not valid JSON: ")
+
+    def test_unknown_key_is_a_400_naming_it(self):
+        # A typo of "points" used to be ignored: 200 on the registry grid.
+        status, document, _ = self._run(None, b'{"name": "fig3", "point": 5}')
+        assert status == 400
+        assert document["error"] == (
+            'unknown key "point": the body takes "name", "points" and "timeout"'
+        )
+
     def test_finite_positive_timeout_is_accepted(self):
         status, document, _ = self._run(None, b'{"name": "fig3", "timeout": 0.5}')
         assert status == 200

@@ -1,13 +1,18 @@
 """The array state-space build and the simulator against the tuple-form reference.
 
 :mod:`arcade_reference` keeps the state-by-state ``successors`` loop, the
-breadth-first build and the sampling loop that the array step replaced.  Over
+breadth-first build and the sampling loop that the array step replaced, and
+the scalar failed-set evaluation that the column table replaced.  Over
 generated models the two must agree exactly: the same CSR arrays, labels,
 costs, service levels, states and disaster states, the same successors of
-every state, and the same seeded trajectories.
+every state, the same seeded trajectories, and the same rates, verdict,
+service level and costs of every failed set.
 """
 
 from __future__ import annotations
+
+from fractions import Fraction
+from itertools import compress
 
 import numpy as np
 import pytest
@@ -15,6 +20,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.arcade import (
+    And,
     ArcadeModel,
     BasicComponent,
     BasicEvent,
@@ -24,11 +30,18 @@ from repro.arcade import (
     Or,
     RepairStrategy,
     RepairUnit,
+    ServiceTree,
     SpareManagementUnit,
     build_state_space,
 )
 from repro.arcade.components import ArcadeModelError
-from repro.arcade.model import Disaster
+from repro.arcade.fault_tree import (
+    AverageService,
+    CappedFractionService,
+    ComponentService,
+    MinService,
+)
+from repro.arcade.model import Disaster, FailedSetTable
 from repro.arcade.statespace import ArcadeSemantics
 from repro.casestudy.experiments import line_state_space
 from repro.casestudy.facility import (
@@ -39,15 +52,58 @@ from repro.casestudy.facility import (
 )
 from repro.sim import ArcadeSimulator
 
-from arcade_reference import ReferenceSemantics, reference_build, reference_simulate
+from arcade_reference import (
+    ReferenceFailedSets,
+    ReferenceSemantics,
+    reference_build,
+    reference_simulate,
+)
 from helpers import make_mini_model, make_spare_model
+
+#: A capped-fraction requirement whose denominators pass 2**63.
+HUGE_REQUIRED = 10**20
+
+
+def fault_trees(names: list[str], depth: int = 3) -> st.SearchStrategy:
+    """Or/And/KOfN gates over basic events of ``names``, nested at most ``depth`` deep."""
+    leaves = st.sampled_from(names).map(BasicEvent)
+    if depth == 0:
+        return leaves
+    children = st.lists(fault_trees(names, depth - 1), min_size=1, max_size=4)
+    return st.one_of(
+        leaves,
+        children.map(Or),
+        children.map(And),
+        children.flatmap(lambda nodes: st.integers(1, len(nodes)).map(lambda k: KOfN(k, nodes))),
+    )
+
+
+def service_nodes(names: list[str], depth: int = 3) -> st.SearchStrategy:
+    """Min/average/capped gates over components of ``names``, nested at most ``depth`` deep."""
+    leaves = st.sampled_from(names).map(ComponentService)
+    if depth == 0:
+        return leaves
+    children = st.lists(service_nodes(names, depth - 1), min_size=1, max_size=4).map(tuple)
+    return st.one_of(
+        leaves,
+        children.map(MinService),
+        children.map(AverageService),
+        st.builds(
+            CappedFractionService, children, st.integers(1, 5) | st.just(HUGE_REQUIRED)
+        ),
+    )
+
+
+#: Cost rates whose sums depend on the order they are added in.
+COST_RATES = st.sampled_from([0.0, 0.1, 0.25, 0.3, 0.7, 1.0, 3.0])
 
 
 @st.composite
-def arcade_models(draw) -> ArcadeModel:
-    """2–5 components with tied and distinct rates, 1–3 repair units of any
-    strategy, components no unit covers, and maybe a spare unit."""
-    count = draw(st.integers(2, 5))
+def arcade_models(draw, max_components: int = 5) -> ArcadeModel:
+    """2 to ``max_components`` components with tied and distinct rates, 1–3
+    repair units of any strategy, components no unit covers, maybe a spare
+    unit, a nested fault tree and maybe an explicit service tree."""
+    count = draw(st.integers(2, max_components))
     components = [
         BasicComponent(
             f"c{index}",
@@ -78,7 +134,8 @@ def arcade_models(draw) -> ArcadeModel:
         members = draw(st.lists(st.sampled_from(names), min_size=2, max_size=3, unique=True))
         required = draw(st.integers(1, len(members) - 1))
         spares = (SpareManagementUnit("smu", tuple(members), required),)
-    fault_tree = FaultTree(KOfN(draw(st.integers(1, count)), [BasicEvent(n) for n in names]))
+    fault_tree = FaultTree(draw(fault_trees(names)))
+    service_tree = draw(st.none() | service_nodes(names).map(ServiceTree))
     disasters = tuple(
         Disaster(f"d{index}", tuple(failed))
         for index, failed in enumerate(
@@ -92,8 +149,10 @@ def arcade_models(draw) -> ArcadeModel:
         )
     )
     cost_model = CostModel(
-        component_up_cost=0.25,
-        crew_busy_cost=0.5,
+        component_down_cost=draw(COST_RATES),
+        component_up_cost=draw(COST_RATES),
+        crew_idle_cost=draw(COST_RATES),
+        crew_busy_cost=draw(COST_RATES),
         component_down_overrides={names[0]: 0.1},
     )
     return ArcadeModel(
@@ -104,6 +163,7 @@ def arcade_models(draw) -> ArcadeModel:
         fault_tree,
         cost_model=cost_model,
         disasters=disasters,
+        service_tree=service_tree,
     )
 
 
@@ -166,9 +226,11 @@ class TestArrayBuildMatchesReference:
         expected = ReferenceSemantics(model, with_repairs)
         for state in reference.states:
             assert semantics.successors(state) == expected.successors(state)
-            assert semantics.cost_rate(state) == expected.cost_rate(state)
+            set_id = semantics.set_id(state)
+            assert semantics.table.cost[set_id] == expected.cost_rate(state)
         # Rows and tuple states key a failed set alike: each is evaluated once.
-        assert len(semantics.sets) == len({row.failed for row in semantics.sets})
+        table = semantics.table
+        assert len(np.unique(table.failed, axis=0)) == len(table)
 
         disasters = [None, *(disaster.name for disaster in model.disasters)]
         assert_same_trajectories(model, with_repairs, seed, 50.0, disasters)
@@ -215,6 +277,88 @@ class TestArrayBuildMatchesReference:
             fault_tree=FaultTree(Or(BasicEvent("a"), BasicEvent("b"))),
         )
         assert_same_space(build_state_space(model), reference_build(model))
+
+
+def every_failed_set(model: ArcadeModel) -> np.ndarray:
+    """One row per failed set of ``model``: row ``m`` holds the bits of ``m``."""
+    count = len(model.components)
+    return (np.arange(2**count)[:, None] >> np.arange(count) & 1) == 1
+
+
+def assert_table_matches_reference(table: FailedSetTable, model: ArcadeModel) -> None:
+    """Every column of every row equals the scalar evaluation of its failed set."""
+    reference = ReferenceFailedSets(model)
+    names = model.component_names
+    levels = []
+    for set_id, row in enumerate(table.failed.tolist()):
+        failed = frozenset(compress(names, row))
+        expected = reference[failed]
+        rates = dict(expected.failure_rates)
+        assert table.rates[set_id].tolist() == [rates.get(name, 0.0) for name in names]
+        if expected.down is None:
+            assert table.down is None
+        else:
+            assert table.down[set_id] == expected.down
+        level = table.levels[table.level_ids[set_id]]
+        assert type(level) is Fraction and level == expected.service_level
+        levels.append(level)
+        assert table.component_cost[set_id] == expected.component_cost
+        busy = {
+            unit.name: unit.busy_crews([name for name in unit.components if name in failed])
+            for unit in model.repair_units
+        }
+        assert table.cost[set_id] == model.state_cost_rate(failed, busy)
+    # Levels are numbered by first appearance over the ids.
+    assert table.levels == list(dict.fromkeys(levels))
+
+
+class TestFailedSetTable:
+    """The column table against the scalar reference, over every failed set."""
+
+    @settings(
+        max_examples=200,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
+    )
+    @given(model=arcade_models(max_components=8), data=st.data())
+    def test_columns_equal_the_scalar_reference(self, model, data):
+        # Any order and any batches, as frontiers add them.
+        failed = every_failed_set(model)
+        order = data.draw(st.permutations(range(len(failed))))
+        cuts = sorted(data.draw(st.lists(st.integers(0, len(failed)), max_size=3)))
+        table = FailedSetTable(model)
+        for batch in np.split(failed[order], cuts):
+            table.add(batch)
+        assert len(table) == len(failed)
+        assert_table_matches_reference(table, model)
+
+    def test_levels_stay_exact_past_int64(self):
+        # A capped fraction needing 10**20 members and an average above it:
+        # the tree's denominator is 3 * 10**20, past any machine integer.
+        names = [f"c{index}" for index in range(4)]
+        model = ArcadeModel(
+            "huge",
+            tuple(BasicComponent(name, 10.0, 1.0) for name in names),
+            (RepairUnit("ru", "fcfs", tuple(names), crews=2),),
+            fault_tree=FaultTree(Or(*map(BasicEvent, names))),
+            service_tree=ServiceTree(
+                AverageService(
+                    (
+                        CappedFractionService(
+                            tuple(map(ComponentService, names[:3])), HUGE_REQUIRED
+                        ),
+                        MinService((ComponentService("c3"), ComponentService("c0"))),
+                        ComponentService("c1"),
+                    )
+                )
+            ),
+        )
+        table = FailedSetTable(model)
+        table.add(every_failed_set(model))
+        assert table.denominator == 3 * HUGE_REQUIRED
+        # Only c0 up: (1/10**20 + 0 + 0) / 3.
+        assert table.levels[table.level_ids[0b1110]] == Fraction(1, 3 * HUGE_REQUIRED)
+        assert_table_matches_reference(table, model)
 
 
 class TestEncodingWidths:
