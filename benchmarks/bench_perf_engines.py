@@ -1,8 +1,11 @@
-"""Perf benchmark — dense-BLAS vs sparse-CSR engines and the auto selector.
+"""Perf benchmark — dense-BLAS vs sparse-CSR sweeps and the sweep rule.
 
-Two wall-clock gates over the pluggable numeric-engine layer
-(:mod:`repro.ctmc.engines`), measured on the paper's own workloads with
-every artifact cache warm (the steady-state service regime):
+Two wall-clock gates over the sweep backends of :mod:`repro.ctmc.engines`,
+measured on the paper's own workloads with every artifact cache warm (the
+steady-state service regime).  The library offers no way to choose a
+backend, so this benchmark forces "always sparse" and "always dense" by
+overriding the sweep rule (:func:`repro.ctmc.engines.sweep_backend`)
+around the sessions it times (:func:`forced_sweeps`):
 
 * **Dense >= 2x on the Fig. 8 Line 2 sweep** — the family's lumped
   quotients sit deep in the dense-win regime (~79 states for 2560), where
@@ -14,9 +17,9 @@ every artifact cache warm (the steady-state service regime):
   during one stretch of the run cannot decide it.
 
 * **Auto <= 110% of always-sparse on the full paper portfolio** — the
-  selector must never lose more than the gate's slack on a mixed registry
-  (small quotients go dense, the big unlumped chains stay sparse), priced
-  in end-to-end warm execution wall-clock.
+  sweep rule ("auto") must never lose more than the gate's slack on a
+  mixed registry (small quotients go dense, the big unlumped chains stay
+  sparse), priced in end-to-end warm execution wall-clock.
 
 Every gate records its measurements into ``BENCH_engines.json``
 (read-modify-write, override the path with ``REPRO_BENCH_JSON``) for the
@@ -29,14 +32,17 @@ import json
 import os
 import statistics
 import time as time_module
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
+import pytest
 from bench_support import run_once
 
 from repro.analysis import AnalysisSession, SessionStats
 from repro.casestudy.experiments import line_state_space
 from repro.casestudy.facility import DISASTER_1, LINE2, PAPER_STRATEGIES
+from repro.ctmc import engines
 from repro.measures import survivability_request
 from repro.service import ArtifactCache, paper_registry
 
@@ -45,10 +51,10 @@ LINE2_POINTS = 31 if FAST else 101
 PORTFOLIO_POINTS = 15 if FAST else None
 BENCH_JSON = Path(os.environ.get("REPRO_BENCH_JSON", "BENCH_engines.json"))
 
-#: Interleaved warm sweeps per engine mode in the dense-vs-sparse gate.
+#: Interleaved warm sweeps per backend in the dense-vs-sparse gate.
 SWEEP_ROUNDS = 9
 
-#: Warm repetitions per mode; best-of keeps scheduler noise out of ratios.
+#: Warm repetitions per backend; best-of keeps scheduler noise out of ratios.
 PORTFOLIO_REPEATS = 3
 
 
@@ -78,16 +84,31 @@ def _fig8_requests():
     ]
 
 
-def _fig8_session(mode, artifacts):
+@contextmanager
+def forced_sweeps(backend):
+    """Walk every sweep inside on ``backend``; ``None`` leaves the sweep rule."""
+    with pytest.MonkeyPatch.context() as patch:
+        if backend is not None:
+            patch.setattr(engines, "sweep_backend", lambda num_states, nnz: backend)
+        yield
+
+
+def _fig8_session(backend, artifacts):
     stats = SessionStats()
-    session = AnalysisSession(lump=True, stats=stats, artifacts=artifacts, engine=mode)
+    session = AnalysisSession(lump=True, stats=stats, artifacts=artifacts)
     for request in _fig8_requests():
         session.add(request)
-    return session, stats
+    return session, stats, backend
+
+
+def _execute(run):
+    session, _, backend = run
+    with forced_sweeps(backend):
+        return session.execute()
 
 
 def _interleaved_median_sweep_seconds(first, second):
-    """Median warm sweep wall-clock of two ``(session, stats)`` pairs.
+    """Median warm sweep wall-clock of two ``(session, stats, backend)`` runs.
 
     The sessions take turns, and the one that goes first alternates per
     round, so both sample the same stretch of host load.
@@ -95,9 +116,10 @@ def _interleaved_median_sweep_seconds(first, second):
     samples = ([], [])
     for round_index in range(SWEEP_ROUNDS):
         for index in (0, 1) if round_index % 2 == 0 else (1, 0):
-            session, stats = (first, second)[index]
+            run = (first, second)[index]
+            stats = run[1]
             before = stats.sweep_seconds
-            session.execute()
+            _execute(run)
             samples[index].append(stats.sweep_seconds - before)
     return statistics.median(samples[0]), statistics.median(samples[1])
 
@@ -108,8 +130,8 @@ def test_dense_engine_beats_sparse_on_warm_fig8_sweep(benchmark):
     sparse = _fig8_session("sparse", artifacts)
     dense = _fig8_session("dense", artifacts)
     # The first execution of each session fills the caches and is not timed.
-    sparse_values = [result.squeezed for result in sparse[0].execute()]
-    dense_values = [result.squeezed for result in dense[0].execute()]
+    sparse_values = [result.squeezed for result in _execute(sparse)]
+    dense_values = [result.squeezed for result in _execute(dense)]
     sparse_median, dense_median = run_once(
         benchmark, _interleaved_median_sweep_seconds, sparse, dense
     )
@@ -145,7 +167,7 @@ def test_dense_engine_beats_sparse_on_warm_fig8_sweep(benchmark):
 
 
 def test_auto_selection_stays_close_to_always_sparse_portfolio(benchmark):
-    """Auto may trade at most 10% against always-sparse on the full registry."""
+    """The sweep rule may trade at most 10% against always-sparse on the full registry."""
     registry = paper_registry()
     portfolio = [
         request
@@ -153,21 +175,22 @@ def test_auto_selection_stays_close_to_always_sparse_portfolio(benchmark):
         for request in registry.expand(name, points=PORTFOLIO_POINTS)
     ]
 
-    def best_warm_wall(mode):
+    def best_warm_wall(backend):
         artifacts = ArtifactCache()
-        session = AnalysisSession(lump=True, artifacts=artifacts, engine=mode)
+        session = AnalysisSession(lump=True, artifacts=artifacts)
         for request in portfolio:
             session.add(request)
-        session.execute()  # cold run fills every cache, priced in neither mode
-        best = float("inf")
-        for _ in range(PORTFOLIO_REPEATS):
-            started = time_module.perf_counter()
-            session.execute()
-            best = min(best, time_module.perf_counter() - started)
+        with forced_sweeps(backend):
+            session.execute()  # cold run fills every cache, priced in neither run
+            best = float("inf")
+            for _ in range(PORTFOLIO_REPEATS):
+                started = time_module.perf_counter()
+                session.execute()
+                best = min(best, time_module.perf_counter() - started)
         return best
 
     sparse_best = best_warm_wall("sparse")
-    auto_best = run_once(benchmark, best_warm_wall, "auto")
+    auto_best = run_once(benchmark, best_warm_wall, None)
 
     ratio = auto_best / max(sparse_best, 1e-12)
     print()
@@ -186,6 +209,6 @@ def test_auto_selection_stays_close_to_always_sparse_portfolio(benchmark):
         },
     )
     assert auto_best <= 1.10 * sparse_best, (
-        f"auto engine selection is {ratio * 100:.0f}% of always-sparse on the "
+        f"the sweep rule is {ratio * 100:.0f}% of always-sparse on the "
         f"warm portfolio (gate: <= 110%)"
     )

@@ -53,7 +53,7 @@ service executes units concurrently on a worker pool and fails one unit's
 requests without touching the others, while :func:`execute_plan` simply
 runs them in order.  An optional artifact cache
 (:class:`repro.service.ArtifactCache`) supplies transformed chains,
-uniformized operators and Fox–Glynn windows across plans.
+uniformized and densified operators and Fox–Glynn windows across plans.
 """
 
 from __future__ import annotations
@@ -66,7 +66,7 @@ import numpy as np
 
 from repro.ctmc.ctmc import CTMC, CTMCError
 from repro.ctmc.dtmc import unbounded_reachability
-from repro.ctmc.engines import EngineSelector
+from repro.ctmc.engines import sweep_engine
 from repro.ctmc.foxglynn import FoxGlynnWeights, fox_glynn
 from repro.ctmc.linsolve import (
     LinearSolveStats,
@@ -213,19 +213,6 @@ def execute_plan(
 
 
 # ----------------------------------------------------------------------
-# cache plumbing
-# ----------------------------------------------------------------------
-def _lookups(artifacts: Any | None) -> dict[str, Any]:
-    """``evaluate_grid_block`` keyword hooks backed by the artifact cache."""
-    if artifacts is None:
-        return {}
-    return {
-        "window_lookup": artifacts.fox_glynn_window,
-        "operator_lookup": artifacts.uniformized_transpose,
-    }
-
-
-# ----------------------------------------------------------------------
 # regular groups: one forward sweep
 # ----------------------------------------------------------------------
 def _execute_group(
@@ -279,9 +266,7 @@ def _execute_group(
         cumulative=need_cumulative,
         epsilon=group.epsilon,
         stats=engine_stats,
-        engine=group.engine,
-        selector=EngineSelector(artifacts),
-        **_lookups(artifacts),
+        artifacts=artifacts,
     )
 
     lumped_states = lumped.num_blocks if lumped is not None else None
@@ -332,15 +317,11 @@ def _execute_longrun_group(
     reachability rewards, since the seeded partition keeps every member's
     target/safe indicator and reward vector block-constant.
     """
-    # A forced (non-"auto") group mode cannot reuse the shared auto-mode
-    # solver: its factorization backend — and therefore its cache tokens —
-    # differ (see :class:`repro.ctmc.linsolve.SolverEngine`).
-    if solver is not None and solver.mode == group.engine:
-        engine = solver
-    else:
-        engine = SolverEngine(
-            artifacts=artifacts, stats=linear_stats, mode=group.engine
-        )
+    engine = (
+        solver
+        if solver is not None
+        else SolverEngine(artifacts=artifacts, stats=linear_stats)
+    )
     chain = group.chain
     lumped = group.lumped
     if lumped is not None:
@@ -422,7 +403,6 @@ def backward_values(
     *,
     cumulative: bool = False,
     epsilon: float,
-    engine: str = "auto",
     stats: UniformizationStats | None = None,
     artifacts: Any | None = None,
 ) -> np.ndarray:
@@ -436,7 +416,10 @@ def backward_values(
     With ``cumulative=True`` the weights are ``P[N(q·t_i) > k] / q`` and
     row ``i`` is each start state's expected reward accumulated over
     ``[0, t_i]``.  Every positive horizon gets one window and all windows
-    share one walk; horizons may be unsorted and repeat.
+    share one walk; horizons may be unsorted and repeat.  The walk runs on
+    the backend :func:`repro.ctmc.engines.sweep_engine` picks for ``P``;
+    ``artifacts`` (an optional :class:`repro.service.ArtifactCache`) serves
+    the Fox–Glynn windows and any densified operator.
     """
     horizon_array = np.asarray(horizons, dtype=float)
     if horizon_array.ndim != 1:
@@ -466,9 +449,7 @@ def backward_values(
             start,
             windows,
             stats=stats,
-            engine=EngineSelector(artifacts).engine_for(
-                chain, probabilities, q, mode=engine, backward=True
-            ),
+            engine=sweep_engine(chain, probabilities, q, artifacts, backward=True),
         )
         per_state[positive] = mixtures
     return per_state[inverse]
@@ -565,7 +546,6 @@ def _execute_interval_bundle(
             statewise(target_mask.astype(float)),
             unique_horizons,
             epsilon=epsilon,
-            engine=first_group.engine,
             stats=engine_stats,
             artifacts=artifacts,
         ),
@@ -603,9 +583,7 @@ def _execute_interval_bundle(
         instantaneous=True,
         epsilon=epsilon,
         stats=engine_stats,
-        engine=first_group.engine,
-        selector=EngineSelector(artifacts),
-        **_lookups(artifacts),
+        artifacts=artifacts,
     )
     per_initial = np.clip(phase1.instantaneous[:, 0, :], 0.0, 1.0)
 

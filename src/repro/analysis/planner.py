@@ -53,7 +53,6 @@ import numpy as np
 from scipy import sparse
 
 from repro.ctmc.ctmc import CTMC, CTMCError
-from repro.ctmc.engines import EngineSelector, normalise_engine_mode
 from repro.ctmc.lumping import (
     block_indicator,
     first_seen_ids,
@@ -161,16 +160,6 @@ class LumpedChain:
 class ExecutionGroup:
     """Requests that will share one uniformization sweep.
 
-    ``engine`` is the numeric backend the sweep (or the long-run solver)
-    will use.  For regular sweep groups :func:`build_plan` resolves
-    ``"auto"`` through the :class:`repro.ctmc.engines.EngineSelector`
-    against the chain actually swept (the lumping quotient when one
-    exists), so the executor always sees a concrete backend; long-run
-    groups keep the requested mode and let the solver pick per restricted
-    system, and interval-until groups keep it too because their two phases
-    sweep two *different* transformed chains (the executor resolves per
-    phase).
-
     ``lumped`` is the quotient of ``chain`` the group runs on, if any.  For
     interval-until groups it is the quotient of the untransformed base
     chain; the executor absorbs on it once per phase.
@@ -184,7 +173,6 @@ class ExecutionGroup:
     interval: bool = False
     longrun: bool = False
     lumped: LumpedChain | None = None
-    engine: str = "auto"
 
 
 @dataclass
@@ -214,8 +202,6 @@ def normalise_request(request: MeasureRequest, index: int = 0) -> PlannedRequest
     times = np.asarray(request.times, dtype=float)
     if times.ndim != 1:
         raise CTMCError("time grid must be one-dimensional")
-    if request.engine is not None:
-        normalise_engine_mode(request.engine)
     kind = request.kind
     if kind in LONGRUN_KINDS:
         if times.size:
@@ -309,7 +295,6 @@ def build_plan(
     lump: bool = False,
     default_epsilon: float = DEFAULT_EPSILON,
     artifacts: Any | None = None,
-    default_engine: str | None = None,
 ) -> ExecutionPlan:
     """Group ``requests`` into execution groups (see module docstring).
 
@@ -318,18 +303,7 @@ def build_plan(
     given, absorbing transforms and lumping quotients are looked up in the
     process-wide cache by chain fingerprint instead of being rebuilt per
     plan, so repeated portfolio sweeps reuse them across sessions.
-
-    ``default_engine`` fills in for requests that leave their own knob at
-    ``None``; ``None`` here means ``"auto"``.  The engine mode takes part
-    in the group keys — requests on different backends never share a
-    sweep — and ``"auto"`` is resolved to a concrete backend per sweep
-    group before the plan is returned, consulting the selector against the
-    chain the executor will actually sweep (the lumping quotient when one
-    exists).
     """
-    plan_engine = normalise_engine_mode(
-        "auto" if default_engine is None else default_engine
-    )
     groups: dict[tuple, ExecutionGroup] = {}
     # Per group (in creation order): the base chain and the absorbing mask
     # that turned it into the group's operating chain, if any.
@@ -339,11 +313,6 @@ def build_plan(
     for index, request in enumerate(requests):
         planned = normalise_request(request, index)
         epsilon = request.epsilon if request.epsilon is not None else default_epsilon
-        engine_mode = (
-            normalise_engine_mode(request.engine)
-            if request.engine is not None
-            else plan_engine
-        )
         base = request.chain
 
         if planned.kind in LONGRUN_KINDS:
@@ -366,7 +335,7 @@ def build_plan(
                 )
             else:  # REACHABILITY_REWARD
                 longrun_token = b"reach-reward" + planned.target_mask.tobytes()
-            key = (base.fingerprint, longrun_token, planned.kind.value, engine_mode)
+            key = (base.fingerprint, longrun_token, planned.kind.value)
             group = groups.get(key)
             if group is None:
                 group = ExecutionGroup(
@@ -375,7 +344,6 @@ def build_plan(
                     times=planned.times,
                     epsilon=float(epsilon),
                     longrun=True,
-                    engine=engine_mode,  # the solver picks per system size
                 )
                 groups[key] = group
                 origins.append((base, None))
@@ -415,7 +383,6 @@ def build_plan(
             float(operating.max_exit_rate),
             planned.times.tobytes(),
             float(epsilon),
-            engine_mode,
         )
 
         group = groups.get(key)
@@ -426,7 +393,6 @@ def build_plan(
                 times=planned.times,
                 epsilon=float(epsilon),
                 interval=interval,
-                engine=engine_mode,
             )
             groups[key] = group
             origins.append((base, absorbing))
@@ -456,19 +422,6 @@ def build_plan(
                     RuntimeWarning,
                     stacklevel=2,
                 )
-
-    # The planner consults the selector: resolve "auto" per sweep group
-    # against the chain the executor will actually sweep (the quotient once
-    # lumping collapsed it), persisting the decision in the artifact cache.
-    # Interval groups stay at "auto": their two phases sweep two different
-    # transformed chains (each possibly quotiented), so the executor
-    # resolves per phase against the chain each phase actually walks.
-    selector = EngineSelector(artifacts)
-    for group in plan.groups:
-        if group.longrun or group.interval or group.engine != "auto":
-            continue
-        swept = group.lumped.quotient if group.lumped is not None else group.chain
-        group.engine = selector.resolve(swept, "auto")
     return plan
 
 

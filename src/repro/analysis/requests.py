@@ -110,11 +110,6 @@ class MeasureRequest:
     tag:
         Free-form caller identifier, carried through to the result
         untouched (e.g. a ``(strategy, disaster, interval)`` triple).
-    engine:
-        Numeric backend for this request's sweep/solves — one of
-        :data:`repro.ctmc.engines.ENGINE_MODES` (``"auto"`` lets the
-        planner's :class:`repro.ctmc.engines.EngineSelector` decide per
-        chain); ``None`` uses the session default.
     """
 
     chain: CTMC
@@ -127,7 +122,6 @@ class MeasureRequest:
     rewards: np.ndarray | Sequence[float] | None = None
     epsilon: float | None = None
     tag: Any = None
-    engine: str | None = None
 
     # ------------------------------------------------------------------
     def initial_block(self) -> tuple[np.ndarray, bool]:

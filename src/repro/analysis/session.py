@@ -53,10 +53,10 @@ class SessionStats:
     (:class:`repro.ctmc.linsolve.LinearSolveStats`): LU factorizations
     actually built (warm cache hits do not count), triangular solve calls
     and the right-hand-side columns they carried.  ``equivalent_nnz`` and
-    the ``*_seconds`` timers are the backend-invariant work and wall-clock
-    accounting introduced with the pluggable engine layer
-    (:mod:`repro.ctmc.engines`); ``dense_factorizations`` counts how many
-    of the LU builds took the dense LAPACK path.
+    the ``*_seconds`` timers are the work and wall-clock accounting of the
+    sweep and factorization backends (:mod:`repro.ctmc.engines`), the same
+    on either backend; ``dense_factorizations`` counts how many of the LU
+    builds took the dense LAPACK path.
     """
 
     requests: int = 0
@@ -193,9 +193,6 @@ class AnalysisSession:
         then looked up process-wide (keyed by chain fingerprint) instead of
         being rebuilt per session.  The scenario service passes its cache
         here; standalone sessions default to no cross-session caching.
-    engine:
-        Default numeric backend for requests that do not set one — one of
-        :data:`repro.ctmc.engines.ENGINE_MODES`.  ``None`` means ``"auto"``.
     """
 
     def __init__(
@@ -205,13 +202,11 @@ class AnalysisSession:
         epsilon: float = DEFAULT_EPSILON,
         stats: SessionStats | None = None,
         artifacts=None,
-        engine: str | None = None,
     ) -> None:
         self.lump = lump
         self.default_epsilon = float(epsilon)
         self.stats = stats if stats is not None else SessionStats()
         self.artifacts = artifacts
-        self.engine = engine
         self._requests: list[MeasureRequest] = []
 
     # ------------------------------------------------------------------
@@ -243,7 +238,6 @@ class AnalysisSession:
             lump=self.lump,
             default_epsilon=self.default_epsilon,
             artifacts=self.artifacts,
-            default_engine=self.engine,
         )
 
     def execute(self) -> list[MeasureResult]:

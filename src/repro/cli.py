@@ -67,20 +67,19 @@ def run_experiments(
     *,
     points: int | None = None,
     lump: bool = True,
-    engine: str = "auto",
     stats: SessionStats | None = None,
 ) -> dict[str, exp.TableResult | exp.CurveResult]:
     """Reproduce the named tables and figures, keyed by name.
 
     The registry families the names need are expanded once each, in
-    registry order, into one :class:`AnalysisSession` with ``lump`` and
-    ``engine``; ``points`` puts every curve on that many grid points
-    instead of its family's own grid.
+    registry order, into one :class:`AnalysisSession` with ``lump``;
+    ``points`` puts every curve on that many grid points instead of its
+    family's own grid.
     """
     names = list(dict.fromkeys(names))
     registry = paper_registry()
     families = {exp.PAPER_EXPERIMENTS[name][0] for name in names if name != "table1"}
-    session = AnalysisSession(lump=lump, engine=engine, stats=stats)
+    session = AnalysisSession(lump=lump, stats=stats)
     for family in registry.names:
         if family in families:
             session.extend(registry.expand(family, points=points))
@@ -171,15 +170,6 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     parser.add_argument(
-        "--engine",
-        choices=["auto", "sparse", "dense"],
-        default="auto",
-        help=(
-            "numeric backend for sweeps and solves: 'auto' picks dense BLAS "
-            "kernels for small/dense chains and CSR otherwise (default: auto)"
-        ),
-    )
-    parser.add_argument(
         "--output",
         type=Path,
         default=None,
@@ -267,12 +257,6 @@ def build_serve_parser() -> argparse.ArgumentParser:
         type=bounded(int, 1),
         default=1024,
         help="pending-request cap that cuts the window short (default: 1024)",
-    )
-    parser.add_argument(
-        "--engine",
-        choices=["auto", "sparse", "dense"],
-        default="auto",
-        help="numeric backend for the service's sweeps/solves (default: auto)",
     )
     parser.add_argument(
         "--metrics",
@@ -412,7 +396,6 @@ def serve_http_main(args: argparse.Namespace) -> int:
                 max_pending=args.max_pending,
                 default_timeout=args.timeout,
                 registry=paper_registry(),
-                engine=args.engine,
                 heartbeat_interval=args.heartbeat_interval,
                 restart_limit=args.restart_limit,
                 retry_limit=args.retry_limit,
@@ -428,7 +411,6 @@ def serve_http_main(args: argparse.Namespace) -> int:
                 default_timeout=args.timeout,
                 artifacts=ArtifactCache(),
                 registry=paper_registry(),
-                engine=args.engine,
             )
         async with service:
             server = ScenarioHTTPServer(
@@ -509,7 +491,6 @@ def serve_main(argv: list[str] | None = None) -> int:
             default_timeout=args.timeout,
             artifacts=ArtifactCache(),
             registry=registry,
-            engine=args.engine,
         )
         async with service:
             # State-space construction (seconds on a cold process) must not
@@ -570,9 +551,7 @@ def main(argv: list[str] | None = None) -> int:
     names = EXPERIMENTS if "all" in args.experiments else args.experiments
     points = args.points if args.points is not None else (21 if args.fast else None)
     stats = SessionStats()
-    results = run_experiments(
-        names, points=points, lump=args.lump, engine=args.engine, stats=stats
-    )
+    results = run_experiments(names, points=points, lump=args.lump, stats=stats)
     for name, result in results.items():
         print(_render(name, result, args))
         print()

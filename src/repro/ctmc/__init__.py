@@ -14,6 +14,9 @@ engine plays in the paper:
   (Fox–Glynn Poisson weights) and time-bounded reachability.
 * :mod:`~repro.ctmc.steady_state` — steady-state/long-run analysis with BSCC
   decomposition, direct sparse solves and iterative fallbacks.
+* :mod:`~repro.ctmc.engines` — the CSR and dense backends of the sweep and
+  of the factorizations, and the two rules that pick them from the size of
+  the operator or system at hand.
 * :mod:`~repro.ctmc.linsolve` — the cached sparse linear-solver engine: one
   LU factorization per (chain fingerprint, state-subset signature), solved
   against arbitrarily many stacked right-hand-side columns; the warm path
@@ -28,23 +31,14 @@ engine plays in the paper:
 
 from repro.ctmc.ctmc import CTMC, MarkovRewardModel, RewardStructure
 from repro.ctmc.foxglynn import FoxGlynnWeights, fox_glynn
-from repro.ctmc.uniformization import (
-    ENGINE_STATS,
-    GridResult,
-    UniformizationStats,
-    evaluate_grid,
-)
+from repro.ctmc.uniformization import ENGINE_STATS, UniformizationStats
 from repro.ctmc.transient import (
     time_bounded_reachability,
     transient_distribution,
     transient_distributions,
 )
-from repro.ctmc.linsolve import (
-    Factorization,
-    LinearSolveStats,
-    SolverEngine,
-    subset_signature,
-)
+from repro.ctmc.engines import SparseFactorization
+from repro.ctmc.linsolve import LinearSolveStats, SolverEngine, subset_signature
 from repro.ctmc.steady_state import (
     bottom_strongly_connected_components,
     bscc_decomposition,
@@ -65,19 +59,17 @@ __all__ = [
     "CTMC",
     "DTMC",
     "ENGINE_STATS",
-    "Factorization",
     "FoxGlynnWeights",
-    "GridResult",
     "LinearSolveStats",
     "MarkovRewardModel",
     "RewardStructure",
     "SolverEngine",
+    "SparseFactorization",
     "UniformizationStats",
     "bottom_strongly_connected_components",
     "bscc_decomposition",
     "cumulative_reward",
     "embedded_dtmc",
-    "evaluate_grid",
     "fox_glynn",
     "instantaneous_reward",
     "lump_ctmc",

@@ -1,34 +1,31 @@
-"""Pluggable numeric engines for the uniformization and linear-solve kernels.
+"""The numeric backends of the uniformization walk and the restricted solves.
 
 Every measure in the paper's pipeline bottoms out in two inner loops — the
 vector-power walk ``v ← Pᵀ·v`` of :mod:`repro.ctmc.uniformization` and the
 restricted linear solves of :mod:`repro.ctmc.linsolve` /
-:mod:`repro.ctmc.steady_state`.  Historically both were hard-wired to
-generic scipy CSR dispatch, which pays Python-level overhead per step even
-on chains with a few dozen states (the lumping quotients of the case-study
-lines).  This module puts those loops behind a small :class:`Engine`
-abstraction with two interchangeable backends:
+:mod:`repro.ctmc.steady_state`.  Each has two backends:
 
-``SparseEngine``
-    The legacy CSR path, extracted verbatim: ``operator @ block`` and
-    ``splu`` factorizations.  Bit-for-bit identical to the pre-engine
-    numerics.
+``SparseEngine`` / ``SparseFactorization``
+    scipy CSR products (``operator @ block``) and ``splu``.
 
-``DenseEngine``
-    For chains below a size/density threshold the uniformized operator is
-    densified **once** (``toarray()``, cached in the
-    :class:`repro.service.cache.ArtifactCache` under the byte-weighted
-    ``dense_operator`` kind) and the power walk runs as BLAS GEMMs on a
-    preallocated ping-pong buffer pair.  Small restricted linear systems
-    use a dense LAPACK LU (:class:`DenseFactorization`) instead of
-    ``splu``.  Measured on the Fig. 8 Line 2 lumping quotient (79 states)
-    the GEMM walk is several times faster than CSR dispatch.
+``DenseEngine`` / ``DenseFactorization``
+    The uniformized operator densified **once** (``toarray()``, cached in
+    the :class:`repro.service.cache.ArtifactCache` under the byte-weighted
+    ``dense_operator`` kind when a cache is given) and walked as BLAS GEMMs
+    on preallocated buffers; small restricted systems take a dense LAPACK
+    LU.  On the Fig. 8 Line 2 lumping quotients (≈80 states) the GEMM walk
+    is several times faster than CSR dispatch.
 
-Backends are selected per chain fingerprint by :class:`EngineSelector`;
-the analysis planner consults it when it resolves ``engine="auto"`` and
-the artifact cache persists both the decision (kind ``engine``) and the
-densified operator (kind ``dense_operator``) alongside the CSR operators.
-Every sweep and solve runs in float64.
+The input alone picks the backend, through two rules that live here and
+nowhere else:
+
+* :func:`sweep_backend` — from the operator's order and non-zeros, applied
+  by :func:`sweep_engine` wherever a sweep builds its engine;
+* :func:`factorization_backend` — from the system order, applied by
+  :func:`factorize` wherever :class:`repro.ctmc.linsolve.SolverEngine`
+  factorizes.
+
+No caller chooses a backend.  Every sweep and solve runs in float64.
 
 **Oversubscription guard.**  Dense GEMMs tempt BLAS into spawning its own
 thread pool under every worker thread of the scenario service.
@@ -55,23 +52,21 @@ __all__ = [
     "DENSE_RELAXED_LIMIT",
     "DENSE_SOLVE_LIMIT",
     "DENSE_STATE_LIMIT",
-    "ENGINE_MODES",
     "DenseEngine",
     "DenseFactorization",
     "Engine",
-    "EngineSelector",
     "SparseEngine",
     "SparseFactorization",
     "blas_thread_budget",
     "default_worker_count",
-    "normalise_engine_mode",
+    "factorization_backend",
+    "factorize",
     "pin_blas_threads",
+    "sweep_backend",
+    "sweep_engine",
 ]
 
-#: Valid values for every ``engine=`` knob in the stack.
-ENGINE_MODES = ("auto", "sparse", "dense")
-
-#: Below this many states the dense GEMM walk wins regardless of density
+#: Up to this many states the dense GEMM walk wins regardless of density
 #: (measured 2–6x over CSR dispatch on CI-class hardware).
 DENSE_STATE_LIMIT = 256
 
@@ -82,12 +77,8 @@ DENSE_RELAXED_LIMIT = 768
 #: Density threshold (nnz / n²) for the relaxed size band.
 DENSE_DENSITY_THRESHOLD = 0.15
 
-#: Never densify an operator beyond this many bytes, whatever the
-#: heuristic says — the cached array would crowd out everything else.
-DENSE_MEMORY_LIMIT_BYTES = 64 << 20
-
-#: Restricted linear systems at or below this order use the dense LAPACK
-#: LU instead of ``splu`` when the solver runs in ``auto`` mode.
+#: Restricted linear systems up to this order use the dense LAPACK LU
+#: instead of ``splu``.
 DENSE_SOLVE_LIMIT = 128
 
 #: Environment knobs honoured by the common BLAS implementations.
@@ -100,23 +91,10 @@ BLAS_ENV_VARS = (
 
 
 # ---------------------------------------------------------------------------
-# knob normalisation
-# ---------------------------------------------------------------------------
-def normalise_engine_mode(mode: Any) -> str:
-    """Validate an ``engine=`` knob, returning its canonical string form."""
-    name = str(mode).lower()
-    if name not in ENGINE_MODES:
-        raise CTMCError(
-            f"unknown engine mode {mode!r}; expected one of {ENGINE_MODES}"
-        )
-    return name
-
-
-# ---------------------------------------------------------------------------
-# factorizations (shared by the engines and the long-run SolverEngine)
+# factorizations (used by the long-run SolverEngine)
 # ---------------------------------------------------------------------------
 class SparseFactorization:
-    """An LU factorization of a sparse system via ``splu`` (the legacy path)."""
+    """An LU factorization of a sparse system via ``splu``."""
 
     __slots__ = ("_lu", "shape", "nnz")
 
@@ -135,11 +113,10 @@ class SparseFactorization:
 class DenseFactorization:
     """A dense LAPACK LU for small restricted systems.
 
-    Below :data:`DENSE_SOLVE_LIMIT` states, ``lu_factor``/``lu_solve`` beat
+    Up to :data:`DENSE_SOLVE_LIMIT` states, ``lu_factor``/``lu_solve`` beat
     ``splu``'s per-call overhead; the ``solve`` signature matches
-    :class:`SparseFactorization` so :class:`repro.ctmc.linsolve.SolverEngine`
-    can swap them freely (deviation vs. ``splu`` is at rounding level,
-    ~1e-14 on the case-study systems).
+    :class:`SparseFactorization` (deviation vs. ``splu`` is at rounding
+    level, ~1e-14 on the case-study systems).
     """
 
     __slots__ = ("_lu_piv", "shape", "nnz")
@@ -160,20 +137,31 @@ class DenseFactorization:
         return dense_linalg.lu_solve(self._lu_piv, np.asarray(rhs, dtype=float))
 
 
+def factorization_backend(order: int) -> str:
+    """The factorization rule: ``"dense"`` (LAPACK LU) for a system of order
+    at most :data:`DENSE_SOLVE_LIMIT`, ``"sparse"`` (``splu``) beyond."""
+    return "dense" if order <= DENSE_SOLVE_LIMIT else "sparse"
+
+
+def factorize(matrix) -> SparseFactorization | DenseFactorization:
+    """Factorize a square system with the backend :func:`factorization_backend` picks."""
+    if factorization_backend(matrix.shape[0]) == "dense":
+        return DenseFactorization(matrix)
+    return SparseFactorization(matrix)
+
+
 # ---------------------------------------------------------------------------
-# the engines
+# the sweep engines
 # ---------------------------------------------------------------------------
 class Engine:
-    """One numeric backend bound to one operator.
+    """One sweep backend bound to one operator.
 
-    Subclasses provide the two kernels the stack needs — the power-walk
-    step :meth:`apply_operator` and the restricted-system
-    :meth:`factorize`/:meth:`solve` pair — plus the accounting hooks that
-    keep op counts backend-invariant: :attr:`equivalent_nnz` is the number
-    of equivalent sparse multiply-adds one operator application performs
-    *per column*, always reported as the **source CSR** non-zero count so
-    ``sparse_flops`` gates keep meaning the same thing whether the step ran
-    as a CSR matvec or a dense GEMM.
+    Subclasses provide the power-walk step :meth:`apply_operator` plus the
+    accounting that keeps op counts backend-invariant:
+    :attr:`equivalent_nnz` is the number of equivalent sparse multiply-adds
+    one operator application performs *per column*, always reported as the
+    **source CSR** non-zero count so ``sparse_flops`` gates keep meaning the
+    same thing whether the step ran as a CSR matvec or a dense GEMM.
     """
 
     #: backend identifier ("sparse" / "dense")
@@ -182,7 +170,6 @@ class Engine:
     def __init__(self, equivalent_nnz: int = 0) -> None:
         self.equivalent_nnz = int(equivalent_nnz)
 
-    # -- power walk -----------------------------------------------------
     def apply_operator(
         self, block: np.ndarray, out: np.ndarray | None = None
     ) -> np.ndarray:
@@ -221,17 +208,9 @@ class Engine:
                 vectors = advanced
         return vectors, scratch
 
-    # -- restricted solves ----------------------------------------------
-    def factorize(self, matrix) -> SparseFactorization | DenseFactorization:
-        """Factorize a (sub)system for repeated :meth:`solve` calls."""
-        raise NotImplementedError
-
-    def solve(self, factorization, rhs: np.ndarray) -> np.ndarray:
-        return factorization.solve(rhs)
-
 
 class SparseEngine(Engine):
-    """The legacy CSR backend — scipy dispatch, ``splu`` factorizations."""
+    """The CSR backend — scipy dispatch per operator application."""
 
     name = "sparse"
 
@@ -249,16 +228,13 @@ class SparseEngine(Engine):
     ) -> np.ndarray:
         return self._operator @ block
 
-    def factorize(self, matrix) -> SparseFactorization:
-        return SparseFactorization(matrix)
-
 
 class DenseEngine(Engine):
     """BLAS GEMM walk over a one-time densified operator.
 
-    ``dense`` is the densified forward operator; ``equivalent_nnz`` is the
-    **source CSR** non-zero count so op accounting stays comparable with
-    the sparse backend.
+    ``dense`` is the densified operator; ``equivalent_nnz`` is the **source
+    CSR** non-zero count so op accounting stays comparable with the sparse
+    backend.
     """
 
     name = "dense"
@@ -266,16 +242,6 @@ class DenseEngine(Engine):
     def __init__(self, dense: np.ndarray, equivalent_nnz: int) -> None:
         super().__init__(equivalent_nnz)
         self._dense = np.ascontiguousarray(dense, dtype=float)
-
-    @classmethod
-    def from_operator(cls, operator) -> "DenseEngine":
-        dense = operator.toarray() if sparse.issparse(operator) else np.asarray(operator)
-        nnz = (
-            int(operator.nnz)
-            if sparse.issparse(operator)
-            else int(np.count_nonzero(dense))
-        )
-        return cls(dense, nnz)
 
     def apply_operator(
         self, block: np.ndarray, out: np.ndarray | None = None
@@ -309,124 +275,53 @@ class DenseEngine(Engine):
             np.matmul(matrix, previous, out=vectors)
         return vectors, scratch
 
-    def factorize(self, matrix) -> DenseFactorization:
-        return DenseFactorization(matrix)
 
+def sweep_backend(num_states: int, nnz: int) -> str:
+    """The sweep rule: ``"dense"`` or ``"sparse"`` for an operator of this
+    order and non-zero count.
 
-# ---------------------------------------------------------------------------
-# selection
-# ---------------------------------------------------------------------------
-class EngineSelector:
-    """Resolve ``engine="auto"`` into a concrete backend per chain.
-
-    The heuristic was calibrated by timing the uniformization walk across
-    synthetic operators on CI-class hardware: dense wins outright below
+    Calibrated by timing the uniformization walk across synthetic operators
+    on CI-class hardware: dense wins outright up to
     :data:`DENSE_STATE_LIMIT` states, keeps winning up to
     :data:`DENSE_RELAXED_LIMIT` states when the operator density is at
-    least :data:`DENSE_DENSITY_THRESHOLD`, and loses badly beyond (the
-    full 2560-state Line 2 chain is ~70x faster sparse).
-
-    With an :class:`repro.service.cache.ArtifactCache` attached, both the
-    per-chain-fingerprint decision (kind ``engine``) and the
-    densified operator (kind ``dense_operator``, byte-weighted) persist
-    across sessions and flushes.
+    least :data:`DENSE_DENSITY_THRESHOLD`, and loses badly beyond (the full
+    2560-state Line 2 chain is ~70x faster sparse).  A densified operator
+    therefore never exceeds 768² float64 entries (4.5 MiB).
     """
+    if num_states <= DENSE_STATE_LIMIT:
+        return "dense"
+    density = nnz / (num_states * num_states)
+    if num_states <= DENSE_RELAXED_LIMIT and density >= DENSE_DENSITY_THRESHOLD:
+        return "dense"
+    return "sparse"
 
-    def __init__(
-        self,
-        artifacts: Any = None,
-        *,
-        dense_state_limit: int = DENSE_STATE_LIMIT,
-        dense_relaxed_limit: int = DENSE_RELAXED_LIMIT,
-        dense_density_threshold: float = DENSE_DENSITY_THRESHOLD,
-    ) -> None:
-        self.artifacts = artifacts
-        self.dense_state_limit = int(dense_state_limit)
-        self.dense_relaxed_limit = int(dense_relaxed_limit)
-        self.dense_density_threshold = float(dense_density_threshold)
 
-    # -- the heuristic ---------------------------------------------------
-    def choose(self, num_states: int, nnz: int) -> str:
-        """Backend name for an operator of the given order and fill."""
-        num_states = int(num_states)
-        if num_states * num_states * 8 > DENSE_MEMORY_LIMIT_BYTES:  # float64
-            return "sparse"
-        if num_states <= self.dense_state_limit:
-            return "dense"
-        density = nnz / max(1, num_states * num_states)
-        if (
-            num_states <= self.dense_relaxed_limit
-            and density >= self.dense_density_threshold
-        ):
-            return "dense"
-        return "sparse"
+def sweep_engine(
+    chain: CTMC,
+    operator: sparse.csr_matrix,
+    rate: float,
+    artifacts: Any = None,
+    *,
+    backward: bool = False,
+) -> Engine:
+    """The engine :func:`sweep_backend` picks for one sweep of ``operator``.
 
-    def resolve(self, chain: CTMC | None, mode: str, nnz: int | None = None) -> str:
-        """Concrete backend for ``mode``; persists ``auto`` decisions."""
-        mode = normalise_engine_mode(mode)
-        if mode != "auto":
-            return mode
-        if chain is None:
-            raise CTMCError("auto engine selection needs a chain to inspect")
-        estimated = (
-            int(nnz)
-            if nnz is not None
-            # forward operator nnz: off-diagonal rates + the uniformization
-            # self-loop on (almost) every diagonal entry
-            else int(chain.rate_matrix.nnz) + chain.num_states
-        )
-        decide = lambda: self.choose(chain.num_states, estimated)
-        if self.artifacts is not None:
-            return self.artifacts.engine_choice(chain, decide)
-        return decide()
-
-    # -- engine construction ---------------------------------------------
-    def engine_for(
-        self,
-        chain: CTMC | None,
-        operator,
-        rate: float,
-        *,
-        mode: str = "auto",
-        backward: bool = False,
-    ) -> Engine:
-        """Build (or fetch from the artifact cache) the backend for one sweep.
-
-        ``backward=True`` marks the operator as the *non-transposed*
-        uniformized matrix ``P`` (the backward value sweep) rather
-        than the forward ``Pᵀ``; both share a ``(fingerprint, rate)`` cache
-        neighbourhood, so the flag keys the densified backward operator
-        separately to keep the two from shadowing each other.
-        """
-        nnz = int(operator.nnz) if sparse.issparse(operator) else None
-        resolved = self.resolve(chain, mode, nnz=nnz)
-        if resolved == "dense":
-            return self._dense_engine(chain, operator, rate, backward)
+    ``operator`` is the uniformized matrix of ``chain`` at ``rate``: the
+    forward ``Pᵀ``, or with ``backward=True`` the non-transposed ``P`` of a
+    backward value sweep.  With an
+    :class:`repro.service.cache.ArtifactCache` given, a densified operator
+    is cached under the ``dense_operator`` kind, where ``backward`` keeps
+    ``P`` and ``Pᵀ`` of one (fingerprint, rate) from shadowing each other.
+    """
+    if sweep_backend(operator.shape[0], operator.nnz) == "sparse":
         return SparseEngine(operator)
-
-    def _dense_engine(self, chain, operator, rate, backward=False) -> DenseEngine:
-        nnz = (
-            int(operator.nnz)
-            if sparse.issparse(operator)
-            else int(np.count_nonzero(operator))
+    if artifacts is None:
+        dense = operator.toarray()
+    else:
+        dense = artifacts.dense_operator(
+            chain, float(rate), operator.toarray, backward=backward
         )
-        if self.artifacts is not None and chain is not None:
-            dense = self.artifacts.dense_operator(
-                chain,
-                float(rate),
-                lambda: np.ascontiguousarray(
-                    operator.toarray()
-                    if sparse.issparse(operator)
-                    else np.asarray(operator),
-                    dtype=float,
-                ),
-                backward=backward,
-            )
-        else:
-            dense = (
-                operator.toarray() if sparse.issparse(operator) else np.asarray(operator)
-            )
-        return DenseEngine(dense, nnz)
+    return DenseEngine(dense, operator.nnz)
 
 
 # ---------------------------------------------------------------------------

@@ -51,12 +51,7 @@ from scipy import sparse
 from scipy.sparse import linalg as sparse_linalg
 
 from repro.ctmc.ctmc import CTMC, CTMCError, as_state_mask
-from repro.ctmc.engines import (
-    DENSE_SOLVE_LIMIT,
-    DenseFactorization,
-    SparseFactorization,
-    normalise_engine_mode,
-)
+from repro.ctmc.engines import DenseFactorization, SparseFactorization, factorize
 
 
 def subset_signature(mask: np.ndarray) -> bytes:
@@ -88,8 +83,8 @@ class LinearSolveStats:
         Right-hand-side columns pushed through those solves; the gap between
         ``columns`` and ``factorizations`` is what RHS stacking amortises.
     dense_factorizations:
-        How many of ``factorizations`` used the dense LAPACK LU (small
-        restricted systems under the ``auto``/``dense`` engine modes)
+        How many of ``factorizations`` used the dense LAPACK LU (systems
+        small enough for :func:`repro.ctmc.engines.factorization_backend`)
         instead of ``splu``; always ``<= factorizations``.
     equivalent_nnz:
         Non-zeros of the systems factorized, summed over builds.  Dense
@@ -128,18 +123,6 @@ class LinearSolveStats:
         self.solve_seconds += other.solve_seconds
 
 
-class Factorization(SparseFactorization):
-    """One ``splu`` factorization, reusable for stacked right-hand sides.
-
-    Retained name of the legacy class; the implementation moved to
-    :class:`repro.ctmc.engines.SparseFactorization` so the engine layer and
-    this solver share it (and its dense LAPACK sibling,
-    :class:`repro.ctmc.engines.DenseFactorization`).
-    """
-
-    __slots__ = ()
-
-
 class SolverEngine:
     """Factorize once per (chain fingerprint, system token), solve many columns.
 
@@ -159,24 +142,19 @@ class SolverEngine:
     stats:
         Optional shared :class:`LinearSolveStats`; the analysis session and
         the scenario service aggregate several engines into one object.
-    mode:
-        Engine mode for factorizations.  ``"auto"`` (the default) uses the
-        dense LAPACK LU for systems of order ≤
-        :data:`repro.ctmc.engines.DENSE_SOLVE_LIMIT` and ``splu`` beyond;
-        ``"sparse"`` always ``splu``; ``"dense"`` always LAPACK.
-        Forced (non-``auto``) modes prefix their cache tokens so they never
-        collide with the shared ``auto`` entries in a process-wide cache.
+
+    Each system is factorized by :func:`repro.ctmc.engines.factorize`: the
+    dense LAPACK LU up to :data:`repro.ctmc.engines.DENSE_SOLVE_LIMIT`
+    states, ``splu`` beyond.
     """
 
     def __init__(
         self,
         artifacts: Any | None = None,
         stats: LinearSolveStats | None = None,
-        mode: str = "auto",
     ) -> None:
         self.artifacts = artifacts
         self.stats = stats if stats is not None else LinearSolveStats()
-        self.mode = normalise_engine_mode(mode)
         self._local: dict[tuple, Any] = {}
 
     # ------------------------------------------------------------------
@@ -199,21 +177,13 @@ class SolverEngine:
     ) -> SparseFactorization | DenseFactorization:
         """Factorize ``matrix`` unconditionally (counted, never cached).
 
-        The backend follows :attr:`mode`; either way the build counts once
-        in ``stats.factorizations``, so factorization-count gates are
-        backend-invariant.
+        Either backend counts once in ``stats.factorizations``, so
+        factorization-count gates are backend-invariant.
         """
-        size = matrix.shape[0]
-        use_dense = self.mode == "dense" or (
-            self.mode == "auto" and size <= DENSE_SOLVE_LIMIT
-        )
         started = time.perf_counter()
-        factorization: SparseFactorization | DenseFactorization
-        if use_dense:
-            factorization = DenseFactorization(matrix)
+        factorization = factorize(matrix)
+        if isinstance(factorization, DenseFactorization):
             self.stats.dense_factorizations += 1
-        else:
-            factorization = Factorization(matrix)
         self.stats.factorizations += 1
         self.stats.equivalent_nnz += factorization.nnz
         self.stats.factor_seconds += time.perf_counter() - started
@@ -224,22 +194,22 @@ class SolverEngine:
         chain: CTMC,
         token: bytes,
         builder: Callable[[], sparse.spmatrix],
-    ) -> Factorization:
+    ) -> SparseFactorization | DenseFactorization:
         """The cached LU of the system ``builder()`` of ``chain``.
 
         ``token`` must determine the system matrix given the chain — the
         callers here always derive it from a system-family prefix plus the
         :func:`subset_signature` of the restricted state set.
         """
-        if self.mode != "auto":
-            token = self.mode.encode() + b"|" + token
         return self.cached(
             "factorization",
             (chain.fingerprint, token),
             lambda: self.build_factorization(builder()),
         )
 
-    def solve(self, factorization: Factorization, rhs: np.ndarray) -> np.ndarray:
+    def solve(
+        self, factorization: SparseFactorization | DenseFactorization, rhs: np.ndarray
+    ) -> np.ndarray:
         """Solve against a factorization, counting the RHS columns."""
         rhs = np.asarray(rhs, dtype=float)
         self.stats.solves += 1

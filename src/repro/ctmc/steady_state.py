@@ -8,7 +8,8 @@ checkers:
 
 1. decompose the chain into BSCCs (:func:`bottom_strongly_connected_components`),
 2. solve the local balance equations of each BSCC
-   (:func:`_bscc_stationary_distribution`),
+   (:func:`_bscc_stationary_distribution`: directly up to 4,000 states, by
+   power iteration beyond; the BSCC's size alone decides),
 3. compute the probability of eventually reaching each BSCC from the initial
    distribution (an unbounded-reachability problem on the embedded DTMC), and
 4. combine the pieces into the global long-run distribution
@@ -87,55 +88,47 @@ def bscc_decomposition(chain: CTMC, engine: SolverEngine | None = None) -> list[
     )
 
 
-#: Above this size the "auto" method switches from the direct sparse solve
-#: to power iteration on the uniformized DTMC (direct LU factorisations of
-#: the balance equations suffer from severe fill-in for the repair-queue
-#: chains of this project, whereas power iteration converges in a few
-#: thousand sparse matrix-vector products).
-_AUTO_DIRECT_LIMIT = 4000
+#: BSCCs up to this size solve their balance equations directly; larger
+#: ones use power iteration on the uniformized DTMC (direct LU
+#: factorisations of the balance equations suffer from severe fill-in for
+#: the repair-queue chains of this project, whereas power iteration
+#: converges in a few thousand sparse matrix-vector products).
+_DIRECT_LIMIT = 4000
 
 
 def _bscc_stationary_distribution(
     chain: CTMC,
     states: np.ndarray,
-    method: str = "auto",
     engine: SolverEngine | None = None,
 ) -> np.ndarray:
     """Stationary distribution of the sub-chain induced by a BSCC.
 
     Solves ``π Q = 0`` with ``Σ π = 1`` restricted to ``states``.  The
-    resulting vector is a pure function of (chain, subset, method), so it is
-    cached under that key; warm lookups skip both the factorization and the
-    solve.
+    resulting vector is a pure function of (chain, subset), so it is cached
+    under that key; warm lookups skip both the factorization and the solve.
     """
-    size = len(states)
-    if size == 1:
+    if len(states) == 1:
         return np.array([1.0])
-    if method == "auto":
-        method = "direct" if size <= _AUTO_DIRECT_LIMIT else "power"
-    if method not in ("direct", "power"):
-        raise CTMCError(f"unknown steady-state method {method!r}")
-
     engine = engine if engine is not None else SolverEngine()
     member_mask = np.zeros(chain.num_states, dtype=bool)
     member_mask[states] = True
-    token = b"|".join((b"stationary", method.encode(), subset_signature(member_mask)))
+    token = b"stationary|" + subset_signature(member_mask)
     return engine.cached(
         "stationary",
         (chain.fingerprint, token),
-        lambda: _solve_stationary(chain, states, method, engine),
+        lambda: _solve_stationary(chain, states, engine),
     )
 
 
 def _solve_stationary(
-    chain: CTMC, states: np.ndarray, method: str, engine: SolverEngine
+    chain: CTMC, states: np.ndarray, engine: SolverEngine
 ) -> np.ndarray:
     size = len(states)
     sub_rates = chain.rate_matrix[np.ix_(states, states)].tocsr()
     exit_rates = np.asarray(sub_rates.sum(axis=1)).ravel()
     generator = sub_rates - sparse.diags(exit_rates)
 
-    if method == "direct":
+    if size <= _DIRECT_LIMIT:
         # Replace one balance equation with the normalisation constraint.
         system = generator.T.tolil()
         system[size - 1, :] = 1.0
@@ -283,7 +276,6 @@ def _bscc_absorption_weights(
 def steady_state_distribution_block(
     chain: CTMC,
     initial_block: np.ndarray,
-    method: str = "auto",
     engine: SolverEngine | None = None,
 ) -> np.ndarray:
     """Long-run distributions for a block of initial distributions.
@@ -303,7 +295,7 @@ def steady_state_distribution_block(
         raise CTMCError("chain has no bottom strongly connected component")
 
     if len(bsccs) == 1 and len(bsccs[0]) == chain.num_states:
-        local = _bscc_stationary_distribution(chain, bsccs[0], method, engine)
+        local = _bscc_stationary_distribution(chain, bsccs[0], engine)
         return np.broadcast_to(local, initial_block.shape).copy()
 
     weights = _bscc_absorption_weights(chain, bsccs, initial_block, engine)
@@ -312,7 +304,7 @@ def steady_state_distribution_block(
         column = weights[:, index]
         if not np.any(column > 0.0):
             continue
-        local = _bscc_stationary_distribution(chain, states, method, engine)
+        local = _bscc_stationary_distribution(chain, states, engine)
         distributions[:, states] += column[:, None] * local[None, :]
     return distributions
 
@@ -320,7 +312,6 @@ def steady_state_distribution_block(
 def steady_state_distribution(
     chain: CTMC,
     initial_distribution: np.ndarray | None = None,
-    method: str = "auto",
     engine: SolverEngine | None = None,
 ) -> np.ndarray:
     """Return the long-run (steady-state) distribution of ``chain``.
@@ -335,13 +326,12 @@ def steady_state_distribution(
         initial = np.asarray(initial_distribution, dtype=float)
         if initial.shape != (chain.num_states,):
             raise CTMCError("initial distribution has the wrong length")
-    return steady_state_distribution_block(chain, initial[None, :], method, engine)[0]
+    return steady_state_distribution_block(chain, initial[None, :], engine)[0]
 
 
 def steady_state_values_per_state(
     chain: CTMC,
     observable: np.ndarray,
-    method: str = "auto",
     engine: SolverEngine | None = None,
 ) -> np.ndarray:
     """Long-run expectation of ``observable`` per point-mass start state.
@@ -365,7 +355,7 @@ def steady_state_values_per_state(
     bscc_values = np.array(
         [
             float(
-                _bscc_stationary_distribution(chain, states, method, engine)
+                _bscc_stationary_distribution(chain, states, engine)
                 @ observable[states]
             )
             for states in bsccs
@@ -389,12 +379,11 @@ def steady_state_probability(
     chain: CTMC,
     states: Iterable[int] | np.ndarray | str,
     initial_distribution: np.ndarray | None = None,
-    method: str = "auto",
     engine: SolverEngine | None = None,
 ) -> float:
     """Long-run probability of residing in ``states`` (CSL ``S=?[states]``)."""
     from repro.ctmc.transient import _as_state_mask  # shared helper
 
     mask = _as_state_mask(chain, states)
-    distribution = steady_state_distribution(chain, initial_distribution, method, engine)
+    distribution = steady_state_distribution(chain, initial_distribution, engine)
     return float(distribution[mask].sum())

@@ -41,14 +41,15 @@ from __future__ import annotations
 
 import threading
 import time
-from collections.abc import Callable, Sequence
+from collections.abc import Sequence
 from dataclasses import dataclass
+from typing import Any
 
 import numpy as np
 from scipy import sparse
 
 from repro.ctmc.ctmc import CTMC, CTMCError
-from repro.ctmc.engines import Engine, EngineSelector, SparseEngine
+from repro.ctmc.engines import Engine, SparseEngine, sweep_engine
 from repro.ctmc.foxglynn import FoxGlynnWeights, fox_glynn
 
 #: Default truncation error for the Poisson mixture.
@@ -133,48 +134,6 @@ ENGINE_STATS = UniformizationStats()
 #: execution groups on worker threads.
 _STATS_LOCK = threading.Lock()
 
-#: Optional cache hooks for the sweep plumbing.  ``WindowLookup`` maps a
-#: Poisson rate ``q·t`` and an epsilon to Fox–Glynn weights (the default is
-#: :func:`repro.ctmc.foxglynn.fox_glynn`); ``OperatorLookup`` maps a chain to
-#: its ``(Pᵀ, q)`` forward operator (the default is
-#: :meth:`repro.ctmc.ctmc.CTMC.uniformized_transpose`).  The scenario
-#: service's process-wide artifact cache injects both so repeated portfolio
-#: sweeps stop recomputing identical windows and operators.
-WindowLookup = Callable[[float, float], FoxGlynnWeights]
-OperatorLookup = Callable[[CTMC], "tuple[sparse.csr_matrix, float]"]
-
-
-@dataclass(frozen=True)
-class GridResult:
-    """Result of :func:`evaluate_grid`, index-aligned with the requested times.
-
-    Attributes
-    ----------
-    times:
-        The requested time grid (original order, duplicates preserved).
-    distributions:
-        ``(len(times), num_states)`` array of transient distributions for a
-        single initial distribution, ``(num_initials, len(times),
-        num_states)`` for a 2-D initial block, or ``None`` if not requested.
-    instantaneous:
-        ``(len(times),)`` expected reward rates (``(num_initials,
-        len(times))`` for a block), or ``None``.
-    cumulative:
-        ``(len(times),)`` expected accumulated rewards (``(num_initials,
-        len(times))`` for a block), or ``None``.
-    matvecs:
-        Per-column sparse matvecs performed for this grid (the whole grid
-        shares one sweep, so this is the maximal right truncation point
-        times the number of initial distributions, not a sum over points).
-    """
-
-    times: np.ndarray
-    distributions: np.ndarray | None
-    instantaneous: np.ndarray | None
-    cumulative: np.ndarray | None
-    matvecs: int
-
-
 @dataclass(frozen=True)
 class BlockGridResult:
     """Result of :func:`evaluate_grid_block` — always carries the batch axes.
@@ -227,11 +186,10 @@ def poisson_mixture_sweep(
     across all columns.  ``rewards`` may likewise be a single vector
     ``(dimension,)`` or a matrix ``(dimension, m)`` of ``m`` reward columns.
 
-    ``engine`` selects the numeric backend for the walk (see
-    :mod:`repro.ctmc.engines`); when ``None`` the legacy CSR path is used
-    (``operator`` wrapped in a :class:`~repro.ctmc.engines.SparseEngine`
-    — bit-exact with the pre-engine code).  When an engine is given,
-    ``operator`` may be ``None``.
+    ``engine`` is the numeric backend for the walk (see
+    :mod:`repro.ctmc.engines`); when ``None``, ``operator`` is walked as
+    CSR (a :class:`~repro.ctmc.engines.SparseEngine`).  When an engine is
+    given, ``operator`` may be ``None``.
 
     Returns
     -------
@@ -394,30 +352,22 @@ def evaluate_grid_block(
     epsilon: float = DEFAULT_EPSILON,
     stats: UniformizationStats | None = None,
     block_size: int = DEFAULT_BLOCK_SIZE,
-    window_lookup: WindowLookup | None = None,
-    operator_lookup: OperatorLookup | None = None,
-    engine: str | Engine | None = None,
-    selector: EngineSelector | None = None,
+    artifacts: Any | None = None,
 ) -> BlockGridResult:
     """Evaluate a whole (initials × times × rewards) block in one sweep.
 
-    This is the batch core behind :func:`evaluate_grid` and the analysis
-    session executor: ``initial_block`` has shape ``(num_initials,
-    num_states)`` and ``rewards_matrix`` shape ``(num_states, num_rewards)``;
-    every combination of initial distribution, grid point and reward column
-    is folded into accumulators during one shared vector-power sweep, whose
+    This is the batch core of the analysis session executor:
+    ``initial_block`` has shape ``(num_initials, num_states)`` and
+    ``rewards_matrix`` shape ``(num_states, num_rewards)``; every
+    combination of initial distribution, grid point and reward column is
+    folded into accumulators during one shared vector-power sweep, whose
     Fox–Glynn windows are computed once per distinct positive time point.
 
-    ``window_lookup`` and ``operator_lookup`` override how Fox–Glynn windows
-    and the forward operator are obtained (see :data:`WindowLookup` /
-    :data:`OperatorLookup`); they exist so a process-wide artifact cache can
-    serve both without this module depending on it.
-
-    ``engine`` picks the numeric backend for the sweep — a mode string from
-    :data:`repro.ctmc.engines.ENGINE_MODES` (``"auto"`` resolved through
-    ``selector``, or a fresh :class:`repro.ctmc.engines.EngineSelector`
-    when none is given) or a prebuilt :class:`repro.ctmc.engines.Engine`.
-    Leaving it at ``None`` runs the legacy CSR path bit-exactly.
+    The sweep runs on the backend :func:`repro.ctmc.engines.sweep_engine`
+    picks for the forward operator.  ``artifacts`` is an optional
+    :class:`repro.service.ArtifactCache` (duck-typed, so this module does
+    not depend on it) that then serves the forward operator, the Fox–Glynn
+    windows and any densified operator across calls.
 
     The grid may be unsorted and contain duplicates and ``t = 0``.
     """
@@ -470,23 +420,15 @@ def evaluate_grid_block(
             cum_out[:] = times_array[None, :, None] * initial_rates[:, None, :]
         return BlockGridResult(times_array.copy(), dist_out, inst_out, cum_out, 0, 0)
 
-    if operator_lookup is not None:
-        transposed, q = operator_lookup(chain)
+    if artifacts is not None:
+        transposed, q = artifacts.uniformized_transpose(chain)
+        make_window = artifacts.fox_glynn_window
     else:
         transposed, q = chain.uniformized_transpose()
-
-    engine_obj: Engine | None
-    if isinstance(engine, Engine):
-        engine_obj = engine
-    elif engine is not None:
-        chooser = selector if selector is not None else EngineSelector()
-        engine_obj = chooser.engine_for(chain, transposed, q, mode=engine)
-    else:
-        engine_obj = None  # legacy CSR path, bit-exact
+        make_window = fox_glynn
 
     unique_times, inverse = np.unique(times_array, return_inverse=True)
     positive = np.flatnonzero(unique_times > 0.0)
-    make_window = fox_glynn if window_lookup is None else window_lookup
     windows = [make_window(q * float(unique_times[i]), epsilon) for i in positive]
 
     local = UniformizationStats()
@@ -498,7 +440,7 @@ def evaluate_grid_block(
         collect_mixtures=distributions,
         stats=local,
         block_size=block_size,
-        engine=engine_obj,
+        engine=sweep_engine(chain, transposed, q, artifacts),
     )
     if stats is not None:
         stats.add(local)
@@ -560,86 +502,3 @@ def evaluate_grid_block(
     return BlockGridResult(
         times_array.copy(), dist_out, inst_out, cum_out, local.matvecs, local.applies
     )
-
-
-def evaluate_grid(
-    chain: CTMC,
-    times: Sequence[float] | np.ndarray,
-    initial_distribution: np.ndarray | None = None,
-    rewards: np.ndarray | None = None,
-    distributions: bool = True,
-    instantaneous: bool = False,
-    cumulative: bool = False,
-    epsilon: float = DEFAULT_EPSILON,
-    stats: UniformizationStats | None = None,
-    block_size: int = DEFAULT_BLOCK_SIZE,
-) -> GridResult:
-    """Evaluate transient and/or reward measures on a whole time grid at once.
-
-    The grid may be unsorted and contain duplicates and ``t = 0``; duplicate
-    time points share one Fox–Glynn window and all points share one
-    vector-power sweep.
-
-    Parameters
-    ----------
-    chain:
-        The CTMC to analyse.
-    times:
-        Time points (non-negative, any order).
-    initial_distribution:
-        Optional override of the chain's initial distribution.  A 2-D block
-        of shape ``(num_initials, num_states)`` batches several initial
-        distributions through the same sweep (one sparse mat–mat product per
-        step); the outputs then gain a leading ``num_initials`` axis.
-    rewards:
-        State reward-rate vector; required for the reward outputs.
-    distributions, instantaneous, cumulative:
-        Which outputs to compute (see :class:`GridResult`).
-    epsilon:
-        Truncation error of the Poisson mixture.
-    stats:
-        Optional counter object updated with the work performed.
-    """
-    if initial_distribution is None:
-        pi0 = chain.initial_distribution
-    else:
-        pi0 = np.asarray(initial_distribution, dtype=float)
-        if pi0.ndim == 1 and pi0.shape != (chain.num_states,):
-            raise CTMCError("initial distribution has the wrong length")
-        if pi0.ndim == 2 and pi0.shape[1] != chain.num_states:
-            raise CTMCError("initial distribution block has the wrong width")
-        if pi0.ndim not in (1, 2):
-            raise CTMCError("initial distribution must be a vector or a 2-D block")
-
-    single = pi0.ndim == 1
-    block = pi0[None, :] if single else pi0
-
-    if rewards is not None:
-        rewards = np.asarray(rewards, dtype=float)
-        if rewards.shape != (chain.num_states,):
-            raise CTMCError("reward vector has the wrong length")
-
-    result = evaluate_grid_block(
-        chain,
-        times,
-        block,
-        rewards_matrix=rewards,
-        distributions=distributions,
-        instantaneous=instantaneous,
-        cumulative=cumulative,
-        epsilon=epsilon,
-        stats=stats,
-        block_size=block_size,
-    )
-
-    dist_out = result.distributions
-    inst_out = result.instantaneous
-    cum_out = result.cumulative
-    if single:
-        dist_out = dist_out[0] if dist_out is not None else None
-        inst_out = inst_out[0, :, 0] if inst_out is not None else None
-        cum_out = cum_out[0, :, 0] if cum_out is not None else None
-    else:
-        inst_out = inst_out[:, :, 0] if inst_out is not None else None
-        cum_out = cum_out[:, :, 0] if cum_out is not None else None
-    return GridResult(result.times, dist_out, inst_out, cum_out, result.matvecs)

@@ -28,7 +28,7 @@ iteratively from the best fixed strategy:
 All baselines and iterates are evaluated on induced chains of the same
 CTMDP (same crew pool), so values are apples-to-apples; the artifact cache
 makes re-optimization warm (same chains → same fingerprints → cached
-transforms, engine choices and Fox–Glynn windows).
+transforms, densified operators and Fox–Glynn windows).
 """
 
 from __future__ import annotations
@@ -129,7 +129,7 @@ def rollout_optimize(
         the result.
     artifacts:
         An optional :class:`~repro.service.ArtifactCache` serving absorbing
-        transforms, engine choices and Fox–Glynn windows, so it is reused
+        transforms, densified operators and Fox–Glynn windows, so it is reused
         across rounds and re-optimizations.
     """
     if objective not in ROLLOUT_OBJECTIVES:

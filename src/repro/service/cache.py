@@ -23,8 +23,8 @@ kind               key
                    long-run linear system restricted to a state subset
                    (see :mod:`repro.ctmc.linsolve`)
 ``bscc``           (chain fingerprint,) — the BSCC decomposition
-``stationary``     (chain fingerprint, subset signature + method) — one
-                   BSCC's stationary vector
+``stationary``     (chain fingerprint, subset signature) — one BSCC's
+                   stationary vector
 ``absorption``     (chain fingerprint,) — the solved transient-to-BSCC
                    absorption-probability matrix
 ``embedded``       (chain fingerprint,) — the embedded (jump-chain)
@@ -36,15 +36,12 @@ kind               key
                    matrix of the backward value sweep so it cannot
                    shadow the forward (transposed) operator; stored with a
                    byte-size-aware weight (see below)
-``engine``         (chain fingerprint,) — the backend the
-                   :class:`repro.ctmc.engines.EngineSelector` resolved for
-                   ``engine="auto"``
 =================  ===================================================
 
-The first four families are populated by the uniformization (transient)
-path, the last four by the long-run linear-solver engine
-(:class:`repro.ctmc.linsolve.SolverEngine`), which calls straight into
-:meth:`ArtifactCache.get_or_create`.
+The first four kinds and ``dense_operator`` are populated by the
+uniformization (transient) path, the five between them by the long-run
+linear-solver engine (:class:`repro.ctmc.linsolve.SolverEngine`), which
+calls straight into :meth:`ArtifactCache.get_or_create`.
 
 Chains are keyed by :attr:`repro.ctmc.ctmc.CTMC.fingerprint` — a content
 hash of the rate matrix — so a *rebuilt* chain with identical dynamics
@@ -342,10 +339,6 @@ class ArtifactCache:
             factory,
             weight=lambda value: -(-int(value.nbytes) // DENSE_WEIGHT_UNIT_BYTES),
         )
-
-    def engine_choice(self, chain: CTMC, factory: Callable[[], str]) -> str:
-        """The backend the auto selector resolved for ``chain``."""
-        return self.get_or_create("engine", (chain.fingerprint,), factory)
 
 
 #: The process-wide cache the scenario service (and anything else that asks

@@ -55,7 +55,7 @@ from repro.analysis import (
     execution_units,
     normalise_request,
 )
-from repro.ctmc.engines import default_worker_count, normalise_engine_mode
+from repro.ctmc.engines import default_worker_count
 from repro.ctmc.linsolve import LinearSolveStats
 from repro.ctmc.uniformization import DEFAULT_EPSILON, UniformizationStats
 from repro.service.cache import GLOBAL_ARTIFACTS, ArtifactCache, CacheStats
@@ -356,9 +356,6 @@ class ScenarioService:
     registry:
         Scenario registry backing :meth:`submit_scenario`; defaults to the
         paper's figure families (:func:`repro.service.paper_registry`).
-    engine:
-        Default numeric backend for submissions that do not set one — one
-        of :data:`repro.ctmc.engines.ENGINE_MODES` (``None`` = ``"auto"``).
     """
 
     def __init__(
@@ -373,7 +370,6 @@ class ScenarioService:
         artifacts: ArtifactCache | None = None,
         max_workers: int | None = None,
         registry: ScenarioRegistry | None = None,
-        engine: str | None = None,
     ) -> None:
         if coalesce_window < 0:
             raise ValueError("coalesce_window must be non-negative")
@@ -393,7 +389,6 @@ class ScenarioService:
         self.default_epsilon = float(epsilon)
         self.artifacts = artifacts if artifacts is not None else GLOBAL_ARTIFACTS
         self.registry = registry if registry is not None else paper_registry()
-        self.engine = None if engine is None else normalise_engine_mode(engine)
         self.stats = ServiceStats()
         self.max_workers = default_worker_count(max_workers)
         self._pool = ThreadPoolExecutor(
@@ -684,7 +679,6 @@ class ScenarioService:
                 lump=self.lump,
                 default_epsilon=self.default_epsilon,
                 artifacts=self.artifacts,
-                default_engine=self.engine,
             )
         return survivors, rejected, plan
 

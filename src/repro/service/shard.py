@@ -228,7 +228,6 @@ async def _shard_worker(
         epsilon=config["epsilon"],
         artifacts=ArtifactCache(config["max_entries"]),
         max_workers=config["max_workers"],
-        engine=config.get("engine"),
     )
     loop = asyncio.get_running_loop()
     tasks: set[asyncio.Task] = set()
@@ -509,12 +508,9 @@ class ShardedScenarioService:
         parent, then routed per request); defaults to the paper's families.
     start_method:
         ``multiprocessing`` start method; ``spawn`` (the default) keeps
-        workers free of inherited interpreter state.
-    engine:
-        Default numeric backend forwarded to every worker's service (see
-        :class:`ScenarioService`).  When the workers may take
-        the dense-BLAS path, the front pins the BLAS thread count to
-        :func:`repro.ctmc.engines.blas_thread_budget` around the spawns so
+        workers free of inherited interpreter state.  Workers may take the
+        dense-BLAS path, so the front pins the BLAS thread count to
+        :func:`repro.ctmc.engines.blas_thread_budget` around the spawns and
         N shards never oversubscribe the machine N-fold.
     heartbeat_interval, heartbeat_timeout:
         Liveness probing: a ping every ``heartbeat_interval`` seconds; a
@@ -565,7 +561,6 @@ class ShardedScenarioService:
         max_entries: int = DEFAULT_MAX_ENTRIES,
         registry: ScenarioRegistry | None = None,
         start_method: str = "spawn",
-        engine: str | None = None,
         heartbeat_interval: float | None = DEFAULT_HEARTBEAT_INTERVAL,
         heartbeat_timeout: float | None = None,
         restart_limit: int = DEFAULT_RESTART_LIMIT,
@@ -640,7 +635,6 @@ class ShardedScenarioService:
             "epsilon": float(epsilon),
             "max_entries": int(max_entries),
             "max_workers": max_workers,
-            "engine": engine,
             "chaos": chaos,
         }
         self._start_method = start_method

@@ -24,7 +24,9 @@ population of *generated* CTMCs:
 * the one backward value sweep
   (:func:`repro.analysis.executor.backward_values`, read at the horizon
   and accumulated) and the checker's per-state ``U[a,b]`` vectors against
-  forward sessions from every point-mass start.
+  forward sessions from every point-mass start;
+* the backends :mod:`repro.ctmc.engines` picks against the same session
+  with both of its rules forced to CSR and ``splu``.
 
 Each seeded chain (5–40 states, random density/rates, random target,
 safe-set and reward structures, including absorbing states and reducible
@@ -45,7 +47,7 @@ from repro.analysis import AnalysisSession, MeasureKind
 from repro.analysis.executor import backward_values
 from repro.csl import ModelChecker
 from repro.csl import formulas as F
-from repro.ctmc import CTMC
+from repro.ctmc import CTMC, engines
 from repro.ctmc.linsolve import reachability_reward_reference
 from repro.ctmc.uniformization import DEFAULT_EPSILON
 
@@ -223,14 +225,9 @@ def reference_longrun_expectation(chain: CTMC, observable: np.ndarray) -> float:
 # ---------------------------------------------------------------------------
 # the differential harness
 # ---------------------------------------------------------------------------
-def _session_values(
-    chain: CTMC,
-    spec: dict,
-    lump: bool,
-    engine: str | None = None,
-) -> dict[str, np.ndarray]:
+def _session_values(chain: CTMC, spec: dict, lump: bool) -> dict[str, np.ndarray]:
     """All four measures of one chain through a single batched session."""
-    session = AnalysisSession(lump=lump, engine=engine)
+    session = AnalysisSession(lump=lump)
     indices = {
         "bounded": session.request(
             chain,
@@ -437,17 +434,20 @@ def test_checker_interval_vectors_match_point_mass_sessions(seed: int) -> None:
 
 # Each id names the seed and the sweep's one lane, float64.
 @pytest.mark.parametrize("seed", range(NUM_CHAINS), ids=lambda seed: f"{seed}-float64")
-def test_dtype_lanes_agree_with_legacy_path(seed: int) -> None:
-    """The engine-selected float64 sweep reproduces the legacy CSR numerics.
+def test_dtype_lanes_agree_with_legacy_path(seed: int, monkeypatch) -> None:
+    """The size-selected backends reproduce the all-CSR numerics.
 
-    ``engine="auto"`` routes every chain through the pluggable backend layer
-    (dense BLAS below the crossover, CSR above), which must stay within the
-    harness tolerance of the legacy path.
+    A normal session sweeps and factorizes on the backends the rules of
+    :mod:`repro.ctmc.engines` pick — dense BLAS walks and LAPACK LUs on
+    every chain of this harness.  The same session with both rules forced
+    to CSR and ``splu`` must agree with it within the harness tolerance.
     """
     chain, spec = random_ctmc(seed)
-    legacy = _session_values(chain, spec, lump=False)
-    values = _session_values(chain, spec, lump=False, engine="auto")
-    for name, expected in legacy.items():
+    values = _session_values(chain, spec, lump=False)
+    monkeypatch.setattr(engines, "sweep_backend", lambda num_states, nnz: "sparse")
+    monkeypatch.setattr(engines, "factorization_backend", lambda order: "sparse")
+    all_csr = _session_values(chain, spec, lump=False)
+    for name, expected in all_csr.items():
         actual = np.asarray(values[name], dtype=float)
         expected = np.asarray(expected, dtype=float)
         both_infinite = ~np.isfinite(actual) & ~np.isfinite(expected)
@@ -456,7 +456,7 @@ def test_dtype_lanes_agree_with_legacy_path(seed: int) -> None:
             - np.where(both_infinite, 0.0, expected)
         )
         assert np.all(difference <= TOLERANCE), (
-            f"seed {seed}: {name} deviates from the legacy path by "
+            f"seed {seed}: {name} deviates from the all-CSR path by "
             f"{float(np.max(difference))!r}"
         )
 

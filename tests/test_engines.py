@@ -1,10 +1,11 @@
-"""Tests of the pluggable numeric-engine layer (:mod:`repro.ctmc.engines`).
+"""Tests of the numeric-backend layer (:mod:`repro.ctmc.engines`).
 
-Covers the backend implementations (sparse CSR, dense BLAS), the
-auto-selection heuristic and its crossover, the per-fingerprint
-persistence in the artifact cache, dense-LU long-run solves, and the
-BLAS/thread-pool oversubscription guard — including a regression test that
-a two-shard dense run keeps every worker's thread budget bounded.
+Covers the backend implementations (sparse CSR, dense BLAS), the two rules
+that pick them — the sweep rule and its crossover, the factorization rule —
+the absence of any knob that would let a caller override them, dense-LU
+long-run solves, the dense-operator cache, and the BLAS/thread-pool
+oversubscription guard — including a regression test that a two-shard
+dense run keeps every worker's thread budget bounded.
 """
 
 from __future__ import annotations
@@ -16,9 +17,9 @@ import numpy as np
 import pytest
 from scipy import sparse
 
-from repro.analysis import AnalysisSession, MeasureKind, MeasureRequest
-from repro.ctmc import CTMC
-from repro.ctmc.ctmc import CTMCError
+from repro.analysis import AnalysisSession, MeasureKind, MeasureRequest, build_plan
+from repro.analysis.executor import backward_values
+from repro.ctmc import CTMC, engines
 from repro.ctmc.engines import (
     BLAS_ENV_VARS,
     DENSE_RELAXED_LIMIT,
@@ -26,16 +27,25 @@ from repro.ctmc.engines import (
     DENSE_STATE_LIMIT,
     DenseEngine,
     DenseFactorization,
-    EngineSelector,
     SparseEngine,
     SparseFactorization,
     blas_thread_budget,
     default_worker_count,
-    normalise_engine_mode,
+    factorization_backend,
+    factorize,
     pin_blas_threads,
     restore_blas_threads,
+    sweep_backend,
+    sweep_engine,
 )
-from repro.ctmc.uniformization import UniformizationStats, evaluate_grid_block
+from repro.ctmc.foxglynn import fox_glynn
+from repro.ctmc.linsolve import SolverEngine
+from repro.ctmc.steady_state import steady_state_distribution
+from repro.ctmc.uniformization import (
+    UniformizationStats,
+    evaluate_grid_block,
+    poisson_mixture_sweep,
+)
 from repro.service.cache import DENSE_WEIGHT_UNIT_BYTES, ArtifactCache
 
 
@@ -49,18 +59,9 @@ def make_chain(seed: int = 0, num_states: int = 40, density: float = 0.25) -> CT
 
 
 # ---------------------------------------------------------------------------
-# mode normalisation
+# knobs that would choose a numeric path are gone
 # ---------------------------------------------------------------------------
 class TestNormalisation:
-    def test_known_modes_pass_through(self):
-        for mode in ("auto", "sparse", "dense"):
-            assert normalise_engine_mode(mode) == mode
-
-    def test_unknown_mode_raises(self):
-        for mode in ("gpu", "numba"):
-            with pytest.raises(CTMCError, match="unknown engine mode"):
-                normalise_engine_mode(mode)
-
     def test_sweeps_take_no_dtype_knob(self):
         """Every sweep runs in float64; a ``dtype=`` argument is an error."""
         from repro.service import ScenarioService
@@ -77,110 +78,168 @@ class TestNormalisation:
                 chain, [1.0], chain.initial_distribution[None, :], dtype="float64"
             )
 
+    def test_callers_choose_no_backend(self):
+        """The input alone picks the backend: no layer takes an ``engine=``,
+        ``mode=`` or ``method=`` knob."""
+        from repro.cli import run_experiments
+        from repro.service import ScenarioService
+        from repro.service.shard import ShardedScenarioService
+
+        chain = make_chain(1)
+        with pytest.raises(TypeError, match="engine"):
+            AnalysisSession(engine="dense")
+        with pytest.raises(TypeError, match="engine"):
+            MeasureRequest(chain=chain, times=[1.0], engine="dense")
+        with pytest.raises(TypeError, match="engine"):
+            ScenarioService(engine="dense")
+        with pytest.raises(TypeError, match="engine"):
+            ShardedScenarioService(engine="dense")
+        with pytest.raises(TypeError, match="engine"):
+            run_experiments(["table1"], engine="dense")
+        with pytest.raises(TypeError, match="default_engine"):
+            build_plan([], default_engine="dense")
+        with pytest.raises(TypeError, match="mode"):
+            SolverEngine(mode="dense")
+        with pytest.raises(TypeError, match="method"):
+            steady_state_distribution(chain, method="direct")
+        with pytest.raises(TypeError, match="engine"):
+            evaluate_grid_block(
+                chain, [1.0], chain.initial_distribution[None, :], engine="dense"
+            )
+        with pytest.raises(TypeError, match="engine"):
+            backward_values(
+                chain, np.ones(chain.num_states), [1.0], epsilon=1e-10, engine="dense"
+            )
+
 
 # ---------------------------------------------------------------------------
 # backend equivalence on real sweeps
 # ---------------------------------------------------------------------------
 class TestBackendEquivalence:
-    def _sweep(self, chain, engine=None, stats=None):
-        times = np.linspace(0.1, 3.0, 6)
-        rewards = np.zeros((chain.num_states, 1))
-        rewards[-1, 0] = 1.0
-        block = chain.initial_distribution[None, :]
-        result = evaluate_grid_block(
-            chain,
-            times,
-            block,
-            rewards_matrix=rewards,
-            instantaneous=True,
-            engine=engine,
+    def _sweep(self, chain, make_engine=None, stats=None):
+        """Instantaneous reward of the last state on a grid, walked by the
+        engine ``make_engine`` builds (``None``: the operator walked as CSR)."""
+        operator, q = chain.uniformized_transpose()
+        windows = [fox_glynn(q * t, 1e-10) for t in np.linspace(0.1, 3.0, 6)]
+        rewards = np.zeros(chain.num_states)
+        rewards[-1] = 1.0
+        _, sequence = poisson_mixture_sweep(
+            operator,
+            chain.initial_distribution,
+            windows,
+            rewards=rewards,
+            collect_mixtures=False,
             stats=stats,
+            engine=make_engine(operator) if make_engine is not None else None,
         )
-        return result.instantaneous
+        return np.array(
+            [window.weights @ sequence[window.left : window.right + 1] for window in windows]
+        )
+
+    @staticmethod
+    def _dense(operator):
+        return DenseEngine(operator.toarray(), operator.nnz)
 
     def test_sparse_lane_is_bit_exact_with_legacy(self):
         chain = make_chain(3)
         legacy = self._sweep(chain)
-        via_engine = self._sweep(chain, engine="sparse")
+        via_engine = self._sweep(chain, SparseEngine)
         assert np.array_equal(legacy, via_engine)
 
     def test_dense_lane_matches_legacy(self):
         chain = make_chain(4)
         legacy = self._sweep(chain)
-        dense = self._sweep(chain, engine="dense")
+        dense = self._sweep(chain, self._dense)
         assert np.max(np.abs(legacy - dense)) <= 1e-12
 
     def test_op_accounting_is_backend_invariant(self):
         chain = make_chain(6)
         flops, equivalents = [], []
-        for mode in (None, "sparse", "dense"):
+        for make_engine in (None, SparseEngine, self._dense):
             stats = UniformizationStats()
-            self._sweep(chain, engine=mode, stats=stats)
+            self._sweep(chain, make_engine, stats=stats)
             flops.append(stats.sparse_flops)
-            if mode is not None:
-                equivalents.append(stats.equivalent_nnz)
-                assert stats.sweep_seconds > 0.0
+            equivalents.append(stats.equivalent_nnz)
+            assert stats.sweep_seconds > 0.0
         # Dense GEMMs report the *equivalent* sparse op count, so existing
         # flop-based perf gates keep measuring algorithmic work.
         assert len(set(flops)) == 1
-        assert equivalents[0] == equivalents[1] == flops[0]
+        assert len(set(equivalents)) == 1 and equivalents[0] == flops[0]
 
 
 # ---------------------------------------------------------------------------
-# the auto-selection heuristic
+# the two rules
 # ---------------------------------------------------------------------------
 class TestEngineSelector:
     def test_small_chains_go_dense(self):
-        selector = EngineSelector()
-        assert selector.choose(DENSE_STATE_LIMIT, 10) == "dense"
+        assert sweep_backend(DENSE_STATE_LIMIT, 10) == "dense"
 
     def test_large_sparse_chains_stay_sparse(self):
-        selector = EngineSelector()
         big = 4 * DENSE_RELAXED_LIMIT
-        assert selector.choose(big, big * 5) == "sparse"
+        assert sweep_backend(big, big * 5) == "sparse"
 
     def test_crossover_in_relaxed_band_depends_on_density(self):
         """Between the limits the operator fill decides the backend."""
-        selector = EngineSelector()
         size = (DENSE_STATE_LIMIT + DENSE_RELAXED_LIMIT) // 2
         dense_fill = int(0.2 * size * size)
         sparse_fill = int(0.05 * size * size)
-        assert selector.choose(size, dense_fill) == "dense"
-        assert selector.choose(size, sparse_fill) == "sparse"
+        assert sweep_backend(size, dense_fill) == "dense"
+        assert sweep_backend(size, sparse_fill) == "sparse"
 
     def test_memory_guard_forces_sparse(self):
-        # Raise the size limits so only the byte cap can veto.
-        selector = EngineSelector(dense_state_limit=10_000)
-        huge = 4000  # 4000^2 float64 = 128 MiB > the 64 MiB guard
-        assert selector.choose(huge, huge * huge) == "sparse"
-        assert selector.choose(2800, 2800 * 2800) == "dense"  # 60 MiB fits
+        """No operator beyond the relaxed band is densified, however full, so
+        a dense operator never exceeds DENSE_RELAXED_LIMIT² float64 entries."""
+        full = DENSE_RELAXED_LIMIT * DENSE_RELAXED_LIMIT
+        assert sweep_backend(DENSE_RELAXED_LIMIT, full) == "dense"
+        beyond = DENSE_RELAXED_LIMIT + 1
+        assert sweep_backend(beyond, beyond * beyond) == "sparse"
+        assert full * 8 <= 5 << 20
 
-    def test_forced_modes_bypass_the_heuristic(self):
-        selector = EngineSelector()
-        chain = make_chain(7, num_states=500, density=0.02)
-        assert selector.resolve(chain, "dense") == "dense"
-        assert selector.resolve(chain, "sparse") == "sparse"
+    def test_sweep_engine_builds_matching_backends(self):
+        small = make_chain(9, num_states=20)
+        operator, q = small.uniformized_transpose()
+        assert isinstance(sweep_engine(small, operator, q), DenseEngine)
+        large = make_chain(9, num_states=DENSE_RELAXED_LIMIT + 1, density=0.01)
+        operator, q = large.uniformized_transpose()
+        assert isinstance(sweep_engine(large, operator, q), SparseEngine)
 
-    def test_auto_decision_persists_in_artifact_cache(self):
-        artifacts = ArtifactCache()
-        selector = EngineSelector(artifacts)
-        chain = make_chain(8, num_states=30)
-        first = selector.resolve(chain, "auto")
-        second = selector.resolve(chain, "auto")
-        assert first == second == "dense"
-        counters = artifacts.stats().kinds["engine"]
-        assert counters.misses == 1 and counters.hits == 1
+    def test_both_sweeps_apply_the_rule_to_their_own_operator(self, monkeypatch):
+        """``evaluate_grid_block`` and ``backward_values`` each ask the sweep
+        rule once, with the order and non-zeros of the operator they walk;
+        forcing the rule sparse changes no value beyond rounding."""
+        chain = make_chain(11, num_states=30)
+        times = [0.5, 1.5]
+        values = np.linspace(0.0, 1.0, chain.num_states)
 
-    def test_engine_for_builds_matching_backends(self):
-        chain = make_chain(9, num_states=20)
-        operator = sparse.random(20, 20, density=0.3, format="csr", random_state=1)
-        selector = EngineSelector()
-        assert isinstance(
-            selector.engine_for(chain, operator, 1.0, mode="dense"), DenseEngine
-        )
-        assert isinstance(
-            selector.engine_for(chain, operator, 1.0, mode="sparse"), SparseEngine
-        )
+        def sweeps():
+            forward = evaluate_grid_block(
+                chain, times, chain.initial_distribution[None, :], distributions=True
+            ).distributions
+            return forward, backward_values(chain, values, times, epsilon=1e-10)
+
+        asked = []
+        rule = engines.sweep_backend
+
+        def recorded(num_states, nnz):
+            asked.append((num_states, nnz))
+            return rule(num_states, nnz)
+
+        monkeypatch.setattr(engines, "sweep_backend", recorded)
+        by_rule = sweeps()
+        operator, _ = chain.uniformized_transpose()
+        assert asked == [(chain.num_states, operator.nnz)] * 2
+        assert rule(chain.num_states, operator.nnz) == "dense"
+        monkeypatch.setattr(engines, "sweep_backend", lambda num_states, nnz: "sparse")
+        for dense, sparse_walk in zip(by_rule, sweeps()):
+            assert np.max(np.abs(dense - sparse_walk)) <= 1e-12
+
+    def test_factorization_rule_follows_the_system_order(self):
+        assert factorization_backend(DENSE_SOLVE_LIMIT) == "dense"
+        assert factorization_backend(DENSE_SOLVE_LIMIT + 1) == "sparse"
+        small = sparse.eye(DENSE_SOLVE_LIMIT, format="csc") * 2.0
+        large = sparse.eye(DENSE_SOLVE_LIMIT + 1, format="csc") * 2.0
+        assert isinstance(factorize(small), DenseFactorization)
+        assert isinstance(factorize(large), SparseFactorization)
 
 
 # ---------------------------------------------------------------------------
@@ -202,10 +261,9 @@ class TestFactorizations:
         assert np.max(np.abs(dense - via_sparse)) <= 1e-10
         assert DenseFactorization(matrix).nnz == matrix.nnz
 
-    @pytest.mark.parametrize("mode", ["auto", "sparse", "dense"])
-    def test_longrun_measures_agree_across_solver_modes(self, mode):
-        chain = make_chain(10, num_states=35)
-        session = AnalysisSession(engine=mode)
+    @staticmethod
+    def _longrun_session(chain):
+        session = AnalysisSession()
         target = np.zeros(chain.num_states, dtype=bool)
         target[-3:] = True
         rewards = np.linspace(0.0, 2.0, chain.num_states)
@@ -217,26 +275,25 @@ class TestFactorizations:
             target=target,
             rewards=rewards,
         )
-        values = [result.squeezed[0] for result in session.execute()]
-        reference = AnalysisSession()
-        reference.request(chain, (), kind=MeasureKind.STEADY_STATE, target=target)
-        reference.request(
-            chain,
-            (),
-            kind=MeasureKind.REACHABILITY_REWARD,
-            target=target,
-            rewards=rewards,
-        )
-        expected = [result.squeezed[0] for result in reference.execute()]
+        return [result.squeezed[0] for result in session.execute()], session.stats
+
+    @pytest.mark.parametrize("mode", ["auto", "sparse", "dense"])
+    def test_longrun_measures_agree_across_solver_modes(self, mode, monkeypatch):
+        """Forcing the factorization rule either way changes no long-run value."""
+        chain = make_chain(10, num_states=35)
+        expected, _ = self._longrun_session(chain)
+        if mode != "auto":
+            monkeypatch.setattr(engines, "factorization_backend", lambda order: mode)
+        values, stats = self._longrun_session(chain)
         assert np.allclose(values, expected, rtol=0.0, atol=1e-10)
-        # A 35-state system is below DENSE_SOLVE_LIMIT, so auto and dense
-        # both take the dense LU path and say so in the stats.
+        # A 35-state system is below DENSE_SOLVE_LIMIT, so the rule (and the
+        # rule forced dense) takes the dense LU path and says so in the stats.
         assert chain.num_states <= DENSE_SOLVE_LIMIT
         if mode in ("auto", "dense"):
-            assert session.stats.dense_factorizations >= 1
+            assert stats.dense_factorizations >= 1
         else:
-            assert session.stats.dense_factorizations == 0
-        assert session.stats.factor_seconds >= 0.0
+            assert stats.dense_factorizations == 0
+        assert stats.factor_seconds >= 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -270,13 +327,36 @@ class TestDenseOperatorCaching:
         chain = make_chain(14, num_states=30)
         times = np.linspace(0.1, 2.0, 4)
         for _ in range(2):
-            session = AnalysisSession(artifacts=artifacts, engine="dense")
+            session = AnalysisSession(artifacts=artifacts)
             session.request(
                 chain, times, kind=MeasureKind.REACHABILITY, target=[0]
             )
             session.execute()
         counters = artifacts.stats().kinds["dense_operator"]
         assert counters.misses == 1 and counters.hits >= 1
+
+    def test_backend_choice_is_recomputed_not_cached(self, monkeypatch):
+        """The cache keeps densified operators but no backend decision: a warm
+        sweep asks the rule again, from its own operator."""
+        artifacts = ArtifactCache()
+        chain = make_chain(15, num_states=30)
+        asked = []
+        rule = engines.sweep_backend
+
+        def recorded(num_states, nnz):
+            asked.append(num_states)
+            return rule(num_states, nnz)
+
+        monkeypatch.setattr(engines, "sweep_backend", recorded)
+        for _ in range(2):
+            session = AnalysisSession(artifacts=artifacts)
+            session.request(
+                chain, [0.5, 1.0], kind=MeasureKind.REACHABILITY, target=[0]
+            )
+            session.execute()
+        assert asked == [chain.num_states] * 2
+        assert "engine" not in artifacts.stats().kinds
+        assert not hasattr(artifacts, "engine_choice")
 
 
 # ---------------------------------------------------------------------------
@@ -314,7 +394,7 @@ class TestOversubscriptionGuard:
 
         async def run():
             async with ShardedScenarioService(
-                num_shards=2, coalesce_window=0.0, engine="dense"
+                num_shards=2, coalesce_window=0.0
             ) as service:
                 requests = [
                     MeasureRequest(
@@ -348,7 +428,7 @@ class TestOversubscriptionGuard:
         sentinel = os.environ.get(BLAS_ENV_VARS[0])
 
         async def run():
-            async with ShardedScenarioService(num_shards=2, engine="dense"):
+            async with ShardedScenarioService(num_shards=2):
                 pass
 
         asyncio.run(run())

@@ -11,12 +11,11 @@ import numpy as np
 import pytest
 
 from repro import cli
-from repro.analysis import AnalysisSession, MeasureKind, planner
+from repro.analysis import AnalysisSession, planner
 from repro.casestudy import experiments as exp
 from repro.casestudy.facility import PAPER_STRATEGIES, StrategyConfiguration
 from repro.arcade.repair import RepairStrategy
 from repro.cli import build_parser, build_serve_parser, main, run_experiments
-from repro.ctmc import CTMC
 from repro.service import paper_registry
 from repro.service.registry import MAX_GRID_POINTS
 
@@ -186,25 +185,21 @@ class TestCommandLine:
         summary = capsys.readouterr().out.strip().splitlines()[-1]
         assert summary.startswith("[session: requests=42 groups=42 sweeps=32 matvecs=5096 ")
 
-    def test_engine_flag_reaches_the_session_and_no_further(self, monkeypatch):
-        plans = []
-
-        class Recorded(AnalysisSession):
-            def plan(self):
-                plans.append(super().plan())
-                return plans[-1]
-
-        monkeypatch.setattr(cli, "AnalysisSession", Recorded)
-        assert main(["fig3", "--points", "5", "--no-plot", "--engine", "sparse"]) == 0
-        (plan,) = plans
-        assert {group.engine for group in plan.groups} == {"sparse"}
-        # A later session in the same process still resolves "auto", which
-        # picks the dense backend for a chain this small.
-        chain = CTMC(np.array([[0.0, 1.0], [0.5, 0.0]]), [0.0, 1.0], labels={"up": [0]})
-        later = AnalysisSession()
-        later.request(chain, [0.0, 1.0], kind=MeasureKind.REACHABILITY, target="up")
-        (group,) = later.plan().groups
-        assert group.engine == "dense"
+    @pytest.mark.parametrize(
+        "argv",
+        [["fig3", "--engine", "dense"], ["serve", "--engine", "sparse"]],
+        ids=["repro", "serve"],
+    )
+    def test_engine_flag_is_a_usage_error(self, argv, capsys):
+        """No front end lets a caller pick the numeric backend."""
+        with pytest.raises(SystemExit) as exited:
+            main(argv)
+        assert exited.value.code == 2
+        error = capsys.readouterr().err
+        assert "Traceback" not in error
+        assert error.splitlines()[-1].endswith(
+            "error: unrecognized arguments: " + " ".join(argv[-2:])
+        )
 
 
 class TestGridPointValidation:

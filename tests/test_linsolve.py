@@ -20,8 +20,8 @@ from repro.ctmc.dtmc import (
     qualitative_reachability,
     unbounded_reachability,
 )
+from repro.ctmc.engines import SparseFactorization
 from repro.ctmc.linsolve import (
-    Factorization,
     LinearSolveStats,
     SolverEngine,
     expected_values_under,
@@ -64,7 +64,7 @@ class TestEnginePrimitives:
         rng = np.random.default_rng(7)
         matrix = rng.random((6, 6)) + 6.0 * np.eye(6)
         rhs = rng.random((6, 4))
-        factorization = Factorization(matrix)
+        factorization = SparseFactorization(matrix)
         solution = factorization.solve(rhs)
         assert solution.shape == (6, 4)
         assert np.max(np.abs(matrix @ solution - rhs)) < 1e-10

@@ -7,10 +7,13 @@ from hypothesis import strategies as st
 
 from repro.ctmc import (
     CTMC,
+    LinearSolveStats,
+    SolverEngine,
     bottom_strongly_connected_components,
     steady_state_distribution,
     steady_state_probability,
 )
+from repro.ctmc import steady_state
 
 
 class TestBSCC:
@@ -148,15 +151,32 @@ class TestSteadyState:
         from_state_1 = steady_state_distribution(chain, np.array([0.0, 1.0, 0.0]))
         assert from_state_1 == pytest.approx([0.0, 1.0, 0.0])
 
-    def test_power_method_agrees_with_direct(self, mini_space):
+    def test_power_method_agrees_with_direct(self, mini_space, monkeypatch):
+        """Power iteration, which BSCCs above the direct limit take, agrees
+        with the direct solve."""
         chain = mini_space.chain
-        direct = steady_state_distribution(chain, method="direct")
-        power = steady_state_distribution(chain, method="power")
+        direct_stats, power_stats = LinearSolveStats(), LinearSolveStats()
+        direct = steady_state_distribution(chain, engine=SolverEngine(stats=direct_stats))
+        monkeypatch.setattr(steady_state, "_DIRECT_LIMIT", 0)
+        power = steady_state_distribution(chain, engine=SolverEngine(stats=power_stats))
+        assert (direct_stats.factorizations, power_stats.factorizations) == (1, 0)
         assert power == pytest.approx(direct, abs=1e-9)
 
     def test_unknown_method_rejected(self, two_state_chain):
-        with pytest.raises(Exception):
-            steady_state_distribution(two_state_chain, method="banana")
+        """No steady-state function takes a ``method=`` knob, known name or
+        not: the BSCC's size alone picks the direct solve or power iteration."""
+        chain = two_state_chain
+        block = chain.initial_distribution[None, :]
+        calls = [
+            (steady_state_distribution, (chain,)),
+            (steady_state.steady_state_distribution_block, (chain, block)),
+            (steady_state.steady_state_values_per_state, (chain, np.array([1.0, 0.0]))),
+            (steady_state_probability, (chain, "up")),
+        ]
+        for function, args in calls:
+            for method in ("banana", "direct", "power"):
+                with pytest.raises(TypeError, match="method"):
+                    function(*args, method=method)
 
 
 @given(

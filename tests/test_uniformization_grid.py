@@ -17,11 +17,7 @@ from repro.ctmc.ctmc import CTMCError
 from repro.ctmc.foxglynn import fox_glynn
 from repro.ctmc.rewards import cumulative_reward_curve, instantaneous_reward_curve
 from repro.ctmc.transient import time_bounded_reachability, transient_distributions
-from repro.ctmc.uniformization import (
-    UniformizationStats,
-    evaluate_grid,
-    evaluate_grid_block,
-)
+from repro.ctmc.uniformization import UniformizationStats, evaluate_grid_block
 
 EPSILON = 1e-10
 
@@ -150,12 +146,24 @@ class TestRewardGrids:
             assert abs(curve[index] - expected) <= 1e-9
 
 
+def initial_row(chain: CTMC) -> np.ndarray:
+    """The chain's initial distribution as a one-row initial block."""
+    return chain.initial_distribution[None, :]
+
+
 class TestEngineBehaviour:
     def test_single_sweep_matvec_count(self, chain):
         """The grid shares one sweep: matvecs == largest right truncation point."""
         stats = UniformizationStats()
         _, q = chain.uniformized_matrix()
-        evaluate_grid(chain, GRID, epsilon=EPSILON, stats=stats)
+        evaluate_grid_block(
+            chain,
+            GRID,
+            initial_row(chain),
+            distributions=True,
+            epsilon=EPSILON,
+            stats=stats,
+        )
         expected = max(fox_glynn(q * t, EPSILON).right for t in GRID if t > 0.0)
         assert stats.matvecs == expected
         assert stats.sweeps == 1
@@ -163,39 +171,49 @@ class TestEngineBehaviour:
         assert per_point > stats.matvecs
 
     def test_empty_grid(self, chain):
-        result = evaluate_grid(chain, [], epsilon=EPSILON)
-        assert result.distributions.shape == (0, chain.num_states)
+        result = evaluate_grid_block(
+            chain, [], initial_row(chain), distributions=True, epsilon=EPSILON
+        )
+        assert result.distributions.shape == (1, 0, chain.num_states)
         assert result.matvecs == 0
 
     def test_transitionless_chain(self):
         chain = CTMC(np.zeros((3, 3)), {1: 1.0})
         rewards = np.array([1.0, 2.0, 3.0])
-        result = evaluate_grid(
-            chain, [0.0, 4.0], rewards=rewards, instantaneous=True, cumulative=True
+        result = evaluate_grid_block(
+            chain,
+            [0.0, 4.0],
+            initial_row(chain),
+            rewards,
+            distributions=True,
+            instantaneous=True,
+            cumulative=True,
         )
-        assert result.distributions == pytest.approx(np.array([[0, 1, 0], [0, 1, 0]]))
-        assert result.instantaneous == pytest.approx([2.0, 2.0])
-        assert result.cumulative == pytest.approx([0.0, 8.0])
+        assert result.distributions[0] == pytest.approx(
+            np.array([[0, 1, 0], [0, 1, 0]])
+        )
+        assert result.instantaneous[0, :, 0] == pytest.approx([2.0, 2.0])
+        assert result.cumulative[0, :, 0] == pytest.approx([0.0, 8.0])
 
     def test_negative_time_rejected(self, chain):
         with pytest.raises(CTMCError):
-            evaluate_grid(chain, [1.0, -0.5])
+            evaluate_grid_block(chain, [1.0, -0.5], initial_row(chain))
 
     def test_non_finite_time_rejected(self, chain):
         # NaN compares false against every bound, so without an explicit
         # check it would silently produce an all-zero "distribution" row.
         with pytest.raises(CTMCError):
-            evaluate_grid(chain, [float("nan"), 1.0])
+            evaluate_grid_block(chain, [float("nan"), 1.0], initial_row(chain))
         with pytest.raises(CTMCError):
-            evaluate_grid(chain, [float("inf")])
+            evaluate_grid_block(chain, [float("inf")], initial_row(chain))
 
     def test_reward_outputs_require_rewards(self, chain):
         with pytest.raises(CTMCError):
-            evaluate_grid(chain, [1.0], cumulative=True)
+            evaluate_grid_block(chain, [1.0], initial_row(chain), cumulative=True)
 
     def test_wrong_initial_distribution_length(self, chain):
         with pytest.raises(CTMCError):
-            evaluate_grid(chain, [1.0], initial_distribution=np.ones(chain.num_states + 1))
+            evaluate_grid_block(chain, [1.0], np.ones((1, chain.num_states + 1)))
 
 
 class TestInitialBlockBatching:
@@ -210,32 +228,31 @@ class TestInitialBlockBatching:
     def test_block_matches_per_initial_rows(self, chain):
         block = self._initial_block(chain)
         rewards = np.linspace(0.0, 2.0, chain.num_states)
-        batched = evaluate_grid(
-            chain, GRID, initial_distribution=block, rewards=rewards,
-            instantaneous=True, cumulative=True, epsilon=EPSILON,
+        outputs = dict(
+            distributions=True, instantaneous=True, cumulative=True, epsilon=EPSILON
         )
+        batched = evaluate_grid_block(chain, GRID, block, rewards, **outputs)
         assert batched.distributions.shape == (3, len(GRID), chain.num_states)
-        assert batched.instantaneous.shape == (3, len(GRID))
-        assert batched.cumulative.shape == (3, len(GRID))
+        assert batched.instantaneous.shape == (3, len(GRID), 1)
+        assert batched.cumulative.shape == (3, len(GRID), 1)
         for row in range(block.shape[0]):
-            single = evaluate_grid(
-                chain, GRID, initial_distribution=block[row], rewards=rewards,
-                instantaneous=True, cumulative=True, epsilon=EPSILON,
+            single = evaluate_grid_block(chain, GRID, block[[row]], rewards, **outputs)
+            np.testing.assert_allclose(
+                batched.distributions[row], single.distributions[0], atol=1e-12
             )
             np.testing.assert_allclose(
-                batched.distributions[row], single.distributions, atol=1e-12
+                batched.instantaneous[row], single.instantaneous[0], atol=1e-12
             )
             np.testing.assert_allclose(
-                batched.instantaneous[row], single.instantaneous, atol=1e-12
-            )
-            np.testing.assert_allclose(
-                batched.cumulative[row], single.cumulative, atol=1e-12
+                batched.cumulative[row], single.cumulative[0], atol=1e-12
             )
 
     def test_block_shares_the_operator_traversal(self, chain):
         block = self._initial_block(chain, rows=4)
         stats = UniformizationStats()
-        evaluate_grid(chain, GRID, initial_distribution=block, epsilon=EPSILON, stats=stats)
+        evaluate_grid_block(
+            chain, GRID, block, distributions=True, epsilon=EPSILON, stats=stats
+        )
         _, q = chain.uniformized_matrix()
         expected_applies = max(fox_glynn(q * t, EPSILON).right for t in GRID if t > 0.0)
         assert stats.applies == expected_applies
@@ -271,18 +288,14 @@ class TestInitialBlockBatching:
         chain = CTMC(np.zeros((3, 3)), {1: 1.0})
         block = np.array([[1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
         rewards = np.array([1.0, 2.0, 3.0])
-        result = evaluate_grid(
-            chain, [0.0, 4.0], initial_distribution=block, rewards=rewards,
-            instantaneous=True, cumulative=True,
+        result = evaluate_grid_block(
+            chain, [0.0, 4.0], block, rewards, instantaneous=True, cumulative=True
         )
-        np.testing.assert_allclose(result.instantaneous, [[1.0, 1.0], [3.0, 3.0]])
-        np.testing.assert_allclose(result.cumulative, [[0.0, 4.0], [0.0, 12.0]])
+        np.testing.assert_allclose(result.instantaneous[:, :, 0], [[1.0, 1.0], [3.0, 3.0]])
+        np.testing.assert_allclose(result.cumulative[:, :, 0], [[0.0, 4.0], [0.0, 12.0]])
 
     def test_malformed_blocks_rejected(self, chain):
         with pytest.raises(CTMCError):
-            evaluate_grid(
-                chain, [1.0],
-                initial_distribution=np.ones((2, chain.num_states + 1)),
-            )
+            evaluate_grid_block(chain, [1.0], np.ones((2, chain.num_states + 1)))
         with pytest.raises(CTMCError):
             evaluate_grid_block(chain, [1.0], np.ones((0, chain.num_states))[None])
