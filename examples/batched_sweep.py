@@ -23,9 +23,11 @@ once per curve (the deprecated per-call idiom, see
    (:mod:`repro.service`, see ``scenario_service.py`` next door): it
    coalesces requests across many concurrent clients, runs independent
    groups on a worker pool, and keeps transforms/quotients/Fox–Glynn
-   windows in a process-wide artifact cache so repeated sweeps recompute
-   nothing.  A standalone ``AnalysisSession`` builds its artifacts from
-   scratch every time.
+   windows in its artifact cache across flushes, so repeated sweeps
+   recompute nothing.  A standalone ``AnalysisSession`` shares artifacts
+   among its own groups through a private cache, but a new session starts
+   from an empty one unless it is handed a shared
+   :class:`repro.service.ArtifactCache`.
 
 Run with::
 

@@ -14,10 +14,11 @@ and await their own results:
   by different clients ride one uniformization sweep — N clients cost no
   more sweeps than one batched session;
 * absorbing transforms, lumping quotients, uniformized operators and
-  Fox–Glynn windows live in a process-wide, bounded
-  :class:`repro.service.ArtifactCache` keyed by chain fingerprints, so the
-  second round below recomputes none of them (watch the cache-miss deltas
-  in the output).
+  Fox–Glynn windows live in the service's bounded
+  :class:`repro.service.ArtifactCache` keyed by chain fingerprints (here
+  one the example hands over, to read its counters), so the second round
+  below recomputes none of them (watch the cache-miss deltas in the
+  output).
 
 Run with::
 

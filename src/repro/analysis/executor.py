@@ -33,7 +33,7 @@ rewards) never sweep at all: each becomes one unit that routes through the
 cached linear-solver engine (:mod:`repro.ctmc.linsolve`) — at most one LU
 factorization per group, its members' observables stacked as right-hand-side
 columns, and BSCC decompositions / stationary vectors / factorizations
-fetched from the artifact cache when one is attached.
+fetched from the artifact cache.
 
 When the planner attached a quotient (:class:`~repro.analysis.planner.LumpedChain`),
 the sweep runs on the quotient chain: initial distributions are projected
@@ -51,9 +51,11 @@ The plan is materialised as a list of :class:`ExecutionUnit` objects
 (:func:`execution_units`), each independently runnable: the scenario
 service executes units concurrently on a worker pool and fails one unit's
 requests without touching the others, while :func:`execute_plan` simply
-runs them in order.  An optional artifact cache
-(:class:`repro.service.ArtifactCache`) supplies transformed chains,
-uniformized and densified operators and Fox–Glynn windows across plans.
+runs them in order.  Every unit runs against the artifact cache
+(:class:`~repro.ctmc.artifacts.ArtifactCache`) its session or service owns,
+which supplies transformed chains, uniformized and densified operators,
+Fox–Glynn windows and long-run solver artifacts to every unit and plan that
+shares it.
 """
 
 from __future__ import annotations
@@ -67,7 +69,7 @@ import numpy as np
 from repro.ctmc.ctmc import CTMC, CTMCError
 from repro.ctmc.dtmc import unbounded_reachability
 from repro.ctmc.engines import sweep_engine
-from repro.ctmc.foxglynn import FoxGlynnWeights, fox_glynn
+from repro.ctmc.foxglynn import FoxGlynnWeights
 from repro.ctmc.linsolve import (
     LinearSolveStats,
     SolverEngine,
@@ -80,7 +82,7 @@ from repro.ctmc.uniformization import (
     evaluate_grid_block,
     poisson_mixture_sweep,
 )
-from repro.analysis.planner import ExecutionGroup, ExecutionPlan, transformed_chain
+from repro.analysis.planner import ExecutionGroup, ExecutionPlan
 from repro.analysis.requests import MeasureKind, MeasureResult
 
 #: Relative tolerance merging near-identical residual horizons of bundled
@@ -140,24 +142,19 @@ class ExecutionUnit:
     def run(
         self,
         results: list[MeasureResult | None],
+        artifacts: Any,
         engine_stats: UniformizationStats | None = None,
-        artifacts: Any | None = None,
         linear_stats: LinearSolveStats | None = None,
-        solver: SolverEngine | None = None,
     ) -> None:
-        """Execute this unit, writing each member's result into ``results``.
+        """Execute this unit against ``artifacts``, writing each member's
+        result into ``results``.
 
-        ``solver`` optionally shares one :class:`SolverEngine` across units
-        (so artifact-less plans still reuse e.g. the embedded matrix between
-        long-run groups of one chain); callers running units concurrently —
-        the scenario service — omit it and rely on the thread-safe artifact
-        cache instead.
+        The artifact cache is thread-safe, so the scenario service runs
+        units of one plan concurrently against its one cache.
         """
         if self.longrun:
             group_index, group = self.groups[0]
-            _execute_longrun_group(
-                group, group_index, results, linear_stats, artifacts, solver
-            )
+            _execute_longrun_group(group, group_index, results, linear_stats, artifacts)
         elif self.interval:
             _execute_interval_bundle(self.groups, results, engine_stats, artifacts)
         else:
@@ -200,15 +197,16 @@ def execution_units(plan: ExecutionPlan) -> list[ExecutionUnit]:
 
 def execute_plan(
     plan: ExecutionPlan,
+    *,
+    artifacts: Any,
     engine_stats: UniformizationStats | None = None,
-    artifacts: Any | None = None,
     linear_stats: LinearSolveStats | None = None,
 ) -> list[MeasureResult]:
-    """Run every group of ``plan`` and return results in request order."""
+    """Run every group of ``plan`` against ``artifacts`` and return results
+    in request order."""
     results: list[MeasureResult | None] = [None] * plan.num_requests
-    solver = SolverEngine(artifacts=artifacts, stats=linear_stats)
     for unit in execution_units(plan):
-        unit.run(results, engine_stats, artifacts, linear_stats, solver)
+        unit.run(results, artifacts, engine_stats, linear_stats)
     return results  # type: ignore[return-value]
 
 
@@ -220,7 +218,7 @@ def _execute_group(
     group_index: int,
     results: list[MeasureResult | None],
     engine_stats: UniformizationStats | None,
-    artifacts: Any | None = None,
+    artifacts: Any,
 ) -> None:
     initial_pool = _ColumnPool()
     reward_pool = _ColumnPool()
@@ -298,16 +296,15 @@ def _execute_longrun_group(
     group_index: int,
     results: list[MeasureResult | None],
     linear_stats: LinearSolveStats | None,
-    artifacts: Any | None = None,
-    solver: SolverEngine | None = None,
+    artifacts: Any,
 ) -> None:
     """Execute a steady-state / unbounded-reachability / reachability-reward group.
 
     The group's members agree on the restricted linear system (the planner
     grouped them by subset signature), so the whole group costs at most one
-    factorization — fetched from the artifact cache when one is attached —
-    with every member's observable batched as a right-hand-side column and
-    every member's initial distributions reduced by plain dense algebra.
+    factorization — fetched from the artifact cache — with every member's
+    observable batched as a right-hand-side column and every member's
+    initial distributions reduced by plain dense algebra.
 
     When the planner attached a quotient, everything — the BSCC
     decomposition, the stationary vectors, the restricted solves and their
@@ -317,11 +314,7 @@ def _execute_longrun_group(
     reachability rewards, since the seeded partition keeps every member's
     target/safe indicator and reward vector block-constant.
     """
-    engine = (
-        solver
-        if solver is not None
-        else SolverEngine(artifacts=artifacts, stats=linear_stats)
-    )
+    engine = SolverEngine(artifacts=artifacts, stats=linear_stats)
     chain = group.chain
     lumped = group.lumped
     if lumped is not None:
@@ -404,7 +397,7 @@ def backward_values(
     cumulative: bool = False,
     epsilon: float,
     stats: UniformizationStats | None = None,
-    artifacts: Any | None = None,
+    artifacts: Any,
 ) -> np.ndarray:
     """Per-state values of ``values`` at every horizon, from one backward sweep.
 
@@ -417,9 +410,9 @@ def backward_values(
     row ``i`` is each start state's expected reward accumulated over
     ``[0, t_i]``.  Every positive horizon gets one window and all windows
     share one walk; horizons may be unsorted and repeat.  The walk runs on
-    the backend :func:`repro.ctmc.engines.sweep_engine` picks for ``P``;
-    ``artifacts`` (an optional :class:`repro.service.ArtifactCache`) serves
-    the Fox–Glynn windows and any densified operator.
+    the engine :func:`repro.ctmc.engines.sweep_engine` builds for ``P``;
+    ``artifacts`` (an :class:`~repro.ctmc.artifacts.ArtifactCache`) serves
+    ``P`` itself, the Fox–Glynn windows and any densified operator.
     """
     horizon_array = np.asarray(horizons, dtype=float)
     if horizon_array.ndim != 1:
@@ -439,17 +432,15 @@ def backward_values(
             unique_horizons[positive, None] * start if cumulative else start
         )
     elif positive.size:
-        probabilities, q = chain.uniformized_matrix()
-        make_window = fox_glynn if artifacts is None else artifacts.fox_glynn_window
-        windows = [make_window(q * float(unique_horizons[i]), epsilon) for i in positive]
+        engine, q = sweep_engine(chain, artifacts, backward=True)
+        windows = [
+            artifacts.fox_glynn_window(q * float(unique_horizons[i]), epsilon)
+            for i in positive
+        ]
         if cumulative:
             windows = [_accumulation_window(window, q) for window in windows]
         mixtures, _ = poisson_mixture_sweep(
-            probabilities,
-            start,
-            windows,
-            stats=stats,
-            engine=sweep_engine(chain, probabilities, q, artifacts, backward=True),
+            None, start, windows, stats=stats, engine=engine
         )
         per_state[positive] = mixtures
     return per_state[inverse]
@@ -512,7 +503,7 @@ def _execute_interval_bundle(
     entries: list[tuple[int, ExecutionGroup]],
     results: list[MeasureResult | None],
     engine_stats: UniformizationStats | None,
-    artifacts: Any | None = None,
+    artifacts: Any,
 ) -> None:
     first_group = entries[0][1]
     first = first_group.members[0]
@@ -542,7 +533,7 @@ def _execute_interval_bundle(
     )
     per_state = np.clip(
         backward_values(
-            transformed_chain(chain, statewise(absorbing), artifacts),
+            artifacts.transformed_chain(chain, statewise(absorbing)),
             statewise(target_mask.astype(float)),
             unique_horizons,
             epsilon=epsilon,
@@ -575,7 +566,7 @@ def _execute_interval_bundle(
     value_columns = per_state[cluster_of].T  # (states, sum of grid sizes)
     value_columns = np.where(blocked[:, None], 0.0, value_columns)
     phase1 = evaluate_grid_block(
-        transformed_chain(chain, blocked, artifacts),
+        artifacts.transformed_chain(chain, blocked),
         np.array([lower]),
         initial_block,
         rewards_matrix=value_columns,

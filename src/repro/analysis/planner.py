@@ -22,22 +22,26 @@ fingerprint, state-subset signature) instead, so the executor can batch
 all their right-hand-side columns against one cached LU factorization
 (:mod:`repro.ctmc.linsolve`).
 
+Every plan is built against an :class:`~repro.ctmc.artifacts.ArtifactCache`
+(the caller's session or service owns it): absorbing transforms and lumping
+quotients are looked up there, so groups of one plan, and plans sharing the
+cache, reuse them.
+
 The planner can also run each group on an ordinary-lumpability quotient
 (:mod:`repro.ctmc.lumping`, ``lump=True``).  Each distinct chain is
-partitioned **once**, seeded with nothing but its own labels — cached under
-the ``quotient`` kind when an artifact cache is attached, otherwise built
-once per plan — and every group on it reuses that quotient when the
-vectors the group observes are block-constant on it (see
+partitioned **once**, seeded with nothing but its own labels and cached
+under the ``quotient`` kind, and every group on it reuses that quotient
+when the vectors the group observes are block-constant on it (see
 :func:`_lump_group`): regular groups absorb their decided blocks on the
 quotient (:meth:`LumpedChain.absorbed`), long-run groups solve on it, and
 the executor takes both interval-until phases' transforms on it.  Other
 groups refine the chain partition further.  ``TRANSIENT`` groups are never
 lumped, and a partition that collapses nothing yields no quotient.  A
 quotient build that *fails* degrades its groups to their full chains, with
-one warning and one counted failure per build; with an artifact cache
-attached the failure is recorded as a :class:`QuotientTombstone` under the
-same key, so warm plans skip the doomed refinement silently instead of
-re-failing (and re-warning, and re-counting) on every plan.
+one warning and one counted failure per build: the failure is recorded as a
+:class:`QuotientTombstone` under the same key, so later groups and plans
+skip the doomed refinement silently instead of re-failing (and re-warning,
+and re-counting).
 """
 
 from __future__ import annotations
@@ -45,7 +49,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import warnings
-from collections.abc import Sequence
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -113,7 +117,7 @@ class LumpedChain:
         return np.array_equal(vector, vector[self.representatives][self.partition])
 
     def absorbed(
-        self, mask: np.ndarray, observables: Sequence[np.ndarray], artifacts: Any = None
+        self, mask: np.ndarray, observables: Sequence[np.ndarray], artifacts: Any
     ) -> "LumpedChain":
         """The quotient of the chain with the states of ``mask`` made absorbing.
 
@@ -140,7 +144,7 @@ class LumpedChain:
         num_merged = int(merge.max()) + 1
         if num_merged == self.num_blocks:
             result = dataclasses.replace(
-                self, quotient=transformed_chain(self.quotient, blocks, artifacts)
+                self, quotient=artifacts.transformed_chain(self.quotient, blocks)
             )
         else:
             # Merge, then absorb: the row lump_ctmc reads for a merged
@@ -148,7 +152,7 @@ class LumpedChain:
             merged, _ = lump_ctmc(self.quotient, merge.tolist(), respect_initial=False)
             _, first_blocks = np.unique(merge, return_index=True)
             result = LumpedChain(
-                quotient=transformed_chain(merged, blocks[first_blocks], artifacts),
+                quotient=artifacts.transformed_chain(merged, blocks[first_blocks]),
                 partition=merge[self.partition],
                 representatives=self.representatives[first_blocks],
                 aggregation=(block_indicator(merge, num_merged).T @ self.aggregation).tocsr(),
@@ -294,21 +298,18 @@ def build_plan(
     *,
     lump: bool = False,
     default_epsilon: float = DEFAULT_EPSILON,
-    artifacts: Any | None = None,
+    artifacts: Any,
 ) -> ExecutionPlan:
     """Group ``requests`` into execution groups (see module docstring).
 
-    ``artifacts`` is an optional :class:`repro.service.ArtifactCache` (any
-    object with its ``transformed_chain``/``quotient`` methods works): when
-    given, absorbing transforms and lumping quotients are looked up in the
-    process-wide cache by chain fingerprint instead of being rebuilt per
-    plan, so repeated portfolio sweeps reuse them across sessions.
+    ``artifacts`` is the :class:`~repro.ctmc.artifacts.ArtifactCache` (any
+    object with its ``transformed_chain``/``quotient`` methods works) that
+    serves absorbing transforms and lumping quotients by chain fingerprint.
     """
     groups: dict[tuple, ExecutionGroup] = {}
     # Per group (in creation order): the base chain and the absorbing mask
     # that turned it into the group's operating chain, if any.
     origins: list[tuple[CTMC, np.ndarray | None]] = []
-    transformed_cache: dict[tuple[str, bytes], CTMC] = {}
 
     for index, request in enumerate(requests):
         planned = normalise_request(request, index)
@@ -355,11 +356,7 @@ def build_plan(
         if planned.kind is MeasureKind.REACHABILITY:
             absorbing = planned.target_mask | ~(planned.safe_mask | planned.target_mask)
             transform_token = absorbing.tobytes()
-            cache_key = (base.fingerprint, transform_token)
-            operating = transformed_cache.get(cache_key)
-            if operating is None:
-                operating = transformed_chain(base, absorbing, artifacts)
-                transformed_cache[cache_key] = operating
+            operating = artifacts.transformed_chain(base, absorbing)
         elif interval:
             # Interval-until groups sweep two transformed chains; members are
             # merged only when they agree on the full (safe, target, lower)
@@ -404,15 +401,12 @@ def build_plan(
         # must never poison the plan (the scenario service coalesces many
         # clients into one), so its groups degrade to their full chains and
         # the sweeps stay exact — but visibly: the failure is warned about
-        # and counted into the session stats once.  With an artifact cache
-        # attached it leaves a tombstone behind, so warm plans degrade
-        # *silently* (no re-refinement, no repeat warning, no repeat count).
-        chain_quotients: dict[str, LumpedChain | None] = {}
+        # and counted into the session stats once.  It leaves a tombstone in
+        # the artifact cache, so later groups and plans degrade *silently*
+        # (no re-refinement, no repeat warning, no repeat count).
         for group, (base, absorbing) in zip(plan.groups, origins):
             try:
-                group.lumped = _lump_group(
-                    group, base, absorbing, chain_quotients, artifacts
-                )
+                group.lumped = _lump_group(group, base, absorbing, artifacts)
             except Exception as error:
                 group.lumped = None
                 plan.lump_failures += 1
@@ -432,7 +426,7 @@ def observable_signature(observables: Sequence[np.ndarray]) -> str:
     """A canonical digest of a group's observable vectors.
 
     Together with the chain's fingerprint this keys a lumping quotient in
-    the process-wide artifact cache.  The digest is taken over
+    the artifact cache.  The digest is taken over
     the *sorted set* of vector byte strings: the refined partition depends
     only on which distinct observables must stay block-constant, not on how
     many group members observe each or in which order they were submitted —
@@ -451,7 +445,7 @@ class QuotientTombstone:
     """Negative cache record: building this quotient failed once already.
 
     Stored in the artifact cache under the same ``quotient`` key a
-    successful build would use, so warm plans recognise the doomed
+    successful build would use, so later lookups recognise the doomed
     refinement and degrade to the full chain silently — no repeated
     refinement attempt, warning or failure count.
     """
@@ -470,22 +464,21 @@ class QuotientBuildError(CTMCError):
 
 def cached_quotient(
     chain: CTMC,
-    observables: Sequence[np.ndarray],
-    artifacts: Any | None = None,
+    observables: Iterable[np.ndarray],
+    artifacts: Any,
     signature: str | None = None,
 ) -> LumpedChain | None:
-    """Build (or fetch) the quotient of ``chain`` seeded with ``observables``.
+    """Fetch (or build) the quotient of ``chain`` seeded with ``observables``.
 
-    With ``artifacts`` given, the quotient is fetched from (or stored into)
-    the process-wide cache under ``(chain fingerprint, signature)``, where
-    ``signature`` defaults to :func:`observable_signature`; an
+    The quotient is fetched from (or stored into) ``artifacts`` under
+    ``(chain fingerprint, signature)``, where ``signature`` defaults to
+    :func:`observable_signature` of ``observables`` (a sequence then);
+    given a ``signature``, only a build reads ``observables``, once.  An
     unprofitable quotient is cached as ``None`` so repeat runs skip the
     refinement entirely, and a *crashing* build is cached as a
     :class:`QuotientTombstone` — the first caller sees
-    :class:`QuotientBuildError`, warm callers get a silent ``None``.
+    :class:`QuotientBuildError`, later callers get a silent ``None``.
     """
-    if artifacts is None:
-        return _build_quotient(chain, observables)
     if signature is None:
         signature = observable_signature(observables)
     fresh_failure = False
@@ -506,38 +499,25 @@ def cached_quotient(
     return cached
 
 
-def transformed_chain(chain: CTMC, mask: np.ndarray, artifacts: Any | None) -> CTMC:
-    """``chain`` with the masked states made absorbing, via the cache if given."""
-    if artifacts is not None:
-        return artifacts.transformed_chain(chain, mask)
-    return chain.make_absorbing(mask)
+def _chain_quotient(chain: CTMC, artifacts: Any) -> LumpedChain | None:
+    """The quotient of ``chain`` seeded with its own labels, built once.
 
-
-def _chain_quotient(
-    chain: CTMC, memo: dict[str, LumpedChain | None], artifacts: Any | None
-) -> LumpedChain | None:
-    """The quotient of ``chain`` seeded with its own labels, once per plan.
-
-    Cached under the ``quotient`` kind when ``artifacts`` is given, keyed by
-    the chain's content key (which covers its labels and is computed once
-    per chain object), so a warm plan hashes no label vectors.  A build
-    that raises leaves ``None`` in ``memo``, so the chain's other groups
-    degrade to the full chain without failing (and warning) again.
+    Cached under the ``quotient`` kind, keyed by the chain's content key
+    (which covers its labels and is computed once per chain object).  The
+    label vectors are a generator that only a build reads, so a warm plan
+    neither builds nor hashes them.  A build that raises leaves a
+    tombstone, so the chain's other groups degrade to the full chain
+    without failing (and warning) again.
     """
-    key = chain.content_key
-    if key not in memo:
-        memo[key] = None
-        labels = [chain.label_mask(name).astype(float) for name in chain.label_names]
-        memo[key] = cached_quotient(chain, labels, artifacts, signature="labels|" + key)
-    return memo[key]
+    labels = (chain.label_mask(name).astype(float) for name in chain.label_names)
+    return cached_quotient(chain, labels, artifacts, signature="labels|" + chain.content_key)
 
 
 def _lump_group(
     group: ExecutionGroup,
     base: CTMC,
     absorbing: np.ndarray | None,
-    chain_quotients: dict[str, LumpedChain | None],
-    artifacts: Any | None = None,
+    artifacts: Any,
 ) -> LumpedChain | None:
     """The quotient ``group`` runs on, or ``None`` for its full chain.
 
@@ -566,7 +546,7 @@ def _lump_group(
         if member.rewards is not None:
             observables.append(member.rewards)
 
-    lumped = _chain_quotient(base, chain_quotients, artifacts)
+    lumped = _chain_quotient(base, artifacts)
     if lumped is None:
         return None  # nothing collapsed (or the build failed)
     if not all(lumped.is_block_constant(vector) for vector in observables):
@@ -580,7 +560,7 @@ def _lump_group(
     return lumped.absorbed(absorbing, observables, artifacts)
 
 
-def _build_quotient(chain: CTMC, observables: Sequence[np.ndarray]) -> LumpedChain | None:
+def _build_quotient(chain: CTMC, observables: Iterable[np.ndarray]) -> LumpedChain | None:
     """Refine and build the quotient of ``chain`` seeded with ``observables``.
 
     The refinement starts from the joint value classes of the observables:

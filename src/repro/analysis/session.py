@@ -26,6 +26,11 @@ A quick example — both Figure-4 curves of one strategy in one plan::
 The session records what it did in :class:`SessionStats` (groups, sweeps,
 matvec/flop counters, lumping compression), which the CLI prints and the
 benchmarks gate on.
+
+Every plan and sweep of a session runs against one
+:class:`~repro.ctmc.artifacts.ArtifactCache`: the one it was handed, or a
+private one it makes, so its groups share transforms, quotients, operators,
+Fox–Glynn windows and factorizations either way.
 """
 
 from __future__ import annotations
@@ -33,6 +38,7 @@ from __future__ import annotations
 from collections.abc import Iterable
 from dataclasses import dataclass
 
+from repro.ctmc.artifacts import ArtifactCache
 from repro.ctmc.linsolve import LinearSolveStats
 from repro.ctmc.uniformization import DEFAULT_EPSILON, UniformizationStats
 from repro.analysis.executor import execute_plan
@@ -188,11 +194,13 @@ class AnalysisSession:
         Optional shared :class:`SessionStats`; several sessions (e.g. all
         experiments of one CLI invocation) may accumulate into one object.
     artifacts:
-        Optional :class:`repro.service.ArtifactCache`: absorbing transforms,
-        lumping quotients, uniformized operators and Fox–Glynn windows are
-        then looked up process-wide (keyed by chain fingerprint) instead of
-        being rebuilt per session.  The scenario service passes its cache
-        here; standalone sessions default to no cross-session caching.
+        The :class:`~repro.ctmc.artifacts.ArtifactCache` the session plans
+        and executes against: absorbing transforms, lumping quotients,
+        uniformized operators, Fox–Glynn windows and long-run solver
+        artifacts are looked up there by chain fingerprint.  Without one
+        the session makes a private cache, shared by its own groups and
+        ``execute()`` calls only; pass a shared one to reuse artifacts
+        across sessions.
     """
 
     def __init__(
@@ -206,7 +214,7 @@ class AnalysisSession:
         self.lump = lump
         self.default_epsilon = float(epsilon)
         self.stats = stats if stats is not None else SessionStats()
-        self.artifacts = artifacts
+        self.artifacts = artifacts if artifacts is not None else ArtifactCache()
         self._requests: list[MeasureRequest] = []
 
     # ------------------------------------------------------------------
@@ -246,7 +254,7 @@ class AnalysisSession:
         engine = UniformizationStats()
         linear = LinearSolveStats()
         results = execute_plan(
-            plan, engine_stats=engine, artifacts=self.artifacts, linear_stats=linear
+            plan, artifacts=self.artifacts, engine_stats=engine, linear_stats=linear
         )
         self.stats.absorb_plan(plan)
         self.stats.absorb_engine(engine)

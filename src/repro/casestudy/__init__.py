@@ -20,7 +20,6 @@ from repro.casestudy.facility import (
     StrategyConfiguration,
     build_line1,
     build_line2,
-    paper_strategy_configurations,
 )
 from repro.casestudy.experiments import table1_state_space
 
@@ -33,6 +32,5 @@ __all__ = [
     "StrategyConfiguration",
     "build_line1",
     "build_line2",
-    "paper_strategy_configurations",
     "table1_state_space",
 ]

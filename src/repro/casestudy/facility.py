@@ -92,11 +92,6 @@ PAPER_STRATEGIES: tuple[StrategyConfiguration, ...] = (
 )
 
 
-def paper_strategy_configurations() -> tuple[StrategyConfiguration, ...]:
-    """The strategy sweep of the paper (DED, FRF-1, FRF-2, FFF-1, FFF-2)."""
-    return PAPER_STRATEGIES
-
-
 # ---------------------------------------------------------------------------
 # component construction helpers
 # ---------------------------------------------------------------------------

@@ -41,8 +41,8 @@ The session solves every group on its ordinary-lumpability quotient;
 service (:mod:`repro.service`): ``--clients N`` concurrent clients each
 submit every selected scenario, the dispatcher coalesces their requests
 into shared sweeps, and ``--repeat K`` repeats the portfolio to show the
-process-wide artifact cache eliminating quotient/window recomputation on
-warm runs.  Coalescing and cache statistics are printed per round.
+service's artifact cache eliminating quotient/window recomputation on warm
+runs.  Coalescing and cache statistics are printed per round.
 """
 
 from __future__ import annotations
@@ -205,7 +205,7 @@ def build_serve_parser() -> argparse.ArgumentParser:
             "Sweep scenario portfolios through the asyncio scenario service: "
             "N concurrent clients submit every selected scenario, the "
             "dispatcher coalesces compatible requests across clients into "
-            "shared uniformization sweeps, and repeats hit the process-wide "
+            "shared uniformization sweeps, and repeats hit the service's "
             "artifact cache (transforms, quotients, operators, Fox-Glynn "
             "windows)."
         ),
@@ -379,7 +379,6 @@ def build_serve_parser() -> argparse.ArgumentParser:
 def serve_http_main(args: argparse.Namespace) -> int:
     """Run the HTTP front end (``python -m repro serve --http PORT``)."""
     from repro.service import (
-        ArtifactCache,
         ScenarioHTTPServer,
         ScenarioService,
         ShardedScenarioService,
@@ -409,7 +408,6 @@ def serve_http_main(args: argparse.Namespace) -> int:
                 max_batch=args.max_batch,
                 max_pending=args.max_pending,
                 default_timeout=args.timeout,
-                artifacts=ArtifactCache(),
                 registry=paper_registry(),
             )
         async with service:
@@ -466,7 +464,7 @@ def serve_http_main(args: argparse.Namespace) -> int:
 
 def serve_main(argv: list[str] | None = None) -> int:
     """Entry point of ``python -m repro serve``."""
-    from repro.service import ArtifactCache, ScenarioService, paper_registry
+    from repro.service import ScenarioService, paper_registry
 
     args = build_serve_parser().parse_args(argv)
     if args.http is not None:
@@ -489,7 +487,6 @@ def serve_main(argv: list[str] | None = None) -> int:
             max_batch=args.max_batch,
             max_pending=args.max_pending,
             default_timeout=args.timeout,
-            artifacts=ArtifactCache(),
             registry=registry,
         )
         async with service:

@@ -28,11 +28,13 @@ distribution (PRISM's convention for a single initial state), while
 ``P=?`` query under the initial distribution is that distribution times
 the per-state vector, so both methods answer path formulas one way.
 
-All long-run queries route through the cached linear-solver engine
-(:mod:`repro.ctmc.linsolve`): one checker instance shares BSCC
-decompositions, embedded matrices and LU factorizations across its queries,
-and a checker constructed with an ``artifacts`` cache
-(:class:`repro.service.ArtifactCache`) shares them process-wide.
+All queries of one checker run against one
+:class:`~repro.ctmc.artifacts.ArtifactCache` — the one it was handed, or a
+private one it makes — so they share absorbing transforms, operators and
+Fox–Glynn windows (bounded until) and BSCC decompositions, embedded
+matrices and LU factorizations (long-run queries, through
+:mod:`repro.ctmc.linsolve`); checkers and sessions handed one cache share
+them with each other.
 """
 
 from __future__ import annotations
@@ -42,6 +44,7 @@ import numpy as np
 import repro.csl.formulas as F
 from repro.analysis.executor import backward_values
 from repro.ctmc import CTMC, MarkovRewardModel
+from repro.ctmc.artifacts import ArtifactCache
 from repro.ctmc.dtmc import embedded_dtmc, unbounded_reachability
 from repro.ctmc.linsolve import SolverEngine
 from repro.ctmc.rewards import cumulative_reward, instantaneous_reward
@@ -69,17 +72,8 @@ class ModelChecker:
             self._chain = model
             self._reward_model = None
         self._epsilon = epsilon
-        # One artifact store per checker: queries on this model share
-        # absorbing transforms and Fox–Glynn windows (bounded until) and
-        # BSCC decompositions, embedded matrices and factorizations
-        # (long-run queries).  A caller-supplied cache makes the sharing
-        # process-wide; otherwise the checker owns a private one.
-        if artifacts is None:
-            from repro.service.cache import ArtifactCache
-
-            artifacts = ArtifactCache()
-        self._artifacts = artifacts
-        self._engine = SolverEngine(artifacts=artifacts)
+        self._artifacts = artifacts if artifacts is not None else ArtifactCache()
+        self._engine = SolverEngine(artifacts=self._artifacts)
 
     # ------------------------------------------------------------------
     # public API
@@ -239,9 +233,8 @@ class ModelChecker:
         """Evaluate one long-run measure under the initial distribution.
 
         A thin one-request :class:`repro.analysis.AnalysisSession` over the
-        named long-run kind; the checker's artifact cache (when given) makes
-        the underlying factorizations and BSCC decompositions shared
-        process-wide.
+        named long-run kind, run against the checker's artifact cache, so
+        its factorizations and BSCC decompositions serve later queries too.
         """
         from repro.analysis import AnalysisSession, MeasureKind
 

@@ -21,6 +21,10 @@ engine plays in the paper:
   LU factorization per (chain fingerprint, state-subset signature), solved
   against arbitrarily many stacked right-hand-side columns; the warm path
   of every long-run measure.
+* :mod:`~repro.ctmc.artifacts` — :class:`~repro.ctmc.artifacts.ArtifactCache`,
+  the one store of reusable analysis intermediates (transforms, quotients,
+  operators, Fox–Glynn windows, factorizations, BSCCs), keyed by chain
+  fingerprints; every analysis runs against one.
 * :mod:`~repro.ctmc.rewards` — instantaneous, cumulative and long-run reward
   measures (the backend of ``R=?[I=t]``, ``R=?[C<=t]`` and ``R=?[S]``).
 * :mod:`~repro.ctmc.lumping` — ordinary lumpability (strong bisimulation)

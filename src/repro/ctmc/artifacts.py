@@ -1,11 +1,17 @@
-"""Process-wide artifact cache for expensive analysis intermediates.
+"""The one store of reusable analysis intermediates.
 
-Scenario portfolios evaluate the same underlying Markov models over and
-over: every flush of the scenario service (and every standalone session
-pointed at the cache) needs the same absorbing transforms, the same lumping
-quotients, the same uniformized operators and largely the same Fox–Glynn
-windows.  :class:`ArtifactCache` keeps all four families in one bounded,
-hit/miss-instrumented LRU store:
+Every measure of the paper bottoms out in the same handful of expensive
+intermediates: absorbing transforms, lumping quotients, uniformized and
+densified operators, Fox–Glynn windows, LU factorizations and BSCC
+decompositions.  :class:`ArtifactCache` is their only home.  Five owners
+take a cache or make a private one — :class:`repro.analysis.AnalysisSession`,
+:class:`repro.service.ScenarioService`,
+:class:`repro.ctmc.linsolve.SolverEngine`,
+:class:`repro.csl.ModelChecker` and
+:func:`repro.optimize.rollout_optimize` — and every function below them
+takes the cache as a required argument and never branches on it.  A private
+cache shares artifacts within its owner (one session, one service, one
+checker); a cache handed to several owners shares them across all of them.
 
 =================  ===================================================
 kind               key
@@ -14,10 +20,13 @@ kind               key
 ``quotient``       (chain fingerprint, observable signature) — the lumped
                    chain, ``None`` (nothing collapsed), or a
                    :class:`repro.analysis.planner.QuotientTombstone`
-                   recording a failed build so warm plans skip the doomed
+                   recording a failed build so later plans skip the doomed
                    refinement.  The planner's one quotient per chain is
                    keyed by ``"labels|"`` plus the chain's content key
-``operator``       (chain fingerprint, uniformization rate)
+``operator``       (chain fingerprint, uniformization rate
+                   [, ``"backward"``]) — the CSR uniformized operator:
+                   ``Pᵀ`` for the forward sweep, ``P`` (the ``"backward"``
+                   key) for the backward value sweep
 ``foxglynn``       (q·t, epsilon)
 ``factorization``  (chain fingerprint, system token) — LU factors of a
                    long-run linear system restricted to a state subset
@@ -31,15 +40,13 @@ kind               key
                    transition matrix
 ``dense_operator`` (chain fingerprint, uniformization rate
                    [, ``"backward"``]) — the densified operator the
-                   :class:`repro.ctmc.engines.DenseEngine` GEMM walk uses;
-                   the ``"backward"`` component marks the *non-transposed*
-                   matrix of the backward value sweep so it cannot
-                   shadow the forward (transposed) operator; stored with a
-                   byte-size-aware weight (see below)
+                   :class:`repro.ctmc.engines.DenseEngine` GEMM walk uses,
+                   keyed like ``operator``; stored with a byte-size-aware
+                   weight (see below)
 =================  ===================================================
 
-The first four kinds and ``dense_operator`` are populated by the
-uniformization (transient) path, the five between them by the long-run
+The first four kinds and ``dense_operator`` are populated by the planner
+and the uniformization sweeps, the five between them by the long-run
 linear-solver engine (:class:`repro.ctmc.linsolve.SolverEngine`), which
 calls straight into :meth:`ArtifactCache.get_or_create`.
 
@@ -53,7 +60,6 @@ share windows too.
 The cache is thread-safe (the scenario service executes independent groups
 on a worker pool) and deliberately caches *negative* quotient results
 (``None`` — nothing collapsed) so repeat runs skip the refinement as well.
-:data:`GLOBAL_ARTIFACTS` is the process-wide default instance.
 
 **Weighted eviction.**  ``max_entries`` was tuned for CSR-sized artifacts;
 a densified operator can be orders of magnitude larger, so entries carry a
@@ -73,6 +79,7 @@ from dataclasses import dataclass, field
 from typing import Any
 
 import numpy as np
+from scipy import sparse
 
 from repro.ctmc.ctmc import CTMC
 from repro.ctmc.foxglynn import FoxGlynnWeights, fox_glynn
@@ -291,20 +298,20 @@ class ArtifactCache:
         """A lumping quotient per (chain, observable signature); may be ``None``."""
         return self.get_or_create("quotient", (chain.fingerprint, signature), factory)
 
-    def uniformized_transpose(self, chain: CTMC) -> tuple[Any, float]:
-        """The forward operator ``(Pᵀ, q)`` of ``chain`` at its default rate.
+    def operator(self, chain: CTMC, backward: bool = False) -> tuple[sparse.csr_matrix, float]:
+        """The uniformized operator of ``chain`` at its default rate, and the rate.
 
-        Unlike :meth:`repro.ctmc.ctmc.CTMC.uniformized_transpose` this
-        returns the cached matrix itself (no defensive copy): the sweep
-        never mutates its operator, and skipping the copy is the point of
-        sharing it across flushes.
+        The forward sweep walks ``Pᵀ``; ``backward`` keys the non-transposed
+        ``P`` of the backward value sweep apart from it, as
+        :meth:`dense_operator` does.  The cached matrix itself is returned:
+        no sweep mutates its operator.
         """
-        rate = float(chain.max_exit_rate)
-        return self.get_or_create(
-            "operator",
-            (chain.fingerprint, rate),
-            lambda: chain.uniformized_transpose(),
-        )
+        key = (chain.fingerprint, float(chain.max_exit_rate))
+        if backward:
+            return self.get_or_create(
+                "operator", key + ("backward",), chain.uniformized_matrix
+            )
+        return self.get_or_create("operator", key, chain.uniformized_transpose)
 
     def fox_glynn_window(self, rate_product: float, epsilon: float) -> FoxGlynnWeights:
         """Fox–Glynn weights for Poisson rate ``q·t``, shared across chains."""
@@ -321,12 +328,12 @@ class ArtifactCache:
         factory: Callable[[], np.ndarray],
         backward: bool = False,
     ) -> np.ndarray:
-        """The densified forward operator for the dense GEMM backend.
+        """The densified operator for the dense GEMM backend.
 
         Weighted by byte size (one unit per :data:`DENSE_WEIGHT_UNIT_BYTES`)
         so a few large ``toarray()`` results cannot crowd out the rest of
         the budget that was tuned for CSR-sized artifacts.  ``backward``
-        keys the non-transposed operator ``P`` of the interval value sweep
+        keys the non-transposed operator ``P`` of the backward value sweep
         separately — ``P`` and ``Pᵀ`` of one chain share the same
         (fingerprint, rate) and must not shadow each other.
         """
@@ -340,7 +347,3 @@ class ArtifactCache:
             weight=lambda value: -(-int(value.nbytes) // DENSE_WEIGHT_UNIT_BYTES),
         )
 
-
-#: The process-wide cache the scenario service (and anything else that asks
-#: for cross-session artifact sharing) uses by default.
-GLOBAL_ARTIFACTS = ArtifactCache()

@@ -142,12 +142,6 @@ class CTMC:
         for name, states in (labels or {}).items():
             self.add_label(name, states)
         self._exit_rates = np.asarray(matrix.sum(axis=1)).ravel()
-        # Caches of uniformized matrices (and their CSR transposes) keyed by
-        # the uniformization rate; the rate matrix is immutable after
-        # construction, so entries never go stale.  Callers receive copies
-        # (see uniformized_matrix / uniformized_transpose).
-        self._uniformized_cache: dict[float, sparse.csr_matrix] = {}
-        self._uniformized_transpose_cache: dict[float, sparse.csr_matrix] = {}
         self._fingerprint: str | None = None
         self._content_key: str | None = None
 
@@ -292,9 +286,9 @@ class CTMC:
         """Return the uniformized probability matrix ``P`` and the rate used.
 
         ``P = I + Q / q`` for a uniformization rate ``q >= max exit rate``.
-        The matrix is cached per rate (the rate matrix is immutable), and a
-        fresh copy is returned on every call so that callers may mutate the
-        result without corrupting later analyses.
+        Computed on every call, so callers own the result; sweeps reuse it
+        through the ``operator`` kind of
+        :class:`repro.ctmc.artifacts.ArtifactCache`.
         """
         q = self.max_exit_rate if rate is None else float(rate)
         if q <= 0.0:
@@ -305,40 +299,20 @@ class CTMC:
                 f"uniformization rate {q} is smaller than the maximal exit rate "
                 f"{self.max_exit_rate}"
             )
-        return self._uniformized(q).copy(), q
-
-    def _uniformized(self, q: float) -> sparse.csr_matrix:
-        """The cached uniformized matrix for a validated rate ``q`` (no copy)."""
-        cached = self._uniformized_cache.get(q)
-        if cached is None:
-            probabilities = sparse.csr_matrix(self._rates / q)
-            diagonal = 1.0 - self._exit_rates / q
-            cached = sparse.csr_matrix(probabilities + sparse.diags(diagonal))
-            self._uniformized_cache[q] = cached
-        return cached
+        probabilities = sparse.csr_matrix(self._rates / q)
+        diagonal = 1.0 - self._exit_rates / q
+        return sparse.csr_matrix(probabilities + sparse.diags(diagonal)), q
 
     def uniformized_transpose(self, rate: float | None = None) -> tuple[sparse.csr_matrix, float]:
         """Return ``Pᵀ`` of :meth:`uniformized_matrix` in CSR form, and the rate.
 
         ``Pᵀ`` is the forward-sweep operator of uniformization
-        (``π_{k+1} = π_k P`` computed as ``Pᵀ πₖ``); converting ``P.T`` back
-        to CSR costs a full matrix pass, so the result is cached per rate
-        alongside the matrix itself.  As with :meth:`uniformized_matrix`, a
-        fresh copy is returned on every call.
+        (``π_{k+1} = π_k P`` computed as ``Pᵀ πₖ``).  Computed on every call,
+        like :meth:`uniformized_matrix`; the forward sweep reuses it through
+        the ``operator`` kind of :class:`repro.ctmc.artifacts.ArtifactCache`.
         """
-        q = self.max_exit_rate if rate is None else float(rate)
-        if q <= 0.0:
-            return sparse.identity(self._num_states, format="csr"), 1.0
-        if q < self.max_exit_rate - 1e-12:
-            raise CTMCError(
-                f"uniformization rate {q} is smaller than the maximal exit rate "
-                f"{self.max_exit_rate}"
-            )
-        cached = self._uniformized_transpose_cache.get(q)
-        if cached is None:
-            cached = self._uniformized(q).T.tocsr()
-            self._uniformized_transpose_cache[q] = cached
-        return cached.copy(), q
+        matrix, q = self.uniformized_matrix(rate)
+        return matrix.T.tocsr(), q
 
     # ------------------------------------------------------------------
     # transformations

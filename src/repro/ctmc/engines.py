@@ -10,8 +10,8 @@ restricted linear solves of :mod:`repro.ctmc.linsolve` /
 
 ``DenseEngine`` / ``DenseFactorization``
     The uniformized operator densified **once** (``toarray()``, cached in
-    the :class:`repro.service.cache.ArtifactCache` under the byte-weighted
-    ``dense_operator`` kind when a cache is given) and walked as BLAS GEMMs
+    the :class:`repro.ctmc.artifacts.ArtifactCache` under the byte-weighted
+    ``dense_operator`` kind) and walked as BLAS GEMMs
     on preallocated buffers; small restricted systems take a dense LAPACK
     LU.  On the Fig. 8 Line 2 lumping quotients (≈80 states) the GEMM walk
     is several times faster than CSR dispatch.
@@ -297,31 +297,23 @@ def sweep_backend(num_states: int, nnz: int) -> str:
 
 
 def sweep_engine(
-    chain: CTMC,
-    operator: sparse.csr_matrix,
-    rate: float,
-    artifacts: Any = None,
-    *,
-    backward: bool = False,
-) -> Engine:
-    """The engine :func:`sweep_backend` picks for one sweep of ``operator``.
+    chain: CTMC, artifacts: Any, *, backward: bool = False
+) -> tuple[Engine, float]:
+    """The engine :func:`sweep_backend` picks for one sweep of ``chain``, and
+    its uniformization rate.
 
-    ``operator`` is the uniformized matrix of ``chain`` at ``rate``: the
-    forward ``Pᵀ``, or with ``backward=True`` the non-transposed ``P`` of a
-    backward value sweep.  With an
-    :class:`repro.service.cache.ArtifactCache` given, a densified operator
-    is cached under the ``dense_operator`` kind, where ``backward`` keeps
-    ``P`` and ``Pᵀ`` of one (fingerprint, rate) from shadowing each other.
+    The operator comes from ``artifacts`` (a
+    :class:`repro.ctmc.artifacts.ArtifactCache`): the forward ``Pᵀ``, or
+    with ``backward=True`` the non-transposed ``P`` of a backward value
+    sweep.  A densified operator is cached there too, under the
+    ``dense_operator`` kind and the same ``backward`` flag, so ``P`` and
+    ``Pᵀ`` of one (fingerprint, rate) never shadow each other.
     """
+    operator, rate = artifacts.operator(chain, backward=backward)
     if sweep_backend(operator.shape[0], operator.nnz) == "sparse":
-        return SparseEngine(operator)
-    if artifacts is None:
-        dense = operator.toarray()
-    else:
-        dense = artifacts.dense_operator(
-            chain, float(rate), operator.toarray, backward=backward
-        )
-    return DenseEngine(dense, operator.nnz)
+        return SparseEngine(operator), rate
+    dense = artifacts.dense_operator(chain, rate, operator.toarray, backward=backward)
+    return DenseEngine(dense, operator.nnz), rate
 
 
 # ---------------------------------------------------------------------------

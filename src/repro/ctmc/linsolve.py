@@ -17,11 +17,13 @@ subsequent triangular solves are cheap and accept *stacked* right-hand-side
 columns.  :class:`SolverEngine` therefore caches one LU factorization per
 ``(chain fingerprint, system token)`` — where the token encodes the system
 family and the state subset via :func:`subset_signature` — and solves
-arbitrarily many RHS columns against it.  Pointed at a process-wide
-:class:`repro.service.ArtifactCache`, factorizations (and the BSCC
-decompositions and stationary vectors the steady-state path stores through
-the same interface) persist across sessions and service flushes, so a warm
-portfolio repeat performs zero new factorizations.
+arbitrarily many RHS columns against it.  The engine keeps factorizations
+(and the BSCC decompositions and stationary vectors the steady-state path
+stores through the same interface) in an
+:class:`repro.ctmc.artifacts.ArtifactCache`: its own private one, or one it
+is handed — the session's or service's, so they persist across sessions and
+service flushes and a warm portfolio repeat performs zero new
+factorizations.
 
 Since PR 10 the analysis planner lumps long-run groups before they reach
 this module: the chain handed to the solvers is an ordinary-lumpability
@@ -50,6 +52,7 @@ import numpy as np
 from scipy import sparse
 from scipy.sparse import linalg as sparse_linalg
 
+from repro.ctmc.artifacts import ArtifactCache
 from repro.ctmc.ctmc import CTMC, CTMCError, as_state_mask
 from repro.ctmc.engines import DenseFactorization, SparseFactorization, factorize
 
@@ -129,16 +132,15 @@ class SolverEngine:
     Parameters
     ----------
     artifacts:
-        Optional :class:`repro.service.ArtifactCache` (any object with its
-        ``get_or_create(kind, key, factory)`` method works).  When given,
-        factorizations — and whatever else callers store through
+        The :class:`repro.ctmc.artifacts.ArtifactCache` (any object with its
+        ``get_or_create(kind, key, factory)`` method works) that holds
+        factorizations and whatever else callers store through
         :meth:`cached` (BSCC decompositions, stationary vectors, embedded
-        matrices) — live in the process-wide store, keyed by content
-        fingerprints, and survive across engines, sessions and service
-        flushes.  Without it the engine keeps a private per-instance store,
-        so repeated queries through one engine still share factorizations
-        while independent calls stay isolated (the per-call reference
-        behaviour).
+        matrices), keyed by content fingerprints.  Without one the engine
+        makes a private cache, so repeated queries through one engine share
+        factorizations while independent engines stay isolated; engines
+        handed one cache share them across engines, sessions and service
+        flushes.
     stats:
         Optional shared :class:`LinearSolveStats`; the analysis session and
         the scenario service aggregate several engines into one object.
@@ -153,24 +155,18 @@ class SolverEngine:
         artifacts: Any | None = None,
         stats: LinearSolveStats | None = None,
     ) -> None:
-        self.artifacts = artifacts
+        self.artifacts = artifacts if artifacts is not None else ArtifactCache()
         self.stats = stats if stats is not None else LinearSolveStats()
-        self._local: dict[tuple, Any] = {}
 
     # ------------------------------------------------------------------
     def cached(self, kind: str, key: tuple, factory: Callable[[], Any]) -> Any:
-        """Fetch-or-build an artifact in the backing store.
+        """Fetch-or-build an artifact in the engine's artifact cache.
 
         The generic hook the long-run measures use for every reusable
         intermediate (kinds ``factorization``, ``bscc``, ``stationary``,
-        ``embedded``); routed to the artifact cache when one is attached.
+        ``absorption``, ``embedded``).
         """
-        if self.artifacts is not None:
-            return self.artifacts.get_or_create(kind, key, factory)
-        token = (kind, key)
-        if token not in self._local:
-            self._local[token] = factory()
-        return self._local[token]
+        return self.artifacts.get_or_create(kind, key, factory)
 
     def build_factorization(
         self, matrix: sparse.spmatrix

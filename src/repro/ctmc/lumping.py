@@ -31,15 +31,14 @@ Lumping serves three purposes in the reproduction:
 
 from __future__ import annotations
 
-from collections import defaultdict
-
 import numpy as np
 from scipy import sparse
 
 from repro.ctmc.ctmc import CTMC
 
-#: Decimal places rate signatures are rounded to before comparison; shared by
-#: the array refinement and the reference loop so both split identically.
+#: Decimal places rate signatures are rounded to before comparison; the
+#: test suite's per-state reference refinement rounds the same way, so both
+#: split identically.
 _RATE_DECIMALS = 10
 
 
@@ -126,9 +125,9 @@ def lumping_partition(chain: CTMC, respect_initial: bool = False) -> list[int]:
     numbered in the order of their first state.  States in the same block
     agree on all labels and on the cumulative rate into every block.  The
     partition, numbering included, is identical to the classical per-state
-    refinement (:func:`lumping_partition_reference`), which the tier-1 suite
-    pins.  Every round but the last splits at least one block, so the
-    refinement stops after at most ``num_states`` rounds.
+    refinement, which the test suite keeps as its reference.  Every round
+    but the last splits at least one block, so the refinement stops after at
+    most ``num_states`` rounds.
 
     Parameters
     ----------
@@ -150,51 +149,6 @@ def lumping_partition(chain: CTMC, respect_initial: bool = False) -> list[int]:
         if np.array_equal(refined, assignment):
             return assignment.tolist()
         assignment = refined
-
-
-def lumping_partition_reference(chain: CTMC, respect_initial: bool = False) -> list[int]:
-    """The original per-state refinement loop, kept as the test oracle.
-
-    Semantically identical to :func:`lumping_partition` but walks every
-    state's CSR row in Python; the tier-1 suite pins the array refinement
-    against this implementation on a spread of chains.
-    """
-    blocks: dict[tuple, int] = {}
-    assignment = [0] * chain.num_states
-    initial = chain.initial_distribution
-    for state in range(chain.num_states):
-        key_parts: list = [tuple(sorted(chain.labels_of_state(state)))]
-        if respect_initial:
-            key_parts.append(round(float(initial[state]), 12))
-        key = tuple(key_parts)
-        if key not in blocks:
-            blocks[key] = len(blocks)
-        assignment[state] = blocks[key]
-
-    matrix = chain.rate_matrix.tocsr()
-    while True:
-        signatures: dict[tuple, int] = {}
-        new_assignment = [0] * chain.num_states
-        for state in range(chain.num_states):
-            row = matrix.getrow(state)
-            per_block: dict[int, float] = defaultdict(float)
-            for target, rate in zip(row.indices, row.data):
-                per_block[assignment[int(target)]] += float(rate)
-            signature = (
-                assignment[state],
-                tuple(
-                    sorted(
-                        (block, round(rate, _RATE_DECIMALS))
-                        for block, rate in per_block.items()
-                    )
-                ),
-            )
-            if signature not in signatures:
-                signatures[signature] = len(signatures)
-            new_assignment[state] = signatures[signature]
-        if new_assignment == assignment:
-            return assignment
-        assignment = new_assignment
 
 
 def lump_ctmc(
@@ -229,7 +183,3 @@ def lump_ctmc(
     initial = indicator.T @ chain.initial_distribution
     return CTMC(rates, initial, labels=labels), partition
 
-
-def count_blocks(partition: list[int]) -> int:
-    """Number of blocks in a partition (convenience for tests and reports)."""
-    return len(set(partition))

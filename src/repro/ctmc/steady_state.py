@@ -27,10 +27,10 @@ fingerprint plus subset signature), the absorption-system LU (kind
 ``factorization``) and the solved absorption matrix (kind ``absorption``,
 built on the jump-chain matrix shared with unbounded reachability under
 kind ``embedded``) are then fetched from — or stored into — the engine's
-backing store.  Pointed at the process-wide artifact cache, repeated
+artifact cache.  Handed a session's or service's cache, repeated
 availability tables perform zero decompositions and zero factorizations
-after the first pass; without an engine every call stays a self-contained
-per-call reference computation, exactly as before.
+after the first pass; without an engine every call makes its own
+:class:`~repro.ctmc.linsolve.SolverEngine`, so it stays self-contained.
 
 :func:`steady_state_distribution_block` is the batch entry point the
 analysis executor uses: a ``(num_initials, num_states)`` block of initial

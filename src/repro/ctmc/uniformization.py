@@ -50,7 +50,7 @@ from scipy import sparse
 
 from repro.ctmc.ctmc import CTMC, CTMCError
 from repro.ctmc.engines import Engine, SparseEngine, sweep_engine
-from repro.ctmc.foxglynn import FoxGlynnWeights, fox_glynn
+from repro.ctmc.foxglynn import FoxGlynnWeights
 
 #: Default truncation error for the Poisson mixture.
 DEFAULT_EPSILON = 1e-10
@@ -352,7 +352,8 @@ def evaluate_grid_block(
     epsilon: float = DEFAULT_EPSILON,
     stats: UniformizationStats | None = None,
     block_size: int = DEFAULT_BLOCK_SIZE,
-    artifacts: Any | None = None,
+    *,
+    artifacts: Any,
 ) -> BlockGridResult:
     """Evaluate a whole (initials × times × rewards) block in one sweep.
 
@@ -363,11 +364,11 @@ def evaluate_grid_block(
     folded into accumulators during one shared vector-power sweep, whose
     Fox–Glynn windows are computed once per distinct positive time point.
 
-    The sweep runs on the backend :func:`repro.ctmc.engines.sweep_engine`
-    picks for the forward operator.  ``artifacts`` is an optional
-    :class:`repro.service.ArtifactCache` (duck-typed, so this module does
-    not depend on it) that then serves the forward operator, the Fox–Glynn
-    windows and any densified operator across calls.
+    The sweep runs on the engine :func:`repro.ctmc.engines.sweep_engine`
+    builds for the forward operator.  ``artifacts`` is the
+    :class:`repro.ctmc.artifacts.ArtifactCache` (duck-typed) that serves
+    the forward operator, the Fox–Glynn windows and any densified operator
+    across calls.
 
     The grid may be unsorted and contain duplicates and ``t = 0``.
     """
@@ -420,27 +421,23 @@ def evaluate_grid_block(
             cum_out[:] = times_array[None, :, None] * initial_rates[:, None, :]
         return BlockGridResult(times_array.copy(), dist_out, inst_out, cum_out, 0, 0)
 
-    if artifacts is not None:
-        transposed, q = artifacts.uniformized_transpose(chain)
-        make_window = artifacts.fox_glynn_window
-    else:
-        transposed, q = chain.uniformized_transpose()
-        make_window = fox_glynn
-
+    engine, q = sweep_engine(chain, artifacts)
     unique_times, inverse = np.unique(times_array, return_inverse=True)
     positive = np.flatnonzero(unique_times > 0.0)
-    windows = [make_window(q * float(unique_times[i]), epsilon) for i in positive]
+    windows = [
+        artifacts.fox_glynn_window(q * float(unique_times[i]), epsilon) for i in positive
+    ]
 
     local = UniformizationStats()
     mixtures, reward_sequence = poisson_mixture_sweep(
-        transposed,
+        None,
         initials,
         windows,
         rewards=rewards if need_rewards else None,
         collect_mixtures=distributions,
         stats=local,
         block_size=block_size,
-        engine=sweep_engine(chain, transposed, q, artifacts),
+        engine=engine,
     )
     if stats is not None:
         stats.add(local)

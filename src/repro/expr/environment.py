@@ -89,10 +89,3 @@ class Environment(Mapping[str, Any]):
 
     def __repr__(self) -> str:  # pragma: no cover - debug helper
         return f"Environment({dict(self)!r})"
-
-
-def as_environment(env: "Environment | Mapping[str, Any]") -> Environment:
-    """Coerce a plain mapping into an :class:`Environment`."""
-    if isinstance(env, Environment):
-        return env
-    return Environment(env)

@@ -21,7 +21,7 @@ Conventions used here (matching the Arcade papers):
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from collections.abc import Hashable, Iterable, Mapping
+from collections.abc import Hashable, Mapping
 from typing import Any
 
 
@@ -181,26 +181,3 @@ class IOIMC:
             f"interactive={len(self.interactive_transitions)}, "
             f"markovian={len(self.markovian_transitions)})"
         )
-
-
-def relabel(model: IOIMC, prefix: str) -> IOIMC:
-    """Return a copy of ``model`` with states wrapped as ``(prefix, state)``.
-
-    Useful when composing several instances of the same template automaton.
-    """
-    renamed = IOIMC(
-        name=f"{prefix}{model.name}",
-        signature=model.signature,
-        states={(prefix, state) for state in model.states},
-        initial_state=(prefix, model.initial_state),
-        interactive_transitions=[
-            InteractiveTransition((prefix, t.source), t.action, (prefix, t.target))
-            for t in model.interactive_transitions
-        ],
-        markovian_transitions=[
-            MarkovianTransition((prefix, t.source), t.rate, (prefix, t.target))
-            for t in model.markovian_transitions
-        ],
-        descriptions={(prefix, state): desc for state, desc in model.descriptions.items()},
-    )
-    return renamed

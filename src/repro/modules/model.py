@@ -20,11 +20,11 @@ variables, exactly as in PRISM.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Mapping, Sequence
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
 from typing import Any
 
-from repro.expr import Const, Expression, Var
+from repro.expr import Expression
 from repro.expr.nodes import _coerce  # type: ignore[attr-defined]
 
 
@@ -383,11 +383,3 @@ class ModulesFile:
                 raise ModulesError(
                     f"label {name!r} reads unknown variables {sorted(unknown)}"
                 )
-
-
-def state_formula_all_up(variable_names: Iterable[str]) -> Expression:
-    """Helper: conjunction asserting that all the given boolean variables are true."""
-    expression: Expression = Const(True)
-    for name in variable_names:
-        expression = expression & Var(name)
-    return expression

@@ -26,9 +26,11 @@ iteratively from the best fixed strategy:
    but it can never *lose* to the baselines.
 
 All baselines and iterates are evaluated on induced chains of the same
-CTMDP (same crew pool), so values are apples-to-apples; the artifact cache
-makes re-optimization warm (same chains → same fingerprints → cached
-transforms, densified operators and Fox–Glynn windows).
+CTMDP (same crew pool), so values are apples-to-apples.  Every evaluation
+runs against one :class:`~repro.ctmc.artifacts.ArtifactCache` — the one the
+caller hands over, or a private one per call — so rounds that revisit a
+policy reuse its transforms, operators and Fox–Glynn windows, and a shared
+cache makes re-optimization warm (same chains → same fingerprints).
 """
 
 from __future__ import annotations
@@ -42,6 +44,7 @@ import numpy as np
 from repro.analysis.executor import backward_values
 from repro.arcade.model import Disaster
 from repro.casestudy.facility import PAPER_STRATEGIES
+from repro.ctmc.artifacts import ArtifactCache
 from repro.ctmc.uniformization import DEFAULT_EPSILON, UniformizationStats
 from repro.optimize.ctmdp import OptimizeError, RepairCTMDP, RepairPolicy
 from repro.optimize.stats import OptimizerStats, global_optimizer_stats
@@ -128,9 +131,10 @@ def rollout_optimize(
         strategies.  The best baseline seeds the rollout and lower-bounds
         the result.
     artifacts:
-        An optional :class:`~repro.service.ArtifactCache` serving absorbing
-        transforms, densified operators and Fox–Glynn windows, so it is reused
-        across rounds and re-optimizations.
+        The :class:`~repro.ctmc.artifacts.ArtifactCache` serving absorbing
+        transforms, operators and Fox–Glynn windows to every evaluation;
+        without one the call makes a private cache.  Pass a shared one to
+        reuse them across re-optimizations.
     """
     if objective not in ROLLOUT_OBJECTIVES:
         raise OptimizeError(
@@ -141,6 +145,7 @@ def rollout_optimize(
     if survivability and threshold is None:
         raise OptimizeError("survivability rollout needs a service-level threshold")
     stats = stats if stats is not None else global_optimizer_stats()
+    artifacts = artifacts if artifacts is not None else ArtifactCache()
     times = np.linspace(0.0, float(horizon), int(points))
     initial_state = ctmdp.disaster_state(disaster)
     target = ctmdp.states_with_service_at_least(threshold) if survivability else None
@@ -152,11 +157,7 @@ def rollout_optimize(
             stats.cache_hits += 1
         chain = ctmdp.induced_chain(policy)
         if survivability:
-            chain = (
-                artifacts.transformed_chain(chain, target)
-                if artifacts is not None
-                else chain.make_absorbing(target)
-            )
+            chain = artifacts.transformed_chain(chain, target)
             seed = target.astype(float)
         else:
             seed = ctmdp.policy_cost(policy)

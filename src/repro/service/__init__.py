@@ -27,11 +27,11 @@ the heavy-traffic north star:
 * :class:`ScenarioHTTPServer` — a minimal asyncio HTTP server
   (``POST /scenario``, ``GET /registry``, ``GET /metrics``) over either
   front (``python -m repro serve --http PORT [--shards N]``);
-* :class:`ArtifactCache` / :data:`GLOBAL_ARTIFACTS` — the process-wide,
-  bounded, hit/miss-instrumented store of absorbing transforms, lumping
-  quotients, uniformized operators and Fox–Glynn windows, keyed by stable
-  chain fingerprints so artifacts survive across flushes, sessions and
-  rebuilt chains;
+* :class:`ArtifactCache` (defined in :mod:`repro.ctmc.artifacts`) — the
+  bounded, hit/miss-instrumented store of every reusable analysis
+  intermediate, keyed by stable chain fingerprints.  Each service makes a
+  private one unless it is handed one, so artifacts survive across its
+  flushes (and across services and sessions that share a cache);
 * :class:`ScenarioRegistry` / :func:`paper_registry` — named scenario
   specs for the paper's strategy × disaster × service-level grid, expanded
   into concrete requests on demand.
@@ -40,9 +40,8 @@ See ``examples/scenario_service.py`` for a runnable multi-client demo and
 ``python -m repro serve`` for the portfolio-sweeping CLI.
 """
 
-from repro.service.cache import (
+from repro.ctmc.artifacts import (
     DEFAULT_MAX_ENTRIES,
-    GLOBAL_ARTIFACTS,
     ArtifactCache,
     CacheKindStats,
     CacheStats,
@@ -94,7 +93,6 @@ __all__ = [
     "DEFAULT_MAX_BATCH",
     "DEFAULT_MAX_ENTRIES",
     "DEFAULT_NUM_SHARDS",
-    "GLOBAL_ARTIFACTS",
     "LatencyHistogram",
     "MEASURES",
     "QueueFull",

@@ -19,9 +19,10 @@ execution-unit pass:
   its *own* future (at validation or execution time) without wedging the
   dispatcher or the rest of its batch;
 * expensive intermediates (absorbing transforms, lumping quotients,
-  uniformized operators, Fox–Glynn windows) persist across flushes in a
-  process-wide :class:`repro.service.ArtifactCache`, so a repeat portfolio
-  sweep recomputes none of them.
+  uniformized operators, Fox–Glynn windows, factorizations) persist across
+  flushes in the service's :class:`repro.service.ArtifactCache` — a private
+  one unless the caller hands one over — so a repeat portfolio sweep
+  recomputes none of them.
 
 A quick example — three clients sharing one service::
 
@@ -55,10 +56,10 @@ from repro.analysis import (
     execution_units,
     normalise_request,
 )
+from repro.ctmc.artifacts import ArtifactCache, CacheStats
 from repro.ctmc.engines import default_worker_count
 from repro.ctmc.linsolve import LinearSolveStats
 from repro.ctmc.uniformization import DEFAULT_EPSILON, UniformizationStats
-from repro.service.cache import GLOBAL_ARTIFACTS, ArtifactCache, CacheStats
 from repro.service.registry import ScenarioRegistry, paper_registry
 
 #: Default coalescing window in seconds: long enough for an event-loop tick
@@ -249,8 +250,9 @@ class ServiceStats:
     def metrics(self, prefix: str = "repro_service") -> str:
         """A ``/metrics``-style text dump of every counter (Prometheus format).
 
-        Printed by ``python -m repro serve --metrics`` and intended to be
-        served verbatim by a future HTTP front end.
+        Printed by ``python -m repro serve --metrics``; ``GET /metrics`` of
+        the HTTP front end (:class:`repro.service.ScenarioHTTPServer`)
+        serves it as the head of :meth:`ScenarioService.metrics_text`.
         """
         counters = {
             "submissions_total": self.submissions,
@@ -341,13 +343,13 @@ class ScenarioService:
         cancels only that caller's future (``None`` = no deadline).
     lump:
         Solve every group on its ordinary-lumpability quotient (quotients
-        are cached process-wide per (chain, observable signature)).
+        are cached per (chain, observable signature)).
     epsilon:
         Default Poisson-truncation error for requests without one.
     artifacts:
-        The :class:`ArtifactCache` to use; defaults to the process-wide
-        :data:`repro.service.GLOBAL_ARTIFACTS`.  Pass a fresh cache for
-        isolated measurements.
+        The :class:`ArtifactCache` every flush plans and executes against;
+        without one the service makes a private cache.  Pass a shared one
+        to reuse artifacts across services and sessions.
     max_workers:
         Worker threads executing independent groups concurrently; ``None``
         uses :func:`repro.ctmc.engines.default_worker_count`, which bounds
@@ -387,7 +389,7 @@ class ScenarioService:
         )
         self.lump = lump
         self.default_epsilon = float(epsilon)
-        self.artifacts = artifacts if artifacts is not None else GLOBAL_ARTIFACTS
+        self.artifacts = artifacts if artifacts is not None else ArtifactCache()
         self.registry = registry if registry is not None else paper_registry()
         self.stats = ServiceStats()
         self.max_workers = default_worker_count(max_workers)
@@ -721,7 +723,8 @@ class ScenarioService:
             linear = LinearSolveStats()
             try:
                 await loop.run_in_executor(
-                    self._pool, unit.run, results, engine, self.artifacts, linear
+                    self._pool,
+                    partial(unit.run, results, self.artifacts, engine, linear),
                 )
             except Exception as error:
                 for index in unit.request_indices:

@@ -84,7 +84,8 @@ parent → worker                           worker → parent
 ========================================  ==================================
 
 ``request_bytes`` is the pickled request with its ``chain`` field replaced
-by the chain's content key.  Ordering rule: the front puts ``("chain", ...)``
+by the chain's content key; a mostly-zero initial distribution travels as
+its non-zero entries.  Ordering rule: the front puts ``("chain", ...)``
 on a worker's queue ahead of the first request on that chain, the queue is
 FIFO, and the worker installs a chain before it reads its next message, so
 a request never arrives ahead of its chain.  Results travel as plain arrays
@@ -109,7 +110,10 @@ import multiprocessing
 
 import os
 
+import numpy as np
+
 from repro.analysis import MeasureRequest, MeasureResult
+from repro.ctmc.artifacts import DEFAULT_MAX_ENTRIES, ArtifactCache, CacheStats
 from repro.ctmc.engines import (
     BLAS_ENV_VARS,
     blas_thread_budget,
@@ -117,7 +121,6 @@ from repro.ctmc.engines import (
     restore_blas_threads,
 )
 from repro.ctmc.uniformization import DEFAULT_EPSILON
-from repro.service.cache import DEFAULT_MAX_ENTRIES, ArtifactCache, CacheStats
 from repro.service.chaos import DEFAULT_WEDGE_HOLD, ChaosPolicy
 from repro.service.dispatcher import (
     DEFAULT_COALESCE_WINDOW,
@@ -244,6 +247,8 @@ async def _shard_worker(
     async def run_request(request_id: int, payload: bytes, event=None) -> None:
         try:
             request = pickle.loads(payload)
+            if isinstance(request.initial_distributions, _SparseVectors):
+                request.initial_distributions = request.initial_distributions.dense()
             chain = chains[request.chain]
             if isinstance(chain, Exception):
                 raise chain
@@ -359,9 +364,43 @@ def _shard_worker_main(
 # ----------------------------------------------------------------------
 # parent side
 # ----------------------------------------------------------------------
+@dataclass(frozen=True)
+class _SparseVectors:
+    """Initial distributions on the wire: their shape and non-zero entries.
+
+    The registry's disaster requests start from point masses; sent dense,
+    a Line 1 point mass is 266 KB of zeros.
+    """
+
+    shape: tuple[int, ...]
+    indices: np.ndarray
+    values: np.ndarray
+
+    def dense(self) -> np.ndarray:
+        array = np.zeros(self.shape)
+        array.flat[self.indices] = self.values
+        return array
+
+
 def _request_payload(request: MeasureRequest) -> bytes:
-    """A request's wire form: a copy whose chain is the chain's content key."""
-    return pickle.dumps(replace(request, chain=request.chain.content_key))
+    """A request's wire form: a copy whose chain is the chain's content key.
+
+    Float initial distributions that are mostly zeros travel as
+    :class:`_SparseVectors`.  A ``-0.0`` counts as an entry, so the worker's
+    dense copy is bit-identical to the caller's array.
+    """
+    initial = request.initial_distributions
+    if isinstance(initial, np.ndarray) and initial.dtype == np.float64:
+        entries = np.flatnonzero((initial != 0.0) | np.signbit(initial))
+        if 2 * entries.size < initial.size:
+            initial = _SparseVectors(initial.shape, entries, initial.flat[entries])
+    return pickle.dumps(
+        replace(
+            request,
+            chain=request.chain.content_key,
+            initial_distributions=initial,
+        )
+    )
 
 
 @dataclass

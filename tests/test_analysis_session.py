@@ -8,6 +8,8 @@ lumped quotient path, and the CLI's figure-pair deduplication.
 
 from __future__ import annotations
 
+import dataclasses
+import importlib.util
 import pickle
 import warnings
 
@@ -16,7 +18,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.analysis import AnalysisSession, MeasureKind, MeasureRequest, SessionStats
+import repro.service
+from repro.analysis import (
+    AnalysisSession,
+    MeasureKind,
+    MeasureRequest,
+    SessionStats,
+    build_plan,
+    execute_plan,
+)
+from repro.analysis.executor import backward_values
 from repro.casestudy import experiments as exp
 from repro.casestudy.facility import (
     DISASTER_1,
@@ -26,9 +37,12 @@ from repro.casestudy.facility import (
 )
 from repro.cli import main, run_experiments
 from repro.ctmc import CTMC
+from repro.ctmc.artifacts import ArtifactCache
 from repro.ctmc.ctmc import CTMCError
+from repro.ctmc.engines import sweep_engine
 from repro.ctmc.rewards import cumulative_reward_curve, instantaneous_reward_curve
 from repro.ctmc.transient import time_bounded_reachability, transient_distributions
+from repro.ctmc.uniformization import evaluate_grid_block
 from repro.measures import survivability, survivability_request
 from repro.measures.costs import accumulated_cost_request, instantaneous_cost_request
 from repro.service.registry import (
@@ -612,6 +626,76 @@ class TestSplitInvariance:
 
 
 # ---------------------------------------------------------------------------
+# one artifact path: every session runs against an ArtifactCache
+# ---------------------------------------------------------------------------
+def twin_requests(requests: list[MeasureRequest]) -> list[MeasureRequest]:
+    """The requests on twins of their chains: the same rates, hence the same
+    fingerprints and cache keys, but complemented labels and a point mass on
+    the last state as the initial distribution."""
+    twins: dict[int, CTMC] = {}
+    for request in requests:
+        chain = request.chain
+        if id(chain) not in twins:
+            twins[id(chain)] = CTMC(
+                chain.rate_matrix,
+                {chain.num_states - 1: 1.0},
+                labels={name: ~chain.label_mask(name) for name in chain.label_names},
+            )
+    return [dataclasses.replace(r, chain=twins[id(r.chain)]) for r in requests]
+
+
+def cached_session_values(requests, lump: bool, artifacts) -> list[np.ndarray]:
+    session = AnalysisSession(lump=lump, epsilon=1e-14, artifacts=artifacts)
+    session.extend(requests)
+    return [result.values for result in session.execute()]
+
+
+class TestOneArtifactPath:
+    @given(requests=request_mixes())
+    @settings(max_examples=60, deadline=None)
+    def test_no_fresh_and_shared_warm_caches_agree_exactly(self, requests):
+        """No cache, a fresh cache and a cache other sessions warmed give the
+        same bits: an artifact depends on nothing its key leaves out."""
+        for lump in (False, True):
+            shared = ArtifactCache()
+            cached_session_values(twin_requests(requests), lump, shared)
+            cached_session_values(requests, lump, shared)
+            alone = cached_session_values(requests, lump, None)
+            fresh = cached_session_values(requests, lump, ArtifactCache())
+            warm = cached_session_values(requests, lump, shared)
+            for values, fresh_values, warm_values in zip(alone, fresh, warm):
+                assert np.array_equal(fresh_values, values)
+                assert np.array_equal(warm_values, values)
+
+    @pytest.mark.parametrize("lump", [False, True], ids=["unlumped", "lumped"])
+    def test_a_session_without_a_cache_shares_its_own_artifacts(self, lump):
+        session = AnalysisSession(lump=lump)
+        session.extend(paper_registry().expand("fig8_9"))
+        session.execute()
+        assert session.artifacts.stats().kind("foxglynn").hits > 0
+
+    def test_kernels_require_an_artifact_cache(self):
+        chain = random_chain(6, seed=31)
+        request = MeasureRequest(chain=chain, times=[1.0], kind=MeasureKind.TRANSIENT)
+        plan = build_plan([request], artifacts=ArtifactCache())
+        with pytest.raises(TypeError, match="artifacts"):
+            build_plan([request])
+        with pytest.raises(TypeError, match="artifacts"):
+            execute_plan(plan)
+        with pytest.raises(TypeError, match="artifacts"):
+            evaluate_grid_block(chain, [1.0], chain.initial_distribution[None, :])
+        with pytest.raises(TypeError, match="artifacts"):
+            backward_values(chain, np.ones(6), [1.0], epsilon=1e-10)
+        with pytest.raises(TypeError, match="artifacts"):
+            sweep_engine(chain)
+
+    def test_there_is_no_process_wide_cache(self):
+        assert not hasattr(repro.service, "GLOBAL_ARTIFACTS")
+        assert importlib.util.find_spec("repro.service.cache") is None
+        assert repro.service.ArtifactCache is ArtifactCache
+
+
+# ---------------------------------------------------------------------------
 # degradation: failed quotient builds tombstone instead of re-failing
 # ---------------------------------------------------------------------------
 class TestQuotientTombstones:
@@ -677,6 +761,23 @@ class TestQuotientTombstones:
         again = cached_quotient(chain, [target], cache)
         assert not isinstance(first, QuotientTombstone)
         assert again is first  # cache hit returns the identical object
+
+    def test_a_warm_chain_quotient_reads_no_labels(self, monkeypatch):
+        from repro.analysis.planner import _chain_quotient
+
+        cache = ArtifactCache()
+        chain = exp.line_state_space(LINE2, PAPER_STRATEGIES[0]).chain
+        first = _chain_quotient(chain, cache)
+        read = []
+        label_mask = CTMC.label_mask
+
+        def counted(self, name):
+            read.append(name)
+            return label_mask(self, name)
+
+        monkeypatch.setattr(CTMC, "label_mask", counted)
+        assert _chain_quotient(chain, cache) is first
+        assert first is not None and read == []
 
 
 # ---------------------------------------------------------------------------

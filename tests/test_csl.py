@@ -7,6 +7,7 @@ from repro.analysis.executor import backward_values
 from repro.csl import CSLParseError, ModelChecker, check, parse_formula
 from repro.csl import formulas as F
 from repro.ctmc import CTMC, MarkovRewardModel, RewardStructure
+from repro.ctmc.artifacts import ArtifactCache
 from repro.ctmc.ctmc import CTMCError
 
 
@@ -182,4 +183,10 @@ class TestNonFiniteTimeBounds:
     )
     def test_backward_values_rejects_the_horizon(self, failing_chain, horizon, message):
         with pytest.raises(CTMCError, match=message):
-            backward_values(failing_chain, np.zeros(3), [horizon], epsilon=1e-10)
+            backward_values(
+                failing_chain,
+                np.zeros(3),
+                [horizon],
+                epsilon=1e-10,
+                artifacts=ArtifactCache(),
+            )

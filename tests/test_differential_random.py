@@ -48,6 +48,7 @@ from repro.analysis.executor import backward_values
 from repro.csl import ModelChecker
 from repro.csl import formulas as F
 from repro.ctmc import CTMC, engines
+from repro.ctmc.artifacts import ArtifactCache
 from repro.ctmc.linsolve import reachability_reward_reference
 from repro.ctmc.uniformization import DEFAULT_EPSILON
 
@@ -389,13 +390,22 @@ def test_backward_values_match_forward_point_mass_sweeps(seed: int) -> None:
 
     absorbed = chain.make_absorbing(target | ~(safe | target))
     reachability = backward_values(
-        absorbed, target.astype(float), times, epsilon=DEFAULT_EPSILON
+        absorbed,
+        target.astype(float),
+        times,
+        epsilon=DEFAULT_EPSILON,
+        artifacts=ArtifactCache(),
     )
     np.testing.assert_allclose(
         np.clip(reachability, 0.0, 1.0).T, forward[reach].values, rtol=0, atol=1e-12
     )
     cumulative = backward_values(
-        chain, rewards, times, cumulative=True, epsilon=DEFAULT_EPSILON
+        chain,
+        rewards,
+        times,
+        cumulative=True,
+        epsilon=DEFAULT_EPSILON,
+        artifacts=ArtifactCache(),
     )
     np.testing.assert_allclose(cumulative.T, forward[accumulated].values, rtol=1e-12)
 

@@ -46,7 +46,7 @@ from repro.ctmc.uniformization import (
     evaluate_grid_block,
     poisson_mixture_sweep,
 )
-from repro.service.cache import DENSE_WEIGHT_UNIT_BYTES, ArtifactCache
+from repro.ctmc.artifacts import DENSE_WEIGHT_UNIT_BYTES, ArtifactCache
 
 
 def make_chain(seed: int = 0, num_states: int = 40, density: float = 0.25) -> CTMC:
@@ -75,7 +75,11 @@ class TestNormalisation:
             ScenarioService(dtype="float64")
         with pytest.raises(TypeError):
             evaluate_grid_block(
-                chain, [1.0], chain.initial_distribution[None, :], dtype="float64"
+                chain,
+                [1.0],
+                chain.initial_distribution[None, :],
+                dtype="float64",
+                artifacts=ArtifactCache(),
             )
 
     def test_callers_choose_no_backend(self):
@@ -97,18 +101,27 @@ class TestNormalisation:
         with pytest.raises(TypeError, match="engine"):
             run_experiments(["table1"], engine="dense")
         with pytest.raises(TypeError, match="default_engine"):
-            build_plan([], default_engine="dense")
+            build_plan([], default_engine="dense", artifacts=ArtifactCache())
         with pytest.raises(TypeError, match="mode"):
             SolverEngine(mode="dense")
         with pytest.raises(TypeError, match="method"):
             steady_state_distribution(chain, method="direct")
         with pytest.raises(TypeError, match="engine"):
             evaluate_grid_block(
-                chain, [1.0], chain.initial_distribution[None, :], engine="dense"
+                chain,
+                [1.0],
+                chain.initial_distribution[None, :],
+                engine="dense",
+                artifacts=ArtifactCache(),
             )
         with pytest.raises(TypeError, match="engine"):
             backward_values(
-                chain, np.ones(chain.num_states), [1.0], epsilon=1e-10, engine="dense"
+                chain,
+                np.ones(chain.num_states),
+                [1.0],
+                epsilon=1e-10,
+                engine="dense",
+                artifacts=ArtifactCache(),
             )
 
 
@@ -197,11 +210,11 @@ class TestEngineSelector:
 
     def test_sweep_engine_builds_matching_backends(self):
         small = make_chain(9, num_states=20)
-        operator, q = small.uniformized_transpose()
-        assert isinstance(sweep_engine(small, operator, q), DenseEngine)
+        engine, q = sweep_engine(small, ArtifactCache())
+        assert isinstance(engine, DenseEngine) and q == small.max_exit_rate
         large = make_chain(9, num_states=DENSE_RELAXED_LIMIT + 1, density=0.01)
-        operator, q = large.uniformized_transpose()
-        assert isinstance(sweep_engine(large, operator, q), SparseEngine)
+        engine, q = sweep_engine(large, ArtifactCache(), backward=True)
+        assert isinstance(engine, SparseEngine) and q == large.max_exit_rate
 
     def test_both_sweeps_apply_the_rule_to_their_own_operator(self, monkeypatch):
         """``evaluate_grid_block`` and ``backward_values`` each ask the sweep
@@ -213,9 +226,16 @@ class TestEngineSelector:
 
         def sweeps():
             forward = evaluate_grid_block(
-                chain, times, chain.initial_distribution[None, :], distributions=True
+                chain,
+                times,
+                chain.initial_distribution[None, :],
+                distributions=True,
+                artifacts=ArtifactCache(),
             ).distributions
-            return forward, backward_values(chain, values, times, epsilon=1e-10)
+            backward = backward_values(
+                chain, values, times, epsilon=1e-10, artifacts=ArtifactCache()
+            )
+            return forward, backward
 
         asked = []
         rule = engines.sweep_backend

@@ -211,6 +211,21 @@ class TestArtifactCache:
         assert deltas["transformed"] == 0
         assert deltas["operator"] == 0
 
+    def test_services_without_a_cache_do_not_share_one(self):
+        request = MeasureRequest(
+            chain=random_chain(6, seed=8), times=[1.0], kind=MeasureKind.TRANSIENT
+        )
+
+        async def run() -> tuple[ScenarioService, ScenarioService]:
+            async with ScenarioService() as first, ScenarioService() as second:
+                await first.submit(request)
+            return first, second
+
+        first, second = asyncio.run(run())
+        assert isinstance(first.artifacts, ArtifactCache)
+        assert first.artifacts is not second.artifacts
+        assert len(first.artifacts) > 0 and len(second.artifacts) == 0
+
     def test_quotient_signature_ignores_member_multiplicity_and_order(self):
         # A re-coalesced batch (e.g. two clients instead of one, or members
         # arriving in a different order) observes the same distinct vectors

@@ -9,13 +9,16 @@ the sharded front applies the same backpressure (``QueueFull``) and
 per-request deadline (``ScenarioTimeout``) policies as the in-process
 dispatcher.  The content-addressed chain transport is covered too: each
 chain content key is uploaded once per worker, chains that share a rate
-matrix keep their own initials and labels, and duplicated clients cost the
+matrix keep their own initials and labels, mostly-zero initial
+distributions travel as their entries, and duplicated clients cost the
 single-process sweep count.
 """
 
 from __future__ import annotations
 
 import asyncio
+import pickle
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -33,6 +36,7 @@ from repro.service import (
     paper_registry,
     shard_for_fingerprint,
 )
+from repro.service.shard import _request_payload, _SparseVectors
 
 NUM_SHARDS = 2
 
@@ -453,6 +457,48 @@ class TestChainTransport:
         lines = text.splitlines()
         assert f"repro_front_chain_uploads_total {len(variants)}" in lines
         assert f"repro_front_request_bytes_total {2 * sent}" in lines
+
+    def test_mostly_zero_initials_travel_as_their_entries(self):
+        # A point mass, a block holding a -0.0 and a dense vector each reach
+        # the worker bit-identical; the first two travel as their entries.
+        chain = chain_owned_by(0)
+        point = np.zeros(chain.num_states)
+        point[2] = 1.0
+        block = np.zeros((2, chain.num_states))
+        block[0, [1, 3]] = [-0.0, 1.0]
+        block[1, [4, 5]] = 0.5
+        uniform = np.full(chain.num_states, 1.0 / chain.num_states)
+        requests = [
+            replace(reachability_request(chain), initial_distributions=initial)
+            for initial in (point, block, uniform)
+        ]
+        wire = [pickle.loads(_request_payload(request)) for request in requests]
+        assert isinstance(wire[0].initial_distributions, _SparseVectors)
+        assert isinstance(wire[1].initial_distributions, _SparseVectors)
+        assert wire[1].initial_distributions.dense().tobytes() == block.tobytes()
+        assert isinstance(wire[2].initial_distributions, np.ndarray)
+        assert np.array_equal(wire[2].initial_distributions, uniform)
+        # One at a time on both sides, so each runs as its own sweep.
+        expected = [single_process_values([request])[0] for request in requests]
+
+        async def run():
+            async with ShardedScenarioService(
+                1, coalesce_window=0.0, heartbeat_interval=None
+            ) as sharded:
+                return [await sharded.submit(request) for request in requests]
+
+        for result, values in zip(asyncio.run(run()), expected):
+            assert np.array_equal(result.values, values)
+        # A Line 1 disaster request starts from a point mass on 33,280
+        # states: its wire form (mostly the target mask) is not 266 KB larger.
+        line1 = next(
+            request
+            for request in paper_registry().expand("fig4_5", points=3)
+            if request.initial_distributions is not None
+            and request.chain.num_states > 30_000
+        )
+        dense = np.asarray(line1.initial_distributions)
+        assert len(_request_payload(line1)) < dense.nbytes / 5
 
     def test_duplicated_clients_cost_single_process_sweeps(self):
         # Four clients send the same four Fig. 8/9 requests at once.  The

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from repro.ctmc import CTMC
+from repro.ctmc.artifacts import ArtifactCache
 from repro.ctmc.ctmc import CTMCError
 from repro.ctmc.foxglynn import fox_glynn
 from repro.ctmc.rewards import cumulative_reward_curve, instantaneous_reward_curve
@@ -163,6 +164,7 @@ class TestEngineBehaviour:
             distributions=True,
             epsilon=EPSILON,
             stats=stats,
+            artifacts=ArtifactCache(),
         )
         expected = max(fox_glynn(q * t, EPSILON).right for t in GRID if t > 0.0)
         assert stats.matvecs == expected
@@ -172,7 +174,12 @@ class TestEngineBehaviour:
 
     def test_empty_grid(self, chain):
         result = evaluate_grid_block(
-            chain, [], initial_row(chain), distributions=True, epsilon=EPSILON
+            chain,
+            [],
+            initial_row(chain),
+            distributions=True,
+            epsilon=EPSILON,
+            artifacts=ArtifactCache(),
         )
         assert result.distributions.shape == (1, 0, chain.num_states)
         assert result.matvecs == 0
@@ -188,6 +195,7 @@ class TestEngineBehaviour:
             distributions=True,
             instantaneous=True,
             cumulative=True,
+            artifacts=ArtifactCache(),
         )
         assert result.distributions[0] == pytest.approx(
             np.array([[0, 1, 0], [0, 1, 0]])
@@ -197,23 +205,33 @@ class TestEngineBehaviour:
 
     def test_negative_time_rejected(self, chain):
         with pytest.raises(CTMCError):
-            evaluate_grid_block(chain, [1.0, -0.5], initial_row(chain))
+            evaluate_grid_block(
+                chain, [1.0, -0.5], initial_row(chain), artifacts=ArtifactCache()
+            )
 
     def test_non_finite_time_rejected(self, chain):
         # NaN compares false against every bound, so without an explicit
         # check it would silently produce an all-zero "distribution" row.
         with pytest.raises(CTMCError):
-            evaluate_grid_block(chain, [float("nan"), 1.0], initial_row(chain))
+            evaluate_grid_block(
+                chain, [float("nan"), 1.0], initial_row(chain), artifacts=ArtifactCache()
+            )
         with pytest.raises(CTMCError):
-            evaluate_grid_block(chain, [float("inf")], initial_row(chain))
+            evaluate_grid_block(
+                chain, [float("inf")], initial_row(chain), artifacts=ArtifactCache()
+            )
 
     def test_reward_outputs_require_rewards(self, chain):
         with pytest.raises(CTMCError):
-            evaluate_grid_block(chain, [1.0], initial_row(chain), cumulative=True)
+            evaluate_grid_block(
+                chain, [1.0], initial_row(chain), cumulative=True, artifacts=ArtifactCache()
+            )
 
     def test_wrong_initial_distribution_length(self, chain):
         with pytest.raises(CTMCError):
-            evaluate_grid_block(chain, [1.0], np.ones((1, chain.num_states + 1)))
+            evaluate_grid_block(
+                chain, [1.0], np.ones((1, chain.num_states + 1)), artifacts=ArtifactCache()
+            )
 
 
 class TestInitialBlockBatching:
@@ -229,7 +247,11 @@ class TestInitialBlockBatching:
         block = self._initial_block(chain)
         rewards = np.linspace(0.0, 2.0, chain.num_states)
         outputs = dict(
-            distributions=True, instantaneous=True, cumulative=True, epsilon=EPSILON
+            distributions=True,
+            instantaneous=True,
+            cumulative=True,
+            epsilon=EPSILON,
+            artifacts=ArtifactCache(),
         )
         batched = evaluate_grid_block(chain, GRID, block, rewards, **outputs)
         assert batched.distributions.shape == (3, len(GRID), chain.num_states)
@@ -251,7 +273,13 @@ class TestInitialBlockBatching:
         block = self._initial_block(chain, rows=4)
         stats = UniformizationStats()
         evaluate_grid_block(
-            chain, GRID, block, distributions=True, epsilon=EPSILON, stats=stats
+            chain,
+            GRID,
+            block,
+            distributions=True,
+            epsilon=EPSILON,
+            stats=stats,
+            artifacts=ArtifactCache(),
         )
         _, q = chain.uniformized_matrix()
         expected_applies = max(fox_glynn(q * t, EPSILON).right for t in GRID if t > 0.0)
@@ -266,12 +294,14 @@ class TestInitialBlockBatching:
         batched = evaluate_grid_block(
             chain, GRID, block, reward_matrix,
             instantaneous=True, cumulative=True, epsilon=EPSILON,
+            artifacts=ArtifactCache(),
         )
         assert batched.instantaneous.shape == (2, len(GRID), 3)
         for column in range(3):
             single = evaluate_grid_block(
                 chain, GRID, block, reward_matrix[:, column],
                 instantaneous=True, cumulative=True, epsilon=EPSILON,
+                artifacts=ArtifactCache(),
             )
             np.testing.assert_allclose(
                 batched.instantaneous[:, :, column],
@@ -289,13 +319,23 @@ class TestInitialBlockBatching:
         block = np.array([[1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
         rewards = np.array([1.0, 2.0, 3.0])
         result = evaluate_grid_block(
-            chain, [0.0, 4.0], block, rewards, instantaneous=True, cumulative=True
+            chain,
+            [0.0, 4.0],
+            block,
+            rewards,
+            instantaneous=True,
+            cumulative=True,
+            artifacts=ArtifactCache(),
         )
         np.testing.assert_allclose(result.instantaneous[:, :, 0], [[1.0, 1.0], [3.0, 3.0]])
         np.testing.assert_allclose(result.cumulative[:, :, 0], [[0.0, 4.0], [0.0, 12.0]])
 
     def test_malformed_blocks_rejected(self, chain):
         with pytest.raises(CTMCError):
-            evaluate_grid_block(chain, [1.0], np.ones((2, chain.num_states + 1)))
+            evaluate_grid_block(
+                chain, [1.0], np.ones((2, chain.num_states + 1)), artifacts=ArtifactCache()
+            )
         with pytest.raises(CTMCError):
-            evaluate_grid_block(chain, [1.0], np.ones((0, chain.num_states))[None])
+            evaluate_grid_block(
+                chain, [1.0], np.ones((0, chain.num_states))[None], artifacts=ArtifactCache()
+            )
