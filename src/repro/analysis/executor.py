@@ -9,8 +9,8 @@ For a regular group the executor stacks
   ``(num_states, num_rewards)`` reward matrix,
 
 then calls :func:`repro.ctmc.uniformization.evaluate_grid_block` exactly
-once, so the whole group shares a single vector-power sweep and one set of
-Fox–Glynn windows.  Reachability rides on the reward axis: with the target
+once, so the whole group shares a single vector-power sweep and one
+Fox–Glynn table.  Reachability rides on the reward axis: with the target
 states absorbed, ``P[ safe U^{<=t} target ]`` is the instantaneous
 "reward" of the target-indicator vector.
 
@@ -24,7 +24,7 @@ epsilon) signature — i.e. differ only in their time grids — are bundled
 into one :class:`ExecutionUnit`: the backward phase runs once over the
 union of every grid's residual horizons (merged with a relative tolerance,
 so 1-ULP grid-arithmetic noise does not spawn near-duplicate Fox–Glynn
-windows) and the forward phase runs once with every grid's value vectors
+rows) and the forward phase runs once with every grid's value vectors
 stacked on the reward axis, so ``G`` grids cost two sweeps total instead
 of two each.
 
@@ -54,7 +54,7 @@ requests without touching the others, while :func:`execute_plan` simply
 runs them in order.  Every unit runs against the artifact cache
 (:class:`~repro.ctmc.artifacts.ArtifactCache`) its session or service owns,
 which supplies transformed chains, uniformized and densified operators,
-Fox–Glynn windows and long-run solver artifacts to every unit and plan that
+Fox–Glynn tables and long-run solver artifacts to every unit and plan that
 shares it.
 """
 
@@ -69,7 +69,6 @@ import numpy as np
 from repro.ctmc.ctmc import CTMC, CTMCError
 from repro.ctmc.dtmc import unbounded_reachability
 from repro.ctmc.engines import sweep_engine
-from repro.ctmc.foxglynn import FoxGlynnWeights
 from repro.ctmc.linsolve import (
     LinearSolveStats,
     SolverEngine,
@@ -408,11 +407,13 @@ def backward_values(
     the expected value of ``values`` at time ``t_i`` from each start state.
     With ``cumulative=True`` the weights are ``P[N(q·t_i) > k] / q`` and
     row ``i`` is each start state's expected reward accumulated over
-    ``[0, t_i]``.  Every positive horizon gets one window and all windows
-    share one walk; horizons may be unsorted and repeat.  The walk runs on
-    the engine :func:`repro.ctmc.engines.sweep_engine` builds for ``P``;
-    ``artifacts`` (an :class:`~repro.ctmc.artifacts.ArtifactCache`) serves
-    ``P`` itself, the Fox–Glynn windows and any densified operator.
+    ``[0, t_i]``.  The positive horizons are the rows of one Fox–Glynn
+    table (its tails table when cumulative), shared with every other sweep
+    at ``q`` on the same horizons, and all rows share one walk; horizons
+    may be unsorted and repeat.  The walk runs on the engine
+    :func:`repro.ctmc.engines.sweep_engine` builds for ``P``; ``artifacts``
+    (an :class:`~repro.ctmc.artifacts.ArtifactCache`) serves ``P`` itself,
+    the Fox–Glynn tables and any densified operator.
     """
     horizon_array = np.asarray(horizons, dtype=float)
     if horizon_array.ndim != 1:
@@ -433,30 +434,19 @@ def backward_values(
         )
     elif positive.size:
         engine, q = sweep_engine(chain, artifacts, backward=True)
-        windows = [
-            artifacts.fox_glynn_window(q * float(unique_horizons[i]), epsilon)
-            for i in positive
-        ]
+        table = artifacts.poisson_table(
+            q, unique_horizons[positive], epsilon, tails=cumulative
+        )
+        weights = table.matrix
         if cumulative:
-            windows = [_accumulation_window(window, q) for window in windows]
+            # Accumulated reward weighs u_k by P[N > k] / q, the head included.
+            weights = table.from_zero()
+            weights.data /= q
         mixtures, _ = poisson_mixture_sweep(
-            None, start, windows, stats=stats, engine=engine
+            None, start, weights, stats=stats, engine=engine
         )
         per_state[positive] = mixtures
     return per_state[inverse]
-
-
-def _accumulation_window(window: FoxGlynnWeights, rate: float) -> FoxGlynnWeights:
-    """Weights ``P[N > k] / q`` for ``k = 0 .. right``: accumulated reward.
-
-    Below the left truncation point the Poisson tail is the window's whole
-    mass, as in :func:`repro.ctmc.uniformization.evaluate_grid_block`'s
-    cumulative fold.
-    """
-    mass = np.cumsum(window.weights)
-    tails = np.concatenate((np.full(window.left, mass[-1]), mass[-1] - mass))
-    weights = tails / rate
-    return FoxGlynnWeights(0, window.right, weights, float(weights.sum()))
 
 
 # ----------------------------------------------------------------------
@@ -471,7 +461,7 @@ def _merge_close_horizons(
     ``times - lower`` computed per grid yields horizons that differ by an
     ULP between grids even when the grids were meant to coincide; exact
     ``np.unique`` would keep both and spawn near-duplicate Fox–Glynn
-    windows.  Adjacent sorted values whose gap is within
+    rows.  Adjacent sorted values whose gap is within
     :data:`HORIZON_MERGE_RTOL` (relative to their magnitude) share one
     cluster, represented by the cluster's smallest member — exact zeros
     always form their own cluster, so the t = a grid points stay exact.
@@ -526,7 +516,7 @@ def _execute_interval_bundle(
     # with decided states absorbed, for every residual horizon appearing in
     # *any* bundled grid — one sweep over the (tolerantly merged) union.
     # A quotient's own (smaller) uniformization rate keys its Fox–Glynn
-    # windows, so the lumped and unlumped bundles never share windows.
+    # table, so the lumped and unlumped bundles never share tables.
     absorbing = target_mask | ~(safe_mask | target_mask)
     unique_horizons, cluster_of = _merge_close_horizons(
         [np.maximum(group.times - lower, 0.0) for _, group in entries]

@@ -30,7 +30,7 @@ benchmarks gate on.
 Every plan and sweep of a session runs against one
 :class:`~repro.ctmc.artifacts.ArtifactCache`: the one it was handed, or a
 private one it makes, so its groups share transforms, quotients, operators,
-Fox–Glynn windows and factorizations either way.
+Fox–Glynn tables and factorizations either way.
 """
 
 from __future__ import annotations
@@ -196,7 +196,7 @@ class AnalysisSession:
     artifacts:
         The :class:`~repro.ctmc.artifacts.ArtifactCache` the session plans
         and executes against: absorbing transforms, lumping quotients,
-        uniformized operators, Fox–Glynn windows and long-run solver
+        uniformized operators, Fox–Glynn tables and long-run solver
         artifacts are looked up there by chain fingerprint.  Without one
         the session makes a private cache, shared by its own groups and
         ``execute()`` calls only; pass a shared one to reuse artifacts

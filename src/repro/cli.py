@@ -41,7 +41,7 @@ The session solves every group on its ordinary-lumpability quotient;
 service (:mod:`repro.service`): ``--clients N`` concurrent clients each
 submit every selected scenario, the dispatcher coalesces their requests
 into shared sweeps, and ``--repeat K`` repeats the portfolio to show the
-service's artifact cache eliminating quotient/window recomputation on warm
+service's artifact cache eliminating quotient/table recomputation on warm
 runs.  Coalescing and cache statistics are printed per round.
 """
 
@@ -207,7 +207,7 @@ def build_serve_parser() -> argparse.ArgumentParser:
             "dispatcher coalesces compatible requests across clients into "
             "shared uniformization sweeps, and repeats hit the service's "
             "artifact cache (transforms, quotients, operators, Fox-Glynn "
-            "windows)."
+            "tables)."
         ),
     )
     parser.add_argument(

@@ -31,7 +31,7 @@ the per-state vector, so both methods answer path formulas one way.
 All queries of one checker run against one
 :class:`~repro.ctmc.artifacts.ArtifactCache` — the one it was handed, or a
 private one it makes — so they share absorbing transforms, operators and
-Fox–Glynn windows (bounded until) and BSCC decompositions, embedded
+Fox–Glynn tables (bounded until) and BSCC decompositions, embedded
 matrices and LU factorizations (long-run queries, through
 :mod:`repro.ctmc.linsolve`); checkers and sessions handed one cache share
 them with each other.

@@ -23,7 +23,7 @@ engine plays in the paper:
   of every long-run measure.
 * :mod:`~repro.ctmc.artifacts` — :class:`~repro.ctmc.artifacts.ArtifactCache`,
   the one store of reusable analysis intermediates (transforms, quotients,
-  operators, Fox–Glynn windows, factorizations, BSCCs), keyed by chain
+  operators, Fox–Glynn tables, factorizations, BSCCs), keyed by chain
   fingerprints; every analysis runs against one.
 * :mod:`~repro.ctmc.rewards` — instantaneous, cumulative and long-run reward
   measures (the backend of ``R=?[I=t]``, ``R=?[C<=t]`` and ``R=?[S]``).

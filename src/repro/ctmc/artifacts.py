@@ -2,7 +2,7 @@
 
 Every measure of the paper bottoms out in the same handful of expensive
 intermediates: absorbing transforms, lumping quotients, uniformized and
-densified operators, Fox–Glynn windows, LU factorizations and BSCC
+densified operators, Fox–Glynn tables, LU factorizations and BSCC
 decompositions.  :class:`ArtifactCache` is their only home.  Five owners
 take a cache or make a private one — :class:`repro.analysis.AnalysisSession`,
 :class:`repro.service.ScenarioService`,
@@ -27,7 +27,11 @@ kind               key
                    [, ``"backward"``]) — the CSR uniformized operator:
                    ``Pᵀ`` for the forward sweep, ``P`` (the ``"backward"``
                    key) for the backward value sweep
-``foxglynn``       (q·t, epsilon)
+``foxglynn``       (q, bytes of a grid's sorted unique positive times,
+                   epsilon [, ``"tails"``]) — the grid's
+                   :class:`repro.ctmc.foxglynn.PoissonTable`, one row per
+                   time point, or (``"tails"``) its tails table; stored
+                   with a byte-size-aware weight
 ``factorization``  (chain fingerprint, system token) — LU factors of a
                    long-run linear system restricted to a state subset
                    (see :mod:`repro.ctmc.linsolve`)
@@ -42,7 +46,7 @@ kind               key
                    [, ``"backward"``]) — the densified operator the
                    :class:`repro.ctmc.engines.DenseEngine` GEMM walk uses,
                    keyed like ``operator``; stored with a byte-size-aware
-                   weight (see below)
+                   weight
 =================  ===================================================
 
 The first four kinds and ``dense_operator`` are populated by the planner
@@ -52,22 +56,23 @@ calls straight into :meth:`ArtifactCache.get_or_create`.
 
 Chains are keyed by :attr:`repro.ctmc.ctmc.CTMC.fingerprint` — a content
 hash of the rate matrix — so a *rebuilt* chain with identical dynamics
-still hits.  Fox–Glynn windows are keyed by the Poisson rate product
-``q·t`` alone, so groups on different chains with equal ``q·t`` (e.g. the
-FRF-1 and FFF-1 case-study chains, which share their uniformization rate)
-share windows too.
+still hits.  Fox–Glynn tables are keyed by the uniformization rate and the
+grid alone, so sweeps of different chains with equal rates on one grid
+(e.g. the FRF-1 and FFF-1 case-study chains, which share their
+uniformization rate) share one table, and a whole grid costs one lookup.
 
 The cache is thread-safe (the scenario service executes independent groups
 on a worker pool) and deliberately caches *negative* quotient results
 (``None`` — nothing collapsed) so repeat runs skip the refinement as well.
 
 **Weighted eviction.**  ``max_entries`` was tuned for CSR-sized artifacts;
-a densified operator can be orders of magnitude larger, so entries carry a
-*weight* (default 1) and eviction bounds the **total weight** rather than
-the raw entry count.  Dense operators weigh
+a densified operator or the Fox–Glynn table of a 10,001-point grid can be
+orders of magnitude larger, so entries carry a *weight* (default 1) and
+eviction bounds the **total weight** rather than the raw entry count.
+Dense operators and Fox–Glynn tables weigh
 ``ceil(nbytes / DENSE_WEIGHT_UNIT_BYTES)`` — one unit per CSR-operator-
-equivalent — so a handful of big ``toarray()`` results cannot silently
-blow the LRU budget while ordinary artifacts keep their one-slot cost.
+equivalent — so a handful of big artifacts cannot silently blow the LRU
+budget while ordinary artifacts keep their one-slot cost.
 """
 
 from __future__ import annotations
@@ -82,7 +87,7 @@ import numpy as np
 from scipy import sparse
 
 from repro.ctmc.ctmc import CTMC
-from repro.ctmc.foxglynn import FoxGlynnWeights, fox_glynn
+from repro.ctmc.foxglynn import PoissonTable, fox_glynn_table
 
 #: Default bound on the total cached-artifact weight (all kinds combined);
 #: ordinary artifacts weigh 1, so for them this is an entry count.
@@ -270,8 +275,9 @@ class ArtifactCache:
     def chain_fingerprints(self) -> frozenset[str]:
         """The chain fingerprints that currently key at least one artifact.
 
-        Every kind except ``foxglynn`` (which is keyed by the rate product
-        ``q·t`` alone) leads its key with the chain's content fingerprint.
+        Every kind except ``foxglynn`` (which is keyed by the uniformization
+        rate and the grid alone) leads its key with the chain's content
+        fingerprint.
         The sharded-service benchmark gates on per-shard fingerprint sets
         being disjoint: routing by fingerprint must never build the same
         chain's artifacts on two shards.
@@ -313,12 +319,30 @@ class ArtifactCache:
             )
         return self.get_or_create("operator", key, chain.uniformized_transpose)
 
-    def fox_glynn_window(self, rate_product: float, epsilon: float) -> FoxGlynnWeights:
-        """Fox–Glynn weights for Poisson rate ``q·t``, shared across chains."""
+    def poisson_table(
+        self, rate: float, times: np.ndarray, epsilon: float, *, tails: bool = False
+    ) -> PoissonTable:
+        """Fox–Glynn weights of the Poisson rates ``rate·times``, as one table.
+
+        ``times`` are a grid's unique positive time points, sorted.  The
+        table has one row per time point and is shared by every chain
+        uniformized at ``rate``; ``tails`` gives its tails table instead
+        (see :meth:`repro.ctmc.foxglynn.PoissonTable.tails`), cached beside
+        it.  Weighted by byte size, like :meth:`dense_operator`.
+        """
+        key = (float(rate), np.asarray(times, dtype=float).tobytes(), float(epsilon))
+        if tails:
+            return self.get_or_create(
+                "foxglynn",
+                key + ("tails",),
+                lambda: self.poisson_table(rate, times, epsilon).tails(),
+                weight=lambda table: _byte_weight(table.nbytes),
+            )
         return self.get_or_create(
             "foxglynn",
-            (float(rate_product), float(epsilon)),
-            lambda: fox_glynn(rate_product, epsilon),
+            key,
+            lambda: fox_glynn_table(rate * np.asarray(times, dtype=float), epsilon),
+            weight=lambda table: _byte_weight(table.nbytes),
         )
 
     def dense_operator(
@@ -344,6 +368,12 @@ class ArtifactCache:
             "dense_operator",
             key,
             factory,
-            weight=lambda value: -(-int(value.nbytes) // DENSE_WEIGHT_UNIT_BYTES),
+            weight=lambda value: _byte_weight(value.nbytes),
         )
+
+
+def _byte_weight(nbytes: int) -> int:
+    """Eviction weight of an artifact of ``nbytes``: one unit per started
+    :data:`DENSE_WEIGHT_UNIT_BYTES`."""
+    return -(-int(nbytes) // DENSE_WEIGHT_UNIT_BYTES)
 

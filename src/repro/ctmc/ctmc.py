@@ -128,13 +128,27 @@ class CTMC:
         initial_distribution: Mapping[int, float] | Sequence[float] | np.ndarray,
         labels: Mapping[str, Iterable[int] | np.ndarray] | None = None,
     ) -> None:
-        matrix = sparse.csr_matrix(rate_matrix, dtype=float)
-        if matrix.shape[0] != matrix.shape[1]:
-            raise CTMCError(f"rate matrix must be square, got shape {matrix.shape}")
-        if matrix.nnz and matrix.data.min() < -1e-12:
+        given = sparse.csr_matrix(rate_matrix, dtype=float)
+        if given.shape[0] != given.shape[1]:
+            raise CTMCError(f"rate matrix must be square, got shape {given.shape}")
+        if given.nnz and given.data.min() < -1e-12:
             raise CTMCError("rate matrix has negative rates")
-        matrix.setdiag(0.0)
-        matrix.eliminate_zeros()
+        # Keep the off-diagonal non-zeros in input order, in new arrays: a
+        # float CSR input shares its arrays with ``given``, so dropping
+        # self-loops in place would rewrite the caller's matrix.
+        rows = np.repeat(
+            np.arange(given.shape[0], dtype=given.indices.dtype), np.diff(given.indptr)
+        )
+        keep = (given.indices != rows) & (given.data != 0.0)
+        kept_before = np.concatenate(([0], np.cumsum(keep)))
+        matrix = sparse.csr_matrix(
+            (
+                given.data[keep],
+                given.indices[keep],
+                kept_before[given.indptr].astype(given.indptr.dtype),
+            ),
+            shape=given.shape,
+        )
         self._rates = matrix
         self._num_states = matrix.shape[0]
         self._initial = _normalise_distribution(initial_distribution, self._num_states)

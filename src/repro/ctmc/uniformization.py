@@ -32,9 +32,12 @@ Three measures ride on the same sweep:
 * cumulative rewards
   ``(1/q) Σ_k P[N_{q tᵢ} > k] · (π₀ Pᵏ)·ρ``.
 
-The sweep processes the ``k`` axis in blocks and applies each time point's
-weight window as a numpy slice (one dot product per block and time point),
-so no per-``k`` Python scalar work remains on the hot path.
+The weights of a whole grid come as one
+:class:`~repro.ctmc.foxglynn.PoissonTable`, a sparse row per time point
+holding only that point's Fox–Glynn window.  The sweep processes the ``k``
+axis in blocks; distributions meet the table in one sparse product per
+block, and the reward sequences of the whole sweep in one product after it,
+so neither a time point nor a ``k`` costs Python work on the hot path.
 """
 
 from __future__ import annotations
@@ -50,7 +53,6 @@ from scipy import sparse
 
 from repro.ctmc.ctmc import CTMC, CTMCError
 from repro.ctmc.engines import Engine, SparseEngine, sweep_engine
-from repro.ctmc.foxglynn import FoxGlynnWeights
 
 #: Default truncation error for the Poisson mixture.
 DEFAULT_EPSILON = 1e-10
@@ -165,7 +167,7 @@ class BlockGridResult:
 def poisson_mixture_sweep(
     operator: sparse.spmatrix,
     start: np.ndarray,
-    windows: Sequence[FoxGlynnWeights],
+    weights: sparse.csr_matrix,
     rewards: np.ndarray | None = None,
     collect_mixtures: bool = True,
     stats: UniformizationStats | None = None,
@@ -176,9 +178,10 @@ def poisson_mixture_sweep(
 
     This is the engine core, shared by forward analysis (``operator = Pᵀ``,
     ``start = π₀``) and backward analysis (``operator = P``, ``start`` a
-    value vector).  The vector powers are generated exactly once, up to the
-    largest right truncation point of ``windows``; each window's weights are
-    applied to whole blocks of vectors as numpy slices.
+    value vector).  ``weights`` is a table of Poisson mixtures, one sparse
+    row each (a :class:`repro.ctmc.foxglynn.PoissonTable` matrix): the
+    vector powers are generated exactly once, up to its last column, and
+    each block of buffered powers meets every row in one sparse product.
 
     ``start`` may be a single vector of shape ``(dimension,)`` or a block of
     ``B`` vectors with shape ``(B, dimension)``; a block is propagated with
@@ -194,11 +197,11 @@ def poisson_mixture_sweep(
     Returns
     -------
     (mixtures, reward_sequence):
-        ``mixtures[i] = Σ_k windows[i].weight(k) · v_k``; shape
-        ``(len(windows), dimension)`` for a vector start and
-        ``(len(windows), B, dimension)`` for a block start (``None`` unless
+        ``mixtures[i] = Σ_k weights[i, k] · v_k``; shape
+        ``(rows, dimension)`` for a vector start and
+        ``(rows, B, dimension)`` for a block start (``None`` unless
         ``collect_mixtures``).  ``reward_sequence[k] = v_k @ rewards`` for
-        ``k = 0 .. max right``; the trailing axes match the inputs — scalar
+        ``k = 0 .. last column``; the trailing axes match the inputs — scalar
         per ``k`` for vector start and vector rewards, ``(m,)`` / ``(B,)`` /
         ``(B, m)`` when either is batched (``None`` unless ``rewards`` is
         given).
@@ -233,25 +236,14 @@ def poisson_mixture_sweep(
             return seq[:, :, 0]
         return seq
 
-    if not windows:
-        mixtures = (
-            _squeeze_mixtures(np.zeros((0, num_columns, dimension)))
-            if collect_mixtures
-            else None
-        )
-        reward_sequence = (
-            _squeeze_rewards(np.zeros((0, num_columns, num_rewards)))
-            if reward_matrix is not None
-            else None
-        )
-        return mixtures, reward_sequence
-
-    right_max = max(window.right for window in windows)
-    # Accumulators are kept as (windows, dimension, columns) so the sweep's
+    num_rows, right_max = weights.shape[0], weights.shape[1] - 1
+    # Accumulators are kept as (rows, dimension, columns) so the sweep's
     # (dimension, columns) layout is added without transposes on the hot path.
     mixtures_acc = (
-        np.zeros((len(windows), dimension, num_columns)) if collect_mixtures else None
+        np.zeros((num_rows, dimension, num_columns)) if collect_mixtures else None
     )
+    # Column-major copy of the table: a block of powers meets a column slice.
+    by_step = weights.tocsc() if collect_mixtures else None
     reward_sequence_acc = (
         np.empty((right_max + 1, num_columns, num_rewards))
         if reward_matrix is not None
@@ -309,17 +301,10 @@ def poisson_mixture_sweep(
             reward_sequence_acc[block_start:block_stop] = np.tensordot(
                 buffered, reward_matrix, axes=(1, 0)
             )
-        if not collect_mixtures:
-            continue
-        for index, window in enumerate(windows):
-            lo = max(window.left, block_start)
-            hi = min(window.right, block_stop - 1)
-            if lo <= hi:
-                mixtures_acc[index] += np.tensordot(
-                    window.weights[lo - window.left : hi - window.left + 1],
-                    buffered[lo - block_start : hi - block_start + 1],
-                    axes=(0, 0),
-                )
+        if collect_mixtures:
+            mixtures_acc += (
+                by_step[:, block_start:block_stop] @ buffered.reshape(steps, -1)
+            ).reshape(mixtures_acc.shape)
 
     elapsed = time.perf_counter() - started
     with _STATS_LOCK:
@@ -361,13 +346,16 @@ def evaluate_grid_block(
     ``initial_block`` has shape ``(num_initials, num_states)`` and
     ``rewards_matrix`` shape ``(num_states, num_rewards)``; every
     combination of initial distribution, grid point and reward column is
-    folded into accumulators during one shared vector-power sweep, whose
-    Fox–Glynn windows are computed once per distinct positive time point.
+    folded in during one shared vector-power sweep.  The Fox–Glynn weights
+    of the grid's distinct positive time points are one table (its tails
+    table for cumulative rewards), computed once per (rate, grid, epsilon);
+    instantaneous and cumulative rewards are each one product of a table
+    with the sweep's reward sequence.
 
     The sweep runs on the engine :func:`repro.ctmc.engines.sweep_engine`
     builds for the forward operator.  ``artifacts`` is the
     :class:`repro.ctmc.artifacts.ArtifactCache` (duck-typed) that serves
-    the forward operator, the Fox–Glynn windows and any densified operator
+    the forward operator, the Fox–Glynn tables and any densified operator
     across calls.
 
     The grid may be unsorted and contain duplicates and ``t = 0``.
@@ -421,27 +409,10 @@ def evaluate_grid_block(
             cum_out[:] = times_array[None, :, None] * initial_rates[:, None, :]
         return BlockGridResult(times_array.copy(), dist_out, inst_out, cum_out, 0, 0)
 
-    engine, q = sweep_engine(chain, artifacts)
     unique_times, inverse = np.unique(times_array, return_inverse=True)
-    positive = np.flatnonzero(unique_times > 0.0)
-    windows = [
-        artifacts.fox_glynn_window(q * float(unique_times[i]), epsilon) for i in positive
-    ]
-
+    positive = unique_times > 0.0
+    horizons = unique_times[positive]
     local = UniformizationStats()
-    mixtures, reward_sequence = poisson_mixture_sweep(
-        None,
-        initials,
-        windows,
-        rewards=rewards if need_rewards else None,
-        collect_mixtures=distributions,
-        stats=local,
-        block_size=block_size,
-        engine=engine,
-    )
-    if stats is not None:
-        stats.add(local)
-
     num_unique = unique_times.shape[0]
     unique_dist = (
         np.zeros((num_unique, num_initials, num_states)) if distributions else None
@@ -452,43 +423,37 @@ def evaluate_grid_block(
     unique_cum = (
         np.zeros((num_unique, num_initials, num_rewards)) if cumulative else None
     )
-    if cumulative:
-        # prefix[k] = Σ_{j < k} v_j @ rewards, used for the sub-window head
-        # where the Poisson tail probability is (numerically) the full mass.
-        prefix = np.concatenate(
-            (
-                np.zeros((1, num_initials, num_rewards)),
-                np.cumsum(reward_sequence, axis=0),
-            )
-        )
-
-    for window_index, unique_index in enumerate(positive):
-        window = windows[window_index]
-        if distributions:
-            unique_dist[unique_index] = mixtures[window_index]
-        if instantaneous:
-            unique_inst[unique_index] = np.tensordot(
-                window.weights,
-                reward_sequence[window.left : window.right + 1],
-                axes=(0, 0),
-            )
+    if horizons.size:
+        engine, q = sweep_engine(chain, artifacts)
+        table = tails = None
+        if distributions or instantaneous:
+            table = artifacts.poisson_table(q, horizons, epsilon)
         if cumulative:
-            mass = np.cumsum(window.weights)
-            total = float(mass[-1])
-            tails = total - mass  # tails[j] = P[N > left + j]
-            unique_cum[unique_index] = (
-                total * prefix[window.left]
-                + np.tensordot(
-                    tails, reward_sequence[window.left : window.right + 1], axes=(0, 0)
-                )
-            ) / q
-
-    for unique_index in np.flatnonzero(unique_times == 0.0):
+            tails = artifacts.poisson_table(q, horizons, epsilon, tails=True)
+        mixtures, reward_sequence = poisson_mixture_sweep(
+            None,
+            initials,
+            (table if table is not None else tails).matrix,
+            rewards=rewards if need_rewards else None,
+            collect_mixtures=distributions,
+            stats=local,
+            block_size=block_size,
+            engine=engine,
+        )
         if distributions:
-            unique_dist[unique_index] = initials
+            unique_dist[positive] = mixtures
         if instantaneous:
-            unique_inst[unique_index] = initial_rates
-        # cumulative reward at t = 0 stays 0
+            unique_inst[positive] = table.fold(reward_sequence)
+        if cumulative:
+            unique_cum[positive] = tails.fold(reward_sequence) / q
+    if stats is not None:
+        stats.add(local)
+
+    # t = 0: the initial distribution itself; cumulative reward stays 0
+    if distributions:
+        unique_dist[~positive] = initials
+    if instantaneous:
+        unique_inst[~positive] = initial_rates
 
     if distributions:
         dist_out[:] = np.swapaxes(unique_dist[inverse], 0, 1)

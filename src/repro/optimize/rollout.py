@@ -29,7 +29,7 @@ All baselines and iterates are evaluated on induced chains of the same
 CTMDP (same crew pool), so values are apples-to-apples.  Every evaluation
 runs against one :class:`~repro.ctmc.artifacts.ArtifactCache` — the one the
 caller hands over, or a private one per call — so rounds that revisit a
-policy reuse its transforms, operators and Fox–Glynn windows, and a shared
+policy reuse its transforms, operators and Fox–Glynn tables, and a shared
 cache makes re-optimization warm (same chains → same fingerprints).
 """
 
@@ -132,7 +132,7 @@ def rollout_optimize(
         the result.
     artifacts:
         The :class:`~repro.ctmc.artifacts.ArtifactCache` serving absorbing
-        transforms, operators and Fox–Glynn windows to every evaluation;
+        transforms, operators and Fox–Glynn tables to every evaluation;
         without one the call makes a private cache.  Pass a shared one to
         reuse them across re-optimizations.
     """

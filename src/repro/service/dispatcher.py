@@ -19,7 +19,7 @@ execution-unit pass:
   its *own* future (at validation or execution time) without wedging the
   dispatcher or the rest of its batch;
 * expensive intermediates (absorbing transforms, lumping quotients,
-  uniformized operators, Fox–Glynn windows, factorizations) persist across
+  uniformized operators, Fox–Glynn tables, factorizations) persist across
   flushes in the service's :class:`repro.service.ArtifactCache` — a private
   one unless the caller hands one over — so a repeat portfolio sweep
   recomputes none of them.

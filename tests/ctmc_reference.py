@@ -1,14 +1,18 @@
-"""The per-state lumping refinement, as the reference.
+"""Replaced CTMC code, kept as references.
 
 :func:`repro.ctmc.lumping.lumping_partition` refines a whole partition per
 round with array operations.  This module keeps the state-by-state loop it
 replaced, which walks every state's CSR row in Python, so tests can require
-the two to agree exactly, block numbering included.
+the two to agree exactly, block numbering included.  It also keeps the
+``setdiag`` construction of a chain's rate matrix that ``CTMC`` replaced
+with one mask.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
+
+from scipy import sparse
 
 from repro.ctmc import CTMC
 from repro.ctmc.lumping import _RATE_DECIMALS
@@ -62,3 +66,16 @@ def lumping_partition_reference(chain: CTMC, respect_initial: bool = False) -> l
 def count_blocks(partition: list[int]) -> int:
     """Number of blocks in a partition."""
     return len(set(partition))
+
+
+def rate_matrix_reference(rate_matrix) -> sparse.csr_matrix:
+    """The rate matrix ``CTMC`` kept before it built its own arrays.
+
+    Self-loops were zeroed with ``setdiag`` and dropped with
+    ``eliminate_zeros``, explicit zeros with them.  Works on a copy, so the
+    caller's matrix is left alone.
+    """
+    matrix = sparse.csr_matrix(rate_matrix, dtype=float, copy=True)
+    matrix.setdiag(0.0)
+    matrix.eliminate_zeros()
+    return matrix

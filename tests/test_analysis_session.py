@@ -581,6 +581,9 @@ def request_mixes(draw) -> list[MeasureRequest]:
     return requests
 
 
+LONG_RUN_KINDS = (MeasureKind.STEADY_STATE, MeasureKind.UNBOUNDED_REACHABILITY)
+
+
 def session_values(requests, lump: bool) -> list[np.ndarray]:
     session = AnalysisSession(lump=lump, epsilon=1e-14)
     session.extend(requests)
@@ -609,6 +612,37 @@ class TestSplitInvariance:
             for values, single, half in zip(together, alone, parted):
                 np.testing.assert_allclose(single, values, rtol=0.0, atol=1e-12)
                 np.testing.assert_allclose(half, values, rtol=0.0, atol=1e-12)
+
+    @given(requests=request_mixes(), data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_splitting_a_time_grid_keeps_its_values(self, requests, data):
+        """One request on grid G agrees with requests on the parts of a
+        random split of G.  Rows of a grid are folded together, so the
+        agreement is to rounding, not bit for bit."""
+        request = data.draw(
+            st.sampled_from([r for r in requests if r.kind not in LONG_RUN_KINDS] or [None])
+        )
+        if request is None:
+            return
+        grid = data.draw(
+            st.lists(st.integers(0, 160), min_size=2, max_size=14, unique=True)
+        )
+        grid = np.array(grid) / 8.0  # points 1/8 apart: no horizon merging
+        if request.kind is MeasureKind.INTERVAL_REACHABILITY:
+            grid = grid + request.lower
+        part_of = np.array(
+            data.draw(st.lists(st.integers(0, 2), min_size=grid.size, max_size=grid.size))
+        )
+        parts = [np.flatnonzero(part_of == part) for part in np.unique(part_of)]
+        for lump in (False, True):
+            whole = session_values([dataclasses.replace(request, times=grid)], lump)[0]
+            pieces = session_values(
+                [dataclasses.replace(request, times=grid[part]) for part in parts], lump
+            )
+            split = np.empty_like(whole)
+            for part, values in zip(parts, pieces):
+                split[:, part] = values
+            np.testing.assert_allclose(split, whole, rtol=1e-14, atol=0.0)
 
     @pytest.mark.parametrize("lump", [False, True], ids=["unlumped", "lumped"])
     def test_line2_families_in_one_session_equal_one_session_per_family(self, lump):
@@ -803,9 +837,19 @@ class TestHorizonMerging:
         # Genuinely distinct horizons are NOT merged.
         assert 3.0 in representatives and 3.5 in representatives
 
-    def test_bundled_grids_with_float_noise_share_windows(self):
+    def test_bundled_grids_with_float_noise_share_windows(self, monkeypatch):
+        import repro.ctmc.artifacts as artifacts_module
         from repro.service import ArtifactCache
 
+        built_rows = []
+        build = artifacts_module.fox_glynn_table
+
+        def recording_build(rates, epsilon):
+            table = build(rates, epsilon)
+            built_rows.append(table.num_rows)
+            return table
+
+        monkeypatch.setattr(artifacts_module, "fox_glynn_table", recording_build)
         chain = random_chain(12, seed=19)
         lower = 0.5
         eps = np.finfo(float).eps
@@ -821,10 +865,11 @@ class TestHorizonMerging:
             for grid in (clean, noisy)
         ]
         results = session.execute()
-        # One Fox–Glynn window per *merged* backward horizon (4) plus the
-        # single forward window at t = lower; without the tolerant merge
-        # the noisy grid would double the backward windows.
-        assert cache.stats().kinds["foxglynn"].misses == 5
+        # Two Fox–Glynn tables: the backward grid, one row per *merged*
+        # horizon (4), and the forward grid at t = lower (1 row); without
+        # the tolerant merge the noisy grid would double the backward rows.
+        assert cache.stats().kinds["foxglynn"].misses == 2
+        assert sorted(built_rows) == [1, 4]
         np.testing.assert_allclose(
             results[indices[0]].squeezed, results[indices[1]].squeezed, atol=1e-12
         )

@@ -2,10 +2,46 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import sparse
 
+from ctmc_reference import rate_matrix_reference
 from repro.ctmc import CTMC, MarkovRewardModel, RewardStructure
 from repro.ctmc.ctmc import CTMCBuilder, CTMCError
+
+
+@st.composite
+def rate_matrix_inputs(draw):
+    """Rate matrices as callers hand them to ``CTMC``: dense arrays, or CSR
+    with unsorted indices, explicit zeros and some, all or no self-loops."""
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    num_states = draw(st.integers(1, 12))
+    dense = rng.random((num_states, num_states)) * (
+        rng.random((num_states, num_states)) < draw(st.sampled_from([0.2, 0.5, 1.0]))
+    )
+    loops = draw(st.sampled_from(["none", "some", "all"]))
+    diagonal = {
+        "none": np.zeros(num_states, dtype=bool),
+        "some": rng.random(num_states) < 0.5,
+        "all": np.ones(num_states, dtype=bool),
+    }[loops]
+    np.fill_diagonal(dense, np.where(diagonal, rng.random(num_states) + 0.1, 0.0))
+    if draw(st.booleans()):
+        return dense
+    # Stored entries: the non-zeros, every self-loop cell of ``diagonal``
+    # (some holding an explicit 0.0) and a few explicit off-diagonal zeros.
+    stored = (dense != 0.0) | np.diag(diagonal) | (rng.random(dense.shape) < 0.1)
+    rows, cols = np.nonzero(stored)
+    data = dense[rows, cols]
+    data[(rows == cols) & (rng.random(rows.shape[0]) < 0.3)] = 0.0
+    order = np.lexsort((rng.random(rows.shape[0]), rows))  # shuffled per row
+    indptr = np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=num_states))))
+    return sparse.csr_matrix(
+        (data[order], cols[order].astype(np.int32), indptr.astype(np.int32)),
+        shape=dense.shape,
+    )
 
 
 class TestConstruction:
@@ -20,6 +56,34 @@ class TestConstruction:
         chain = CTMC(rates, {0: 1.0})
         assert chain.num_transitions == 2
         assert chain.exit_rates == pytest.approx([1.0, 2.0])
+
+    def test_the_callers_matrix_is_left_unchanged(self):
+        given_matrix = sparse.csr_matrix([[0.5, 1, 0], [2, 0.1, 1], [0, 3, 0.2]])
+        before = [array.copy() for array in (
+            given_matrix.data, given_matrix.indices, given_matrix.indptr
+        )]
+        chain = CTMC(given_matrix, [1, 0, 0])
+        after = (given_matrix.data, given_matrix.indices, given_matrix.indptr)
+        for old, new in zip(before, after):
+            assert np.array_equal(old, new) and old.dtype == new.dtype
+        assert chain.num_transitions == 4
+        # Nor does the chain share the caller's arrays afterwards.
+        given_matrix.data[:] = 9.0
+        assert chain.exit_rates == pytest.approx([1.0, 3.0, 3.0])
+
+    @given(rate_matrix=rate_matrix_inputs())
+    @settings(max_examples=150, deadline=None)
+    def test_rate_matrix_matches_the_setdiag_reference(self, rate_matrix):
+        expected = rate_matrix_reference(rate_matrix)
+        chain = CTMC(rate_matrix, np.full(rate_matrix.shape[0], 1.0))
+        actual = chain.rate_matrix
+        for name in ("data", "indices", "indptr"):
+            mine, theirs = getattr(actual, name), getattr(expected, name)
+            assert mine.dtype == theirs.dtype, name
+            assert np.array_equal(mine, theirs), name
+        reference_chain = CTMC(expected, np.full(rate_matrix.shape[0], 1.0))
+        assert chain.fingerprint == reference_chain.fingerprint
+        assert np.array_equal(chain.exit_rates, reference_chain.exit_rates)
 
     def test_non_square_rejected(self):
         with pytest.raises(CTMCError):

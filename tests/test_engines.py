@@ -38,7 +38,7 @@ from repro.ctmc.engines import (
     sweep_backend,
     sweep_engine,
 )
-from repro.ctmc.foxglynn import fox_glynn
+from repro.ctmc.foxglynn import fox_glynn_table
 from repro.ctmc.linsolve import SolverEngine
 from repro.ctmc.steady_state import steady_state_distribution
 from repro.ctmc.uniformization import (
@@ -133,21 +133,19 @@ class TestBackendEquivalence:
         """Instantaneous reward of the last state on a grid, walked by the
         engine ``make_engine`` builds (``None``: the operator walked as CSR)."""
         operator, q = chain.uniformized_transpose()
-        windows = [fox_glynn(q * t, 1e-10) for t in np.linspace(0.1, 3.0, 6)]
+        table = fox_glynn_table(q * np.linspace(0.1, 3.0, 6), 1e-10)
         rewards = np.zeros(chain.num_states)
         rewards[-1] = 1.0
         _, sequence = poisson_mixture_sweep(
             operator,
             chain.initial_distribution,
-            windows,
+            table.matrix,
             rewards=rewards,
             collect_mixtures=False,
             stats=stats,
             engine=make_engine(operator) if make_engine is not None else None,
         )
-        return np.array(
-            [window.weights @ sequence[window.left : window.right + 1] for window in windows]
-        )
+        return table.fold(sequence)
 
     @staticmethod
     def _dense(operator):

@@ -22,6 +22,7 @@ from repro.ctmc import CTMC
 from repro.ctmc.ctmc import CTMCError
 from repro.ctmc.foxglynn import fox_glynn
 from repro.service import (
+    DEFAULT_MAX_ENTRIES,
     ArtifactCache,
     QueueFull,
     ScenarioService,
@@ -150,18 +151,22 @@ class TestCoalescing:
 class TestArtifactCache:
     def test_bounded_lru_eviction(self):
         cache = ArtifactCache(max_entries=2)
-        cache.fox_glynn_window(1.0, 1e-10)
-        cache.fox_glynn_window(2.0, 1e-10)
-        cache.fox_glynn_window(1.0, 1e-10)  # refresh 1.0 -> 2.0 becomes LRU
-        cache.fox_glynn_window(3.0, 1e-10)  # evicts 2.0
+        grid = np.array([1.0, 2.0])
+        cache.poisson_table(1.0, grid, 1e-10)
+        cache.poisson_table(2.0, grid, 1e-10)
+        cache.poisson_table(1.0, grid, 1e-10)  # refresh 1.0 -> 2.0 becomes LRU
+        cache.poisson_table(3.0, grid, 1e-10)  # evicts 2.0
         assert len(cache) == 2
         stats = cache.stats().kind("foxglynn")
         assert stats.evictions == 1
         assert stats.hits == 1
         misses_before = cache.stats().kind("foxglynn").misses
-        cache.fox_glynn_window(1.0, 1e-10)  # still cached: no new miss
-        cache.fox_glynn_window(2.0, 1e-10)  # was evicted: one new miss
+        cache.poisson_table(1.0, grid, 1e-10)  # still cached: no new miss
+        cache.poisson_table(2.0, grid, 1e-10)  # was evicted: one new miss
         assert cache.stats().kind("foxglynn").misses == misses_before + 1
+        # The grid is part of the key: the same rate on another grid misses.
+        cache.poisson_table(2.0, grid[:1], 1e-10)
+        assert cache.stats().kind("foxglynn").misses == misses_before + 2
 
     def test_rejects_degenerate_bound(self):
         with pytest.raises(ValueError):
@@ -169,10 +174,18 @@ class TestArtifactCache:
 
     def test_window_values_match_direct_fox_glynn(self):
         cache = ArtifactCache()
-        window = cache.fox_glynn_window(7.5, 1e-12)
-        direct = fox_glynn(7.5, 1e-12)
-        assert window.left == direct.left and window.right == direct.right
-        np.testing.assert_allclose(window.weights, direct.weights)
+        grid = np.array([0.5, 7.5, 40.0])
+        table = cache.poisson_table(1.5, grid, 1e-12)
+        for row, time in enumerate(grid):
+            window = table.row(row)
+            direct = fox_glynn(1.5 * time, 1e-12)
+            assert window.left == direct.left and window.right == direct.right
+            assert np.array_equal(window.weights, direct.weights)
+        # A table is weighed by its bytes, one unit per started 256 KiB.
+        assert cache.total_weight == 1
+        big = cache.poisson_table(1.5, np.linspace(0.01, 300.0, 2_000), 1e-12)
+        assert big.nbytes > 512 * 1024
+        assert cache.total_weight == 1 + -(-big.nbytes // (256 * 1024))
 
     def test_transformed_chain_hits_across_equal_content(self):
         chain = random_chain(8, seed=3)
@@ -210,6 +223,34 @@ class TestArtifactCache:
         assert deltas["foxglynn"] == 0
         assert deltas["transformed"] == 0
         assert deltas["operator"] == 0
+
+    def test_a_warm_registry_pass_misses_nothing_at_the_default_bound(self):
+        """The single-process cache holds the whole lumped paper portfolio:
+        a second pass over the eight registry families, one family at a
+        time, builds nothing and evicts nothing."""
+        registry = paper_registry()
+        assert len(registry.names) == 8
+        cache = ArtifactCache()
+        assert cache.max_entries == DEFAULT_MAX_ENTRIES
+
+        async def two_passes():
+            async with ScenarioService(
+                artifacts=cache, lump=True, coalesce_window=0.0
+            ) as service:
+                for name in registry.names:
+                    await service.submit_scenario(name)
+                warm = cache.stats()
+                for name in registry.names:
+                    await service.submit_scenario(name)
+                return warm
+
+        warm = asyncio.run(two_passes())
+        after = cache.stats()
+        assert after.kind("foxglynn").hits > warm.kind("foxglynn").hits
+        for kind, stats in after.kinds.items():
+            assert stats.misses == warm.kind(kind).misses, kind
+            assert stats.evictions == warm.kind(kind).evictions, kind
+            assert stats.evictions == 0, kind
 
     def test_services_without_a_cache_do_not_share_one(self):
         request = MeasureRequest(
