@@ -56,6 +56,7 @@ from pathlib import Path
 
 from repro.analysis import AnalysisSession, SessionStats
 from repro.casestudy import experiments as exp
+from repro.service.dispatcher import DEFAULT_COALESCE_WINDOW
 from repro.service.registry import MAX_GRID_POINTS, paper_registry
 
 #: Every experiment name, in the paper's order.
@@ -249,8 +250,11 @@ def build_serve_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--window",
         type=bounded(float, 0),
-        default=0.05,
-        help="coalescing window in seconds (default: 0.05)",
+        default=DEFAULT_COALESCE_WINDOW,
+        help=(
+            "coalescing window in seconds (default: %(default)s, group commit: "
+            "flush on arrival, and what arrives during a flush forms the next one)"
+        ),
     )
     parser.add_argument(
         "--max-batch",

@@ -114,7 +114,8 @@ class CTMC:
     ----------
     rate_matrix:
         Square sparse (or dense) matrix of transition rates; the diagonal is
-        ignored (self-loops carry no meaning in a CTMC and are dropped).
+        ignored (self-loops carry no meaning in a CTMC and are dropped), so
+        the chain's infinitesimal generator is accepted too.
     initial_distribution:
         Either a mapping ``{state_index: probability}`` or a full vector.
     labels:
@@ -131,8 +132,6 @@ class CTMC:
         given = sparse.csr_matrix(rate_matrix, dtype=float)
         if given.shape[0] != given.shape[1]:
             raise CTMCError(f"rate matrix must be square, got shape {given.shape}")
-        if given.nnz and given.data.min() < -1e-12:
-            raise CTMCError("rate matrix has negative rates")
         # Keep the off-diagonal non-zeros in input order, in new arrays: a
         # float CSR input shares its arrays with ``given``, so dropping
         # self-loops in place would rewrite the caller's matrix.
@@ -140,10 +139,15 @@ class CTMC:
             np.arange(given.shape[0], dtype=given.indices.dtype), np.diff(given.indptr)
         )
         keep = (given.indices != rows) & (given.data != 0.0)
+        rates = given.data[keep]
+        # Only kept entries are rates: an infinitesimal generator's negative
+        # diagonal is ignored like any other self-loop.
+        if rates.size and rates.min() < -1e-12:
+            raise CTMCError("rate matrix has negative rates")
         kept_before = np.concatenate(([0], np.cumsum(keep)))
         matrix = sparse.csr_matrix(
             (
-                given.data[keep],
+                rates,
                 given.indices[keep],
                 kept_before[given.indptr].astype(given.indptr.dtype),
             ),

@@ -6,9 +6,9 @@ self-healing; this module is how that claim is *proved*.  A
 hooked into the worker side of the shard wire protocol:
 
 ``kill``
-    The worker calls ``os._exit`` the moment it dequeues its N-th request
-    message — a hard crash with requests in flight, exactly what a
-    segfaulting or OOM-killed worker looks like from the parent.
+    The worker calls ``os._exit`` the moment it reaches its N-th request —
+    a hard crash with requests in flight, exactly what a segfaulting or
+    OOM-killed worker looks like from the parent.
 ``wedge``
     The worker blocks its message loop in a synchronous sleep.  The process
     stays *alive* (``process.join()`` never fires), so only the heartbeat
@@ -26,12 +26,14 @@ hooked into the worker side of the shard wire protocol:
     the caller's own deadline can recover it.
 
 Events are addressed by ``(shard, generation, at_message)`` where
-``at_message`` counts *request* messages (heartbeat pings and stats probes
-do not advance the counter, so adding monitoring never shifts a schedule)
-and ``generation`` is the worker incarnation — generation 0 is the
-initially spawned worker, each supervisor restart increments it.  Keying on
-the generation is what lets a schedule say "kill this shard once": the
-respawned worker runs fault-free instead of dying in a loop.
+``at_message`` counts *requests*: each entry of a ``requests`` message
+counts once, so a family sent as one message advances the counter by its
+size.  Chain uploads, heartbeat pings and stats probes do not advance it,
+so adding monitoring never shifts a schedule.  ``generation`` is the
+worker incarnation — generation 0 is the initially spawned worker, each
+supervisor restart increments it.  Keying on the generation is what lets a
+schedule say "kill this shard once": the respawned worker runs fault-free
+instead of dying in a loop.
 
 :meth:`ChaosPolicy.from_seed` derives the benchmark/CI schedule — one death
 per shard (one of them a wedge) at a seeded mid-run position — from a
@@ -81,9 +83,10 @@ class ChaosEvent:
     shard:
         Index of the target shard.
     at_message:
-        1-based request-message ordinal within the worker; the fault fires
-        when the worker dequeues (``kill``/``wedge``) or answers
-        (``corrupt``/``delay``/``drop``) that request.
+        1-based request ordinal within the worker (each entry of a
+        ``requests`` message counts once); the fault fires when the worker
+        reaches (``kill``/``wedge``) or answers (``corrupt``/``delay``/
+        ``drop``) that request.
     generation:
         Worker incarnation the event applies to (0 = initial spawn).
     delay:

@@ -3,15 +3,19 @@
 :class:`ScenarioService` is the multi-client front end over the batched
 analysis machinery.  Many concurrent clients ``await service.submit(...)``
 (or :meth:`~ScenarioService.submit_scenario` with a registry name); a
-single dispatcher task collects submissions across callers for a short
-*coalescing window* — cut short when the *size cap* is reached — and then
-flushes the whole batch through one :func:`repro.analysis.build_plan` /
-execution-unit pass:
+single dispatcher task flushes what is pending through one
+:func:`repro.analysis.build_plan` / execution-unit pass.  By default it
+works as a *group commit*: a free dispatcher flushes whatever is pending at
+once, and whatever arrives while a flush runs forms the next flush, so
+only work, never a timer, sits on a request's path.  A positive
+*coalescing window* instead keeps collecting for that long after the
+first pending submission, cut short when the *size cap* is reached.  In
+either mode one flush plans:
 
 * requests from different clients that agree on (chain, rate, grid,
   epsilon) merge into one group and therefore one uniformization sweep, so
-  ``N`` clients asking for the same curve family cost no more sweeps than
-  one batched session;
+  ``N`` clients asking for the same curve family at once cost no more
+  sweeps than one batched session;
 * independent execution units (regular groups, bundled interval
   signatures) run concurrently on a worker thread pool;
 * every submission owns a future that is resolved with exactly its own
@@ -62,10 +66,11 @@ from repro.ctmc.linsolve import LinearSolveStats
 from repro.ctmc.uniformization import DEFAULT_EPSILON, UniformizationStats
 from repro.service.registry import ScenarioRegistry, paper_registry
 
-#: Default coalescing window in seconds: long enough for an event-loop tick
-#: burst of client submissions to land in one flush, short enough to stay
-#: interactive.
-DEFAULT_COALESCE_WINDOW = 0.01
+#: Default coalescing window in seconds.  Zero is group commit: a free
+#: dispatcher flushes on arrival, and submissions landing during a flush
+#: form the next one.  A positive window makes every request wait it out,
+#: whether or not another submission comes.
+DEFAULT_COALESCE_WINDOW = 0.0
 
 #: Default size cap: a flush is triggered early once this many requests are
 #: pending, bounding both latency and batch memory.
@@ -330,7 +335,9 @@ class ScenarioService:
     ----------
     coalesce_window:
         Seconds the dispatcher keeps collecting submissions after the first
-        pending one before flushing (``0`` flushes every loop tick).
+        pending one before flushing.  ``0`` (the default) is group commit:
+        a free dispatcher flushes what is pending after one loop tick, and
+        what arrives during a flush waits only for that flush to end.
     max_batch:
         Pending-request count that cuts the window short.
     max_pending:
@@ -525,7 +532,7 @@ class ScenarioService:
         """Queue one request and await its result.
 
         The call coalesces with every other submission pending in the same
-        window; the returned result is exactly the slice this request would
+        flush; the returned result is exactly the slice this request would
         have received from a standalone session (values equal to 1e-12).
         With the pending queue at ``max_pending`` the call raises
         :class:`QueueFull` without enqueueing; ``timeout`` (or the service's
@@ -612,8 +619,9 @@ class ScenarioService:
                         break
                     self._arrival.clear()
             else:
-                # Window 0: give the current event-loop tick a chance to
-                # finish enqueueing (clients started together still merge).
+                # Group commit: give the current event-loop tick a chance to
+                # finish enqueueing (clients started together still merge),
+                # then flush; later arrivals queue for the next flush.
                 await asyncio.sleep(0)
                 self._arrival.clear()
             # The size cap genuinely bounds the flush: overflow from a

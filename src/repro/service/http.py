@@ -76,14 +76,16 @@ def _json_floats(array: np.ndarray) -> list:
 
     Long-run measures carry ``t = inf`` grid points and unreachable-target
     reward queries produce ``inf`` values; strict JSON has no spelling for
-    either, so they travel as ``null``.
+    either, so they travel as ``null``.  A finite array goes straight
+    through ``tolist()``; otherwise one mask writes the ``None`` entries.
     """
-    def convert(value):
-        if isinstance(value, list):
-            return [convert(item) for item in value]
-        return value if value is not None and np.isfinite(value) else None
-
-    return convert(np.asarray(array, dtype=float).tolist())
+    array = np.asarray(array, dtype=float)
+    finite = np.isfinite(array)
+    if finite.all():
+        return array.tolist()
+    values = array.astype(object)
+    values[~finite] = None
+    return values.tolist()
 
 
 def _jsonable(value: Any) -> Any:

@@ -3,16 +3,19 @@
 One :class:`repro.service.ScenarioService` coalesces heavy measure traffic
 inside a single process; :class:`ShardedScenarioService` scales that out
 across N *worker processes* (``multiprocessing`` spawn), each running its
-own service instance with its own :class:`repro.service.ArtifactCache` and
-worker pool.  The design is shared-nothing:
+own service instance, on one pool thread, with its own
+:class:`repro.service.ArtifactCache`.  The design is shared-nothing:
 
 * **Fingerprint routing / chain ownership** — every submission is routed by
   the content fingerprint of its chain (:func:`shard_for_fingerprint`), so
   one shard *owns* each chain: its LU factorizations, BSCC decompositions,
   lumping quotients and uniformized operators stay warm in that shard's
-  cache and are never duplicated across workers.  Requests for the same
-  chain also land in the same worker's coalescing window and plan by chain
-  fingerprint, so cross-client sweep sharing keeps working under shard-out:
+  cache and are never duplicated across workers.  A ``submit_many`` call
+  (a scenario family) reaches each shard it touches as one ``requests``
+  message, which the worker enqueues in one loop tick, so the family plans
+  there as one flush; requests that arrive while a flush runs, from any
+  client, plan together in the next one, by chain fingerprint.  So
+  cross-client sweep sharing keeps working under shard-out:
   ``benchmarks/bench_perf_sharded_service.py`` gates that duplicated
   clients on a 1-shard front cost exactly the single-process sweep count.
 * **Content-addressed chain transport** — each chain crosses the wire to a
@@ -31,8 +34,9 @@ worker pool.  The design is shared-nothing:
   the front aggregates for ``/metrics`` (and which the benchmarks gate on).
 * **Backpressure and deadlines** — ``submit()`` raises
   :class:`~repro.service.QueueFull` once ``max_pending`` requests are in
-  flight, and a per-request ``timeout`` abandons only that caller's future
-  (the shard keeps computing; a late response is discarded).
+  flight (``submit_many`` rejects each of its requests then), and a
+  per-request ``timeout`` abandons only that caller's future (the shard
+  keeps computing; a late response is discarded).
 
 The front is *supervised*, not merely fail-fast — the failure model the
 paper applies to the water-treatment plant (components fail, repair units
@@ -73,22 +77,27 @@ The wire protocol is deliberately tiny (tuples over two ``multiprocessing``
 queues per shard, variable parts pre-pickled so serialization errors fail
 the offending request instead of wedging a queue feeder thread):
 
-========================================  ==================================
-parent → worker                           worker → parent
-========================================  ==================================
-``("chain", key, chain_bytes)``           ``("result", id, payload_bytes)``
-``("request", id, request_bytes)``        ``("error", id, exc_bytes, text)``
-``("stats", id)``                         ``("stats", id, snapshot_bytes)``
-``("ping", id)``                          ``("pong", id)``
+=================================================  ================================
+parent → worker                                    worker → parent
+=================================================  ================================
+``("chain", key, chain_bytes)``                    ``("result", id, payload_bytes)``
+``("requests", [(id, request_bytes), ...])``       ``("error", id, exc_bytes, text)``
+``("stats", id)``                                  ``("stats", id, snapshot_bytes)``
+``("ping", id)``                                   ``("pong", id)``
 ``("shutdown",)``
-========================================  ==================================
+=================================================  ================================
 
 ``request_bytes`` is the pickled request with its ``chain`` field replaced
 by the chain's content key; a mostly-zero initial distribution travels as
-its non-zero entries.  Ordering rule: the front puts ``("chain", ...)``
-on a worker's queue ahead of the first request on that chain, the queue is
-FIFO, and the worker installs a chain before it reads its next message, so
-a request never arrives ahead of its chain.  Results travel as plain arrays
+its non-zero entries.  One ``requests`` message carries every request of
+one ``submit_many`` call (or one retry or re-dispatch round) routed to that
+shard; ``submit`` sends a one-element list.  Everything else stays per
+request: each entry has its own id, result or error message, deadline,
+retry budget and failover route, and counts once in a chaos schedule.
+Ordering rule: the front puts ``("chain", ...)`` on a worker's queue ahead
+of the first ``requests`` message on that chain, the queue is FIFO, and
+the worker installs a chain before it reads its next message, so a
+request never arrives ahead of its chain.  Results travel as plain arrays
 (times, values, group index, lump size) and are re-attached to the caller's
 original request object, so the parent never unpickles a chain.
 """
@@ -223,14 +232,18 @@ async def _shard_worker(
     responses: Any,
     config: dict,
 ) -> None:
-    """The asyncio body of one worker: an in-process service fed by a queue."""
+    """The asyncio body of one worker: an in-process service fed by a queue.
+
+    The service runs on one pool thread: the worker process is already the
+    unit of parallelism, and more threads in it only contend for its GIL.
+    """
     service = ScenarioService(
         coalesce_window=config["coalesce_window"],
         max_batch=config["max_batch"],
         lump=config["lump"],
         epsilon=config["epsilon"],
         artifacts=ArtifactCache(config["max_entries"]),
-        max_workers=config["max_workers"],
+        max_workers=1,
     )
     loop = asyncio.get_running_loop()
     tasks: set[asyncio.Task] = set()
@@ -327,26 +340,30 @@ async def _shard_worker(
                 except Exception as error:
                     chains[message[1]] = error
                 continue
-            # kind == "request": the only message class chaos schedules key
-            # on, so heartbeats and stats probes never shift a schedule.
-            request_count += 1
-            event = script.get(request_count)
-            if event is not None:
-                if event.action == "kill":
-                    os._exit(event.exit_code)
-                if event.action == "wedge":
-                    # Block the message loop synchronously: the process
-                    # stays alive but stops answering pings — only the
-                    # heartbeat timeout can catch this.  If the supervisor
-                    # never kills us (heartbeats disabled), serve the
-                    # request normally after the hold.
-                    time.sleep(event.delay or DEFAULT_WEDGE_HOLD)
-                    event = None
-                elif event.action not in ("corrupt", "delay", "drop"):
-                    event = None  # pragma: no cover - future-proofing
-            task = loop.create_task(run_request(message[1], message[2], event))
-            tasks.add(task)
-            task.add_done_callback(tasks.discard)
+            # kind == "requests".  Its entries are what chaos schedules count,
+            # one each, so heartbeats and stats probes never shift a
+            # schedule.  Every entry's task is created in this loop tick, so
+            # all of them enqueue before the dispatcher runs again and the
+            # batch plans as one flush.
+            for request_id, payload in message[1]:
+                request_count += 1
+                event = script.get(request_count)
+                if event is not None:
+                    if event.action == "kill":
+                        os._exit(event.exit_code)
+                    if event.action == "wedge":
+                        # Block the message loop synchronously: the process
+                        # stays alive but stops answering pings — only the
+                        # heartbeat timeout can catch this.  If the
+                        # supervisor never kills us (heartbeats disabled),
+                        # serve the request normally after the hold.
+                        time.sleep(event.delay or DEFAULT_WEDGE_HOLD)
+                        event = None
+                    elif event.action not in ("corrupt", "delay", "drop"):
+                        event = None  # pragma: no cover - future-proofing
+                task = loop.create_task(run_request(request_id, payload, event))
+                tasks.add(task)
+                task.add_done_callback(tasks.discard)
         if tasks:
             await asyncio.gather(*tasks, return_exceptions=True)
 
@@ -403,6 +420,17 @@ def _request_payload(request: MeasureRequest) -> bytes:
     )
 
 
+def _request_payloads(requests: list[MeasureRequest]) -> list[bytes | Exception]:
+    """Each request's wire form, or the error that stopped it (one per request)."""
+    payloads: list[bytes | Exception] = []
+    for request in requests:
+        try:
+            payloads.append(_request_payload(request))
+        except Exception as error:
+            payloads.append(error)
+    return payloads
+
+
 @dataclass
 class ShardSnapshot:
     """One shard's shared-nothing stats summary (the ``stats`` reply)."""
@@ -452,7 +480,7 @@ class ShardedServiceStats:
     chain_uploads: int = 0
     #: Pickled size of those chain uploads.
     chain_bytes: int = 0
-    #: Pickled size of every request message sent (retries included).
+    #: Pickled size of every request payload sent (retries included).
     request_bytes: int = 0
 
     def summary(self) -> str:
@@ -533,8 +561,9 @@ class ShardedScenarioService:
     num_shards:
         Worker-process count; each runs one :class:`ScenarioService` with a
         private :class:`ArtifactCache`.
-    coalesce_window, max_batch, lump, epsilon, max_workers:
-        Forwarded to every worker's in-process service.
+    coalesce_window, max_batch, lump, epsilon:
+        Forwarded to every worker's in-process service, which runs on one
+        pool thread.
     max_pending:
         Bound on in-flight submissions across the whole front; beyond it
         ``submit()`` raises :class:`~repro.service.QueueFull`.
@@ -596,7 +625,6 @@ class ShardedScenarioService:
         default_timeout: float | None = None,
         lump: bool = False,
         epsilon: float = DEFAULT_EPSILON,
-        max_workers: int | None = None,
         max_entries: int = DEFAULT_MAX_ENTRIES,
         registry: ScenarioRegistry | None = None,
         start_method: str = "spawn",
@@ -673,7 +701,6 @@ class ShardedScenarioService:
             "lump": bool(lump),
             "epsilon": float(epsilon),
             "max_entries": int(max_entries),
-            "max_workers": max_workers,
             "chaos": chaos,
         }
         self._start_method = start_method
@@ -900,8 +927,8 @@ class ShardedScenarioService:
         """Supervise one worker death: budget the restart, recover in-flight.
 
         Runs on the event loop.  The dead incarnation's in-flight requests
-        are resubmitted through :meth:`_dispatch_entry` (failover or park)
-        while their retry budget lasts; control-plane probes and exhausted
+        are resubmitted through :meth:`_route` (failover or park) while
+        their retry budget lasts; control-plane probes and exhausted
         requests fail with :class:`ShardCrashed`.
         """
         if shard.generation != generation:
@@ -936,20 +963,23 @@ class ShardedScenarioService:
                 delay, self._begin_respawn, shard, shard.generation
             )
         shard.death_times = deaths
-        for entry in entries:
-            self._recover_entry(entry, shard, cause)
+        retried = [
+            entry for entry in entries if self._retry_budgeted(entry, shard, cause)
+        ]
+        self._route(retried)
         if shard.state == STATE_BROKEN:
             # Chains parked for this shard may have lost their last route.
             self._drain_parked()
 
-    def _recover_entry(self, entry: _Inflight, shard: _Shard, cause: str) -> None:
+    def _retry_budgeted(self, entry: _Inflight, shard: _Shard, cause: str) -> bool:
+        """Charge one retry to a dead incarnation's entry, or fail it."""
         if entry.future.done():
-            return
+            return False
         if entry.request is None:  # control-plane probe: never retried
             entry.future.set_exception(
                 ShardCrashed(f"shard {shard.index} worker {cause}")
             )
-            return
+            return False
         if entry.attempts >= self.retry_limit:
             self.stats.failed += 1
             entry.future.set_exception(
@@ -958,16 +988,12 @@ class ShardedScenarioService:
                     f"({self.retry_limit}) exhausted"
                 )
             )
-            return
+            return False
         # Measure requests are pure and idempotent: resubmitting one to a
         # restarted or failover worker recomputes the same values.
         entry.attempts += 1
         self.stats.retries += 1
-        try:
-            self._dispatch_entry(entry)
-        except Exception as error:  # no route left, or an unsendable chain
-            self.stats.failed += 1
-            entry.future.set_exception(error)
+        return True
 
     def _begin_respawn(self, shard: _Shard, generation: int) -> None:
         shard.restart_handle = None
@@ -1084,8 +1110,33 @@ class ShardedScenarioService:
     # ------------------------------------------------------------------
     # routing
     # ------------------------------------------------------------------
-    def _dispatch_entry(self, entry: _Inflight) -> None:
-        """Route one submission: owner shard, failover candidate, or park.
+    def _route(self, entries: list[_Inflight]) -> list[Exception]:
+        """Route submissions and send one ``requests`` message per shard.
+
+        Each entry goes to its owner shard, a failover candidate, or the
+        parked list (:meth:`_place`).  An entry that cannot be placed fails
+        its own future; the errors are returned.
+        """
+        batches: dict[int, list[tuple[int, bytes]]] = {}
+        errors: list[Exception] = []
+        for entry in entries:
+            try:
+                target = self._place(entry)
+            except Exception as error:  # no route left, or an unsendable chain
+                self.stats.failed += 1
+                entry.future.set_exception(error)
+                errors.append(error)
+                continue
+            if target is not None:
+                batches.setdefault(target.index, []).append(
+                    (entry.request_id, entry.payload)
+                )
+        for index, batch in batches.items():
+            self._shards[index].requests.put(("requests", batch))
+        return errors
+
+    def _place(self, entry: _Inflight) -> _Shard | None:
+        """Pick one submission's shard and register it there (None: parked).
 
         The request's chain goes out first when the target's current
         incarnation does not hold it yet (see the module docstring's
@@ -1112,7 +1163,7 @@ class ShardedScenarioService:
                 entry.shard_index = None
                 entry.request_id = None
                 self._parked.append(entry)
-                return
+                return None
             raise ShardCrashed(
                 f"chain {chain.fingerprint[:12]}... cannot be "
                 f"served: owner shard {owner} is {self._shards[owner].state} "
@@ -1138,19 +1189,12 @@ class ShardedScenarioService:
             self.stats.routed.get(target.index, 0) + 1
         )
         self.stats.request_bytes += len(entry.payload)
-        target.requests.put(("request", request_id, entry.payload))
+        return target
 
     def _drain_parked(self) -> None:
         """Re-dispatch parked submissions after a shard state change."""
         parked, self._parked = self._parked, []
-        for entry in parked:
-            if entry.future.done():
-                continue
-            try:
-                self._dispatch_entry(entry)  # may re-park
-            except Exception as error:  # no route left, or an unsendable chain
-                self.stats.failed += 1
-                entry.future.set_exception(error)
+        self._route([entry for entry in parked if not entry.future.done()])
 
     def _discard_entry(self, entry: _Inflight) -> None:
         """Drop a settled/abandoned submission from wherever it lives now."""
@@ -1244,14 +1288,33 @@ class ShardedScenarioService:
         only this caller's future.  Worker deaths are transparent while
         the retry budget lasts; :class:`ShardCrashed` is raised fast only
         when no shard can serve the chain at all (counted in
-        ``stats.routed_dead``).
+        ``stats.routed_dead``).  The one-request case of
+        :meth:`submit_many`.
+        """
+        (result,) = await self.submit_many([request], timeout=timeout)
+        return result
+
+    async def submit_many(
+        self, requests: list[MeasureRequest], timeout: float | None = None
+    ) -> list[MeasureResult]:
+        """Route several requests and await all their results.
+
+        The payloads are pickled in one executor hop, and each shard the
+        requests touch gets them in one ``requests`` message, so the batch
+        plans there as one flush.  Each request keeps the semantics of
+        :meth:`submit`: at ``max_pending`` every request of the call is
+        rejected (each counted in ``stats.rejected``), and deadlines,
+        retries, failover and errors apply to each request alone.  Like
+        :meth:`ScenarioService.submit_many`, the first failure is raised
+        only after every sibling future has settled.
         """
         self._ensure_ready()
+        requests = list(requests)
         if (
             self.max_pending is not None
             and self._inflight_count() >= self.max_pending
         ):
-            self.stats.rejected += 1
+            self.stats.rejected += len(requests)
             raise QueueFull(
                 f"sharded service has {self._inflight_count()} requests in flight "
                 f"(max_pending={self.max_pending}); back off and resubmit"
@@ -1260,19 +1323,36 @@ class ShardedScenarioService:
         # The first content key of a chain object hashes its rate matrix;
         # keep that (and the pickling) off the event loop, which also serves
         # HTTP traffic.
-        payload = await self._loop.run_in_executor(None, _request_payload, request)
-        entry = _Inflight(
-            future=self._loop.create_future(), request=request, payload=payload
+        payloads = await self._loop.run_in_executor(
+            None, _request_payloads, requests
         )
-        self.stats.submissions += 1
-        try:
-            self._dispatch_entry(entry)
-        except Exception as error:
-            if isinstance(error, ShardCrashed):
-                self.stats.routed_dead += 1
-            self.stats.failed += 1
-            raise
+        entries = [
+            _Inflight(future=self._loop.create_future(), request=request, payload=payload)
+            for request, payload in zip(requests, payloads)
+            if not isinstance(payload, Exception)
+        ]
+        self.stats.submissions += len(entries)
+        self.stats.routed_dead += sum(
+            isinstance(error, ShardCrashed) for error in self._route(entries)
+        )
         timeout = self.default_timeout if timeout is None else timeout
+        settled = iter(
+            await asyncio.gather(
+                *(self._settle(entry, timeout) for entry in entries),
+                return_exceptions=True,
+            )
+        )
+        outcomes = [
+            payload if isinstance(payload, Exception) else next(settled)
+            for payload in payloads
+        ]
+        for outcome in outcomes:
+            if isinstance(outcome, BaseException):
+                raise outcome
+        return outcomes
+
+    async def _settle(self, entry: _Inflight, timeout: float | None) -> MeasureResult:
+        """Await one submission under its deadline, then forget it."""
         try:
             return await await_with_deadline(
                 entry.future,
@@ -1282,23 +1362,6 @@ class ShardedScenarioService:
             )
         finally:
             self._discard_entry(entry)
-
-    async def submit_many(
-        self, requests: list[MeasureRequest], timeout: float | None = None
-    ) -> list[MeasureResult]:
-        """Submit several requests (each routed independently) and await all.
-
-        Like :meth:`ScenarioService.submit_many`: the first failure is
-        raised only after every sibling future has settled.
-        """
-        settled = await asyncio.gather(
-            *(self.submit(request, timeout=timeout) for request in requests),
-            return_exceptions=True,
-        )
-        for outcome in settled:
-            if isinstance(outcome, BaseException):
-                raise outcome
-        return list(settled)
 
     async def submit_scenario(
         self, name: str, points: int | None = None, timeout: float | None = None

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import sparse
 
@@ -92,6 +92,25 @@ class TestConstruction:
     def test_negative_rate_rejected(self):
         with pytest.raises(CTMCError):
             CTMC(np.array([[0.0, -1.0], [0.0, 0.0]]), {0: 1.0})
+
+    @given(rate_matrix=rate_matrix_inputs())
+    @example(rate_matrix=np.array([[0.0, 1.0], [2.0, 0.0]]))  # generator [[-1, 1], [2, -2]]
+    @settings(max_examples=100, deadline=None)
+    def test_generator_and_rate_matrix_forms_agree(self, rate_matrix):
+        rates = rate_matrix.toarray() if sparse.issparse(rate_matrix) else rate_matrix
+        np.fill_diagonal(rates, 0.0)
+        generator = rates - np.diag(rates.sum(axis=1))
+        initial = np.full(rates.shape[0], 1.0)
+        expected = CTMC(rates, initial)
+        for form in (generator, sparse.csr_matrix(generator)):
+            chain = CTMC(form, initial)
+            for name in ("data", "indices", "indptr"):
+                mine = getattr(chain.rate_matrix, name)
+                theirs = getattr(expected.rate_matrix, name)
+                assert mine.dtype == theirs.dtype, name
+                assert np.array_equal(mine, theirs), name
+            assert np.array_equal(chain.exit_rates, expected.exit_rates)
+            assert chain.fingerprint == expected.fingerprint
 
     def test_initial_distribution_validation(self):
         rates = np.zeros((2, 2))

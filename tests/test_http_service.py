@@ -27,6 +27,7 @@ from repro.service import (
     ShardedScenarioService,
     paper_registry,
 )
+from repro.service.http import _json_floats
 from repro.service.registry import MAX_GRID_POINTS
 
 POINTS = 7
@@ -140,6 +141,40 @@ class TestShardedRoundTrip:
             line.startswith('repro_http_requests_total{route="POST /scenario"')
             for line in lines
         )
+
+
+# ---------------------------------------------------------------------------
+# JSON encoding of result arrays
+# ---------------------------------------------------------------------------
+def json_floats_per_element(array) -> list:
+    """The per-element conversion ``_json_floats`` replaced (the reference)."""
+
+    def convert(value):
+        if isinstance(value, list):
+            return [convert(item) for item in value]
+        return value if value is not None and np.isfinite(value) else None
+
+    return convert(np.asarray(array, dtype=float).tolist())
+
+
+@pytest.mark.parametrize(
+    "array",
+    [
+        np.array([0.5, np.inf, -np.inf, np.nan, -0.0, 1e-300, 0.0]),
+        np.array([[1.0, -0.0, np.nan], [np.inf, 2.5, -np.inf]]),
+        np.random.default_rng(5).random((3, 4)),
+        np.array([[0.1, 0.2], [-0.0, 0.3]]),
+        np.array([[np.nan]]),
+        np.array(np.inf),
+        np.array(-0.0),
+        np.zeros((2, 0)),
+        [1, 2, 3],
+    ],
+    ids=["mixed", "2d-mixed", "2d-finite", "2d-negative-zero", "2d-nan", "0d-inf",
+         "0d-negative-zero", "empty-2d", "int-list"],
+)
+def test_json_floats_bytes_match_the_per_element_conversion(array):
+    assert json.dumps(_json_floats(array)) == json.dumps(json_floats_per_element(array))
 
 
 # ---------------------------------------------------------------------------

@@ -11,13 +11,18 @@ dispatcher.  The content-addressed chain transport is covered too: each
 chain content key is uploaded once per worker, chains that share a rate
 matrix keep their own initials and labels, mostly-zero initial
 distributions travel as their entries, and duplicated clients cost the
-single-process sweep count.
+single-process sweep count.  Registry passes do the same work in process
+and on 1 and 2 shards (values, sweeps, one flush per family and shard),
+and the worker loop itself runs in-process on plain queues, so its body
+is covered without a spawned process.
 """
 
 from __future__ import annotations
 
 import asyncio
 import pickle
+import queue
+import threading
 from dataclasses import replace
 
 import numpy as np
@@ -25,8 +30,14 @@ import pytest
 
 from repro.analysis import MeasureKind, MeasureRequest
 from repro.ctmc import CTMC
+from repro.ctmc.uniformization import DEFAULT_EPSILON
 from repro.service import (
+    DEFAULT_COALESCE_WINDOW,
+    DEFAULT_MAX_BATCH,
+    DEFAULT_MAX_ENTRIES,
     ArtifactCache,
+    ChaosEvent,
+    ChaosPolicy,
     QueueFull,
     ScenarioService,
     ScenarioTimeout,
@@ -36,7 +47,7 @@ from repro.service import (
     paper_registry,
     shard_for_fingerprint,
 )
-from repro.service.shard import _request_payload, _SparseVectors
+from repro.service.shard import _request_payload, _shard_worker_main, _SparseVectors
 
 NUM_SHARDS = 2
 
@@ -188,6 +199,129 @@ class TestShardedPortfolio:
                 line.startswith(f'repro_shard_routed_total{{shard="{index}"}}')
                 for line in lines
             )
+
+
+# ---------------------------------------------------------------------------
+# one process = 1 shard = N shards, flush for flush
+# ---------------------------------------------------------------------------
+class TestWorkInvariance:
+    def test_registry_passes_do_the_same_work_on_every_front(self):
+        # Two sequential passes of every registry family, every setting at
+        # its default except lumping (on, as ``serve`` runs).  A family call
+        # plans as one flush in process and on one shard, and as one flush
+        # per shard it touches on two.
+        registry = paper_registry()
+        points = 9
+        pairs = sum(
+            len({
+                shard_for_fingerprint(request.chain.fingerprint, NUM_SHARDS)
+                for request in registry.expand(name, points=points)
+            })
+            for name in registry.names
+        )
+
+        async def two_passes(service):
+            return [
+                await service.submit_scenario(name, points=points)
+                for _ in range(2)
+                for name in registry.names
+            ]
+
+        async def in_process():
+            async with ScenarioService(lump=True) as service:
+                families = await two_passes(service)
+                return families, service.stats.session.sweeps, service.stats.flushes
+
+        async def front(num_shards):
+            async with ShardedScenarioService(num_shards, lump=True) as sharded:
+                families = await two_passes(sharded)
+                snapshots = await sharded.shard_snapshots()
+            return (
+                families,
+                sum(snapshot.service.session.sweeps for snapshot in snapshots),
+                sum(snapshot.service.flushes for snapshot in snapshots),
+            )
+
+        runs = [
+            asyncio.run(in_process()),
+            asyncio.run(front(1)),
+            asyncio.run(front(NUM_SHARDS)),
+        ]
+        reference = runs[0][0]
+        for families, _sweeps, _flushes in runs[1:]:
+            for family, expected in zip(families, reference):
+                assert [request.tag for request, _ in family] == [
+                    request.tag for request, _ in expected
+                ]
+                for (_, result), (_, reference_result) in zip(family, expected):
+                    assert np.array_equal(result.times, reference_result.times)
+                    assert np.array_equal(result.values, reference_result.values)
+        assert pairs == 12
+        assert [sweeps for _, sweeps, _ in runs] == [64, 64, 64]
+        assert [flushes for _, _, flushes in runs] == [16, 16, 2 * pairs]
+
+
+# ---------------------------------------------------------------------------
+# the worker loop, driven in-process through plain queues
+# ---------------------------------------------------------------------------
+class TestWorkerLoop:
+    @pytest.mark.parametrize(
+        "chaos", [None, ChaosEvent("drop", 0, 2)], ids=["plain", "drop-2"]
+    )
+    def test_a_requests_batch_plans_as_one_flush_on_one_thread(self, chaos):
+        chain = chain_owned_by(0)
+        requests = [
+            reachability_request(chain, times)
+            for times in ((0.5,), (1.0, 2.0), (0.25, 4.0), (3.0,))
+        ]
+        expected = single_process_values(requests)
+        ids = [100 + position for position in range(len(requests))]
+        dropped = {ids[1]} if chaos is not None else set()
+        inbox: queue.Queue = queue.Queue()
+        outbox: queue.Queue = queue.Queue()
+        config = {
+            "coalesce_window": DEFAULT_COALESCE_WINDOW,
+            "max_batch": DEFAULT_MAX_BATCH,
+            "lump": False,
+            "epsilon": DEFAULT_EPSILON,
+            "max_entries": DEFAULT_MAX_ENTRIES,
+            "chaos": ChaosPolicy([chaos] if chaos is not None else []),
+        }
+        worker = threading.Thread(
+            target=_shard_worker_main, args=(0, inbox, outbox, config), daemon=True
+        )
+        worker.start()
+        try:
+            assert outbox.get(timeout=30) == ("pong", -1)
+            inbox.put(("chain", chain.content_key, pickle.dumps(chain)))
+            inbox.put(
+                ("requests", [
+                    (request_id, _request_payload(request))
+                    for request_id, request in zip(ids, requests)
+                ])
+            )
+            results = {}
+            while len(results) < len(requests) - len(dropped):
+                kind, request_id, body = outbox.get(timeout=30)
+                assert kind == "result"
+                results[request_id] = pickle.loads(body)
+            inbox.put(("stats", 7))
+            kind, probe, snapshot = outbox.get(timeout=30)
+        finally:
+            inbox.put(("shutdown",))
+            worker.join(timeout=30)
+        assert not worker.is_alive()
+        assert outbox.empty()  # a dropped response never arrives
+        assert (kind, probe) == ("stats", 7)
+        assert set(results) == set(ids) - dropped
+        for request_id, values in zip(ids, expected):
+            if request_id in results:
+                assert np.array_equal(results[request_id]["values"], values)
+        service, _cache, fingerprints, threads = pickle.loads(snapshot)
+        assert service.flushes == 1
+        assert service.completed == len(requests)
+        assert chain.fingerprint in fingerprints
+        assert threads["pool_max_workers"] == 1
 
 
 # ---------------------------------------------------------------------------
@@ -380,6 +514,11 @@ class TestShardedBackpressure:
                     await asyncio.sleep(0.01)
                 with pytest.raises(QueueFull):
                     await sharded.submit(reachability_request(overflow_chain))
+                # A batch is rejected request by request: both count.
+                with pytest.raises(QueueFull):
+                    await sharded.submit_many(
+                        [reachability_request(overflow_chain)] * 2
+                    )
                 results = await asyncio.gather(*inflight)
                 # Capacity freed: the rejected request succeeds on retry.
                 retry = await sharded.submit(reachability_request(overflow_chain))
@@ -387,7 +526,7 @@ class TestShardedBackpressure:
 
         results, retry, stats = asyncio.run(run())
         assert len(results) == 2 and retry.values.shape == (1, 3)
-        assert stats.rejected == 1
+        assert stats.rejected == 3
         assert stats.completed == 3
 
     def test_timeout_cancels_only_its_own_future(self):
@@ -532,6 +671,24 @@ class TestChainTransport:
         assert single_sweeps == 4
         assert sharded_sweeps == single_sweeps
         assert uploads == 4
+
+    def test_unpicklable_request_fails_alone_in_its_batch(self):
+        chain = chain_owned_by(0)
+        unpicklable = replace(reachability_request(chain), tag=Unpicklable())
+        batch = [reachability_request(chain), unpicklable, reachability_request(chain)]
+
+        async def run():
+            async with ShardedScenarioService(
+                NUM_SHARDS, heartbeat_interval=None
+            ) as sharded:
+                with pytest.raises(TypeError, match="cannot be pickled"):
+                    await sharded.submit_many(batch)
+                return sharded.stats
+
+        stats = asyncio.run(run())
+        # Its siblings were sent and completed before the error was raised.
+        assert stats.submissions == 2 and stats.completed == 2
+        assert stats.failed == 0
 
     def test_unsendable_chain_fails_only_its_own_submission(self):
         healthy = chain_owned_by(0)
