@@ -13,8 +13,13 @@ rather than crashing** — must complete with
   recovery**, with retry/failover counts consistent with the schedule
   (every injected death is visible in the counters).
 
-The schedule comes from :meth:`ChaosPolicy.from_seed`; CI rotates the seed
-per run (``REPRO_CHAOS_SEED=$GITHUB_RUN_ID``) so coverage walks the
+The schedule comes from :meth:`ChaosPolicy.from_seed`, with each death at
+a request position every shard reaches (2 up to the smallest per-shard
+share of the portfolio).  The portfolio goes family by family, as
+``POST /scenario`` sends it, so a death lands mid-portfolio: the seed
+decides which family is in flight, how many of its requests retry and how
+many later families fail over while the worker restarts.  CI rotates the
+seed per run (``REPRO_CHAOS_SEED=$GITHUB_RUN_ID``) so coverage walks the
 schedule space while any failure replays exactly from the seed printed in
 the report.  Measurements (wall-clock, deviation, supervision counters and
 the schedule itself) are recorded into ``BENCH_resilience.json`` (override
@@ -28,6 +33,7 @@ import asyncio
 import json
 import os
 import time as time_module
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -40,6 +46,7 @@ from repro.service import (
     ShardedScenarioService,
     chaos_seed,
     paper_registry,
+    shard_for_fingerprint,
 )
 
 FAST = bool(os.environ.get("REPRO_BENCH_FAST"))
@@ -66,22 +73,25 @@ def _record(key: str, payload: dict) -> None:
     )
 
 
-def _portfolio():
-    """Every scenario family the paper registry knows."""
-    return [
-        request
-        for name in _REGISTRY.names
-        for request in _REGISTRY.expand(name, points=POINTS)
-    ]
+def _families():
+    """Every scenario family the paper registry knows, in registry order."""
+    return [_REGISTRY.expand(name, points=POINTS) for name in _REGISTRY.names]
 
 
 def test_portfolio_survives_kill_each_shard_once(benchmark):
     """Chaos gate: full portfolio, every worker dies once, zero failures."""
     seed = chaos_seed()
-    # One death per shard at a seeded early-portfolio position; exactly one
-    # of them wedges (exercising the heartbeat path) while the rest crash.
-    chaos = ChaosPolicy.from_seed(seed, NUM_SHARDS, horizon=6, wedge_shards=1)
-    portfolio = _portfolio()
+    families = _families()
+    portfolio = [request for family in families for request in family]
+    # One death per shard at a seeded position that its first worker is
+    # sure to reach: each shard receives at least the requests it owns.
+    # Exactly one of them wedges (exercising the heartbeat path).
+    owned = Counter(
+        shard_for_fingerprint(request.chain.fingerprint, NUM_SHARDS)
+        for request in portfolio
+    )
+    horizon = min(owned[shard] for shard in range(NUM_SHARDS))
+    chaos = ChaosPolicy.from_seed(seed, NUM_SHARDS, horizon=horizon, wedge_shards=1)
 
     async def baseline():
         service = ScenarioService(
@@ -112,7 +122,9 @@ def test_portfolio_survives_kill_each_shard_once(benchmark):
                 retry_limit=6,
                 restart_limit=8,
             ) as sharded:
-                results = await sharded.submit_many(list(portfolio))
+                results = []
+                for family in families:
+                    results += await sharded.submit_many(family)
                 return results, sharded.stats
 
         return asyncio.run(run())

@@ -37,6 +37,7 @@ from __future__ import annotations
 
 from collections.abc import Iterable
 from dataclasses import dataclass
+from typing import ClassVar
 
 from repro.ctmc.artifacts import ArtifactCache
 from repro.ctmc.linsolve import LinearSolveStats
@@ -44,10 +45,11 @@ from repro.ctmc.uniformization import DEFAULT_EPSILON, UniformizationStats
 from repro.analysis.executor import execute_plan
 from repro.analysis.planner import ExecutionPlan, build_plan
 from repro.analysis.requests import MeasureRequest, MeasureResult
+from repro.stats import Record
 
 
 @dataclass
-class SessionStats:
+class SessionStats(Record):
     """Work counters aggregated over one or more ``execute()`` calls.
 
     ``matvecs``/``applies``/``sparse_flops``/``sweeps`` follow the engine's
@@ -64,6 +66,8 @@ class SessionStats:
     on either backend; ``dense_factorizations`` counts how many of the LU
     builds took the dense LAPACK path.
     """
+
+    label: ClassVar[str] = "session"
 
     requests: int = 0
     groups: int = 0
@@ -100,31 +104,6 @@ class SessionStats:
         self.factor_seconds += linear.factor_seconds
         self.solve_seconds += linear.solve_seconds
 
-    def absorb(self, other: "SessionStats") -> None:
-        """Accumulate another stats object field-by-field.
-
-        Used by the sharded scenario service to merge per-shard session
-        counters into one aggregate for ``/metrics``.
-        """
-        self.requests += other.requests
-        self.groups += other.groups
-        self.sweeps += other.sweeps
-        self.matvecs += other.matvecs
-        self.applies += other.applies
-        self.sparse_flops += other.sparse_flops
-        self.equivalent_nnz += other.equivalent_nnz
-        self.sweep_seconds += other.sweep_seconds
-        self.factorizations += other.factorizations
-        self.dense_factorizations += other.dense_factorizations
-        self.linear_solves += other.linear_solves
-        self.solved_columns += other.solved_columns
-        self.factor_seconds += other.factor_seconds
-        self.solve_seconds += other.solve_seconds
-        self.lumped_groups += other.lumped_groups
-        self.lumped_states_before += other.lumped_states_before
-        self.lumped_states_after += other.lumped_states_after
-        self.lump_failures += other.lump_failures
-
     def absorb_plan(self, plan: ExecutionPlan) -> None:
         """Account for an executed plan's requests, groups and lumping.
 
@@ -139,37 +118,6 @@ class SessionStats:
                 self.lumped_groups += 1
                 self.lumped_states_before += group.chain.num_states
                 self.lumped_states_after += group.lumped.num_blocks
-
-    def summary(self) -> str:
-        """One line for CLI output and logs."""
-        parts = [
-            f"requests={self.requests}",
-            f"groups={self.groups}",
-            f"sweeps={self.sweeps}",
-            f"matvecs={self.matvecs}",
-            f"applies={self.applies}",
-            f"sparse_flops={self.sparse_flops}",
-        ]
-        if self.equivalent_nnz:
-            parts.append(f"equivalent_nnz={self.equivalent_nnz}")
-        if self.sweep_seconds:
-            parts.append(f"sweep_seconds={self.sweep_seconds:.3f}")
-        if self.linear_solves or self.factorizations:
-            parts.append(
-                f"factorizations={self.factorizations}"
-                f" linear_solves={self.linear_solves}"
-                f" solved_columns={self.solved_columns}"
-            )
-        if self.dense_factorizations:
-            parts.append(f"dense_factorizations={self.dense_factorizations}")
-        if self.lumped_groups:
-            parts.append(
-                f"lumped {self.lumped_groups} groups "
-                f"({self.lumped_states_before}->{self.lumped_states_after} states)"
-            )
-        if self.lump_failures:
-            parts.append(f"lump_failures={self.lump_failures}")
-        return "session: " + " ".join(parts)
 
 
 class AnalysisSession:

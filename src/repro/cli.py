@@ -266,8 +266,8 @@ def build_serve_parser() -> argparse.ArgumentParser:
         "--metrics",
         action="store_true",
         help=(
-            "print a /metrics-style text dump (service counters, per-flush "
-            "latency histogram, per-kind cache hits/misses) after the sweep"
+            "print the GET /metrics text dump after the sweep (service, cache "
+            "and optimizer counters and the per-flush latency histogram)"
         ),
     )
     parser.add_argument(
@@ -531,8 +531,7 @@ def serve_main(argv: list[str] | None = None) -> int:
             print(f"[{service.cache_stats().summary()}]")
             if args.metrics:
                 print()
-                print(service.stats.metrics())
-                print(service.cache_stats().metrics())
+                print(service.metrics_text(), end="")
 
     asyncio.run(run())
     return 0

@@ -80,14 +80,15 @@ from __future__ import annotations
 import threading
 from collections import OrderedDict
 from collections.abc import Callable
-from dataclasses import dataclass, field
-from typing import Any
+from dataclasses import dataclass
+from typing import Any, ClassVar
 
 import numpy as np
 from scipy import sparse
 
 from repro.ctmc.ctmc import CTMC
 from repro.ctmc.foxglynn import PoissonTable, fox_glynn_table
+from repro.stats import Record, keyed
 
 #: Default bound on the total cached-artifact weight (all kinds combined);
 #: ordinary artifacts weigh 1, so for them this is an entry count.
@@ -102,7 +103,7 @@ _ABSENT = object()
 
 
 @dataclass
-class CacheKindStats:
+class CacheKindStats(Record):
     """Hit/miss/eviction counters for one artifact kind."""
 
     hits: int = 0
@@ -113,26 +114,21 @@ class CacheKindStats:
     def lookups(self) -> int:
         return self.hits + self.misses
 
-    def copy(self) -> "CacheKindStats":
-        return CacheKindStats(self.hits, self.misses, self.evictions)
-
 
 @dataclass
-class CacheStats:
-    """A snapshot of the cache's per-kind counters."""
+class CacheStats(Record):
+    """A snapshot of the cache's per-kind counters.
 
-    kinds: dict[str, CacheKindStats] = field(default_factory=dict)
+    Rendered as ``repro_cache_{hits,misses,evictions}_total``, one series
+    per kind (label ``kind``).
+    """
+
+    label: ClassVar[str] = "cache"
+
+    kinds: dict[str, CacheKindStats] = keyed("kind", CacheKindStats)
 
     def kind(self, name: str) -> CacheKindStats:
         return self.kinds.get(name, CacheKindStats())
-
-    def absorb(self, other: "CacheStats") -> None:
-        """Accumulate another snapshot (e.g. one shard's cache counters)."""
-        for name, stats in other.kinds.items():
-            mine = self.kinds.setdefault(name, CacheKindStats())
-            mine.hits += stats.hits
-            mine.misses += stats.misses
-            mine.evictions += stats.evictions
 
     def misses_since(self, earlier: "CacheStats") -> dict[str, int]:
         """Per-kind miss deltas relative to an earlier snapshot.
@@ -144,29 +140,6 @@ class CacheStats:
             name: stats.misses - earlier.kind(name).misses
             for name, stats in self.kinds.items()
         }
-
-    def summary(self) -> str:
-        """One line for CLI output and logs."""
-        parts = [
-            f"{name}={stats.hits}h/{stats.misses}m"
-            + (f"/{stats.evictions}e" if stats.evictions else "")
-            for name, stats in sorted(self.kinds.items())
-        ]
-        return "cache: " + (" ".join(parts) if parts else "(empty)")
-
-    def metrics(self, prefix: str = "repro_cache") -> str:
-        """A ``/metrics``-style text dump, one labelled series per kind.
-
-        Complements :meth:`repro.service.ServiceStats.metrics`; printed by
-        ``python -m repro serve --metrics``.
-        """
-        lines: list[str] = []
-        for counter in ("hits", "misses", "evictions"):
-            metric = f"{prefix}_{counter}_total"
-            lines.append(f"# TYPE {metric} counter")
-            for name, stats in sorted(self.kinds.items()):
-                lines.append(f'{metric}{{kind="{name}"}} {getattr(stats, counter)}')
-        return "\n".join(lines)
 
 
 class ArtifactCache:
@@ -267,10 +240,10 @@ class ArtifactCache:
 
     def stats(self) -> CacheStats:
         """A consistent snapshot of the per-kind counters."""
+        snapshot = CacheStats()
         with self._lock:
-            return CacheStats(
-                {name: counters.copy() for name, counters in self._stats.items()}
-            )
+            snapshot.absorb(CacheStats(self._stats))
+        return snapshot
 
     def chain_fingerprints(self) -> frozenset[str]:
         """The chain fingerprints that currently key at least one artifact.

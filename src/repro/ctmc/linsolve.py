@@ -46,7 +46,7 @@ from __future__ import annotations
 import time
 from collections.abc import Callable
 from dataclasses import dataclass
-from typing import Any
+from typing import Any, ClassVar
 
 import numpy as np
 from scipy import sparse
@@ -55,6 +55,7 @@ from scipy.sparse import linalg as sparse_linalg
 from repro.ctmc.artifacts import ArtifactCache
 from repro.ctmc.ctmc import CTMC, CTMCError, as_state_mask
 from repro.ctmc.engines import DenseFactorization, SparseFactorization, factorize
+from repro.stats import Record
 
 
 def subset_signature(mask: np.ndarray) -> bytes:
@@ -72,7 +73,7 @@ def subset_signature(mask: np.ndarray) -> bytes:
 
 
 @dataclass
-class LinearSolveStats:
+class LinearSolveStats(Record):
     """Counters describing the work performed by the solver engine.
 
     Attributes
@@ -99,6 +100,8 @@ class LinearSolveStats:
         triangular (or LAPACK) solves.
     """
 
+    label: ClassVar[str] = "linsolve"
+
     factorizations: int = 0
     solves: int = 0
     columns: int = 0
@@ -106,24 +109,6 @@ class LinearSolveStats:
     equivalent_nnz: int = 0
     factor_seconds: float = 0.0
     solve_seconds: float = 0.0
-
-    def reset(self) -> None:
-        self.factorizations = 0
-        self.solves = 0
-        self.columns = 0
-        self.dense_factorizations = 0
-        self.equivalent_nnz = 0
-        self.factor_seconds = 0.0
-        self.solve_seconds = 0.0
-
-    def absorb(self, other: "LinearSolveStats") -> None:
-        self.factorizations += other.factorizations
-        self.solves += other.solves
-        self.columns += other.columns
-        self.dense_factorizations += other.dense_factorizations
-        self.equivalent_nnz += other.equivalent_nnz
-        self.factor_seconds += other.factor_seconds
-        self.solve_seconds += other.solve_seconds
 
 
 class SolverEngine:

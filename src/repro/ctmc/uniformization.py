@@ -46,13 +46,14 @@ import threading
 import time
 from collections.abc import Sequence
 from dataclasses import dataclass
-from typing import Any
+from typing import Any, ClassVar
 
 import numpy as np
 from scipy import sparse
 
 from repro.ctmc.ctmc import CTMC, CTMCError
 from repro.ctmc.engines import Engine, SparseEngine, sweep_engine
+from repro.stats import Record
 
 #: Default truncation error for the Poisson mixture.
 DEFAULT_EPSILON = 1e-10
@@ -68,7 +69,7 @@ BLOCK_FOLD_ELEMENT_LIMIT = 4096
 
 
 @dataclass
-class UniformizationStats:
+class UniformizationStats(Record):
     """Counters describing the work performed by the engine.
 
     Attributes
@@ -101,29 +102,14 @@ class UniformizationStats:
         Wall-clock seconds spent inside the vector-power sweeps.
     """
 
+    label: ClassVar[str] = "uniformization"
+
     matvecs: int = 0
     applies: int = 0
     sparse_flops: int = 0
     sweeps: int = 0
     equivalent_nnz: int = 0
     sweep_seconds: float = 0.0
-
-    def reset(self) -> None:
-        self.matvecs = 0
-        self.applies = 0
-        self.sparse_flops = 0
-        self.sweeps = 0
-        self.equivalent_nnz = 0
-        self.sweep_seconds = 0.0
-
-    def add(self, other: "UniformizationStats") -> None:
-        """Accumulate another counter object into this one."""
-        self.matvecs += other.matvecs
-        self.applies += other.applies
-        self.sparse_flops += other.sparse_flops
-        self.sweeps += other.sweeps
-        self.equivalent_nnz += other.equivalent_nnz
-        self.sweep_seconds += other.sweep_seconds
 
 
 #: Process-wide counters, updated by every sweep.  Benchmarks read deltas of
@@ -447,7 +433,7 @@ def evaluate_grid_block(
         if cumulative:
             unique_cum[positive] = tails.fold(reward_sequence) / q
     if stats is not None:
-        stats.add(local)
+        stats.absorb(local)
 
     # t = 0: the initial distribution itself; cumulative reward stays 0
     if distributions:

@@ -26,6 +26,7 @@ from repro.optimize.ctmdp import OptimizeError, RepairCTMDP
 from repro.optimize.policy_iteration import evaluate_policy, policy_iteration
 from repro.optimize.rollout import default_candidates, rollout_optimize
 from repro.optimize.stats import OptimizerStats, global_optimizer_stats
+from repro.stats import render_metrics
 
 _OBJECTIVES = (
     "survivability",
@@ -258,5 +259,5 @@ def optimize_main(argv: list[str] | None = None) -> int:
         return 2
     if args.metrics:
         print()
-        print(global_optimizer_stats().metrics())
+        print(render_metrics(global_optimizer_stats()), end="")
     return code

@@ -9,18 +9,22 @@ per-state values of one backward value sweep, so ``K`` candidates ride 1
 shared sweep instead of ``K``).  The difference is
 :attr:`OptimizerStats.sweeps_saved` — the number the benchmark gates on.
 
-A process-wide aggregate (:func:`global_optimizer_stats`) feeds the
-Prometheus ``/metrics`` dump of the scenario service, so operators see
+A process-wide aggregate (:func:`global_optimizer_stats`) is one of the
+records ``GET /metrics`` renders on either scenario-service front (and
+``serve --metrics`` and ``optimize --metrics`` print), so operators see
 optimizer work next to sweep and cache counters.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
+from typing import ClassVar
+
+from repro.stats import COUNTER, Record, counter
 
 
 @dataclass
-class OptimizerStats:
+class OptimizerStats(Record):
     """Counters for one (or many aggregated) optimizer runs.
 
     Attributes
@@ -44,8 +48,12 @@ class OptimizerStats:
     cache_hits:
         Induced chains and evaluations served from the optimizer-level
         memo instead of being rebuilt (artifact-cache hits underneath are
-        counted by :class:`repro.service.CacheStats` as usual).
+        counted by :class:`repro.service.CacheStats` as usual).  Exported
+        as ``repro_optimizer_memo_hits_total``.
     """
+
+    label: ClassVar[str] = "optimizer"
+    derived: ClassVar[dict[str, str]] = {"sweeps_saved": COUNTER}
 
     policy_improvements: int = 0
     rollout_iterations: int = 0
@@ -53,7 +61,7 @@ class OptimizerStats:
     baseline_evaluations: int = 0
     candidate_actions: int = 0
     coalesced_sweeps: int = 0
-    cache_hits: int = 0
+    cache_hits: int = counter(family="repro_optimizer_memo_hits")
 
     # ------------------------------------------------------------------
     @property
@@ -61,45 +69,8 @@ class OptimizerStats:
         """Sweeps avoided by scoring candidates off shared value blocks."""
         return max(0, self.candidate_actions - self.coalesced_sweeps)
 
-    def absorb(self, other: "OptimizerStats") -> None:
-        for spec in fields(self):
-            setattr(self, spec.name, getattr(self, spec.name) + getattr(other, spec.name))
 
-    def reset(self) -> None:
-        for spec in fields(self):
-            setattr(self, spec.name, 0)
-
-    def summary(self) -> str:
-        return (
-            f"optimizer: {self.policy_evaluations} policy evaluations, "
-            f"{self.policy_improvements} improvement rounds, "
-            f"{self.rollout_iterations} rollout iterations, "
-            f"{self.candidate_actions} candidate deviations on "
-            f"{self.coalesced_sweeps} coalesced sweeps "
-            f"({self.sweeps_saved} sweeps saved), "
-            f"{self.baseline_evaluations} baselines, {self.cache_hits} memo hits"
-        )
-
-    def metrics(self, prefix: str = "repro_optimizer") -> str:
-        """Prometheus text-format counters (appended to ``/metrics``)."""
-        counters = {
-            "policy_improvements_total": self.policy_improvements,
-            "rollout_iterations_total": self.rollout_iterations,
-            "policy_evaluations_total": self.policy_evaluations,
-            "baseline_evaluations_total": self.baseline_evaluations,
-            "candidate_actions_total": self.candidate_actions,
-            "coalesced_sweeps_total": self.coalesced_sweeps,
-            "sweeps_saved_total": self.sweeps_saved,
-            "memo_hits_total": self.cache_hits,
-        }
-        lines = []
-        for name, value in counters.items():
-            lines.append(f"# TYPE {prefix}_{name} counter")
-            lines.append(f"{prefix}_{name} {value}")
-        return "\n".join(lines)
-
-
-#: Process-wide aggregate served by the scenario service's ``/metrics``.
+#: Process-wide aggregate that ``/metrics`` renders on either front.
 _GLOBAL_STATS = OptimizerStats()
 
 

@@ -55,9 +55,7 @@ from repro.service.chaos import (
 )
 from repro.service.dispatcher import (
     DEFAULT_COALESCE_WINDOW,
-    DEFAULT_LATENCY_BUCKETS,
     DEFAULT_MAX_BATCH,
-    LatencyHistogram,
     QueueFull,
     ScenarioService,
     ScenarioTimeout,
@@ -79,6 +77,7 @@ from repro.service.shard import (
     ShardSnapshot,
     shard_for_fingerprint,
 )
+from repro.stats import DEFAULT_LATENCY_BUCKETS, LatencyHistogram
 
 __all__ = [
     "ArtifactCache",

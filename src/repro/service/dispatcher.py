@@ -50,7 +50,7 @@ import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from functools import partial
-from typing import Any, Callable
+from typing import Any, Callable, ClassVar
 
 from repro.analysis import (
     MeasureRequest,
@@ -65,6 +65,7 @@ from repro.ctmc.engines import default_worker_count
 from repro.ctmc.linsolve import LinearSolveStats
 from repro.ctmc.uniformization import DEFAULT_EPSILON, UniformizationStats
 from repro.service.registry import ScenarioRegistry, paper_registry
+from repro.stats import GAUGE, LatencyHistogram, Record, gauge, render_metrics
 
 #: Default coalescing window in seconds.  Zero is group commit: a free
 #: dispatcher flushes on arrival, and submissions landing during a flush
@@ -100,105 +101,8 @@ class ScenarioTimeout(TimeoutError):
     """
 
 
-#: Flush-latency bucket upper bounds in seconds: sub-millisecond flushes up
-#: to multi-second portfolio batches, roughly log-spaced (Prometheus style).
-DEFAULT_LATENCY_BUCKETS = (
-    0.001, 0.0025, 0.005, 0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1.0, 2.5, 5.0,
-)
-
-
 @dataclass
-class LatencyHistogram:
-    """A fixed-bucket latency histogram (Prometheus-compatible shape).
-
-    ``counts[i]`` is the number of observations with value at most
-    ``bounds[i]`` *exclusive of earlier buckets* (plain, not cumulative);
-    ``counts[-1]`` is the overflow bucket.  :meth:`metric_lines` renders the
-    cumulative ``_bucket``/``_sum``/``_count`` series of the Prometheus text
-    exposition format.
-    """
-
-    bounds: tuple[float, ...] = DEFAULT_LATENCY_BUCKETS
-    counts: list[int] = field(default_factory=list)
-    observations: int = 0
-    total_seconds: float = 0.0
-    max_seconds: float = 0.0
-
-    def __post_init__(self) -> None:
-        if not self.counts:
-            self.counts = [0] * (len(self.bounds) + 1)
-        elif len(self.counts) != len(self.bounds) + 1:
-            raise ValueError("counts must have one entry per bucket plus overflow")
-
-    def observe(self, seconds: float) -> None:
-        """Record one latency observation."""
-        seconds = float(seconds)
-        index = 0
-        while index < len(self.bounds) and seconds > self.bounds[index]:
-            index += 1
-        self.counts[index] += 1
-        self.observations += 1
-        self.total_seconds += seconds
-        self.max_seconds = max(self.max_seconds, seconds)
-
-    def quantile_bound(self, quantile: float) -> float:
-        """The smallest bucket bound covering ``quantile`` of observations.
-
-        Returns ``inf`` when the quantile falls into the overflow bucket and
-        ``nan`` when nothing was observed; an upper *bound*, not an
-        interpolated estimate — honest about the bucket resolution.
-        """
-        if not self.observations:
-            return float("nan")
-        needed = quantile * self.observations
-        cumulative = 0
-        for bound, count in zip(self.bounds, self.counts):
-            cumulative += count
-            if cumulative >= needed:
-                return bound
-        return float("inf")
-
-    def summary(self) -> str:
-        """One line for CLI output and logs."""
-        if not self.observations:
-            return "flush_latency: (no flushes)"
-        mean = self.total_seconds / self.observations
-        return (
-            f"flush_latency: n={self.observations} mean={mean * 1e3:.1f}ms "
-            f"p50<={self.quantile_bound(0.5) * 1e3:.1f}ms "
-            f"p95<={self.quantile_bound(0.95) * 1e3:.1f}ms "
-            f"max={self.max_seconds * 1e3:.1f}ms"
-        )
-
-    def absorb(self, other: "LatencyHistogram") -> None:
-        """Merge another histogram of identical bucket bounds into this one.
-
-        Used when aggregating per-shard snapshots into one ``/metrics``
-        dump; mismatched bounds would silently mis-bucket, so they raise.
-        """
-        if other.bounds != self.bounds:
-            raise ValueError("cannot merge histograms with different bucket bounds")
-        for index, count in enumerate(other.counts):
-            self.counts[index] += count
-        self.observations += other.observations
-        self.total_seconds += other.total_seconds
-        self.max_seconds = max(self.max_seconds, other.max_seconds)
-
-    def metric_lines(self, name: str) -> list[str]:
-        """Prometheus text-format ``_bucket``/``_sum``/``_count`` series."""
-        lines = [f"# TYPE {name} histogram"]
-        cumulative = 0
-        for bound, count in zip(self.bounds, self.counts):
-            cumulative += count
-            lines.append(f'{name}_bucket{{le="{bound}"}} {cumulative}')
-        lines.append(f'{name}_bucket{{le="+Inf"}} {self.observations}')
-        lines.append(f"{name}_sum {self.total_seconds:.6f}")
-        lines.append(f"{name}_count {self.observations}")
-        return lines
-
-
-@dataclass
-class ServiceStats:
+class ServiceStats(Record):
     """Counters describing what the service did across its lifetime.
 
     ``session`` aggregates the usual planner/executor work counters
@@ -206,7 +110,13 @@ class ServiceStats:
     factorizations) over every flush; the service-level counters describe
     the queueing layer above, and ``flush_latency`` histograms the
     wall-clock duration of each flush (validation + planning + execution).
+    ``/metrics`` renders all of it under ``repro_service_``: the session's
+    counters as if they were the service's own, the histogram as
+    ``repro_service_flush_latency_seconds``.
     """
+
+    label: ClassVar[str] = "service"
+    derived: ClassVar[dict[str, str]] = {"coalesced_per_flush": GAUGE}
 
     submissions: int = 0
     completed: int = 0
@@ -214,7 +124,7 @@ class ServiceStats:
     rejected: int = 0
     timeouts: int = 0
     flushes: int = 0
-    largest_flush: int = 0
+    largest_flush: int = gauge()
     session: SessionStats = field(default_factory=SessionStats)
     flush_latency: LatencyHistogram = field(default_factory=LatencyHistogram)
 
@@ -222,73 +132,6 @@ class ServiceStats:
     def coalesced_per_flush(self) -> float:
         """Mean number of submissions sharing one plan (1.0 = no coalescing)."""
         return self.session.requests / self.flushes if self.flushes else 0.0
-
-    def absorb(self, other: "ServiceStats") -> None:
-        """Accumulate another stats object (e.g. one shard's snapshot)."""
-        self.submissions += other.submissions
-        self.completed += other.completed
-        self.failed += other.failed
-        self.rejected += other.rejected
-        self.timeouts += other.timeouts
-        self.flushes += other.flushes
-        self.largest_flush = max(self.largest_flush, other.largest_flush)
-        self.session.absorb(other.session)
-        self.flush_latency.absorb(other.flush_latency)
-
-    def summary(self) -> str:
-        """One line for CLI output and logs."""
-        backpressure = (
-            f" rejected={self.rejected} timeouts={self.timeouts}"
-            if self.rejected or self.timeouts
-            else ""
-        )
-        return (
-            f"service: submissions={self.submissions} flushes={self.flushes} "
-            f"coalesced/flush={self.coalesced_per_flush:.1f} "
-            f"largest_flush={self.largest_flush} failed={self.failed}"
-            f"{backpressure} | "
-            + self.session.summary()
-            + " | "
-            + self.flush_latency.summary()
-        )
-
-    def metrics(self, prefix: str = "repro_service") -> str:
-        """A ``/metrics``-style text dump of every counter (Prometheus format).
-
-        Printed by ``python -m repro serve --metrics``; ``GET /metrics`` of
-        the HTTP front end (:class:`repro.service.ScenarioHTTPServer`)
-        serves it as the head of :meth:`ScenarioService.metrics_text`.
-        """
-        counters = {
-            "submissions_total": self.submissions,
-            "completed_total": self.completed,
-            "failed_total": self.failed,
-            "rejected_total": self.rejected,
-            "timeouts_total": self.timeouts,
-            "flushes_total": self.flushes,
-            "largest_flush": self.largest_flush,
-            "requests_total": self.session.requests,
-            "groups_total": self.session.groups,
-            "sweeps_total": self.session.sweeps,
-            "matvecs_total": self.session.matvecs,
-            "applies_total": self.session.applies,
-            "sparse_flops_total": self.session.sparse_flops,
-            "equivalent_nnz_total": self.session.equivalent_nnz,
-            "factorizations_total": self.session.factorizations,
-            "dense_factorizations_total": self.session.dense_factorizations,
-            "linear_solves_total": self.session.linear_solves,
-            "solved_columns_total": self.session.solved_columns,
-            "lumped_groups_total": self.session.lumped_groups,
-            "lump_failures_total": self.session.lump_failures,
-        }
-        lines: list[str] = []
-        for name, value in counters.items():
-            metric = f"{prefix}_{name}"
-            kind = "gauge" if name == "largest_flush" else "counter"
-            lines.append(f"# TYPE {metric} {kind}")
-            lines.append(f"{metric} {value}")
-        lines.extend(self.flush_latency.metric_lines(f"{prefix}_flush_latency_seconds"))
-        return "\n".join(lines)
 
 
 async def await_with_deadline(
@@ -477,24 +320,19 @@ class ScenarioService:
         """Snapshot of the artifact cache's per-kind hit/miss counters."""
         return self.artifacts.stats()
 
-    def metrics_text(self) -> str:
-        """The full Prometheus text dump: service counters plus cache counters.
+    def metrics_records(self) -> list[Record]:
+        """The records ``GET /metrics`` renders for this service.
 
-        What ``GET /metrics`` of the HTTP front end serves for a
-        single-process service (the sharded service aggregates one of these
-        per shard).  Optimizer counters ride along whenever the policy
-        optimizer has run in this process.
+        Service and cache counters, and this process's optimizer counters
+        (:func:`repro.optimize.global_optimizer_stats`).
         """
         from repro.optimize.stats import global_optimizer_stats
 
-        return (
-            self.stats.metrics()
-            + "\n"
-            + self.cache_stats().metrics()
-            + "\n"
-            + global_optimizer_stats().metrics()
-            + "\n"
-        )
+        return [self.stats, self.cache_stats(), global_optimizer_stats()]
+
+    def metrics_text(self) -> str:
+        """The Prometheus text dump of :meth:`metrics_records`."""
+        return render_metrics(*self.metrics_records())
 
     # ------------------------------------------------------------------
     # submission API

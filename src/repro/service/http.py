@@ -14,9 +14,12 @@ traffic over three endpoints:
 ``GET /registry``
     The registered scenario specs as JSON (names, measures, grids).
 ``GET /metrics``
-    The Prometheus text dump of the backing service — for the sharded
-    service this aggregates every worker's ``ServiceStats``/``CacheStats``
-    through the shared-nothing snapshot protocol.
+    The Prometheus text dump of the backing service's ``metrics_records()``
+    plus the server's own :class:`HTTPStats`, written by
+    :func:`repro.stats.render_metrics`.  On the sharded front the records
+    sum every worker's ``ServiceStats``/``CacheStats`` through the
+    shared-nothing snapshot protocol; either front adds this process's
+    optimizer counters.
 
 Backpressure and deadlines surface as proper status codes: a
 :class:`~repro.service.QueueFull` rejection maps to ``503`` (with a
@@ -35,14 +38,15 @@ import asyncio
 import inspect
 import json
 import sys
-from collections import Counter
-from typing import Any
+from dataclasses import dataclass
+from typing import Any, ClassVar
 
 import numpy as np
 
 from repro.service.dispatcher import QueueFull, ScenarioTimeout
 from repro.service.registry import MAX_GRID_POINTS
 from repro.service.shard import ShardCrashed
+from repro.stats import Record, keyed, render_metrics
 
 #: Upper bound on accepted request-body sizes.
 MAX_BODY_BYTES = 1 << 20
@@ -60,6 +64,27 @@ _STATUS_TEXT = {
     503: "Service Unavailable",
     504: "Gateway Timeout",
 }
+
+
+#: The (method, path) pairs the server answers; ``repro_http_requests_total``
+#: labels every other request line ``route="other"``, so a client probing
+#: paths cannot grow the series without bound.
+_ROUTES = {("POST", "/scenario"), ("GET", "/registry"), ("GET", "/metrics")}
+
+
+@dataclass
+class HTTPStats(Record):
+    """Requests answered, per ``(route, status)``.
+
+    ``route`` is ``"POST /scenario"``, ``"GET /registry"`` or
+    ``"GET /metrics"``, ``"other"`` for any other request line, or
+    ``"connection"`` for connections refused at the ``max_connections``
+    cap.  Rendered as ``repro_http_requests_total``.
+    """
+
+    label: ClassVar[str] = "http"
+
+    requests: dict[tuple[str, int], int] = keyed(("route", "status"))
 
 
 class _HTTPError(Exception):
@@ -109,7 +134,7 @@ class ScenarioHTTPServer:
     service:
         The backing :class:`~repro.service.ScenarioService` or
         :class:`~repro.service.ShardedScenarioService` (anything with
-        ``submit_scenario``, ``metrics_text`` and a ``registry``).  The
+        ``submit_scenario``, ``metrics_records`` and a ``registry``).  The
         server does not own the service: start and close it separately.
     host, port:
         Bind address; port ``0`` picks an ephemeral port (see
@@ -136,10 +161,8 @@ class ScenarioHTTPServer:
         self._active_connections = 0
         self._draining = False
         self._idle = asyncio.Event()
-        #: (method path, status) -> count; appended to /metrics.
-        self.request_counts: Counter[tuple[str, int]] = Counter()
-        #: Connections rejected by the ``max_connections`` cap.
-        self.rejected_connections = 0
+        #: Requests answered; ``GET /metrics`` renders it after the service's.
+        self.stats = HTTPStats()
 
     # ------------------------------------------------------------------
     async def start(self) -> None:
@@ -147,6 +170,11 @@ class ScenarioHTTPServer:
         self._server = await asyncio.start_server(
             self._handle_client, self._host, self._port
         )
+
+    @property
+    def rejected_connections(self) -> int:
+        """Connections refused by the ``max_connections`` cap."""
+        return self.stats.requests.get(("connection", 503), 0)
 
     @property
     def draining(self) -> bool:
@@ -197,6 +225,10 @@ class ScenarioHTTPServer:
             await self._server.wait_closed()
             self._server = None
 
+    def _count(self, route: str, status: int) -> None:
+        counts = self.stats.requests
+        counts[route, status] = counts.get((route, status), 0) + 1
+
     # ------------------------------------------------------------------
     # connection handling
     # ------------------------------------------------------------------
@@ -213,8 +245,7 @@ class ScenarioHTTPServer:
             if over_cap:
                 # Reject before reading any bytes: a slow-loris client never
                 # gets to hold a handler beyond this response.
-                self.rejected_connections += 1
-                self.request_counts[("connection", 503)] += 1
+                self._count("connection", 503)
                 status, content_type, body = self._json_error(
                     503, "connection limit reached"
                 )
@@ -246,6 +277,7 @@ class ScenarioHTTPServer:
             try:
                 request_line = await reader.readline()
             except ValueError:  # line beyond the StreamReader limit
+                self._count("other", 400)
                 await self._write_response(
                     writer, 400, "text/plain", b"request line too long", False
                 )
@@ -257,10 +289,13 @@ class ScenarioHTTPServer:
                     request_line.decode("latin-1").strip().split(" ", 2)
                 )
             except ValueError:
+                self._count("other", 400)
                 await self._write_response(
                     writer, 400, "text/plain", b"malformed request line", False
                 )
                 break
+            route = (method, raw_path.partition("?")[0])
+            route_label = " ".join(route) if route in _ROUTES else "other"
             headers: dict[str, str] = {}
             malformed_headers = False
             while True:
@@ -277,6 +312,7 @@ class ScenarioHTTPServer:
                 name, _, value = line.decode("latin-1").partition(":")
                 headers[name.strip().lower()] = value.strip()
             if malformed_headers:
+                self._count(route_label, 400)
                 await self._write_response(
                     writer, 400, "text/plain", b"too many or oversized headers", False
                 )
@@ -316,7 +352,7 @@ class ScenarioHTTPServer:
                 status, content_type, body = await self._dispatch(
                     method, raw_path, body_bytes
                 )
-            self.request_counts[(f"{method} {raw_path.partition('?')[0]}", status)] += 1
+            self._count(route_label, status)
             await self._write_response(
                 writer, status, content_type, body, keep_alive
             )
@@ -387,15 +423,10 @@ class ScenarioHTTPServer:
         return 200, "application/json", payload.encode()
 
     async def _get_metrics(self) -> tuple[int, str, bytes]:
-        text = self.service.metrics_text()
-        if inspect.isawaitable(text):  # the sharded front aggregates async
-            text = await text
-        lines = ["# TYPE repro_http_requests_total counter"]
-        for (route, status), count in sorted(self.request_counts.items()):
-            lines.append(
-                f'repro_http_requests_total{{route="{route}",status="{status}"}} {count}'
-            )
-        body = text + "\n".join(lines) + "\n"
+        records = self.service.metrics_records()
+        if inspect.isawaitable(records):  # the sharded front aggregates async
+            records = await records
+        body = render_metrics(*records, self.stats)
         return 200, "text/plain; version=0.0.4; charset=utf-8", body.encode()
 
     async def _post_scenario(self, body: bytes) -> tuple[int, str, bytes]:

@@ -30,8 +30,11 @@ own service instance, on one pool thread, with its own
 * **Shared-nothing artifact-summary protocol** — workers never share cache
   memory; instead each answers a ``stats`` message with a picklable
   snapshot of its :class:`~repro.service.ServiceStats`,
-  :class:`~repro.service.CacheStats` and owned chain fingerprints, which
-  the front aggregates for ``/metrics`` (and which the benchmarks gate on).
+  :class:`~repro.service.CacheStats` and owned chain fingerprints (which
+  the benchmarks gate on).  :meth:`ShardedScenarioService.metrics_records`
+  absorbs the snapshots into one record of each kind and adds the front's
+  own records; :func:`repro.stats.render_metrics` writes ``/metrics`` from
+  them.
 * **Backpressure and deadlines** — ``submit()`` raises
   :class:`~repro.service.QueueFull` once ``max_pending`` requests are in
   flight (``submit_many`` rejects each of its requests then), and a
@@ -113,7 +116,7 @@ import queue as queue_module
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from functools import partial
-from typing import Any
+from typing import Any, ClassVar
 
 import multiprocessing
 
@@ -141,6 +144,7 @@ from repro.service.dispatcher import (
     await_with_deadline,
 )
 from repro.service.registry import ScenarioRegistry, paper_registry
+from repro.stats import GAUGE, Record, keyed, render_metrics
 
 #: Default number of worker processes.
 DEFAULT_NUM_SHARDS = 2
@@ -452,12 +456,16 @@ class ShardSnapshot:
 
 
 @dataclass
-class ShardedServiceStats:
+class ShardedServiceStats(Record):
     """Front-end counters of the sharded service (routing layer only).
 
     Per-shard execution counters live in the workers and are fetched on
     demand through :meth:`ShardedScenarioService.shard_snapshots`.
+    ``/metrics`` renders the scalar counters as ``repro_front_*_total`` and
+    the per-shard dicts as ``repro_shard_*_total{shard="i"}``.
     """
+
+    label: ClassVar[str] = "front"
 
     submissions: int = 0
     completed: int = 0
@@ -469,13 +477,15 @@ class ShardedServiceStats:
     #: Submissions rejected because no shard (owner or failover) could
     #: serve them — the dead-shard fast-fail path.
     routed_dead: int = 0
-    routed: dict[int, int] = field(default_factory=dict)
+    routed: dict[int, int] = keyed("shard", family="repro_shard_routed")
     #: Supervisor restarts per shard index.
-    restarts: dict[int, int] = field(default_factory=dict)
+    restarts: dict[int, int] = keyed("shard", family="repro_shard_restarts")
     #: Dispatches diverted away from an owning shard, per owner index.
-    failovers: dict[int, int] = field(default_factory=dict)
+    failovers: dict[int, int] = keyed("shard", family="repro_shard_failovers")
     #: Wedge detections (heartbeat timeouts that led to a kill), per shard.
-    heartbeat_misses: dict[int, int] = field(default_factory=dict)
+    heartbeat_misses: dict[int, int] = keyed(
+        "shard", family="repro_shard_heartbeat_misses"
+    )
     #: Chains sent to a worker incarnation that did not hold them yet.
     chain_uploads: int = 0
     #: Pickled size of those chain uploads.
@@ -483,23 +493,20 @@ class ShardedServiceStats:
     #: Pickled size of every request payload sent (retries included).
     request_bytes: int = 0
 
-    def summary(self) -> str:
-        """One line for CLI output and logs."""
-        per_shard = " ".join(
-            f"shard{index}={count}" for index, count in sorted(self.routed.items())
-        )
-        return (
-            f"sharded: submissions={self.submissions} completed={self.completed} "
-            f"failed={self.failed} rejected={self.rejected} "
-            f"timeouts={self.timeouts} retries={self.retries} "
-            f"routed_dead={self.routed_dead} "
-            f"restarts={sum(self.restarts.values())} "
-            f"failovers={sum(self.failovers.values())} "
-            f"heartbeat_misses={sum(self.heartbeat_misses.values())} "
-            f"chain_uploads={self.chain_uploads} chain_bytes={self.chain_bytes} "
-            f"request_bytes={self.request_bytes} "
-            f"routed: {per_shard or '(none)'}"
-        )
+
+@dataclass
+class ShardGauges(Record):
+    """Per-shard state of one snapshot round, as ``repro_shard_*`` gauges."""
+
+    label: ClassVar[str] = "shard"
+
+    #: 1 while the shard's worker is alive.
+    alive: dict[int, int] = keyed("shard", kind=GAUGE)
+    #: 1 under the shard's supervision state (``up``, ``restarting`` or
+    #: ``broken``).
+    state: dict[tuple[int, str], int] = keyed(("shard", "state"), kind=GAUGE)
+    #: Chain fingerprints the shard's cache holds.
+    owned_chains: dict[int, int] = keyed("shard", kind=GAUGE)
 
 
 @dataclass
@@ -1434,73 +1441,37 @@ class ShardedScenarioService:
 
         return list(await asyncio.gather(*(snapshot(s) for s in self._shards)))
 
-    async def metrics_text(self) -> str:
-        """Aggregated Prometheus text dump across every shard plus the front.
+    async def metrics_records(self) -> list[Record]:
+        """The records ``GET /metrics`` renders for the sharded front.
 
-        Shard counters are summed into the same ``repro_service_*`` /
-        ``repro_cache_*`` series a single-process service exposes (so
-        dashboards work unchanged), followed by front-end routing and
-        supervision series with per-shard labels.
+        The shards' :class:`ServiceStats` and :class:`CacheStats` summed into
+        the series a single-process service exposes (so dashboards work
+        unchanged), this process's optimizer counters, the front's routing
+        and supervision counters (every shard listed, zeros included) and
+        the per-shard gauges of this snapshot round.
         """
+        from repro.optimize.stats import global_optimizer_stats
+
         snapshots = await self.shard_snapshots()
-        combined_service = ServiceStats()
-        combined_cache = CacheStats()
+        service, cache, gauges = ServiceStats(), CacheStats(), ShardGauges()
+        zeros = dict.fromkeys(range(self.num_shards), 0)
+        front = ShardedServiceStats(
+            routed=dict(zeros),
+            restarts=dict(zeros),
+            failovers=dict(zeros),
+            heartbeat_misses=dict(zeros),
+        )
+        front.absorb(self.stats)
         for snapshot in snapshots:
             if snapshot.service is not None:
-                combined_service.absorb(snapshot.service)
+                service.absorb(snapshot.service)
             if snapshot.cache is not None:
-                combined_cache.absorb(snapshot.cache)
-        lines = [combined_service.metrics(), combined_cache.metrics()]
-        front = {
-            "submissions_total": self.stats.submissions,
-            "completed_total": self.stats.completed,
-            "failed_total": self.stats.failed,
-            "rejected_total": self.stats.rejected,
-            "timeouts_total": self.stats.timeouts,
-            "retries_total": self.stats.retries,
-            "routed_dead_total": self.stats.routed_dead,
-            "chain_uploads_total": self.stats.chain_uploads,
-            "chain_bytes_total": self.stats.chain_bytes,
-            "request_bytes_total": self.stats.request_bytes,
-        }
-        front_lines = []
-        for name, value in front.items():
-            metric = f"repro_front_{name}"
-            front_lines.append(f"# TYPE {metric} counter")
-            front_lines.append(f"{metric} {value}")
-        front_lines.append("# TYPE repro_shard_alive gauge")
-        for snapshot in snapshots:
-            front_lines.append(
-                f'repro_shard_alive{{shard="{snapshot.index}"}} '
-                f"{1 if snapshot.alive else 0}"
-            )
-        front_lines.append("# TYPE repro_shard_state gauge")
-        for snapshot in snapshots:
-            front_lines.append(
-                f'repro_shard_state{{shard="{snapshot.index}",'
-                f'state="{snapshot.state}"}} 1'
-            )
-        front_lines.append("# TYPE repro_shard_routed_total counter")
-        for index in sorted(self.stats.routed):
-            front_lines.append(
-                f'repro_shard_routed_total{{shard="{index}"}} '
-                f"{self.stats.routed[index]}"
-            )
-        for name, per_shard in (
-            ("repro_shard_restarts_total", self.stats.restarts),
-            ("repro_shard_failovers_total", self.stats.failovers),
-            ("repro_shard_heartbeat_misses_total", self.stats.heartbeat_misses),
-        ):
-            front_lines.append(f"# TYPE {name} counter")
-            for index in range(self.num_shards):
-                front_lines.append(
-                    f'{name}{{shard="{index}"}} {per_shard.get(index, 0)}'
-                )
-        front_lines.append("# TYPE repro_shard_owned_chains gauge")
-        for snapshot in snapshots:
-            front_lines.append(
-                f'repro_shard_owned_chains{{shard="{snapshot.index}"}} '
-                f"{len(snapshot.fingerprints)}"
-            )
-        lines.append("\n".join(front_lines))
-        return "\n".join(lines) + "\n"
+                cache.absorb(snapshot.cache)
+            gauges.alive[snapshot.index] = int(snapshot.alive)
+            gauges.state[snapshot.index, snapshot.state] = 1
+            gauges.owned_chains[snapshot.index] = len(snapshot.fingerprints)
+        return [service, cache, global_optimizer_stats(), front, gauges]
+
+    async def metrics_text(self) -> str:
+        """The Prometheus text dump of :meth:`metrics_records`."""
+        return render_metrics(*await self.metrics_records())

@@ -1,6 +1,8 @@
-"""Shared model builders used by fixtures and tests alike."""
+"""Shared model builders and checks used by fixtures and tests alike."""
 
 from __future__ import annotations
+
+import re
 
 from repro.arcade import (
     ArcadeModel,
@@ -65,3 +67,46 @@ def make_spare_model(dormancy: float = 0.0) -> ArcadeModel:
         spare_units=(spare,),
         fault_tree=fault_tree,
     )
+
+
+_NAME = r"[a-zA-Z_:][a-zA-Z0-9_:]*"
+_LABEL = r'([a-zA-Z_][a-zA-Z0-9_]*)="((?:[^"\\\n]|\\[\\"n])*)"'
+_VALUE = r"[+-]?(?:\d+(?:\.\d*)?(?:[eE][+-]?\d+)?|Inf)|NaN"
+
+
+def check_exposition(text: str) -> dict[str, tuple[str, dict]]:
+    """Parse a Prometheus text dump strictly: ``{family: (type, samples)}``.
+
+    Every line is a ``# TYPE`` line or a sample.  Each family has one
+    ``# TYPE`` line ahead of its samples, which follow it contiguously and
+    carry its name (plus ``_bucket``/``_sum``/``_count`` for a histogram).
+    Name-and-label sets are unique, backslashes, double quotes and newlines
+    in label values escaped, and values numeric.  ``samples`` maps ``(name,
+    ((label, escaped value), ...))`` to the value.
+    """
+    assert text.endswith("\n") or not text, "a dump ends with a newline"
+    families: dict[str, tuple[str, dict]] = {}
+    current = None
+    for line in text[:-1].split("\n") if text else ():
+        declared = re.fullmatch(rf"# TYPE ({_NAME}) (counter|gauge|histogram)", line)
+        if declared:
+            assert declared[1] not in families, f"{declared[1]} declared twice"
+            current = declared[1]
+            families[current] = (declared[2], {})
+            continue
+        sample = re.fullmatch(rf"({_NAME})(?:\{{(.*)\}})? ({_VALUE})", line)
+        assert sample and current is not None, f"not a sample of a family: {line!r}"
+        name, labels, value = sample.groups()
+        kind, samples = families[current]
+        suffixes = ("_bucket", "_sum", "_count") if kind == "histogram" else ("",)
+        assert name in {current + suffix for suffix in suffixes}, (
+            f"{name} outside its family ({current} is open)"
+        )
+        pairs: tuple = ()
+        if labels is not None:
+            assert re.fullmatch(rf"{_LABEL}(?:,{_LABEL})*", labels), f"labels of {line!r}"
+            pairs = tuple(re.findall(_LABEL, labels))
+            assert len({label for label, _ in pairs}) == len(pairs), line
+        assert (name, pairs) not in samples, f"duplicate sample {line!r}"
+        samples[name, pairs] = float(value)
+    return families

@@ -16,7 +16,9 @@ import json
 import numpy as np
 import pytest
 
+from helpers import check_exposition
 from repro.analysis import AnalysisSession
+from repro.cli import main
 from repro.service import (
     ArtifactCache,
     QueueFull,
@@ -125,6 +127,7 @@ class TestShardedRoundTrip:
             np.testing.assert_allclose(curve["values"], expected, atol=1e-12)
             assert len(curve["times"]) == POINTS
 
+        check_exposition(metrics)
         lines = metrics.splitlines()
         assert f"repro_service_requests_total {len(family)}" in lines
         assert f"repro_front_completed_total {len(family)}" in lines
@@ -141,6 +144,66 @@ class TestShardedRoundTrip:
             line.startswith('repro_http_requests_total{route="POST /scenario"')
             for line in lines
         )
+
+
+# ---------------------------------------------------------------------------
+# GET /metrics: bounded route labels, the same records on every front
+# ---------------------------------------------------------------------------
+class TestMetricsBody:
+    def test_unknown_request_lines_share_one_series_per_status(self):
+        async def client(host, port, server):
+            paths = ['/a"b}'] + [f"/nope{n}" for n in range(5)]
+            paths += [f"/probe/{n}" for n in range(50)]
+            lines = [("GET", path) for path in paths] + [("BREW", "/x\\y")]
+            for method, path in lines:
+                status, _, _, _ = await http_request(host, port, method, path)
+                assert status == 404
+            status, _, _, _ = await http_request(host, port, "GET", "/registry")
+            assert status == 200
+            reader, writer = await asyncio.open_connection(host, port)
+            writer.write(b"GARBAGE\r\n\r\n")  # no method, path and version
+            assert (await reader.readline()).startswith(b"HTTP/1.1 400")
+            writer.close()
+            await writer.wait_closed()
+            _, _, metrics, _ = await http_request(host, port, "GET", "/metrics")
+            return metrics.decode()
+
+        metrics = run_server_test(
+            lambda: ScenarioService(artifacts=ArtifactCache()), client
+        )
+        kind, samples = check_exposition(metrics)["repro_http_requests_total"]
+        assert kind == "counter"
+        name = "repro_http_requests_total"
+        assert samples == {
+            (name, (("route", "other"), ("status", "404"))): 57.0,
+            (name, (("route", "other"), ("status", "400"))): 1.0,
+            (name, (("route", "GET /registry"), ("status", "200"))): 1.0,
+        }
+
+    def test_every_front_renders_the_service_cache_and_optimizer_families(
+        self, capsys
+    ):
+        async def client(host, port, server):
+            body = json.dumps({"name": "fig3", "points": 5}).encode()
+            status, _, _, _ = await http_request(host, port, "POST", "/scenario", body)
+            assert status == 200
+            _, _, metrics, _ = await http_request(host, port, "GET", "/metrics")
+            return metrics.decode()
+
+        in_process = run_server_test(
+            lambda: ScenarioService(artifacts=ArtifactCache()), client
+        )
+        one_shard = run_server_test(lambda: ShardedScenarioService(1), client)
+        assert main(["serve", "--scenarios", "fig3", "--fast", "--metrics"]) == 0
+        serve_dump = capsys.readouterr().out.partition("\n\n")[2]
+        shared = ("repro_service_", "repro_cache_", "repro_optimizer_")
+        families = [
+            {name for name in check_exposition(text) if name.startswith(shared)}
+            for text in (in_process, one_shard, serve_dump)
+        ]
+        assert families[0] == families[1] == families[2]
+        for prefix in shared:
+            assert any(name.startswith(prefix) for name in families[0])
 
 
 # ---------------------------------------------------------------------------
@@ -250,8 +313,8 @@ class TestErrorMapping:
                 raise self.error
             return []
 
-        def metrics_text(self):
-            return "# stub\n"
+        def metrics_records(self):
+            return []
 
     def _run(
         self, error: Exception | None, body: bytes = b'{"name": "fig4_5"}'

@@ -38,6 +38,7 @@ from repro.service import (
     ServiceStats,
     paper_registry,
 )
+from repro.stats import render_metrics
 
 
 def cycle_chain(num_states: int = 5) -> CTMC:
@@ -311,14 +312,14 @@ class TestObservability:
         assert histogram.max_seconds == 2.0
         assert histogram.quantile_bound(0.5) == 0.1
         assert histogram.quantile_bound(0.95) == float("inf")
-        lines = histogram.metric_lines("latency_seconds")
-        assert 'latency_seconds_bucket{le="0.1"} 3' in lines
-        assert 'latency_seconds_bucket{le="+Inf"} 5' in lines
-        assert "latency_seconds_count 5" in lines
+        lines = render_metrics(ServiceStats(flush_latency=histogram)).splitlines()
+        assert 'repro_service_flush_latency_seconds_bucket{le="0.1"} 3' in lines
+        assert 'repro_service_flush_latency_seconds_bucket{le="+Inf"} 5' in lines
+        assert "repro_service_flush_latency_seconds_count 5" in lines
 
     def test_empty_histogram_summary_and_nan_quantile(self):
         histogram = LatencyHistogram()
-        assert "no flushes" in histogram.summary()
+        assert histogram.summary() == "flush_latency: (empty)"
         assert np.isnan(histogram.quantile_bound(0.5))
 
     def test_service_flushes_populate_the_latency_histogram(self):
@@ -344,7 +345,7 @@ class TestObservability:
         stats.submissions = 3
         stats.session.factorizations = 2
         stats.flush_latency.observe(0.02)
-        text = stats.metrics()
+        text = render_metrics(stats)
         assert "repro_service_submissions_total 3" in text
         assert "repro_service_factorizations_total 2" in text
         assert "repro_service_flush_latency_seconds_count 1" in text
@@ -352,7 +353,7 @@ class TestObservability:
         cache = ArtifactCache()
         cache.get_or_create("bscc", ("x",), lambda: 1)
         cache.get_or_create("bscc", ("x",), lambda: 1)
-        text = cache.stats().metrics()
+        text = render_metrics(cache.stats())
         assert 'repro_cache_hits_total{kind="bscc"} 1' in text
         assert 'repro_cache_misses_total{kind="bscc"} 1' in text
         assert isinstance(cache.stats(), CacheStats)

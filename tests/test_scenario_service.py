@@ -17,7 +17,9 @@ import pickle
 import numpy as np
 import pytest
 
+from helpers import check_exposition
 from repro.analysis import AnalysisSession, MeasureKind, MeasureRequest, SessionStats
+from repro.cli import main
 from repro.ctmc import CTMC
 from repro.ctmc.ctmc import CTMCError
 from repro.ctmc.foxglynn import fox_glynn
@@ -611,3 +613,25 @@ class TestBackpressureAndDeadlines:
             ScenarioService(max_pending=0)
         with pytest.raises(ValueError):
             ScenarioService(default_timeout=-1.0)
+
+
+# ---------------------------------------------------------------------------
+# python -m repro serve: the local multi-client sweep
+# ---------------------------------------------------------------------------
+class TestServeCommand:
+    def test_a_warm_round_recomputes_nothing_and_the_dump_checks(self, capsys):
+        argv = ["serve", "--scenarios", "fig3", "--fast", "--repeat", "2"]
+        assert main(argv + ["--clients", "2", "--metrics"]) == 0
+        report, _, dump = capsys.readouterr().out.partition("\n\n")
+        first, second, service, cache = report.splitlines()
+        assert first.startswith("[round 1] 4 curves for 2 clients, sweeps +")
+        assert second.startswith("[round 2] 4 curves for 2 clients, sweeps +")
+        misses = second.partition("cache misses: ")[2].split(", ")
+        assert misses and all(miss.endswith("+0") for miss in misses), second
+        assert service.startswith("[service: submissions=8 completed=8 ")
+        assert "| session: requests=8 " in service and "| flush_latency: " in service
+        assert cache.startswith("[cache: kinds(")
+        families = check_exposition(dump)
+        _, submissions = families["repro_service_submissions_total"]
+        assert submissions == {("repro_service_submissions_total", ()): 8.0}
+        assert "repro_cache_misses_total" in families

@@ -28,6 +28,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from helpers import check_exposition
 from repro.analysis import MeasureKind, MeasureRequest
 from repro.ctmc import CTMC
 from repro.ctmc.uniformization import DEFAULT_EPSILON
@@ -230,16 +231,23 @@ class TestWorkInvariance:
         async def in_process():
             async with ScenarioService(lump=True) as service:
                 families = await two_passes(service)
-                return families, service.stats.session.sweeps, service.stats.flushes
+                return (
+                    families,
+                    service.stats.session.sweeps,
+                    service.stats.flushes,
+                    service.metrics_text(),
+                )
 
         async def front(num_shards):
             async with ShardedScenarioService(num_shards, lump=True) as sharded:
                 families = await two_passes(sharded)
                 snapshots = await sharded.shard_snapshots()
+                metrics = await sharded.metrics_text()
             return (
                 families,
                 sum(snapshot.service.session.sweeps for snapshot in snapshots),
                 sum(snapshot.service.flushes for snapshot in snapshots),
+                metrics,
             )
 
         runs = [
@@ -248,7 +256,7 @@ class TestWorkInvariance:
             asyncio.run(front(NUM_SHARDS)),
         ]
         reference = runs[0][0]
-        for families, _sweeps, _flushes in runs[1:]:
+        for families, _sweeps, _flushes, _metrics in runs[1:]:
             for family, expected in zip(families, reference):
                 assert [request.tag for request, _ in family] == [
                     request.tag for request, _ in expected
@@ -257,8 +265,20 @@ class TestWorkInvariance:
                     assert np.array_equal(result.times, reference_result.times)
                     assert np.array_equal(result.values, reference_result.values)
         assert pairs == 12
-        assert [sweeps for _, sweeps, _ in runs] == [64, 64, 64]
-        assert [flushes for _, _, flushes in runs] == [16, 16, 2 * pairs]
+        assert [sweeps for _, sweeps, _, _ in runs] == [64, 64, 64]
+        assert [flushes for _, _, flushes, _ in runs] == [16, 16, 2 * pairs]
+        totals = [
+            {
+                name: check_exposition(metrics)[name][1][name, ()]
+                for name in (
+                    "repro_service_requests_total",
+                    "repro_service_sweeps_total",
+                    "repro_service_matvecs_total",
+                )
+            }
+            for *_, metrics in runs
+        ]
+        assert totals[0] == totals[1] == totals[2]
 
 
 # ---------------------------------------------------------------------------
