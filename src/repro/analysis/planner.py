@@ -8,7 +8,7 @@ the same vector-power sequence, i.e. when they agree on
   the base chain's content fingerprint (never object identity, so an
   unpickled or rebuilt copy still merges) plus the transformation
   signature,
-* the uniformization rate (derived from the operating chain),
+* the uniformization rate (the operating chain's, read off the base chain),
 * the time grid (bit-for-bit), and
 * the truncation error ``epsilon``.
 
@@ -33,7 +33,8 @@ partitioned **once**, seeded with nothing but its own labels and cached
 under the ``quotient`` kind, and every group on it reuses that quotient
 when the vectors the group observes are block-constant on it (see
 :func:`_lump_group`): regular groups absorb their decided blocks on the
-quotient (:meth:`LumpedChain.absorbed`), long-run groups solve on it, and
+quotient (:meth:`LumpedChain.absorbed`), so only a group that stays
+unlumped builds its full absorbed chain, long-run groups solve on it, and
 the executor takes both interval-until phases' transforms on it.  Other
 groups refine the chain partition further.  ``TRANSIENT`` groups are never
 lumped, and a partition that collapses nothing yields no quotient.  A
@@ -149,7 +150,7 @@ class LumpedChain:
         else:
             # Merge, then absorb: the row lump_ctmc reads for a merged
             # absorbed block is cleared by the transform.
-            merged, _ = lump_ctmc(self.quotient, merge.tolist(), respect_initial=False)
+            merged, _ = lump_ctmc(self.quotient, merge)
             _, first_blocks = np.unique(merge, return_index=True)
             result = LumpedChain(
                 quotient=artifacts.transformed_chain(merged, blocks[first_blocks]),
@@ -164,18 +165,23 @@ class LumpedChain:
 class ExecutionGroup:
     """Requests that will share one uniformization sweep.
 
-    ``lumped`` is the quotient of ``chain`` the group runs on, if any.  For
-    interval-until groups it is the quotient of the untransformed base
-    chain; the executor absorbs on it once per phase.
+    ``chain`` is the operating chain: the request chain with the states of
+    ``absorbing`` (a reachability group's decided states) made absorbing.
+    ``lumped`` is the quotient the group runs on instead, if any.  A lumped
+    group never sweeps its full operating chain, so it holds the base chain
+    and its absorbing mask, and its quotient takes the transform on blocks.
+    For interval-until groups ``lumped`` is the quotient of the
+    untransformed base chain; the executor absorbs on it once per phase.
     """
 
-    chain: CTMC  # the operating chain (after the absorbing transform)
+    chain: CTMC
     rate: float
     times: np.ndarray
     epsilon: float
     members: list[PlannedRequest] = field(default_factory=list)
     interval: bool = False
     longrun: bool = False
+    absorbing: np.ndarray | None = None
     lumped: LumpedChain | None = None
 
 
@@ -305,11 +311,11 @@ def build_plan(
     ``artifacts`` is the :class:`~repro.ctmc.artifacts.ArtifactCache` (any
     object with its ``transformed_chain``/``quotient`` methods works) that
     serves absorbing transforms and lumping quotients by chain fingerprint.
+    A reachability group is keyed by the uniformization rate of its
+    absorbed chain, read off the base chain's exit rates; its full
+    absorbed chain is built only if the group stays unlumped.
     """
     groups: dict[tuple, ExecutionGroup] = {}
-    # Per group (in creation order): the base chain and the absorbing mask
-    # that turned it into the group's operating chain, if any.
-    origins: list[tuple[CTMC, np.ndarray | None]] = []
 
     for index, request in enumerate(requests):
         planned = normalise_request(request, index)
@@ -347,21 +353,20 @@ def build_plan(
                     longrun=True,
                 )
                 groups[key] = group
-                origins.append((base, None))
             group.members.append(planned)
             continue
 
         interval = planned.kind is MeasureKind.INTERVAL_REACHABILITY
         absorbing = None
+        rate = base.max_exit_rate
         if planned.kind is MeasureKind.REACHABILITY:
             absorbing = planned.target_mask | ~(planned.safe_mask | planned.target_mask)
             transform_token = absorbing.tobytes()
-            operating = artifacts.transformed_chain(base, absorbing)
+            rate = absorbed_max_exit_rate(base, absorbing)
         elif interval:
             # Interval-until groups sweep two transformed chains; members are
             # merged only when they agree on the full (safe, target, lower)
             # signature, so the executor can batch their initials.
-            operating = base
             transform_token = b"".join(
                 (
                     b"interval",
@@ -371,13 +376,12 @@ def build_plan(
                 )
             )
         else:
-            operating = base
             transform_token = b""
 
         key = (
             base.fingerprint,
             transform_token,
-            float(operating.max_exit_rate),
+            rate,
             planned.times.tobytes(),
             float(epsilon),
         )
@@ -385,30 +389,30 @@ def build_plan(
         group = groups.get(key)
         if group is None:
             group = ExecutionGroup(
-                chain=operating,
-                rate=float(operating.max_exit_rate),
+                chain=base,
+                rate=rate,
                 times=planned.times,
                 epsilon=float(epsilon),
                 interval=interval,
+                absorbing=absorbing,
             )
             groups[key] = group
-            origins.append((base, absorbing))
         group.members.append(planned)
 
     plan = ExecutionPlan(groups=list(groups.values()), num_requests=len(requests))
-    if lump:
-        # Lumping is an optimisation: a failing refinement/quotient build
-        # must never poison the plan (the scenario service coalesces many
-        # clients into one), so its groups degrade to their full chains and
-        # the sweeps stay exact — but visibly: the failure is warned about
-        # and counted into the session stats once.  It leaves a tombstone in
-        # the artifact cache, so later groups and plans degrade *silently*
-        # (no re-refinement, no repeat warning, no repeat count).
-        for group, (base, absorbing) in zip(plan.groups, origins):
+    for group in plan.groups:
+        if lump:
+            # Lumping is an optimisation: a failing refinement/quotient build
+            # must never poison the plan (the scenario service coalesces many
+            # clients into one), so its groups degrade to their full chains
+            # and the sweeps stay exact — but visibly: the failure is warned
+            # about and counted into the session stats once.  It leaves a
+            # tombstone in the artifact cache, so later groups and plans
+            # degrade *silently* (no re-refinement, no repeat warning, no
+            # repeat count).
             try:
-                group.lumped = _lump_group(group, base, absorbing, artifacts)
+                group.lumped = _lump_group(group, artifacts)
             except Exception as error:
-                group.lumped = None
                 plan.lump_failures += 1
                 warnings.warn(
                     f"lumping failed for a {group.chain.num_states}-state group "
@@ -416,7 +420,20 @@ def build_plan(
                     RuntimeWarning,
                     stacklevel=2,
                 )
+        if group.lumped is None and group.absorbing is not None:
+            group.chain = artifacts.transformed_chain(group.chain, group.absorbing)
     return plan
+
+
+def absorbed_max_exit_rate(chain: CTMC, absorbing: np.ndarray) -> float:
+    """``chain.make_absorbing(absorbing).max_exit_rate``, without the copy.
+
+    Absorbing clears whole rows, so every other state keeps its exit rate
+    bit for bit and an absorbed state's is ``0.0``.
+    """
+    if chain.num_states == 0:
+        return 0.0
+    return float(np.where(absorbing, 0.0, chain.exit_rates).max())
 
 
 # ----------------------------------------------------------------------
@@ -503,38 +520,32 @@ def _chain_quotient(chain: CTMC, artifacts: Any) -> LumpedChain | None:
     """The quotient of ``chain`` seeded with its own labels, built once.
 
     Cached under the ``quotient`` kind, keyed by the chain's content key
-    (which covers its labels and is computed once per chain object).  The
-    label vectors are a generator that only a build reads, so a warm plan
-    neither builds nor hashes them.  A build that raises leaves a
-    tombstone, so the chain's other groups degrade to the full chain
-    without failing (and warning) again.
+    (which covers its labels and is computed once per chain object), so a
+    warm plan reads no label.  A build that raises leaves a tombstone, so
+    the chain's other groups degrade to the full chain without failing
+    (and warning) again.
     """
-    labels = (chain.label_mask(name).astype(float) for name in chain.label_names)
-    return cached_quotient(chain, labels, artifacts, signature="labels|" + chain.content_key)
+    return cached_quotient(chain, (), artifacts, signature="labels|" + chain.content_key)
 
 
-def _lump_group(
-    group: ExecutionGroup,
-    base: CTMC,
-    absorbing: np.ndarray | None,
-    artifacts: Any,
-) -> LumpedChain | None:
+def _lump_group(group: ExecutionGroup, artifacts: Any) -> LumpedChain | None:
     """The quotient ``group`` runs on, or ``None`` for its full chain.
 
-    ``base`` is the group's chain before its absorbing transform
-    ``absorbing`` (``None`` when it has none).  The group reuses the chain
-    quotient of ``base`` when every vector it observes is block-constant on
-    it: target masks, reward vectors, the absorbing mask and — where the
-    chain is not pre-absorbed, i.e. for long-run and interval-until groups
-    — the safe masks, which prob0/prob1, the restricted systems and the
-    interval transforms need to commute with the quotient.  Otherwise the
-    chain partition is refined further, seeded with those observables; the
-    result equals a from-scratch refinement seeded with the chain's labels
-    plus the observables.  The absorbing transform is then taken on the
-    quotient (:meth:`LumpedChain.absorbed`).  Initial distributions need no
-    seeding: ordinary lumpability holds for arbitrary initial distributions,
-    which simply project blockwise.
+    ``group.chain`` is still the base chain here, before the group's
+    absorbing transform ``group.absorbing`` (``None`` when it has none).
+    The group reuses the chain quotient of the base chain when every vector
+    it observes is block-constant on it: target masks, reward vectors, the
+    absorbing mask and — where the chain is not pre-absorbed, i.e. for
+    long-run and interval-until groups — the safe masks, which prob0/prob1,
+    the restricted systems and the interval transforms need to commute with
+    the quotient.  Otherwise the chain partition is refined further, seeded
+    with those observables; the result equals a from-scratch refinement
+    seeded with the chain's labels plus the observables.  The absorbing
+    transform is then taken on the quotient (:meth:`LumpedChain.absorbed`).
+    Initial distributions need no seeding: ordinary lumpability holds for
+    arbitrary initial distributions, which simply project blockwise.
     """
+    base, absorbing = group.chain, group.absorbing
     observables = [] if absorbing is None else [absorbing]
     for member in group.members:
         if member.kind is MeasureKind.TRANSIENT:
@@ -563,30 +574,16 @@ def _lump_group(
 def _build_quotient(chain: CTMC, observables: Iterable[np.ndarray]) -> LumpedChain | None:
     """Refine and build the quotient of ``chain`` seeded with ``observables``.
 
-    The refinement starts from the joint value classes of the observables:
-    two states share an initial block exactly when every observable agrees
-    on them.  The class ids are handed to the refinement as one label per
-    bit, which keeps the seeding linear in the number of states.
+    The refinement starts from the joint value classes of the chain's labels
+    and the observables: two states share an initial block exactly when
+    every label and every observable agrees on them.
     """
-    num_states = chain.num_states
-    classes = np.zeros(num_states, dtype=np.int64)
-    for vector in observables:
-        _, values = np.unique(vector, return_inverse=True)
-        _, classes = np.unique(
-            classes * (int(values.max(initial=0)) + 1) + values, return_inverse=True
-        )
-    labels = {
-        f"class-bit{bit}": (classes >> bit) & 1 == 1
-        for bit in range(int(classes.max(initial=0)).bit_length())
-    }
-    bare = CTMC(chain.rate_matrix, chain.initial_distribution, labels=labels)
-    assignment = lumping_partition(bare)
-    partition = np.asarray(assignment, dtype=np.int64)
+    partition = np.asarray(lumping_partition(chain, observables=observables), dtype=np.int64)
     num_blocks = int(partition.max()) + 1 if partition.size else 0
-    if num_blocks >= num_states:
+    if num_blocks >= chain.num_states:
         return None  # nothing collapsed; the quotient would only add overhead
 
-    quotient, _ = lump_ctmc(bare, assignment, respect_initial=False)
+    quotient, _ = lump_ctmc(chain, partition)
     _, representatives = np.unique(partition, return_index=True)
     return LumpedChain(
         quotient=quotient,

@@ -5,9 +5,13 @@ and have, for every equivalence class ``C``, the same cumulative rate into
 ``C``.  The coarsest such partition is computed by classical partition
 refinement: each round splits every block by the states' rate signatures
 (cumulative rate into every current block), until no block splits.  A round
-is a handful of array operations — one sparse product ``R @ indicator`` and
-a lexicographic sort of integer signature rows, one batch per out-degree —
-with no per-state Python loop.
+is a handful of array operations with no per-state Python loop: one sparse
+product ``R @ indicator`` gives every signature, one 64-bit hash per state
+keys it, one stable sort numbers the keys, and one exact comparison of every
+state with its class's first member verifies the classes (a hash collision
+re-hashes the round with another salt, so the partition is exact).  The
+refinement may start from vectors that must stay block-constant besides
+the labels (target masks, reward vectors, a coarser partition).
 
 Lumping serves three purposes in the reproduction:
 
@@ -31,6 +35,9 @@ Lumping serves three purposes in the reproduction:
 
 from __future__ import annotations
 
+import itertools
+from collections.abc import Iterable
+
 import numpy as np
 from scipy import sparse
 
@@ -40,6 +47,25 @@ from repro.ctmc.ctmc import CTMC
 #: test suite's per-state reference refinement rounds the same way, so both
 #: split identically.
 _RATE_DECIMALS = 10
+
+#: 2**64 divided by the golden ratio (odd): each salt's multiplier is an odd
+#: multiple of it, spread far from the others.
+_GOLDEN = 0x9E3779B97F4A7C15
+
+
+def _first_seen(order: np.ndarray, starts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Class ids in first-seen order, and each class's first member by id.
+
+    ``order`` is a stable sort of the items by class and ``starts`` flags
+    the positions of ``order`` where a new class begins.
+    """
+    first = order[starts]  # each class's first member (stable sort)
+    by_index = np.argsort(first)
+    rank = np.empty(first.shape[0], dtype=np.int64)
+    rank[by_index] = np.arange(first.shape[0])
+    ids = np.empty(order.shape[0], dtype=np.int64)
+    ids[order] = rank[np.cumsum(starts) - 1]
+    return ids, first[by_index]
 
 
 def first_seen_ids(rows: np.ndarray) -> np.ndarray:
@@ -56,12 +82,7 @@ def first_seen_ids(rows: np.ndarray) -> np.ndarray:
     starts = np.empty(num_rows, dtype=bool)
     starts[0] = True
     starts[1:] = np.any(ordered[1:] != ordered[:-1], axis=1)
-    first = order[starts]  # each class's first member
-    rank = np.empty(first.shape[0], dtype=np.int64)
-    rank[np.argsort(first)] = np.arange(first.shape[0])
-    ids = np.empty(num_rows, dtype=np.int64)
-    ids[order] = rank[np.cumsum(starts) - 1]
-    return ids
+    return _first_seen(order, starts)[0]
 
 
 def block_indicator(partition: np.ndarray, num_blocks: int) -> sparse.csr_matrix:
@@ -73,20 +94,64 @@ def block_indicator(partition: np.ndarray, num_blocks: int) -> sparse.csr_matrix
     )
 
 
-def _initial_partition(chain: CTMC, respect_initial: bool) -> np.ndarray:
-    """Partition states by their label sets (and optionally initial mass).
+def _initial_partition(
+    chain: CTMC, respect_initial: bool, observables: Iterable[np.ndarray]
+) -> np.ndarray:
+    """Partition states by their labels and observable values.
 
-    States with equal rows of the stacked label masks (plus the initial
-    distribution rounded to 12 decimals, when requested) share a block.
+    States share a block exactly when they agree on every label, on every
+    observable vector and, when requested, on their initial probability
+    rounded to 12 decimals.  Values compare as ``np.unique`` compares them:
+    ``-0.0`` equals ``0.0`` and every NaN equals every other NaN.
     """
     columns: list[np.ndarray] = [
         chain.label_mask(name).astype(float) for name in chain.label_names
     ]
     if respect_initial:
         columns.append(np.round(chain.initial_distribution, 12))
+    columns.extend(np.asarray(vector, dtype=float) for vector in observables)
     if not columns:
         return np.zeros(chain.num_states, dtype=np.int64)
-    return first_seen_ids(np.stack(columns, axis=1))
+    values = np.stack(columns, axis=1) + 0.0  # -0.0 + 0.0 is +0.0
+    values[np.isnan(values)] = np.nan  # one NaN bit pattern
+    return first_seen_ids(values.view(np.int64))
+
+
+def _mix(values: np.ndarray) -> np.ndarray:
+    """The splitmix64 finaliser, elementwise on ``uint64`` (wrapping)."""
+    values = values ^ (values >> np.uint64(30))
+    values *= np.uint64(0xBF58476D1CE4E5B9)
+    values ^= values >> np.uint64(27)
+    values *= np.uint64(0x94D049BB133111EB)
+    values ^= values >> np.uint64(31)
+    return values
+
+
+def _signature_keys(
+    assignment: np.ndarray, block_rates: sparse.csr_matrix, rate_bits: np.ndarray, salt: int
+) -> np.ndarray:
+    """One 64-bit key per state's signature, under hash ``salt``.
+
+    Every transition entry hashes its (target block, rounded-rate bits)
+    pair; a state's key mixes the wrapping sum of its row's entry hashes
+    with its block and its out-degree.  Equal signatures get equal keys;
+    unequal ones collide with a chance of about ``2**-64`` per pair, and
+    each salt has its own odd multiplier, so no collision persists across
+    salts.  :func:`_refine` checks for them.
+    """
+    indptr = block_rates.indptr
+    multiplier = np.uint64((2 * salt + 1) * _GOLDEN % 2**64)
+    entries = block_rates.indices.astype(np.uint64)
+    entries *= multiplier
+    entries += rate_bits.view(np.uint64)
+    sums = np.zeros(entries.shape[0] + 1, dtype=np.uint64)
+    np.cumsum(_mix(entries), out=sums[1:])
+    keys = assignment.astype(np.uint64)
+    keys *= multiplier
+    keys += np.diff(indptr).astype(np.uint64)
+    keys = _mix(keys)
+    keys += sums[indptr[1:]] - sums[indptr[:-1]]  # wrapping per-row sums
+    return _mix(keys)
 
 
 def _refine(assignment: np.ndarray, block_rates: sparse.csr_matrix) -> np.ndarray:
@@ -95,39 +160,52 @@ def _refine(assignment: np.ndarray, block_rates: sparse.csr_matrix) -> np.ndarra
     A state's signature is its current block, the sorted ids of the blocks
     it has transitions into and the cumulative rates into them, rounded to
     :data:`_RATE_DECIMALS` (entries rounding to zero are *kept*: a tiny rate
-    is still a transition).  States with different numbers of target blocks
-    never share a signature, so the rows are built per out-degree: each
-    state's row is ``[block, targets..., rates as int64...]`` and memory
-    stays ``O(num_states + nnz)``.
+    is still a transition).  Each state gets one key
+    (:func:`_signature_keys`), equal keys are numbered first-seen, and every
+    state is compared exactly with its class's first member: block,
+    out-degree, every target block and every rounded rate.  Any mismatch is
+    a hash collision and re-hashes the round with the next salt, so the
+    classes returned are exactly the signature classes.
     """
-    indptr = block_rates.indptr
-    indices = block_rates.indices.astype(np.int64)
-    rates = np.round(block_rates.data, _RATE_DECIMALS).view(np.int64)
+    indptr, targets = block_rates.indptr, block_rates.indices
+    rate_bits = np.round(block_rates.data, _RATE_DECIMALS).view(np.int64)
     degrees = np.diff(indptr)
-    signature = np.empty(assignment.shape[0], dtype=np.int64)
-    offset = 0
-    for degree in np.unique(degrees):
-        members = np.flatnonzero(degrees == degree)
-        positions = indptr[members, None] + np.arange(degree)
-        rows = np.concatenate(
-            (assignment[members, None], indices[positions], rates[positions]), axis=1
-        )
-        local = first_seen_ids(rows)
-        signature[members] = offset + local
-        offset += int(local.max()) + 1
-    return first_seen_ids(signature[:, None])
+    for salt in itertools.count():
+        keys = _signature_keys(assignment, block_rates, rate_bits, salt)
+        order = np.argsort(keys, kind="stable")  # equal keys stay in index order
+        starts = np.ones(keys.shape[0], dtype=bool)
+        starts[1:] = keys[order[1:]] != keys[order[:-1]]
+        ids, first = _first_seen(order, starts)
+        representative = first[ids]
+        if np.array_equal(assignment[representative], assignment) and np.array_equal(
+            degrees[representative], degrees
+        ):
+            entries = np.arange(targets.shape[0]) + np.repeat(
+                indptr[representative] - indptr[:-1], degrees
+            )
+            if np.array_equal(targets[entries], targets) and np.array_equal(
+                rate_bits[entries], rate_bits
+            ):
+                return ids
 
 
-def lumping_partition(chain: CTMC, respect_initial: bool = False) -> list[int]:
+def lumping_partition(
+    chain: CTMC,
+    respect_initial: bool = False,
+    observables: Iterable[np.ndarray] = (),
+) -> list[int]:
     """Return the coarsest ordinary-lumpability partition of ``chain``.
 
     The result is a list mapping each state to its block index; blocks are
     numbered in the order of their first state.  States in the same block
-    agree on all labels and on the cumulative rate into every block.  The
-    partition, numbering included, is identical to the classical per-state
-    refinement, which the test suite keeps as its reference.  Every round
-    but the last splits at least one block, so the refinement stops after at
-    most ``num_states`` rounds.
+    agree on all labels, on every observable and on the cumulative rate
+    into every block.  The partition, numbering included, is identical to
+    the classical per-state refinement of the chain relabelled with the
+    joint value classes of its labels and observables, which the test suite
+    keeps as its reference.  Each round hashes every state's signature once
+    and verifies the hashed classes exactly (see :func:`_refine`).  Every
+    round but the last splits at least one block, so the refinement stops
+    after at most ``num_states`` rounds.
 
     Parameters
     ----------
@@ -137,8 +215,13 @@ def lumping_partition(chain: CTMC, respect_initial: bool = False) -> list[int]:
         If true, states with different initial probability are kept in
         different blocks (needed when the initial distribution matters for
         the measure being preserved).
+    observables:
+        Vectors over the states that must be constant on every block
+        (target masks, reward vectors, a coarser partition).  The
+        refinement starts from the joint value classes of the labels and
+        these vectors.
     """
-    assignment = _initial_partition(chain, respect_initial)
+    assignment = _initial_partition(chain, respect_initial, observables)
     while True:
         num_blocks = int(assignment.max(initial=-1)) + 1
         block_rates = sparse.csr_matrix(
@@ -153,9 +236,9 @@ def lumping_partition(chain: CTMC, respect_initial: bool = False) -> list[int]:
 
 def lump_ctmc(
     chain: CTMC,
-    partition: list[int] | None = None,
+    partition: list[int] | np.ndarray | None = None,
     respect_initial: bool = True,
-) -> tuple[CTMC, list[int]]:
+) -> tuple[CTMC, list[int] | np.ndarray]:
     """Build the quotient CTMC of ``chain`` under ordinary lumpability.
 
     Returns the quotient chain and the state-to-block assignment.  The

@@ -34,7 +34,8 @@ own service instance, on one pool thread, with its own
   the benchmarks gate on).  :meth:`ShardedScenarioService.metrics_records`
   absorbs the snapshots into one record of each kind and adds the front's
   own records; :func:`repro.stats.render_metrics` writes ``/metrics`` from
-  them.
+  them.  The front banks the last snapshot of every dead incarnation, so a
+  restart never takes a counter backwards.
 * **Backpressure and deadlines** — ``submit()`` raises
   :class:`~repro.service.QueueFull` once ``max_pending`` requests are in
   flight (``submit_many`` rejects each of its requests then), and a
@@ -558,6 +559,34 @@ class _Shard:
     restart_task: Any = None
     #: Content keys of the chains the current incarnation holds.
     chain_keys: set[str] = field(default_factory=set)
+    #: The last snapshots of the dead incarnations, summed, and the last
+    #: snapshot of the latest one (see :meth:`lifetime_snapshots`).
+    banked: ShardSnapshot | None = None
+    last_seen: ShardSnapshot | None = None
+
+    def lifetime_snapshots(self, snapshot: ShardSnapshot) -> list[ShardSnapshot]:
+        """The snapshots whose counters sum to this shard's lifetime totals.
+
+        A respawned worker counts from zero, so a snapshot of a newer
+        incarnation first banks the last snapshot of the one before.  A
+        down shard, or a reply older than the last one seen, contributes
+        the last-known snapshot instead, so no total goes backwards across
+        a restart.  Work a dead incarnation did after its last snapshot is
+        not counted.
+        """
+        last = self.last_seen
+        if snapshot.service is not None and (
+            last is None or snapshot.generation >= last.generation
+        ):
+            if last is not None and snapshot.generation > last.generation:
+                if self.banked is None:
+                    self.banked = ShardSnapshot(
+                        self.index, alive=False, service=ServiceStats(), cache=CacheStats()
+                    )
+                self.banked.service.absorb(last.service)
+                self.banked.cache.absorb(last.cache)
+            self.last_seen = last = snapshot
+        return [part for part in (self.banked, last) if part is not None]
 
 
 class ShardedScenarioService:
@@ -1448,7 +1477,9 @@ class ShardedScenarioService:
         the series a single-process service exposes (so dashboards work
         unchanged), this process's optimizer counters, the front's routing
         and supervision counters (every shard listed, zeros included) and
-        the per-shard gauges of this snapshot round.
+        the per-shard gauges of this snapshot round.  Each shard counts
+        over its lifetime, restarted incarnations included
+        (:meth:`_Shard.lifetime_snapshots`), so counters never go backwards.
         """
         from repro.optimize.stats import global_optimizer_stats
 
@@ -1462,11 +1493,10 @@ class ShardedScenarioService:
             heartbeat_misses=dict(zeros),
         )
         front.absorb(self.stats)
-        for snapshot in snapshots:
-            if snapshot.service is not None:
-                service.absorb(snapshot.service)
-            if snapshot.cache is not None:
-                cache.absorb(snapshot.cache)
+        for shard, snapshot in zip(self._shards, snapshots):
+            for part in shard.lifetime_snapshots(snapshot):
+                service.absorb(part.service)
+                cache.absorb(part.cache)
             gauges.alive[snapshot.index] = int(snapshot.alive)
             gauges.state[snapshot.index, snapshot.state] = 1
             gauges.owned_chains[snapshot.index] = len(snapshot.fingerprints)

@@ -513,6 +513,131 @@ class TestLumpedSessions:
 
 
 # ---------------------------------------------------------------------------
+# lumped reachability groups: keyed without their absorbed chain
+# ---------------------------------------------------------------------------
+@st.composite
+def chains_and_masks(draw) -> tuple[CTMC, np.ndarray]:
+    """A small chain with arbitrary rates and an absorbing mask (all and none
+    included)."""
+    size = draw(st.integers(1, 7))
+    rates = np.array(
+        draw(
+            st.lists(
+                st.one_of(
+                    st.just(0.0),
+                    st.floats(1e-13, 50.0, allow_nan=False, allow_infinity=False),
+                ),
+                min_size=size * size,
+                max_size=size * size,
+            )
+        )
+    ).reshape(size, size)
+    mask = draw(
+        st.one_of(
+            st.just([True] * size),
+            st.just([False] * size),
+            st.lists(st.booleans(), min_size=size, max_size=size),
+        )
+    )
+    return CTMC(rates, np.full(size, 1.0 / size)), np.array(mask)
+
+
+def reachability_plan(chain: CTMC, lump: bool, artifacts: ArtifactCache):
+    requests = [
+        MeasureRequest(chain=chain, times=GRID, kind=MeasureKind.REACHABILITY, target="target"),
+        MeasureRequest(chain=chain, times=GRID, kind=MeasureKind.TRANSIENT),
+    ]
+    return build_plan(requests, lump=lump, artifacts=artifacts)
+
+
+class TestLumpedGroupTransforms:
+    @given(chain_and_mask=chains_and_masks())
+    @settings(max_examples=200, deadline=None)
+    def test_the_key_rate_is_the_absorbed_chains_rate_bit_for_bit(self, chain_and_mask):
+        from repro.analysis.planner import absorbed_max_exit_rate
+
+        chain, mask = chain_and_mask
+        key = np.float64(absorbed_max_exit_rate(chain, mask))
+        absorbed = np.float64(chain.make_absorbing(mask).max_exit_rate)
+        assert key.tobytes() == absorbed.tobytes()
+
+    def test_the_key_rate_on_a_paper_chain(self):
+        from repro.analysis.planner import absorbed_max_exit_rate
+
+        chain = exp.line_state_space(LINE2, PAPER_STRATEGIES[1]).chain
+        rng = np.random.default_rng(25)
+        for density in (0.0, 0.01, 0.5, 0.99, 1.0):
+            mask = rng.random(chain.num_states) < density
+            assert absorbed_max_exit_rate(chain, mask) == (
+                chain.make_absorbing(mask).max_exit_rate
+            )
+
+    def test_a_cold_registry_session_builds_no_full_absorbed_chain(self, monkeypatch):
+        registry = paper_registry()
+        requests = [
+            request for name in registry.names for request in registry.expand(name)
+        ]
+        full_sizes = {request.chain.num_states for request in requests}
+        built = []
+        transformed_chain = ArtifactCache.transformed_chain
+
+        def recorded(self, base, absorbing_mask):
+            chain = transformed_chain(self, base, absorbing_mask)
+            built.append(chain.num_states)
+            return chain
+
+        monkeypatch.setattr(ArtifactCache, "transformed_chain", recorded)
+        stats = SessionStats()
+        session = AnalysisSession(lump=True, stats=stats)
+        session.extend(requests)
+        session.execute()
+        assert built and not full_sizes & set(built)
+        assert stats.lumped_groups == 42
+        assert stats.lumped_states_before == 464_896
+        assert stats.lumped_states_after == 4_696
+
+    def _assert_unlumped_groups_sweep_the_absorbed_chain(self, chain, lumped_plan):
+        reachability, transient = lumped_plan.groups
+        assert reachability.lumped is None and transient.lumped is None
+        assert transient.chain is chain
+        expected = chain.make_absorbing(reachability.absorbing).rate_matrix
+        assert (reachability.chain.rate_matrix != expected).nnz == 0
+
+    def _assert_equal_to_unlumped(self, chain, lumped_plan, artifacts):
+        plain = reachability_plan(chain, lump=False, artifacts=ArtifactCache())
+        lumped_values = execute_plan(lumped_plan, artifacts=artifacts)
+        plain_values = execute_plan(plain, artifacts=ArtifactCache())
+        for lumped, unlumped in zip(lumped_values, plain_values):
+            assert lumped.lumped_states is None
+            np.testing.assert_array_equal(lumped.values, unlumped.values)
+
+    def test_a_chain_that_does_not_collapse_sweeps_its_absorbed_chain(self):
+        chain = random_chain(8, seed=31)
+        cache = ArtifactCache()
+        plan = reachability_plan(chain, lump=True, artifacts=cache)
+        self._assert_unlumped_groups_sweep_the_absorbed_chain(chain, plan)
+        self._assert_equal_to_unlumped(chain, plan, cache)
+
+    def test_a_tombstoned_build_sweeps_its_absorbed_chain(self, monkeypatch):
+        from repro.analysis import planner
+
+        def exploding_build(chain, observables):
+            raise ValueError("refinement exploded")
+
+        monkeypatch.setattr(planner, "_build_quotient", exploding_build)
+        space = exp.line_state_space(LINE2, PAPER_STRATEGIES[0])
+        target = space.states_with_service_at_least(exp.line_service_interval_lower(LINE2, 0))
+        chain = space.chain.restrict_labels(target=target)
+        cache = ArtifactCache()
+        with pytest.warns(RuntimeWarning, match="lumping failed"):
+            cold = reachability_plan(chain, lump=True, artifacts=cache)
+        warm = reachability_plan(chain, lump=True, artifacts=cache)  # tombstoned
+        for plan in (cold, warm):
+            self._assert_unlumped_groups_sweep_the_absorbed_chain(chain, plan)
+            self._assert_equal_to_unlumped(chain, plan, cache)
+
+
+# ---------------------------------------------------------------------------
 # split invariance: results do not depend on how requests share a session
 # ---------------------------------------------------------------------------
 #: Rates of the generated chains: few distinct values, so lumping has ties.

@@ -14,7 +14,9 @@ or by killing worker processes directly, and every recovery claim of
 * a corrupted response payload fails exactly its own request;
 * a dropped response is recovered only by its caller's own deadline;
 * a worker that dies after receiving a chain takes the chain with it: the
-  retry sends the chain again to the incarnation or shard that serves it.
+  retry sends the chain again to the incarnation or shard that serves it;
+* ``/metrics`` counters never go backwards when a worker dies: the front
+  banks each dead incarnation's last snapshot.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ import asyncio
 import numpy as np
 import pytest
 
+from helpers import check_exposition
 from repro.analysis import MeasureKind, MeasureRequest
 from repro.ctmc import CTMC
 from repro.service import (
@@ -38,6 +41,7 @@ from repro.service import (
 from repro.service.chaos import CHAOS_SEED_ENV
 from repro.service.shard import (
     STATE_BROKEN,
+    STATE_RESTARTING,
     STATE_UP,
     _Shard,
     ShardedScenarioService as _Front,
@@ -260,6 +264,48 @@ class TestCrashRecovery:
         else:
             assert shard.generation == 1
             assert sum(stats.failovers.values()) == 0
+
+
+# ---------------------------------------------------------------------------
+# /metrics across a worker restart
+# ---------------------------------------------------------------------------
+def lifetime_counters(text: str) -> dict:
+    """Every ``repro_service_*_total`` and ``repro_cache_*_total`` sample."""
+    return {
+        sample: value
+        for family, (kind, samples) in check_exposition(text).items()
+        if kind == "counter" and family.startswith(("repro_service_", "repro_cache_"))
+        for sample, value in samples.items()
+    }
+
+
+class TestMetricsAcrossRestarts:
+    def test_counters_survive_a_killed_worker(self):
+        async def run():
+            async with ShardedScenarioService(
+                NUM_SHARDS,
+                heartbeat_interval=None,
+                **{**FAST_SUPERVISION, "backoff_base": 1.0, "backoff_cap": 1.0},
+            ) as sharded:
+                await sharded.submit_scenario("fig3", points=5)
+                before = lifetime_counters(await sharded.metrics_text())
+                (served,) = [
+                    index for index, count in sharded.stats.routed.items() if count
+                ]
+                shard = sharded._shards[served]
+                shard.process.kill()
+                await wait_until(lambda: shard.state == STATE_RESTARTING)
+                down = lifetime_counters(await sharded.metrics_text())
+                await wait_until(lambda: shard.state == STATE_UP and shard.generation == 1)
+                respawned = lifetime_counters(await sharded.metrics_text())
+                return before, down, respawned
+
+        before, down, respawned = asyncio.run(run())
+        assert before[("repro_service_requests_total", ())] == 2
+        for after in (down, respawned):
+            assert set(before) <= set(after)
+            assert all(after[sample] >= value for sample, value in before.items())
+        assert respawned[("repro_service_requests_total", ())] == 2
 
 
 # ---------------------------------------------------------------------------

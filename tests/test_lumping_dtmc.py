@@ -13,6 +13,7 @@ from repro.ctmc import (
     DTMC,
     embedded_dtmc,
     lump_ctmc,
+    lumping,
     lumping_partition,
     steady_state_distribution,
     time_bounded_reachability,
@@ -233,6 +234,59 @@ class TestLumpingProperties:
         assert lumping_partition(
             chain, respect_initial=respect_initial
         ) == lumping_partition_reference(chain, respect_initial=respect_initial)
+
+    @given(chain=tied_chains(), respect_initial=st.booleans())
+    @settings(max_examples=150, deadline=None)
+    def test_a_forced_key_collision_rehashes_to_the_reference(self, chain, respect_initial):
+        # Every key collides under salt 0: only the exact check against each
+        # class's first member can tell the signatures apart, and a round
+        # where they differ must re-hash under salt 1.
+        salts = []
+        keys = lumping._signature_keys
+
+        def colliding(*args):
+            salts.append(args[-1])
+            real = keys(*args)
+            return np.zeros_like(real) if args[-1] == 0 else real
+
+        with mock.patch.object(lumping, "_signature_keys", colliding):
+            partition = lumping_partition(chain, respect_initial=respect_initial)
+        reference = lumping_partition_reference(chain, respect_initial=respect_initial)
+        assert partition == reference
+        assert set(salts) == ({0, 1} if count_blocks(reference) > 1 else {0})
+
+    @given(chain=tied_chains(), respect_initial=st.booleans(), data=st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_observables_seed_like_labels_of_their_joint_classes(
+        self, chain, respect_initial, data
+    ):
+        size = chain.num_states
+        observables = [
+            np.array(
+                data.draw(
+                    st.lists(
+                        st.sampled_from((0.0, -0.0, 1.0, 2.5, np.nan, -np.nan)),
+                        min_size=size,
+                        max_size=size,
+                    )
+                )
+            )
+            for _ in range(data.draw(st.integers(1, 3)))
+        ]
+        # Joint value classes as np.unique forms them: -0.0 equals 0.0 and
+        # every NaN equals every other NaN.
+        classes = np.zeros(size, dtype=np.int64)
+        for vector in observables:
+            _, values = np.unique(vector, return_inverse=True)
+            _, classes = np.unique(
+                classes * (int(values.max()) + 1) + values, return_inverse=True
+            )
+        labels = {name: chain.label_mask(name) for name in chain.label_names}
+        labels.update({f"class{value}": classes == value for value in set(classes.tolist())})
+        relabelled = CTMC(chain.rate_matrix, chain.initial_distribution, labels=labels)
+        assert lumping_partition(
+            chain, respect_initial=respect_initial, observables=observables
+        ) == lumping_partition_reference(relabelled, respect_initial=respect_initial)
 
     @given(chain=tied_chains(), data=st.data())
     @settings(max_examples=150, deadline=None)
