@@ -60,6 +60,7 @@ from scipy import sparse
 from repro.ctmc.ctmc import CTMC, CTMCError
 from repro.ctmc.lumping import (
     block_indicator,
+    block_representatives,
     first_seen_ids,
     lump_ctmc,
     lumping_partition,
@@ -150,8 +151,8 @@ class LumpedChain:
         else:
             # Merge, then absorb: the row lump_ctmc reads for a merged
             # absorbed block is cleared by the transform.
-            merged, _ = lump_ctmc(self.quotient, merge)
-            _, first_blocks = np.unique(merge, return_index=True)
+            first_blocks = block_representatives(merge)
+            merged, _ = lump_ctmc(self.quotient, merge, representatives=first_blocks)
             result = LumpedChain(
                 quotient=artifacts.transformed_chain(merged, blocks[first_blocks]),
                 partition=merge[self.partition],
@@ -578,13 +579,13 @@ def _build_quotient(chain: CTMC, observables: Iterable[np.ndarray]) -> LumpedCha
     and the observables: two states share an initial block exactly when
     every label and every observable agrees on them.
     """
-    partition = np.asarray(lumping_partition(chain, observables=observables), dtype=np.int64)
+    partition = lumping_partition(chain, observables=observables)
     num_blocks = int(partition.max()) + 1 if partition.size else 0
     if num_blocks >= chain.num_states:
         return None  # nothing collapsed; the quotient would only add overhead
 
-    quotient, _ = lump_ctmc(chain, partition)
-    _, representatives = np.unique(partition, return_index=True)
+    representatives = block_representatives(partition)
+    quotient, _ = lump_ctmc(chain, partition, representatives=representatives)
     return LumpedChain(
         quotient=quotient,
         partition=partition,

@@ -47,12 +47,18 @@ kind               key
                    :class:`repro.ctmc.engines.DenseEngine` GEMM walk uses,
                    keyed like ``operator``; stored with a byte-size-aware
                    weight
+``scenario``       (:class:`repro.service.ScenarioSpec`, ``points``
+                   override) — one scenario family's expansion (its
+                   read-only requests and, on the sharded front, their
+                   wire payloads); stored with a byte-size-aware weight
 =================  ===================================================
 
 The first four kinds and ``dense_operator`` are populated by the planner
 and the uniformization sweeps, the five between them by the long-run
 linear-solver engine (:class:`repro.ctmc.linsolve.SolverEngine`), which
-calls straight into :meth:`ArtifactCache.get_or_create`.
+calls straight into :meth:`ArtifactCache.get_or_create`, and ``scenario``
+by the services' ``submit_scenario``.  A spec is frozen and hashable, so a
+family re-registered under its name keys a new entry.
 
 Chains are keyed by :attr:`repro.ctmc.ctmc.CTMC.fingerprint` — a content
 hash of the rate matrix — so a *rebuilt* chain with identical dynamics
@@ -222,6 +228,23 @@ class ArtifactCache:
                     ).evictions += 1
             return value
 
+    def lookup(self, kind: str, key: tuple) -> Any:
+        """The stored artifact for ``(kind, key)``, or ``None`` if there is none.
+
+        A found artifact counts as a hit; an absent one counts nothing, so
+        a caller that must not build on its own thread (the event loop)
+        reads here first and builds through :meth:`get_or_create`
+        elsewhere, which counts the miss.  Only for kinds whose artifacts
+        are never ``None``.
+        """
+        with self._lock:
+            entry = self._entries.get((kind, key), _ABSENT)
+            if entry is _ABSENT:
+                return None
+            self._stats.setdefault(kind, CacheKindStats()).hits += 1
+            self._entries.move_to_end((kind, key))
+            return entry[0]
+
     def __len__(self) -> int:
         with self._lock:
             return len(self._entries)
@@ -248,9 +271,9 @@ class ArtifactCache:
     def chain_fingerprints(self) -> frozenset[str]:
         """The chain fingerprints that currently key at least one artifact.
 
-        Every kind except ``foxglynn`` (which is keyed by the uniformization
-        rate and the grid alone) leads its key with the chain's content
-        fingerprint.
+        Every kind except ``foxglynn`` (keyed by the uniformization rate and
+        the grid alone) and ``scenario`` (keyed by a scenario spec) leads
+        its key with the chain's content fingerprint.
         The sharded-service benchmark gates on per-shard fingerprint sets
         being disjoint: routing by fingerprint must never build the same
         chain's artifacts on two shards.
@@ -259,7 +282,7 @@ class ArtifactCache:
             return frozenset(
                 key[0]
                 for kind, key in self._entries
-                if kind != "foxglynn" and key and isinstance(key[0], str)
+                if kind not in ("foxglynn", "scenario") and key and isinstance(key[0], str)
             )
 
     # ------------------------------------------------------------------
@@ -316,6 +339,24 @@ class ArtifactCache:
             key,
             lambda: fox_glynn_table(rate * np.asarray(times, dtype=float), epsilon),
             weight=lambda table: _byte_weight(table.nbytes),
+        )
+
+    def scenario(
+        self, spec: Any, points: int | None, factory: Callable[[], Any] | None = None
+    ) -> Any:
+        """A scenario family's expansion per (spec, ``points`` override).
+
+        Without a ``factory`` this is a :meth:`lookup`: the stored expansion
+        (a hit) or ``None``.  The factory's value exposes ``nbytes``, by
+        which it is weighed, like :meth:`dense_operator`.
+        """
+        if factory is None:
+            return self.lookup("scenario", (spec, points))
+        return self.get_or_create(
+            "scenario",
+            (spec, points),
+            factory,
+            weight=lambda value: _byte_weight(value.nbytes),
         )
 
     def dense_operator(

@@ -85,6 +85,28 @@ def first_seen_ids(rows: np.ndarray) -> np.ndarray:
     return _first_seen(order, starts)[0]
 
 
+def block_representatives(partition: np.ndarray) -> np.ndarray:
+    """Each block's first state, for blocks numbered ``0 .. num_blocks - 1``.
+
+    With first-seen numbering (what :func:`lumping_partition` and
+    :func:`first_seen_ids` give) those are the states where the running
+    maximum block id grows, found without a sort; any other numbering is
+    recognised by the same pass and sorted.
+    """
+    if partition.size == 0:
+        return np.zeros(0, dtype=np.int64)
+    running = np.maximum.accumulate(partition)
+    grows = np.empty(partition.shape[0], dtype=bool)
+    grows[0] = True
+    grows[1:] = running[1:] != running[:-1]
+    first = np.flatnonzero(grows)
+    if first.size == running[-1] + 1 and np.array_equal(
+        partition[first], np.arange(first.size)
+    ):
+        return first
+    return np.unique(partition, return_index=True)[1]
+
+
 def block_indicator(partition: np.ndarray, num_blocks: int) -> sparse.csr_matrix:
     """The ``(num_states, num_blocks)`` 0/1 block-membership matrix."""
     num_states = partition.shape[0]
@@ -193,13 +215,13 @@ def lumping_partition(
     chain: CTMC,
     respect_initial: bool = False,
     observables: Iterable[np.ndarray] = (),
-) -> list[int]:
+) -> np.ndarray:
     """Return the coarsest ordinary-lumpability partition of ``chain``.
 
-    The result is a list mapping each state to its block index; blocks are
-    numbered in the order of their first state.  States in the same block
-    agree on all labels, on every observable and on the cumulative rate
-    into every block.  The partition, numbering included, is identical to
+    The result is an ``int64`` array mapping each state to its block
+    index; blocks are numbered in the order of their first state.  States
+    in the same block agree on all labels, on every observable and on the
+    cumulative rate into every block.  The partition, numbering included, is identical to
     the classical per-state refinement of the chain relabelled with the
     joint value classes of its labels and observables, which the test suite
     keeps as its reference.  Each round hashes every state's signature once
@@ -230,7 +252,7 @@ def lumping_partition(
         block_rates.sort_indices()
         refined = _refine(assignment, block_rates)
         if np.array_equal(refined, assignment):
-            return assignment.tolist()
+            return assignment
         assignment = refined
 
 
@@ -238,6 +260,7 @@ def lump_ctmc(
     chain: CTMC,
     partition: list[int] | np.ndarray | None = None,
     respect_initial: bool = True,
+    representatives: np.ndarray | None = None,
 ) -> tuple[CTMC, list[int] | np.ndarray]:
     """Build the quotient CTMC of ``chain`` under ordinary lumpability.
 
@@ -250,13 +273,15 @@ def lump_ctmc(
     ``R[representatives] @ indicator`` (by lumpability every member agrees;
     the own-block diagonal is dropped by :class:`CTMC`), a block carries a
     label iff its representative does, and its initial distribution sums
-    each block's mass.
+    each block's mass.  A caller that already holds the partition's
+    :func:`block_representatives` passes them in.
     """
     if partition is None:
         partition = lumping_partition(chain, respect_initial=respect_initial)
     blocks = np.asarray(partition, dtype=np.int64)
     num_blocks = int(blocks.max()) + 1 if blocks.size else 0
-    _, representatives = np.unique(blocks, return_index=True)
+    if representatives is None:
+        representatives = block_representatives(blocks)
     indicator = block_indicator(blocks, num_blocks)
     rates = sparse.csr_matrix(chain.rate_matrix[representatives] @ indicator)
     rates.sort_indices()

@@ -47,7 +47,7 @@ from __future__ import annotations
 import asyncio
 import time
 import warnings
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import Executor, ThreadPoolExecutor
 from dataclasses import dataclass, field
 from functools import partial
 from typing import Any, Callable, ClassVar
@@ -64,7 +64,12 @@ from repro.ctmc.artifacts import ArtifactCache, CacheStats
 from repro.ctmc.engines import default_worker_count
 from repro.ctmc.linsolve import LinearSolveStats
 from repro.ctmc.uniformization import DEFAULT_EPSILON, UniformizationStats
-from repro.service.registry import ScenarioRegistry, paper_registry
+from repro.service.registry import (
+    ScenarioExpansion,
+    ScenarioRegistry,
+    ScenarioSpec,
+    paper_registry,
+)
 from repro.stats import GAUGE, LatencyHistogram, Record, gauge, render_metrics
 
 #: Default coalescing window in seconds.  Zero is group commit: a free
@@ -161,6 +166,27 @@ async def await_with_deadline(
         if extra:
             message = f"{message} ({extra})"
         raise ScenarioTimeout(message) from None
+
+
+async def cached_expansion(
+    artifacts: ArtifactCache,
+    spec: ScenarioSpec,
+    points: int | None,
+    executor: Executor,
+    build: Callable[[ScenarioSpec, int | None], ScenarioExpansion],
+) -> ScenarioExpansion:
+    """A family's expansion under the ``scenario`` cache kind.
+
+    A hit is served on the event loop; a miss runs ``build`` on
+    ``executor`` under the cache's per-key lock, so racing first requests
+    of a family build it once.  Shared by both fronts' ``submit_scenario``.
+    """
+    expansion = artifacts.scenario(spec, points)
+    if expansion is None:
+        expansion = await asyncio.get_running_loop().run_in_executor(
+            executor, artifacts.scenario, spec, points, partial(build, spec, points)
+        )
+    return expansion
 
 
 @dataclass
@@ -417,16 +443,23 @@ class ScenarioService:
 
         Returns ``(request, result)`` pairs so callers can use the request
         tags ``(scenario, line, ..., strategy)`` to reassemble curves.
-        Expansion may build case-study state spaces (seconds of work on a
+        Each (spec, ``points``) is expanded once: the expansion is kept in
+        :attr:`artifacts` under the ``scenario`` kind, and later calls
+        share its read-only requests, served on the event loop.  A first
+        expansion may build case-study state spaces (seconds of work on a
         cold process), so it runs on the worker pool, keeping the event
         loop — and every other client's submissions — responsive.
         """
         self._ensure_running()
-        requests = await asyncio.get_running_loop().run_in_executor(
-            self._pool, partial(self.registry.expand, name, points=points)
+        expansion = await cached_expansion(
+            self.artifacts,
+            self.registry.get(name),
+            points,
+            self._pool,
+            self.registry.expansion,
         )
-        results = await self.submit_many(requests, timeout=timeout)
-        return list(zip(requests, results))
+        results = await self.submit_many(expansion.requests, timeout=timeout)
+        return list(zip(expansion.requests, results))
 
     # ------------------------------------------------------------------
     # dispatcher

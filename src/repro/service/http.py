@@ -66,6 +66,9 @@ _STATUS_TEXT = {
 }
 
 
+#: The protocol versions a request line may name.
+_VERSIONS = ("HTTP/1.0", "HTTP/1.1")
+
 #: The (method, path) pairs the server answers; ``repro_http_requests_total``
 #: labels every other request line ``route="other"``, so a client probing
 #: paths cannot grow the series without bound.
@@ -94,6 +97,21 @@ class _HTTPError(Exception):
         super().__init__(message)
         self.status = status
         self.message = message
+
+
+def _content_length(value: str) -> int:
+    """The body length a ``Content-Length`` value declares, or -1.
+
+    RFC 9110 allows ``1*DIGIT`` only; ``int()`` alone would also take
+    ``+16``, ``1_6`` and ``-0``, and a length read as 0 leaves the body in
+    the stream, to be parsed as the next request line.
+    """
+    if not (value.isascii() and value.isdigit()):
+        return -1
+    try:
+        return int(value)
+    except ValueError:  # more digits than Python converts
+        return -1
 
 
 def _json_floats(array: np.ndarray) -> list:
@@ -318,14 +336,18 @@ class ScenarioHTTPServer:
                 )
                 break
             keep_alive = (
-                version.upper() == "HTTP/1.1"
+                version == "HTTP/1.1"
                 and headers.get("connection", "").lower() != "close"
             )
-            try:
-                length = int(headers.get("content-length", "0") or "0")
-            except ValueError:
-                length = -1
-            if self._draining:
+            length = _content_length(headers.get("content-length", "0"))
+            if version not in _VERSIONS:
+                status, content_type, body = (
+                    400,
+                    "text/plain; charset=utf-8",
+                    b"unsupported HTTP version",
+                )
+                keep_alive = False
+            elif self._draining:
                 # Drain mode: established (keep-alive) connections may still
                 # deliver requests after the listener closed; refuse them
                 # without reading the body and close the connection.

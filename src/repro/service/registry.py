@@ -19,7 +19,7 @@ from its tagged results.  User-defined specs are added with
 from __future__ import annotations
 
 from collections.abc import Iterable
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -207,6 +207,42 @@ class ScenarioSpec:
         return requests
 
 
+@dataclass(frozen=True)
+class ScenarioExpansion:
+    """One family expanded on one grid, as the ``scenario`` cache kind holds it.
+
+    Every POST of the family shares these requests, so their array fields
+    are read-only views.  ``payloads`` are the requests' wire forms on the
+    sharded front (empty in process).
+    """
+
+    requests: tuple[MeasureRequest, ...]
+    payloads: tuple[bytes | Exception, ...] = ()
+
+    @property
+    def nbytes(self) -> int:
+        """Bytes of the request arrays and wire payloads held."""
+        arrays = sum(
+            array.nbytes
+            for request in self.requests
+            for array in _array_fields(request).values()
+        )
+        return arrays + sum(len(data) for data in self.payloads if isinstance(data, bytes))
+
+
+def _array_fields(request: MeasureRequest) -> dict[str, np.ndarray]:
+    values = {field.name: getattr(request, field.name) for field in fields(request)}
+    return {name: value for name, value in values.items() if isinstance(value, np.ndarray)}
+
+
+def _read_only(request: MeasureRequest) -> MeasureRequest:
+    """A copy of ``request`` whose array fields are read-only views."""
+    views = {name: array.view() for name, array in _array_fields(request).items()}
+    for view in views.values():
+        view.flags.writeable = False
+    return replace(request, **views)
+
+
 class ScenarioRegistry:
     """Named scenario specs; pre-populate with :func:`paper_registry`."""
 
@@ -232,6 +268,18 @@ class ScenarioRegistry:
     def expand(self, name: str, points: int | None = None) -> list[MeasureRequest]:
         """Expand the named spec into measure requests."""
         return self.get(name).expand(points=points)
+
+    def expansion(self, spec: ScenarioSpec, points: int | None = None) -> ScenarioExpansion:
+        """``spec``'s requests, read-only, through :meth:`expand`.
+
+        ``spec`` is the registered spec a service keyed its cache entry
+        with; if its name was re-registered meanwhile, ``spec`` itself is
+        expanded, so the entry never holds another spec's family.
+        """
+        requests = self.expand(spec.name, points=points)
+        if self._specs.get(spec.name) is not spec:
+            requests = spec.expand(points=points)
+        return ScenarioExpansion(tuple(_read_only(request) for request in requests))
 
     def with_points(self, name: str, points: int) -> ScenarioSpec:
         """A copy of the named spec on a coarser/finer grid."""

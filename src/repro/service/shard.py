@@ -27,6 +27,12 @@ own service instance, on one pool thread, with its own
   the same chains anyway).  The front tracks which keys each incarnation
   holds and forgets them on respawn, so a retried or failed-over request
   sends its chain again first.
+* **Expand and pickle once** — the front keeps each scenario family's
+  expansion per (spec, ``points``) in its own
+  :class:`~repro.service.ArtifactCache` (the ``scenario`` kind, bounded by
+  ``max_entries``): the read-only requests and every request's wire
+  payload.  A warm ``submit_scenario`` routes those payloads straight from
+  the event loop; only a family's first request expands and pickles.
 * **Shared-nothing artifact-summary protocol** — workers never share cache
   memory; instead each answers a ``stats`` message with a picklable
   snapshot of its :class:`~repro.service.ServiceStats`,
@@ -93,7 +99,8 @@ parent → worker                                    worker → parent
 
 ``request_bytes`` is the pickled request with its ``chain`` field replaced
 by the chain's content key; a mostly-zero initial distribution travels as
-its non-zero entries.  One ``requests`` message carries every request of
+its non-zero entries.  A scenario family's payloads are pickled once and
+resent as the same bytes.  One ``requests`` message carries every request of
 one ``submit_many`` call (or one retry or re-dispatch round) routed to that
 shard; ``submit`` sends a one-element list.  Everything else stays per
 request: each entry has its own id, result or error message, deadline,
@@ -114,6 +121,7 @@ import pickle
 import threading
 import time
 import queue as queue_module
+from collections.abc import Sequence
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from functools import partial
@@ -143,8 +151,14 @@ from repro.service.dispatcher import (
     ServiceClosed,
     ServiceStats,
     await_with_deadline,
+    cached_expansion,
 )
-from repro.service.registry import ScenarioRegistry, paper_registry
+from repro.service.registry import (
+    ScenarioExpansion,
+    ScenarioRegistry,
+    ScenarioSpec,
+    paper_registry,
+)
 from repro.stats import GAUGE, Record, keyed, render_metrics
 
 #: Default number of worker processes.
@@ -436,6 +450,14 @@ def _request_payloads(requests: list[MeasureRequest]) -> list[bytes | Exception]
     return payloads
 
 
+def _wire_expansion(
+    registry: ScenarioRegistry, spec: ScenarioSpec, points: int | None
+) -> ScenarioExpansion:
+    """A family's expansion with every request's wire payload."""
+    expansion = registry.expansion(spec, points)
+    return replace(expansion, payloads=tuple(_request_payloads(expansion.requests)))
+
+
 @dataclass
 class ShardSnapshot:
     """One shard's shared-nothing stats summary (the ``stats`` reply)."""
@@ -606,7 +628,8 @@ class ShardedScenarioService:
     default_timeout:
         Per-request deadline applied when ``submit()`` gets none.
     max_entries:
-        Per-shard artifact-cache bound.
+        Per-shard artifact-cache bound, and the bound of the front's own
+        cache (:attr:`artifacts`), which holds scenario expansions.
     registry:
         Scenario registry backing :meth:`submit_scenario` (expanded in the
         parent, then routed per request); defaults to the paper's families.
@@ -728,6 +751,8 @@ class ShardedScenarioService:
         self.shutdown_grace = float(shutdown_grace)
         self.snapshot_timeout = float(snapshot_timeout)
         self.registry = registry if registry is not None else paper_registry()
+        #: The front's cache: each scenario family's requests and payloads.
+        self.artifacts = ArtifactCache(max_entries)
         self.stats = ShardedServiceStats(
             routed={index: 0 for index in range(self.num_shards)}
         )
@@ -1346,6 +1371,22 @@ class ShardedScenarioService:
         """
         self._ensure_ready()
         requests = list(requests)
+        assert self._loop is not None
+        # The first content key of a chain object hashes its rate matrix;
+        # keep that (and the pickling) off the event loop, which also serves
+        # HTTP traffic.
+        payloads = await self._loop.run_in_executor(
+            None, _request_payloads, requests
+        )
+        return await self._submit_payloads(requests, payloads, timeout)
+
+    async def _submit_payloads(
+        self,
+        requests: Sequence[MeasureRequest],
+        payloads: Sequence[bytes | Exception],
+        timeout: float | None,
+    ) -> list[MeasureResult]:
+        """Route pickled requests and await them (see :meth:`submit_many`)."""
         if (
             self.max_pending is not None
             and self._inflight_count() >= self.max_pending
@@ -1356,12 +1397,6 @@ class ShardedScenarioService:
                 f"(max_pending={self.max_pending}); back off and resubmit"
             )
         assert self._loop is not None
-        # The first content key of a chain object hashes its rate matrix;
-        # keep that (and the pickling) off the event loop, which also serves
-        # HTTP traffic.
-        payloads = await self._loop.run_in_executor(
-            None, _request_payloads, requests
-        )
         entries = [
             _Inflight(future=self._loop.create_future(), request=request, payload=payload)
             for request, payload in zip(requests, payloads)
@@ -1404,17 +1439,26 @@ class ShardedScenarioService:
     ) -> list[tuple[MeasureRequest, MeasureResult]]:
         """Expand a registered scenario and fan its family out over the shards.
 
-        Expansion (state-space construction) runs on a parent-side worker
-        thread; the resulting requests are then routed per chain, so every
-        curve of the family lands on the shard owning its chain.
+        Each (spec, ``points``) is expanded and pickled once: the requests
+        and their wire payloads are kept in :attr:`artifacts` under the
+        ``scenario`` kind, so a warm family is routed from the event loop
+        with no expansion, no pickling and no executor hop.  A first
+        expansion (state-space construction) and its pickling run on a
+        parent-side worker thread.  The requests are routed per chain, so
+        every curve of the family lands on the shard owning its chain.
         """
         self._ensure_ready()
-        assert self._loop is not None
-        requests = await self._loop.run_in_executor(
-            self._expander, partial(self.registry.expand, name, points=points)
+        expansion = await cached_expansion(
+            self.artifacts,
+            self.registry.get(name),
+            points,
+            self._expander,
+            partial(_wire_expansion, self.registry),
         )
-        results = await self.submit_many(requests, timeout=timeout)
-        return list(zip(requests, results))
+        results = await self._submit_payloads(
+            expansion.requests, expansion.payloads, timeout
+        )
+        return list(zip(expansion.requests, results))
 
     # ------------------------------------------------------------------
     # shared-nothing stats aggregation
@@ -1493,6 +1537,7 @@ class ShardedScenarioService:
             heartbeat_misses=dict(zeros),
         )
         front.absorb(self.stats)
+        cache.absorb(self.artifacts.stats())  # the front's scenario expansions
         for shard, snapshot in zip(self._shards, snapshots):
             for part in shard.lifetime_snapshots(snapshot):
                 service.absorb(part.service)

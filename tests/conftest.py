@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+import collections
+
 import numpy as np
 import pytest
 
 from repro.arcade import ArcadeModel, build_state_space
 from repro.ctmc import CTMC
+from repro.service import ScenarioRegistry
 
 from helpers import make_mini_model, make_spare_model
 
@@ -44,3 +47,17 @@ def mini_space(mini_model):
 @pytest.fixture
 def spare_model() -> ArcadeModel:
     return make_spare_model()
+
+
+@pytest.fixture
+def expansions(monkeypatch) -> collections.Counter:
+    """``ScenarioRegistry.expand`` calls, per (name, points)."""
+    calls: collections.Counter = collections.Counter()
+    expand = ScenarioRegistry.expand
+
+    def counted(self, name, points=None):
+        calls[name, points] += 1
+        return expand(self, name, points=points)
+
+    monkeypatch.setattr(ScenarioRegistry, "expand", counted)
+    return calls

@@ -408,6 +408,70 @@ class TestErrorMapping:
         assert status == 200
         assert document == {"scenario": "fig3", "count": 0, "curves": []}
 
+    #: An 18-byte body the stub serves with a 200.
+    FIG45 = b'{"name": "fig4_5"}'
+
+    def _raw(self, request: bytes) -> tuple[bytes, dict]:
+        """Raw request bytes in; every reply byte up to the close, and the
+        server's per-(route, status) counts, out."""
+
+        async def main():
+            server = ScenarioHTTPServer(self._StubService())
+            await server.start()
+            host, port = server.address
+            try:
+                reader, writer = await asyncio.open_connection(host, port)
+                writer.write(request)
+                await writer.drain()
+                reply = await asyncio.wait_for(reader.read(), 30)
+                writer.close()
+                await writer.wait_closed()
+                return reply, dict(server.stats.requests)
+            finally:
+                await server.close()
+
+        return asyncio.run(main())
+
+    @pytest.mark.parametrize(
+        "length", ["+18", "1_8", "-0", "\xb2", "", "9" * 5000],
+        ids=[
+            "plus", "underscore", "minus-zero", "superscript-digit", "empty",
+            "past-the-digit-limit",
+        ],
+    )
+    def test_malformed_content_length_is_a_400(self, length):
+        # int() took "+18" and "1_8" (both served 200) and read "-0" as 0,
+        # which left the body in the stream to be parsed as the next
+        # request line of a keep-alive connection.
+        head = (
+            "POST /scenario HTTP/1.1\r\nHost: test\r\nConnection: close\r\n"
+            f"Content-Length: {length}\r\n\r\n"
+        )
+        reply, counts = self._raw(head.encode("latin-1") + self.FIG45)
+        assert reply.startswith(b"HTTP/1.1 400 Bad Request\r\n")
+        assert reply.endswith(b"\r\n\r\nmalformed Content-Length")
+        assert reply.count(b"HTTP/1.1 ") == 1
+        assert counts == {("POST /scenario", 400): 1}
+
+    @pytest.mark.parametrize("version", ["FOO", "HTTP/2.0", "http/1.1", "HTTP/1.1 x"])
+    def test_request_line_with_another_version_is_a_400(self, version):
+        # Each of these was served 200.
+        head = f"POST /scenario {version}\r\nHost: test\r\nContent-Length: 18\r\n\r\n"
+        reply, counts = self._raw(head.encode() + self.FIG45)
+        assert reply.startswith(b"HTTP/1.1 400 Bad Request\r\n")
+        assert reply.endswith(b"\r\n\r\nunsupported HTTP version")
+        assert counts == {("POST /scenario", 400): 1}
+
+    @pytest.mark.parametrize("version", ["HTTP/1.0", "HTTP/1.1"])
+    def test_digit_lengths_on_both_versions_are_served(self, version):
+        head = (
+            f"POST /scenario {version}\r\nHost: test\r\nConnection: close\r\n"
+            "Content-Length: 0018\r\n\r\n"
+        )
+        reply, counts = self._raw(head.encode() + self.FIG45)
+        assert reply.startswith(b"HTTP/1.1 200 OK\r\n")
+        assert counts == {("POST /scenario", 200): 1}
+
 
 class TestConnectionCap:
     def _factory(self):

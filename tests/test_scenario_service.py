@@ -12,6 +12,7 @@ future without wedging the dispatcher.
 from __future__ import annotations
 
 import asyncio
+import dataclasses
 import pickle
 
 import numpy as np
@@ -27,6 +28,7 @@ from repro.service import (
     DEFAULT_MAX_ENTRIES,
     ArtifactCache,
     QueueFull,
+    ScenarioRegistry,
     ScenarioService,
     ScenarioTimeout,
     ServiceClosed,
@@ -439,6 +441,112 @@ class TestScenarioRegistry:
             assert result.request is request
             assert request.tag[0] == "fig4_5"
             assert result.squeezed.shape == (5,)
+
+
+# ---------------------------------------------------------------------------
+# scenario expansions: one cache entry per (spec, points), read-only
+# ---------------------------------------------------------------------------
+def array_fields(request: MeasureRequest) -> dict[str, np.ndarray]:
+    values = {field.name: getattr(request, field.name) for field in dataclasses.fields(request)}
+    return {name: value for name, value in values.items() if isinstance(value, np.ndarray)}
+
+
+class TestScenarioExpansions:
+    @pytest.mark.parametrize("lump", [True, False], ids=["lumped", "unlumped"])
+    def test_memoised_request_arrays_are_read_only_and_never_written(self, lump):
+        registry = paper_registry()
+        fresh = {
+            name: [
+                {key: array.copy() for key, array in array_fields(request).items()}
+                for request in registry.expand(name, points=9)
+            ]
+            for name in registry.names
+        }
+
+        async def two_passes():
+            async with ScenarioService(lump=lump) as service:
+                for _ in range(2):
+                    for name in registry.names:
+                        await service.submit_scenario(name, points=9)
+                return {
+                    name: service.artifacts.scenario(registry.get(name), 9)
+                    for name in registry.names
+                }
+
+        memo = asyncio.run(two_passes())
+        checked = 0
+        for name, expansion in memo.items():
+            assert len(expansion.requests) == len(fresh[name])
+            for request, before in zip(expansion.requests, fresh[name]):
+                arrays = array_fields(request)
+                assert arrays.keys() == before.keys()
+                for key, array in arrays.items():
+                    assert not array.flags.writeable, (name, key)
+                    assert (array.dtype, array.shape) == (before[key].dtype, before[key].shape)
+                    assert array.tobytes() == before[key].tobytes(), (name, key)
+                    checked += 1
+        assert checked == 92  # times, targets, initials and reward vectors
+
+    def test_a_re_registered_spec_is_served_its_own_requests(self, expansions):
+        original = paper_registry().get("fig10")
+        longer = dataclasses.replace(original, horizon=80.0)
+        registry = ScenarioRegistry([original])
+
+        async def run():
+            horizons = []
+            async with ScenarioService(lump=True, registry=registry) as service:
+                for spec in (original, longer, original):
+                    registry.register(spec, replace_existing=True)
+                    pairs = await service.submit_scenario("fig10", points=5)
+                    horizons.append({float(request.times[-1]) for request, _ in pairs})
+            return horizons
+
+        assert asyncio.run(run()) == [{50.0}, {80.0}, {50.0}]
+        assert expansions == {("fig10", 5): 2}  # the original's entry serves it again
+
+    def test_an_expansion_racing_a_re_registration_keeps_its_spec(self):
+        original = paper_registry().get("fig10")
+        longer = dataclasses.replace(original, horizon=80.0)
+
+        class Racing(ScenarioRegistry):
+            def expand(self, name, points=None):
+                self.register(longer, replace_existing=True)  # lands mid-expansion
+                return super().expand(name, points=points)
+
+        expansion = Racing([original]).expansion(original, 5)
+        assert {float(request.times[-1]) for request in expansion.requests} == {50.0}
+
+    def test_each_grid_is_an_entry_and_a_flood_of_grids_stays_bounded(self, expansions):
+        spec = paper_registry().get("fig6")
+        cache = ArtifactCache(max_entries=40)
+
+        async def run():
+            async with ScenarioService(lump=True, artifacts=cache) as service:
+                for points in (5, 6, 5, None, spec.points):
+                    await service.submit_scenario("fig6", points=points)
+                first = cache.stats().kind("scenario")
+                weights = []
+                for points in range(7, 27):
+                    await service.submit_scenario("fig6", points=points)
+                    weights.append(cache.total_weight)
+            return first, weights
+
+        first, weights = asyncio.run(run())
+        assert (first.misses, first.hits) == (4, 1)
+        assert expansions[("fig6", 5)] == 1 and expansions[("fig6", None)] == 1
+        # Each fig6 entry weighs 5 units (1.1 MB of arrays), so the bound of
+        # 40 holds at most eight of them.
+        assert max(weights) <= cache.max_entries
+        flood = cache.stats().kind("scenario")
+        assert flood.misses == 4 + 20 and flood.evictions > 0
+        assert cache.scenario(spec, 26) is not None and cache.scenario(spec, 7) is None
+
+    def test_expansions_key_no_chain_fingerprint(self):
+        registry = paper_registry()
+        spec = registry.get("fig10")
+        cache = ArtifactCache()
+        cache.scenario(spec, None, lambda: registry.expansion(spec))
+        assert len(cache) == 1 and cache.chain_fingerprints() == frozenset()
 
 
 # ---------------------------------------------------------------------------

@@ -20,6 +20,7 @@ is covered without a spawned process.
 from __future__ import annotations
 
 import asyncio
+import json
 import pickle
 import queue
 import threading
@@ -37,9 +38,11 @@ from repro.service import (
     DEFAULT_MAX_BATCH,
     DEFAULT_MAX_ENTRIES,
     ArtifactCache,
+    CacheStats,
     ChaosEvent,
     ChaosPolicy,
     QueueFull,
+    ScenarioHTTPServer,
     ScenarioService,
     ScenarioTimeout,
     ServiceClosed,
@@ -48,6 +51,7 @@ from repro.service import (
     paper_registry,
     shard_for_fingerprint,
 )
+from repro.service import shard
 from repro.service.shard import _request_payload, _shard_worker_main, _SparseVectors
 
 NUM_SHARDS = 2
@@ -279,6 +283,119 @@ class TestWorkInvariance:
             for *_, metrics in runs
         ]
         assert totals[0] == totals[1] == totals[2]
+
+
+# ---------------------------------------------------------------------------
+# each (family, points) is expanded and pickled once, on every front
+# ---------------------------------------------------------------------------
+class _ExpandingFront(ScenarioService):
+    """An in-process front whose every ``submit_scenario`` expands afresh."""
+
+    async def submit_scenario(self, name, points=None, timeout=None):
+        requests = self.registry.get(name).expand(points=points)
+        results = await self.submit_many(requests, timeout=timeout)
+        return list(zip(requests, results))
+
+
+class _CountingPickle:
+    """``repro.service.shard``'s ``pickle``, counting the requests it pickles."""
+
+    def __init__(self) -> None:
+        self.requests = 0
+
+    def dumps(self, obj, *args, **kwargs):
+        self.requests += isinstance(obj, MeasureRequest)
+        return pickle.dumps(obj, *args, **kwargs)
+
+    def __getattr__(self, name):
+        return getattr(pickle, name)
+
+
+async def post_body(server: ScenarioHTTPServer, name: str, points=None) -> bytes:
+    """The body ``POST /scenario`` answers for ``name`` (a 200 is required)."""
+    body = {"name": name} if points is None else {"name": name, "points": points}
+    status, _, data = await server._post_scenario(json.dumps(body).encode())
+    assert status == 200
+    return data
+
+
+FRONTS = {
+    "in-process": lambda: ScenarioService(lump=True),
+    "1-shard": lambda: ShardedScenarioService(1, lump=True),
+    "2-shard": lambda: ShardedScenarioService(NUM_SHARDS, lump=True),
+}
+
+
+class TestExpandOnce:
+    def test_a_warm_pass_expands_and_pickles_nothing(self, expansions, monkeypatch):
+        # Two sequential passes of the 8 families, at the registry grids and
+        # at 9 points: every (family, points) is expanded once and its
+        # requests are pickled once, and every body equals the one a front
+        # that expands every time answers.
+        registry = paper_registry()
+        grids = (None, 9)
+        counting = _CountingPickle()
+        monkeypatch.setattr(shard, "pickle", counting)
+
+        async def reference():
+            async with _ExpandingFront(lump=True) as service:
+                server = ScenarioHTTPServer(service)
+                return {
+                    (points, name): await post_body(server, name, points)
+                    for points in grids
+                    for name in registry.names
+                }
+
+        async def two_passes(make_front):
+            pickled = []
+            async with make_front() as service:
+                server = ScenarioHTTPServer(service)
+                bodies = []
+                for _ in range(2):
+                    before = counting.requests
+                    bodies.append({
+                        (points, name): await post_body(server, name, points)
+                        for points in grids
+                        for name in registry.names
+                    })
+                    pickled.append(counting.requests - before)
+            return bodies, pickled
+
+        expected = asyncio.run(reference())
+        requests = sum(len(registry.expand(name)) for name in registry.names)
+        for label, make_front in FRONTS.items():
+            expansions.clear()
+            bodies, pickled = asyncio.run(two_passes(make_front))
+            assert expansions == {
+                (name, points): 1 for points in grids for name in registry.names
+            }, label
+            assert pickled == ([0, 0] if label == "in-process" else [2 * requests, 0])
+            assert bodies == [expected, expected], label
+
+    @pytest.mark.parametrize("label", ["in-process", "2-shard"])
+    def test_concurrent_posts_share_one_expansion(self, expansions, label):
+        async def run():
+            async with FRONTS[label]() as service:
+                server = ScenarioHTTPServer(service)
+                cold = await asyncio.gather(
+                    post_body(server, "fig8_9", 5), post_body(server, "fig8_9", 5)
+                )
+                if label != "in-process":
+                    service._expander.shutdown()  # a hit takes no executor hop
+                warm = await asyncio.gather(
+                    post_body(server, "fig8_9", 5), post_body(server, "fig8_9", 5)
+                )
+                metrics = service.metrics_records()
+                if label != "in-process":
+                    metrics = await metrics
+            return cold + warm, metrics
+
+        bodies, records = asyncio.run(run())
+        assert len(set(bodies)) == 1
+        assert expansions == {("fig8_9", 5): 1}
+        (cache,) = [record for record in records if isinstance(record, CacheStats)]
+        scenario = cache.kind("scenario")
+        assert (scenario.misses, scenario.hits) == (1, 3)
 
 
 # ---------------------------------------------------------------------------
