@@ -49,13 +49,12 @@ non-safe blocks absorbed — no second refinement.
 
 The plan is materialised as a list of :class:`ExecutionUnit` objects
 (:func:`execution_units`), each independently runnable: the scenario
-service executes units concurrently on a worker pool and fails one unit's
-requests without touching the others, while :func:`execute_plan` simply
-runs them in order.  Every unit runs against the artifact cache
-(:class:`~repro.ctmc.artifacts.ArtifactCache`) its session or service owns,
-which supplies transformed chains, uniformized and densified operators,
-Fox–Glynn tables and long-run solver artifacts to every unit and plan that
-shares it.
+service's flush fails one unit's requests without touching the others,
+while :func:`execute_plan` simply runs them in order.  Every unit runs
+against the artifact cache (:class:`~repro.ctmc.artifacts.ArtifactCache`)
+its session or service owns, which supplies transformed chains, uniformized
+and densified operators, Fox–Glynn tables and long-run solver artifacts to
+every unit and plan that shares it.
 """
 
 from __future__ import annotations
@@ -123,8 +122,9 @@ class ExecutionUnit:
 
     Either a single regular group, or a bundle of interval-until groups
     sharing a (base chain, safe, target, lower, epsilon) signature.  Units
-    touch disjoint ``results`` slots, so the scenario service may run them
-    concurrently on worker threads.
+    touch disjoint ``results`` slots, so the scenario service's flush runs
+    them one after another and a unit that raises fails only its own
+    members.
     """
 
     groups: list[tuple[int, ExecutionGroup]]
@@ -146,11 +146,7 @@ class ExecutionUnit:
         linear_stats: LinearSolveStats | None = None,
     ) -> None:
         """Execute this unit against ``artifacts``, writing each member's
-        result into ``results``.
-
-        The artifact cache is thread-safe, so the scenario service runs
-        units of one plan concurrently against its one cache.
-        """
+        result into ``results``."""
         if self.longrun:
             group_index, group = self.groups[0]
             _execute_longrun_group(group, group_index, results, linear_stats, artifacts)

@@ -7,7 +7,7 @@ the heavy-traffic north star:
 * :class:`ScenarioService` — an asyncio front end; many clients
   ``await submit(...)`` measure requests (or registered scenario names), a
   micro-batching dispatcher coalesces submissions across callers into one
-  plan per flush and executes independent groups on a worker pool, with
+  plan per flush and runs each flush in one call on a pool thread, with
   bounded-queue backpressure (:class:`QueueFull`) and per-request deadlines
   (:class:`ScenarioTimeout`);
 * :class:`ShardedScenarioService` — the multi-process front:

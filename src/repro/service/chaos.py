@@ -10,7 +10,7 @@ hooked into the worker side of the shard wire protocol:
     a hard crash with requests in flight, exactly what a segfaulting or
     OOM-killed worker looks like from the parent.
 ``wedge``
-    The worker blocks its message loop in a synchronous sleep.  The process
+    The worker blocks its request reader in a synchronous sleep.  The process
     stays *alive* (``process.join()`` never fires), so only the heartbeat
     liveness timeout can detect it — this is the scenario plain
     exit-watching supervision cannot handle.

@@ -16,8 +16,9 @@ either mode one flush plans:
   epsilon) merge into one group and therefore one uniformization sweep, so
   ``N`` clients asking for the same curve family at once cost no more
   sweeps than one batched session;
-* independent execution units (regular groups, bundled interval
-  signatures) run concurrently on a worker thread pool;
+* a flush is one call, :meth:`ScenarioService.execute_flush`, on one
+  pool thread: it validates, plans and runs every execution unit in order,
+  so the event loop hands work off once per flush, not once per unit;
 * every submission owns a future that is resolved with exactly its own
   :class:`~repro.analysis.MeasureResult` slice — a poisoned request fails
   its *own* future (at validation or execution time) without wedging the
@@ -50,7 +51,7 @@ import warnings
 from concurrent.futures import Executor, ThreadPoolExecutor
 from dataclasses import dataclass, field
 from functools import partial
-from typing import Any, Callable, ClassVar
+from typing import Any, Callable, ClassVar, Sequence
 
 from repro.analysis import (
     MeasureRequest,
@@ -227,10 +228,11 @@ class ScenarioService:
         without one the service makes a private cache.  Pass a shared one
         to reuse artifacts across services and sessions.
     max_workers:
-        Worker threads executing independent groups concurrently; ``None``
-        uses :func:`repro.ctmc.engines.default_worker_count`, which bounds
-        the pool so dense-BLAS kernels running on the workers cannot
-        oversubscribe the machine.
+        Size of the worker pool, which runs the flushes, one at a time, and
+        the first expansion of each scenario family; ``None`` uses
+        :func:`repro.ctmc.engines.default_worker_count`, which bounds the
+        pool so dense-BLAS kernels running on it cannot oversubscribe the
+        machine.
     registry:
         Scenario registry backing :meth:`submit_scenario`; defaults to the
         paper's figure families (:func:`repro.service.paper_registry`).
@@ -511,11 +513,20 @@ class ScenarioService:
                 continue
             self._flushing = True
             try:
-                await self._flush(batch)
+                requests = [pending.request for pending in batch]
+                outcomes = await loop.run_in_executor(
+                    self._pool, self.execute_flush, requests
+                )
+                for pending, outcome in zip(batch, outcomes):
+                    if isinstance(outcome, Exception):
+                        self._fail(pending, outcome)
+                    elif not pending.future.done():
+                        self.stats.completed += 1
+                        pending.future.set_result(outcome)
             except BaseException as error:
                 # The dispatcher must never strand an in-flight batch: on
                 # cancellation (close(drain=False)) or an unexpected escape
-                # from _flush, every unresolved future of the batch is
+                # from the flush, every unresolved future of the batch is
                 # failed so awaiting clients wake up.
                 abandon = (
                     ServiceClosed("service closed while the request was in flight")
@@ -532,105 +543,63 @@ class ScenarioService:
                 if not self._pending:
                     self._idle.set()
 
-    def _validate_and_plan(
-        self, batch: list[_Pending]
-    ) -> tuple[list[_Pending], list[tuple[_Pending, BaseException]], Any]:
-        """Validate each request and plan the survivors (worker-pool side).
+    def execute_flush(
+        self, requests: Sequence[MeasureRequest]
+    ) -> list[MeasureResult | Exception]:
+        """Validate, plan and execute one flush on the calling thread.
 
-        Runs entirely off the event loop: per-submission validation means a
-        poisoned request is rejected here — failing only its own future —
-        and never reaches the shared plan.  (The survivors are normalised a
-        second time inside ``build_plan``; deriving the masks/vectors is
-        trivial next to the sweeps, and keeping the planner self-contained
-        is worth the duplication.)
+        Returns each request's result, or the error that failed it: a
+        request that fails validation never reaches the shared plan, and a
+        unit that raises fails only its own members.  Accounts the flush in
+        :attr:`stats`.  The dispatcher runs it in one pool hop per flush, a
+        shard worker on its main thread.
         """
-        survivors: list[_Pending] = []
-        rejected: list[tuple[_Pending, BaseException]] = []
-        for pending in batch:
+        self.stats.flushes += 1
+        self.stats.largest_flush = max(self.stats.largest_flush, len(requests))
+        started = time.perf_counter()
+        outcomes: list[Any] = []
+        survivors: list[int] = []
+        for position, request in enumerate(requests):
             try:
-                normalise_request(pending.request)
+                normalise_request(request)
             except Exception as error:
-                rejected.append((pending, error))
+                outcomes.append(error)
             else:
-                survivors.append(pending)
-        plan = None
-        if survivors:
+                outcomes.append(None)
+                survivors.append(position)
+        try:
             plan = build_plan(
-                [pending.request for pending in survivors],
+                [requests[position] for position in survivors],
                 lump=self.lump,
                 default_epsilon=self.default_epsilon,
                 artifacts=self.artifacts,
             )
-        return survivors, rejected, plan
-
-    async def _flush(self, batch: list[_Pending]) -> None:
-        self.stats.flushes += 1
-        self.stats.largest_flush = max(self.stats.largest_flush, len(batch))
-        started = time.perf_counter()
-        try:
-            await self._flush_batch(batch)
-        finally:
-            self.stats.flush_latency.observe(time.perf_counter() - started)
-
-    async def _flush_batch(self, batch: list[_Pending]) -> None:
-        loop = asyncio.get_running_loop()
-        try:
-            survivors, rejected, plan = await loop.run_in_executor(
-                self._pool, partial(self._validate_and_plan, batch)
-            )
-        except Exception as error:
-            # Planning over *validated* requests is essentially infallible
-            # (lumping failures degrade to unlumped groups inside
-            # build_plan); this is a genuine last resort.
-            for pending in batch:
-                self._fail(pending, error)
-            return
-        for pending, error in rejected:
-            self._fail(pending, error)
-        if plan is None:
-            return
-
-        results: list[MeasureResult | None] = [None] * plan.num_requests
-        errors: dict[int, BaseException] = {}
-        engines: list[UniformizationStats] = []
-        linears: list[LinearSolveStats] = []
-
-        async def run_unit(unit) -> None:
-            # Units write disjoint results slots, so they may run
-            # concurrently; a failing unit poisons only its own members.
+            results: list[Any] = [None] * plan.num_requests
             engine = UniformizationStats()
             linear = LinearSolveStats()
-            try:
-                await loop.run_in_executor(
-                    self._pool,
-                    partial(unit.run, results, self.artifacts, engine, linear),
-                )
-            except Exception as error:
-                for index in unit.request_indices:
-                    errors[index] = error
-            engines.append(engine)
-            linears.append(linear)
-
-        await asyncio.gather(*(run_unit(unit) for unit in execution_units(plan)))
-
-        session = self.stats.session
-        session.absorb_plan(plan)
-        for engine in engines:
+            for unit in execution_units(plan):
+                try:
+                    unit.run(results, self.artifacts, engine, linear)
+                except Exception as error:
+                    for index in unit.request_indices:
+                        results[index] = error
+            session = self.stats.session
+            session.absorb_plan(plan)
             session.absorb_engine(engine)
-        for linear in linears:
             session.absorb_linear(linear)
-
-        for position, pending in enumerate(survivors):
-            if position in errors:
-                self._fail(pending, errors[position])
-            elif results[position] is None:
-                self._fail(
-                    pending,
-                    RuntimeError("request was not resolved by any execution unit"),
+            for position, result in zip(survivors, results):
+                outcomes[position] = result if result is not None else (
+                    RuntimeError("request was not resolved by any execution unit")
                 )
-            elif not pending.future.done():
-                self.stats.completed += 1
-                pending.future.set_result(results[position])
+        except Exception as error:
+            # Planning over validated requests is essentially infallible
+            # (lumping failures degrade to unlumped groups inside
+            # build_plan); this is a genuine last resort.
+            for position in survivors:
+                outcomes[position] = error
+        finally:
+            self.stats.flush_latency.observe(time.perf_counter() - started)
+        return outcomes
 
     def _fail(self, pending: _Pending, error: BaseException) -> None:
         if not pending.future.done():

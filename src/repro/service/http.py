@@ -29,7 +29,8 @@ clients can back off without parsing bodies.
 The server is stdlib-only (``asyncio.start_server`` with a hand-rolled
 HTTP/1.1 reader) — deliberately so: the container has no third-party HTTP
 framework, and the protocol surface needed here is tiny.  Keep-alive is
-supported; request bodies are capped at 1 MiB.
+supported; request bodies are framed by one ``Content-Length`` (a
+``Transfer-Encoding`` is a ``501``) and capped at 1 MiB.
 """
 
 from __future__ import annotations
@@ -61,6 +62,7 @@ _STATUS_TEXT = {
     405: "Method Not Allowed",
     413: "Payload Too Large",
     500: "Internal Server Error",
+    501: "Not Implemented",
     503: "Service Unavailable",
     504: "Gateway Timeout",
 }
@@ -315,7 +317,7 @@ class ScenarioHTTPServer:
             route = (method, raw_path.partition("?")[0])
             route_label = " ".join(route) if route in _ROUTES else "other"
             headers: dict[str, str] = {}
-            malformed_headers = False
+            malformed_headers = conflicting_lengths = False
             while True:
                 try:
                     line = await reader.readline()
@@ -328,7 +330,12 @@ class ScenarioHTTPServer:
                     malformed_headers = True
                     break
                 name, _, value = line.decode("latin-1").partition(":")
-                headers[name.strip().lower()] = value.strip()
+                name, value = name.strip().lower(), value.strip()
+                # A dict keeps the last of repeated headers: two differing
+                # lengths would frame the body by whichever came last.
+                if name == "content-length" and headers.get(name, value) != value:
+                    conflicting_lengths = True
+                headers[name] = value
             if malformed_headers:
                 self._count(route_label, 400)
                 await self._write_response(
@@ -340,40 +347,35 @@ class ScenarioHTTPServer:
                 and headers.get("connection", "").lower() != "close"
             )
             length = _content_length(headers.get("content-length", "0"))
+            plain = "text/plain; charset=utf-8"
+            reply = None
             if version not in _VERSIONS:
-                status, content_type, body = (
-                    400,
-                    "text/plain; charset=utf-8",
-                    b"unsupported HTTP version",
-                )
-                keep_alive = False
+                reply = 400, plain, b"unsupported HTTP version"
             elif self._draining:
                 # Drain mode: established (keep-alive) connections may still
                 # deliver requests after the listener closed; refuse them
                 # without reading the body and close the connection.
-                status, content_type, body = self._json_error(
+                reply = self._json_error(
                     503, "server is draining; no new requests accepted"
                 )
-                keep_alive = False
+            elif "transfer-encoding" in headers:
+                # Only Content-Length framing is read; a chunked body would
+                # be left in the stream and parsed as the next request line.
+                reply = (
+                    501, plain, b"Transfer-Encoding is not supported; send Content-Length"
+                )
+            elif conflicting_lengths:
+                reply = 400, plain, b"conflicting Content-Length headers"
             elif length < 0:
-                status, content_type, body = (
-                    400,
-                    "text/plain; charset=utf-8",
-                    b"malformed Content-Length",
-                )
-                keep_alive = False
+                reply = 400, plain, b"malformed Content-Length"
             elif length > MAX_BODY_BYTES:
-                status, content_type, body = (
-                    413,
-                    "text/plain; charset=utf-8",
-                    b"request body too large",
-                )
-                keep_alive = False
-            else:
+                reply = 413, plain, b"request body too large"
+            if reply is None:
                 body_bytes = await reader.readexactly(length) if length else b""
-                status, content_type, body = await self._dispatch(
-                    method, raw_path, body_bytes
-                )
+                reply = await self._dispatch(method, raw_path, body_bytes)
+            else:  # a refused request closes its connection
+                keep_alive = False
+            status, content_type, body = reply
             self._count(route_label, status)
             await self._write_response(
                 writer, status, content_type, body, keep_alive

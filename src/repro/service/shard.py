@@ -2,8 +2,8 @@
 
 One :class:`repro.service.ScenarioService` coalesces heavy measure traffic
 inside a single process; :class:`ShardedScenarioService` scales that out
-across N *worker processes* (``multiprocessing`` spawn), each running its
-own service instance, on one pool thread, with its own
+across N *worker processes* (``multiprocessing`` spawn), each flushing
+through its own service instance, on its main thread, with its own
 :class:`repro.service.ArtifactCache`.  The design is shared-nothing:
 
 * **Fingerprint routing / chain ownership** — every submission is routed by
@@ -12,12 +12,12 @@ own service instance, on one pool thread, with its own
   lumping quotients and uniformized operators stay warm in that shard's
   cache and are never duplicated across workers.  A ``submit_many`` call
   (a scenario family) reaches each shard it touches as one ``requests``
-  message, which the worker enqueues in one loop tick, so the family plans
-  there as one flush; requests that arrive while a flush runs, from any
-  client, plan together in the next one, by chain fingerprint.  So
-  cross-client sweep sharing keeps working under shard-out:
-  ``benchmarks/bench_perf_sharded_service.py`` gates that duplicated
-  clients on a 1-shard front cost exactly the single-process sweep count.
+  message, so the family plans there as one flush; requests that arrive
+  while a flush runs, from any client, plan together in the next one, by
+  chain fingerprint.  So cross-client sweep sharing keeps working under
+  shard-out: ``benchmarks/bench_perf_sharded_service.py`` gates that
+  duplicated clients on a 1-shard front cost exactly the single-process
+  sweep count.
 * **Content-addressed chain transport** — each chain crosses the wire to a
   worker once per worker incarnation, keyed by
   :attr:`~repro.ctmc.ctmc.CTMC.content_key` (fingerprint + initial
@@ -33,6 +33,11 @@ own service instance, on one pool thread, with its own
   ``max_entries``): the read-only requests and every request's wire
   payload.  A warm ``submit_scenario`` routes those payloads straight from
   the event loop; only a family's first request expands and pickles.
+* **One call and one reply per flush** — a worker runs no event loop.  Its
+  reader thread answers pings at once, even during a long flush, and
+  forwards the rest in order to its main thread, which drains whatever is
+  queued into one :meth:`~repro.service.ScenarioService.execute_flush`
+  and answers with one ``results`` message (:func:`_shard_worker`).
 * **Shared-nothing artifact-summary protocol** — workers never share cache
   memory; instead each answers a ``stats`` message with a picklable
   snapshot of its :class:`~repro.service.ServiceStats`,
@@ -90,27 +95,29 @@ the offending request instead of wedging a queue feeder thread):
 =================================================  ================================
 parent → worker                                    worker → parent
 =================================================  ================================
-``("chain", key, chain_bytes)``                    ``("result", id, payload_bytes)``
-``("requests", [(id, request_bytes), ...])``       ``("error", id, exc_bytes, text)``
-``("stats", id)``                                  ``("stats", id, snapshot_bytes)``
-``("ping", id)``                                   ``("pong", id)``
+``("chain", key, chain_bytes)``                    ``("results", [reply, ...])``
+``("requests", [(id, request_bytes), ...])``       ``("stats", id, snapshot_bytes)``
+``("stats", id)``                                  ``("pong", id)``
+``("ping", id)``
 ``("shutdown",)``
 =================================================  ================================
 
+A worker sends one ``results`` message per flush, each ``reply`` being
+``("result", id, payload_bytes)`` or ``("error", id, exc_bytes, text)``.
 ``request_bytes`` is the pickled request with its ``chain`` field replaced
 by the chain's content key; a mostly-zero initial distribution travels as
 its non-zero entries.  A scenario family's payloads are pickled once and
 resent as the same bytes.  One ``requests`` message carries every request of
 one ``submit_many`` call (or one retry or re-dispatch round) routed to that
 shard; ``submit`` sends a one-element list.  Everything else stays per
-request: each entry has its own id, result or error message, deadline,
-retry budget and failover route, and counts once in a chaos schedule.
-Ordering rule: the front puts ``("chain", ...)`` on a worker's queue ahead
-of the first ``requests`` message on that chain, the queue is FIFO, and
-the worker installs a chain before it reads its next message, so a
-request never arrives ahead of its chain.  Results travel as plain arrays
-(times, values, group index, lump size) and are re-attached to the caller's
-original request object, so the parent never unpickles a chain.
+request: each entry has its own id, reply, deadline, retry budget and
+failover route, and counts once in a chaos schedule.  Ordering rule: the
+front puts ``("chain", ...)`` on a worker's queue ahead of the first
+``requests`` message on that chain, the queue and the worker's FIFO keep
+their order, and the worker installs a chain before it decodes the requests
+behind it, so a request never arrives ahead of its chain.  Results travel as
+plain arrays (times, values, group index, lump size) and are re-attached to
+the caller's original request object, so the parent never unpickles a chain.
 """
 
 from __future__ import annotations
@@ -176,11 +183,11 @@ DEFAULT_SNAPSHOT_TIMEOUT = 30.0
 DEFAULT_HEARTBEAT_INTERVAL = 1.0
 
 #: Default wedge deadline when ``heartbeat_timeout`` is not given.
-#: Deliberately generous: a *healthy* worker's event loop can be starved
-#: for seconds at a stretch while its pool threads hold the GIL through
-#: heavy sparse kernels, and a tight default would kill healthy workers
-#: under exactly the loads that matter.  Tune it down (with the interval)
-#: when fast wedge detection is worth the false-positive risk.
+#: Deliberately generous: a *healthy* worker's ping-answering reader thread
+#: can be starved for seconds at a stretch while its main thread holds the
+#: GIL through heavy sparse kernels, and a tight default would kill healthy
+#: workers under exactly the loads that matter.  Tune it down (with the
+#: interval) when fast wedge detection is worth the false-positive risk.
 DEFAULT_HEARTBEAT_TIMEOUT = 30.0
 
 #: Default restarts allowed inside ``restart_window`` before a shard is
@@ -235,48 +242,61 @@ def shard_for_fingerprint(fingerprint: str, num_shards: int) -> int:
 # ----------------------------------------------------------------------
 # worker side
 # ----------------------------------------------------------------------
-def _pickle_error(error: BaseException) -> bytes | None:
-    """Best-effort pickle of an exception (None when it cannot travel)."""
+def _error_reply(request_id: int, error: BaseException) -> tuple:
+    """An ``error`` reply: the exception (None when it cannot travel) and its text."""
     try:
         payload = pickle.dumps(error)
         pickle.loads(payload)  # some exceptions pickle but fail to rebuild
-        return payload
     except Exception:
-        return None
+        payload = None
+    return ("error", request_id, payload, f"{type(error).__name__}: {error}")
 
 
-async def _shard_worker(
-    shard_index: int,
-    requests: Any,
-    responses: Any,
-    config: dict,
-) -> None:
-    """The asyncio body of one worker: an in-process service fed by a queue.
-
-    The service runs on one pool thread: the worker process is already the
-    unit of parallelism, and more threads in it only contend for its GIL.
-    """
-    service = ScenarioService(
-        coalesce_window=config["coalesce_window"],
-        max_batch=config["max_batch"],
-        lump=config["lump"],
-        epsilon=config["epsilon"],
-        artifacts=ArtifactCache(config["max_entries"]),
-        max_workers=1,
-    )
-    loop = asyncio.get_running_loop()
-    tasks: set[asyncio.Task] = set()
-    chaos: ChaosPolicy | None = config.get("chaos")
-    generation = config.get("generation", 0)
-    script = (
-        chaos.script_for(shard_index, generation) if chaos is not None else {}
-    )
+def _read_requests(requests: Any, responses: Any, script: dict, inbox: Any) -> None:
+    """A worker's reader thread, the one consumer of its request queue: it
+    answers pings at once, so pongs flow during a long flush, applies the
+    chaos schedule per request on arrival (``kill`` exits, ``wedge`` blocks
+    this thread so heartbeats stop, other faults ride along with their
+    entry) and forwards everything else to ``inbox`` in arrival order."""
     request_count = 0
-    # Chains this incarnation holds, by content key; a chain that failed to
-    # unpickle is stored as its exception, so each request on it fails alone.
-    chains: dict[str, Any] = {}
+    while True:
+        try:
+            message = requests.get()
+        except (EOFError, OSError):  # the front is gone: flush, then exit
+            message = ("shutdown",)
+        if message[0] == "ping":
+            responses.put(("pong", message[1]))
+            continue
+        if message[0] == "requests":
+            entries = []
+            for request_id, payload in message[1]:
+                request_count += 1
+                event = script.get(request_count)
+                if event is not None and event.action == "kill":
+                    os._exit(event.exit_code)
+                if event is not None and event.action == "wedge":
+                    # If the supervisor never kills us (heartbeats
+                    # disabled), serve the request normally after the hold.
+                    time.sleep(event.delay or DEFAULT_WEDGE_HOLD)
+                    event = None
+                entries.append((request_id, payload, event))
+            # One FIFO item per message: a family is never split.
+            message = ("requests", entries)
+        inbox.put(message)
+        if message[0] == "shutdown":
+            return
 
-    async def run_request(request_id: int, payload: bytes, event=None) -> None:
+
+def _flush(
+    service: ScenarioService, chains: dict, batch: list, responses: Any, delayed: list
+) -> None:
+    """Decode, flush and answer ``batch``, a list of ``(request id, payload,
+    chaos event)``, with one ``results`` message.  A request that fails to
+    decode fails alone.  A ``drop`` result is omitted, a ``corrupt`` one
+    gets a garbage body, and a ``delay`` one is sent alone, later, without
+    holding back the rest of the flush."""
+    decoded, replies = [], []
+    for request_id, payload, event in batch:
         try:
             request = pickle.loads(payload)
             if isinstance(request.initial_distributions, _SparseVectors):
@@ -285,106 +305,120 @@ async def _shard_worker(
             if isinstance(chain, Exception):
                 raise chain
             request.chain = chain
-            result = await service.submit(request)
+        except Exception as error:
+            replies.append(_error_reply(request_id, error))
+        else:
+            decoded.append((request_id, event, request))
+    outcomes = service.execute_flush([entry[2] for entry in decoded]) if decoded else []
+    failed = sum(isinstance(outcome, Exception) for outcome in outcomes)
+    service.stats.submissions += len(outcomes)
+    service.stats.completed += len(outcomes) - failed
+    service.stats.failed += failed
+    for (request_id, event, _), outcome in zip(decoded, outcomes):
+        try:
+            if isinstance(outcome, Exception):
+                raise outcome
             body = pickle.dumps(
                 {
-                    "times": result.times,
-                    "values": result.values,
-                    "group_index": result.group_index,
-                    "lumped_states": result.lumped_states,
-                    "squeeze": result._squeeze,
+                    "times": outcome.times,
+                    "values": outcome.values,
+                    "group_index": outcome.group_index,
+                    "lumped_states": outcome.lumped_states,
+                    "squeeze": outcome._squeeze,
                 }
             )
         except Exception as error:
-            responses.put(
-                (
-                    "error",
-                    request_id,
-                    _pickle_error(error),
-                    f"{type(error).__name__}: {error}",
-                )
-            )
-        else:
-            if event is not None:
-                if event.action == "drop":
-                    return  # the response vanishes; only a deadline recovers
-                if event.action == "delay":
-                    await asyncio.sleep(event.delay)
-                elif event.action == "corrupt":
-                    body = b"\xff\xfe chaos: corrupted response payload"
-            responses.put(("result", request_id, body))
+            replies.append(_error_reply(request_id, error))
+            continue
+        if event is not None and event.action == "corrupt":
+            body = b"\xff\xfe chaos: corrupted response payload"
+        if event is None or event.action == "corrupt":
+            replies.append(("result", request_id, body))
+        elif event.action == "delay":
+            reply = ("results", [("result", request_id, body)])
+            delayed.append(threading.Timer(event.delay, responses.put, (reply,)))
+            delayed[-1].start()
+        # a dropped result vanishes: only the caller's own deadline recovers it
+    if replies:
+        responses.put(("results", replies))
 
-    async with service:
-        # Unsolicited readiness pong: the parent's heartbeat monitor knows
-        # boot is over the moment the service is constructed.
-        responses.put(("pong", -1))
+
+def _shard_worker(shard_index: int, requests: Any, responses: Any, config: dict) -> None:
+    """One worker process: :func:`_read_requests` on a reader thread, and
+    this main thread, which drains the reader's FIFO (group commit, or for
+    a positive coalescing window that long), installs chains as they come,
+    flushes at most ``max_batch`` requests per :func:`_flush` and answers
+    ``stats`` probes after it; ``shutdown`` ends it after its last flush."""
+    service = ScenarioService(
+        coalesce_window=config["coalesce_window"],
+        max_batch=config["max_batch"],
+        lump=config["lump"],
+        epsilon=config["epsilon"],
+        artifacts=ArtifactCache(config["max_entries"]),
+        max_workers=1,
+    )
+    chaos: ChaosPolicy | None = config.get("chaos")
+    generation = config.get("generation", 0)
+    script = chaos.script_for(shard_index, generation) if chaos is not None else {}
+    inbox: queue_module.SimpleQueue = queue_module.SimpleQueue()
+    threading.Thread(
+        target=_read_requests,
+        args=(requests, responses, script, inbox),
+        daemon=True,
+        name=f"repro-shard-{shard_index}-reader",
+    ).start()
+    # Chains this incarnation holds, by content key; a chain that failed to
+    # unpickle is stored as its exception, so each request on it fails alone.
+    chains: dict[str, Any] = {}
+    delayed: list[threading.Timer] = []
+    # Unsolicited readiness pong: the parent's heartbeat monitor knows boot
+    # is over the moment the service is constructed.
+    responses.put(("pong", -1))
+    running = True
+    while running:
+        entries: list[tuple[int, bytes, Any]] = []
+        probes: list[int] = []
+        message = inbox.get()
+        deadline = time.monotonic() + service.coalesce_window
         while True:
-            message = await loop.run_in_executor(None, requests.get)
-            kind = message[0]
-            if kind == "shutdown":
-                break
-            if kind == "ping":
-                responses.put(("pong", message[1]))
-                continue
-            if kind == "stats":
-                # Thread accounting rides along so the front (and the
-                # oversubscription regression test) can verify a dense run
-                # stays within budget: worker-pool bound, live thread count
-                # and the BLAS pin this process inherited at spawn.
-                threads = {
-                    "pool_max_workers": service.max_workers,
-                    "active_threads": threading.active_count(),
-                    "blas_env": {
-                        variable: os.environ.get(variable)
-                        for variable in BLAS_ENV_VARS
-                    },
-                }
-                snapshot = pickle.dumps(
-                    (
-                        service.stats,
-                        service.cache_stats(),
-                        service.artifacts.chain_fingerprints(),
-                        threads,
-                    )
-                )
-                responses.put(("stats", message[1], snapshot))
-                continue
-            if kind == "chain":
-                # Installed before the next message is read: the front
-                # queues a chain ahead of the first request on it.
+            if message[0] == "chain":
                 try:
-                    chains[message[1]] = await loop.run_in_executor(
-                        None, pickle.loads, message[2]
-                    )
+                    chains[message[1]] = pickle.loads(message[2])
                 except Exception as error:
                     chains[message[1]] = error
-                continue
-            # kind == "requests".  Its entries are what chaos schedules count,
-            # one each, so heartbeats and stats probes never shift a
-            # schedule.  Every entry's task is created in this loop tick, so
-            # all of them enqueue before the dispatcher runs again and the
-            # batch plans as one flush.
-            for request_id, payload in message[1]:
-                request_count += 1
-                event = script.get(request_count)
-                if event is not None:
-                    if event.action == "kill":
-                        os._exit(event.exit_code)
-                    if event.action == "wedge":
-                        # Block the message loop synchronously: the process
-                        # stays alive but stops answering pings — only the
-                        # heartbeat timeout can catch this.  If the
-                        # supervisor never kills us (heartbeats disabled),
-                        # serve the request normally after the hold.
-                        time.sleep(event.delay or DEFAULT_WEDGE_HOLD)
-                        event = None
-                    elif event.action not in ("corrupt", "delay", "drop"):
-                        event = None  # pragma: no cover - future-proofing
-                task = loop.create_task(run_request(request_id, payload, event))
-                tasks.add(task)
-                task.add_done_callback(tasks.discard)
-        if tasks:
-            await asyncio.gather(*tasks, return_exceptions=True)
+            elif message[0] == "requests":
+                entries.extend(message[1])
+            elif message[0] == "stats":
+                probes.append(message[1])
+            else:  # shutdown: the reader forwards nothing after it
+                running = False
+                break
+            if len(entries) >= service.max_batch:
+                break
+            try:
+                message = inbox.get(timeout=max(0.0, deadline - time.monotonic()))
+            except queue_module.Empty:
+                break
+        for start in range(0, len(entries), service.max_batch):
+            batch = entries[start : start + service.max_batch]
+            _flush(service, chains, batch, responses, delayed)
+        for probe in probes:
+            # Thread accounting rides along, so the front can check that a
+            # dense run stays within its BLAS budget (oversubscription guard).
+            threads = {
+                "pool_max_workers": service.max_workers,
+                "active_threads": threading.active_count(),
+                "blas_env": {name: os.environ.get(name) for name in BLAS_ENV_VARS},
+            }
+            snapshot = (
+                service.stats,
+                service.cache_stats(),
+                service.artifacts.chain_fingerprints(),
+                threads,
+            )
+            responses.put(("stats", probe, pickle.dumps(snapshot)))
+    for timer in delayed:
+        timer.join()
 
 
 def _shard_worker_main(
@@ -392,7 +426,7 @@ def _shard_worker_main(
 ) -> None:
     """Spawn entry point of one shard worker process."""
     try:
-        asyncio.run(_shard_worker(shard_index, requests, responses, config))
+        _shard_worker(shard_index, requests, responses, config)
     except KeyboardInterrupt:  # pragma: no cover - interactive shutdown
         pass
 
@@ -620,8 +654,8 @@ class ShardedScenarioService:
         Worker-process count; each runs one :class:`ScenarioService` with a
         private :class:`ArtifactCache`.
     coalesce_window, max_batch, lump, epsilon:
-        Forwarded to every worker's in-process service, which runs on one
-        pool thread.
+        Forwarded to every worker, which collects and flushes on its main
+        thread.
     max_pending:
         Bound on in-flight submissions across the whole front; beyond it
         ``submit()`` raises :class:`~repro.service.QueueFull`.
@@ -939,8 +973,10 @@ class ShardedScenarioService:
                     shard.last_pong = time.monotonic()
                     shard.ready = True
                 continue
-            message = self._decode_response(shard, message)
-            self._call_on_loop(partial(self._handle_response, shard, message))
+            # A flush's ``results`` settle on the loop in one callback.
+            replies = message[1] if message[0] == "results" else [message]
+            decoded = [self._decode_response(shard, reply) for reply in replies]
+            self._call_on_loop(partial(self._handle_responses, shard, decoded))
 
     @staticmethod
     def _decode_response(shard: _Shard, message: tuple) -> tuple:
@@ -1283,34 +1319,33 @@ class ShardedScenarioService:
                 entry.future.set_exception(error)
         shard.inflight.clear()
 
-    def _handle_response(self, shard: _Shard, message: tuple) -> None:
-        kind, request_id = message[0], message[1]
-        entry = shard.inflight.pop(request_id, None)
-        if entry is None:  # deadline expired, retried elsewhere, or stale
-            return
-        if entry.future.done():
-            return
-        if kind == "result":
-            payload = message[2]
-            self.stats.completed += 1
-            entry.future.set_result(
-                MeasureResult(
-                    request=entry.request,
-                    times=payload["times"],
-                    values=payload["values"],
-                    group_index=payload["group_index"],
-                    lumped_states=payload["lumped_states"],
-                    _squeeze=payload["squeeze"],
+    def _handle_responses(self, shard: _Shard, messages: list[tuple]) -> None:
+        for message in messages:
+            kind, request_id = message[0], message[1]
+            entry = shard.inflight.pop(request_id, None)
+            if entry is None or entry.future.done():
+                continue  # deadline expired, retried elsewhere, or stale
+            if kind == "result":
+                payload = message[2]
+                self.stats.completed += 1
+                entry.future.set_result(
+                    MeasureResult(
+                        request=entry.request,
+                        times=payload["times"],
+                        values=payload["values"],
+                        group_index=payload["group_index"],
+                        lumped_states=payload["lumped_states"],
+                        _squeeze=payload["squeeze"],
+                    )
                 )
-            )
-        elif kind == "error":
-            error, text = message[2], message[3]
-            if error is None:
-                error = RuntimeError(f"shard {shard.index} request failed: {text}")
-            self.stats.failed += 1
-            entry.future.set_exception(error)
-        else:  # stats snapshot
-            entry.future.set_result(message[2])
+            elif kind == "error":
+                error, text = message[2], message[3]
+                if error is None:
+                    error = RuntimeError(f"shard {shard.index} request failed: {text}")
+                self.stats.failed += 1
+                entry.future.set_exception(error)
+            else:  # stats snapshot
+                entry.future.set_result(message[2])
 
     # ------------------------------------------------------------------
     # submission API (mirrors ScenarioService)
@@ -1332,10 +1367,6 @@ class ShardedScenarioService:
             if entry.request is not None
         )
         return dispatched + len(self._parked)
-
-    def shard_index_for(self, request: MeasureRequest) -> int:
-        """The shard that *owns* this request's chain (ignoring failover)."""
-        return shard_for_fingerprint(request.chain.fingerprint, self.num_shards)
 
     async def submit(
         self, request: MeasureRequest, timeout: float | None = None

@@ -462,6 +462,46 @@ class TestErrorMapping:
         assert reply.endswith(b"\r\n\r\nunsupported HTTP version")
         assert counts == {("POST /scenario", 400): 1}
 
+    def test_conflicting_content_lengths_are_a_400(self):
+        # The last value was read, so this request was served 200.
+        head = (
+            "POST /scenario HTTP/1.1\r\nHost: test\r\nConnection: close\r\n"
+            "Content-Length: 5\r\nContent-Length: 18\r\n\r\n"
+        )
+        reply, counts = self._raw(head.encode() + self.FIG45)
+        assert reply.startswith(b"HTTP/1.1 400 Bad Request\r\n")
+        assert reply.endswith(b"\r\n\r\nconflicting Content-Length headers")
+        assert reply.count(b"HTTP/1.1 ") == 1
+        assert counts == {("POST /scenario", 400): 1}
+
+    def test_repeated_equal_content_lengths_are_served(self):
+        head = (
+            "POST /scenario HTTP/1.1\r\nHost: test\r\nConnection: close\r\n"
+            "Content-Length: 18\r\nContent-Length: 18\r\n\r\n"
+        )
+        reply, counts = self._raw(head.encode() + self.FIG45)
+        assert reply.startswith(b"HTTP/1.1 200 OK\r\n")
+        assert counts == {("POST /scenario", 200): 1}
+
+    def test_transfer_encoding_is_a_501_that_closes_the_connection(self):
+        # A chunked body was read as empty (a 400), and its chunk-size line
+        # was then parsed as a second request line (a 400 under "other").
+        # The request asks for keep-alive: the reply reaching the end of
+        # the stream shows the server closed the connection.
+        head = (
+            "POST /scenario HTTP/1.1\r\nHost: test\r\n"
+            "Transfer-Encoding: chunked\r\n\r\n"
+        )
+        chunked = b"12\r\n" + self.FIG45 + b"\r\n0\r\n\r\n"
+        reply, counts = self._raw(head.encode() + chunked)
+        assert reply.startswith(b"HTTP/1.1 501 Not Implemented\r\n")
+        assert b"\r\nConnection: close\r\n" in reply
+        assert reply.endswith(
+            b"\r\n\r\nTransfer-Encoding is not supported; send Content-Length"
+        )
+        assert reply.count(b"HTTP/1.1 ") == 1
+        assert counts == {("POST /scenario", 501): 1}
+
     @pytest.mark.parametrize("version", ["HTTP/1.0", "HTTP/1.1"])
     def test_digit_lengths_on_both_versions_are_served(self, version):
         head = (

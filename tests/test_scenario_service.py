@@ -14,12 +14,19 @@ from __future__ import annotations
 import asyncio
 import dataclasses
 import pickle
+import threading
 
 import numpy as np
 import pytest
 
 from helpers import check_exposition
-from repro.analysis import AnalysisSession, MeasureKind, MeasureRequest, SessionStats
+from repro.analysis import (
+    AnalysisSession,
+    ExecutionUnit,
+    MeasureKind,
+    MeasureRequest,
+    SessionStats,
+)
 from repro.cli import main
 from repro.ctmc import CTMC
 from repro.ctmc.ctmc import CTMCError
@@ -147,6 +154,28 @@ class TestCoalescing:
         first, second, flushes = asyncio.run(run())
         assert flushes == 2
         np.testing.assert_allclose(first.values, second.values, atol=0.0)
+
+    def test_every_unit_of_a_flush_runs_on_one_thread(self, monkeypatch):
+        # A flush takes one hop to the worker pool and runs its units there
+        # in order, not one hop (and possibly one thread) per unit.
+        threads = []
+        run_unit = ExecutionUnit.run
+
+        def recording_run(unit, *args, **kwargs):
+            threads.append(threading.get_ident())
+            return run_unit(unit, *args, **kwargs)
+
+        monkeypatch.setattr(ExecutionUnit, "run", recording_run)
+
+        async def run():
+            async with ScenarioService(artifacts=ArtifactCache()) as service:
+                await service.submit_scenario("fig8_9")
+                return service.stats.flushes, service.max_workers
+
+        flushes, max_workers = asyncio.run(run())
+        assert flushes == 1 and max_workers > 1
+        assert len(threads) == 10
+        assert len(set(threads)) == 1
 
 
 # ---------------------------------------------------------------------------

@@ -20,10 +20,12 @@ is covered without a spawned process.
 from __future__ import annotations
 
 import asyncio
+import contextlib
 import json
 import pickle
 import queue
 import threading
+import time
 from dataclasses import replace
 
 import numpy as np
@@ -401,64 +403,157 @@ class TestExpandOnce:
 # ---------------------------------------------------------------------------
 # the worker loop, driven in-process through plain queues
 # ---------------------------------------------------------------------------
+@contextlib.contextmanager
+def worker_loop(chaos=(), queued=(), max_batch=DEFAULT_MAX_BATCH):
+    """A shard worker on a thread, fed and read through plain queues.
+
+    ``queued`` messages are on the request queue before the worker starts,
+    so it reads none of them before all are there.  Yields ``(inbox,
+    outbox)`` after the readiness pong; shuts the worker down on exit.
+    """
+    inbox: queue.Queue = queue.Queue()
+    outbox: queue.Queue = queue.Queue()
+    for message in queued:
+        inbox.put(message)
+    config = {
+        "coalesce_window": DEFAULT_COALESCE_WINDOW,
+        "max_batch": max_batch,
+        "lump": False,
+        "epsilon": DEFAULT_EPSILON,
+        "max_entries": DEFAULT_MAX_ENTRIES,
+        "chaos": ChaosPolicy(chaos),
+    }
+    worker = threading.Thread(
+        target=_shard_worker_main, args=(0, inbox, outbox, config), daemon=True
+    )
+    worker.start()
+    try:
+        assert outbox.get(timeout=30) == ("pong", -1)
+        yield inbox, outbox
+    finally:
+        inbox.put(("shutdown",))
+        worker.join(timeout=30)
+    assert not worker.is_alive()
+
+
+def chain_message(chain: CTMC) -> tuple:
+    return ("chain", chain.content_key, pickle.dumps(chain))
+
+
+def requests_message(ids, requests) -> tuple:
+    payloads = [_request_payload(request) for request in requests]
+    return ("requests", list(zip(ids, payloads)))
+
+
+def stats_probe(inbox, outbox):
+    """The worker's ``ServiceStats`` and thread accounting, via a probe."""
+    inbox.put(("stats", 7))
+    kind, probe, snapshot = outbox.get(timeout=30)
+    assert (kind, probe) == ("stats", 7)
+    service, _cache, fingerprints, threads = pickle.loads(snapshot)
+    return service, fingerprints, threads
+
+
 class TestWorkerLoop:
+    REQUEST_TIMES = ((0.5,), (1.0, 2.0), (0.25, 4.0), (3.0,))
+
+    def four_requests(self):
+        chain = chain_owned_by(0)
+        requests = [reachability_request(chain, times) for times in self.REQUEST_TIMES]
+        return chain, requests, [100 + position for position in range(len(requests))]
+
     @pytest.mark.parametrize(
         "chaos", [None, ChaosEvent("drop", 0, 2)], ids=["plain", "drop-2"]
     )
     def test_a_requests_batch_plans_as_one_flush_on_one_thread(self, chaos):
-        chain = chain_owned_by(0)
-        requests = [
-            reachability_request(chain, times)
-            for times in ((0.5,), (1.0, 2.0), (0.25, 4.0), (3.0,))
-        ]
+        chain, requests, ids = self.four_requests()
         expected = single_process_values(requests)
-        ids = [100 + position for position in range(len(requests))]
         dropped = {ids[1]} if chaos is not None else set()
-        inbox: queue.Queue = queue.Queue()
-        outbox: queue.Queue = queue.Queue()
-        config = {
-            "coalesce_window": DEFAULT_COALESCE_WINDOW,
-            "max_batch": DEFAULT_MAX_BATCH,
-            "lump": False,
-            "epsilon": DEFAULT_EPSILON,
-            "max_entries": DEFAULT_MAX_ENTRIES,
-            "chaos": ChaosPolicy([chaos] if chaos is not None else []),
-        }
-        worker = threading.Thread(
-            target=_shard_worker_main, args=(0, inbox, outbox, config), daemon=True
-        )
-        worker.start()
-        try:
-            assert outbox.get(timeout=30) == ("pong", -1)
-            inbox.put(("chain", chain.content_key, pickle.dumps(chain)))
-            inbox.put(
-                ("requests", [
-                    (request_id, _request_payload(request))
-                    for request_id, request in zip(ids, requests)
-                ])
-            )
+        with worker_loop([chaos] if chaos is not None else []) as (inbox, outbox):
+            inbox.put(chain_message(chain))
+            inbox.put(requests_message(ids, requests))
+            kind, replies = outbox.get(timeout=30)
+            assert kind == "results"
             results = {}
-            while len(results) < len(requests) - len(dropped):
-                kind, request_id, body = outbox.get(timeout=30)
+            for kind, request_id, body in replies:
                 assert kind == "result"
                 results[request_id] = pickle.loads(body)
-            inbox.put(("stats", 7))
-            kind, probe, snapshot = outbox.get(timeout=30)
-        finally:
-            inbox.put(("shutdown",))
-            worker.join(timeout=30)
-        assert not worker.is_alive()
+            service, fingerprints, threads = stats_probe(inbox, outbox)
         assert outbox.empty()  # a dropped response never arrives
-        assert (kind, probe) == ("stats", 7)
         assert set(results) == set(ids) - dropped
         for request_id, values in zip(ids, expected):
             if request_id in results:
                 assert np.array_equal(results[request_id]["values"], values)
-        service, _cache, fingerprints, threads = pickle.loads(snapshot)
         assert service.flushes == 1
         assert service.completed == len(requests)
         assert chain.fingerprint in fingerprints
         assert threads["pool_max_workers"] == 1
+
+    def test_messages_queued_during_a_flush_plan_as_the_next_one(self):
+        # Both messages are queued before the worker reads either: the
+        # worker drains them into one flush and one ``results`` message.
+        chain, requests, ids = self.four_requests()
+        queued = [
+            chain_message(chain),
+            requests_message(ids[:2], requests[:2]),
+            requests_message(ids[2:], requests[2:]),
+        ]
+        with worker_loop(queued=queued) as (inbox, outbox):
+            kind, replies = outbox.get(timeout=30)
+            service, _, _ = stats_probe(inbox, outbox)
+        assert kind == "results"
+        assert [reply[:2] for reply in replies] == [("result", i) for i in ids]
+        assert service.flushes == 1
+        assert service.session.requests == len(requests)
+
+    def test_entries_over_max_batch_flush_in_turn_and_bad_ones_fail_alone(self):
+        chain, requests, ids = self.four_requests()
+        message = requests_message(ids, requests)
+        message[1].insert(2, (99, b"not a pickle"))
+        with worker_loop(max_batch=3) as (inbox, outbox):
+            inbox.put(chain_message(chain))
+            inbox.put(message)
+            first = outbox.get(timeout=30)
+            second = outbox.get(timeout=30)
+            service, _, _ = stats_probe(inbox, outbox)
+        assert [reply[:2] for reply in first[1]] == [
+            ("error", 99), ("result", ids[0]), ("result", ids[1])
+        ]
+        assert [reply[:2] for reply in second[1]] == [("result", i) for i in ids[2:]]
+        assert (service.flushes, service.largest_flush) == (2, 2)
+        assert (service.submissions, service.completed) == (4, 4)
+
+    def test_a_ping_during_a_long_flush_is_answered_before_its_results(self):
+        # An unlumped 33,280-state Line 1 request on a 2,000-hour grid
+        # flushes for about half a second; the reader thread answers a ping
+        # sent while it runs.
+        spec = replace(paper_registry().get("fig6"), horizon=2000.0)
+        (request,) = [
+            request for request in spec.expand() if request.tag[-1] == "FRF-1"
+        ]
+        assert request.chain.num_states == 33280
+        with worker_loop() as (inbox, outbox):
+            inbox.put(chain_message(request.chain))
+            inbox.put(requests_message([1], [request]))
+            time.sleep(0.1)
+            inbox.put(("ping", 2))
+            first = outbox.get(timeout=60)
+            second = outbox.get(timeout=60)
+        assert first == ("pong", 2)
+        assert second[0] == "results"
+        assert [reply[:2] for reply in second[1]] == [("result", 1)]
+
+    def test_a_delayed_reply_does_not_hold_back_its_flush(self):
+        chain, requests, ids = self.four_requests()
+        delay = ChaosEvent("delay", 0, 2, delay=0.5)
+        with worker_loop([delay]) as (inbox, outbox):
+            inbox.put(chain_message(chain))
+            inbox.put(requests_message(ids, requests))
+            first = outbox.get(timeout=30)
+            second = outbox.get(timeout=30)
+        assert first[0] == second[0] == "results"
+        assert [reply[1] for reply in first[1]] == [ids[0], ids[2], ids[3]]
+        assert [reply[:2] for reply in second[1]] == [("result", ids[1])]
 
 
 # ---------------------------------------------------------------------------
