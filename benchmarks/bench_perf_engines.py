@@ -28,7 +28,6 @@ CI artifact upload.  ``REPRO_BENCH_FAST=1`` switches to coarse grids.
 
 from __future__ import annotations
 
-import json
 import os
 import statistics
 import time as time_module
@@ -37,7 +36,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from bench_support import run_once
+from bench_support import record, run_once
 
 from repro.analysis import AnalysisSession, SessionStats
 from repro.casestudy.experiments import line_state_space
@@ -56,20 +55,6 @@ SWEEP_ROUNDS = 9
 
 #: Warm repetitions per backend; best-of keeps scheduler noise out of ratios.
 PORTFOLIO_REPEATS = 3
-
-
-def _record(key: str, payload: dict) -> None:
-    """Merge one gate's measurements into the shared JSON document."""
-    document = {}
-    if BENCH_JSON.exists():
-        try:
-            document = json.loads(BENCH_JSON.read_text(encoding="utf-8"))
-        except (OSError, ValueError):
-            document = {}
-    document[key] = payload
-    BENCH_JSON.write_text(
-        json.dumps(document, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
 
 
 def _fig8_requests():
@@ -148,7 +133,8 @@ def test_dense_engine_beats_sparse_on_warm_fig8_sweep(benchmark):
         f"{sparse_median * 1e3:.2f}ms vs dense {dense_median * 1e3:.2f}ms "
         f"({ratio:.2f}x), max deviation {deviation:.2e}"
     )
-    _record(
+    record(
+        BENCH_JSON,
         "fig8_dense_vs_sparse",
         {
             "points": LINE2_POINTS,
@@ -199,7 +185,8 @@ def test_auto_selection_stays_close_to_always_sparse_portfolio(benchmark):
         f"{sparse_best * 1e3:.1f}ms vs auto {auto_best * 1e3:.1f}ms "
         f"({ratio * 100:.0f}%)"
     )
-    _record(
+    record(
+        BENCH_JSON,
         "portfolio_auto_vs_sparse",
         {
             "requests": len(portfolio),

@@ -40,13 +40,12 @@ gates hold there too.
 
 from __future__ import annotations
 
-import json
 import os
 import time
 from pathlib import Path
 
 import numpy as np
-from bench_support import run_once
+from bench_support import record, run_once
 
 from repro.analysis import (
     AnalysisSession,
@@ -65,20 +64,6 @@ STRATEGIES = PAPER_STRATEGIES[:2] if FAST else PAPER_STRATEGIES
 INTERVAL_POINTS = 7 if FAST else 15
 INTERVAL_LOWER = 10.0
 BENCH_JSON = Path(os.environ.get("REPRO_BENCH_LUMP_JSON", "BENCH_lump_complete.json"))
-
-
-def _record(key: str, payload: dict) -> None:
-    """Merge one gate's measurements into the shared JSON document."""
-    document = {}
-    if BENCH_JSON.exists():
-        try:
-            document = json.loads(BENCH_JSON.read_text(encoding="utf-8"))
-        except (OSError, ValueError):
-            document = {}
-    document[key] = payload
-    BENCH_JSON.write_text(
-        json.dumps(document, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
 
 
 def _interval_requests() -> list[MeasureRequest]:
@@ -148,7 +133,8 @@ def test_interval_bundles_run_on_quotients(benchmark):
         f"({reduction:.1f}x), max deviation {deviation:.2e}, warm miss "
         f"deltas {deltas}"
     )
-    _record(
+    record(
+        BENCH_JSON,
         "interval_bundles",
         {
             "strategies": len(STRATEGIES),
@@ -218,7 +204,8 @@ def test_table2_longrun_runs_on_quotients(benchmark):
         f"{cold_stats.lumped_groups} groups, max deviation {deviation:.2e}, "
         f"warm miss deltas {deltas}"
     )
-    _record(
+    record(
+        BENCH_JSON,
         "table2_longrun",
         {
             "availabilities": len(cold_values),
@@ -287,7 +274,8 @@ def test_registry_session_partitions_each_chain_once(benchmark, monkeypatch):
         f"states), lumped {lumped_seconds:.3f} s vs unlumped "
         f"{unlumped_seconds:.3f} s, max deviation {deviation:.2e}"
     )
-    _record(
+    record(
+        BENCH_JSON,
         "registry_session",
         {
             "requests": len(requests),

@@ -34,11 +34,10 @@ Measurements land in ``BENCH_policy_opt.json`` (override with
 
 from __future__ import annotations
 
-import json
 import os
 from pathlib import Path
 
-from bench_support import run_once
+from bench_support import record, run_once
 
 from repro.casestudy.experiments import line_service_interval_lower
 from repro.casestudy.facility import DISASTER_1, LINE1, LINE2, build_line
@@ -57,20 +56,6 @@ from repro.service import ArtifactCache
 FAST = bool(os.environ.get("REPRO_BENCH_FAST"))
 ROLLOUT_POINTS = 17 if FAST else 33
 BENCH_JSON = Path(os.environ.get("REPRO_BENCH_POLICY_JSON", "BENCH_policy_opt.json"))
-
-
-def _record(key: str, payload: dict) -> None:
-    """Merge one gate's measurements into the shared JSON document."""
-    document = {}
-    if BENCH_JSON.exists():
-        try:
-            document = json.loads(BENCH_JSON.read_text(encoding="utf-8"))
-        except (OSError, ValueError):
-            document = {}
-    document[key] = payload
-    BENCH_JSON.write_text(
-        json.dumps(document, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
 
 
 def _longrun_gate(line: str) -> dict:
@@ -122,7 +107,7 @@ def test_policy_iteration_converges_and_dominates_both_lines(benchmark):
             f"unavailability {entry['optimized_unavailability']:.9e} "
             f"(best fixed {entry['best_fixed']})"
         )
-    _record("policy_iteration", payload)
+    record(BENCH_JSON, "policy_iteration", payload)
 
 
 def _rollout_gate(benchmark, objective: str, horizon: float, threshold=None):
@@ -211,10 +196,10 @@ def test_rollout_dominates_fig4_objective_with_coalesced_sweeps(benchmark):
         4.5,
         threshold=line_service_interval_lower(LINE1, 0),
     )
-    _record("rollout_fig4_5", payload)
+    record(BENCH_JSON, "rollout_fig4_5", payload)
 
 
 def test_rollout_dominates_fig7_objective_with_coalesced_sweeps(benchmark):
     """Rollout + coalescing gates on the Fig. 7 objective (Line 1, 10 h)."""
     payload = _rollout_gate(benchmark, "accumulated_cost", 10.0)
-    _record("rollout_fig7", payload)
+    record(BENCH_JSON, "rollout_fig7", payload)

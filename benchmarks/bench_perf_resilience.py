@@ -30,14 +30,13 @@ with ``REPRO_BENCH_RESILIENCE_JSON``) for the CI artifact upload.
 from __future__ import annotations
 
 import asyncio
-import json
 import os
 import time as time_module
 from collections import Counter
 from pathlib import Path
 
 import numpy as np
-from bench_support import run_once
+from bench_support import record, run_once
 
 from repro.service import (
     ArtifactCache,
@@ -57,20 +56,6 @@ BENCH_JSON = Path(
 )
 
 _REGISTRY = paper_registry()
-
-
-def _record(key: str, payload: dict) -> None:
-    """Merge one gate's measurements into the shared JSON document."""
-    document = {}
-    if BENCH_JSON.exists():
-        try:
-            document = json.loads(BENCH_JSON.read_text(encoding="utf-8"))
-        except (OSError, ValueError):
-            document = {}
-    document[key] = payload
-    BENCH_JSON.write_text(
-        json.dumps(document, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
 
 
 def _families():
@@ -151,7 +136,8 @@ def test_portfolio_survives_kill_each_shard_once(benchmark):
         f"max deviation vs single process {deviation:.2e}"
     )
 
-    _record(
+    record(
+        BENCH_JSON,
         "chaos_portfolio",
         {
             "seed": seed,

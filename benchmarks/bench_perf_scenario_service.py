@@ -5,7 +5,7 @@ work units and the artifact cache's own counters (observed, not estimated):
 
 * **Cross-client coalescing (Fig. 4/5 family, Line 1, Disaster 1)** — N
   concurrent clients each submit the whole six-curve family; the
-  dispatcher's coalescing window merges all N·6 submissions into one flush
+  service's coalescing window merges all N·6 submissions into one flush
   whose planner groups them exactly like a single batched session.  Gate:
   the service performs **no more uniformization sweeps** than one PR-2
   batched session of the family, and every client's curves agree with the

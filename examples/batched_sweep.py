@@ -21,8 +21,8 @@ once per curve (the deprecated per-call idiom, see
    For anything beyond a one-shot script, the per-call *and* the
    one-session idiom shown here are superseded by the **scenario service**
    (:mod:`repro.service`, see ``scenario_service.py`` next door): it
-   coalesces requests across many concurrent clients, runs independent
-   groups on a worker pool, and keeps transforms/quotients/Fox–Glynn
+   coalesces requests across many concurrent clients into one flush on
+   its flush thread, and keeps transforms/quotients/Fox–Glynn
    windows in its artifact cache across flushes, so repeated sweeps
    recompute nothing.  A standalone ``AnalysisSession`` shares artifacts
    among its own groups through a private cache, but a new session starts

@@ -9,10 +9,10 @@ and await their own results:
 * each client submits a whole curve family (a registered scenario name or
   hand-built :class:`repro.analysis.MeasureRequest` objects) and gets back
   exactly its slice of the shared computation;
-* the dispatcher coalesces submissions across clients for a short window
-  (or until the batch-size cap), so identical/compatible curves requested
-  by different clients ride one uniformization sweep — N clients cost no
-  more sweeps than one batched session;
+* the service's flush thread coalesces submissions across clients for a
+  short window (or until the batch-size cap), so identical/compatible
+  curves requested by different clients ride one uniformization sweep —
+  N clients cost no more sweeps than one batched session;
 * absorbing transforms, lumping quotients, uniformized operators and
   Fox–Glynn windows live in the service's bounded
   :class:`repro.service.ArtifactCache` keyed by chain fingerprints (here

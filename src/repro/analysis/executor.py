@@ -48,9 +48,9 @@ block-constant, the forward phase walks the same partition with the
 non-safe blocks absorbed — no second refinement.
 
 The plan is materialised as a list of :class:`ExecutionUnit` objects
-(:func:`execution_units`), each independently runnable: the scenario
-service's flush fails one unit's requests without touching the others,
-while :func:`execute_plan` simply runs them in order.  Every unit runs
+(:func:`execution_units`), each independently runnable:
+:func:`execute_plan` runs them in order, and a unit that raises fails only
+its own requests, never the others.  Every unit runs
 against the artifact cache (:class:`~repro.ctmc.artifacts.ArtifactCache`)
 its session or service owns, which supplies transformed chains, uniformized
 and densified operators, Fox–Glynn tables and long-run solver artifacts to
@@ -122,9 +122,8 @@ class ExecutionUnit:
 
     Either a single regular group, or a bundle of interval-until groups
     sharing a (base chain, safe, target, lower, epsilon) signature.  Units
-    touch disjoint ``results`` slots, so the scenario service's flush runs
-    them one after another and a unit that raises fails only its own
-    members.
+    touch disjoint ``results`` slots, so :func:`execute_plan` runs them one
+    after another and a unit that raises fails only its own members.
     """
 
     groups: list[tuple[int, ExecutionGroup]]
@@ -196,13 +195,18 @@ def execute_plan(
     artifacts: Any,
     engine_stats: UniformizationStats | None = None,
     linear_stats: LinearSolveStats | None = None,
-) -> list[MeasureResult]:
-    """Run every group of ``plan`` against ``artifacts`` and return results
-    in request order."""
-    results: list[MeasureResult | None] = [None] * plan.num_requests
+) -> list[MeasureResult | Exception]:
+    """Run every unit of ``plan`` against ``artifacts``; results in request
+    order.  A unit that raises puts its exception in its members' slots,
+    and the other units still run."""
+    results: list[Any] = [None] * plan.num_requests
     for unit in execution_units(plan):
-        unit.run(results, artifacts, engine_stats, linear_stats)
-    return results  # type: ignore[return-value]
+        try:
+            unit.run(results, artifacts, engine_stats, linear_stats)
+        except Exception as error:
+            for index in unit.request_indices:
+                results[index] = error
+    return results
 
 
 # ----------------------------------------------------------------------

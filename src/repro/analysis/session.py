@@ -7,6 +7,9 @@ a (chain, uniformization rate, grid, epsilon) signature and dispatches each
 group as a single uniformization sweep — a whole figure family of the paper
 (five repair strategies × disasters × service levels) costs one sweep per
 distinct transformed chain instead of one per curve.
+:meth:`AnalysisSession.run` is the one batch runner underneath: it returns
+a result or an error per request, and ``execute()``, ``python -m repro``
+and every flush of both scenario services go through it.
 
 A quick example — both Figure-4 curves of one strategy in one plan::
 
@@ -35,7 +38,7 @@ Fox–Glynn tables and factorizations either way.
 
 from __future__ import annotations
 
-from collections.abc import Iterable
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from typing import ClassVar
 
@@ -43,14 +46,14 @@ from repro.ctmc.artifacts import ArtifactCache
 from repro.ctmc.linsolve import LinearSolveStats
 from repro.ctmc.uniformization import DEFAULT_EPSILON, UniformizationStats
 from repro.analysis.executor import execute_plan
-from repro.analysis.planner import ExecutionPlan, build_plan
+from repro.analysis.planner import ExecutionPlan, build_plan, normalise_request
 from repro.analysis.requests import MeasureRequest, MeasureResult
 from repro.stats import Record
 
 
 @dataclass
 class SessionStats(Record):
-    """Work counters aggregated over one or more ``execute()`` calls.
+    """Work counters aggregated over one or more ``run()`` calls.
 
     ``matvecs``/``applies``/``sparse_flops``/``sweeps`` follow the engine's
     conventions (see
@@ -107,8 +110,8 @@ class SessionStats(Record):
     def absorb_plan(self, plan: ExecutionPlan) -> None:
         """Account for an executed plan's requests, groups and lumping.
 
-        The single bookkeeping site shared by :meth:`AnalysisSession.execute`
-        and the scenario service's flush, so the two never drift.
+        Called by :meth:`AnalysisSession.run` only, so every batch, from
+        ``execute()`` or a service flush, is counted the same way.
         """
         self.requests += plan.num_requests
         self.groups += plan.num_groups
@@ -196,15 +199,57 @@ class AnalysisSession:
             artifacts=self.artifacts,
         )
 
-    def execute(self) -> list[MeasureResult]:
-        """Plan and run all registered requests; results in registration order."""
-        plan = self.plan()
+    def run(
+        self, requests: Sequence[MeasureRequest]
+    ) -> list[MeasureResult | Exception]:
+        """Validate, plan and run ``requests``: a result or an error per request.
+
+        A request that fails :func:`~repro.analysis.planner.normalise_request`
+        gets its error and never reaches the plan.  The others are planned
+        together by :func:`build_plan` and run by :func:`execute_plan`, in
+        which a unit that raises fails only its own members; an error while
+        planning fails all of them.  The plan's, the engine's and the
+        solver's counters are absorbed into :attr:`stats`.
+        """
+        outcomes: list[MeasureResult | Exception | None] = []
+        valid: list[MeasureRequest] = []
+        for request in requests:
+            try:
+                normalise_request(request)
+            except Exception as error:
+                outcomes.append(error)
+            else:
+                outcomes.append(None)
+                valid.append(request)
+        try:
+            plan = build_plan(
+                valid,
+                lump=self.lump,
+                default_epsilon=self.default_epsilon,
+                artifacts=self.artifacts,
+            )
+        except Exception as error:
+            return [error if outcome is None else outcome for outcome in outcomes]
         engine = UniformizationStats()
         linear = LinearSolveStats()
-        results = execute_plan(
-            plan, artifacts=self.artifacts, engine_stats=engine, linear_stats=linear
+        results = iter(
+            execute_plan(
+                plan, artifacts=self.artifacts, engine_stats=engine, linear_stats=linear
+            )
         )
         self.stats.absorb_plan(plan)
         self.stats.absorb_engine(engine)
         self.stats.absorb_linear(linear)
-        return results
+        return [next(results) if outcome is None else outcome for outcome in outcomes]
+
+    def execute(self) -> list[MeasureResult]:
+        """Run all registered requests; results in registration order.
+
+        Raises the first failed request's error, after every other unit has
+        run (see :meth:`run`).
+        """
+        outcomes = self.run(self._requests)
+        for outcome in outcomes:
+            if isinstance(outcome, Exception):
+                raise outcome
+        return outcomes

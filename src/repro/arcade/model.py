@@ -269,12 +269,6 @@ class ArcadeModel:
         )
         return replace(self, repair_units=updated)
 
-    def with_cost_model(self, cost_model: CostModel) -> "ArcadeModel":
-        return replace(self, cost_model=cost_model)
-
-    def with_disasters(self, disasters: Iterable[Disaster]) -> "ArcadeModel":
-        return replace(self, disasters=tuple(disasters))
-
     def strategy_label(self) -> str:
         """A short label describing the repair configuration (e.g. ``"FRF-2"``)."""
         labels = sorted({unit.label for unit in self.repair_units})

@@ -39,8 +39,8 @@ The session solves every group on its ordinary-lumpability quotient;
 
 ``serve`` sweeps whole scenario portfolios through the asyncio scenario
 service (:mod:`repro.service`): ``--clients N`` concurrent clients each
-submit every selected scenario, the dispatcher coalesces their requests
-into shared sweeps, and ``--repeat K`` repeats the portfolio to show the
+submit every selected scenario, the service's flush thread coalesces their
+requests into shared sweeps, and ``--repeat K`` repeats the portfolio to show the
 service's artifact cache eliminating quotient/table recomputation on warm
 runs.  Coalescing and cache statistics are printed per round.
 """
@@ -205,7 +205,7 @@ def build_serve_parser() -> argparse.ArgumentParser:
         description=(
             "Sweep scenario portfolios through the asyncio scenario service: "
             "N concurrent clients submit every selected scenario, the "
-            "dispatcher coalesces compatible requests across clients into "
+            "service coalesces compatible requests across clients into "
             "shared uniformization sweeps, and repeats hit the service's "
             "artifact cache (transforms, quotients, operators, Fox-Glynn "
             "tables)."
@@ -497,7 +497,7 @@ def serve_main(argv: list[str] | None = None) -> int:
             # State-space construction (seconds on a cold process) must not
             # block the event loop, so the portfolio is expanded once on a
             # worker thread; every client then submits the same requests —
-            # which is also what lets the dispatcher coalesce them.
+            # which is also what lets the service coalesce them.
             portfolio = await asyncio.get_running_loop().run_in_executor(
                 None,
                 lambda: [

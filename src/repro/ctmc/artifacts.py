@@ -67,9 +67,10 @@ grid alone, so sweeps of different chains with equal rates on one grid
 (e.g. the FRF-1 and FFF-1 case-study chains, which share their
 uniformization rate) share one table, and a whole grid costs one lookup.
 
-The cache is thread-safe (the scenario service executes independent groups
-on a worker pool) and deliberately caches *negative* quotient results
-(``None`` — nothing collapsed) so repeat runs skip the refinement as well.
+The cache is thread-safe (a scenario service expands families on one
+thread while it flushes on another) and deliberately caches *negative*
+quotient results (``None`` — nothing collapsed) so repeat runs skip the
+refinement as well.
 
 **Weighted eviction.**  ``max_entries`` was tuned for CSR-sized artifacts;
 a densified operator or the Fox–Glynn table of a 10,001-point grid can be
@@ -184,7 +185,7 @@ class ArtifactCache:
         lock only guards the bookkeeping, while the factory runs under a
         *per-key* build lock — concurrent lookups of the same key wait for
         the one build (and then count a hit: nothing was recomputed), but
-        builds of unrelated keys proceed in parallel on the worker pool.
+        builds of unrelated keys proceed in parallel on other threads.
 
         ``weight`` is the entry's eviction cost (an int, or a callable
         applied to the freshly built value — used for byte-size-aware

@@ -271,9 +271,6 @@ class CTMC:
         self._labels[name] = mask
         self._content_key = None
 
-    def has_label(self, name: str) -> bool:
-        return name in self._labels
-
     def label_mask(self, name: str) -> np.ndarray:
         """Boolean vector of states labelled with ``name``."""
         try:
@@ -450,10 +447,6 @@ class MarkovRewardModel:
             raise CTMCError(
                 f"unknown reward structure {name!r}; known: {', '.join(self.reward_names)}"
             ) from None
-
-    def with_chain(self, chain: CTMC) -> "MarkovRewardModel":
-        """Return a copy of the model over a different (same-size) chain."""
-        return MarkovRewardModel(chain, dict(self._rewards))
 
     def __repr__(self) -> str:  # pragma: no cover - debug helper
         return f"MarkovRewardModel(chain={self._chain!r}, rewards={list(self.reward_names)})"

@@ -27,12 +27,14 @@ nowhere else:
 
 No caller chooses a backend.  Every sweep and solve runs in float64.
 
-**Oversubscription guard.**  Dense GEMMs tempt BLAS into spawning its own
-thread pool under every worker thread of the scenario service.
+**Oversubscription guard.**  Dense GEMMs tempt BLAS into spawning a
+full-sized thread pool in every process that runs them.
 :func:`blas_thread_budget` / :func:`pin_blas_threads` compute and pin a
 per-shard BLAS thread budget via the usual environment knobs; the sharded
-service applies them around worker spawn, and
-:func:`default_worker_count` bounds the in-process executor pool.
+service applies them around worker spawn.  Every scenario service runs its
+sweeps and solves on one thread per process (the in-process service's flush
+thread, a shard worker's main thread), so no service pool multiplies the
+BLAS threads.
 """
 
 from __future__ import annotations
@@ -58,7 +60,6 @@ __all__ = [
     "SparseEngine",
     "SparseFactorization",
     "blas_thread_budget",
-    "default_worker_count",
     "factorization_backend",
     "factorize",
     "pin_blas_threads",
@@ -347,15 +348,3 @@ def restore_blas_threads(previous: dict[str, str | None]) -> None:
             os.environ.pop(variable, None)
         else:
             os.environ[variable] = value
-
-
-def default_worker_count(requested: int | None = None) -> int:
-    """Bounded default for service worker pools.
-
-    ``ThreadPoolExecutor``'s own default (``cpu+4``, up to 32) multiplies
-    badly with BLAS pools once the dense backend is in play; the service
-    caps at a small constant instead unless the caller asked for more.
-    """
-    if requested is not None:
-        return max(1, int(requested))
-    return min(8, (os.cpu_count() or 1) + 2)

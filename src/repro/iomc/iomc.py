@@ -140,12 +140,6 @@ class IOIMC:
     def interactive_from(self, state: Hashable) -> list[InteractiveTransition]:
         return [t for t in self.interactive_transitions if t.source == state]
 
-    def markovian_from(self, state: Hashable) -> list[MarkovianTransition]:
-        return [t for t in self.markovian_transitions if t.source == state]
-
-    def enabled_actions(self, state: Hashable) -> frozenset[str]:
-        return frozenset(t.action for t in self.interactive_from(state))
-
     def successors(self, state: Hashable, action: str) -> list[Hashable]:
         """Targets of ``action`` from ``state``; inputs default to a self-loop."""
         targets = [t.target for t in self.interactive_from(state) if t.action == action]

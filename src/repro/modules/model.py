@@ -160,9 +160,6 @@ class Command:
             update = Update({name: _coerce(value) for name, value in update.items()})
         return Command(action, guard, [(_coerce(rate), update)])
 
-    def is_synchronising(self) -> bool:
-        return bool(self.action)
-
     def variables_read(self) -> frozenset[str]:
         read = set(self.guard.variables())
         for rate, update in self.alternatives:
@@ -316,9 +313,6 @@ class ModulesFile:
             declarations.extend(module.variables)
         return declarations
 
-    def variable_map(self) -> dict[str, VariableDeclaration]:
-        return {declaration.name: declaration for declaration in self.all_variables()}
-
     def initial_state(self) -> dict[str, Any]:
         """The initial valuation of all variables (plus constants)."""
         state: dict[str, Any] = dict(self.constants)
@@ -344,9 +338,6 @@ class ModulesFile:
         for module in self.modules:
             actions |= module.alphabet()
         return frozenset(actions)
-
-    def reward_structure_names(self) -> tuple[str, ...]:
-        return tuple(definition.name for definition in self.rewards)
 
     def validate(self) -> None:
         """Check static well-formedness of the system."""

@@ -238,14 +238,6 @@ class RepairCTMDP:
         """The flat action indices admissible in ``state``."""
         return range(self.action_offsets[state], self.action_offsets[state + 1])
 
-    def describe_action(self, flat_index: int) -> str:
-        served = self.action_served[flat_index]
-        parts = []
-        for unit, subset in zip(self.model.repair_units, served):
-            if subset:
-                parts.append(f"{unit.name}->{{{','.join(subset)}}}")
-        return " ".join(parts) if parts else "(idle)"
-
     def validate_policy(self, policy: RepairPolicy) -> None:
         if len(policy.actions) != self.num_states:
             raise OptimizeError(

@@ -5,14 +5,15 @@ multi-client component — the repo's step from "fast library call" toward
 the heavy-traffic north star:
 
 * :class:`ScenarioService` — an asyncio front end; many clients
-  ``await submit(...)`` measure requests (or registered scenario names), a
-  micro-batching dispatcher coalesces submissions across callers into one
-  plan per flush and runs each flush in one call on a pool thread, with
-  bounded-queue backpressure (:class:`QueueFull`) and per-request deadlines
+  ``await submit(...)`` measure requests (or registered scenario names),
+  and one flush thread drains the queue, coalescing submissions across
+  callers into one :meth:`repro.analysis.AnalysisSession.run` call per
+  flush, with backpressure (:class:`QueueFull`) and per-request deadlines
   (:class:`ScenarioTimeout`);
 * :class:`ShardedScenarioService` — the multi-process front:
-  scenario portfolios partitioned across N spawn workers (one service +
-  artifact cache each) with per-shard chain ownership via fingerprint
+  scenario portfolios partitioned across N spawn workers (one analysis
+  session + artifact cache each, flushing as the in-process service
+  does) with per-shard chain ownership via fingerprint
   routing, content-addressed chain transport (each chain crosses the wire
   to a worker once; requests carry its key) and a shared-nothing
   stats-snapshot protocol for ``/metrics``.

@@ -1,28 +1,27 @@
-"""The asyncio scenario service: queued submissions, coalesced sweeps.
+"""The in-process scenario service: queued submissions, coalesced sweeps.
 
 :class:`ScenarioService` is the multi-client front end over the batched
 analysis machinery.  Many concurrent clients ``await service.submit(...)``
-(or :meth:`~ScenarioService.submit_scenario` with a registry name); a
-single dispatcher task flushes what is pending through one
-:func:`repro.analysis.build_plan` / execution-unit pass.  By default it
-works as a *group commit*: a free dispatcher flushes whatever is pending at
-once, and whatever arrives while a flush runs forms the next flush, so
+(or :meth:`~ScenarioService.submit_scenario` with a registry name); each
+call puts its requests on the service's queue as one message, and one flush
+thread runs the loop a shard worker's main thread runs: it drains the queue
+(:func:`drain`) and answers what it took with one
+:meth:`~repro.analysis.AnalysisSession.run` call (:func:`run_flush`).  By
+default the drain is a *group commit*: a flush takes whatever is queued
+when it starts, and whatever arrives while it runs forms the next one, so
 only work, never a timer, sits on a request's path.  A positive
-*coalescing window* instead keeps collecting for that long after the
-first pending submission, cut short when the *size cap* is reached.  In
-either mode one flush plans:
+*coalescing window* instead keeps collecting for that long after the first
+message, cut short by the *size cap*.  In either mode one flush plans:
 
 * requests from different clients that agree on (chain, rate, grid,
   epsilon) merge into one group and therefore one uniformization sweep, so
   ``N`` clients asking for the same curve family at once cost no more
   sweeps than one batched session;
-* a flush is one call, :meth:`ScenarioService.execute_flush`, on one
-  pool thread: it validates, plans and runs every execution unit in order,
-  so the event loop hands work off once per flush, not once per unit;
-* every submission owns a future that is resolved with exactly its own
-  :class:`~repro.analysis.MeasureResult` slice — a poisoned request fails
-  its *own* future (at validation or execution time) without wedging the
-  dispatcher or the rest of its batch;
+* every submission owns a future that is settled with exactly its own
+  :class:`~repro.analysis.MeasureResult` slice, one
+  ``call_soon_threadsafe`` per flush — a poisoned request fails its *own*
+  future (at validation or execution time) without wedging the flush
+  thread or the rest of its batch;
 * expensive intermediates (absorbing transforms, lumping quotients,
   uniformized operators, Fox–Glynn tables, factorizations) persist across
   flushes in the service's :class:`repro.service.ArtifactCache` — a private
@@ -46,25 +45,17 @@ A quick example — three clients sharing one service::
 from __future__ import annotations
 
 import asyncio
+import queue
+import threading
 import time
-import warnings
 from concurrent.futures import Executor, ThreadPoolExecutor
 from dataclasses import dataclass, field
 from functools import partial
 from typing import Any, Callable, ClassVar, Sequence
 
-from repro.analysis import (
-    MeasureRequest,
-    MeasureResult,
-    SessionStats,
-    build_plan,
-    execution_units,
-    normalise_request,
-)
+from repro.analysis import AnalysisSession, MeasureRequest, MeasureResult, SessionStats
 from repro.ctmc.artifacts import ArtifactCache, CacheStats
-from repro.ctmc.engines import default_worker_count
-from repro.ctmc.linsolve import LinearSolveStats
-from repro.ctmc.uniformization import DEFAULT_EPSILON, UniformizationStats
+from repro.ctmc.uniformization import DEFAULT_EPSILON
 from repro.service.registry import (
     ScenarioExpansion,
     ScenarioRegistry,
@@ -73,14 +64,14 @@ from repro.service.registry import (
 )
 from repro.stats import GAUGE, LatencyHistogram, Record, gauge, render_metrics
 
-#: Default coalescing window in seconds.  Zero is group commit: a free
-#: dispatcher flushes on arrival, and submissions landing during a flush
-#: form the next one.  A positive window makes every request wait it out,
-#: whether or not another submission comes.
+#: Default coalescing window in seconds.  Zero is group commit: a flush
+#: takes what is queued when it starts, and submissions landing during a
+#: flush form the next one.  A positive window makes every request wait it
+#: out, whether or not another submission comes.
 DEFAULT_COALESCE_WINDOW = 0.0
 
-#: Default size cap: a flush is triggered early once this many requests are
-#: pending, bounding both latency and batch memory.
+#: Default size cap: a drain stops early once it holds this many requests,
+#: bounding both latency and batch memory.
 DEFAULT_MAX_BATCH = 256
 
 
@@ -89,10 +80,10 @@ class ServiceClosed(RuntimeError):
 
 
 class QueueFull(RuntimeError):
-    """Raised by ``submit()`` when the bounded pending queue is at capacity.
+    """Raised by ``submit()`` when the service is at its ``max_pending`` bound.
 
-    Backpressure is synchronous and cheap: the rejected submission never
-    enters the queue, so it cannot poison other callers or occupy a slot a
+    Backpressure is synchronous and cheap: a rejected call enqueues none of
+    its requests, so it cannot poison other callers or occupy a slot a
     retry could use.  Clients are expected to back off and resubmit (the
     HTTP front end maps this to ``503``).
     """
@@ -150,7 +141,7 @@ async def await_with_deadline(
 
     Expiry cancels *this* future only (``asyncio.wait_for`` semantics):
     siblings in the same flush are untouched.  Shared by the in-process
-    dispatcher and the sharded front so their timeout semantics (counter,
+    service and the sharded front so their timeout semantics (counter,
     exception type, message) cannot drift; ``stats`` only needs a
     ``timeouts`` attribute.  ``detail``, when given, is called at expiry to
     append where the request was stuck (e.g. parked behind a shard restart)
@@ -190,6 +181,50 @@ async def cached_expansion(
     return expansion
 
 
+def drain(inbox: Any, window: float, max_batch: int) -> list[tuple]:
+    """The messages of one flush, taken from ``inbox``.
+
+    Blocks for one message, then takes whatever else is queued; with a
+    positive ``window`` it also takes whatever arrives within that many
+    seconds of the first.  It stops once the ``requests`` messages taken
+    hold ``max_batch`` requests, or after a ``shutdown`` message, which is
+    then the last one returned.  A shard worker's main thread and the
+    in-process service's flush thread both collect this way.
+    """
+    messages = [inbox.get()]
+    deadline = time.monotonic() + window
+    taken = 0
+    while messages[-1][0] != "shutdown":
+        if messages[-1][0] == "requests":
+            taken += len(messages[-1][1])
+            if taken >= max_batch:
+                break
+        try:
+            messages.append(inbox.get(timeout=max(0.0, deadline - time.monotonic())))
+        except queue.Empty:
+            break
+    return messages
+
+
+def run_flush(
+    session: AnalysisSession, stats: ServiceStats, requests: Sequence[MeasureRequest]
+) -> list[MeasureResult | Exception]:
+    """One flush: ``session.run(requests)``, accounted in ``stats``.
+
+    Both fronts flush through this call, the in-process service on its
+    flush thread and a shard worker on its main thread, with a session
+    whose :attr:`~repro.analysis.AnalysisSession.stats` is
+    ``stats.session``.
+    """
+    stats.flushes += 1
+    stats.largest_flush = max(stats.largest_flush, len(requests))
+    started = time.perf_counter()
+    try:
+        return session.run(requests)
+    finally:
+        stats.flush_latency.observe(time.perf_counter() - started)
+
+
 @dataclass
 class _Pending:
     """One queued submission: the request plus the caller's future."""
@@ -204,16 +239,17 @@ class ScenarioService:
     Parameters
     ----------
     coalesce_window:
-        Seconds the dispatcher keeps collecting submissions after the first
-        pending one before flushing.  ``0`` (the default) is group commit:
-        a free dispatcher flushes what is pending after one loop tick, and
-        what arrives during a flush waits only for that flush to end.
+        Seconds the flush thread keeps collecting after the first queued
+        message before flushing.  ``0`` (the default) is group commit: a
+        flush takes what is queued when it starts, and what arrives during
+        a flush waits only for that flush to end.
     max_batch:
-        Pending-request count that cuts the window short.
+        Request count that cuts the window short; a flush plans at most
+        this many requests.
     max_pending:
-        Bound on the number of queued-but-unflushed submissions; beyond it
-        ``submit()`` raises :class:`QueueFull` instead of enqueueing
-        (``None`` = unbounded, the default).
+        Bound on the requests submitted but not yet settled; a call that
+        would pass it raises :class:`QueueFull` and enqueues none of its
+        requests (``None`` = unbounded, the default).
     default_timeout:
         Per-request deadline in seconds applied when ``submit()`` is not
         given an explicit one; expiry raises :class:`ScenarioTimeout` and
@@ -227,15 +263,12 @@ class ScenarioService:
         The :class:`ArtifactCache` every flush plans and executes against;
         without one the service makes a private cache.  Pass a shared one
         to reuse artifacts across services and sessions.
-    max_workers:
-        Size of the worker pool, which runs the flushes, one at a time, and
-        the first expansion of each scenario family; ``None`` uses
-        :func:`repro.ctmc.engines.default_worker_count`, which bounds the
-        pool so dense-BLAS kernels running on it cannot oversubscribe the
-        machine.
     registry:
         Scenario registry backing :meth:`submit_scenario`; defaults to the
         paper's figure families (:func:`repro.service.paper_registry`).
+
+    The flush thread starts on the first submission; a family's first
+    expansion runs on one expander thread.
     """
 
     def __init__(
@@ -248,7 +281,6 @@ class ScenarioService:
         lump: bool = False,
         epsilon: float = DEFAULT_EPSILON,
         artifacts: ArtifactCache | None = None,
-        max_workers: int | None = None,
         registry: ScenarioRegistry | None = None,
     ) -> None:
         if coalesce_window < 0:
@@ -265,84 +297,62 @@ class ScenarioService:
         self.default_timeout = (
             None if default_timeout is None else float(default_timeout)
         )
-        self.lump = lump
-        self.default_epsilon = float(epsilon)
         self.artifacts = artifacts if artifacts is not None else ArtifactCache()
         self.registry = registry if registry is not None else paper_registry()
         self.stats = ServiceStats()
-        self.max_workers = default_worker_count(max_workers)
-        self._pool = ThreadPoolExecutor(
-            max_workers=self.max_workers, thread_name_prefix="repro-service"
+        self._session = AnalysisSession(
+            lump=lump,
+            epsilon=epsilon,
+            stats=self.stats.session,
+            artifacts=self.artifacts,
         )
-        self._pending: list[_Pending] = []
-        self._arrival: asyncio.Event | None = None
-        self._idle: asyncio.Event | None = None  # set while nothing is queued/in flight
-        self._dispatcher: asyncio.Task | None = None
-        self._flushing = False
+        self._expander = ThreadPoolExecutor(1, thread_name_prefix="repro-service-expand")
+        self._inbox: queue.SimpleQueue = queue.SimpleQueue()
+        self._flusher: threading.Thread | None = None
+        # Futures submitted and not yet settled: the backpressure count.
+        self._unsettled: set[asyncio.Future] = set()
         self._closed = False
-        self._drain_requested = False
 
     # ------------------------------------------------------------------
     # lifecycle
     # ------------------------------------------------------------------
     async def __aenter__(self) -> "ScenarioService":
-        self._ensure_running()
+        self._check_open()
         return self
 
     async def __aexit__(self, *exc_info) -> None:
         await self.close()
 
-    def _ensure_running(self) -> None:
+    def _check_open(self) -> None:
         if self._closed:
             raise ServiceClosed("the scenario service has been closed")
-        if self._dispatcher is None or self._dispatcher.done():
-            if self._dispatcher is not None and not self._dispatcher.cancelled():
-                # A crashed dispatcher must not be respawned silently: the
-                # root cause is surfaced (once) before the replacement runs.
-                error = self._dispatcher.exception()
-                if error is not None:
-                    warnings.warn(
-                        f"scenario-service dispatcher crashed and is being "
-                        f"restarted ({type(error).__name__}: {error})",
-                        RuntimeWarning,
-                        stacklevel=3,
-                    )
-            self._arrival = asyncio.Event()
-            self._idle = asyncio.Event()
-            self._idle.set()
-            self._dispatcher = asyncio.get_running_loop().create_task(
-                self._dispatch_loop(), name="scenario-service-dispatcher"
-            )
 
     async def close(self, drain: bool = True) -> None:
-        """Stop the dispatcher (after flushing pending work, by default).
+        """Stop the flush thread, after flushing what is queued by default.
 
-        Draining cuts the coalescing window short: whatever is pending is
-        flushed immediately rather than waiting out ``coalesce_window``.
+        Draining sends ``shutdown``, which cuts an open coalescing window
+        short, and waits for the thread to flush and settle everything
+        queued before it.  ``drain=False`` fails every unsettled submission
+        with :class:`ServiceClosed` at once; the thread skips them.
         """
         if self._closed:
             return
-        if drain:
-            self._drain_requested = True
-            if self._arrival is not None:
-                self._arrival.set()  # wake the window wait immediately
-            if self._idle is not None and (self._pending or self._flushing):
-                await self._idle.wait()
         self._closed = True
-        if self._dispatcher is not None:
-            self._dispatcher.cancel()
-            try:
-                await self._dispatcher
-            except asyncio.CancelledError:
-                pass
-            self._dispatcher = None
-        for pending in self._pending:
-            if not pending.future.done():
-                pending.future.set_exception(
+        if self._flusher is not None:
+            self._inbox.put(("shutdown",))
+            if drain:
+                # The thread schedules its last settlements before it exits,
+                # so they run on this loop before the join is reported.
+                await asyncio.get_running_loop().run_in_executor(
+                    self._expander, self._flusher.join
+                )
+        for future in self._unsettled:
+            if not future.done():
+                self.stats.failed += 1
+                future.set_exception(
                     ServiceClosed("service closed before the request was executed")
                 )
-        self._pending.clear()
-        self._pool.shutdown(wait=False)
+        self._expander.shutdown(wait=False)
 
     def cache_stats(self) -> CacheStats:
         """Snapshot of the artifact cache's per-kind hit/miss counters."""
@@ -365,78 +375,78 @@ class ScenarioService:
     # ------------------------------------------------------------------
     # submission API
     # ------------------------------------------------------------------
-    def _enqueue(self, request: MeasureRequest) -> asyncio.Future:
-        self._ensure_running()
-        if (
-            self.max_pending is not None
-            and len(self._pending) >= self.max_pending
-        ):
-            self.stats.rejected += 1
-            raise QueueFull(
-                f"scenario service has {len(self._pending)} pending submissions "
-                f"(max_pending={self.max_pending}); back off and resubmit"
-            )
-        future: asyncio.Future = asyncio.get_running_loop().create_future()
-        self._pending.append(_Pending(request=request, future=future))
-        self.stats.submissions += 1
-        assert self._arrival is not None and self._idle is not None
-        self._idle.clear()
-        self._arrival.set()
-        return future
-
-    async def _await_with_deadline(
-        self, future: asyncio.Future, timeout: float | None
-    ) -> MeasureResult:
-        """Await under the effective deadline; the dispatcher later skips
-        futures the expiry cancelled."""
-        timeout = self.default_timeout if timeout is None else timeout
-        return await await_with_deadline(future, timeout, self.stats)
-
     async def submit(
         self, request: MeasureRequest, timeout: float | None = None
     ) -> MeasureResult:
         """Queue one request and await its result.
 
-        The call coalesces with every other submission pending in the same
+        The call coalesces with every other submission queued for the same
         flush; the returned result is exactly the slice this request would
         have received from a standalone session (values equal to 1e-12).
-        With the pending queue at ``max_pending`` the call raises
+        With ``max_pending`` requests unsettled the call raises
         :class:`QueueFull` without enqueueing; ``timeout`` (or the service's
         ``default_timeout``) bounds the wait and raises
         :class:`ScenarioTimeout` on expiry, cancelling only this future.
+        The one-request case of :meth:`submit_many`.
         """
-        future = self._enqueue(request)
-        return await self._await_with_deadline(future, timeout)
+        (result,) = await self.submit_many([request], timeout=timeout)
+        return result
 
     async def submit_many(
-        self, requests: list[MeasureRequest], timeout: float | None = None
+        self, requests: Sequence[MeasureRequest], timeout: float | None = None
     ) -> list[MeasureResult]:
-        """Queue several requests at once and await all their results.
+        """Queue several requests as one message and await all their results.
 
-        Raises the first failure, but only after every future has settled —
-        so sibling failures are all retrieved (no orphaned exceptions) and
-        the dispatcher is never left with half-awaited futures.  The
-        optional ``timeout`` applies per request, not to the batch total.
+        The requests reach the flush thread together, so a family is never
+        split across flushes (beyond ``max_batch``).  A call that would take
+        the unsettled count past ``max_pending`` is rejected whole, each of
+        its requests counted in ``stats.rejected``.  Raises the first
+        failure, but only after every future has settled, so sibling
+        failures are all retrieved (no orphaned exceptions).  The optional
+        ``timeout`` applies per request, not to the batch total.
         """
-        futures: list[asyncio.Future] = []
-        try:
-            for request in requests:
-                futures.append(self._enqueue(request))
-        except QueueFull:
-            # All-or-nothing: cancelling the partial batch makes the
-            # dispatcher drop it before planning, so a rejected caller is
-            # never billed for half a family computing in the background.
-            for future in futures:
-                future.cancel()
-            raise
+        self._check_open()
+        unsettled = len(self._unsettled)
+        if (
+            self.max_pending is not None
+            and unsettled + len(requests) > self.max_pending
+        ):
+            self.stats.rejected += len(requests)
+            raise QueueFull(
+                f"scenario service has {unsettled} unsettled requests and "
+                f"{len(requests)} more would pass max_pending={self.max_pending}; "
+                "back off and resubmit"
+            )
+        loop = asyncio.get_running_loop()
+        batch = [_Pending(request, loop.create_future()) for request in requests]
+        self._unsettled.update(pending.future for pending in batch)
+        self.stats.submissions += len(batch)
+        if self._flusher is None:
+            self._flusher = threading.Thread(
+                target=self._serve, daemon=True, name="repro-service-flush"
+            )
+            self._flusher.start()
+        self._inbox.put(("requests", batch))
+        timeout = self.default_timeout if timeout is None else timeout
         settled = await asyncio.gather(
-            *(self._await_with_deadline(future, timeout) for future in futures),
+            *(self._await(pending.future, timeout) for pending in batch),
             return_exceptions=True,
         )
         for outcome in settled:
             if isinstance(outcome, BaseException):
                 raise outcome
-        return list(settled)
+        return settled
+
+    async def _await(
+        self, future: asyncio.Future, timeout: float | None
+    ) -> MeasureResult:
+        """Await one submission under its deadline; it counts against
+        ``max_pending`` until then.  The flush thread skips futures the
+        expiry cancelled."""
+        try:
+            return await await_with_deadline(future, timeout, self.stats)
+        finally:
+            self._unsettled.discard(future)
 
     async def submit_scenario(
         self, name: str, points: int | None = None, timeout: float | None = None
@@ -449,159 +459,64 @@ class ScenarioService:
         :attr:`artifacts` under the ``scenario`` kind, and later calls
         share its read-only requests, served on the event loop.  A first
         expansion may build case-study state spaces (seconds of work on a
-        cold process), so it runs on the worker pool, keeping the event
+        cold process), so it runs on the expander thread, keeping the event
         loop — and every other client's submissions — responsive.
         """
-        self._ensure_running()
+        self._check_open()
         expansion = await cached_expansion(
             self.artifacts,
             self.registry.get(name),
             points,
-            self._pool,
+            self._expander,
             self.registry.expansion,
         )
         results = await self.submit_many(expansion.requests, timeout=timeout)
         return list(zip(expansion.requests, results))
 
     # ------------------------------------------------------------------
-    # dispatcher
+    # the flush thread
     # ------------------------------------------------------------------
-    async def _dispatch_loop(self) -> None:
-        assert self._arrival is not None
-        loop = asyncio.get_running_loop()
+    def _serve(self) -> None:
+        """Drain, flush at most ``max_batch`` requests at a time, settle
+        each flush in one loop callback; ``shutdown`` ends it after the
+        flushes of what came before."""
         while True:
-            await self._arrival.wait()
-            self._arrival.clear()
-            if not self._pending:
-                continue
-            # Coalescing window: keep collecting until it elapses or the
-            # size cap is reached.  Submissions landing mid-flush queue up
-            # for the next round.
-            if self.coalesce_window > 0.0:
-                deadline = loop.time() + self.coalesce_window
-                while (
-                    len(self._pending) < self.max_batch
-                    and not self._drain_requested
-                ):
-                    remaining = deadline - loop.time()
-                    if remaining <= 0.0:
-                        break
-                    try:
-                        await asyncio.wait_for(self._arrival.wait(), remaining)
-                    except asyncio.TimeoutError:
-                        break
-                    self._arrival.clear()
-            else:
-                # Group commit: give the current event-loop tick a chance to
-                # finish enqueueing (clients started together still merge),
-                # then flush; later arrivals queue for the next flush.
-                await asyncio.sleep(0)
-                self._arrival.clear()
-            # The size cap genuinely bounds the flush: overflow from a
-            # burst stays queued and immediately triggers the next round.
-            batch = self._pending[: self.max_batch]
-            self._pending = self._pending[self.max_batch :]
-            if self._pending:
-                self._arrival.set()
-            # Submissions whose deadline expired while queued are already
-            # cancelled; planning them would waste the whole flush's sweep
-            # budget on results nobody can receive.
-            batch = [pending for pending in batch if not pending.future.done()]
-            if not batch:
-                if not self._pending:
-                    self._idle.set()
-                continue
-            self._flushing = True
-            try:
+            messages = drain(self._inbox, self.coalesce_window, self.max_batch)
+            queued = [
+                pending
+                for message in messages
+                if message[0] == "requests"
+                for pending in message[1]
+            ]
+            for start in range(0, len(queued), self.max_batch):
+                # A future whose deadline expired is already done: planning
+                # it would spend the flush on a result nobody can receive.
+                batch = [
+                    pending
+                    for pending in queued[start : start + self.max_batch]
+                    if not pending.future.done()
+                ]
+                if not batch:
+                    continue
                 requests = [pending.request for pending in batch]
-                outcomes = await loop.run_in_executor(
-                    self._pool, self.execute_flush, requests
-                )
-                for pending, outcome in zip(batch, outcomes):
-                    if isinstance(outcome, Exception):
-                        self._fail(pending, outcome)
-                    elif not pending.future.done():
-                        self.stats.completed += 1
-                        pending.future.set_result(outcome)
-            except BaseException as error:
-                # The dispatcher must never strand an in-flight batch: on
-                # cancellation (close(drain=False)) or an unexpected escape
-                # from the flush, every unresolved future of the batch is
-                # failed so awaiting clients wake up.
-                abandon = (
-                    ServiceClosed("service closed while the request was in flight")
-                    if isinstance(error, asyncio.CancelledError)
-                    else error
-                )
-                for pending in batch:
-                    self._fail(pending, abandon)
-                if isinstance(error, asyncio.CancelledError):
-                    raise
-                # Otherwise stay alive and keep serving later submissions.
-            finally:
-                self._flushing = False
-                if not self._pending:
-                    self._idle.set()
-
-    def execute_flush(
-        self, requests: Sequence[MeasureRequest]
-    ) -> list[MeasureResult | Exception]:
-        """Validate, plan and execute one flush on the calling thread.
-
-        Returns each request's result, or the error that failed it: a
-        request that fails validation never reaches the shared plan, and a
-        unit that raises fails only its own members.  Accounts the flush in
-        :attr:`stats`.  The dispatcher runs it in one pool hop per flush, a
-        shard worker on its main thread.
-        """
-        self.stats.flushes += 1
-        self.stats.largest_flush = max(self.stats.largest_flush, len(requests))
-        started = time.perf_counter()
-        outcomes: list[Any] = []
-        survivors: list[int] = []
-        for position, request in enumerate(requests):
-            try:
-                normalise_request(request)
-            except Exception as error:
-                outcomes.append(error)
-            else:
-                outcomes.append(None)
-                survivors.append(position)
-        try:
-            plan = build_plan(
-                [requests[position] for position in survivors],
-                lump=self.lump,
-                default_epsilon=self.default_epsilon,
-                artifacts=self.artifacts,
-            )
-            results: list[Any] = [None] * plan.num_requests
-            engine = UniformizationStats()
-            linear = LinearSolveStats()
-            for unit in execution_units(plan):
                 try:
-                    unit.run(results, self.artifacts, engine, linear)
-                except Exception as error:
-                    for index in unit.request_indices:
-                        results[index] = error
-            session = self.stats.session
-            session.absorb_plan(plan)
-            session.absorb_engine(engine)
-            session.absorb_linear(linear)
-            for position, result in zip(survivors, results):
-                outcomes[position] = result if result is not None else (
-                    RuntimeError("request was not resolved by any execution unit")
-                )
-        except Exception as error:
-            # Planning over validated requests is essentially infallible
-            # (lumping failures degrade to unlumped groups inside
-            # build_plan); this is a genuine last resort.
-            for position in survivors:
-                outcomes[position] = error
-        finally:
-            self.stats.flush_latency.observe(time.perf_counter() - started)
-        return outcomes
+                    outcomes = run_flush(self._session, self.stats, requests)
+                except Exception as error:  # fails this flush, not the thread
+                    outcomes = [error] * len(batch)
+                loop = batch[0].future.get_loop()
+                if not loop.is_closed():  # else nobody awaits these futures
+                    loop.call_soon_threadsafe(self._settle, batch, outcomes)
+            if messages[-1][0] == "shutdown":
+                return
 
-    def _fail(self, pending: _Pending, error: BaseException) -> None:
-        if not pending.future.done():
-            self.stats.failed += 1
-            pending.future.set_exception(error)
+    def _settle(self, batch: list[_Pending], outcomes: list[Any]) -> None:
+        """Resolve one flush's futures (on their event loop)."""
+        for pending, outcome in zip(batch, outcomes):
+            if pending.future.done():
+                continue
+            if isinstance(outcome, Exception):
+                self.stats.failed += 1
+                pending.future.set_exception(outcome)
+            else:
+                self.stats.completed += 1
+                pending.future.set_result(outcome)

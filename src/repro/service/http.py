@@ -317,31 +317,32 @@ class ScenarioHTTPServer:
             route = (method, raw_path.partition("?")[0])
             route_label = " ".join(route) if route in _ROUTES else "other"
             headers: dict[str, str] = {}
-            malformed_headers = conflicting_lengths = False
+            header_error: bytes | None = None
+            conflicting_lengths = False
             while True:
                 try:
                     line = await reader.readline()
                 except ValueError:  # header line beyond the reader limit
-                    malformed_headers = True
+                    header_error = b"too many or oversized headers"
                     break
                 if line in (b"\r\n", b"\n", b""):
                     break
                 if len(headers) >= MAX_HEADER_LINES:
-                    malformed_headers = True
+                    header_error = b"too many or oversized headers"
                     break
-                name, _, value = line.decode("latin-1").partition(":")
-                name, value = name.strip().lower(), value.strip()
+                name, colon, value = line.decode("latin-1").partition(":")
+                # RFC 9112 5.1-5.2: a field line is a name, a colon and a
+                # value, with no whitespace in or before the name, so an
+                # obs-fold continuation line is refused too.
+                if not colon or not name or " " in name or "\t" in name:
+                    header_error = b"malformed header line"
+                    break
+                name, value = name.lower(), value.strip()
                 # A dict keeps the last of repeated headers: two differing
                 # lengths would frame the body by whichever came last.
                 if name == "content-length" and headers.get(name, value) != value:
                     conflicting_lengths = True
                 headers[name] = value
-            if malformed_headers:
-                self._count(route_label, 400)
-                await self._write_response(
-                    writer, 400, "text/plain", b"too many or oversized headers", False
-                )
-                break
             keep_alive = (
                 version == "HTTP/1.1"
                 and headers.get("connection", "").lower() != "close"
@@ -349,7 +350,9 @@ class ScenarioHTTPServer:
             length = _content_length(headers.get("content-length", "0"))
             plain = "text/plain; charset=utf-8"
             reply = None
-            if version not in _VERSIONS:
+            if header_error is not None:
+                reply = 400, plain, header_error
+            elif version not in _VERSIONS:
                 reply = 400, plain, b"unsupported HTTP version"
             elif self._draining:
                 # Drain mode: established (keep-alive) connections may still

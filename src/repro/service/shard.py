@@ -3,8 +3,9 @@
 One :class:`repro.service.ScenarioService` coalesces heavy measure traffic
 inside a single process; :class:`ShardedScenarioService` scales that out
 across N *worker processes* (``multiprocessing`` spawn), each flushing
-through its own service instance, on its main thread, with its own
-:class:`repro.service.ArtifactCache`.  The design is shared-nothing:
+through its own :class:`repro.analysis.AnalysisSession`, on its main
+thread, with its own :class:`repro.service.ArtifactCache`.  The design is
+shared-nothing:
 
 * **Fingerprint routing / chain ownership** — every submission is routed by
   the content fingerprint of its chain (:func:`shard_for_fingerprint`), so
@@ -35,9 +36,10 @@ through its own service instance, on its main thread, with its own
   the event loop; only a family's first request expands and pickles.
 * **One call and one reply per flush** — a worker runs no event loop.  Its
   reader thread answers pings at once, even during a long flush, and
-  forwards the rest in order to its main thread, which drains whatever is
-  queued into one :meth:`~repro.service.ScenarioService.execute_flush`
-  and answers with one ``results`` message (:func:`_shard_worker`).
+  forwards the rest in order to its main thread, which collects with the
+  in-process service's :func:`~repro.service.dispatcher.drain`, flushes
+  through the same :func:`~repro.service.dispatcher.run_flush` and answers
+  with one ``results`` message (:func:`_shard_worker`).
 * **Shared-nothing artifact-summary protocol** — workers never share cache
   memory; instead each answers a ``stats`` message with a picklable
   snapshot of its :class:`~repro.service.ServiceStats`,
@@ -140,7 +142,7 @@ import os
 
 import numpy as np
 
-from repro.analysis import MeasureRequest, MeasureResult
+from repro.analysis import AnalysisSession, MeasureRequest, MeasureResult
 from repro.ctmc.artifacts import DEFAULT_MAX_ENTRIES, ArtifactCache, CacheStats
 from repro.ctmc.engines import (
     BLAS_ENV_VARS,
@@ -154,11 +156,12 @@ from repro.service.dispatcher import (
     DEFAULT_COALESCE_WINDOW,
     DEFAULT_MAX_BATCH,
     QueueFull,
-    ScenarioService,
     ServiceClosed,
     ServiceStats,
     await_with_deadline,
     cached_expansion,
+    drain,
+    run_flush,
 )
 from repro.service.registry import (
     ScenarioExpansion,
@@ -288,7 +291,12 @@ def _read_requests(requests: Any, responses: Any, script: dict, inbox: Any) -> N
 
 
 def _flush(
-    service: ScenarioService, chains: dict, batch: list, responses: Any, delayed: list
+    session: AnalysisSession,
+    stats: ServiceStats,
+    chains: dict,
+    batch: list,
+    responses: Any,
+    delayed: list,
 ) -> None:
     """Decode, flush and answer ``batch``, a list of ``(request id, payload,
     chaos event)``, with one ``results`` message.  A request that fails to
@@ -309,11 +317,12 @@ def _flush(
             replies.append(_error_reply(request_id, error))
         else:
             decoded.append((request_id, event, request))
-    outcomes = service.execute_flush([entry[2] for entry in decoded]) if decoded else []
+    requests = [entry[2] for entry in decoded]
+    outcomes = run_flush(session, stats, requests) if requests else []
     failed = sum(isinstance(outcome, Exception) for outcome in outcomes)
-    service.stats.submissions += len(outcomes)
-    service.stats.completed += len(outcomes) - failed
-    service.stats.failed += failed
+    stats.submissions += len(outcomes)
+    stats.completed += len(outcomes) - failed
+    stats.failed += failed
     for (request_id, event, _), outcome in zip(decoded, outcomes):
         try:
             if isinstance(outcome, Exception):
@@ -345,18 +354,19 @@ def _flush(
 
 def _shard_worker(shard_index: int, requests: Any, responses: Any, config: dict) -> None:
     """One worker process: :func:`_read_requests` on a reader thread, and
-    this main thread, which drains the reader's FIFO (group commit, or for
-    a positive coalescing window that long), installs chains as they come,
+    this main thread, which collects one flush's messages with
+    :func:`~repro.service.dispatcher.drain`, installs chains as they come,
     flushes at most ``max_batch`` requests per :func:`_flush` and answers
     ``stats`` probes after it; ``shutdown`` ends it after its last flush."""
-    service = ScenarioService(
-        coalesce_window=config["coalesce_window"],
-        max_batch=config["max_batch"],
+    stats = ServiceStats()
+    artifacts = ArtifactCache(config["max_entries"])
+    session = AnalysisSession(
         lump=config["lump"],
         epsilon=config["epsilon"],
-        artifacts=ArtifactCache(config["max_entries"]),
-        max_workers=1,
+        stats=stats.session,
+        artifacts=artifacts,
     )
+    max_batch = config["max_batch"]
     chaos: ChaosPolicy | None = config.get("chaos")
     generation = config.get("generation", 0)
     script = chaos.script_for(shard_index, generation) if chaos is not None else {}
@@ -372,15 +382,13 @@ def _shard_worker(shard_index: int, requests: Any, responses: Any, config: dict)
     chains: dict[str, Any] = {}
     delayed: list[threading.Timer] = []
     # Unsolicited readiness pong: the parent's heartbeat monitor knows boot
-    # is over the moment the service is constructed.
+    # is over the moment the worker is set up.
     responses.put(("pong", -1))
     running = True
     while running:
         entries: list[tuple[int, bytes, Any]] = []
         probes: list[int] = []
-        message = inbox.get()
-        deadline = time.monotonic() + service.coalesce_window
-        while True:
+        for message in drain(inbox, config["coalesce_window"], max_batch):
             if message[0] == "chain":
                 try:
                     chains[message[1]] = pickle.loads(message[2])
@@ -392,30 +400,17 @@ def _shard_worker(shard_index: int, requests: Any, responses: Any, config: dict)
                 probes.append(message[1])
             else:  # shutdown: the reader forwards nothing after it
                 running = False
-                break
-            if len(entries) >= service.max_batch:
-                break
-            try:
-                message = inbox.get(timeout=max(0.0, deadline - time.monotonic()))
-            except queue_module.Empty:
-                break
-        for start in range(0, len(entries), service.max_batch):
-            batch = entries[start : start + service.max_batch]
-            _flush(service, chains, batch, responses, delayed)
+        for start in range(0, len(entries), max_batch):
+            batch = entries[start : start + max_batch]
+            _flush(session, stats, chains, batch, responses, delayed)
         for probe in probes:
             # Thread accounting rides along, so the front can check that a
             # dense run stays within its BLAS budget (oversubscription guard).
             threads = {
-                "pool_max_workers": service.max_workers,
                 "active_threads": threading.active_count(),
                 "blas_env": {name: os.environ.get(name) for name in BLAS_ENV_VARS},
             }
-            snapshot = (
-                service.stats,
-                service.cache_stats(),
-                service.artifacts.chain_fingerprints(),
-                threads,
-            )
+            snapshot = (stats, artifacts.stats(), artifacts.chain_fingerprints(), threads)
             responses.put(("stats", probe, pickle.dumps(snapshot)))
     for timer in delayed:
         timer.join()
@@ -651,8 +646,13 @@ class ShardedScenarioService:
     Parameters
     ----------
     num_shards:
-        Worker-process count; each runs one :class:`ScenarioService` with a
-        private :class:`ArtifactCache`.
+        Worker-process count; each runs one
+        :class:`~repro.analysis.AnalysisSession` over a private
+        :class:`ArtifactCache`.  Workers start with ``spawn``, so none
+        inherits the front's threads or interpreter state; they may take
+        the dense-BLAS path, so each starts with BLAS pinned to
+        :func:`repro.ctmc.engines.blas_thread_budget` and N shards never
+        oversubscribe the machine N-fold.
     coalesce_window, max_batch, lump, epsilon:
         Forwarded to every worker, which collects and flushes on its main
         thread.
@@ -667,12 +667,6 @@ class ShardedScenarioService:
     registry:
         Scenario registry backing :meth:`submit_scenario` (expanded in the
         parent, then routed per request); defaults to the paper's families.
-    start_method:
-        ``multiprocessing`` start method; ``spawn`` (the default) keeps
-        workers free of inherited interpreter state.  Workers may take the
-        dense-BLAS path, so the front pins the BLAS thread count to
-        :func:`repro.ctmc.engines.blas_thread_budget` around the spawns and
-        N shards never oversubscribe the machine N-fold.
     heartbeat_interval, heartbeat_timeout:
         Liveness probing: a ping every ``heartbeat_interval`` seconds; a
         worker silent for ``heartbeat_timeout`` (default
@@ -720,7 +714,6 @@ class ShardedScenarioService:
         epsilon: float = DEFAULT_EPSILON,
         max_entries: int = DEFAULT_MAX_ENTRIES,
         registry: ScenarioRegistry | None = None,
-        start_method: str = "spawn",
         heartbeat_interval: float | None = DEFAULT_HEARTBEAT_INTERVAL,
         heartbeat_timeout: float | None = None,
         restart_limit: int = DEFAULT_RESTART_LIMIT,
@@ -798,15 +791,12 @@ class ShardedScenarioService:
             "max_entries": int(max_entries),
             "chaos": chaos,
         }
-        self._start_method = start_method
         self._shards: list[_Shard] = []
         self._parked: list[_Inflight] = []
         self._ids = itertools.count()
         self._loop: asyncio.AbstractEventLoop | None = None
         self._heartbeat_task: asyncio.Task | None = None
-        self._expander = ThreadPoolExecutor(
-            max_workers=1, thread_name_prefix="repro-shard-expand"
-        )
+        self._expander = ThreadPoolExecutor(1, thread_name_prefix="repro-shard-expand")
         self._started = False
         self._closed = False
 
@@ -828,34 +818,8 @@ class ShardedScenarioService:
             return
         self._started = True
         self._loop = asyncio.get_running_loop()
-        context = multiprocessing.get_context(self._start_method)
-        # BLAS pools size themselves from the environment once, at library
-        # load; pinning around the spawns means each of the N workers gets
-        # 1/N of the cores instead of N full-sized pools (oversubscription
-        # guard for the dense engine).  The parent's own environment is
-        # restored afterwards.
-        previous_blas = pin_blas_threads(blas_thread_budget(self.num_shards))
-        try:
-            spawned = []
-            for index in range(self.num_shards):
-                requests = context.Queue()
-                responses = context.Queue()
-                process = context.Process(
-                    target=_shard_worker_main,
-                    args=(
-                        index,
-                        requests,
-                        responses,
-                        {**self._worker_config, "generation": 0},
-                    ),
-                    daemon=True,
-                    name=f"repro-shard-{index}",
-                )
-                process.start()
-                spawned.append((index, process, requests, responses))
-        finally:
-            restore_blas_threads(previous_blas)
-        for index, process, requests, responses in spawned:
+        for index in range(self.num_shards):
+            process, requests, responses = self._spawn(index, 0)
             shard = _Shard(
                 index=index,
                 process=process,
@@ -867,6 +831,46 @@ class ShardedScenarioService:
             self._start_shard_threads(shard)
         if self.heartbeat_interval is not None:
             self._heartbeat_task = self._loop.create_task(self._heartbeat_loop())
+
+    def _spawn(self, index: int, generation: int) -> tuple[Any, Any, Any]:
+        """Start one worker incarnation; returns its process and two queues.
+
+        BLAS pools size themselves from the environment once, at library
+        load; pinning around the spawn gives each of the N workers 1/N of
+        the cores instead of a full-sized pool (oversubscription guard for
+        the dense engine).  The front's own environment is restored after.
+        """
+        context = multiprocessing.get_context("spawn")
+        requests = context.Queue()
+        responses = context.Queue()
+        previous_blas = pin_blas_threads(blas_thread_budget(self.num_shards))
+        try:
+            process = context.Process(
+                target=_shard_worker_main,
+                args=(
+                    index,
+                    requests,
+                    responses,
+                    {**self._worker_config, "generation": generation},
+                ),
+                daemon=True,
+                name=f"repro-shard-{index}" + (f"-g{generation}" if generation else ""),
+            )
+            process.start()
+        finally:
+            restore_blas_threads(previous_blas)
+        return process, requests, responses
+
+    @staticmethod
+    def _retire_queues(shard: _Shard) -> None:
+        """Close an incarnation's two queues without waiting on their feeder
+        threads, so neither a respawn nor interpreter exit blocks on them."""
+        for channel in (shard.requests, shard.responses):
+            try:
+                channel.close()
+                channel.cancel_join_thread()
+            except Exception:  # pragma: no cover
+                pass
 
     def _start_shard_threads(self, shard: _Shard) -> None:
         """Reader/watcher threads for the shard's *current* incarnation.
@@ -934,13 +938,7 @@ class ShardedScenarioService:
             if shard.process.is_alive():
                 shard.process.terminate()
                 shard.process.join(timeout=1.0)
-            # Unblock the queue feeder threads so interpreter exit is clean.
-            for channel in (shard.requests, shard.responses):
-                try:
-                    channel.close()
-                    channel.cancel_join_thread()
-                except Exception:  # pragma: no cover
-                    pass
+            self._retire_queues(shard)
 
     # ------------------------------------------------------------------
     # background threads
@@ -1106,29 +1104,10 @@ class ShardedScenarioService:
     async def _respawn(self, shard: _Shard) -> None:
         """Replace a dead incarnation with a fresh worker process."""
         next_generation = shard.generation + 1
-        config = {**self._worker_config, "generation": next_generation}
-
-        def spawn():
-            context = multiprocessing.get_context(self._start_method)
-            requests = context.Queue()
-            responses = context.Queue()
-            previous_blas = pin_blas_threads(blas_thread_budget(self.num_shards))
-            try:
-                process = context.Process(
-                    target=_shard_worker_main,
-                    args=(shard.index, requests, responses, config),
-                    daemon=True,
-                    name=f"repro-shard-{shard.index}-g{next_generation}",
-                )
-                process.start()
-            finally:
-                restore_blas_threads(previous_blas)
-            return process, requests, responses
-
         assert self._loop is not None
         try:
             process, requests, responses = await self._loop.run_in_executor(
-                None, spawn
+                None, self._spawn, shard.index, next_generation
             )
         except Exception:  # pragma: no cover - spawn machinery failure
             shard.state = STATE_BROKEN
@@ -1145,12 +1124,7 @@ class ShardedScenarioService:
             return
         # Retire the dead incarnation's queues; its reader thread exits on
         # the resulting OSError/EOFError (or its next idle tick).
-        for channel in (shard.requests, shard.responses):
-            try:
-                channel.close()
-                channel.cancel_join_thread()
-            except Exception:  # pragma: no cover
-                pass
+        self._retire_queues(shard)
         shard.process, shard.requests, shard.responses = (
             process,
             requests,

@@ -178,6 +178,65 @@ class TestPlannerGrouping:
 
 
 # ---------------------------------------------------------------------------
+# run: a result or an error per request
+# ---------------------------------------------------------------------------
+class TestRun:
+    def good_requests(self) -> list[MeasureRequest]:
+        chain = random_chain(8, seed=11)
+        other = random_chain(6, seed=12)
+        return [
+            MeasureRequest(
+                chain=chain, times=GRID, kind=MeasureKind.REACHABILITY, target="target"
+            ),
+            MeasureRequest(
+                chain=other,
+                times=GRID,
+                kind=MeasureKind.CUMULATIVE_REWARD,
+                rewards=np.arange(6.0),
+            ),
+            MeasureRequest(chain=chain, times=GRID, kind=MeasureKind.TRANSIENT),
+        ]
+
+    def assert_same_results(self, outcomes, expected):
+        assert len(outcomes) == len(expected)
+        for outcome, reference in zip(outcomes, expected):
+            assert np.array_equal(outcome.times, reference.times)
+            assert np.array_equal(outcome.values, reference.values)
+
+    def test_a_failing_unit_fails_only_its_own_members(self):
+        good = self.good_requests()
+        # An epsilon outside (0, 1) passes validation but fails in the
+        # Fox-Glynn table of its own group, and so of its own unit.
+        poisoned = dataclasses.replace(good[0], epsilon=1.5)
+        mixed = [good[0], poisoned, good[1], good[2]]
+        outcomes = AnalysisSession().run(mixed)
+        assert isinstance(outcomes[1], ValueError)
+        self.assert_same_results(
+            [outcomes[0], *outcomes[2:]], AnalysisSession().run(good)
+        )
+        session = AnalysisSession()
+        session.extend(mixed)
+        with pytest.raises(ValueError) as raised:
+            session.execute()
+        assert str(raised.value) == str(outcomes[1])
+
+    def test_an_invalid_request_gets_its_error_and_never_reaches_the_plan(self):
+        good = self.good_requests()
+        invalid = MeasureRequest(  # reachability without a target
+            chain=good[0].chain, times=GRID, kind=MeasureKind.REACHABILITY
+        )
+        stats = SessionStats()
+        outcomes = AnalysisSession(stats=stats).run([invalid, *good])
+        assert isinstance(outcomes[0], CTMCError)
+        assert stats.requests == len(good)
+        self.assert_same_results(outcomes[1:], AnalysisSession().run(good))
+        session = AnalysisSession()
+        session.extend([invalid, *good])
+        with pytest.raises(CTMCError):
+            session.plan()
+
+
+# ---------------------------------------------------------------------------
 # executor batching axes
 # ---------------------------------------------------------------------------
 class TestExecutorBatching:

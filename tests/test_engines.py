@@ -30,7 +30,6 @@ from repro.ctmc.engines import (
     SparseEngine,
     SparseFactorization,
     blas_thread_budget,
-    default_worker_count,
     factorization_backend,
     factorize,
     pin_blas_threads,
@@ -397,11 +396,6 @@ class TestOversubscriptionGuard:
             restore_blas_threads(previous)
         assert os.environ.get(BLAS_ENV_VARS[0]) == sentinel
 
-    def test_default_worker_count_is_bounded(self):
-        assert default_worker_count() <= 8
-        assert default_worker_count(12) == 12
-        assert default_worker_count(0) == 1
-
     def test_two_shard_dense_run_keeps_thread_budget_bounded(self):
         """Regression: N dense shards must not spawn N full BLAS pools."""
         from repro.service.shard import ShardedScenarioService
@@ -431,14 +425,12 @@ class TestOversubscriptionGuard:
         for snapshot in snapshots:
             assert snapshot.alive and snapshot.threads is not None
             threads = snapshot.threads
-            # The worker pool obeys the bounded default ...
-            assert threads["pool_max_workers"] <= 8
-            # ... the BLAS pin the worker inherited divides the machine ...
+            # The BLAS pin the worker inherited divides the machine ...
             for variable in BLAS_ENV_VARS:
                 assert threads["blas_env"][variable] == budget
-            # ... and the live thread count stays small (pool + queue
-            # plumbing), nowhere near cores x shards x pool explosion.
-            assert threads["active_threads"] <= threads["pool_max_workers"] + 12
+            # ... and the live thread count stays small (the computing main
+            # thread + queue plumbing), nowhere near cores x shards.
+            assert threads["active_threads"] <= 1 + 12
 
     def test_parent_environment_is_restored_after_spawn(self):
         from repro.service.shard import ShardedScenarioService

@@ -502,6 +502,45 @@ class TestErrorMapping:
         assert reply.count(b"HTTP/1.1 ") == 1
         assert counts == {("POST /scenario", 501): 1}
 
+    @pytest.mark.parametrize(
+        "fields",
+        [
+            "Content-Length : 18\r\n",
+            "Content-Length\t: 18\r\n",
+            "Content-Length: 18\r\n 5\r\n",
+            "Content-Length: 18\r\n\tX-Fold: 5\r\n",
+            " Content-Length: 18\r\n",
+            "Content-Length: 18\r\nX-No-Colon\r\n",
+            "Content-Length: 18\r\n: empty name\r\n",
+        ],
+        ids=[
+            "space-before-colon", "tab-before-colon", "obs-fold", "tab-obs-fold",
+            "leading-space", "no-colon", "empty-name",
+        ],
+    )
+    def test_malformed_field_lines_are_a_400_that_closes(self, fields):
+        # The name was stripped, so "Content-Length : 18" was read as a
+        # length and served 200, and a folded or colon-less line was kept
+        # as a header. The request asks for keep-alive: the reply reaching
+        # the end of the stream shows the server closed the connection.
+        head = f"POST /scenario HTTP/1.1\r\nHost: test\r\n{fields}\r\n"
+        reply, counts = self._raw(head.encode() + self.FIG45)
+        assert reply.startswith(b"HTTP/1.1 400 Bad Request\r\n")
+        assert b"\r\nConnection: close\r\n" in reply
+        assert reply.endswith(b"\r\n\r\nmalformed header line")
+        assert reply.count(b"HTTP/1.1 ") == 1
+        assert counts == {("POST /scenario", 400): 1}
+
+    @pytest.mark.parametrize("length", ["Content-Length:18", "Content-Length:   18  "])
+    def test_whitespace_after_the_colon_is_served(self, length):
+        head = (
+            "POST /scenario HTTP/1.1\r\nHost: test\r\nConnection: close\r\n"
+            f"{length}\r\n\r\n"
+        )
+        reply, counts = self._raw(head.encode() + self.FIG45)
+        assert reply.startswith(b"HTTP/1.1 200 OK\r\n")
+        assert counts == {("POST /scenario", 200): 1}
+
     @pytest.mark.parametrize("version", ["HTTP/1.0", "HTTP/1.1"])
     def test_digit_lengths_on_both_versions_are_served(self, version):
         head = (

@@ -15,6 +15,7 @@ import asyncio
 import dataclasses
 import pickle
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -156,13 +157,13 @@ class TestCoalescing:
         np.testing.assert_allclose(first.values, second.values, atol=0.0)
 
     def test_every_unit_of_a_flush_runs_on_one_thread(self, monkeypatch):
-        # A flush takes one hop to the worker pool and runs its units there
-        # in order, not one hop (and possibly one thread) per unit.
+        # Every unit of every flush runs in order on the service's one
+        # flush thread, not one hop (and possibly one thread) per unit.
         threads = []
         run_unit = ExecutionUnit.run
 
         def recording_run(unit, *args, **kwargs):
-            threads.append(threading.get_ident())
+            threads.append(threading.current_thread())
             return run_unit(unit, *args, **kwargs)
 
         monkeypatch.setattr(ExecutionUnit, "run", recording_run)
@@ -170,12 +171,54 @@ class TestCoalescing:
         async def run():
             async with ScenarioService(artifacts=ArtifactCache()) as service:
                 await service.submit_scenario("fig8_9")
-                return service.stats.flushes, service.max_workers
+                await service.submit_scenario("fig4_5")
+                return service.stats.flushes, service._flusher
 
-        flushes, max_workers = asyncio.run(run())
-        assert flushes == 1 and max_workers > 1
-        assert len(threads) == 10
-        assert len(set(threads)) == 1
+        flushes, flusher = asyncio.run(run())
+        assert flushes == 2
+        assert len(threads) > 10
+        assert set(threads) == {flusher}
+        assert flusher is not threading.main_thread()
+
+    def test_calls_queued_during_a_flush_plan_as_the_next_one(self, monkeypatch):
+        # The first flush is held until three more calls are queued behind
+        # it; the flush thread then takes all three into one flush.
+        chains = [random_chain(6, seed=seed) for seed in (20, 21, 22, 23)]
+        requests = [
+            MeasureRequest(chain=chain, times=[0.5, 1.0], kind=MeasureKind.TRANSIENT)
+            for chain in chains
+        ]
+        started, release = threading.Event(), threading.Event()
+        run_batch = AnalysisSession.run
+
+        def held_run(session, batch):
+            started.set()
+            assert release.wait(30)
+            return run_batch(session, batch)
+
+        monkeypatch.setattr(AnalysisSession, "run", held_run)
+
+        async def run():
+            loop = asyncio.get_running_loop()
+            async with ScenarioService(artifacts=ArtifactCache()) as service:
+                first = asyncio.ensure_future(service.submit(requests[0]))
+                assert await loop.run_in_executor(None, started.wait, 30)
+                queued = [
+                    asyncio.ensure_future(service.submit(request))
+                    for request in requests[1:]
+                ]
+                await asyncio.sleep(0.05)  # every call has put its message
+                release.set()
+                results = await asyncio.gather(first, *queued)
+                return results, service.stats
+
+        results, stats = asyncio.run(run())
+        assert (stats.flushes, stats.largest_flush) == (2, 3)
+        assert stats.session.requests == stats.completed == 4
+        for request, result in zip(requests, results):
+            single = AnalysisSession()
+            single.add(request)
+            assert np.array_equal(result.values, single.execute()[0].values)
 
 
 # ---------------------------------------------------------------------------
@@ -415,6 +458,59 @@ class TestFailureIsolation:
                     await submission
 
         asyncio.run(run())
+
+    def test_close_with_drain_cuts_a_long_window_short(self):
+        chain = random_chain(5, seed=13)
+        requests = [
+            MeasureRequest(chain=chain, times=[t], kind=MeasureKind.TRANSIENT)
+            for t in (0.5, 1.0)
+        ]
+
+        async def run():
+            service = ScenarioService(artifacts=ArtifactCache(), coalesce_window=30.0)
+            submissions = [
+                asyncio.ensure_future(service.submit(request)) for request in requests
+            ]
+            await asyncio.sleep(0.05)  # queued, window still open
+            started = time.monotonic()
+            await service.close()
+            closing = time.monotonic() - started
+            # Settled by the close: the callers only have to wake up.
+            results = await asyncio.wait_for(asyncio.gather(*submissions), 1.0)
+            return results, closing, service
+
+        results, closing, service = asyncio.run(run())
+        assert closing < 5.0
+        assert service.stats.flushes == 1 and service.stats.completed == 2
+        assert [result.values.shape for result in results] == [(1, 1, 5)] * 2
+
+    def test_an_exception_escaping_a_flush_fails_only_its_futures(self, monkeypatch):
+        chain = random_chain(6, seed=14)
+        request = MeasureRequest(chain=chain, times=[1.0], kind=MeasureKind.TRANSIENT)
+        run_batch = AnalysisSession.run
+        calls = []
+
+        def failing_once(session, batch):
+            calls.append(len(batch))
+            if len(calls) == 1:
+                raise RuntimeError("flush blew up")
+            return run_batch(session, batch)
+
+        monkeypatch.setattr(AnalysisSession, "run", failing_once)
+
+        async def run():
+            async with ScenarioService(artifacts=ArtifactCache()) as service:
+                failed = await asyncio.gather(
+                    service.submit_many([request, request]), return_exceptions=True
+                )
+                served = await service.submit(request)
+                return failed, served, service.stats
+
+        (error,), served, stats = asyncio.run(run())
+        assert isinstance(error, RuntimeError) and str(error) == "flush blew up"
+        assert calls == [2, 1]
+        assert served.values.shape == (1, 1, 6)
+        assert (stats.failed, stats.completed, stats.flushes) == (2, 1, 2)
 
     def test_closed_service_rejects_submissions(self):
         chain = random_chain(5, seed=6)
