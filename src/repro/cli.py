@@ -56,7 +56,7 @@ from pathlib import Path
 
 from repro.analysis import AnalysisSession, SessionStats
 from repro.casestudy import experiments as exp
-from repro.service.dispatcher import DEFAULT_COALESCE_WINDOW
+from repro.service.dispatcher import DEFAULT_COALESCE_WINDOW, DEFAULT_MAX_BATCH
 from repro.service.registry import MAX_GRID_POINTS, paper_registry
 
 #: Every experiment name, in the paper's order.
@@ -259,8 +259,8 @@ def build_serve_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--max-batch",
         type=bounded(int, 1),
-        default=1024,
-        help="pending-request cap that cuts the window short (default: 1024)",
+        default=DEFAULT_MAX_BATCH,
+        help="pending-request cap that cuts the window short (default: %(default)s)",
     )
     parser.add_argument(
         "--metrics",
@@ -301,8 +301,9 @@ def build_serve_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="N",
         help=(
-            "bounded-queue backpressure: reject submissions beyond N pending "
-            "(HTTP maps the rejection to 503; default: unbounded)"
+            "backpressure: while requests are pending, reject a call that "
+            "would take them past N (HTTP maps the rejection to 503; "
+            "default: unbounded)"
         ),
     )
     parser.add_argument(
@@ -367,16 +368,6 @@ def build_serve_parser() -> argparse.ArgumentParser:
             "terminating it (default: 10)"
         ),
     )
-    parser.add_argument(
-        "--snapshot-timeout",
-        type=bounded(float, 0, inclusive=False),
-        default=30.0,
-        metavar="SECONDS",
-        help=(
-            "with --shards: deadline for one worker's stats snapshot when "
-            "serving GET /metrics (default: 30)"
-        ),
-    )
     return parser
 
 
@@ -403,7 +394,6 @@ def serve_http_main(args: argparse.Namespace) -> int:
                 restart_limit=args.restart_limit,
                 retry_limit=args.retry_limit,
                 shutdown_grace=args.shutdown_grace,
-                snapshot_timeout=args.snapshot_timeout,
             )
         else:
             service = ScenarioService(

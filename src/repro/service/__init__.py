@@ -15,8 +15,10 @@ the heavy-traffic north star:
   session + artifact cache each, flushing as the in-process service
   does) with per-shard chain ownership via fingerprint
   routing, content-addressed chain transport (each chain crosses the wire
-  to a worker once; requests carry its key) and a shared-nothing
-  stats-snapshot protocol for ``/metrics``.
+  to a worker once; requests carry its key) and counters that ride each
+  flush's results, so ``/metrics`` never waits for a worker.  Both fronts
+  share one submission path: admission, deadlines, ``submit_scenario``
+  and the lifecycle are written once.
   The front is *supervised*: dead workers respawn with exponential backoff
   under a restart budget, wedged workers are caught by heartbeat pings,
   in-flight requests retry transparently and a down shard's chains fail

@@ -28,8 +28,8 @@ hooked into the worker side of the shard wire protocol:
 Events are addressed by ``(shard, generation, at_message)`` where
 ``at_message`` counts *requests*: each entry of a ``requests`` message
 counts once, so a family sent as one message advances the counter by its
-size.  Chain uploads, heartbeat pings and stats probes do not advance it,
-so adding monitoring never shifts a schedule.  ``generation`` is the
+size.  Chain uploads and heartbeat pings do not advance it, so
+monitoring never shifts a schedule.  ``generation`` is the
 worker incarnation — generation 0 is the initially spawned worker, each
 supervisor restart increments it.  Keying on the generation is what lets a
 schedule say "kill this shard once": the respawned worker runs fault-free

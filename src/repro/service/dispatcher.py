@@ -28,6 +28,12 @@ message, cut short by the *size cap*.  In either mode one flush plans:
   one unless the caller hands one over — so a repeat portfolio sweep
   recomputes none of them.
 
+What a client touches (admission under ``max_pending``, deadlines,
+``submit_scenario``, the lifecycle, ``metrics_text``) is written once, in
+:class:`_ScenarioFront`; this service and
+:class:`repro.service.ShardedScenarioService` differ only in how they
+queue a batch, expand a family and start and stop.
+
 A quick example — three clients sharing one service::
 
     async def client(service, disaster):
@@ -48,10 +54,10 @@ import asyncio
 import queue
 import threading
 import time
-from concurrent.futures import Executor, ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from functools import partial
-from typing import Any, Callable, ClassVar, Sequence
+from typing import Any, ClassVar, Sequence
 
 from repro.analysis import AnalysisSession, MeasureRequest, MeasureResult, SessionStats
 from repro.ctmc.artifacts import ArtifactCache, CacheStats
@@ -80,12 +86,13 @@ class ServiceClosed(RuntimeError):
 
 
 class QueueFull(RuntimeError):
-    """Raised by ``submit()`` when the service is at its ``max_pending`` bound.
+    """Raised by ``submit()`` when a call would pass the ``max_pending`` bound.
 
     Backpressure is synchronous and cheap: a rejected call enqueues none of
     its requests, so it cannot poison other callers or occupy a slot a
-    retry could use.  Clients are expected to back off and resubmit (the
-    HTTP front end maps this to ``503``).
+    retry could use.  A front with nothing unsettled admits any call, so
+    the rejection always means "back off and resubmit" (the HTTP front end
+    maps it to ``503``).
     """
 
 
@@ -129,56 +136,6 @@ class ServiceStats(Record):
     def coalesced_per_flush(self) -> float:
         """Mean number of submissions sharing one plan (1.0 = no coalescing)."""
         return self.session.requests / self.flushes if self.flushes else 0.0
-
-
-async def await_with_deadline(
-    future: asyncio.Future,
-    timeout: float | None,
-    stats: Any,
-    detail: Callable[[], str | None] | None = None,
-) -> Any:
-    """Await a submission future under a per-request deadline.
-
-    Expiry cancels *this* future only (``asyncio.wait_for`` semantics):
-    siblings in the same flush are untouched.  Shared by the in-process
-    service and the sharded front so their timeout semantics (counter,
-    exception type, message) cannot drift; ``stats`` only needs a
-    ``timeouts`` attribute.  ``detail``, when given, is called at expiry to
-    append where the request was stuck (e.g. parked behind a shard restart)
-    to the timeout message.
-    """
-    if timeout is None:
-        return await future
-    try:
-        return await asyncio.wait_for(future, timeout)
-    except asyncio.TimeoutError:
-        stats.timeouts += 1
-        message = f"scenario request did not complete within {timeout}s"
-        extra = detail() if detail is not None else None
-        if extra:
-            message = f"{message} ({extra})"
-        raise ScenarioTimeout(message) from None
-
-
-async def cached_expansion(
-    artifacts: ArtifactCache,
-    spec: ScenarioSpec,
-    points: int | None,
-    executor: Executor,
-    build: Callable[[ScenarioSpec, int | None], ScenarioExpansion],
-) -> ScenarioExpansion:
-    """A family's expansion under the ``scenario`` cache kind.
-
-    A hit is served on the event loop; a miss runs ``build`` on
-    ``executor`` under the cache's per-key lock, so racing first requests
-    of a family build it once.  Shared by both fronts' ``submit_scenario``.
-    """
-    expansion = artifacts.scenario(spec, points)
-    if expansion is None:
-        expansion = await asyncio.get_running_loop().run_in_executor(
-            executor, artifacts.scenario, spec, points, partial(build, spec, points)
-        )
-    return expansion
 
 
 def drain(inbox: Any, window: float, max_batch: int) -> list[tuple]:
@@ -233,7 +190,195 @@ class _Pending:
     future: asyncio.Future
 
 
-class ScenarioService:
+class _ScenarioFront:
+    """What a client touches, once for both scenario services.
+
+    The settings shared by every front, the lifecycle, admission under
+    ``max_pending``, per-request deadlines, settling a batch, ``submit``,
+    ``submit_many``, ``submit_scenario`` and :meth:`metrics_text` live here.
+    A front supplies the rest: :meth:`start`, :meth:`close`,
+    :meth:`metrics_records`, the payloads it sends for requests
+    (:meth:`_payloads`), a family's expansion (:meth:`_expand`) and how a
+    batch is queued (:meth:`_enqueue`), whose entries carry a ``future``.
+    """
+
+    def __init__(
+        self,
+        *,
+        coalesce_window: float,
+        max_batch: int,
+        max_pending: int | None,
+        default_timeout: float | None,
+        registry: ScenarioRegistry | None,
+        artifacts: ArtifactCache,
+        stats: Record,
+    ) -> None:
+        if coalesce_window < 0:
+            raise ValueError("coalesce_window must be non-negative")
+        if max_batch < 1:
+            raise ValueError("max_batch must be at least 1")
+        if max_pending is not None and max_pending < 1:
+            raise ValueError("max_pending must be at least 1 (or None)")
+        if default_timeout is not None and default_timeout <= 0:
+            raise ValueError("default_timeout must be positive (or None)")
+        self.coalesce_window = float(coalesce_window)
+        self.max_batch = int(max_batch)
+        self.max_pending = None if max_pending is None else int(max_pending)
+        self.default_timeout = (
+            None if default_timeout is None else float(default_timeout)
+        )
+        self.registry = registry if registry is not None else paper_registry()
+        #: Holds each scenario family's expansion (the ``scenario`` kind).
+        self.artifacts = artifacts
+        self.stats = stats
+        self._expander = ThreadPoolExecutor(1, thread_name_prefix="repro-expand")
+        # Futures submitted and not yet settled: the backpressure count.
+        self._unsettled: set[asyncio.Future] = set()
+        self._closed = False
+
+    # ------------------------------------------------------------------
+    # lifecycle
+    # ------------------------------------------------------------------
+    async def __aenter__(self):
+        await self.start()
+        return self
+
+    async def __aexit__(self, *exc_info) -> None:
+        await self.close()
+
+    def _check_open(self) -> None:
+        if self._closed:
+            raise ServiceClosed("the scenario service has been closed")
+
+    def metrics_text(self) -> str:
+        """The Prometheus text dump of :meth:`metrics_records`."""
+        return render_metrics(*self.metrics_records())
+
+    # ------------------------------------------------------------------
+    # submission API
+    # ------------------------------------------------------------------
+    async def submit(
+        self, request: MeasureRequest, timeout: float | None = None
+    ) -> MeasureResult:
+        """Queue one request and await its result.
+
+        The call coalesces with every other submission queued for the same
+        flush; the returned result is exactly the slice this request would
+        have received from a standalone session (values equal to 1e-12).
+        ``timeout`` (or the service's ``default_timeout``) bounds the wait
+        and raises :class:`ScenarioTimeout` on expiry, cancelling only this
+        future.  The one-request case of :meth:`submit_many`.
+        """
+        (result,) = await self.submit_many([request], timeout=timeout)
+        return result
+
+    async def submit_many(
+        self, requests: Sequence[MeasureRequest], timeout: float | None = None
+    ) -> list[MeasureResult]:
+        """Queue several requests as one message and await all their results.
+
+        The requests reach a flush together, so a family is never split
+        across flushes (beyond ``max_batch``).  While requests are
+        unsettled, a call that would take their count past ``max_pending``
+        raises :class:`QueueFull`, enqueues nothing and counts each of its
+        requests in ``stats.rejected``; a front with nothing unsettled
+        admits any call.  Raises the first failure, but only after every
+        future has settled, so sibling failures are all retrieved (no
+        orphaned exceptions).  The optional ``timeout`` applies per
+        request, not to the batch total.
+        """
+        self._check_open()
+        requests = list(requests)
+        return await self._submit(requests, await self._payloads(requests), timeout)
+
+    async def submit_scenario(
+        self, name: str, points: int | None = None, timeout: float | None = None
+    ) -> list[tuple[MeasureRequest, MeasureResult]]:
+        """Expand a registered scenario and await the whole family.
+
+        Returns ``(request, result)`` pairs so callers can use the request
+        tags ``(scenario, line, ..., strategy)`` to reassemble curves.
+        Each (spec, ``points``) is expanded once: the expansion is kept in
+        :attr:`artifacts` under the ``scenario`` kind, and later calls
+        share its read-only requests (and payloads), served from the event
+        loop with no executor hop.  A first expansion may build case-study
+        state spaces (seconds of work on a cold process), so it runs on one
+        expander thread under the cache's per-key lock, keeping the event
+        loop responsive and building racing first requests once.
+        """
+        self._check_open()
+        spec = self.registry.get(name)
+        expansion = self.artifacts.scenario(spec, points)
+        if expansion is None:
+            expansion = await asyncio.get_running_loop().run_in_executor(
+                self._expander,
+                self.artifacts.scenario,
+                spec,
+                points,
+                partial(self._expand, spec, points),
+            )
+        results = await self._submit(expansion.requests, expansion.payloads, timeout)
+        return list(zip(expansion.requests, results))
+
+    async def _submit(
+        self,
+        requests: Sequence[MeasureRequest],
+        payloads: Sequence[Any],
+        timeout: float | None,
+    ) -> list[MeasureResult]:
+        """Admit a call, enqueue it and settle it (see :meth:`submit_many`)."""
+        unsettled = len(self._unsettled)
+        if (
+            self.max_pending is not None
+            and unsettled
+            and unsettled + len(requests) > self.max_pending
+        ):
+            self.stats.rejected += len(requests)
+            raise QueueFull(
+                f"scenario service has {unsettled} unsettled requests and "
+                f"{len(requests)} more would pass max_pending={self.max_pending}; "
+                "back off and resubmit"
+            )
+        entries = self._enqueue(requests, payloads)
+        self._unsettled.update(entry.future for entry in entries)
+        timeout = self.default_timeout if timeout is None else timeout
+        settled = await asyncio.gather(
+            *(self._settle(entry, timeout) for entry in entries),
+            return_exceptions=True,
+        )
+        for outcome in settled:
+            if isinstance(outcome, BaseException):
+                raise outcome
+        return settled
+
+    async def _settle(self, entry: Any, timeout: float | None) -> MeasureResult:
+        """Await one entry's future under its deadline; it counts against
+        ``max_pending`` until then.
+
+        Expiry cancels this future only (``asyncio.wait_for``): its flush
+        keeps running for the others and drops a late result.
+        """
+        try:
+            if timeout is None:
+                return await entry.future
+            try:
+                return await asyncio.wait_for(entry.future, timeout)
+            except asyncio.TimeoutError:
+                self.stats.timeouts += 1
+                message = f"scenario request did not complete within {timeout}s"
+                where = self._where(entry)
+                raise ScenarioTimeout(
+                    f"{message} ({where})" if where else message
+                ) from None
+        finally:
+            self._unsettled.discard(entry.future)
+
+    def _where(self, entry: Any) -> str | None:
+        """Where an expired entry was stuck, for its timeout message."""
+        return None
+
+
+class ScenarioService(_ScenarioFront):
     """Queued multi-client front end over the batched analysis session.
 
     Parameters
@@ -247,9 +392,9 @@ class ScenarioService:
         Request count that cuts the window short; a flush plans at most
         this many requests.
     max_pending:
-        Bound on the requests submitted but not yet settled; a call that
-        would pass it raises :class:`QueueFull` and enqueues none of its
-        requests (``None`` = unbounded, the default).
+        Bound on the requests submitted but not yet settled; while any are
+        unsettled, a call that would pass it raises :class:`QueueFull` and
+        enqueues none of its requests (``None`` = unbounded, the default).
     default_timeout:
         Per-request deadline in seconds applied when ``submit()`` is not
         given an explicit one; expiry raises :class:`ScenarioTimeout` and
@@ -283,49 +428,31 @@ class ScenarioService:
         artifacts: ArtifactCache | None = None,
         registry: ScenarioRegistry | None = None,
     ) -> None:
-        if coalesce_window < 0:
-            raise ValueError("coalesce_window must be non-negative")
-        if max_batch < 1:
-            raise ValueError("max_batch must be at least 1")
-        if max_pending is not None and max_pending < 1:
-            raise ValueError("max_pending must be at least 1 (or None)")
-        if default_timeout is not None and default_timeout <= 0:
-            raise ValueError("default_timeout must be positive (or None)")
-        self.coalesce_window = float(coalesce_window)
-        self.max_batch = int(max_batch)
-        self.max_pending = None if max_pending is None else int(max_pending)
-        self.default_timeout = (
-            None if default_timeout is None else float(default_timeout)
+        super().__init__(
+            coalesce_window=coalesce_window,
+            max_batch=max_batch,
+            max_pending=max_pending,
+            default_timeout=default_timeout,
+            registry=registry,
+            artifacts=artifacts if artifacts is not None else ArtifactCache(),
+            stats=ServiceStats(),
         )
-        self.artifacts = artifacts if artifacts is not None else ArtifactCache()
-        self.registry = registry if registry is not None else paper_registry()
-        self.stats = ServiceStats()
         self._session = AnalysisSession(
             lump=lump,
             epsilon=epsilon,
             stats=self.stats.session,
             artifacts=self.artifacts,
         )
-        self._expander = ThreadPoolExecutor(1, thread_name_prefix="repro-service-expand")
         self._inbox: queue.SimpleQueue = queue.SimpleQueue()
         self._flusher: threading.Thread | None = None
-        # Futures submitted and not yet settled: the backpressure count.
-        self._unsettled: set[asyncio.Future] = set()
-        self._closed = False
 
     # ------------------------------------------------------------------
     # lifecycle
     # ------------------------------------------------------------------
-    async def __aenter__(self) -> "ScenarioService":
+    async def start(self) -> None:
+        """Check the service is open; the flush thread starts on the first
+        submission."""
         self._check_open()
-        return self
-
-    async def __aexit__(self, *exc_info) -> None:
-        await self.close()
-
-    def _check_open(self) -> None:
-        if self._closed:
-            raise ServiceClosed("the scenario service has been closed")
 
     async def close(self, drain: bool = True) -> None:
         """Stop the flush thread, after flushing what is queued by default.
@@ -368,58 +495,20 @@ class ScenarioService:
 
         return [self.stats, self.cache_stats(), global_optimizer_stats()]
 
-    def metrics_text(self) -> str:
-        """The Prometheus text dump of :meth:`metrics_records`."""
-        return render_metrics(*self.metrics_records())
-
     # ------------------------------------------------------------------
-    # submission API
+    # what the front supplies
     # ------------------------------------------------------------------
-    async def submit(
-        self, request: MeasureRequest, timeout: float | None = None
-    ) -> MeasureResult:
-        """Queue one request and await its result.
+    async def _payloads(self, requests: list[MeasureRequest]) -> tuple:
+        """Nothing to prepare: the flush thread takes the requests themselves."""
+        return ()
 
-        The call coalesces with every other submission queued for the same
-        flush; the returned result is exactly the slice this request would
-        have received from a standalone session (values equal to 1e-12).
-        With ``max_pending`` requests unsettled the call raises
-        :class:`QueueFull` without enqueueing; ``timeout`` (or the service's
-        ``default_timeout``) bounds the wait and raises
-        :class:`ScenarioTimeout` on expiry, cancelling only this future.
-        The one-request case of :meth:`submit_many`.
-        """
-        (result,) = await self.submit_many([request], timeout=timeout)
-        return result
+    def _expand(self, spec: ScenarioSpec, points: int | None) -> ScenarioExpansion:
+        return self.registry.expansion(spec, points)
 
-    async def submit_many(
-        self, requests: Sequence[MeasureRequest], timeout: float | None = None
-    ) -> list[MeasureResult]:
-        """Queue several requests as one message and await all their results.
-
-        The requests reach the flush thread together, so a family is never
-        split across flushes (beyond ``max_batch``).  A call that would take
-        the unsettled count past ``max_pending`` is rejected whole, each of
-        its requests counted in ``stats.rejected``.  Raises the first
-        failure, but only after every future has settled, so sibling
-        failures are all retrieved (no orphaned exceptions).  The optional
-        ``timeout`` applies per request, not to the batch total.
-        """
-        self._check_open()
-        unsettled = len(self._unsettled)
-        if (
-            self.max_pending is not None
-            and unsettled + len(requests) > self.max_pending
-        ):
-            self.stats.rejected += len(requests)
-            raise QueueFull(
-                f"scenario service has {unsettled} unsettled requests and "
-                f"{len(requests)} more would pass max_pending={self.max_pending}; "
-                "back off and resubmit"
-            )
+    def _enqueue(self, requests: Sequence[MeasureRequest], payloads: Any) -> list[_Pending]:
+        """Queue the call as one inbox message; start the flush thread."""
         loop = asyncio.get_running_loop()
         batch = [_Pending(request, loop.create_future()) for request in requests]
-        self._unsettled.update(pending.future for pending in batch)
         self.stats.submissions += len(batch)
         if self._flusher is None:
             self._flusher = threading.Thread(
@@ -427,51 +516,7 @@ class ScenarioService:
             )
             self._flusher.start()
         self._inbox.put(("requests", batch))
-        timeout = self.default_timeout if timeout is None else timeout
-        settled = await asyncio.gather(
-            *(self._await(pending.future, timeout) for pending in batch),
-            return_exceptions=True,
-        )
-        for outcome in settled:
-            if isinstance(outcome, BaseException):
-                raise outcome
-        return settled
-
-    async def _await(
-        self, future: asyncio.Future, timeout: float | None
-    ) -> MeasureResult:
-        """Await one submission under its deadline; it counts against
-        ``max_pending`` until then.  The flush thread skips futures the
-        expiry cancelled."""
-        try:
-            return await await_with_deadline(future, timeout, self.stats)
-        finally:
-            self._unsettled.discard(future)
-
-    async def submit_scenario(
-        self, name: str, points: int | None = None, timeout: float | None = None
-    ) -> list[tuple[MeasureRequest, MeasureResult]]:
-        """Expand a registered scenario and await the whole family.
-
-        Returns ``(request, result)`` pairs so callers can use the request
-        tags ``(scenario, line, ..., strategy)`` to reassemble curves.
-        Each (spec, ``points``) is expanded once: the expansion is kept in
-        :attr:`artifacts` under the ``scenario`` kind, and later calls
-        share its read-only requests, served on the event loop.  A first
-        expansion may build case-study state spaces (seconds of work on a
-        cold process), so it runs on the expander thread, keeping the event
-        loop — and every other client's submissions — responsive.
-        """
-        self._check_open()
-        expansion = await cached_expansion(
-            self.artifacts,
-            self.registry.get(name),
-            points,
-            self._expander,
-            self.registry.expansion,
-        )
-        results = await self.submit_many(expansion.requests, timeout=timeout)
-        return list(zip(expansion.requests, results))
+        return batch
 
     # ------------------------------------------------------------------
     # the flush thread
@@ -505,11 +550,11 @@ class ScenarioService:
                     outcomes = [error] * len(batch)
                 loop = batch[0].future.get_loop()
                 if not loop.is_closed():  # else nobody awaits these futures
-                    loop.call_soon_threadsafe(self._settle, batch, outcomes)
+                    loop.call_soon_threadsafe(self._settle_flush, batch, outcomes)
             if messages[-1][0] == "shutdown":
                 return
 
-    def _settle(self, batch: list[_Pending], outcomes: list[Any]) -> None:
+    def _settle_flush(self, batch: list[_Pending], outcomes: list[Any]) -> None:
         """Resolve one flush's futures (on their event loop)."""
         for pending, outcome in zip(batch, outcomes):
             if pending.future.done():

@@ -17,9 +17,9 @@ traffic over three endpoints:
     The Prometheus text dump of the backing service's ``metrics_records()``
     plus the server's own :class:`HTTPStats`, written by
     :func:`repro.stats.render_metrics`.  On the sharded front the records
-    sum every worker's ``ServiceStats``/``CacheStats`` through the
-    shared-nothing snapshot protocol; either front adds this process's
-    optimizer counters.
+    sum the ``ServiceStats``/``CacheStats`` every worker reported with its
+    last results, so the dump never waits for a flush; either front adds
+    this process's optimizer counters.
 
 Backpressure and deadlines surface as proper status codes: a
 :class:`~repro.service.QueueFull` rejection maps to ``503`` (with a
@@ -30,13 +30,13 @@ The server is stdlib-only (``asyncio.start_server`` with a hand-rolled
 HTTP/1.1 reader) — deliberately so: the container has no third-party HTTP
 framework, and the protocol surface needed here is tiny.  Keep-alive is
 supported; request bodies are framed by one ``Content-Length`` (a
-``Transfer-Encoding`` is a ``501``) and capped at 1 MiB.
+``Transfer-Encoding`` is a ``501``) and capped at 1 MiB, and an HTTP/1.1
+request without a ``Host`` header, or any request with two, is a ``400``.
 """
 
 from __future__ import annotations
 
 import asyncio
-import inspect
 import json
 import sys
 from dataclasses import dataclass
@@ -319,6 +319,7 @@ class ScenarioHTTPServer:
             headers: dict[str, str] = {}
             header_error: bytes | None = None
             conflicting_lengths = False
+            hosts = 0
             while True:
                 try:
                     line = await reader.readline()
@@ -342,6 +343,7 @@ class ScenarioHTTPServer:
                 # lengths would frame the body by whichever came last.
                 if name == "content-length" and headers.get(name, value) != value:
                     conflicting_lengths = True
+                hosts += name == "host"
                 headers[name] = value
             keep_alive = (
                 version == "HTTP/1.1"
@@ -354,6 +356,9 @@ class ScenarioHTTPServer:
                 reply = 400, plain, header_error
             elif version not in _VERSIONS:
                 reply = 400, plain, b"unsupported HTTP version"
+            elif hosts > 1 or (hosts == 0 and version == "HTTP/1.1"):
+                # RFC 9112 3.2: HTTP/1.1 requires exactly one Host line.
+                reply = 400, plain, b"missing or repeated Host header"
             elif self._draining:
                 # Drain mode: established (keep-alive) connections may still
                 # deliver requests after the listener closed; refuse them
@@ -425,7 +430,7 @@ class ScenarioHTTPServer:
             if path == "/metrics":
                 if method != "GET":
                     raise _HTTPError(405, "use GET /metrics")
-                return await self._get_metrics()
+                return self._get_metrics()
             raise _HTTPError(404, f"unknown path {path!r}")
         except _HTTPError as error:
             return self._json_error(error.status, error.message)
@@ -449,11 +454,8 @@ class ScenarioHTTPServer:
         payload = json.dumps({"scenarios": self.service.registry.describe()})
         return 200, "application/json", payload.encode()
 
-    async def _get_metrics(self) -> tuple[int, str, bytes]:
-        records = self.service.metrics_records()
-        if inspect.isawaitable(records):  # the sharded front aggregates async
-            records = await records
-        body = render_metrics(*records, self.stats)
+    def _get_metrics(self) -> tuple[int, str, bytes]:
+        body = render_metrics(*self.service.metrics_records(), self.stats)
         return 200, "text/plain; version=0.0.4; charset=utf-8", body.encode()
 
     async def _post_scenario(self, body: bytes) -> tuple[int, str, bytes]:

@@ -40,20 +40,20 @@ shared-nothing:
   in-process service's :func:`~repro.service.dispatcher.drain`, flushes
   through the same :func:`~repro.service.dispatcher.run_flush` and answers
   with one ``results`` message (:func:`_shard_worker`).
-* **Shared-nothing artifact-summary protocol** — workers never share cache
-  memory; instead each answers a ``stats`` message with a picklable
-  snapshot of its :class:`~repro.service.ServiceStats`,
-  :class:`~repro.service.CacheStats` and owned chain fingerprints (which
-  the benchmarks gate on).  :meth:`ShardedScenarioService.metrics_records`
-  absorbs the snapshots into one record of each kind and adds the front's
-  own records; :func:`repro.stats.render_metrics` writes ``/metrics`` from
-  them.  The front banks the last snapshot of every dead incarnation, so a
-  restart never takes a counter backwards.
-* **Backpressure and deadlines** — ``submit()`` raises
-  :class:`~repro.service.QueueFull` once ``max_pending`` requests are in
-  flight (``submit_many`` rejects each of its requests then), and a
-  per-request ``timeout`` abandons only that caller's future (the shard
-  keeps computing; a late response is discarded).
+* **Counters ride the results** — workers never share cache memory, and
+  the front never asks them for counters: every ``results`` message
+  carries the worker's cumulative :class:`~repro.service.ServiceStats`,
+  :class:`~repro.service.CacheStats`, owned chain fingerprints (which the
+  benchmarks gate on) and thread accounting after the flush.  The front
+  keeps the last report of every worker incarnation, and
+  :meth:`ShardedScenarioService.metrics_records` sums them into one record
+  of each kind, so ``/metrics`` answers at once, even during a long flush,
+  and a restart never takes a counter backwards.
+* **One front** — submission, admission under ``max_pending``,
+  per-request deadlines and ``submit_scenario`` are the in-process
+  service's, inherited from one base
+  (:class:`~repro.service.dispatcher._ScenarioFront`): this class only
+  routes a batch, pickles its payloads and supervises the workers.
 
 The front is *supervised*, not merely fail-fast — the failure model the
 paper applies to the water-treatment plant (components fail, repair units
@@ -94,18 +94,20 @@ The wire protocol is deliberately tiny (tuples over two ``multiprocessing``
 queues per shard, variable parts pre-pickled so serialization errors fail
 the offending request instead of wedging a queue feeder thread):
 
-=================================================  ================================
+=================================================  ======================================
 parent → worker                                    worker → parent
-=================================================  ================================
-``("chain", key, chain_bytes)``                    ``("results", [reply, ...])``
-``("requests", [(id, request_bytes), ...])``       ``("stats", id, snapshot_bytes)``
-``("stats", id)``                                  ``("pong", id)``
+=================================================  ======================================
+``("chain", key, chain_bytes)``                    ``("results", [reply, ...], report)``
+``("requests", [(id, request_bytes), ...])``       ``("pong", id)``
 ``("ping", id)``
 ``("shutdown",)``
-=================================================  ================================
+=================================================  ======================================
 
 A worker sends one ``results`` message per flush, each ``reply`` being
-``("result", id, payload_bytes)`` or ``("error", id, exc_bytes, text)``.
+``("result", id, payload_bytes)`` or ``("error", id, exc_bytes, text)``,
+and ``report`` the pickled counters of that worker incarnation after the
+flush; a reply that chaos delays travels alone, later, with ``report``
+``None``, so the reports of one incarnation arrive in order.
 ``request_bytes`` is the pickled request with its ``chain`` field replaced
 by the chain's content key; a mostly-zero initial distribution travels as
 its non-zero entries.  A scenario family's payloads are pickled once and
@@ -131,7 +133,6 @@ import threading
 import time
 import queue as queue_module
 from collections.abc import Sequence
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from functools import partial
 from typing import Any, ClassVar
@@ -155,21 +156,14 @@ from repro.service.chaos import DEFAULT_WEDGE_HOLD, ChaosPolicy
 from repro.service.dispatcher import (
     DEFAULT_COALESCE_WINDOW,
     DEFAULT_MAX_BATCH,
-    QueueFull,
     ServiceClosed,
     ServiceStats,
-    await_with_deadline,
-    cached_expansion,
+    _ScenarioFront,
     drain,
     run_flush,
 )
-from repro.service.registry import (
-    ScenarioExpansion,
-    ScenarioRegistry,
-    ScenarioSpec,
-    paper_registry,
-)
-from repro.stats import GAUGE, Record, keyed, render_metrics
+from repro.service.registry import ScenarioExpansion, ScenarioRegistry, ScenarioSpec
+from repro.stats import GAUGE, Record, keyed
 
 #: Default number of worker processes.
 DEFAULT_NUM_SHARDS = 2
@@ -177,10 +171,6 @@ DEFAULT_NUM_SHARDS = 2
 #: Default seconds a closing front waits for a worker to drain before
 #: terminating it (constructor knob ``shutdown_grace``).
 DEFAULT_SHUTDOWN_GRACE = 10.0
-
-#: Default deadline for one shard's ``stats`` snapshot reply (constructor
-#: knob ``snapshot_timeout``).
-DEFAULT_SNAPSHOT_TIMEOUT = 30.0
 
 #: Default seconds between heartbeat pings (``None``/``0`` disables).
 DEFAULT_HEARTBEAT_INTERVAL = 1.0
@@ -290,6 +280,19 @@ def _read_requests(requests: Any, responses: Any, script: dict, inbox: Any) -> N
             return
 
 
+def _report(stats: ServiceStats, artifacts: ArtifactCache) -> bytes:
+    """The counters a ``results`` message carries, pickled: the worker's
+    cumulative ``ServiceStats`` and ``CacheStats``, the chain fingerprints
+    its cache holds (which the benchmarks gate on) and its thread
+    accounting, so the front can check that a dense run stays within its
+    BLAS budget (oversubscription guard)."""
+    threads = {
+        "active_threads": threading.active_count(),
+        "blas_env": {name: os.environ.get(name) for name in BLAS_ENV_VARS},
+    }
+    return pickle.dumps((stats, artifacts.stats(), artifacts.chain_fingerprints(), threads))
+
+
 def _flush(
     session: AnalysisSession,
     stats: ServiceStats,
@@ -299,9 +302,11 @@ def _flush(
     delayed: list,
 ) -> None:
     """Decode, flush and answer ``batch``, a list of ``(request id, payload,
-    chaos event)``, with one ``results`` message.  A request that fails to
-    decode fails alone.  A ``drop`` result is omitted, a ``corrupt`` one
-    gets a garbage body, and a ``delay`` one is sent alone, later, without
+    chaos event)``, with one ``results`` message that carries the worker's
+    counters after the flush (:func:`_report`), sent even when no reply is
+    left in it.  A request that fails to decode fails alone.  A ``drop``
+    result is omitted, a ``corrupt`` one gets a garbage body, and a
+    ``delay`` one is sent alone, later, without a report and without
     holding back the rest of the flush."""
     decoded, replies = [], []
     for request_id, payload, event in batch:
@@ -344,27 +349,25 @@ def _flush(
         if event is None or event.action == "corrupt":
             replies.append(("result", request_id, body))
         elif event.action == "delay":
-            reply = ("results", [("result", request_id, body)])
+            reply = ("results", [("result", request_id, body)], None)
             delayed.append(threading.Timer(event.delay, responses.put, (reply,)))
             delayed[-1].start()
         # a dropped result vanishes: only the caller's own deadline recovers it
-    if replies:
-        responses.put(("results", replies))
+    responses.put(("results", replies, _report(stats, session.artifacts)))
 
 
 def _shard_worker(shard_index: int, requests: Any, responses: Any, config: dict) -> None:
     """One worker process: :func:`_read_requests` on a reader thread, and
     this main thread, which collects one flush's messages with
-    :func:`~repro.service.dispatcher.drain`, installs chains as they come,
-    flushes at most ``max_batch`` requests per :func:`_flush` and answers
-    ``stats`` probes after it; ``shutdown`` ends it after its last flush."""
+    :func:`~repro.service.dispatcher.drain`, installs chains as they come
+    and flushes at most ``max_batch`` requests per :func:`_flush`;
+    ``shutdown`` ends it after its last flush."""
     stats = ServiceStats()
-    artifacts = ArtifactCache(config["max_entries"])
     session = AnalysisSession(
         lump=config["lump"],
         epsilon=config["epsilon"],
         stats=stats.session,
-        artifacts=artifacts,
+        artifacts=ArtifactCache(config["max_entries"]),
     )
     max_batch = config["max_batch"]
     chaos: ChaosPolicy | None = config.get("chaos")
@@ -387,7 +390,6 @@ def _shard_worker(shard_index: int, requests: Any, responses: Any, config: dict)
     running = True
     while running:
         entries: list[tuple[int, bytes, Any]] = []
-        probes: list[int] = []
         for message in drain(inbox, config["coalesce_window"], max_batch):
             if message[0] == "chain":
                 try:
@@ -396,22 +398,11 @@ def _shard_worker(shard_index: int, requests: Any, responses: Any, config: dict)
                     chains[message[1]] = error
             elif message[0] == "requests":
                 entries.extend(message[1])
-            elif message[0] == "stats":
-                probes.append(message[1])
             else:  # shutdown: the reader forwards nothing after it
                 running = False
         for start in range(0, len(entries), max_batch):
             batch = entries[start : start + max_batch]
             _flush(session, stats, chains, batch, responses, delayed)
-        for probe in probes:
-            # Thread accounting rides along, so the front can check that a
-            # dense run stays within its BLAS budget (oversubscription guard).
-            threads = {
-                "active_threads": threading.active_count(),
-                "blas_env": {name: os.environ.get(name) for name in BLAS_ENV_VARS},
-            }
-            snapshot = (stats, artifacts.stats(), artifacts.chain_fingerprints(), threads)
-            responses.put(("stats", probe, pickle.dumps(snapshot)))
     for timer in delayed:
         timer.join()
 
@@ -479,40 +470,37 @@ def _request_payloads(requests: list[MeasureRequest]) -> list[bytes | Exception]
     return payloads
 
 
-def _wire_expansion(
-    registry: ScenarioRegistry, spec: ScenarioSpec, points: int | None
-) -> ScenarioExpansion:
-    """A family's expansion with every request's wire payload."""
-    expansion = registry.expansion(spec, points)
-    return replace(expansion, payloads=tuple(_request_payloads(expansion.requests)))
-
-
 @dataclass
 class ShardSnapshot:
-    """One shard's shared-nothing stats summary (the ``stats`` reply)."""
+    """One shard's counters, from the reports its workers sent with their
+    ``results`` messages (see :meth:`ShardedScenarioService.shard_snapshots`).
+    """
 
     index: int
     alive: bool
-    service: ServiceStats | None = None
-    cache: CacheStats | None = None
-    fingerprints: frozenset[str] = frozenset()
-    #: Worker thread accounting: pool bound, live thread count and the BLAS
-    #: environment pin the process inherited (oversubscription guard).
-    threads: dict | None = None
+    #: Summed over the shard's worker incarnations.
+    service: ServiceStats
+    cache: CacheStats
+    #: Chains the current incarnation's cache holds (none while down).
+    fingerprints: frozenset[str]
+    #: The current incarnation's thread accounting: live thread count and
+    #: the BLAS environment pin the process inherited (oversubscription
+    #: guard); None while the shard is down or before its first flush.
+    threads: dict | None
     #: Supervision state: ``up``, ``restarting`` or ``broken``.
-    state: str = STATE_UP
+    state: str
     #: Worker incarnation (0 = initial spawn; +1 per supervisor restart).
-    generation: int = 0
+    generation: int
     #: Restarts the supervisor performed for this shard so far.
-    restarts: int = 0
+    restarts: int
 
 
 @dataclass
 class ShardedServiceStats(Record):
     """Front-end counters of the sharded service (routing layer only).
 
-    Per-shard execution counters live in the workers and are fetched on
-    demand through :meth:`ShardedScenarioService.shard_snapshots`.
+    Per-shard execution counters live in the workers and arrive with each
+    flush's results (:meth:`ShardedScenarioService.shard_snapshots`).
     ``/metrics`` renders the scalar counters as ``repro_front_*_total`` and
     the per-shard dicts as ``repro_shard_*_total{shard="i"}``.
     """
@@ -548,7 +536,7 @@ class ShardedServiceStats(Record):
 
 @dataclass
 class ShardGauges(Record):
-    """Per-shard state of one snapshot round, as ``repro_shard_*`` gauges."""
+    """Per-shard state when ``/metrics`` is rendered, as ``repro_shard_*`` gauges."""
 
     label: ClassVar[str] = "shard"
 
@@ -563,15 +551,11 @@ class ShardGauges(Record):
 
 @dataclass
 class _Inflight:
-    """One tracked submission: the caller's future plus retry bookkeeping.
-
-    ``request is None`` marks control-plane probes (stats snapshots): they
-    are never retried or failed over, only failed when their shard dies.
-    """
+    """One tracked submission: the caller's future plus retry bookkeeping."""
 
     future: asyncio.Future
-    request: MeasureRequest | None
-    payload: bytes | None = None
+    request: MeasureRequest
+    payload: bytes | Exception
     #: Resubmissions consumed so far (0 = first dispatch).
     attempts: int = 0
     #: Shard currently executing the request (None while parked).
@@ -610,37 +594,13 @@ class _Shard:
     restart_task: Any = None
     #: Content keys of the chains the current incarnation holds.
     chain_keys: set[str] = field(default_factory=set)
-    #: The last snapshots of the dead incarnations, summed, and the last
-    #: snapshot of the latest one (see :meth:`lifetime_snapshots`).
-    banked: ShardSnapshot | None = None
-    last_seen: ShardSnapshot | None = None
-
-    def lifetime_snapshots(self, snapshot: ShardSnapshot) -> list[ShardSnapshot]:
-        """The snapshots whose counters sum to this shard's lifetime totals.
-
-        A respawned worker counts from zero, so a snapshot of a newer
-        incarnation first banks the last snapshot of the one before.  A
-        down shard, or a reply older than the last one seen, contributes
-        the last-known snapshot instead, so no total goes backwards across
-        a restart.  Work a dead incarnation did after its last snapshot is
-        not counted.
-        """
-        last = self.last_seen
-        if snapshot.service is not None and (
-            last is None or snapshot.generation >= last.generation
-        ):
-            if last is not None and snapshot.generation > last.generation:
-                if self.banked is None:
-                    self.banked = ShardSnapshot(
-                        self.index, alive=False, service=ServiceStats(), cache=CacheStats()
-                    )
-                self.banked.service.absorb(last.service)
-                self.banked.cache.absorb(last.cache)
-            self.last_seen = last = snapshot
-        return [part for part in (self.banked, last) if part is not None]
+    #: The last report of each incarnation, by generation: its cumulative
+    #: ``(ServiceStats, CacheStats, fingerprints, threads)``.  A respawned
+    #: worker counts from zero, so the shard's totals are their sum.
+    reports: dict[int, tuple] = field(default_factory=dict)
 
 
-class ShardedScenarioService:
+class ShardedScenarioService(_ScenarioFront):
     """Scenario portfolios partitioned across N supervised worker processes.
 
     Parameters
@@ -656,11 +616,10 @@ class ShardedScenarioService:
     coalesce_window, max_batch, lump, epsilon:
         Forwarded to every worker, which collects and flushes on its main
         thread.
-    max_pending:
-        Bound on in-flight submissions across the whole front; beyond it
-        ``submit()`` raises :class:`~repro.service.QueueFull`.
-    default_timeout:
-        Per-request deadline applied when ``submit()`` gets none.
+    max_pending, default_timeout:
+        As on :class:`~repro.service.ScenarioService`: the bound on
+        unsettled requests across the whole front, and the per-request
+        deadline applied when ``submit()`` gets none.
     max_entries:
         Per-shard artifact-cache bound, and the bound of the front's own
         cache (:attr:`artifacts`), which holds scenario expansions.
@@ -689,9 +648,6 @@ class ShardedScenarioService:
         owner ``+1, +2, ...`` order) instead of parking/failing them.
     shutdown_grace:
         Seconds :meth:`close` waits per worker before terminating it.
-    snapshot_timeout:
-        Default deadline for one shard's ``stats`` reply in
-        :meth:`shard_snapshots` / :meth:`metrics_text`.
     chaos:
         Optional :class:`~repro.service.chaos.ChaosPolicy` injected into
         every worker (tests, benchmarks and drills only).
@@ -723,15 +679,19 @@ class ShardedScenarioService:
         backoff_cap: float = DEFAULT_BACKOFF_CAP,
         failover: bool = True,
         shutdown_grace: float = DEFAULT_SHUTDOWN_GRACE,
-        snapshot_timeout: float = DEFAULT_SNAPSHOT_TIMEOUT,
         chaos: ChaosPolicy | None = None,
     ) -> None:
         if num_shards < 1:
             raise ValueError("num_shards must be at least 1")
-        if max_pending is not None and max_pending < 1:
-            raise ValueError("max_pending must be at least 1 (or None)")
-        if default_timeout is not None and default_timeout <= 0:
-            raise ValueError("default_timeout must be positive (or None)")
+        super().__init__(
+            coalesce_window=coalesce_window,
+            max_batch=max_batch,
+            max_pending=max_pending,
+            default_timeout=default_timeout,
+            registry=registry,
+            artifacts=ArtifactCache(max_entries),
+            stats=ShardedServiceStats(routed=dict.fromkeys(range(num_shards), 0)),
+        )
         if heartbeat_interval is not None and heartbeat_interval < 0:
             raise ValueError("heartbeat_interval must be >= 0 (0/None disables)")
         if heartbeat_timeout is not None and heartbeat_timeout <= 0:
@@ -746,15 +706,9 @@ class ShardedScenarioService:
             raise ValueError("backoff_base and backoff_cap must be positive")
         if shutdown_grace <= 0:
             raise ValueError("shutdown_grace must be positive")
-        if snapshot_timeout <= 0:
-            raise ValueError("snapshot_timeout must be positive")
         if chaos is not None and not isinstance(chaos, ChaosPolicy):
             raise TypeError("chaos must be a ChaosPolicy (or None)")
         self.num_shards = int(num_shards)
-        self.max_pending = None if max_pending is None else int(max_pending)
-        self.default_timeout = (
-            None if default_timeout is None else float(default_timeout)
-        )
         self.heartbeat_interval = (
             None
             if heartbeat_interval is None or heartbeat_interval == 0
@@ -776,16 +730,9 @@ class ShardedScenarioService:
         self.backoff_cap = float(backoff_cap)
         self.failover = bool(failover)
         self.shutdown_grace = float(shutdown_grace)
-        self.snapshot_timeout = float(snapshot_timeout)
-        self.registry = registry if registry is not None else paper_registry()
-        #: The front's cache: each scenario family's requests and payloads.
-        self.artifacts = ArtifactCache(max_entries)
-        self.stats = ShardedServiceStats(
-            routed={index: 0 for index in range(self.num_shards)}
-        )
         self._worker_config = {
-            "coalesce_window": float(coalesce_window),
-            "max_batch": int(max_batch),
+            "coalesce_window": self.coalesce_window,
+            "max_batch": self.max_batch,
             "lump": bool(lump),
             "epsilon": float(epsilon),
             "max_entries": int(max_entries),
@@ -796,24 +743,22 @@ class ShardedScenarioService:
         self._ids = itertools.count()
         self._loop: asyncio.AbstractEventLoop | None = None
         self._heartbeat_task: asyncio.Task | None = None
-        self._expander = ThreadPoolExecutor(1, thread_name_prefix="repro-shard-expand")
         self._started = False
-        self._closed = False
 
     # ------------------------------------------------------------------
     # lifecycle
     # ------------------------------------------------------------------
-    async def __aenter__(self) -> "ShardedScenarioService":
-        await self.start()
-        return self
-
-    async def __aexit__(self, *exc_info) -> None:
-        await self.close()
+    def _check_open(self) -> None:
+        super()._check_open()
+        if not self._started:
+            raise RuntimeError(
+                "ShardedScenarioService must be started first "
+                "(use 'async with' or await start())"
+            )
 
     async def start(self) -> None:
         """Spawn the worker processes and their reader/watcher threads."""
-        if self._closed:
-            raise ServiceClosed("the sharded scenario service has been closed")
+        super()._check_open()
         if self._started:
             return
         self._started = True
@@ -948,10 +893,10 @@ class ShardedScenarioService:
     ) -> None:
         """Drain one incarnation's response queue onto the event loop.
 
-        Payloads are unpickled *here*, on the reader thread, so large value
-        arrays and stats snapshots never serialize on the event loop (which
-        also serves HTTP traffic).  Pongs short-circuit entirely on this
-        thread: liveness bookkeeping must not queue behind loop callbacks.
+        Payloads and reports are unpickled *here*, on the reader thread, so
+        large value arrays never deserialize on the event loop (which also
+        serves HTTP traffic).  Pongs short-circuit entirely on this thread:
+        liveness bookkeeping must not queue behind loop callbacks.
         """
         while True:
             try:
@@ -971,10 +916,18 @@ class ShardedScenarioService:
                     shard.last_pong = time.monotonic()
                     shard.ready = True
                 continue
-            # A flush's ``results`` settle on the loop in one callback.
-            replies = message[1] if message[0] == "results" else [message]
+            # A flush's replies settle, and its report is kept, in one loop
+            # callback.  A report that cannot be read is skipped.
+            _, replies, report = message
             decoded = [self._decode_response(shard, reply) for reply in replies]
-            self._call_on_loop(partial(self._handle_responses, shard, decoded))
+            if report is not None:
+                try:
+                    report = pickle.loads(report)
+                except Exception:
+                    report = None
+            self._call_on_loop(
+                partial(self._handle_responses, shard, generation, decoded, report)
+            )
 
     @staticmethod
     def _decode_response(shard: _Shard, message: tuple) -> tuple:
@@ -987,7 +940,7 @@ class ShardedScenarioService:
         """
         kind, request_id = message[0], message[1]
         try:
-            if kind in ("result", "stats"):
+            if kind == "result":
                 return (kind, request_id, pickle.loads(message[2]))
             # kind == "error": the exception itself may be unpicklable.
             error_bytes, text = message[2], message[3]
@@ -1023,8 +976,8 @@ class ShardedScenarioService:
 
         Runs on the event loop.  The dead incarnation's in-flight requests
         are resubmitted through :meth:`_route` (failover or park) while
-        their retry budget lasts; control-plane probes and exhausted
-        requests fail with :class:`ShardCrashed`.
+        their retry budget lasts; exhausted requests fail with
+        :class:`ShardCrashed`.
         """
         if shard.generation != generation:
             return  # stale watcher of a replaced incarnation
@@ -1069,11 +1022,6 @@ class ShardedScenarioService:
     def _retry_budgeted(self, entry: _Inflight, shard: _Shard, cause: str) -> bool:
         """Charge one retry to a dead incarnation's entry, or fail it."""
         if entry.future.done():
-            return False
-        if entry.request is None:  # control-plane probe: never retried
-            entry.future.set_exception(
-                ShardCrashed(f"shard {shard.index} worker {cause}")
-            )
             return False
         if entry.attempts >= self.retry_limit:
             self.stats.failed += 1
@@ -1215,7 +1163,6 @@ class ShardedScenarioService:
         *and* none is restarting (every candidate circuit-broken or failover
         disabled), and a pickling error when the chain cannot be sent.
         """
-        assert entry.request is not None
         chain = entry.request.chain
         owner = shard_for_fingerprint(chain.fingerprint, self.num_shards)
         width = self.num_shards if self.failover else 1
@@ -1267,18 +1214,7 @@ class ShardedScenarioService:
         parked, self._parked = self._parked, []
         self._route([entry for entry in parked if not entry.future.done()])
 
-    def _discard_entry(self, entry: _Inflight) -> None:
-        """Drop a settled/abandoned submission from wherever it lives now."""
-        if entry.parked:
-            try:
-                self._parked.remove(entry)
-            except ValueError:  # pragma: no cover - raced with a drain
-                pass
-            entry.parked = False
-        elif entry.shard_index is not None and entry.request_id is not None:
-            self._shards[entry.shard_index].inflight.pop(entry.request_id, None)
-
-    def _entry_detail(self, entry: _Inflight) -> str | None:
+    def _where(self, entry: _Inflight) -> str | None:
         if entry.parked:
             return "the request was parked waiting for a shard restart"
         if entry.shard_index is not None:
@@ -1288,12 +1224,15 @@ class ShardedScenarioService:
     def _fail_inflight(self, shard: _Shard, error: BaseException) -> None:
         for entry in list(shard.inflight.values()):
             if not entry.future.done():
-                if entry.request is not None:
-                    self.stats.failed += 1
+                self.stats.failed += 1
                 entry.future.set_exception(error)
         shard.inflight.clear()
 
-    def _handle_responses(self, shard: _Shard, messages: list[tuple]) -> None:
+    def _handle_responses(
+        self, shard: _Shard, generation: int, messages: list[tuple], report: Any
+    ) -> None:
+        if report is not None:
+            shard.reports[generation] = report
         for message in messages:
             kind, request_id = message[0], message[1]
             entry = shard.inflight.pop(request_id, None)
@@ -1312,227 +1251,100 @@ class ShardedScenarioService:
                         _squeeze=payload["squeeze"],
                     )
                 )
-            elif kind == "error":
+            else:
                 error, text = message[2], message[3]
                 if error is None:
                     error = RuntimeError(f"shard {shard.index} request failed: {text}")
                 self.stats.failed += 1
                 entry.future.set_exception(error)
-            else:  # stats snapshot
-                entry.future.set_result(message[2])
 
     # ------------------------------------------------------------------
-    # submission API (mirrors ScenarioService)
+    # what the front supplies
     # ------------------------------------------------------------------
-    def _ensure_ready(self) -> None:
-        if self._closed:
-            raise ServiceClosed("the sharded scenario service has been closed")
-        if not self._started:
-            raise RuntimeError(
-                "ShardedScenarioService must be started first "
-                "(use 'async with' or await start())"
-            )
-
-    def _inflight_count(self) -> int:
-        dispatched = sum(
-            1
-            for shard in self._shards
-            for entry in shard.inflight.values()
-            if entry.request is not None
-        )
-        return dispatched + len(self._parked)
-
-    async def submit(
-        self, request: MeasureRequest, timeout: float | None = None
-    ) -> MeasureResult:
-        """Route one request to a shard and await the result.
-
-        Semantics match :meth:`ScenarioService.submit`: values are
-        bit-comparable to a single-process service (same numerical path,
-        executed in the worker), :class:`QueueFull` applies backpressure at
-        ``max_pending`` in-flight submissions, and a ``timeout`` abandons
-        only this caller's future.  Worker deaths are transparent while
-        the retry budget lasts; :class:`ShardCrashed` is raised fast only
-        when no shard can serve the chain at all (counted in
-        ``stats.routed_dead``).  The one-request case of
-        :meth:`submit_many`.
-        """
-        (result,) = await self.submit_many([request], timeout=timeout)
-        return result
-
-    async def submit_many(
-        self, requests: list[MeasureRequest], timeout: float | None = None
-    ) -> list[MeasureResult]:
-        """Route several requests and await all their results.
-
-        The payloads are pickled in one executor hop, and each shard the
-        requests touch gets them in one ``requests`` message, so the batch
-        plans there as one flush.  Each request keeps the semantics of
-        :meth:`submit`: at ``max_pending`` every request of the call is
-        rejected (each counted in ``stats.rejected``), and deadlines,
-        retries, failover and errors apply to each request alone.  Like
-        :meth:`ScenarioService.submit_many`, the first failure is raised
-        only after every sibling future has settled.
-        """
-        self._ensure_ready()
-        requests = list(requests)
+    async def _payloads(self, requests: list[MeasureRequest]) -> list[bytes | Exception]:
+        """Each request's wire payload, pickled in one executor hop: the
+        first content key of a chain object hashes its rate matrix, and the
+        event loop also serves HTTP traffic."""
         assert self._loop is not None
-        # The first content key of a chain object hashes its rate matrix;
-        # keep that (and the pickling) off the event loop, which also serves
-        # HTTP traffic.
-        payloads = await self._loop.run_in_executor(
-            None, _request_payloads, requests
-        )
-        return await self._submit_payloads(requests, payloads, timeout)
+        return await self._loop.run_in_executor(None, _request_payloads, requests)
 
-    async def _submit_payloads(
-        self,
-        requests: Sequence[MeasureRequest],
-        payloads: Sequence[bytes | Exception],
-        timeout: float | None,
-    ) -> list[MeasureResult]:
-        """Route pickled requests and await them (see :meth:`submit_many`)."""
-        if (
-            self.max_pending is not None
-            and self._inflight_count() >= self.max_pending
-        ):
-            self.stats.rejected += len(requests)
-            raise QueueFull(
-                f"sharded service has {self._inflight_count()} requests in flight "
-                f"(max_pending={self.max_pending}); back off and resubmit"
-            )
+    def _expand(self, spec: ScenarioSpec, points: int | None) -> ScenarioExpansion:
+        """A family's expansion with every request's wire payload."""
+        expansion = self.registry.expansion(spec, points)
+        return replace(expansion, payloads=tuple(_request_payloads(expansion.requests)))
+
+    def _enqueue(
+        self, requests: Sequence[MeasureRequest], payloads: Sequence[bytes | Exception]
+    ) -> list[_Inflight]:
+        """Route the call: each shard it touches gets one ``requests``
+        message, so the batch plans there as one flush.  A request whose
+        payload could not be pickled fails alone and is not sent; a request
+        no shard can serve fails fast (counted in ``stats.routed_dead``)."""
         assert self._loop is not None
         entries = [
-            _Inflight(future=self._loop.create_future(), request=request, payload=payload)
+            _Inflight(self._loop.create_future(), request, payload)
             for request, payload in zip(requests, payloads)
-            if not isinstance(payload, Exception)
         ]
-        self.stats.submissions += len(entries)
+        sendable = []
+        for entry in entries:
+            if isinstance(entry.payload, Exception):
+                entry.future.set_exception(entry.payload)
+            else:
+                sendable.append(entry)
+        self.stats.submissions += len(sendable)
         self.stats.routed_dead += sum(
-            isinstance(error, ShardCrashed) for error in self._route(entries)
+            isinstance(error, ShardCrashed) for error in self._route(sendable)
         )
-        timeout = self.default_timeout if timeout is None else timeout
-        settled = iter(
-            await asyncio.gather(
-                *(self._settle(entry, timeout) for entry in entries),
-                return_exceptions=True,
-            )
-        )
-        outcomes = [
-            payload if isinstance(payload, Exception) else next(settled)
-            for payload in payloads
-        ]
-        for outcome in outcomes:
-            if isinstance(outcome, BaseException):
-                raise outcome
-        return outcomes
-
-    async def _settle(self, entry: _Inflight, timeout: float | None) -> MeasureResult:
-        """Await one submission under its deadline, then forget it."""
-        try:
-            return await await_with_deadline(
-                entry.future,
-                timeout,
-                self.stats,
-                detail=partial(self._entry_detail, entry),
-            )
-        finally:
-            self._discard_entry(entry)
-
-    async def submit_scenario(
-        self, name: str, points: int | None = None, timeout: float | None = None
-    ) -> list[tuple[MeasureRequest, MeasureResult]]:
-        """Expand a registered scenario and fan its family out over the shards.
-
-        Each (spec, ``points``) is expanded and pickled once: the requests
-        and their wire payloads are kept in :attr:`artifacts` under the
-        ``scenario`` kind, so a warm family is routed from the event loop
-        with no expansion, no pickling and no executor hop.  A first
-        expansion (state-space construction) and its pickling run on a
-        parent-side worker thread.  The requests are routed per chain, so
-        every curve of the family lands on the shard owning its chain.
-        """
-        self._ensure_ready()
-        expansion = await cached_expansion(
-            self.artifacts,
-            self.registry.get(name),
-            points,
-            self._expander,
-            partial(_wire_expansion, self.registry),
-        )
-        results = await self._submit_payloads(
-            expansion.requests, expansion.payloads, timeout
-        )
-        return list(zip(expansion.requests, results))
+        return entries
 
     # ------------------------------------------------------------------
-    # shared-nothing stats aggregation
+    # counters: the reports that ride the workers' results
     # ------------------------------------------------------------------
-    def _placeholder_snapshot(self, shard: _Shard) -> ShardSnapshot:
-        return ShardSnapshot(
-            index=shard.index,
-            alive=shard.alive,
-            state=shard.state,
-            generation=shard.generation,
-            restarts=self.stats.restarts.get(shard.index, 0),
-        )
-
-    async def shard_snapshots(
-        self, timeout: float | None = None
-    ) -> list[ShardSnapshot]:
+    async def shard_snapshots(self) -> list[ShardSnapshot]:
         """One :class:`ShardSnapshot` per shard (down shards marked, not raised).
 
-        ``timeout`` defaults to the ``snapshot_timeout`` constructor knob.
+        Built from the last report of each worker incarnation, which came
+        with its last flush's results: no worker is asked anything, so the
+        answer never waits for a flush.
         """
-        self._ensure_ready()
-        assert self._loop is not None
-        timeout = self.snapshot_timeout if timeout is None else timeout
+        return self._snapshots()
 
-        async def snapshot(shard: _Shard) -> ShardSnapshot:
-            if not shard.alive or shard.state != STATE_UP:
-                return self._placeholder_snapshot(shard)
-            request_id = next(self._ids)
-            entry = _Inflight(future=self._loop.create_future(), request=None)
-            entry.shard_index = shard.index
-            entry.request_id = request_id
-            shard.inflight[request_id] = entry
-            try:
-                shard.requests.put(("stats", request_id))
-                service, cache, fingerprints, threads = await asyncio.wait_for(
-                    entry.future, timeout
+    def _snapshots(self) -> list[ShardSnapshot]:
+        snapshots = []
+        for shard in self._shards:
+            service, cache = ServiceStats(), CacheStats()
+            for report in shard.reports.values():
+                service.absorb(report[0])
+                cache.absorb(report[1])
+            up = shard.alive and shard.state == STATE_UP
+            current = shard.reports.get(shard.generation) if up else None
+            snapshots.append(
+                ShardSnapshot(
+                    index=shard.index,
+                    alive=shard.alive,
+                    service=service,
+                    cache=cache,
+                    fingerprints=current[2] if current else frozenset(),
+                    threads=current[3] if current else None,
+                    state=shard.state,
+                    generation=shard.generation,
+                    restarts=self.stats.restarts.get(shard.index, 0),
                 )
-            except (asyncio.TimeoutError, ShardCrashed, ServiceClosed):
-                return self._placeholder_snapshot(shard)
-            finally:
-                shard.inflight.pop(request_id, None)
-            return ShardSnapshot(
-                index=shard.index,
-                alive=True,
-                service=service,
-                cache=cache,
-                fingerprints=frozenset(fingerprints),
-                threads=threads,
-                state=shard.state,
-                generation=shard.generation,
-                restarts=self.stats.restarts.get(shard.index, 0),
             )
+        return snapshots
 
-        return list(await asyncio.gather(*(snapshot(s) for s in self._shards)))
-
-    async def metrics_records(self) -> list[Record]:
+    def metrics_records(self) -> list[Record]:
         """The records ``GET /metrics`` renders for the sharded front.
 
         The shards' :class:`ServiceStats` and :class:`CacheStats` summed into
         the series a single-process service exposes (so dashboards work
         unchanged), this process's optimizer counters, the front's routing
         and supervision counters (every shard listed, zeros included) and
-        the per-shard gauges of this snapshot round.  Each shard counts
-        over its lifetime, restarted incarnations included
-        (:meth:`_Shard.lifetime_snapshots`), so counters never go backwards.
+        the per-shard gauges.  Each shard counts over its lifetime,
+        restarted incarnations included, so counters never go backwards.
         """
         from repro.optimize.stats import global_optimizer_stats
 
-        snapshots = await self.shard_snapshots()
         service, cache, gauges = ServiceStats(), CacheStats(), ShardGauges()
         zeros = dict.fromkeys(range(self.num_shards), 0)
         front = ShardedServiceStats(
@@ -1543,15 +1355,10 @@ class ShardedScenarioService:
         )
         front.absorb(self.stats)
         cache.absorb(self.artifacts.stats())  # the front's scenario expansions
-        for shard, snapshot in zip(self._shards, snapshots):
-            for part in shard.lifetime_snapshots(snapshot):
-                service.absorb(part.service)
-                cache.absorb(part.cache)
+        for snapshot in self._snapshots():
+            service.absorb(snapshot.service)
+            cache.absorb(snapshot.cache)
             gauges.alive[snapshot.index] = int(snapshot.alive)
             gauges.state[snapshot.index, snapshot.state] = 1
             gauges.owned_chains[snapshot.index] = len(snapshot.fingerprints)
         return [service, cache, global_optimizer_stats(), front, gauges]
-
-    async def metrics_text(self) -> str:
-        """The Prometheus text dump of :meth:`metrics_records`."""
-        return render_metrics(*await self.metrics_records())

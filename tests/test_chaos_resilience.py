@@ -15,13 +15,17 @@ or by killing worker processes directly, and every recovery claim of
 * a dropped response is recovered only by its caller's own deadline;
 * a worker that dies after receiving a chain takes the chain with it: the
   retry sends the chain again to the incarnation or shard that serves it;
-* ``/metrics`` counters never go backwards when a worker dies: the front
-  banks each dead incarnation's last snapshot.
+* ``/metrics`` counters never go backwards when a worker dies, or when a
+  delayed reply arrives after a later flush: the front keeps each
+  incarnation's last report, and a delayed reply carries none.
 """
 
 from __future__ import annotations
 
 import asyncio
+import pickle
+import queue
+import threading
 
 import numpy as np
 import pytest
@@ -43,6 +47,7 @@ from repro.service.shard import (
     STATE_BROKEN,
     STATE_RESTARTING,
     STATE_UP,
+    _Inflight,
     _Shard,
     ShardedScenarioService as _Front,
 )
@@ -288,16 +293,16 @@ class TestMetricsAcrossRestarts:
                 **{**FAST_SUPERVISION, "backoff_base": 1.0, "backoff_cap": 1.0},
             ) as sharded:
                 await sharded.submit_scenario("fig3", points=5)
-                before = lifetime_counters(await sharded.metrics_text())
+                before = lifetime_counters(sharded.metrics_text())
                 (served,) = [
                     index for index, count in sharded.stats.routed.items() if count
                 ]
                 shard = sharded._shards[served]
                 shard.process.kill()
                 await wait_until(lambda: shard.state == STATE_RESTARTING)
-                down = lifetime_counters(await sharded.metrics_text())
+                down = lifetime_counters(sharded.metrics_text())
                 await wait_until(lambda: shard.state == STATE_UP and shard.generation == 1)
-                respawned = lifetime_counters(await sharded.metrics_text())
+                respawned = lifetime_counters(sharded.metrics_text())
                 return before, down, respawned
 
         before, down, respawned = asyncio.run(run())
@@ -382,7 +387,7 @@ class TestCircuitBreaker:
                     lambda: sharded._shards[0].state == STATE_BROKEN
                 )
                 after = await sharded.submit(reachability_request(chain))
-                snapshots = await sharded.shard_snapshots(timeout=10.0)
+                snapshots = await sharded.shard_snapshots()
                 return results, after, snapshots, sharded.stats
 
         results, after, snapshots, stats = asyncio.run(run())
@@ -480,6 +485,51 @@ class TestResponseFaults:
         assert result.values.shape == (1, 3)
         assert stats.completed == 1 and stats.timeouts == 0
 
+    def test_a_delayed_reply_never_takes_a_counter_back(self):
+        # Flush 1 answers requests 1, 3 and 4 at once and request 2 a
+        # second later, after flush 2 has reported: every snapshot taken
+        # meanwhile counts at least what the one before it did.
+        chain = chain_owned_by(0)
+        chaos = ChaosPolicy([ChaosEvent("delay", 0, 2, delay=1.0)])
+        batch = [reachability_request(chain, (0.5 * step,)) for step in range(1, 5)]
+
+        def counters(snapshot):
+            service, session = snapshot.service, snapshot.service.session
+            return (
+                service.flushes, service.submissions, service.completed,
+                session.requests, session.sweeps,
+                sum(kind.lookups for kind in snapshot.cache.kinds.values()),
+            )
+
+        async def run():
+            async with ShardedScenarioService(
+                1, chaos=chaos, coalesce_window=0.0, heartbeat_interval=None
+            ) as sharded:
+                seen = []
+
+                async def watch():
+                    while True:
+                        (snapshot,) = await sharded.shard_snapshots()
+                        seen.append(counters(snapshot))
+                        await asyncio.sleep(0.005)
+
+                watcher = asyncio.ensure_future(watch())
+                first = asyncio.ensure_future(sharded.submit_many(batch))
+                await wait_until(lambda: seen and seen[-1][0] == 1, interval=0.005)
+                await sharded.submit_many(batch)
+                assert not first.done()  # request 2 is still delayed
+                await first
+                watcher.cancel()
+                (snapshot,) = await sharded.shard_snapshots()
+                return seen, snapshot, sharded.stats
+
+        seen, snapshot, stats = asyncio.run(run())
+        for earlier, later in zip(seen, seen[1:]):
+            assert all(b >= a for a, b in zip(earlier, later)), (earlier, later)
+        # Both flushes are counted as the worker counted them.
+        assert counters(snapshot)[:4] == (2, 8, 8, 8)
+        assert stats.completed == 8
+
 
 # ---------------------------------------------------------------------------
 # the defensive decode path, exercised without any processes
@@ -505,14 +555,47 @@ class TestDecodeResponse:
         assert text == "ValueError: original message"
 
     def test_healthy_payloads_pass_through(self):
-        import pickle
-
         shard = self._stub_shard()
         kind, request_id, payload = _Front._decode_response(
             shard, ("result", 1, pickle.dumps({"values": [1.0]}))
         )
         assert (kind, request_id) == ("result", 1)
         assert payload == {"values": [1.0]}
+
+    def test_an_unreadable_report_is_skipped_and_its_replies_settle(self):
+        class Exited:
+            def is_alive(self):
+                return False
+
+        body = pickle.dumps({
+            "times": np.array([1.0]), "values": np.array([[0.5]]),
+            "group_index": 0, "lumped_states": None, "squeeze": False,
+        })
+
+        async def run():
+            front = _Front(1, heartbeat_interval=None)
+            front._loop = asyncio.get_running_loop()
+            responses: queue.Queue = queue.Queue()
+            shard = _Shard(index=0, process=Exited(), requests=None, responses=responses)
+            entry = _Inflight(
+                front._loop.create_future(), reachability_request(chain_owned_by(0)), b""
+            )
+            shard.inflight[1] = entry
+            responses.put(("results", [("result", 1, body)], b"\xff not a pickle"))
+            # The reader drains the queue, then stops: its process is gone.
+            reader = threading.Thread(
+                target=front._read_responses, args=(shard, shard.process, responses, 0)
+            )
+            reader.start()
+            result = await asyncio.wait_for(entry.future, 30)
+            reader.join(timeout=30)
+            assert not reader.is_alive()
+            return result, shard.reports, front.stats
+
+        result, reports, stats = asyncio.run(run())
+        assert np.array_equal(result.values, [[0.5]])
+        assert reports == {}
+        assert stats.completed == 1
 
 
 # ---------------------------------------------------------------------------

@@ -826,12 +826,17 @@ class TestBackpressureAndDeadlines:
                 artifacts=ArtifactCache(), coalesce_window=0.1, max_pending=2
             )
             async with service:
+                # An unsettled request first: an idle service would admit
+                # the batch whole, however large.
+                held = asyncio.ensure_future(service.submit(self._request(53)))
+                await asyncio.sleep(0.01)  # queued, the window is open
                 with pytest.raises(QueueFull):
                     await service.submit_many(
                         [self._request(50), self._request(51), self._request(52)]
                     )
+                await held
                 await asyncio.sleep(0.3)  # any leaked work would flush here
-                leaked = service.stats.session.requests
+                leaked = service.stats.session.requests - 1
                 results = await service.submit_many(
                     [self._request(50), self._request(51)]
                 )

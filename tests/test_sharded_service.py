@@ -2,16 +2,17 @@
 
 Covers the tentpole acceptance criteria: a 2-shard run of the full
 ``paper_registry()`` portfolio matches the single-process service to
-<= 1e-12 with disjoint per-shard chain ownership, the shared-nothing stats
-protocol aggregates both shards' counters, a killed worker fails exactly
-its own in-flight scenarios while the remaining shards keep serving, and
-the sharded front applies the same backpressure (``QueueFull``) and
-per-request deadline (``ScenarioTimeout``) policies as the in-process
-dispatcher.  The content-addressed chain transport is covered too: each
-chain content key is uploaded once per worker, chains that share a rate
-matrix keep their own initials and labels, mostly-zero initial
-distributions travel as their entries, and duplicated clients cost the
-single-process sweep count.  Registry passes do the same work in process
+<= 1e-12 with disjoint per-shard chain ownership, the counters each
+worker reports with its results aggregate both shards' work (and answer
+while a flush runs), a killed worker fails exactly its own in-flight
+scenarios while the remaining shards keep serving, and the sharded front
+applies the same backpressure (``QueueFull``) and per-request deadline
+(``ScenarioTimeout``) policies as the in-process dispatcher.  The
+content-addressed chain transport is covered too: each chain content key
+is uploaded once per worker, chains that share a rate matrix keep their
+own initials and labels, mostly-zero initial distributions travel as
+their entries, and duplicated clients cost the single-process sweep
+count.  Registry passes do the same work in process
 and on 1 and 2 shards (values, sweeps, one flush per family and shard),
 and the worker loop itself runs in-process on plain queues, so its body
 is covered without a spawned process.
@@ -193,7 +194,7 @@ class TestShardedPortfolio:
             ) as sharded:
                 await sharded.submit_many(list(portfolio))
                 snapshots = await sharded.shard_snapshots()
-                return await sharded.metrics_text(), snapshots
+                return sharded.metrics_text(), snapshots
 
         text, snapshots = asyncio.run(run())
         lines = text.splitlines()
@@ -248,7 +249,7 @@ class TestWorkInvariance:
             async with ShardedScenarioService(num_shards, lump=True) as sharded:
                 families = await two_passes(sharded)
                 snapshots = await sharded.shard_snapshots()
-                metrics = await sharded.metrics_text()
+                metrics = sharded.metrics_text()
             return (
                 families,
                 sum(snapshot.service.session.sweeps for snapshot in snapshots),
@@ -388,8 +389,6 @@ class TestExpandOnce:
                     post_body(server, "fig8_9", 5), post_body(server, "fig8_9", 5)
                 )
                 metrics = service.metrics_records()
-                if label != "in-process":
-                    metrics = await metrics
             return cold + warm, metrics
 
         bodies, records = asyncio.run(run())
@@ -445,12 +444,12 @@ def requests_message(ids, requests) -> tuple:
     return ("requests", list(zip(ids, payloads)))
 
 
-def stats_probe(inbox, outbox):
-    """The worker's ``ServiceStats`` and thread accounting, via a probe."""
-    inbox.put(("stats", 7))
-    kind, probe, snapshot = outbox.get(timeout=30)
-    assert (kind, probe) == ("stats", 7)
-    service, _cache, fingerprints, threads = pickle.loads(snapshot)
+def stats_probe(results):
+    """The worker's ``ServiceStats``, chain fingerprints and thread
+    accounting, from the report of a ``results`` message."""
+    kind, _replies, report = results
+    assert kind == "results"
+    service, _cache, fingerprints, threads = pickle.loads(report)
     return service, fingerprints, threads
 
 
@@ -472,13 +471,12 @@ class TestWorkerLoop:
         with worker_loop([chaos] if chaos is not None else []) as (inbox, outbox):
             inbox.put(chain_message(chain))
             inbox.put(requests_message(ids, requests))
-            kind, replies = outbox.get(timeout=30)
-            assert kind == "results"
+            message = outbox.get(timeout=30)
             results = {}
-            for kind, request_id, body in replies:
+            for kind, request_id, body in message[1]:
                 assert kind == "result"
                 results[request_id] = pickle.loads(body)
-            service, fingerprints, _ = stats_probe(inbox, outbox)
+            service, fingerprints, _ = stats_probe(message)
         assert outbox.empty()  # a dropped response never arrives
         assert set(results) == set(ids) - dropped
         for request_id, values in zip(ids, expected):
@@ -498,10 +496,9 @@ class TestWorkerLoop:
             requests_message(ids[2:], requests[2:]),
         ]
         with worker_loop(queued=queued) as (inbox, outbox):
-            kind, replies = outbox.get(timeout=30)
-            service, _, _ = stats_probe(inbox, outbox)
-        assert kind == "results"
-        assert [reply[:2] for reply in replies] == [("result", i) for i in ids]
+            message = outbox.get(timeout=30)
+        service, _, _ = stats_probe(message)
+        assert [reply[:2] for reply in message[1]] == [("result", i) for i in ids]
         assert service.flushes == 1
         assert service.session.requests == len(requests)
 
@@ -514,7 +511,7 @@ class TestWorkerLoop:
             inbox.put(message)
             first = outbox.get(timeout=30)
             second = outbox.get(timeout=30)
-            service, _, _ = stats_probe(inbox, outbox)
+        service, _, _ = stats_probe(second)
         assert [reply[:2] for reply in first[1]] == [
             ("error", 99), ("result", ids[0]), ("result", ids[1])
         ]
@@ -552,7 +549,11 @@ class TestWorkerLoop:
             second = outbox.get(timeout=30)
         assert first[0] == second[0] == "results"
         assert [reply[1] for reply in first[1]] == [ids[0], ids[2], ids[3]]
+        assert stats_probe(first)[0].completed == len(ids)
+        # The delayed reply travels alone and without a report, so a
+        # later flush's report is never followed by an older one.
         assert [reply[:2] for reply in second[1]] == [("result", ids[1])]
+        assert second[2] is None
 
 
 # ---------------------------------------------------------------------------
@@ -601,7 +602,9 @@ class TestRouting:
         with pytest.raises(ValueError):
             ShardedScenarioService(2, shutdown_grace=0.0)
         with pytest.raises(ValueError):
-            ShardedScenarioService(2, snapshot_timeout=0.0)
+            ShardedScenarioService(1, max_batch=0)
+        with pytest.raises(ValueError):
+            ShardedScenarioService(1, coalesce_window=-1.0)
         with pytest.raises(TypeError):
             ShardedScenarioService(2, chaos="kill shard 0")
 
@@ -612,7 +615,6 @@ class TestRouting:
             restart_limit=5,
             retry_limit=1,
             shutdown_grace=3.0,
-            snapshot_timeout=7.0,
         )
         assert service.heartbeat_interval == 0.5
         # The derived default never drops below the 30s floor: a tight
@@ -625,7 +627,6 @@ class TestRouting:
         assert service.restart_limit == 5
         assert service.retry_limit == 1
         assert service.shutdown_grace == 3.0
-        assert service.snapshot_timeout == 7.0
         # 0 disables the heartbeat entirely.
         assert ShardedScenarioService(2, heartbeat_interval=0).heartbeat_interval is None
 
@@ -740,7 +741,7 @@ class TestShardedBackpressure:
                     for chain in chains
                 ]
                 for _ in range(500):  # wait until both submissions are in flight
-                    if sharded._inflight_count() >= 2:
+                    if len(sharded._unsettled) >= 2:
                         break
                     await asyncio.sleep(0.01)
                 with pytest.raises(QueueFull):
@@ -786,6 +787,94 @@ class TestShardedBackpressure:
 
 
 # ---------------------------------------------------------------------------
+# one front: the same admission rule in process and on a shard, and
+# counters that answer while a flush runs
+# ---------------------------------------------------------------------------
+def flushed_requests(front) -> float:
+    """``repro_service_requests_total`` of a front's ``/metrics`` records."""
+    name = "repro_service_requests_total"
+    return check_exposition(front.metrics_text())[name][1][name, ()]
+
+
+class TestOneFront:
+    @pytest.mark.parametrize(
+        "make_front",
+        [
+            lambda: ScenarioService(coalesce_window=1.0, max_pending=3),
+            lambda: ShardedScenarioService(
+                1, coalesce_window=1.0, max_pending=3, heartbeat_interval=None
+            ),
+        ],
+        ids=["in-process", "1-shard"],
+    )
+    def test_one_backpressure_rule(self, make_front):
+        # The window holds each flush open for a second, so a call's
+        # requests stay unsettled while the next call is admitted or not.
+        chain = chain_owned_by(0)
+        requests = [
+            reachability_request(chain, (0.5 * step,)) for step in range(1, 8)
+        ]
+
+        async def run():
+            async with make_front() as front:
+                # Idle: a call larger than max_pending is admitted.
+                await front.submit_many(requests[:4])
+                held = asyncio.ensure_future(front.submit_many(requests[4:6]))
+                for _ in range(500):
+                    if len(front._unsettled) == 2:
+                        break
+                    await asyncio.sleep(0.01)
+                submitted = front.stats.submissions
+                # 2 unsettled + 2 > 3: rejected whole, nothing enqueued.
+                with pytest.raises(QueueFull):
+                    await front.submit_many(requests[:2])
+                rejected = (front.stats.rejected, front.stats.submissions - submitted)
+                # 2 unsettled + 1 fits.
+                fitted = await front.submit(requests[6])
+                await held
+                return rejected, fitted, front.stats, flushed_requests(front)
+
+        rejected, fitted, stats, flushed = asyncio.run(run())
+        assert rejected == (2, 0)
+        assert fitted.values.shape == (1, 1)
+        assert (stats.submissions, stats.completed, stats.rejected) == (7, 7, 2)
+        assert flushed == 7  # the rejected call left no work behind
+
+    def test_metrics_answer_while_a_long_flush_runs(self):
+        # The unlumped 33,280-state Line 1 FRF-1 request on a 2,000-hour
+        # grid flushes for about half a second in the worker.
+        spec = replace(paper_registry().get("fig6"), horizon=2000.0)
+        (request,) = [
+            request for request in spec.expand() if request.tag[-1] == "FRF-1"
+        ]
+
+        async def run():
+            async with ShardedScenarioService(1, heartbeat_interval=None) as front:
+                front.metrics_text()  # imports the optimizer counters' module
+                pending = asyncio.ensure_future(front.submit(request))
+                for _ in range(500):
+                    if front._unsettled:
+                        break
+                    await asyncio.sleep(0.01)
+                await asyncio.sleep(0.1)  # the worker is flushing
+                started = time.perf_counter()
+                text = front.metrics_text()
+                seconds = time.perf_counter() - started
+                was_pending = not pending.done()
+                await pending
+                return text, seconds, was_pending, flushed_requests(front)
+
+        text, seconds, was_pending, flushed = asyncio.run(run())
+        assert isinstance(text, str)
+        assert seconds < 0.05
+        assert was_pending
+        assert check_exposition(text)["repro_service_requests_total"][1] == {
+            ("repro_service_requests_total", ()): 0.0
+        }
+        assert flushed == 1
+
+
+# ---------------------------------------------------------------------------
 # content-addressed chain transport
 # ---------------------------------------------------------------------------
 class TestChainTransport:
@@ -810,7 +899,7 @@ class TestChainTransport:
                 uploads = sharded.stats.chain_uploads
                 sent = sharded.stats.request_bytes
                 repeat = await sharded.submit_many(list(requests))
-                text = await sharded.metrics_text()
+                text = sharded.metrics_text()
                 return first, repeat, uploads, sent, text, sharded.stats
 
         first, repeat, uploads, sent, text, stats = asyncio.run(run())
